@@ -532,19 +532,11 @@ class ApiServerProcess:
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Process one client request end to end.
 
-        Accepts anything request-shaped (a real :class:`ApiRequest` or a
-        workload ``ClientEvent``, which exposes the same attributes) — the
-        replay loop passes events straight through to avoid a per-event
-        request copy.
-
-        Downloads take a fused fast path: they dominate every workload the
-        generator produces (and DDoS episodes are download floods), so the
-        whole request — routing memo, GET_NODE RPC with its pooled
-        service-time draw, S3 accounting and both trace rows — runs in this
-        one frame with no request-context mutation.  The fast path emits
-        bit-identical rows to the generic path below; everything unusual
-        (missing node, sessionless request, round-robin routing) falls
-        through to the generic machinery.
+        Accepts anything request-shaped (a real :class:`ApiRequest`, a
+        workload ``ClientEvent`` or the replay's :class:`_ReplayRequest`,
+        which all expose the same attributes).  This is the generic path
+        for every operation; the replay's fast paths live in
+        :meth:`handle_event`.
         """
         self.requests_handled += 1
         operation = request.operation
@@ -553,64 +545,6 @@ class ApiServerProcess:
             handle.storage_operations += 1
 
         timestamp = request.timestamp
-        # The fast path must not dodge fault checks or a degraded worker's
-        # inflation, so it is disabled inside the fault envelope (one float
-        # comparison; never taken when no faults are configured).
-        if (operation is _DOWNLOAD_OPERATION and handle is not None
-                and self._stable_routing and not self._tiered
-                and not self._fault_lo <= timestamp < self._fault_hi):
-            routed = handle.shard_cache
-            if routed is None:
-                routed = handle.shard_cache = self._store.shard_and_id(
-                    request.user_id)
-            shard, shard_id = routed
-            node_id = request.node_id
-            content_hash = request.content_hash
-            size_bytes = request.size_bytes
-            objects = self._objects
-            if node_id in shard._nodes:  # noqa: SLF001 - has_node, inlined
-                if content_hash and content_hash not in objects:
-                    objects.put(content_hash, size_bytes)
-                # Inlined RpcWorker.execute_one(GET_NODE): pooled factor
-                # draw, DAL touch, worker counters, RPC row.
-                worker = self._rpc
-                model = worker._latency
-                factors = model._factors
-                i = model._factor_index
-                if i >= len(factors):
-                    model._refill_factors()
-                    factors = model._factors
-                    i = 0
-                model._factor_index = i + 1
-                service_time = (model._base_by_rpc[_GET_NODE_RPC]
-                                [shard_id % model._n_shards] * factors[i])
-                shard.requests_served += 1  # get_node, result unused
-                worker.calls_executed += 1
-                worker.busy_time += service_time
-                user_id = request.user_id
-                session_id = request.session_id
-                attack = request.caused_by_attack
-                worker._rpc_row((
-                    timestamp, self._server, self._process, user_id,
-                    session_id, _GET_NODE_RPC, shard_id, service_time,
-                    operation, attack))
-                response = ApiResponse(operation, True, "", 1)
-                if content_hash:
-                    # Inlined ObjectStore.get() accounting.
-                    size = objects._objects[content_hash]  # noqa: SLF001
-                    accounting = objects.accounting
-                    accounting.get_requests += 1
-                    accounting.bytes_downloaded += size
-                    response.bytes_from_s3 = size
-                else:
-                    response.bytes_from_s3 = size_bytes
-                self._storage_row((
-                    timestamp, self._server, self._process, user_id,
-                    session_id, operation, node_id, request.volume_id,
-                    request.volume_type, request.node_kind, size_bytes,
-                    content_hash, request.extension, request.is_update,
-                    shard_id, attack, "", 0))
-                return response
         if handle is not None and self._stable_routing:
             # A session's shard never changes under user-id routing, and the
             # session open already registered the user there — routing is a

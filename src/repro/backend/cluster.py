@@ -239,14 +239,14 @@ class U1Cluster:
         ]
 
     def _run_sharded(self, workloads, n_shards: int, n_jobs: int,
-                     addresses, *, supervise: bool = True, policy=None,
+                     addresses, *, policy=None,
                      chaos=None, checkpoint_dir=None,
                      resume: bool = False, shutdown=None,
                      events_dir=None, progress=None) -> TraceDataset:
         """Run shard workloads, merge columnar outcomes, absorb counters.
 
-        ``supervise`` selects the crash-tolerant pool (the default) over the
-        bare historical dispatch; ``checkpoint_dir`` spills each completed
+        Shards run under the crash-tolerant supervisor (``policy`` and
+        ``chaos`` configure it); ``checkpoint_dir`` spills each completed
         shard as an atomic ``.npz`` under a run directory keyed by
         ``(config, workloads)`` with a write-ahead ``MANIFEST.json``, and
         ``resume`` loads those checkpoints instead of re-executing finished
@@ -286,7 +286,7 @@ class U1Cluster:
         events = telemetry.EventLog(events_path)
         try:
             events.emit("run-start", run_key=key, n_shards=n_shards,
-                        jobs=int(n_jobs), supervised=bool(supervise))
+                        jobs=int(n_jobs))
             if self.fault_schedule is not None:
                 for kind, win_start, win_end, detail in \
                         self.fault_schedule.iter_windows():
@@ -297,7 +297,7 @@ class U1Cluster:
                     self.config, assignments, self.latency.shard_factors,
                     workloads, n_jobs=n_jobs,
                     fault_schedule=self.fault_schedule,
-                    supervise=supervise, policy=policy, chaos=chaos,
+                    policy=policy, chaos=chaos,
                     checkpoint=checkpoint, resume=resume, shutdown=shutdown,
                     events=events, progress=progress)
 
@@ -359,16 +359,13 @@ class U1Cluster:
             "ipc_block_bytes": sum(outcome.ipc_bytes for outcome in outcomes),
             #: Replay sub-phase breakdown (per shard, same order as
             #: ``shard_seconds``): struct-of-arrays timeline assembly,
-            #: object-free dispatch, column packing — plus the typed
-            #: payload bytes of the event blocks the shards dispatched.
+            #: object-free dispatch, column packing.
             "shard_block_build_seconds": [outcome.block_build_seconds
                                           for outcome in outcomes],
             "shard_dispatch_seconds": [outcome.dispatch_seconds
                                        for outcome in outcomes],
             "shard_pack_seconds": [outcome.pack_seconds
                                    for outcome in outcomes],
-            "event_block_bytes": sum(outcome.event_block_bytes
-                                     for outcome in outcomes),
             "events_replayed": sum(outcome.n_events for outcome in outcomes),
             "merge_seconds": merge_seconds,
             "replay_seconds": _time.perf_counter() - started,

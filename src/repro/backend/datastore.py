@@ -406,7 +406,7 @@ class ObjectStore:
 
         NOTE: the accounting side effects (``get_requests``,
         ``bytes_downloaded``) are inlined in the download fast path of
-        ``ApiServerProcess.handle``; keep both in sync.  (That fast path is
+        ``ApiServerProcess.handle_event``; keep both in sync.  (That fast path is
         disabled on tiered stores, which need the tier bookkeeping below.)
         """
         size = self.size_of(content_hash)

@@ -165,7 +165,7 @@ class ServiceTimeModel:
         ``_base_by_rpc[rpc][shard_id % _n_shards] * factor``) is inlined for
         call-overhead reasons in ``RpcWorker.execute``,
         ``RpcWorker.execute_one`` and the download fast path of
-        ``ApiServerProcess.handle``; any change to the sequence or to the
+        ``ApiServerProcess.handle_event``; any change to the sequence or to the
         pool state layout must be mirrored there, or the shared random
         stream desynchronizes between the paths.
         """

@@ -95,7 +95,6 @@ __all__ = [
     "lpt_assignment",
     "partition_members",
     "partition_scripts",
-    "run_shards",
     "run_shards_supervised",
     "script_weights",
     "usable_cpus",
@@ -347,8 +346,6 @@ class ShardOutcome:
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
-    #: Approximate typed-column payload bytes of the shard's event blocks.
-    event_block_bytes: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -446,13 +443,11 @@ class ReplayShard:
         script_col: list[int] = []
         event_col: list[int] = []
         rows_by_script: list[list[tuple]] = []
-        event_block_bytes = 0
         for index, script in enumerate(scripts):
             block = script.block
             if block is not None:
                 times = block.times
                 rows = block.rows()
-                event_block_bytes += block.nbytes
             else:
                 events = script.events
                 times = [event.time for event in events]
@@ -479,8 +474,7 @@ class ReplayShard:
             event_col.append(0)
         order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
                             np.asarray(ts_col, dtype=np.float64))).tolist()
-        return (order, ts_col, kind_col, script_col, event_col,
-                rows_by_script, event_block_bytes)
+        return order, ts_col, kind_col, script_col, event_col, rows_by_script
 
     def _dispatch(self, scripts: list[SessionScript], order: list[int],
                   ts_col: list[float], kind_col: list[int],
@@ -561,8 +555,8 @@ class ReplayShard:
         own timeline.
         """
         started = time.perf_counter()
-        (order, ts_col, kind_col, script_col, event_col, rows_by_script,
-         event_block_bytes) = self._build_timeline(scripts)
+        (order, ts_col, kind_col, script_col, event_col,
+         rows_by_script) = self._build_timeline(scripts)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
@@ -601,7 +595,6 @@ class ReplayShard:
             block_build_seconds=build_seconds,
             dispatch_seconds=dispatch_seconds,
             pack_seconds=pack_seconds,
-            event_block_bytes=event_block_bytes,
             process_counters={
                 index: (p.requests_handled, p.notifications_pushed,
                         p._rpc.calls_executed, p._rpc.busy_time)  # noqa: SLF001
@@ -618,36 +611,30 @@ class ReplayShard:
 
 
 # ---------------------------------------------------------------------------
-# Orchestration: supervised pool, unsupervised baseline, sequential fallback
+# Orchestration: supervised pool with an in-process sequential fallback
 # ---------------------------------------------------------------------------
 
 #: Fork-inherited task state: (config, assignments, shard_factors,
 #: workloads, fault_schedule).  Set in the parent immediately before any
 #: worker forks; workers receive only shard ids (plus attempt/chaos
-#: metadata in supervised mode) through the pipe.  Because the compiled
-#: fault schedule travels here, a *respawned* worker re-derives exactly
-#: the same fault exposure as the one that crashed.
+#: metadata) through the pipe.  Because the compiled fault schedule
+#: travels here, a *respawned* worker re-derives exactly the same fault
+#: exposure as the one that crashed.
 _FORK_STATE: tuple | None = None
-
-
-def _run_one_shard(config, assignments, shard_factors, workloads,
-                   shard_id: int, fault_schedule=None) -> ShardOutcome:
-    generate_started = time.perf_counter()
-    telemetry.shard_progress().begin(0, "materialize")
-    scripts = workloads[shard_id].scripts()
-    generate_seconds = time.perf_counter() - generate_started
-    shard = ReplayShard(config, shard_id, assignments[shard_id],
-                        shard_factors, fault_schedule=fault_schedule)
-    outcome = shard.run(scripts)
-    outcome.generate_seconds = generate_seconds
-    return outcome
 
 
 def _run_shard_task(shard_id: int) -> ShardOutcome:
     config, assignments, shard_factors, workloads, fault_schedule = _FORK_STATE
     with cyclic_gc_paused():
-        return _run_one_shard(config, assignments, shard_factors, workloads,
-                              shard_id, fault_schedule=fault_schedule)
+        generate_started = time.perf_counter()
+        telemetry.shard_progress().begin(0, "materialize")
+        scripts = workloads[shard_id].scripts()
+        generate_seconds = time.perf_counter() - generate_started
+        shard = ReplayShard(config, shard_id, assignments[shard_id],
+                            shard_factors, fault_schedule=fault_schedule)
+        outcome = shard.run(scripts)
+        outcome.generate_seconds = generate_seconds
+        return outcome
 
 
 def workload_planned_ops(workload) -> float:
@@ -659,30 +646,12 @@ def workload_planned_ops(workload) -> float:
     return sum(weights[member] for member in workload.members)
 
 
-def run_shards(config, assignments: list[list[tuple[int, ProcessAddress]]],
-               shard_factors: list[float],
-               workloads: list,
-               n_jobs: int = 1,
-               fault_schedule=None, **kwargs) -> tuple[list[ShardOutcome], int]:
-    """Run every replay shard and return ``(outcomes, jobs_used)``.
-
-    Thin compatibility wrapper over :func:`run_shards_supervised` (which
-    additionally returns the supervision report).  Keyword arguments are
-    forwarded verbatim.
-    """
-    outcomes, jobs_used, _ = run_shards_supervised(
-        config, assignments, shard_factors, workloads, n_jobs=n_jobs,
-        fault_schedule=fault_schedule, **kwargs)
-    return outcomes, jobs_used
-
-
 def run_shards_supervised(config,
                           assignments: list[list[tuple[int, ProcessAddress]]],
                           shard_factors: list[float],
                           workloads: list,
                           n_jobs: int = 1,
                           fault_schedule=None, *,
-                          supervise: bool = True,
                           policy=None,
                           chaos=None,
                           checkpoint=None,
@@ -701,19 +670,15 @@ def run_shards_supervised(config,
     (forking workers a single core must time-slice only adds overhead, and
     changes nothing about the result).
 
-    With ``supervise`` (the default) shards run under the crash-tolerant
-    pool of :mod:`repro.backend.supervisor`: per-shard forked workers
+    Shards run under the crash-tolerant pool of
+    :mod:`repro.backend.supervisor`: per-shard forked workers
     (completion-ordered, chunk size one by construction), dead/hung-worker
     detection, capped-backoff retries, quarantine, optional chaos
-    injection and checkpoint/resume.  ``supervise=False`` is the
-    *unsupervised baseline*: the historical pool dispatch (kept for the
-    overhead gate in CI), now submitting shards individually
-    (``chunksize=1`` via ``imap_unordered``) so the LPT balance can never
-    be silently re-skewed by ``Pool.map``'s default chunking.
+    injection and checkpoint/resume.
 
-    Either way the outcome list is ordered by shard id and the replayed
-    trace is a pure function of ``(config, workloads)`` — supervision,
-    retries, resumes and the worker count never change what is computed.
+    The outcome list is ordered by shard id and the replayed trace is a
+    pure function of ``(config, workloads)`` — supervision, retries,
+    resumes and the worker count never change what is computed.
     """
     from repro.backend.supervisor import SupervisorPolicy, supervise_shards
 
@@ -726,10 +691,6 @@ def run_shards_supervised(config,
     _FORK_STATE = (config, assignments, shard_factors, workloads,
                    fault_schedule)
     try:
-        if not supervise:
-            outcomes, report = _run_unsupervised(n_shards, jobs)
-            return outcomes, jobs, report
-
         policy = policy or SupervisorPolicy()
         planned = {shard_id: workload_planned_ops(workload)
                    for shard_id, workload in enumerate(workloads)}
@@ -739,10 +700,10 @@ def run_shards_supervised(config,
         # forked path even at one job; without fork it degrades to the
         # in-process driver (retry/quarantine/resume still apply).
         use_fork = fork_available() and (jobs > 1 or chaos is not None)
-        # One GC pause across the whole run, exactly like the sequential
-        # baseline: in-process shards would otherwise re-enable the cyclic
-        # collector between shards and pay a collection per boundary (forked
-        # workers inherit the pause, which the per-shard task already holds).
+        # One GC pause across the whole run: in-process shards would
+        # otherwise re-enable the cyclic collector between shards and pay a
+        # collection per boundary (forked workers inherit the pause, which
+        # the per-shard task already holds).
         with cyclic_gc_paused():
             outcome_map, report = supervise_shards(
                 _run_shard_task, range(n_shards), jobs, policy=policy,
@@ -754,23 +715,3 @@ def run_shards_supervised(config,
         return outcomes, jobs, report
     finally:
         _FORK_STATE = None
-
-
-def _run_unsupervised(n_shards: int, jobs: int):
-    """The pre-supervision dispatch, kept as the overhead baseline."""
-    from repro.backend.supervisor import SupervisionReport
-
-    report = SupervisionReport(jobs=jobs, supervised=False)
-    if jobs == 1:
-        outcomes = []
-        with cyclic_gc_paused():
-            for shard_id in range(n_shards):
-                outcomes.append(_run_shard_task(shard_id))
-                report.completion_order.append(shard_id)
-        return outcomes, report
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        completed = list(pool.imap_unordered(_run_shard_task,
-                                             range(n_shards), chunksize=1))
-    report.completion_order = [outcome.shard_id for outcome in completed]
-    return sorted(completed, key=lambda o: o.shard_id), report

@@ -235,7 +235,6 @@ class SupervisionReport:
     """What the supervisor did: the accounting face of a replay."""
 
     jobs: int = 1
-    supervised: bool = True
     #: Shard ids in the order their executions completed (resumed shards
     #: are listed in ``resumed`` instead — they never executed).
     completion_order: list = field(default_factory=list)
@@ -263,7 +262,6 @@ class SupervisionReport:
     def as_stats(self) -> dict:
         """JSON-able summary merged into ``last_replay_stats``."""
         return {
-            "supervised": self.supervised,
             "completion_order": list(self.completion_order),
             "shard_retries": dict(self.retries),
             "shard_failures": [f.as_dict() for f in self.failures],

@@ -16,11 +16,6 @@ Four sub-commands cover the full pipeline::
     python -m repro summarize trace_dir
         Print only the Table 3 summary of a trace directory.
 
-    python -m repro bench
-        Time the generate + replay + analysis pipeline and write the
-        measurements (and the speedup versus the seed engine) to
-        ``BENCH_pipeline.json``.
-
     python -m repro whatif  --users 400 --days 5
         Replay the workload once, then sweep storage policies (dedup off,
         delta updates, hot/cold tiering) *offline* over the trace columns
@@ -162,40 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="generate, simulate and analyse in one go")
     _add_workload_options(report)
-
-    bench = subparsers.add_parser(
-        "bench", help="benchmark the generate + replay + analysis pipeline")
-    bench.add_argument("--users", type=int, default=300,
-                       help="number of synthetic users (default: 300)")
-    bench.add_argument("--days", type=float, default=3.0,
-                       help="trace duration in days (default: 3)")
-    bench.add_argument("--seed", type=int, default=2014,
-                       help="random seed (default: 2014)")
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="repetitions per phase, best-of (default: 5)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sharded replay "
-                            "(default: 1)")
-    bench.add_argument("--out", type=Path, default=Path("BENCH_pipeline.json"),
-                       help="path of the JSON report (default: BENCH_pipeline.json)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run each phase once under cProfile and print the "
-                            "top-20 functions by cumulative time per phase "
-                            "(use --jobs 1 to capture the shard workers "
-                            "inline) instead of timing repeats")
-    bench.add_argument("--chaos", action="store_true",
-                       help="additionally run the chaos harness: SIGKILL a "
-                            "shard worker mid-replay, verify the recovered "
-                            "trace digest matches an undisturbed run, and "
-                            "measure supervised-pool overhead against the "
-                            "unsupervised baseline (recorded under the "
-                            "'chaos' key of the JSON report)")
-    bench.add_argument("--chaos-dir", type=Path, default=Path("BENCH_chaos"),
-                       help="checkpoint directory of the --chaos replay; "
-                            "its run directory keeps the events.jsonl "
-                            "recording the injected kill/retry sequence "
-                            "(inspect with 'repro events DIR'; default: "
-                            "BENCH_chaos)")
 
     whatif = subparsers.add_parser(
         "whatif", help="replay once, then sweep storage policies offline "
@@ -399,27 +360,6 @@ def _command_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace, out) -> int:
-    from repro.bench import format_summary, run_benchmark, run_profile, write_report
-
-    if args.profile:
-        run_profile(users=args.users, days=args.days, seed=args.seed,
-                    n_jobs=args.jobs, out=out)
-        return 0
-    result = run_benchmark(users=args.users, days=args.days, seed=args.seed,
-                           repeats=args.repeats, n_jobs=args.jobs,
-                           chaos=args.chaos,
-                           chaos_dir=args.chaos_dir if args.chaos else None)
-    print(format_summary(result), file=out)
-    try:
-        path = write_report(result, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    print(f"Wrote {path}", file=out)
-    return 0
-
-
 def _command_whatif(args: argparse.Namespace, out) -> int:
     import time
 
@@ -590,7 +530,6 @@ _COMMANDS = {
     "analyze": _command_analyze,
     "summarize": _command_summarize,
     "report": _command_report,
-    "bench": _command_bench,
     "whatif": _command_whatif,
     "faultsweep": _command_faultsweep,
     "events": _command_events,

@@ -211,7 +211,7 @@ def flapping(start: float, end: float, period: float,
 
 def default_fault_plan(start: float, span: float, seed: int = 0,
                        n_storage_nodes: int = 4) -> FaultPlan:
-    """The reference incident day: the ISSUE-6 bench/CLI scenario.
+    """The reference incident day: the ``repro faultsweep`` scenario.
 
     Relative to ``start`` over a timeline of ``span`` seconds: an API
     process flaps through the first half (process 0 — the busiest worker

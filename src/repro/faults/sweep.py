@@ -7,8 +7,8 @@
 six-policy set of :func:`~repro.faults.mitigation.default_mitigations`
 (do-nothing, two retry budgets, hedging, drain-and-repair,
 disable-and-continue).  The result renders as a comparison table
-(``python -m repro faultsweep``) or as the JSON payload
-``BENCH_pipeline.json`` embeds.
+(``python -m repro faultsweep``) or as the JSON payload of
+``repro faultsweep --json``.
 """
 
 from __future__ import annotations

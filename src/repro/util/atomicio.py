@@ -1,9 +1,9 @@
 """Atomic artifact writes: no reader ever sees a truncated file.
 
 Every JSON report and checkpoint this project writes is the kind of
-artifact a crashed or interrupted run must not corrupt: ``BENCH_pipeline.json``
-feeds the CI gates, the ``--json`` sweep outputs feed downstream analysis,
-and the shard checkpoints feed ``--resume``.  All of them are written here
+artifact a crashed or interrupted run must not corrupt: the ``--json``
+sweep outputs and ``--metrics`` snapshots feed downstream analysis, and
+the shard checkpoints feed ``--resume``.  All of them are written here
 the same way: to a temporary file *in the destination directory* (so the
 rename never crosses a filesystem boundary) followed by :func:`os.replace`,
 which POSIX guarantees to be atomic.  An interrupt therefore leaves either

@@ -10,7 +10,7 @@ treatment here, in three process-local pieces:
   attempt latency).  One module-global default registry
   (:func:`get_registry`) is wired through planning → materialization →
   replay → merge → analysis; :func:`set_enabled` turns the whole layer
-  into cheap no-ops (the bench gates the enabled/disabled ratio ≤ 1.03x).
+  into cheap no-ops.
 * :func:`span` — lightweight phase/shard spans: context managers
   recording start/end wall duration, RSS at exit and the process peak RSS
   (``ru_maxrss``, an upper bound), optionally mirrored into an event log

@@ -179,7 +179,7 @@ class PolicyOutcome:
     monthly_cost: float
 
     def to_json(self) -> dict:
-        """JSON payload (sweep reports, ``BENCH_pipeline.json``)."""
+        """JSON payload of one outcome (``repro whatif --json``)."""
         accounting = self.accounting
         return {
             "name": self.spec.name,

@@ -6,7 +6,7 @@ every :class:`~repro.whatif.simulator.PolicySpec` — by default the Section 9
 quartet (baseline, no-dedup, delta-updates, age-threshold tiering) plus a
 capacity-bounded LRU tier sized off the baseline outcome.  The result
 renders as a comparison table (``python -m repro whatif``) or as the JSON
-payload ``BENCH_pipeline.json`` embeds.
+payload of ``repro whatif --json``.
 """
 
 from __future__ import annotations

@@ -139,30 +139,6 @@ class EventBlock:
             out.append(value if type(value) is list else [value] * n)
         return tuple(out)
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size of the block's typed columns.
-
-        Counts each column at its packed width (f8 time, u2 operation, i8
-        ids and sizes, u1 enums and flags, raw string bytes), scalars at a
-        single element — the footprint the block would have as one typed
-        array per field, which is what the ``event_block_bytes`` telemetry
-        tracks.
-        """
-        n = len(self.times)
-        widths = (8, 2, 8, 8, 1, 1, 8, 0, 0, 1)
-        total = 0
-        for name, width in zip(EVENT_COLUMNS, widths):
-            value = getattr(self, name)
-            if width == 0:  # string columns: raw bytes
-                if type(value) is list:
-                    total += sum(len(s) for s in value)
-                else:
-                    total += len(value)
-            else:
-                total += width * (n if type(value) is list else 1)
-        return total
-
     def rows(self) -> "list[tuple]":
         """Dispatch rows: one tuple per event, transposed at C speed.
 

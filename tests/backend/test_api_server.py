@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,66 @@ class TestOtherOperations:
         process.close_session(1, timestamp=100.0)
         disconnect = sink.dataset.sessions[-1]
         assert disconnect.storage_operations == 1  # GetDelta is maintenance
+
+
+def _row(request):
+    """The ``EventBlock.rows`` tuple ``handle_event`` receives for ``request``."""
+    return (request.timestamp, request.operation, request.node_id,
+            request.volume_id, request.volume_type, request.node_kind,
+            request.size_bytes, request.content_hash, request.extension,
+            request.is_update, request.caused_by_attack)
+
+
+def _state(process, sink, objects, handle):
+    """Everything one request can touch: trace rows and every counter."""
+    worker = process._rpc  # noqa: SLF001
+    return {
+        "storage": list(sink.dataset.storage),
+        "rpc": list(sink.dataset.rpc),
+        "accounting": dataclasses.asdict(objects.accounting),
+        "objects": len(objects),
+        "shards": process.store.summary(),
+        "worker": (worker.calls_executed, worker.busy_time),
+        "requests_handled": process.requests_handled,
+        "storage_operations": handle.storage_operations,
+    }
+
+
+_EVENTS = {
+    "download-known-node": (ApiOperation.DOWNLOAD, {}),
+    "download-unknown-node": (ApiOperation.DOWNLOAD,
+                              {"node_id": 77, "content_hash": "old"}),
+    "upload": (ApiOperation.UPLOAD, {"node_id": 11, "content_hash": "h2"}),
+    **{operation.value: (operation, {"node_id": 0, "size": 0,
+                                     "content_hash": ""})
+       for operation in (ApiOperation.GET_DELTA, ApiOperation.LIST_VOLUMES,
+                         ApiOperation.LIST_SHARES, ApiOperation.QUERY_SET_CAPS,
+                         ApiOperation.RESCAN_FROM_SCRATCH)},
+}
+
+
+class TestHandleEventMatchesHandle:
+    """``handle_event`` (the replay's dispatch) and ``handle`` (the generic
+    path) are twins: the same event leaves identical rows and counters."""
+
+    @pytest.mark.parametrize("name", sorted(_EVENTS))
+    def test_same_event_same_rows_and_counters(self, name):
+        operation, overrides = _EVENTS[name]
+        states = []
+        for via_handle_event in (False, True):
+            process, sink, objects, _, _ = _build_process()
+            handle = process.open_session(1, 1, 1.0)
+            # Shared history: node 10 is known to the metadata store.
+            process.handle(_request(ApiOperation.UPLOAD, timestamp=5.0))
+            request = _request(operation, **overrides)
+            if via_handle_event:
+                process.handle_event(handle, _row(request))
+            else:
+                process.handle(request)
+            states.append(_state(process, sink, objects, handle))
+        generic, replayed = states
+        assert replayed["storage"][-1].operation is operation
+        assert replayed == generic
 
 
 class TestNotifications:

@@ -64,7 +64,8 @@ class TestJobCountEquivalence:
         scripts = _scripts()
         # Pretend the machine has plenty of CPUs so n_jobs > 1 really runs
         # the forked worker pool (the point of the test) even on small CI
-        # boxes where run_shards would otherwise cap the worker count.
+        # boxes where run_shards_supervised would otherwise cap the worker
+        # count.
         with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
             return {jobs: _replay(scripts, jobs) for jobs in (1, 2, 4)}
 
@@ -345,14 +346,15 @@ class TestColumnarOutcome:
         # Re-run one shard directly to inspect its outcome payload.
         from repro.backend.replay_shard import (
             PlannedShardWorkload,
-            run_shards,
+            run_shards_supervised,
         )
         n_shards = cluster.config.effective_replay_shards()
         addresses, assignments = cluster._shard_assignments(n_shards)
         workloads = [PlannedShardWorkload(plan, members)
                      for members in partition_members(plan, n_shards)]
-        outcomes, _ = run_shards(cluster.config, assignments,
-                                 cluster.latency.shard_factors, workloads)
+        outcomes, _, _ = run_shards_supervised(
+            cluster.config, assignments, cluster.latency.shard_factors,
+            workloads)
         assert any(outcome.n_events for outcome in outcomes)
         for outcome in outcomes:
             for block in (outcome.storage, outcome.rpc, outcome.sessions):

@@ -22,6 +22,7 @@ from repro.backend.supervisor import (
     SupervisorPolicy,
     supervise_shards,
 )
+from repro.trace.validate import validate_dataset
 from repro.util.checkpoint import CheckpointStore
 from repro.util.lifecycle import RunInterrupted, ShutdownController
 from repro.workload.config import WorkloadConfig
@@ -170,8 +171,8 @@ class TestChaosRecovery:
                                           policy=_FAST)
         assert recovered.content_digest() == undisturbed.content_digest()
         assert recovered == undisturbed
+        assert validate_dataset(recovered) == []
         stats = cluster.last_replay_stats
-        assert stats["supervised"] is True
         assert stats["shard_retries"] == {0: 1}
         assert [f["reason"] for f in stats["shard_failures"]] == \
             ["worker-died"]
@@ -185,16 +186,6 @@ class TestChaosRecovery:
         assert sorted(stats["completion_order"]) == \
             list(range(stats["n_shards"]))
         assert stats["shard_failures"] == []
-
-    def test_unsupervised_baseline_matches_supervised(self):
-        plan = _plan()
-        _, supervised = _replay_plan(plan, n_jobs=2)
-        cluster, baseline = _replay_plan(plan, n_jobs=2, supervise=False)
-        assert baseline.content_digest() == supervised.content_digest()
-        stats = cluster.last_replay_stats
-        assert stats["supervised"] is False
-        assert sorted(stats["completion_order"]) == \
-            list(range(stats["n_shards"]))
 
 
 class TestCheckpointResume:
