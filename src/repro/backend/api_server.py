@@ -16,6 +16,7 @@ emitted by the :class:`~repro.backend.rpc_server.RpcWorker` it delegates to.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +170,12 @@ class ApiServerProcess:
         # only taken on classic single-tier stores.
         self._tiered = object_store.tiering is not None
         self._auth = auth
-        self._bus = bus
+        # The bus holds this process's bound deliver_notification, so a
+        # strong reference back would close a process -> bus -> process
+        # cycle that only the cyclic collector could free.  The owner of
+        # the bus and its processes (the cluster, a replay shard) keeps the
+        # bus alive; the proxy is dereferenced once per publish.
+        self._bus = weakref.proxy(bus)
         self._registry = registry
         self._sink = sink
         self._rng = rng
@@ -208,21 +214,6 @@ class ApiServerProcess:
         self.requests_handled = 0
         self.notifications_pushed = 0
         bus.subscribe(str(address), self.deliver_notification)
-        # Request dispatch table, built once (handle() runs per event).
-        self._dispatch = {
-            ApiOperation.UPLOAD: self._handle_upload,
-            ApiOperation.DOWNLOAD: self._handle_download,
-            ApiOperation.MAKE: self._handle_make,
-            ApiOperation.UNLINK: self._handle_unlink,
-            ApiOperation.MOVE: self._handle_move,
-            ApiOperation.CREATE_UDF: self._handle_create_udf,
-            ApiOperation.DELETE_VOLUME: self._handle_delete_volume,
-            ApiOperation.GET_DELTA: self._handle_get_delta,
-            ApiOperation.LIST_VOLUMES: self._handle_list_volumes,
-            ApiOperation.LIST_SHARES: self._handle_list_shares,
-            ApiOperation.QUERY_SET_CAPS: self._handle_query_set_caps,
-            ApiOperation.RESCAN_FROM_SCRATCH: self._handle_rescan,
-        }
 
     # ------------------------------------------------------------ properties
     @property
@@ -605,12 +596,12 @@ class ApiServerProcess:
         response = ApiResponse(operation=operation)
         rpc_before = self._rpc.calls_executed
 
-        handler = self._dispatch.get(operation)
+        handler = self._HANDLERS.get(operation)
         if handler is None:
             response.ok = False
             response.error = f"unsupported operation {operation.value}"
         else:
-            handler(request, context, shard, response)
+            handler(self, request, context, shard, response)
 
         response.rpc_count = self._rpc.calls_executed - rpc_before
         if operation in self._MUTATING_OPERATIONS and response.ok:
@@ -819,3 +810,22 @@ class ApiServerProcess:
         nodes = self._rpc.execute(RpcName.GET_FROM_SCRATCH, context,
                                   shard.get_from_scratch, request.user_id)
         response.details["nodes"] = len(nodes)
+
+    #: Request dispatch table, called as ``handler(self, request, context,
+    #: shard, response)``.  Plain functions at class level: a per-instance
+    #: table of bound methods would put every process in a reference cycle
+    #: with itself.
+    _HANDLERS = {
+        ApiOperation.UPLOAD: _handle_upload,
+        ApiOperation.DOWNLOAD: _handle_download,
+        ApiOperation.MAKE: _handle_make,
+        ApiOperation.UNLINK: _handle_unlink,
+        ApiOperation.MOVE: _handle_move,
+        ApiOperation.CREATE_UDF: _handle_create_udf,
+        ApiOperation.DELETE_VOLUME: _handle_delete_volume,
+        ApiOperation.GET_DELTA: _handle_get_delta,
+        ApiOperation.LIST_VOLUMES: _handle_list_volumes,
+        ApiOperation.LIST_SHARES: _handle_list_shares,
+        ApiOperation.QUERY_SET_CAPS: _handle_query_set_caps,
+        ApiOperation.RESCAN_FROM_SCRATCH: _handle_rescan,
+    }

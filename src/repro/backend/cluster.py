@@ -301,10 +301,14 @@ class U1Cluster:
                     checkpoint=checkpoint, resume=resume, shutdown=shutdown,
                     events=events, progress=progress)
 
+            # The merge consumes the shard blocks; from here on the outcomes
+            # carry only the counter summaries absorbed below.
+            blocks = [(o.storage, o.rpc, o.sessions) for o in outcomes]
+            for outcome in outcomes:
+                outcome.storage = outcome.rpc = outcome.sessions = None
             merge_started = _time.perf_counter()
             with telemetry.span("merge", events=events):
-                dataset = TraceDataset.from_sorted_blocks(
-                    [(o.storage, o.rpc, o.sessions) for o in outcomes])
+                dataset = TraceDataset.from_sorted_blocks(blocks)
             merge_seconds = _time.perf_counter() - merge_started
         finally:
             events.close()

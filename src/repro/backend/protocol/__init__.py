@@ -12,7 +12,6 @@ from repro.backend.protocol.entities import (
     Volume,
     VolumeId,
     SessionHandle,
-    generate_uuid,
 )
 from repro.backend.protocol.operations import ApiRequest, ApiResponse, UPLOAD_CHUNK_BYTES
 
@@ -22,7 +21,6 @@ __all__ = [
     "Volume",
     "VolumeId",
     "SessionHandle",
-    "generate_uuid",
     "ApiRequest",
     "ApiResponse",
     "UPLOAD_CHUNK_BYTES",

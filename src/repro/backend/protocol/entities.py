@@ -1,7 +1,6 @@
 """Protocol entities: nodes, volumes and sessions (Section 3.1.1).
 
-* A **node** is a file or a directory; the back-end assigns UUIDs to node
-  objects and their contents.
+* A **node** is a file or a directory, identified by its node id.
 * A **volume** is a container of nodes.  Every user owns a *root* volume
   (created at client installation, id 0 on the client side), may create
   *user-defined* volumes (UDFs) and may be granted access to *shared*
@@ -13,8 +12,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass, field
 
 from repro.trace.records import NodeKind, VolumeType
@@ -22,7 +19,6 @@ from repro.trace.records import NodeKind, VolumeType
 __all__ = [
     "NodeId",
     "VolumeId",
-    "generate_uuid",
     "Node",
     "Volume",
     "SessionHandle",
@@ -30,27 +26,6 @@ __all__ = [
 
 NodeId = int
 VolumeId = int
-
-_uuid_counter = itertools.count(1)
-
-
-_NAMESPACE_TAGS: dict[str, int] = {}
-
-
-def generate_uuid(namespace: str = "node") -> str:
-    """Deterministic UUID generator for back-end objects.
-
-    Real U1 generates UUIDs in the back-end; for reproducibility we derive
-    them from a monotonically increasing counter in a fixed namespace.  The
-    value is formatted directly as a version-5-shaped UUID string (namespace
-    tag + counter) instead of hashing through :func:`uuid.uuid5`, which is an
-    order of magnitude cheaper and runs once per created node/volume.
-    """
-    tag = _NAMESPACE_TAGS.setdefault(namespace, len(_NAMESPACE_TAGS) + 1)
-    counter = next(_uuid_counter)
-    return (f"{tag:08x}-{(counter >> 48) & 0xffff:04x}-"
-            f"5{(counter >> 36) & 0xfff:03x}-"
-            f"8{(counter >> 24) & 0xfff:03x}-{counter & 0xffffff:012x}")
 
 
 @dataclass(slots=True)
@@ -61,7 +36,6 @@ class Node:
     volume_id: VolumeId
     owner_id: int
     kind: NodeKind
-    uuid: str = field(default_factory=lambda: generate_uuid("node"))
     size_bytes: int = 0
     content_hash: str = ""
     extension: str = ""
@@ -97,7 +71,6 @@ class Volume:
     volume_id: VolumeId
     owner_id: int
     volume_type: VolumeType
-    uuid: str = field(default_factory=lambda: generate_uuid("volume"))
     created_at: float = 0.0
     generation: int = 0
     node_ids: set[NodeId] = field(default_factory=set)

@@ -546,12 +546,16 @@ class _Stream:
         post-merge columnar analyses never pay lazy column materialisation;
         row tuples / record objects are only decoded if something iterates
         the stream (see :meth:`_hydrate`).
+
+        The blocks are consumed: each field is popped out of every block as
+        it is concatenated, so the merged stream and the shard blocks are
+        never fully resident together.
         """
         blocks = [b for b in blocks if b.n]
         stream = cls(spec)
         if not blocks:
             return stream
-        ts = np.concatenate([b.cols["timestamp"] for b in blocks])
+        ts = np.concatenate([b.cols.pop("timestamp") for b in blocks])
         order = None
         if ts.size > 1 and not bool(np.all(ts[1:] >= ts[:-1])):
             order = np.argsort(ts, kind="stable")
@@ -562,12 +566,12 @@ class _Stream:
                 continue
             if spec.kinds[name] is object:
                 merged_codes, categories = _merge_factorised(
-                    [b.codes[name] for b in blocks])
+                    [b.codes.pop(name) for b in blocks])
                 if order is not None:
                     merged_codes = merged_codes[order]
                 cols[f"{name}#codes"] = (merged_codes, categories)
             else:
-                arr = np.concatenate([b.cols[name] for b in blocks])
+                arr = np.concatenate([b.cols.pop(name) for b in blocks])
                 if order is not None:
                     arr = arr[order]
                 cols[name] = arr
@@ -942,7 +946,8 @@ class TraceDataset:
 
         When every entry of a stream is a :class:`ColumnBlock`, the merge
         runs column-wise and the resulting dataset has *every* field's
-        column cache pre-seeded (see ``_Stream._from_sorted_column_blocks``);
+        column cache pre-seeded (see ``_Stream._from_sorted_column_blocks``)
+        and the column blocks are left empty (the merge consumes them);
         mixing columnar and row blocks falls back to the row merge.
         """
         storage_blocks: list = []

@@ -7,6 +7,17 @@ collector contributes nothing but unpredictable multi-millisecond pauses
 (generation-0 collections trigger every ~700 net allocations), which were
 the dominant source of run-to-run timing jitter.  :func:`cyclic_gc_paused`
 switches the collector off for the duration of such a phase.
+
+The phases must stay cycle-free.  The pause ends with :func:`gc.freeze`,
+which moves *every* object the collector tracks into the permanent
+generation — live or not.  Any cyclic garbage still uncollected at that
+moment is pinned for the life of the process, out of sight of
+:func:`gc.get_objects`: not only cycles the phase built, but also garbage
+left before it started (a dropped ``U1Cluster``, say).  A replay shard's
+object graph (API processes, notification bus, metadata shards, trace sink)
+is therefore built without reference cycles, so it is freed the moment the
+shard's ``run()`` returns; ``tests/backend/test_replay_memory.py`` enforces
+that.
 """
 
 from __future__ import annotations
@@ -31,10 +42,9 @@ def cyclic_gc_paused(*, freeze_survivors: bool = True):
     replay at the reference scale.  With ``freeze_survivors`` (the default)
     the survivors are moved to the permanent generation via :func:`gc.freeze`
     before re-enabling, which keeps them out of all future scans.  Frozen
-    objects are still reclaimed by reference counting; only objects trapped
-    in reference cycles created *during* the paused phase would leak, and the
-    paused phases are cycle-free by contract (that is why pausing is sound in
-    the first place).
+    objects are still reclaimed by reference counting; objects trapped in
+    reference cycles would leak, which is why the paused phases are
+    cycle-free by contract (see the module docstring).
     """
     was_enabled = gc.isenabled()
     gc.disable()

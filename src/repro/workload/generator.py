@@ -824,7 +824,7 @@ class UserMaterializer:
             picks = np.searchsorted(
                 np.asarray(cumulative),
                 self._rng.random(n_files) * cumulative[-1], side="right")
-            np.clip(picks, 0, len(volumes) - 1, out=picks)
+            np.minimum(picks, len(volumes) - 1, out=picks)
             node_ids: list[int] = []
             sizes: list[int] = []
             files = state.files

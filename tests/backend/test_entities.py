@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend.protocol.entities import Node, SessionHandle, Volume, generate_uuid
+from repro.backend.protocol.entities import Node, SessionHandle, Volume
 from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES, ApiRequest, ApiResponse
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
 from repro.workload.events import ClientEvent
 
 
 class TestEntities:
-    def test_uuid_generation_is_unique(self):
-        assert generate_uuid() != generate_uuid()
-
     def test_node_content_application(self):
         node = Node(node_id=1, volume_id=2, owner_id=3, kind=NodeKind.FILE)
         node.apply_content("sha1:x", 100, when=5.0)

@@ -214,7 +214,6 @@ class TestMetricsOption:
 
 class TestGracefulInterruption:
     def test_sigterm_midrun_exits_three_then_resumes(self, tmp_path):
-        # A workload big enough that 1.5 s of wall clock lands mid-replay.
         ckpt = tmp_path / "ckpt"
         argv = [sys.executable, "-m", "repro", "report",
                 "--users", "1500", "--days", "6", "--seed", "7",
@@ -223,7 +222,13 @@ class TestGracefulInterruption:
         proc = subprocess.Popen(argv, cwd="/root/repo", env=env,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
-        time.sleep(1.5)
+        # Signal once the run is mid-replay: the write-ahead manifest is
+        # written before the first shard is dispatched.  (A fixed sleep
+        # raced the replay, which now finishes in about a second.)
+        deadline = time.monotonic() + 60.0
+        while not any(ckpt.glob("*/MANIFEST.json")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
         proc.send_signal(signal.SIGTERM)
         _, stderr = proc.communicate(timeout=120)
         if proc.returncode == 0:
