@@ -435,6 +435,9 @@ def _command_faultsweep(args: argparse.Namespace, out) -> int:
     if args.json is not None:
         payload = sweep.to_json()
         payload["replay_seconds"] = replay_seconds
+        # What the do-nothing policy (policies[0]) must reproduce.
+        payload["live_fault_counters"] = \
+            cluster.last_replay_stats["fault_counters"]
         payload["config"] = {"users": args.users, "days": args.days,
                              "seed": args.seed, "jobs": args.jobs}
         return _write_json_artifact(args.json, payload, out)

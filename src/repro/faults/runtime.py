@@ -19,13 +19,22 @@ retry-mitigation counters pin counter-for-counter.  Retry attempt ``k`` is
 re-evaluated at ``timestamp + cumulative_backoff`` (backoff can escape a
 fault window); the replay itself stays open-loop — backoff is accounted,
 never added to the replay clock.
+
+:meth:`FaultSchedule.first_attempt_faulted` is a NumPy twin of the
+first-attempt decision; the offline simulator uses it to find the few
+requests worth re-resolving.  It must stay equal to
+``attempt_outcome(..., attempt=0) is not None`` row for row:
+``tests/faults/test_runtime.py::TestFirstAttemptMask`` enforces that.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.backend.errors import is_retryable_kind
 from repro.faults.accounting import FaultAccounting
@@ -64,6 +73,29 @@ def _mix64(*values: int) -> int:
         h = (h * 0x94D049BB133111EB) & _MASK64
         h ^= h >> 31
     return h
+
+
+def _mix64_columns(h: int, *columns: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` continued from state ``h`` over uint64 columns.
+
+    ``_mix64_columns(_mix64(a, b), c, d)[i] == _mix64(a, b, c[i], d)``
+    for a column ``c`` and a ``np.uint64`` scalar ``d`` (only the first
+    argument must be a column); uint64 array arithmetic wraps exactly like
+    the ``& _MASK64`` of the scalar version.
+    """
+    out = np.full(len(columns[0]), h, dtype=np.uint64)
+    for column in columns:
+        out ^= column
+        out *= np.uint64(0xBF58476D1CE4E5B9)
+        out ^= out >> np.uint64(27)
+        out *= np.uint64(0x94D049BB133111EB)
+        out ^= out >> np.uint64(31)
+    return out
+
+
+def _as_u64(values) -> np.ndarray:
+    """An integer column as uint64, two's complement (``v & _MASK64``)."""
+    return np.asarray(values).astype(np.int64, copy=False).view(np.uint64)
 
 
 def _float_bits(ts: float) -> int:
@@ -170,6 +202,58 @@ class FaultSchedule:
                         content_node(transfer_hash, n_nodes) == node:
                     return FAILOVER if failover else "storage_node_down"
         return None
+
+    def first_attempt_faulted(self, ts: np.ndarray, user_ids: np.ndarray,
+                              session_ids: np.ndarray, mutating: np.ndarray,
+                              hash_codes: np.ndarray, hash_categories: list,
+                              shard_ids: np.ndarray) -> np.ndarray:
+        """Which requests a fault hits on their first attempt, as one mask.
+
+        The vector twin of ``attempt_outcome(ts, _float_bits(ts), user_id,
+        session_id, mutating, transfer_hash, shard_id, 0) is not None``
+        over equal-length request columns; :data:`FAILOVER` counts as hit.
+        ``hash_codes`` index ``hash_categories`` (the factorised transfer
+        hashes); a negative code or an empty category means no transfer
+        hash.  It is exact, not approximate: the lossy draw is the same
+        splitmix64 hash in wrapping uint64 arithmetic, compared against the
+        integer ``ceil(rate * 2**64)`` that the scalar float comparison
+        implies.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        hit = np.zeros(len(ts), dtype=bool)
+        for i, (start, end, rate) in enumerate(self.lossy):
+            rows = np.flatnonzero((ts >= start) & (ts < end))
+            limit = math.ceil(rate * 2.0 ** 64)
+            if not len(rows) or limit <= 0:
+                continue
+            if limit > _MASK64:
+                hit[rows] = True
+                continue
+            draw = _mix64_columns(
+                _mix64(self.seed, _LOSSY_TAG + i),
+                _as_u64(user_ids)[rows], _as_u64(session_ids)[rows],
+                ts[rows].view(np.uint64), np.uint64(0))
+            hit[rows[draw < np.uint64(limit)]] = True
+        if self.read_only:
+            mutating = np.asarray(mutating, dtype=bool)
+            shard_ids = np.asarray(shard_ids)
+            for start, end, ro_shard in self.read_only:
+                hit |= (mutating & (shard_ids == ro_shard)
+                        & (ts >= start) & (ts < end))
+        if self.storage_down:
+            hash_codes = np.asarray(hash_codes)
+            for start, end, node, n_nodes, _failover in self.storage_down:
+                rows = np.flatnonzero((ts >= start) & (ts < end)
+                                      & (hash_codes >= 0))
+                # content_node once per distinct hash, gathered per row.
+                codes, inverse = np.unique(hash_codes[rows],
+                                           return_inverse=True)
+                placed = np.array(
+                    [bool(hash_categories[code])
+                     and content_node(hash_categories[code], n_nodes) == node
+                     for code in codes.tolist()], dtype=bool)
+                hit[rows[placed[inverse]]] = True
+        return hit
 
 
 def compile_plan(plan: FaultPlan, n_processes: int | None = None,

@@ -3,20 +3,25 @@
 The live replay makes every fault decision through
 :func:`repro.faults.runtime.request_disposition`, a pure function of
 trace-visible request identity (timestamp bits, user, session, operation
-class, content hash, shard).  This module exploits that purity: a
-:class:`FaultTrace` decodes the faulted baseline trace's NumPy columns once,
-and :func:`simulate_mitigation` re-resolves every in-envelope request under
-a different :class:`~repro.faults.mitigation.MitigationPolicy` — no backend,
-no RPC sampling, no trace sink.  A six-policy sweep therefore costs one
-replay plus cheap columnar passes (see :mod:`repro.faults.sweep`).
+class, content hash, shard).  This module exploits that purity.  A
+:class:`FaultTrace` decodes the faulted baseline trace's NumPy columns once.
+Per fault schedule, one vectorised pass
+(:meth:`~repro.faults.runtime.FaultSchedule.first_attempt_faulted`) finds
+the requests whose first attempt a fault hits; every other request is
+served as recorded under any policy.  :func:`simulate_mitigation` then
+re-resolves only that faulted residue, row by row, under a
+:class:`~repro.faults.mitigation.MitigationPolicy` — no backend, no RPC
+sampling, no trace sink (see :mod:`repro.faults.sweep`).
 
 Equivalence contract (pinned by ``tests/faults/test_simulator.py``): for the
 policy kinds the live request path supports (``none`` and ``retry``), the
 offline :class:`~repro.faults.accounting.FaultAccounting` matches the live
 replay's counter-for-counter, because both sides call the same decision
 procedure over the same request identities — the offline pass literally
-drives a :class:`~repro.faults.runtime.FaultInjector`.  Two caveats the
-caller controls:
+drives a :class:`~repro.faults.runtime.FaultInjector`.  Skipping the rows
+whose first attempt is clean changes nothing: for them the injector updates
+no counter and the latency stays as recorded.  Two caveats the caller
+controls:
 
 * the trace must be the **mitigation-free** (``kind="none"``) replay of the
   same fault plan: a fault-hit request fails before dispatch and leaves
@@ -123,28 +128,31 @@ class FaultTrace:
     """The faulted trace decoded once into flat request identities.
 
     Holds per-storage-request identity columns (everything
-    :func:`~repro.faults.runtime.request_disposition` needs), the
-    as-traced request latencies (RPC service-time sums grouped by
-    ``(session, timestamp)``), and the session stream's authentication
-    events.  Schedule-dependent derivations (degraded-RPC inversion,
-    auth-outage counts) are memoised per schedule so a sweep pays them
-    once, not once per policy.
+    :func:`~repro.faults.runtime.request_disposition` needs; transfer
+    hashes stay factorised as ``hash_codes`` into ``hash_categories``, -1
+    off the transfer path), the as-traced request latencies (RPC
+    service-time sums grouped by ``(session, timestamp)``), and the session
+    stream's authentication events.  Schedule-dependent derivations
+    (first-attempt fault rows, degraded-RPC inversion, auth-outage counts,
+    healthy tail) are memoised for the last schedule seen, so a sweep pays
+    them once, not once per policy.
     """
 
-    __slots__ = ("ts", "users", "sessions", "shards", "mutating", "hashes",
-                 "latency", "auth_requests", "auth_fail_ts", "n_requests",
-                 "_rpc_ts", "_rpc_workers", "_rpc_service", "_rpc_request",
-                 "_schedule_stats")
+    __slots__ = ("ts", "users", "sessions", "shards", "mutating",
+                 "hash_codes", "hash_categories", "latency", "auth_requests",
+                 "auth_fail_ts", "n_requests", "_rpc_ts", "_rpc_workers",
+                 "_rpc_service", "_rpc_request", "_schedule_stats")
 
-    def __init__(self, ts, users, sessions, shards, mutating, hashes,
-                 latency, auth_requests, auth_fail_ts,
+    def __init__(self, ts, users, sessions, shards, mutating, hash_codes,
+                 hash_categories, latency, auth_requests, auth_fail_ts,
                  rpc_ts, rpc_workers, rpc_service, rpc_request):
         self.ts = ts
         self.users = users
         self.sessions = sessions
         self.shards = shards
         self.mutating = mutating
-        self.hashes = hashes
+        self.hash_codes = hash_codes
+        self.hash_categories = hash_categories
         self.latency = latency
         self.auth_requests = auth_requests
         self.auth_fail_ts = auth_fail_ts
@@ -153,7 +161,9 @@ class FaultTrace:
         self._rpc_workers = rpc_workers
         self._rpc_service = rpc_service
         self._rpc_request = rpc_request
-        self._schedule_stats: dict[int, _ScheduleStats] = {}
+        #: ``(schedule, stats)``: holding the schedule and comparing with
+        #: ``is`` means a new schedule can never inherit a freed one's stats.
+        self._schedule_stats: tuple | None = None
 
     @classmethod
     def from_dataset(cls, dataset: TraceDataset,
@@ -180,32 +190,21 @@ class FaultTrace:
             transfer_by_code[OPERATION_CODE[op]] = op.is_transfer
         mutating = mutating_by_code[ops]
 
-        # Transfer hashes as strings ("" off the transfer path), decoded via
-        # the factorised codes so each unique hash is materialized once.
+        # Transfer hashes stay factorised; -1 marks rows off the transfer
+        # path.
         codes, categories = dataset.storage_codes("content_hash")
-        hashes = np.asarray(categories, dtype=object)[codes]
-        hashes[~transfer_by_code[ops]] = ""
+        hash_codes = np.where(transfer_by_code[ops], codes, -1)
 
-        # Request latency: every RPC row carries its request's dispatch
-        # timestamp and session, so grouping by (session, timestamp)
-        # reassembles per-request service-time sums without any record
-        # materialization.
         rpc_ts = dataset.rpc_column("timestamp")
-        rpc_sessions = dataset.rpc_column("session_id")
         rpc_service = dataset.rpc_column("service_time")
-        request_index = {}
-        ts_list = ts.tolist()
-        for i, key_session in enumerate(sessions.tolist()):
-            request_index.setdefault((key_session, ts_list[i]), i)
-        latency = np.zeros(len(ts), dtype=np.float64)
-        rpc_request = np.full(len(rpc_ts), -1, dtype=np.int64)
-        rpc_ts_list = rpc_ts.tolist()
-        rpc_service_list = rpc_service.tolist()
-        for j, rpc_session in enumerate(rpc_sessions.tolist()):
-            row = request_index.get((rpc_session, rpc_ts_list[j]), -1)
-            rpc_request[j] = row
-            if row >= 0:
-                latency[row] += rpc_service_list[j]
+        rpc_request = _request_rows(sessions, ts,
+                                    dataset.rpc_column("session_id"), rpc_ts)
+        served = rpc_request >= 0
+        # bincount adds in RPC-row order, as a per-row ``+=`` would; it
+        # returns int64 when no RPC row is served, hence the cast.
+        latency = np.bincount(rpc_request[served],
+                              weights=rpc_service[served],
+                              minlength=len(ts)).astype(np.float64, copy=False)
 
         rpc_workers = None
         if processes_per_machine is not None and machine_names is not None:
@@ -221,7 +220,8 @@ class FaultTrace:
         session_ts = dataset.session_column("timestamp")
         return cls(
             ts=ts, users=users, sessions=sessions, shards=shards,
-            mutating=mutating, hashes=hashes, latency=latency,
+            mutating=mutating, hash_codes=hash_codes,
+            hash_categories=categories, latency=latency,
             auth_requests=int(np.count_nonzero(event == _AUTH_REQUEST)),
             auth_fail_ts=session_ts[event == _AUTH_FAIL],
             rpc_ts=rpc_ts, rpc_workers=rpc_workers,
@@ -229,11 +229,39 @@ class FaultTrace:
 
     def schedule_stats(self, schedule: FaultSchedule) -> "_ScheduleStats":
         """Schedule-dependent derivations, computed once per schedule."""
-        stats = self._schedule_stats.get(id(schedule))
-        if stats is None:
-            stats = _ScheduleStats(self, schedule)
-            self._schedule_stats[id(schedule)] = stats
-        return stats
+        memo = self._schedule_stats
+        if memo is None or memo[0] is not schedule:
+            memo = self._schedule_stats = (schedule,
+                                           _ScheduleStats(self, schedule))
+        return memo[1]
+
+
+def _request_rows(sessions: np.ndarray, ts: np.ndarray,
+                  rpc_sessions: np.ndarray, rpc_ts: np.ndarray) -> np.ndarray:
+    """The storage row of each RPC row's request, -1 where there is none.
+
+    Every RPC row carries its request's dispatch timestamp and session, so
+    a request is keyed by ``(session, timestamp)``; the first storage row
+    with a key owns it.
+    """
+    n = len(ts)
+    keys_ts = np.concatenate((ts, rpc_ts))
+    keys_session = np.concatenate((sessions, rpc_sessions))
+    # Stable sort by key: within one key the storage rows come first, in
+    # row order, ahead of the key's RPC rows.
+    order = np.lexsort((keys_session, keys_ts))
+    keys_ts = keys_ts[order]
+    keys_session = keys_session[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = ((keys_ts[1:] != keys_ts[:-1])
+                | (keys_session[1:] != keys_session[:-1]))
+    owner = order[head]
+    owner[owner >= n] = -1  # a key no storage row carries
+    owner_sorted = owner[np.cumsum(head) - 1]
+    is_rpc = order >= n
+    rpc_request = np.empty(len(rpc_ts), dtype=np.int64)
+    rpc_request[order[is_rpc] - n] = owner_sorted[is_rpc]
+    return rpc_request
 
 
 class _ScheduleStats:
@@ -241,7 +269,8 @@ class _ScheduleStats:
 
     __slots__ = ("auth_outage_failures", "degraded_rpcs",
                  "degraded_extra_seconds", "degraded_hits", "fault_rows",
-                 "healthy_latency", "clean_fill")
+                 "fault_requests", "healthy_p99", "healthy_p999",
+                 "clean_fill")
 
     def __init__(self, trace: FaultTrace, schedule: FaultSchedule):
         self.auth_outage_failures = sum(
@@ -292,12 +321,34 @@ class _ScheduleStats:
         # the baseline replay failed (they carry no RPCs, hence zero
         # latency) backfilled with the clean median so the percentile floor
         # is a served request, not a fault artifact.
-        lo, hi = schedule.envelope
-        self.fault_rows = np.flatnonzero((trace.ts >= lo) & (trace.ts < hi))
         served = healthy[healthy > 0.0]
         self.clean_fill = float(np.median(served)) if len(served) else 0.0
         healthy[healthy <= 0.0] = self.clean_fill
-        self.healthy_latency = healthy
+        self.healthy_p99 = _pct(healthy, 99)
+        self.healthy_p999 = _pct(healthy, 99.9)
+
+        # Only rows whose first attempt a fault hits can move under any
+        # policy: a clean first attempt changes no counter and keeps the
+        # recorded latency.
+        lo, hi = schedule.envelope
+        rows = np.flatnonzero((trace.ts >= lo) & (trace.ts < hi))
+        rows = rows[schedule.first_attempt_faulted(
+            trace.ts[rows], trace.users[rows], trace.sessions[rows],
+            trace.mutating[rows], trace.hash_codes[rows],
+            trace.hash_categories, trace.shards[rows])]
+        self.fault_rows = rows
+        categories = trace.hash_categories
+        #: ``(row, ts, user, session, mutating, transfer hash, shard)`` of
+        #: each fault row, as the scalars the decision procedure takes.
+        self.fault_requests = [
+            (row, row_ts, user, session, mutating,
+             categories[code] if code >= 0 else "", shard)
+            for row, row_ts, user, session, mutating, code, shard in zip(
+                rows.tolist(), trace.ts[rows].tolist(),
+                trace.users[rows].tolist(), trace.sessions[rows].tolist(),
+                trace.mutating[rows].tolist(),
+                trace.hash_codes[rows].tolist(),
+                trace.shards[rows].tolist())]
 
 
 def _window_open(schedule: FaultSchedule, error_kind: str, ts: float,
@@ -327,7 +378,8 @@ def _window_open(schedule: FaultSchedule, error_kind: str, ts: float,
 def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
                         policy: MitigationPolicy,
                         timeout_seconds: float = 0.5) -> MitigationOutcome:
-    """Re-resolve every faulted request under ``policy``, offline.
+    """Re-resolve every first-attempt-faulted request under ``policy``,
+    offline.
 
     ``timeout_seconds`` is the client-visible cost of one failed attempt
     (the latency model's stand-in for the request timeout).
@@ -355,20 +407,12 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
                 if rpc_ts >= win_start + detection:
                     latency[row] -= extra
 
-    ts = trace.ts
-    users = trace.users
-    sessions = trace.sessions
-    shards = trace.shards
-    mutating = trace.mutating
-    hashes = trace.hashes
-    for i in stats.fault_rows.tolist():
-        row_ts = float(ts[i])
+    for i, row_ts, user, session, mut, thash, shard in stats.fault_requests:
         if kind in ("none", "retry"):
             # Exactly the live request path: same injector, same identity,
             # same counter updates — this is the pinned configuration.
             error_kind, retries, _failover = injector.check_request(
-                row_ts, int(users[i]), int(sessions[i]), bool(mutating[i]),
-                hashes[i], int(shards[i]))
+                row_ts, user, session, mut, thash, shard)
             if error_kind:
                 latency[i] = (retries + 1) * timeout_seconds \
                     + policy.total_backoff(retries)
@@ -380,8 +424,7 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
         # Speculative kinds: resolve the unmitigated first attempt, then
         # model the policy's reaction.
         error_kind, _retries, _failover = FaultInjector.check_request(
-            _Probe(injector), row_ts, int(users[i]), int(sessions[i]),
-            bool(mutating[i]), hashes[i], int(shards[i]))
+            _Probe(injector), row_ts, user, session, mut, thash, shard)
         if not error_kind:
             continue
         acc.requests_failed -= 1  # re-decided below
@@ -389,8 +432,8 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
         if kind == "hedge":
             hedges += 1
             second = schedule.attempt_outcome(
-                row_ts, _float_bits(row_ts), int(users[i]), int(sessions[i]),
-                bool(mutating[i]), hashes[i], int(shards[i]), HEDGE_ATTEMPT)
+                row_ts, _float_bits(row_ts), user, session, mut, thash,
+                shard, HEDGE_ATTEMPT)
             if second is None or second == FAILOVER:
                 if second == FAILOVER:
                     acc.failover_requests += 1
@@ -401,8 +444,8 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
                 _count_kind(acc, error_kind)
                 latency[i] = timeout_seconds
         else:
-            opened = _window_open(schedule, error_kind, row_ts,
-                                  int(shards[i]), hashes[i])
+            opened = _window_open(schedule, error_kind, row_ts, shard,
+                                  thash)
             detected = row_ts >= opened + detection
             if not detected:
                 acc.requests_failed += 1
@@ -430,8 +473,7 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
     error_rate = errors / n_requests if n_requests else 0.0
     p50, p99, p999 = (_pct(latency, 50), _pct(latency, 99),
                       _pct(latency, 99.9))
-    hp99, hp999 = (_pct(stats.healthy_latency, 99),
-                   _pct(stats.healthy_latency, 99.9))
+    hp99, hp999 = stats.healthy_p99, stats.healthy_p999
     p99_inflation = p99 / hp99 if hp99 > 0 else 1.0
     p999_inflation = p999 / hp999 if hp999 > 0 else 1.0
     ops_overhead = ((acc.retries + hedges) / trace.n_requests

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend.errors import (
     BackendError,
@@ -18,7 +20,11 @@ from repro.faults.mitigation import (
     default_mitigations,
 )
 from repro.faults.runtime import (
+    _LOSSY_TAG,
     FAILOVER,
+    FaultSchedule,
+    _float_bits,
+    _mix64,
     compile_plan,
     content_node,
     request_disposition,
@@ -210,6 +216,112 @@ class TestCompileAndDecide:
         assert schedule.auth_denied(19.9)
         assert not schedule.auth_denied(20.0)
         assert not schedule.auth_denied(9.9)
+
+
+# Window bounds and timestamps come from one small pool so rows land
+# exactly on ``start``/``end``; ``-0.0`` and ``0.0`` differ in their bits.
+_instants = st.sampled_from([-0.0, 0.0, 1.0, 2.5, 10.0, 10.000000000000002,
+                             99.0, 100.0]) | st.floats(-5.0, 105.0)
+_ids = st.integers(0, 2 ** 63 - 1)
+_window = st.tuples(_instants, _instants).map(sorted)
+_rates = st.sampled_from([0.0, 1.0, 5e-324, 2.0 ** -64, 2.0 ** -65, 1e-19,
+                          0.5]) | st.floats(0.0, 1.0)
+_hash_categories = st.lists(st.sampled_from(["", "h0", "h1", "h2"])
+                            | st.text(max_size=6), min_size=1, max_size=4)
+
+
+@st.composite
+def _schedules(draw):
+    lossy = draw(st.lists(st.tuples(_window, _rates), max_size=3))
+    read_only = draw(st.lists(st.tuples(_window, st.integers(0, 3)),
+                              max_size=2))
+    storage_down = draw(st.lists(
+        st.tuples(_window, st.integers(1, 4), st.booleans(),
+                  st.integers(0, 3)), max_size=2))
+    return FaultSchedule(
+        seed=draw(st.integers(-2 ** 64, 2 ** 65)),
+        lossy=tuple(sorted((w[0], w[1], rate) for w, rate in lossy)),
+        read_only=tuple(sorted((w[0], w[1], shard)
+                               for w, shard in read_only)),
+        storage_down=tuple(sorted(
+            (w[0], w[1], node % n_nodes, n_nodes, failover)
+            for w, n_nodes, failover, node in storage_down)))
+
+
+@st.composite
+def _requests(draw):
+    categories = draw(_hash_categories)
+    rows = draw(st.lists(st.tuples(
+        _instants, _ids, _ids, st.booleans(),
+        st.integers(-1, len(categories) - 1), st.integers(0, 3)),
+        min_size=1, max_size=30))
+    return categories, rows
+
+
+def _mask_and_scalar(schedule, categories, rows):
+    ts, users, sessions, mutating, codes, shards = (
+        np.array(column) for column in zip(*rows))
+    mask = schedule.first_attempt_faulted(
+        ts.astype(np.float64), users.astype(np.int64),
+        sessions.astype(np.int64), mutating.astype(bool), codes,
+        categories, shards)
+    scalar = [
+        schedule.attempt_outcome(
+            t, _float_bits(t), user, session, mut,
+            categories[code] if code >= 0 else "", shard, 0) is not None
+        for t, user, session, mut, code, shard in rows]
+    return mask.tolist(), scalar
+
+
+class TestFirstAttemptMask:
+    """``FaultSchedule.first_attempt_faulted`` must equal the scalar
+    ``attempt_outcome(..., 0) is not None`` row for row: the offline
+    simulator re-resolves only the rows it flags."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_schedules(), _requests())
+    def test_mask_equals_scalar_decision(self, schedule, requests):
+        categories, rows = requests
+        mask, scalar = _mask_and_scalar(schedule, categories, rows)
+        assert mask == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2 ** 64, 2 ** 65), _ids, _ids, _instants,
+           st.integers(0, 2))
+    def test_lossy_threshold_is_exact_at_the_draw(self, seed, user, session,
+                                                  ts, nudge):
+        # A rate whose threshold lands on (or one ulp either side of) the
+        # row's own draw: the integer compare must agree with the scalar
+        # float compare exactly there.
+        draw = _mix64(seed, _LOSSY_TAG, user, session, _float_bits(ts), 0)
+        rate = float(draw) / 2.0 ** 64
+        rate = (np.nextafter(rate, 0.0), rate, np.nextafter(rate, 1.0))[nudge]
+        schedule = FaultSchedule(seed=seed,
+                                 lossy=((-10.0, 200.0, float(rate)),))
+        mask, scalar = _mask_and_scalar(
+            schedule, [""], [(ts, user, session, False, -1, 0)])
+        assert mask == scalar
+
+    def test_lossy_threshold_between_integers(self):
+        # Below 2**52 ``rate * 2**64`` can fall between two integers; a draw
+        # just under it hits, which only a ceil (not floor) threshold keeps.
+        draw, user = next((d, u) for d, u in (
+            (_mix64(3, _LOSSY_TAG, u, 7, _float_bits(5.0), 0), u)
+            for u in range(1 << 16)) if d < 1 << 52)
+        rate = (draw + 0.5) / 2.0 ** 64
+        assert rate * 2.0 ** 64 == draw + 0.5
+        schedule = FaultSchedule(seed=3, lossy=((0.0, 10.0, rate),))
+        mask, scalar = _mask_and_scalar(
+            schedule, [""], [(5.0, user, 7, False, -1, 0)])
+        assert mask == scalar == [True]
+
+    def test_empty_columns(self):
+        schedule = compile_plan(default_fault_plan(0.0, 100.0, seed=1))
+        empty = np.array([], dtype=np.int64)
+        mask = schedule.first_attempt_faulted(
+            empty.astype(np.float64), empty, empty, empty.astype(bool),
+            empty, [], empty)
+        assert mask.dtype == bool and len(mask) == 0
 
 
 class TestDisposition:

@@ -1,21 +1,31 @@
 """Offline mitigation simulator vs the live faulted replay: the pins.
 
-The offline pass re-resolves every in-envelope request of the unmitigated
-faulted trace through the same ``request_disposition`` the live API server
-used.  For the live-supported policy kinds (``none``/``retry``) the fault
-accounting must therefore match counter-for-counter — integer counters
-exactly; under degraded-process windows the two accumulated-seconds floats
-match to rounding (the offline pass inverts the recorded inflation, so the
-sums associate differently).
+The offline pass re-resolves the unmitigated faulted trace's
+first-attempt-faulted requests (flagged by one vectorised pass) through the
+same ``request_disposition`` the live API server used; every other request
+is served as recorded.  For the live-supported policy kinds
+(``none``/``retry``) the fault accounting must therefore match
+counter-for-counter — integer counters exactly; under degraded-process
+windows the two accumulated-seconds floats match to rounding (the offline
+pass inverts the recorded inflation, so the sums associate differently).
+The columnar decode and the row prefilter are also pinned against scalar
+reference loops.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.backend.api_server import ApiServerProcess
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.faults.mitigation import MitigationPolicy, default_mitigations
-from repro.faults.simulator import FaultTrace, simulate_mitigation
+from repro.faults.runtime import _float_bits, compile_plan
+from repro.faults.simulator import (
+    FaultTrace,
+    _request_rows,
+    simulate_mitigation,
+)
 from repro.faults.spec import (
     AuthOutage,
     FaultPlan,
@@ -25,6 +35,7 @@ from repro.faults.spec import (
     flapping,
 )
 from repro.faults.sweep import run_fault_sweep
+from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
@@ -147,6 +158,98 @@ class TestOfflineMatchesLive:
         assert stats.auth_outage_failures \
             == cluster.fault_accounting.auth_outage_failures
         assert stats.auth_outage_failures > 0
+
+
+class TestColumnarDecode:
+    """The vectorised decode and row prefilter against scalar references."""
+
+    def test_latency_grouping_matches_scalar_loop(self, baseline):
+        _, dataset, trace = baseline
+        # Reference: the first storage row of each (session, timestamp) key
+        # owns the RPC rows with that key; service times add in row order.
+        ts = dataset.storage_column("timestamp").tolist()
+        request_index = {}
+        for i, session in enumerate(
+                dataset.storage_column("session_id").tolist()):
+            request_index.setdefault((session, ts[i]), i)
+        latency = np.zeros(len(ts), dtype=np.float64)
+        rpc_ts = dataset.rpc_column("timestamp").tolist()
+        service = dataset.rpc_column("service_time").tolist()
+        rpc_request = []
+        for j, session in enumerate(
+                dataset.rpc_column("session_id").tolist()):
+            row = request_index.get((session, rpc_ts[j]), -1)
+            rpc_request.append(row)
+            if row >= 0:
+                latency[row] += service[j]
+        assert trace._rpc_request.tolist() == rpc_request
+        assert trace.latency.tobytes() == latency.tobytes()
+        assert max(rpc_request) >= 0
+
+    def test_request_rows_key_on_session_and_timestamp(self):
+        # Row 2 repeats row 0's key (the first row owns it); rows 0 and 1
+        # share a timestamp but not a session; two RPC keys match nothing.
+        sessions = np.array([5, 6, 5, 7])
+        ts = np.array([1.0, 1.0, 1.0, 2.0])
+        rows = _request_rows(sessions, ts, np.array([6, 5, 7, 8, 5]),
+                             np.array([1.0, 1.0, 2.0, 1.0, 2.0]))
+        assert rows.tolist() == [1, 0, 3, -1, -1]
+
+    def test_trace_without_rpc_rows_has_float_latency(self, baseline):
+        cluster, dataset, _ = baseline
+        bare = FaultTrace.from_dataset(TraceDataset(storage=dataset.storage))
+        assert bare.latency.dtype == np.float64
+        assert not bare.latency.any()
+        outcome = simulate_mitigation(bare, cluster.fault_schedule,
+                                      MitigationPolicy("do-nothing", "none"))
+        # Failed requests cost the client timeout, not a truncated zero.
+        assert outcome.accounting.requests_failed > 0
+        assert outcome.p999_latency > 0.0
+
+    def test_fault_rows_are_exactly_first_attempt_hits(self, baseline):
+        cluster, dataset, trace = baseline
+        schedule = cluster.fault_schedule
+        operations = {code: op for op, code in OPERATION_CODE.items()}
+        ops = [operations[code]
+               for code in dataset.storage_column("operation").tolist()]
+        hashes = dataset.storage_column("content_hash").tolist()
+        lo, hi = schedule.envelope
+        in_envelope, expected = 0, []
+        for i, (row_ts, user, session, shard) in enumerate(zip(
+                dataset.storage_column("timestamp").tolist(),
+                dataset.storage_column("user_id").tolist(),
+                dataset.storage_column("session_id").tolist(),
+                dataset.storage_column("shard_id").tolist())):
+            if not lo <= row_ts < hi:
+                continue
+            in_envelope += 1
+            op = ops[i]
+            outcome = schedule.attempt_outcome(
+                row_ts, _float_bits(row_ts), user, session,
+                op in ApiServerProcess._MUTATING_OPERATIONS,
+                hashes[i] if op.is_transfer else "", shard, 0)
+            if outcome is not None:
+                expected.append(i)
+        rows = trace.schedule_stats(schedule).fault_rows.tolist()
+        assert rows == expected
+        assert 0 < len(rows) < in_envelope
+
+    def test_schedule_memo_never_aliases(self, baseline):
+        """Schedules built and dropped in turn each get their own stats,
+        even when a new schedule reuses a freed one's address."""
+        _, dataset, trace = baseline
+        ts = dataset.storage_column("timestamp")
+        distinct = np.unique(ts)
+        edges = distinct[np.linspace(0, len(distinct) - 1, 21).astype(int)]
+        for k in range(20):
+            lo, hi = float(edges[k]), float(edges[k + 1])
+            schedule = compile_plan(FaultPlan(
+                faults=(LossyLink(lo, hi, failure_rate=1.0),), seed=SEED))
+            rows = trace.schedule_stats(schedule).fault_rows
+            expected = np.flatnonzero((ts >= lo) & (ts < hi))
+            assert len(expected) > 0
+            assert rows.tolist() == expected.tolist(), k
+            del schedule
 
 
 class TestSweep:

@@ -105,6 +105,10 @@ class TestCommands:
         assert payload["faultsweep_seconds"] > 0.0
         assert payload["best_policy"] in {p["policy"]
                                           for p in payload["policies"]}
+        # The offline do-nothing pass reproduces the live replay's counters.
+        live = payload["live_fault_counters"]
+        assert live["requests_faulted"] > 0
+        assert set(payload["policies"][0]["fault_counters"]) == set(live)
 
 
 class TestVerifyCommand:
