@@ -93,11 +93,6 @@ def _mix64_columns(h: int, *columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_u64(values) -> np.ndarray:
-    """An integer column as uint64, two's complement (``v & _MASK64``)."""
-    return np.asarray(values).astype(np.int64, copy=False).view(np.uint64)
-
-
 def _float_bits(ts: float) -> int:
     """The IEEE-754 bits of a timestamp (exact, unlike any rounding)."""
     return int.from_bytes(_PACK_DOUBLE(ts), "little")
@@ -229,19 +224,18 @@ class FaultSchedule:
             if limit > _MASK64:
                 hit[rows] = True
                 continue
+            # int64 ids viewed as uint64 are the ``v & _MASK64`` of _mix64.
             draw = _mix64_columns(
                 _mix64(self.seed, _LOSSY_TAG + i),
-                _as_u64(user_ids)[rows], _as_u64(session_ids)[rows],
+                user_ids[rows].astype(np.int64).view(np.uint64),
+                session_ids[rows].astype(np.int64).view(np.uint64),
                 ts[rows].view(np.uint64), np.uint64(0))
             hit[rows[draw < np.uint64(limit)]] = True
         if self.read_only:
-            mutating = np.asarray(mutating, dtype=bool)
-            shard_ids = np.asarray(shard_ids)
             for start, end, ro_shard in self.read_only:
                 hit |= (mutating & (shard_ids == ro_shard)
                         & (ts >= start) & (ts < end))
         if self.storage_down:
-            hash_codes = np.asarray(hash_codes)
             for start, end, node, n_nodes, _failover in self.storage_down:
                 rows = np.flatnonzero((ts >= start) & (ts < end)
                                       & (hash_codes >= 0))
