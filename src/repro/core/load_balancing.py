@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.trace.dataset import TraceDataset
+from repro.util.distinct import distinct
 from repro.util.timebin import TimeBinner
 from repro.util.units import HOUR, MINUTE
 
@@ -157,7 +158,7 @@ def shard_load(dataset: TraceDataset, bin_width: float = MINUTE,
         entities = [f"shard-{i}" for i in range(n_shards)]
         rows = np.where(shard_ids < n_shards, shard_ids, -1)
     else:
-        present = np.unique(shard_ids)
+        present = distinct(shard_ids)
         labels = [f"shard-{i}" for i in present.tolist()]
         order = sorted(range(len(labels)), key=lambda i: labels[i])
         entities = [labels[i] for i in order]

@@ -22,6 +22,7 @@ from repro.trace.dataset import (
     TraceDataset,
 )
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
+from repro.util.distinct import distinct, distinct_pairs
 from repro.util.stats import EmpiricalCDF, pearson_correlation
 
 __all__ = [
@@ -92,7 +93,7 @@ def volume_contents(dataset: TraceDataset,
     # reversed-unique trick, then count files/dirs per volume with bincounts.
     volume_ids = source.storage_column("volume_id")
     node_ids = source.storage_column("node_id")
-    volumes = np.unique(volume_ids[volume_ids != 0])
+    volumes = distinct(volume_ids[volume_ids != 0])
     files: dict[int, int] = {int(v): 0 for v in volumes.tolist()}
     dirs: dict[int, int] = {int(v): 0 for v in volumes.tolist()}
     node_mask = node_ids != 0
@@ -107,8 +108,8 @@ def volume_contents(dataset: TraceDataset,
         is_dir = node_kinds[last] == NODE_KIND_CODE[NodeKind.DIRECTORY]
         for volume_array, target in ((last_volumes[is_dir], dirs),
                                      (last_volumes[~is_dir], files)):
-            distinct, counts = np.unique(volume_array, return_counts=True)
-            for volume_id, count in zip(distinct.tolist(), counts.tolist()):
+            present, counts = np.unique(volume_array, return_counts=True)
+            for volume_id, count in zip(present.tolist(), counts.tolist()):
                 target[int(volume_id)] = target.get(int(volume_id), 0) + int(count)
     return VolumeContents(files_per_volume=files, directories_per_volume=dirs)
 
@@ -145,7 +146,7 @@ def volume_type_distribution(dataset: TraceDataset,
     """Count distinct UDF/shared volumes referenced per user (Fig. 11)."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
     # Columnar fast path: deduplicate (user, volume) pairs per class with one
-    # np.unique over a fused key, then count distinct volumes per user.
+    # sort over a packed key, then count distinct volumes per user.
     volume_ids = source.storage_column("volume_id")
     users = source.storage_column("user_id")
     types = source.storage_column("volume_type")
@@ -159,8 +160,7 @@ def volume_type_distribution(dataset: TraceDataset,
     def distinct_per_user(mask: np.ndarray) -> dict[int, int]:
         if not mask.any():
             return {}
-        pairs = np.unique(np.stack([users[mask], volume_ids[mask]], axis=1),
-                          axis=0)
+        pairs = distinct_pairs(users[mask], volume_ids[mask])
         distinct_users, counts = np.unique(pairs[:, 0], return_counts=True)
         return {int(u): int(c)
                 for u, c in zip(distinct_users.tolist(), counts.tolist())}

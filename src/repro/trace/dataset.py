@@ -57,6 +57,7 @@ from repro.trace.records import (
     StorageRecord,
     VolumeType,
 )
+from repro.util.distinct import distinct
 
 __all__ = [
     "ColumnBlock",
@@ -908,7 +909,7 @@ class TraceDataset:
     """
 
     __slots__ = ("_storage", "_rpc", "_sessions", "_legit_cache",
-                 "_groupby_cache")
+                 "_groupby_cache", "_distinct_cache")
 
     def __init__(self, storage: list[StorageRecord] | None = None,
                  rpc: list[RpcRecord] | None = None,
@@ -918,6 +919,7 @@ class TraceDataset:
         self._sessions = _Stream(_SESSION_SPEC, list(sessions) if sessions else [])
         self._legit_cache: tuple | None = None
         self._groupby_cache: dict = {}
+        self._distinct_cache: dict = {}
 
     @classmethod
     def _from_streams(cls, storage: _Stream, rpc: _Stream,
@@ -928,6 +930,7 @@ class TraceDataset:
         dataset._sessions = sessions
         dataset._legit_cache = None
         dataset._groupby_cache = {}
+        dataset._distinct_cache = {}
         return dataset
 
     @classmethod
@@ -1180,19 +1183,27 @@ class TraceDataset:
     # ------------------------------------------------------------ aggregation
     def user_ids(self) -> set[int]:
         """Distinct user ids appearing anywhere in the trace."""
-        ids: set[int] = set()
-        for stream in (self._storage, self._rpc, self._sessions):
-            if len(stream):
-                ids.update(np.unique(stream.column("user_id")).tolist())
-        return ids
+        return self._distinct_ids(
+            "user_id", (self._storage, self._rpc, self._sessions))
 
     def session_ids(self) -> set[int]:
         """Distinct session ids appearing anywhere in the trace."""
-        ids: set[int] = set()
-        for stream in (self._storage, self._sessions):
-            if len(stream):
-                ids.update(np.unique(stream.column("session_id")).tolist())
-        return ids
+        return self._distinct_ids("session_id", (self._storage, self._sessions))
+
+    def _distinct_ids(self, name: str, streams: tuple) -> set[int]:
+        """Distinct values of an integer column across ``streams``.
+
+        The sorted distinct array is memoized per column under the same
+        per-stream ``(id, len, order_version)`` key as
+        :meth:`without_attack_traffic`, so appends and re-sorts invalidate
+        it; every call returns a fresh set the caller may mutate.
+        """
+        key = tuple((id(s), len(s), s.order_version) for s in streams)
+        cached = self._distinct_cache.get(name)
+        if cached is None or cached[0] != key:
+            ids = distinct(np.concatenate([s.column(name) for s in streams]))
+            cached = self._distinct_cache[name] = (key, ids)
+        return set(cached[1].tolist())
 
     def _storage_grouped(self, key_column: str,
                          keep: np.ndarray | None = None) -> dict[int, list[StorageRecord]]:

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.trace.dataset import NODE_KIND_CODE, OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation, NodeKind
+from repro.util.distinct import distinct
 from repro.util.units import DAY, format_bytes
 
 __all__ = ["TraceSummary", "summarize"]
@@ -62,7 +63,7 @@ def summarize(dataset: TraceDataset) -> TraceSummary:
     node_ids = dataset.storage_column("node_id")
     kinds = dataset.storage_column("node_kind")
     file_mask = (node_ids != 0) & (kinds == NODE_KIND_CODE[NodeKind.FILE])
-    unique_files = np.unique(node_ids[file_mask])
+    unique_files = distinct(node_ids[file_mask])
     op_codes = dataset.storage_column("operation")
     n_uploads = int(np.sum(op_codes == OPERATION_CODE[ApiOperation.UPLOAD]))
     n_downloads = int(np.sum(op_codes == OPERATION_CODE[ApiOperation.DOWNLOAD]))

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.errors import ERROR_KINDS
+from repro.util.distinct import distinct_pairs
 
 __all__ = ["validate_dataset"]
 
@@ -109,10 +110,11 @@ def _session_user_map(dataset, violations: list) -> dict[int, int] | None:
         return {}
     session_ids = stream.column("session_id")
     user_ids = stream.column("user_id")
-    pairs = np.unique(np.stack([session_ids, user_ids], axis=1), axis=0)
-    unique_sessions, counts = np.unique(pairs[:, 0], return_counts=True)
-    if np.any(counts > 1):
-        culprit = int(unique_sessions[np.argmax(counts > 1)])
+    pairs = distinct_pairs(session_ids, user_ids)
+    # Pairs come sorted by session, so a session with two users repeats.
+    repeated = pairs[1:, 0][pairs[1:, 0] == pairs[:-1, 0]]
+    if repeated.size:
+        culprit = int(repeated[0])
         violations.append(
             f"sessions: session_id {culprit} maps to multiple user_ids")
         return None

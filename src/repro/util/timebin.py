@@ -12,6 +12,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.util.distinct import distinct_pairs
+
 __all__ = ["TimeBinner", "bin_count_series", "bin_sum_series", "bin_unique_series"]
 
 
@@ -119,8 +121,10 @@ def bin_unique_series(binner: TimeBinner,
     Used for the online/active users-per-hour series of Fig. 6, where each
     user should be counted once per hour regardless of how many requests the
     user issued in that hour.  Accepts a pre-split ``(timestamps, keys)``
-    array pair like :func:`bin_sum_series`; integer keys are deduplicated
-    per bin with a vectorised unique over ``(bin, key)`` pairs.
+    array pair like :func:`bin_sum_series`.  Integer and bool keys are
+    deduplicated per bin with :func:`~repro.util.distinct.distinct_pairs`
+    over ``(bin, key)`` pairs; any other key (floats included) is compared
+    exactly through per-bin sets.
     """
     if _is_presplit(events):
         ts = np.asarray(events[0], dtype=float)
@@ -135,13 +139,13 @@ def bin_unique_series(binner: TimeBinner,
     keys = keys[in_range]
     if keys.size == 0:
         return np.zeros(binner.n_bins, dtype=float)
-    if np.issubdtype(keys.dtype, np.number):
-        distinct = np.unique(np.stack([indices, keys.astype(np.int64)], axis=1), axis=0)
-        bins = distinct[:, 0]
-    else:  # object keys: fall back to per-bin sets
-        seen: dict[int, set] = {}
-        for idx, key in zip(indices.tolist(), keys.tolist()):
-            seen.setdefault(idx, set()).add(key)
-        return np.asarray([len(seen.get(i, ())) for i in range(binner.n_bins)],
-                          dtype=float)
-    return np.bincount(bins, minlength=binner.n_bins).astype(float)
+    if keys.dtype.kind in "biu":
+        # Casting to int64 is injective on every integer width (uint64 wraps
+        # one-to-one), so distinct pairs are counted exactly.
+        bins = distinct_pairs(indices, keys.astype(np.int64, copy=False))[:, 0]
+        return np.bincount(bins, minlength=binner.n_bins).astype(float)
+    seen: dict[int, set] = {}
+    for idx, key in zip(indices.tolist(), keys.tolist()):
+        seen.setdefault(idx, set()).add(key)
+    return np.asarray([len(seen.get(i, ())) for i in range(binner.n_bins)],
+                      dtype=float)

@@ -2,8 +2,8 @@
 
 A deliberately cheap, columns-only estimate of the Section 9 levers (dedup,
 delta updates, cold tiering) that the full report can afford to print on
-every run — a handful of ``np.unique`` passes over the storage columns, no
-sequential simulation.  The full policy sweep lives in
+every run — a handful of sort-based distinct passes over the storage
+columns, no sequential simulation.  The full policy sweep lives in
 :mod:`repro.whatif.sweep` (``python -m repro whatif``).
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
+from repro.util.distinct import distinct
 from repro.util.units import DAY, GB
 from repro.whatif.costs import StorageCostModel
 
@@ -117,8 +118,8 @@ def storage_economics(dataset: TraceDataset,
                       ts_t)
         # Contents that were actually uploaded in-trace (vs pre-trace
         # contents only seen through downloads): the dedup-lever numerator.
-        uploaded_codes = np.unique(hash_codes[uploads
-                                              & (hash_codes != empty_hash)])
+        uploaded_codes = distinct(hash_codes[uploads
+                                             & (hash_codes != empty_hash)])
         was_uploaded = np.isin(unique_codes, uploaded_codes)
     else:
         unique_sizes = np.zeros(0, dtype=np.int64)

@@ -83,6 +83,41 @@ class TestAggregation:
         assert dataset.user_ids() == {1, 2, 3}
         assert dataset.session_ids() == {1, 2, 3}
 
+    def test_distinct_ids_are_fresh_sets(self, dataset):
+        ids = dataset.user_ids()
+        ids.add(99)
+        ids.discard(1)
+        assert dataset.user_ids() == {1, 2, 3}
+        assert dataset.user_ids() is not dataset.user_ids()
+
+    def test_distinct_ids_follow_appends(self, dataset):
+        assert dataset.user_ids() == {1, 2, 3}
+        dataset.add_rpc(make_rpc(timestamp=40, user_id=7))
+        assert dataset.user_ids() == {1, 2, 3, 7}
+        dataset.add_session(make_session(timestamp=120, user_id=8,
+                                         session_id=9))
+        assert dataset.user_ids() == {1, 2, 3, 7, 8}
+        assert dataset.session_ids() == {1, 2, 3, 9}
+        other = TraceDataset()
+        other.add_storage(make_storage(timestamp=130, user_id=11,
+                                       session_id=12))
+        dataset.extend(other)
+        assert dataset.user_ids() == {1, 2, 3, 7, 8, 11}
+        assert dataset.session_ids() == {1, 2, 3, 9, 12}
+
+    def test_distinct_ids_recomputed_after_sort(self, dataset):
+        dataset.user_ids()
+        cached = dataset._distinct_cache["user_id"][1]
+        dataset.user_ids()
+        assert dataset._distinct_cache["user_id"][1] is cached
+        dataset.sort()  # the storage stream is out of order: this reorders it
+        assert dataset.user_ids() == {1, 2, 3}
+        assert dataset._distinct_cache["user_id"][1] is not cached
+
+    def test_distinct_ids_of_empty_dataset(self, empty_dataset):
+        assert empty_dataset.user_ids() == set()
+        assert empty_dataset.session_ids() == set()
+
     def test_storage_by_user_sorted(self, dataset):
         grouped = dataset.storage_by_user()
         assert set(grouped) == {1, 2, 3}

@@ -6,7 +6,7 @@ import dataclasses
 
 from repro.trace.dataset import TraceDataset
 from repro.trace.records import SessionEvent
-from repro.trace.validate import validate_dataset
+from repro.trace.validate import _session_user_map, validate_dataset
 from tests.conftest import make_rpc, make_session, make_storage
 
 
@@ -75,6 +75,28 @@ class TestReferentialIntegrity:
                                          user_id=3))
         violations = validate_dataset(dataset)
         assert any("multiple user_ids" in v for v in violations)
+
+    def test_ambiguous_session_names_smallest_culprit(self):
+        dataset = _clean_dataset()
+        # Session 7 is carried by users 3 and 4, session 2 by users 2 and 9.
+        dataset.add_session(make_session(timestamp=6.0, session_id=7,
+                                         user_id=4))
+        dataset.add_session(make_session(timestamp=7.0, session_id=7,
+                                         user_id=3))
+        dataset.add_session(make_session(timestamp=8.0, session_id=2,
+                                         user_id=9))
+        violations: list[str] = []
+        assert _session_user_map(dataset, violations) is None
+        assert violations == [
+            "sessions: session_id 2 maps to multiple user_ids"]
+
+    def test_unambiguous_session_map(self):
+        dataset = _clean_dataset()
+        dataset.add_session(make_session(timestamp=9.5, session_id=2,
+                                         user_id=2))
+        violations: list[str] = []
+        assert _session_user_map(dataset, violations) == {1: 1, 2: 2}
+        assert violations == []
 
 
 class TestFaultColumns:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.util.timebin import (
@@ -63,3 +64,20 @@ class TestSeriesBuilders:
         events = [(1.0, "a"), (2.0, "a"), (3.0, "b"), (12.0, "a")]
         uniques = bin_unique_series(binner, events)
         assert list(uniques) == [2.0, 1.0]
+
+    def test_unique_series_keeps_float_keys_apart(self):
+        # 1.2 and 1.7 are two keys; truncating them to int64 merged them.
+        binner = TimeBinner(start=0.0, end=10.0, width=10.0)
+        uniques = bin_unique_series(
+            binner, (np.array([1.0, 2.0, 3.0]), np.array([1.2, 1.7, 1.2])))
+        assert list(uniques) == [2.0]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.bool_])
+    def test_unique_series_integer_keys(self, dtype):
+        binner = TimeBinner(start=0.0, end=30.0, width=10.0)
+        ts = np.array([1.0, 2.0, 3.0, 12.0, 13.0, 25.0, 40.0])
+        keys = np.array([1, 0, 1, 0, 0, 1, 1]).astype(dtype)
+        if dtype is np.uint64:
+            keys = keys + np.uint64(2**63)  # values above the int64 range
+        uniques = bin_unique_series(binner, (ts, keys))
+        assert list(uniques) == [2.0, 1.0, 1.0]
