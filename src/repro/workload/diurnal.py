@@ -122,9 +122,8 @@ class DiurnalProfile:
     def download_bias_array(self, timestamps: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`download_bias` over an array of timestamps.
 
-        The vectorised materializer pre-computes every operation's bias from
-        the pre-drawn timeline in one call instead of one scalar call per
-        chain transition.
+        The materializer computes the bias of every realised transition of
+        a whole batch of sessions in one call.
         """
         ts = np.asarray(timestamps, dtype=np.float64)
         hour = (ts % DAY) / HOUR

@@ -35,8 +35,11 @@ __all__ = [
     "FileModel",
     "PopularContentPool",
     "FILE_CATEGORIES",
+    "PROFILE_EXTENSIONS",
     "EXTENSION_PROFILES",
     "category_of_extension",
+    "new_file_entries",
+    "update_jitter",
 ]
 
 
@@ -119,6 +122,9 @@ EXTENSION_PROFILES: tuple[ExtensionProfile, ...] = (
 
 _CATEGORY_BY_EXTENSION = {p.extension: p.category for p in EXTENSION_PROFILES}
 
+#: Extension of each default profile, indexed like :data:`EXTENSION_PROFILES`.
+PROFILE_EXTENSIONS: tuple[str, ...] = tuple(p.extension for p in EXTENSION_PROFILES)
+
 
 def category_of_extension(extension: str) -> str:
     """Map an extension to one of the 7 categories (unknown -> Other)."""
@@ -127,22 +133,12 @@ def category_of_extension(extension: str) -> str:
 
 #: Memoised derived tables per profile sequence: (profiles list, normalised
 #: probabilities, cumulative popularity floats, small-song profiles, plus the
-#: array mirrors the block sampler uses: cumulative ndarray, lognormal mu and
-#: sigma per profile, extension strings per profile).
+#: array mirrors :func:`new_file_entries` uses: cumulative ndarray and the
+#: lognormal mu and sigma per profile).
 _PROFILE_TABLES: dict[tuple, tuple] = {}
-
-#: One-element cache holding the derived tables of the *default* profile
-#: sequence (see the identity fast path in :func:`_profile_tables`).
-_DEFAULT_TABLES: list[tuple] = []
 
 
 def _profile_tables(profiles: tuple) -> tuple:
-    # Identity fast path: hashing the key tuple means hashing every frozen
-    # ExtensionProfile in it, which at one FileModel per user adds up.
-    # ``tuple(EXTENSION_PROFILES) is EXTENSION_PROFILES``, so the default
-    # table — by far the common case — hits this without any hashing.
-    if profiles is EXTENSION_PROFILES and _DEFAULT_TABLES:
-        return _DEFAULT_TABLES[0]
     tables = _PROFILE_TABLES.get(profiles)
     if tables is None:
         profile_list = list(profiles)
@@ -151,16 +147,11 @@ def _profile_tables(profiles: tuple) -> tuple:
         cumulative = np.cumsum(probabilities).tolist()
         small_songs = [p for p in profile_list
                        if p.category == "Audio/Video" and p.median_size <= 16 * MB]
-        cumulative_arr = np.asarray(cumulative)
         mu = np.log([p.median_size for p in profile_list])
         sigma = np.asarray([p.sigma for p in profile_list])
-        extensions = [p.extension for p in profile_list]
         tables = _PROFILE_TABLES[profiles] = (profile_list, probabilities,
                                               cumulative, small_songs,
-                                              cumulative_arr, mu, sigma,
-                                              extensions)
-        if profiles is EXTENSION_PROFILES:
-            _DEFAULT_TABLES.append(tables)
+                                              np.asarray(cumulative), mu, sigma)
     return tables
 
 
@@ -184,7 +175,7 @@ class PopularContentPool:
                  zipf_exponent: float = 1.3):
         self.entries = list(entries)
         weights = np.arange(1, len(self.entries) + 1, dtype=float) ** (-zipf_exponent)
-        self._cumulative = np.cumsum(weights).tolist()
+        self._cumulative = np.cumsum(weights)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -196,23 +187,49 @@ class PopularContentPool:
         return cls([file_model.mint_popular_entry() for _ in range(size)],
                    zipf_exponent=zipf_exponent)
 
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Zipf-weighted entry indices for an array of uniforms in [0, 1)."""
+        cumulative = self._cumulative
+        index = cumulative.searchsorted(u * cumulative[-1], side="right")
+        return np.minimum(index, len(self.entries) - 1)
+
     def sample(self, u: float) -> tuple[str, int, str]:
         """Zipf-weighted pick of ``(hash, size, extension)`` from ``u`` in [0,1)."""
-        cumulative = self._cumulative
-        index = bisect_right(cumulative, u * cumulative[-1])
-        if index >= len(self.entries):
-            index = len(self.entries) - 1
-        return self.entries[index]
+        return self.entries[int(self.pick(u))]
 
-    def sample_many(self, u: np.ndarray) -> list[tuple[str, int, str]]:
-        """:meth:`sample` over a block of uniforms.
 
-        Blocks hold a handful of uniforms, so a ``bisect_right`` per uniform
-        over the cached cumulative list is cheaper than one NumPy
-        ``searchsorted`` call and picks exactly the same entries.
-        """
-        sample = self.sample
-        return [sample(x) for x in u.tolist()]
+def new_file_entries(pool: PopularContentPool, duplicate_fraction: float,
+                     max_size_bytes: int, duplicate_u: np.ndarray,
+                     pick_u: np.ndarray, normals: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`FileModel.sample_new_file` over arrays of pre-drawn lanes.
+
+    Entry ``i`` duplicates a pool content when ``duplicate_u[i] <
+    duplicate_fraction``; then ``pick[i]`` is its index in ``pool.entries``.
+    Otherwise it is fresh content of profile ``-1 - pick[i]`` (an index
+    into :data:`PROFILE_EXTENSIONS`) and lognormal size ``size[i]`` drawn
+    from ``normals[i]``.  Content hashes are left to the caller, which
+    mints one only for the entries it uses.
+    """
+    tables = _profile_tables(EXTENSION_PROFILES)
+    cumulative, mu, sigma = tables[4], tables[5], tables[6]
+    profile = np.searchsorted(cumulative, pick_u, side="right")
+    np.minimum(profile, len(cumulative) - 1, out=profile)
+    sizes = np.exp(mu[profile] + sigma[profile] * normals)
+    np.maximum(sizes, 1, out=sizes)
+    np.minimum(sizes, max_size_bytes, out=sizes)
+    pick = np.where(duplicate_u < duplicate_fraction, pool.pick(pick_u),
+                    -1 - profile)
+    return pick, sizes.astype(np.int64)
+
+
+#: Shape of the lognormal(0, sigma) size jitter of an update.
+UPDATE_JITTER_SIGMA = 0.2
+
+
+def update_jitter(normals: np.ndarray) -> np.ndarray:
+    """:meth:`FileModel.sample_updated_content`'s size factors, from normals."""
+    return np.exp(UPDATE_JITTER_SIGMA * normals)
 
 
 class FileModel:
@@ -235,10 +252,10 @@ class FileModel:
         Extension profiles; defaults to :data:`EXTENSION_PROFILES`.
     shared_pool:
         Optional frozen :class:`PopularContentPool`.  When given, duplicate
-        draws sample the shared pool instead of growing a private one — the
-        per-user materializers of the sharded generator all point at the one
-        pool built during planning, which is what keeps cross-user dedup
-        alive across independent per-user RNG streams.
+        draws sample the shared pool instead of growing a private one.  The
+        generator's materializer duplicates from the one pool built during
+        planning (:func:`new_file_entries`), which is what keeps cross-user
+        dedup alive across independent per-user RNG streams.
     hash_namespace:
         Prefix baked into minted content hashes so models drawing from
         independent streams (one per user) can never collide.
@@ -257,20 +274,10 @@ class FileModel:
             raise ValueError("at least one extension profile is required")
         if max_size_bytes <= 0:
             raise ValueError("max_size_bytes must be positive")
-        if isinstance(rng, RngPool):
-            self._pool = rng
-            self._rng = rng.generator
-        else:
-            self._rng = rng
-            self._pool = RngPool(rng)
+        self._pool = rng if isinstance(rng, RngPool) else RngPool(rng)
         self._max_size_bytes = max_size_bytes
-        # The derived profile tables are pure functions of the profile
-        # sequence; memoising them makes per-user model construction (one
-        # FileModel per user in the sharded generator) allocation-free.
-        tables = _profile_tables(tuple(profiles))
         (self._profiles, self._probabilities, self._cumulative,
-         self._small_songs, self._cumulative_arr, self._mu_arr,
-         self._sigma_arr, self._extensions) = tables
+         self._small_songs) = _profile_tables(tuple(profiles))[:4]
         self._duplicate_fraction = duplicate_fraction
         self._zipf_exponent = duplicate_zipf_exponent
         # Pool of "popular" contents that attract duplicates.  The pool grows
@@ -350,47 +357,6 @@ class FileModel:
         profile = self.sample_profile()
         return self._new_content_hash(), self.sample_size(profile), profile.extension
 
-    def sample_new_files(self, n: int) -> list[tuple[str, int, str]]:
-        """Block-sample ``n`` new files with vectorised draws.
-
-        Same per-file distribution as ``n`` calls to :meth:`sample_new_file`
-        — duplicate rolls, profile picks, lognormal sizes and popular-pool
-        picks are drawn as arrays instead of scalars.  Requires a shared
-        popular pool (the lazy-growth pool is inherently sequential); the
-        plan/materialize generator always hands one to the per-user models.
-        """
-        if n <= 0:
-            return []
-        if self._shared_pool is None:
-            return [self.sample_new_file() for _ in range(n)]
-        rng = self._rng
-        duplicate = rng.random(n) < self._duplicate_fraction
-        n_dup = int(duplicate.sum())
-        results: list[tuple[str, int, str] | None] = [None] * n
-        if n_dup:
-            entries = self._shared_pool.sample_many(rng.random(n_dup))
-            for slot, entry in zip(np.flatnonzero(duplicate).tolist(), entries):
-                results[slot] = entry
-        n_fresh = n - n_dup
-        if n_fresh:
-            index = np.searchsorted(self._cumulative_arr, rng.random(n_fresh),
-                                    side="right")
-            # In-place minimum/maximum: np.clip's Python wrapper costs ~10x
-            # more per call, and this runs once per materialized upload block.
-            np.minimum(index, len(self._profiles) - 1, out=index)
-            sizes = np.exp(self._mu_arr[index]
-                           + self._sigma_arr[index] * rng.standard_normal(n_fresh))
-            np.maximum(sizes, 1, out=sizes)
-            np.minimum(sizes, self._max_size_bytes, out=sizes)
-            sizes = sizes.astype(np.int64)
-            extensions = self._extensions
-            fresh_iter = zip(index.tolist(), sizes.tolist())
-            for slot in np.flatnonzero(~duplicate).tolist():
-                profile_index, size = next(fresh_iter)
-                results[slot] = (self._new_content_hash(), size,
-                                 extensions[profile_index])
-        return results
-
     def sample_updated_content(self, extension: str, old_size: int) -> tuple[str, int]:
         """Sample ``(content_hash, size)`` for an update of an existing file.
 
@@ -398,6 +364,6 @@ class FileModel:
         code changes) but always produce new content — U1 has no delta
         updates, so the full file is re-uploaded.
         """
-        jitter = self._pool.lognormal(0.0, 0.2)
+        jitter = self._pool.lognormal(0.0, UPDATE_JITTER_SIGMA)
         new_size = max(1, int(old_size * jitter))
         return self._new_content_hash(), new_size

@@ -30,28 +30,26 @@ files that were uploaded before, unlinks delete live nodes, and the per-file
 operation dependencies (Fig. 3) emerge from the same
 editing/synchronisation behaviour the paper describes.
 
-Since PR 5 each session's *stochastic structure* is drawn as arrays up
-front instead of event by event: the inter-operation gaps come from one
-``BurstGapSampler.sample_many`` block (the timeline and its truncation at
-the session end are one cumulative sum), the per-step download biases are
-one vectorised diurnal evaluation, the whole operation sequence is an
-inverse-CDF walk over per-user-class compiled transition tables
-(:func:`repro.workload.opmodel.compiled_chain`) driven by one uniform
-block, and the operand randomness — update/download rolls, target
-selectors, new-file contents — is pre-drawn in per-session typed blocks.
-Only the truly state-dependent residue (file-table weight lookups, volume
-bookkeeping, pending-upload coupling) stays in the per-event loop,
-consuming the pre-drawn arrays.  Users whose plans hold only cold or
-auth-failing sessions skip the file/gap models and the pre-existing-file
-draws entirely.  All of it preserves the PR 3 invariant: the realised
-workload remains a pure function of ``(config, plan member)``, bit
-identical across any member partition and any ``--jobs``.
+Materialization is column-at-a-time over a whole batch of members (see
+:class:`_BatchMaterializer`).  Each member draws from its own stream in a
+fixed number of Generator calls: a skeleton block sized from its plan
+(session start offsets, inter-operation gaps, chain draws, cold-session
+polls), then an operand block of fixed-width lanes per realised operation.
+Everything elementwise — Pareto gaps, download biases, chain transitions,
+new-file entries, update jitters — runs once over the batch's concatenated
+draws.  Only the truly state-dependent residue (file-table weight lookups,
+volume bookkeeping, pending-upload coupling) stays in the per-event loop,
+reading its uniforms by index from the operation's lanes.  All of it
+preserves the invariant above: the realised workload remains a pure function
+of ``(config, plan member)``, bit identical across any member partition and
+any ``--jobs``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +68,20 @@ from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import WorkloadConfig
 from repro.workload.diurnal import DiurnalProfile
 from repro.workload.events import ClientEvent, EventBlock, SessionScript
-from repro.workload.filemodel import FileModel, PopularContentPool
+from repro.workload.filemodel import (
+    PROFILE_EXTENSIONS,
+    FileModel,
+    PopularContentPool,
+    new_file_entries,
+    update_jitter,
+)
 from repro.workload.opmodel import (
     CHAIN_OP_INDEX,
     CHAIN_OPS,
     BurstGapSampler,
+    CompiledChain,
     compiled_chain,
+    initial_state,
 )
 from repro.workload.plan import AttackPlan, SessionSpec, UserPlan, WorkloadPlan
 from repro.workload.population import User, UserClass, build_population
@@ -83,7 +89,6 @@ from repro.workload.sessionmodel import SessionModel
 
 __all__ = [
     "SyntheticTraceGenerator",
-    "UserMaterializer",
     "materialize_member",
     "materialize_members",
 ]
@@ -171,11 +176,6 @@ class _FileState:
     size_bytes: int
     content_hash: str
     extension: str
-    created: float
-    last_write: float
-    last_read: float = -1.0
-    reads: int = 0
-    writes: int = 1
 
 
 @dataclass(slots=True)
@@ -239,64 +239,51 @@ class _FileTable:
     cumulative sum.
     """
 
-    __slots__ = ("node_ids", "created", "last_write", "last_read", "reads",
-                 "size_bytes", "upd_base", "slot", "n", "scratch", "unsynced")
+    __slots__ = ("node_ids", "rows", "created", "last_write", "last_read",
+                 "reads", "size_bytes", "upd_base", "slot", "n", "scratch",
+                 "unsynced")
 
-    def __init__(self, capacity: int = 16):
+    def __init__(self, capacity: int):
+        # ``capacity`` bounds the files the table ever holds at once: the
+        # materializer passes the member's operand-slot count, and every
+        # slot creates at most one file.
         self.node_ids = np.zeros(capacity, dtype=np.int64)
-        self.created = np.zeros(capacity)
-        self.last_write = np.zeros(capacity)
-        self.last_read = np.zeros(capacity)
-        self.reads = np.zeros(capacity)
-        self.size_bytes = np.zeros(capacity)
-        # Size-derived update-pick base weight (0.4 + min(size/1MB, 1.5)),
+        # The float columns are rows of one block, so a removal moves a
+        # file's whole record with one copy.  ``upd_base`` is the
+        # size-derived update-pick base weight (0.4 + min(size/1MB, 1.5)),
         # maintained incrementally so pick_update never recomputes it.
-        self.upd_base = np.zeros(capacity)
+        # ``scratch`` is the vectorised picks' weight buffer (never holds
+        # state across calls).
+        self.rows = np.zeros((7, capacity))
+        (self.created, self.last_write, self.last_read, self.reads,
+         self.size_bytes, self.upd_base, self.scratch) = self.rows
         # Node ids with ``last_read < last_write`` (pending synchronisation),
         # maintained incrementally: O(1) membership churn per touch instead
         # of an O(n_files) scan per sync-download pick.
         self.unsynced: set[int] = set()
-        # Reused weight buffer of the vectorised picks (never holds state
-        # across calls); sized with the columns.
-        self.scratch = np.empty(capacity)
         self.slot: dict[int, int] = {}
         self.n = 0
 
-    def _grow(self) -> None:
-        for name in ("node_ids", "created", "last_write", "last_read",
-                     "reads", "size_bytes", "upd_base"):
-            old = getattr(self, name)
-            new = np.zeros(len(old) * 2, dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
-        self.scratch = np.empty(len(self.node_ids))
-
     # -------------------------------------------------------------- updates
-    def add(self, node_id: int, created: float, size_bytes: int,
-            last_read: float = -1.0) -> None:
-        if self.n == len(self.node_ids):
-            self._grow()
+    def add(self, node_id: int, created: float, size_bytes: int) -> None:
+        """Register a file created (written, never read) at ``created``."""
         i = self.n
         self.node_ids[i] = node_id
         self.created[i] = created
         self.last_write[i] = created
-        self.last_read[i] = last_read
+        self.last_read[i] = -1.0
         self.reads[i] = 0
         self.size_bytes[i] = size_bytes
         self.upd_base[i] = _update_base_weight(size_bytes)
         self.slot[node_id] = i
-        if last_read < created:
-            self.unsynced.add(node_id)
+        self.unsynced.add(node_id)
         self.n += 1
 
     def add_block(self, node_ids: list[int], created: float,
                   sizes: list[int]) -> None:
         """Bulk-register files created at the same instant (initial state)."""
-        k = len(node_ids)
-        while self.n + k > len(self.node_ids):
-            self._grow()
         i = self.n
-        stop = i + k
+        stop = i + len(node_ids)
         self.node_ids[i:stop] = node_ids
         self.created[i:stop] = created
         self.last_write[i:stop] = created
@@ -320,10 +307,8 @@ class _FileTable:
         self.unsynced.discard(node_id)
         last = self.n - 1
         if i != last:
-            for name in ("node_ids", "created", "last_write", "last_read",
-                         "reads", "size_bytes", "upd_base"):
-                column = getattr(self, name)
-                column[i] = column[last]
+            self.node_ids[i] = self.node_ids[last]
+            self.rows[:6, i] = self.rows[:6, last]
             self.slot[int(self.node_ids[i])] = i
         self.n = last
 
@@ -353,7 +338,7 @@ class _FileTable:
     # Every flavour has two evaluations of the same weights: a plain-Python
     # scan for small tables (where NumPy call overhead dominates) and the
     # vectorised computation above ``_SMALL_TABLE`` files.  The uniform ``u``
-    # comes pre-drawn from the caller's per-session blocks.
+    # is a lane of the calling operation's operand slot.
 
     def _pick(self, weights: np.ndarray, u: float) -> int:
         cumulative = np.cumsum(weights, out=weights)
@@ -372,42 +357,13 @@ class _FileTable:
                 break
         return int(self.node_ids[index])
 
-    def pick_weighted(self, now: float, u: float, favour_recent_writes: bool,
-                      favour_popular: bool, favour_large: bool,
-                      penalise_already_synced: bool = False) -> int | None:
+    def pick_uniform(self, u: float) -> int | None:
+        """A uniformly chosen live file (unlink fallback, move target)."""
         n = self.n
         if n == 0:
             return None
-        if n <= _SMALL_TABLE:
-            last_write = self.last_write[:n].tolist()
-            weights = [1.0] * n
-            if favour_recent_writes:
-                for i, written in enumerate(last_write):
-                    if now - written < HOUR:
-                        weights[i] += 4.0
-            if favour_popular:
-                for i, reads in enumerate(self.reads[:n].tolist()):
-                    weights[i] += (reads if reads < 10.0 else 10.0) * 0.5
-            if favour_large:
-                for i, size in enumerate(self.size_bytes[:n].tolist()):
-                    boost = size / (4 * 1024 * 1024)
-                    weights[i] += boost if boost < 3.0 else 3.0
-            if penalise_already_synced:
-                for i, read in enumerate(self.last_read[:n].tolist()):
-                    if read > last_write[i]:
-                        weights[i] *= 0.15
-            return self._pick_small(weights, u)
-        weights = self.scratch[:n]
-        weights[:] = 1.0
-        if favour_recent_writes:
-            weights[now - self.last_write[:n] < HOUR] += 4.0
-        if favour_popular:
-            weights += np.minimum(self.reads[:n], 10.0) * 0.5
-        if favour_large:
-            weights += np.minimum(self.size_bytes[:n] / (4 * 1024 * 1024), 3.0)
-        if penalise_already_synced:
-            weights[self.last_read[:n] > self.last_write[:n]] *= 0.15
-        return self._pick(weights, u)
+        index = int(u * n)
+        return int(self.node_ids[index if index < n else n - 1])
 
     def pick_update(self, now: float, u: float) -> int | None:
         """The file an update rewrites: size-, recency- and burst-weighted.
@@ -509,38 +465,68 @@ class _FileTable:
         return int(self.node_ids[recent[index]])
 
 
-@dataclass
 class _UserState:
-    user: User
-    volumes: dict[int, _VolumeState] = field(default_factory=dict)
-    files: dict[int, _FileState] = field(default_factory=dict)
-    pending_uploads: _PendingUploads = field(default_factory=_PendingUploads)
-    #: Live-file columns; only users with active sessions get one (cold
-    #: and auth-failing sessions never choose a file operand).
-    table: _FileTable | None = None
-    # Volume choice cache: (volume list, cumulative weights); rebuilt only
-    # when the volume set changes (UDF creation/deletion is rare).
-    volume_cache: tuple[list[_VolumeState], list[float]] | None = None
-    #: The root volume id, cached for the per-event hot path (the root
-    #: volume is created first and never deleted).
-    root_id: int = 0
+    """One active user's client-side namespace during materialization.
 
-    def live_file_ids(self) -> list[int]:
-        return list(self.files.keys())
+    Node, volume and content-hash identifiers live in per-user namespaces:
+    node and volume ids count up from ``user_id << _ID_BITS`` in creation
+    order, and a minted content hash is named after the operand slot that
+    minted it, so none of them depends on any other member.
+    """
+
+    __slots__ = ("user", "volumes", "files", "pending_uploads", "table",
+                 "volume_cache", "root_id", "id_base", "next_node",
+                 "next_volume", "slot_base", "n_files", "hash_prefix")
+
+    def __init__(self, user: User, slot_base: int, n_files: int,
+                 n_slots: int):
+        self.user = user
+        self.files: dict[int, _FileState] = {}
+        self.pending_uploads = _PendingUploads()
+        self.table = _FileTable(n_slots)
+        self.id_base = user.user_id << _ID_BITS
+        self.next_node = 0
+        self.next_volume = 0
+        #: Batch position of the member's first operand slot, and how many
+        #: slots (the first ones) describe pre-existing files.
+        self.slot_base = slot_base
+        self.n_files = n_files
+        self.hash_prefix = f"sha1:u{user.user_id:x}-"
+        self.volumes: dict[int, _VolumeState] = {}
+        # Volume choice cache (volume list, cumulative weights), rebuilt
+        # only when the volume set changes (UDF creation/deletion is rare).
+        self.volume_cache: tuple[list[_VolumeState], list[float]] | None = None
+        self.add_volume(VolumeType.ROOT)
+        # The root volume is created first and never deleted.
+        self.root_id = self.id_base + 1
+        for _ in range(user.udf_volumes):
+            self.add_volume(VolumeType.UDF)
+        for _ in range(user.shared_volumes):
+            self.add_volume(VolumeType.SHARED)
+
+    def new_node_id(self) -> int:
+        self.next_node += 1
+        return self.id_base + self.next_node
+
+    def add_volume(self, volume_type: VolumeType) -> _VolumeState:
+        self.next_volume += 1
+        volume = _VolumeState(volume_id=self.id_base + self.next_volume,
+                              volume_type=volume_type)
+        self.volumes[volume.volume_id] = volume
+        self.volume_cache = None
+        return volume
+
+    def content_hash(self, slot: int) -> str:
+        """The content hash minted by the operand slot at batch position ``slot``."""
+        return f"{self.hash_prefix}{slot - self.slot_base + 1:016x}"
 
     def udf_volume_ids(self) -> list[int]:
         return [v.volume_id for v in self.volumes.values()
                 if v.volume_type is VolumeType.UDF]
 
-    def root_volume_id(self) -> int:
-        for volume in self.volumes.values():
-            if volume.volume_type is VolumeType.ROOT:
-                return volume.volume_id
-        raise RuntimeError("user state has no root volume")
-
 
 # ---------------------------------------------------------------------------
-# Per-user materialization
+# Per-member streams
 # ---------------------------------------------------------------------------
 
 def member_rng(seed: int, user_id: int) -> np.random.Generator:
@@ -709,141 +695,342 @@ class MemberRngBatch:
         return np.random.Generator(np.random.PCG64(sequence))
 
 
-class UserMaterializer:
-    """Materializes one user's planned sessions into concrete scripts.
+# ---------------------------------------------------------------------------
+# Batch materialization
+# ---------------------------------------------------------------------------
 
-    All randomness comes from the user's own spawned stream (one
-    :class:`RngPool` shared with the per-user file/operation/gap models), and
-    all allocated identifiers live in the user's namespaces, so the produced
-    scripts are a pure function of ``(config, user plan, popular pool)``.
+#: Uniform lanes of one operand slot.  Every realised operation of an active
+#: session owns a slot, and so does every pre-existing file; the event loop
+#: reads a slot's lanes by index.  ``_ROLL`` is the update, download-target,
+#: directory or short-lived roll (or the deleted-volume pick), ``_PICK`` and
+#: ``_PICK2`` select file-table targets, ``_VOLUME`` picks the volume of a
+#: created file or directory, and the last two lanes are a new file's
+#: duplicate roll and pool/profile pick.  Each slot also owns one standard
+#: normal: a created file's size or an update's jitter (an upload is one or
+#: the other, never both).
+_LANES = 6
+_ROLL, _PICK, _PICK2, _VOLUME, _DUPLICATE, _ENTRY = range(_LANES)
+
+#: Skeleton uniforms one batch may plan before the next batch starts.  It
+#: bounds the transient lane columns at any shard size; every member's draws
+#: are a pure function of its plan, so where batches are cut changes nothing.
+_BATCH_DRAWS = 1 << 17
+
+#: Cold-session maintenance polls: the first 1 s in, then every 4-10 h.
+_COLD_FIRST_POLL = 1.0
+_COLD_MIN_SPACING = 4 * HOUR
+_COLD_SPACING_SPREAD = 6 * HOUR
+_COLD_GET_DELTA_SHARE = 0.6
+
+
+def _skeleton_size(spec: SessionSpec) -> int:
+    """Uniforms one session's skeleton takes from its member's stream.
+
+    An active session planning ``n`` operations takes ``2n + 1``: its start
+    offset, ``n - 1`` gaps, the chain's initial draw, ``n - 1`` transitions
+    and the volume-ops flag.  A cold session takes an operation roll and a
+    spacing for every poll it could hold.  Auth failures take none.
+    """
+    if spec.auth_fails:
+        return 0
+    if spec.active:
+        return 2 * spec.n_ops + 1
+    if spec.length <= _COLD_FIRST_POLL:
+        return 0
+    return 2 * (int((spec.length - _COLD_FIRST_POLL) // _COLD_MIN_SPACING) + 1)
+
+
+def _member_sizes(plan: UserPlan) -> list[int]:
+    return [_skeleton_size(spec) for spec in plan.sessions]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray,
+            stride: int = 1) -> np.ndarray:
+    """The concatenated ``starts[i] + stride * arange(lengths[i])``."""
+    counts = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return (np.repeat(np.asarray(starts, dtype=np.int64) - stride * offsets,
+                      counts)
+            + stride * np.arange(int(counts.sum())))
+
+
+def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                list[int]]:
+    """The lockstep schedule of sessions holding ``counts`` items each.
+
+    Returns the sessions ordered longest first, each session's offset in
+    the concatenation of its items, and for every step ``j`` how many
+    sessions (a prefix of the order) hold more than ``j`` items.
+    """
+    order = np.argsort(-counts, kind="stable")
+    offsets = np.cumsum(counts) - counts
+    moving = np.searchsorted(-counts[order], -np.arange(counts.max()),
+                             side="left")
+    return order, offsets, moving.tolist()
+
+
+def _timelines(first: np.ndarray, values: np.ndarray, at: np.ndarray,
+               stride: int, counts: np.ndarray, ends: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Every session's event times, cut at its end.
+
+    Session ``i`` starts at ``first[i]`` and adds ``values[at[i] + stride *
+    j]`` for ``j < counts[i] - 1``.  All sessions advance one addition at a
+    time together, so each one's times are exactly its own left-to-right
+    running sums, whatever shares the batch.  Returns the concatenated
+    times before each session's end and how many each session kept.
+    """
+    order, offsets, moving = _longest_first(counts)
+    position = offsets[order]
+    source = at[order]
+    t = first[order]
+    out = np.empty(int(counts.sum()))
+    for j, m in enumerate(moving):
+        if j:
+            t = t[:m] + values[source[:m] + stride * (j - 1)]
+        out[position[:m] + j] = t[:m]
+    keep = out < np.repeat(ends, counts)
+    running = np.concatenate(([0], np.cumsum(keep)))
+    return out[keep], running[offsets + counts] - running[offsets]
+
+
+def _deal(entries: Sequence[list], counts: np.ndarray, field: int,
+          values: list) -> None:
+    """Hand each session entry its slice of one concatenated column."""
+    stop = 0
+    for entry, count in zip(entries, counts.tolist()):
+        start, stop = stop, stop + count
+        entry[field] = values[start:stop]
+
+
+class _BatchMaterializer:
+    """Materializes a batch of user plan members column-at-a-time.
+
+    Each member draws from its own stream in a fixed number of Generator
+    calls, sized only by its plan and its own earlier draws: a *skeleton*
+    block (:func:`_skeleton_size` per session), then, for a member with
+    active sessions, its pre-existing file count (one Poisson draw) and an
+    *operand* block of ``_LANES`` uniforms plus one standard normal per
+    slot.  Everything elementwise runs once over the batch's concatenated
+    draws: Pareto gaps, poll spacings, download biases, chain transitions,
+    new-file entries and update jitters.  Each session's timeline scan and
+    chain walk, and the operand choices against the live file table, stay
+    per session and per event.  So no member's scripts depend on which
+    other members share its batch.
     """
 
-    def __init__(self, config: WorkloadConfig, user: User,
-                 popular_pool: PopularContentPool | None,
-                 diurnal: DiurnalProfile,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, config: WorkloadConfig,
+                 popular_pool: PopularContentPool, diurnal: DiurnalProfile):
         self.config = config
-        self.user = user
-        if rng is None:
-            rng = member_rng(config.seed, user.user_id)
-        # One pool shared by every per-user model, with a small block: most
-        # users draw a few dozen scalars, so a 4096-draw refill per user
-        # would generate ~100x more random bits than the workload consumes.
-        pool = RngPool(rng, block=256)
-        self._rng = rng
-        self._pool = pool
-        self._diurnal = diurnal
         self._popular_pool = popular_pool
-        # The file and gap models are built on demand (_ensure_models):
-        # most users plan cold/auth-failing sessions only, which touch no
-        # files and draw no operation gaps — their materialization skips
-        # the model setup and the pre-existing-file draws entirely (both
-        # are unobservable without an active session, and the skip depends
-        # only on the plan, so determinism is unaffected).
-        self._file_model: FileModel | None = None
-        self._gaps: BurstGapSampler | None = None
-        self._id_base = user.user_id << _ID_BITS
-        self._next_local_node = 0
-        self._next_local_volume = 0
+        self._diurnal = diurnal
         self._update_attempt = min(config.update_fraction
                                    * _UPDATE_ATTEMPT_BOOST, 0.95)
-        # Per-session pre-drawn operand streams (see _build_active): one
-        # block per operation type, consumed positionally by the dispatch.
-        self._up_rolls = iter(())
-        self._up_pick_u = iter(())
-        self._dl_rolls = iter(())
-        self._dl_pick_u = iter(())
-        self._mk_rolls = iter(())
-        self._file_feed = iter(())
 
-    def _ensure_models(self) -> None:
-        """Build the per-user file/gap models (first active session)."""
-        if self._file_model is not None:
-            return
+    def materialize(self, plans: Sequence[UserPlan],
+                    rngs: Sequence[np.random.Generator],
+                    sizes: list[list[int]]) -> list[list[SessionScript]]:
+        """Every member's session scripts, in its plan order.
+
+        ``sizes`` holds each member's :func:`_member_sizes`.
+        """
+        skeleton = np.concatenate([rng.random(sum(member_sizes))
+                                   for rng, member_sizes in zip(rngs, sizes)])
+        sessions = self._structure(plans, sizes, skeleton)
+        slots = self._draw_operands(plans, rngs, sessions)
+        return [self._scripts(plan, member_sessions, member_slots)
+                for plan, member_sessions, member_slots
+                in zip(plans, sessions, slots)]
+
+    # ------------------------------------------------------------ skeleton
+    def _structure(self, plans: Sequence[UserPlan], sizes: list[list[int]],
+                   skeleton: np.ndarray) -> list[list]:
+        """Per session: ``None`` (auth failure) or ``[times, ops]``."""
         config = self.config
-        self._file_model = FileModel(
-            self._pool,
-            duplicate_fraction=config.duplicate_fraction,
-            duplicate_zipf_exponent=config.duplicate_zipf_exponent,
-            max_size_bytes=config.max_file_bytes,
-            shared_pool=self._popular_pool,
-            hash_namespace=f"u{self.user.user_id:x}-",
-        )
-        self._gaps = BurstGapSampler(self._pool, alpha=config.burst_alpha,
-                                     theta=config.burst_theta,
-                                     cap=config.burst_cap)
+        active: list[tuple[list, int, SessionSpec, User]] = []
+        cold: list[tuple[list, int, SessionSpec, int]] = []
+        out: list[list] = []
+        position = 0
+        for plan, member_sizes in zip(plans, sizes):
+            member: list = []
+            for spec, size in zip(plan.sessions, member_sizes):
+                if spec.auth_fails:
+                    member.append(None)
+                else:
+                    entry = [[], []]
+                    member.append(entry)
+                    if spec.active:
+                        active.append((entry, position, spec, plan.user))
+                    else:
+                        cold.append((entry, position, spec, size // 2))
+                position += size
+            out.append(member)
+        if cold:
+            entries, at, specs, polls = zip(*cold)
+            at = np.asarray(at)
+            times, kept = _timelines(
+                np.asarray([spec.start for spec in specs]) + _COLD_FIRST_POLL,
+                _COLD_MIN_SPACING + _COLD_SPACING_SPREAD * skeleton, at + 1, 2,
+                np.asarray(polls), np.asarray([spec.end for spec in specs]))
+            choice = (ApiOperation.QUERY_SET_CAPS, ApiOperation.GET_DELTA)
+            ops = [choice[flag] for flag in (
+                skeleton[_ranges(at, kept, 2)] < _COLD_GET_DELTA_SHARE).tolist()]
+            _deal(entries, kept, 0, times.tolist())
+            _deal(entries, kept, 1, ops)
+        if active:
+            entries, at, specs, users = zip(*active)
+            at = np.asarray(at)
+            n_ops = np.asarray([spec.n_ops for spec in specs])
+            times, kept = _timelines(
+                np.asarray([spec.start for spec in specs]) + 0.2
+                + 2.8 * skeleton[at],
+                BurstGapSampler.gaps(skeleton, config.burst_alpha,
+                                     config.burst_theta, config.burst_cap),
+                at + 1, 1, n_ops, np.asarray([spec.end for spec in specs]))
+            _deal(entries, kept, 0, times.tolist())
+            self._walk(entries, users, at, n_ops, kept, times, skeleton)
+        return out
 
-    # ------------------------------------------------------------------ ids
-    def _new_node_id(self) -> int:
-        self._next_local_node += 1
-        return self._id_base + self._next_local_node
+    def _walk(self, entries: Sequence[list], users: Sequence[User],
+              at: np.ndarray, n_ops: np.ndarray, kept: np.ndarray,
+              times: np.ndarray, skeleton: np.ndarray) -> None:
+        """Every active session's operation sequence, from batch passes.
 
-    def _new_volume_id(self) -> int:
-        self._next_local_volume += 1
-        return self._id_base + self._next_local_volume
+        One ``next_matrix`` call per distinct chain resolves every ``(state,
+        step)`` pair of the batch's realised transitions.  The walks then
+        advance together, longest first: step ``j`` moves every session
+        with more than ``j`` operations with one gather.
+        """
+        walking = np.flatnonzero(kept).tolist()
+        if not walking:
+            return
+        steps = kept[walking] - 1
+        u = skeleton[_ranges(at[walking] + n_ops[walking] + 1, steps)]
+        # Each walking session's transitions follow its first operation.
+        bias = self._diurnal.download_bias_array(
+            np.delete(times, (np.cumsum(kept) - kept)[walking]))
+        flags = (skeleton[at + 2 * n_ops] < 0.3).tolist()
+        initial = skeleton[at + n_ops].tolist()
+        chains: dict[CompiledChain, int] = {}
+        chain_of = []
+        state = []
+        for i in walking:
+            user = users[i]
+            chain = compiled_chain(user.user_class,
+                                   user.udf_volumes > 0 or flags[i])
+            chain_of.append(chains.setdefault(chain, len(chains)))
+            state.append(initial_state(initial[i]))
+        chain_ids = np.repeat(chain_of, steps)
+        following = np.empty((len(CHAIN_OPS), u.size), dtype=np.int8)
+        for chain, chain_id in chains.items():
+            cols = np.flatnonzero(chain_ids == chain_id)
+            following[:, cols] = chain.next_matrix(u[cols], bias[cols])
+        counts = steps + 1
+        order, offsets, moving = _longest_first(counts)
+        # A session's transitions sit one column per operation after its
+        # first, so its column offset is its operation offset minus its rank.
+        column = (offsets - np.arange(counts.size))[order]
+        position = offsets[order]
+        state = np.asarray(state, dtype=np.int8)[order]
+        ops = np.empty(int(counts.sum()), dtype=np.int8)
+        for j, m in enumerate(moving):
+            if j:
+                state = following[state[:m], column[:m] + j - 1]
+            ops[position[:m] + j] = state[:m]
+        _deal([entries[i] for i in walking], counts, 1, ops.tolist())
 
-    # -------------------------------------------------------- initial state
-    def _init_user_state(self, with_files: bool = True) -> _UserState:
-        user = self.user
-        state = _UserState(user=user)
-        root = _VolumeState(volume_id=self._new_volume_id(),
-                            volume_type=VolumeType.ROOT)
-        state.volumes[root.volume_id] = root
-        state.root_id = root.volume_id
-        user.volume_ids.append(root.volume_id)
-        for _ in range(user.udf_volumes):
-            udf = _VolumeState(volume_id=self._new_volume_id(),
-                               volume_type=VolumeType.UDF)
-            state.volumes[udf.volume_id] = udf
-            user.volume_ids.append(udf.volume_id)
-        for _ in range(user.shared_volumes):
-            shared = _VolumeState(volume_id=self._new_volume_id(),
-                                  volume_type=VolumeType.SHARED)
-            state.volumes[shared.volume_id] = shared
-            user.volume_ids.append(shared.volume_id)
+    # ------------------------------------------------------------ operands
+    def _draw_operands(self, plans: Sequence[UserPlan],
+                       rngs: Sequence[np.random.Generator],
+                       sessions: list[list]
+                       ) -> list[tuple[int, int, int] | None]:
+        """Draw every active member's operand block; resolve the lanes.
 
-        # Pre-existing files (uploaded before the measurement window) so that
-        # download-only users have something to read and RAR dependencies are
-        # possible without a preceding in-trace write.  Drawn as one block:
-        # contents/sizes/extensions from the file model's vectorised sampler,
-        # volume assignments from one cumulative-weight search.  Skipped for
-        # users without active sessions (``with_files=False``): cold and
-        # auth-failing sessions never reference a file.
-        if not with_files:
-            return state
-        state.table = _FileTable()
-        if user.user_class is not UserClass.OCCASIONAL:
-            expected = 4.0 * (1.0 + min(user.activity_weight, 20.0))
-            n_files = int(self._rng.poisson(expected))
+        Returns each member's ``(first slot, pre-existing files, slots)``
+        (``None`` without active sessions: cold and auth-failing sessions
+        never choose an operand).
+        """
+        layout: list[tuple[int, int, int] | None] = []
+        lane_blocks: list[np.ndarray] = []
+        normal_blocks: list[np.ndarray] = []
+        n_slots = 0
+        for plan, rng, member in zip(plans, rngs, sessions):
+            realised = [len(entry[0]) for spec, entry in zip(plan.sessions, member)
+                        if entry is not None and spec.active]
+            if not realised:
+                layout.append(None)
+                continue
+            # Pre-existing files (uploaded before the measurement window),
+            # so that download-only users have something to read and RAR
+            # dependencies need no preceding in-trace write.
+            user = plan.user
+            if user.user_class is not UserClass.OCCASIONAL:
+                expected = 4.0 * (1.0 + min(user.activity_weight, 20.0))
+            else:
+                expected = 0.5
+            n_files = int(rng.poisson(expected))
+            slots = n_files + sum(realised)
+            lane_blocks.append(rng.random(slots * _LANES))
+            normal_blocks.append(rng.standard_normal(slots))
+            layout.append((n_slots, n_files, slots))
+            n_slots += slots
+        if not lane_blocks:
+            return layout
+        lanes = np.concatenate(lane_blocks).reshape(-1, _LANES)
+        normals = np.concatenate(normal_blocks)
+        self._roll, self._pick, self._pick2, self._volume_u = (
+            lanes[:, lane].tolist() for lane in (_ROLL, _PICK, _PICK2, _VOLUME))
+        entry_pick, entry_size = new_file_entries(
+            self._popular_pool, self.config.duplicate_fraction,
+            self.config.max_file_bytes, lanes[:, _DUPLICATE], lanes[:, _ENTRY],
+            normals)
+        self._entry_pick = entry_pick.tolist()
+        self._entry_size = entry_size.tolist()
+        self._jitter = update_jitter(normals).tolist()
+        return layout
+
+    # -------------------------------------------------------------- scripts
+    def _scripts(self, plan: UserPlan, sessions: list,
+                 slots: tuple[int, int, int] | None) -> list[SessionScript]:
+        user_id = plan.user.user_id
+        if slots is None:
+            root_id = (user_id << _ID_BITS) + 1
         else:
-            n_files = int(self._rng.poisson(0.5))
-        if n_files:
-            created = self.config.start_time - 1.0
-            entries = self._file_model.sample_new_files(n_files)
-            volumes, cumulative = self._volume_tables(state)
-            picks = np.searchsorted(
-                np.asarray(cumulative),
-                self._rng.random(n_files) * cumulative[-1], side="right")
-            np.minimum(picks, len(volumes) - 1, out=picks)
-            node_ids: list[int] = []
-            sizes: list[int] = []
-            files = state.files
-            for volume_index, (content_hash, size, extension) in zip(
-                    picks.tolist(), entries):
-                volume = volumes[volume_index]
-                node_id = self._new_node_id()
-                files[node_id] = _FileState(
-                    node_id=node_id, volume_id=volume.volume_id,
-                    volume_type=volume.volume_type, size_bytes=size,
-                    content_hash=content_hash, extension=extension,
-                    created=created, last_write=created)
-                volume.file_ids.add(node_id)
-                node_ids.append(node_id)
-                sizes.append(size)
-            state.table.add_block(node_ids, created, sizes)
-        return state
+            state = _UserState(plan.user, *slots)
+            root_id = state.root_id
+            self._add_existing_files(state)
+            slot = state.slot_base + state.n_files
+        scripts = []
+        for spec, entry in zip(plan.sessions, sessions):
+            if entry is None:
+                # Failed authentications never establish a session; the
+                # script is kept (it still hits the auth service) but
+                # carries no events.
+                script = SessionScript(user_id=user_id,
+                                       session_id=spec.session_id,
+                                       start=spec.start, end=spec.end,
+                                       auth_failed=True)
+            else:
+                times, ops = entry
+                if not spec.active:
+                    # Maintenance polls touch nothing but the root volume:
+                    # every other column is one scalar for the whole block.
+                    block = EventBlock(times=times, operations=ops,
+                                       volume_ids=root_id)
+                else:
+                    block = self._active_block(state, times, ops, slot)
+                    slot += len(times)
+                script = SessionScript(user_id=user_id,
+                                       session_id=spec.session_id,
+                                       start=spec.start, end=spec.end,
+                                       block=block)
+            script.member_planned_ops = plan.planned_ops
+            scripts.append(script)
+        return scripts
 
-    def _volume_tables(self, state: _UserState) -> tuple[list[_VolumeState], list[float]]:
+    # -------------------------------------------------------- file tables
+    @staticmethod
+    def _volume_tables(state: _UserState) -> tuple[list[_VolumeState], list[float]]:
         cache = state.volume_cache
         if cache is None:
             volumes = list(state.volumes.values())
@@ -852,43 +1039,56 @@ class UserMaterializer:
             for volume in volumes:
                 total += 3.0 if volume.volume_type is VolumeType.ROOT else 1.0
                 cumulative.append(total)
-            cache = (volumes, cumulative)
-            state.volume_cache = cache
+            cache = state.volume_cache = (volumes, cumulative)
         return cache
 
-    def _pick_volume(self, state: _UserState) -> _VolumeState:
-        volumes, cumulative = self._volume_tables(state)
+    def _pick_volume(self, state: _UserState, slot: int) -> _VolumeState:
+        """The volume at the slot's volume lane, the root weighted 3:1."""
+        volumes, cumulative = state.volume_cache or self._volume_tables(state)
         if len(volumes) == 1:
             return volumes[0]
-        u = self._pool.random() * cumulative[-1]
+        x = self._volume_u[slot] * cumulative[-1]
         for volume, bound in zip(volumes, cumulative):
-            if u < bound:
+            if x < bound:
                 return volume
         return volumes[-1]
 
-    def _create_file(self, state: _UserState, created: float) -> _FileState:
-        volume = self._pick_volume(state)
-        # In-session creates consume the session's pre-drawn file-entry
-        # feed (upper-bounded by the ops that can create files); the
-        # fallback only fires for callers outside a session build.
-        entry = next(self._file_feed, None)
-        if entry is None:
-            entry = self._file_model.sample_new_file()
-        content_hash, size, extension = entry
-        file_state = _FileState(
-            node_id=self._new_node_id(),
-            volume_id=volume.volume_id,
-            volume_type=volume.volume_type,
-            size_bytes=size,
-            content_hash=content_hash,
-            extension=extension,
-            created=created,
-            last_write=created,
-        )
+    def _new_file(self, state: _UserState, slot: int) -> _FileState:
+        """Register the new file the operand slot at ``slot`` describes.
+
+        Leaves the file-table row to the caller.
+        """
+        volume = self._pick_volume(state, slot)
+        pick = self._entry_pick[slot]
+        if pick >= 0:
+            content_hash, size, extension = self._popular_pool.entries[pick]
+        else:
+            content_hash = state.content_hash(slot)
+            size = self._entry_size[slot]
+            extension = PROFILE_EXTENSIONS[-1 - pick]
+        file_state = _FileState(state.new_node_id(), volume.volume_id,
+                                volume.volume_type, size, content_hash,
+                                extension)
         state.files[file_state.node_id] = file_state
-        state.table.add(file_state.node_id, created, size)
         volume.file_ids.add(file_state.node_id)
         return file_state
+
+    def _create_file(self, state: _UserState, created: float,
+                     slot: int) -> _FileState:
+        file_state = self._new_file(state, slot)
+        state.table.add(file_state.node_id, created, file_state.size_bytes)
+        return file_state
+
+    def _add_existing_files(self, state: _UserState) -> None:
+        """The files uploaded before the measurement window (the first slots)."""
+        if not state.n_files:
+            return
+        created = self.config.start_time - 1.0
+        first = state.slot_base
+        files = [self._new_file(state, slot)
+                 for slot in range(first, first + state.n_files)]
+        state.table.add_block([f.node_id for f in files], created,
+                              [f.size_bytes for f in files])
 
     def _drop_file(self, state: _UserState, node_id: int) -> None:
         state.files.pop(node_id, None)
@@ -896,19 +1096,8 @@ class UserMaterializer:
         state.pending_uploads.discard(node_id)
 
     # -------------------------------------------------------- operand logic
-    def _weighted_file_choice(self, state: _UserState, now: float,
-                              favour_recent_writes: bool,
-                              favour_popular: bool,
-                              favour_large: bool,
-                              penalise_already_synced: bool = False) -> _FileState | None:
-        node_id = state.table.pick_weighted(
-            now, self._pool.random(),
-            favour_recent_writes=favour_recent_writes,
-            favour_popular=favour_popular, favour_large=favour_large,
-            penalise_already_synced=penalise_already_synced)
-        return None if node_id is None else state.files[node_id]
-
-    def _pick_update_target(self, state: _UserState, now: float) -> _FileState | None:
+    def _pick_update_target(self, state: _UserState, now: float,
+                            slot: int) -> _FileState | None:
         """Choose the file an update rewrites.
 
         Updates disproportionately hit larger, recently and frequently
@@ -917,10 +1106,11 @@ class UserMaterializer:
         account for ~18.5 % of upload bytes while being only ~10 % of
         uploads.
         """
-        node_id = state.table.pick_update(now, next(self._up_pick_u))
+        node_id = state.table.pick_update(now, self._pick[slot])
         return None if node_id is None else state.files[node_id]
 
-    def _pick_download_target(self, state: _UserState, now: float) -> _FileState | None:
+    def _pick_download_target(self, state: _UserState, now: float,
+                              slot: int) -> _FileState:
         """Choose the file a download reads.
 
         U1 is backup-flavoured: most uploads are never read back, and the
@@ -930,323 +1120,148 @@ class UserMaterializer:
         Only a modest share synchronises just-written files — which is what
         keeps WAW, not RAW, the most common same-file dependency (Fig. 3a).
         """
-        roll = next(self._dl_rolls)
+        roll = self._roll[slot]
         if roll < _DL_SYNC_SHARE:
-            node_id = state.table.pick_unsynced(now, next(self._dl_pick_u))
+            node_id = state.table.pick_unsynced(now, self._pick[slot])
             if node_id is not None:
                 return state.files[node_id]
         if state.files and roll < _DL_KNOWN_SHARE:
-            node_id = state.table.pick_reread(next(self._dl_pick_u))
+            node_id = state.table.pick_reread(self._pick2[slot])
             if node_id is not None:
                 return state.files[node_id]
         # New remote content (another device or a share) appears and is synced.
-        return self._create_file(state, created=now)
+        return self._create_file(state, now, slot)
 
     def _materialize(self, state: _UserState, op: int, t: float,
-                     cols: tuple[list, ...]) -> None:
-        """Turn one chain-state index into event columns, updating state.
+                     slot: int) -> tuple | None:
+        """Turn one stateful chain-state index into an event row.
 
         Dispatches on the small-integer chain state (most frequent branches
-        first); every stochastic choice consumes the session's pre-drawn
-        operand blocks, while the table/pending-upload/volume bookkeeping —
-        the truly state-dependent residue — stays scalar.  The event is
-        emitted by appending one scalar per struct-of-arrays column of the
-        session's :class:`EventBlock` (``cols``); operations that resolve
-        to nothing (empty table, tombstoned pending upload) append nothing.
+        first); every stochastic choice reads a lane of the operation's
+        operand ``slot``, while the table/pending-upload/volume bookkeeping —
+        the truly state-dependent residue — stays scalar.  The row holds
+        the event's :data:`~repro.workload.events.EVENT_COLUMNS` values;
+        operations that resolve to nothing (empty table, tombstoned pending
+        upload) give ``None``.
         """
-        (c_time, c_op, c_node, c_vol, c_vtype, c_kind, c_size, c_hash,
-         c_ext, c_upd) = cols
-        user = state.user
-
         if op == _OP_DOWNLOAD:
-            target = self._pick_download_target(state, t)
-            if target is None:
-                c_time.append(t); c_op.append(ApiOperation.GET_DELTA)
-                c_node.append(0); c_vol.append(state.root_id)
-                c_vtype.append(VolumeType.ROOT); c_kind.append(NodeKind.FILE)
-                c_size.append(0); c_hash.append(""); c_ext.append("")
-                c_upd.append(False)
-                return
-            target.last_read = t
-            target.reads += 1
+            target = self._pick_download_target(state, t, slot)
             state.table.touch_read(target.node_id, t)
-            c_time.append(t); c_op.append(ApiOperation.DOWNLOAD)
-            c_node.append(target.node_id); c_vol.append(target.volume_id)
-            c_vtype.append(target.volume_type); c_kind.append(NodeKind.FILE)
-            c_size.append(target.size_bytes)
-            c_hash.append(target.content_hash); c_ext.append(target.extension)
-            c_upd.append(False)
-            return
+            return (t, ApiOperation.DOWNLOAD, target.node_id, target.volume_id,
+                    target.volume_type, NodeKind.FILE, target.size_bytes,
+                    target.content_hash, target.extension, False)
 
         if op == _OP_UPLOAD:
             update_target = None
-            if state.files and next(self._up_rolls) < self._update_attempt:
-                update_target = self._pick_update_target(state, t)
+            if state.files and self._roll[slot] < self._update_attempt:
+                update_target = self._pick_update_target(state, t, slot)
             if update_target is not None \
                     and update_target.node_id not in state.pending_uploads:
-                new_hash, new_size = self._file_model.sample_updated_content(
-                    update_target.extension, update_target.size_bytes)
+                # U1 has no delta updates: the whole file is re-uploaded,
+                # as new content of about the same size.
+                new_hash = state.content_hash(slot)
+                new_size = int(update_target.size_bytes * self._jitter[slot])
+                if new_size < 1:
+                    new_size = 1
                 update_target.content_hash = new_hash
                 update_target.size_bytes = new_size
-                update_target.last_write = t
-                update_target.writes += 1
                 state.table.touch_write(update_target.node_id, t, new_size)
-                c_time.append(t); c_op.append(ApiOperation.UPLOAD)
-                c_node.append(update_target.node_id)
-                c_vol.append(update_target.volume_id)
-                c_vtype.append(update_target.volume_type)
-                c_kind.append(NodeKind.FILE)
-                c_size.append(new_size); c_hash.append(new_hash)
-                c_ext.append(update_target.extension); c_upd.append(True)
-                return
+                return (t, ApiOperation.UPLOAD, update_target.node_id,
+                        update_target.volume_id, update_target.volume_type,
+                        NodeKind.FILE, new_size, new_hash,
+                        update_target.extension, True)
             if state.pending_uploads:
                 node_id = state.pending_uploads.popleft()
                 file_state = state.files.get(node_id)
                 if file_state is None:
-                    return
-                file_state.last_write = t
+                    return None
                 state.table.touch_write(node_id, t)
             else:
-                file_state = self._create_file(state, created=t)
-            c_time.append(t); c_op.append(ApiOperation.UPLOAD)
-            c_node.append(file_state.node_id)
-            c_vol.append(file_state.volume_id)
-            c_vtype.append(file_state.volume_type); c_kind.append(NodeKind.FILE)
-            c_size.append(file_state.size_bytes)
-            c_hash.append(file_state.content_hash)
-            c_ext.append(file_state.extension); c_upd.append(False)
-            return
+                file_state = self._create_file(state, t, slot)
+            return (t, ApiOperation.UPLOAD, file_state.node_id,
+                    file_state.volume_id, file_state.volume_type,
+                    NodeKind.FILE, file_state.size_bytes,
+                    file_state.content_hash, file_state.extension, False)
 
         if op == _OP_MAKE:
-            if next(self._mk_rolls) < 0.30:
-                volume = self._pick_volume(state)
+            if self._roll[slot] < 0.30:
+                volume = self._pick_volume(state, slot)
                 volume.directory_count += 1
-                c_time.append(t); c_op.append(ApiOperation.MAKE)
-                c_node.append(self._new_node_id())
-                c_vol.append(volume.volume_id)
-                c_vtype.append(volume.volume_type)
-                c_kind.append(NodeKind.DIRECTORY)
-                c_size.append(0); c_hash.append(""); c_ext.append("")
-                c_upd.append(False)
-                return
-            file_state = self._create_file(state, created=t)
+                return (t, ApiOperation.MAKE, state.new_node_id(),
+                        volume.volume_id, volume.volume_type,
+                        NodeKind.DIRECTORY, 0, "", "", False)
+            file_state = self._create_file(state, t, slot)
             state.pending_uploads.append(file_state.node_id)
-            c_time.append(t); c_op.append(ApiOperation.MAKE)
-            c_node.append(file_state.node_id)
-            c_vol.append(file_state.volume_id)
-            c_vtype.append(file_state.volume_type); c_kind.append(NodeKind.FILE)
-            c_size.append(0); c_hash.append(""); c_ext.append("")
-            c_upd.append(False)
-            return
+            return (t, ApiOperation.MAKE, file_state.node_id,
+                    file_state.volume_id, file_state.volume_type,
+                    NodeKind.FILE, 0, "", "", False)
 
         if op == _OP_UNLINK:
             if not state.files:
-                return
+                return None
             target = None
-            if self._pool.random() < self.config.short_lived_file_fraction:
+            if self._roll[slot] < self.config.short_lived_file_fraction:
                 node_id = state.table.pick_recent_created(t, 8 * HOUR,
-                                                          self._pool.random())
+                                                          self._pick[slot])
                 if node_id is not None:
                     target = state.files[node_id]
             if target is None:
-                target = self._weighted_file_choice(state, t, favour_recent_writes=False,
-                                                    favour_popular=False, favour_large=False)
-            if target is None:
-                return
+                target = state.files[state.table.pick_uniform(self._pick2[slot])]
             self._drop_file(state, target.node_id)
             volume = state.volumes.get(target.volume_id)
             if volume is not None:
                 volume.file_ids.discard(target.node_id)
-            c_time.append(t); c_op.append(ApiOperation.UNLINK)
-            c_node.append(target.node_id); c_vol.append(target.volume_id)
-            c_vtype.append(target.volume_type); c_kind.append(NodeKind.FILE)
-            c_size.append(0); c_hash.append(""); c_ext.append(target.extension)
-            c_upd.append(False)
-            return
+            return (t, ApiOperation.UNLINK, target.node_id, target.volume_id,
+                    target.volume_type, NodeKind.FILE, 0, "",
+                    target.extension, False)
 
         if op == _OP_MOVE:
-            target = self._weighted_file_choice(state, t, favour_recent_writes=False,
-                                                favour_popular=False, favour_large=False)
-            if target is None:
-                return
-            c_time.append(t); c_op.append(ApiOperation.MOVE)
-            c_node.append(target.node_id); c_vol.append(target.volume_id)
-            c_vtype.append(target.volume_type); c_kind.append(NodeKind.FILE)
-            c_size.append(0); c_hash.append(""); c_ext.append(target.extension)
-            c_upd.append(False)
-            return
+            node_id = state.table.pick_uniform(self._pick[slot])
+            if node_id is None:
+                return None
+            target = state.files[node_id]
+            return (t, ApiOperation.MOVE, target.node_id, target.volume_id,
+                    target.volume_type, NodeKind.FILE, 0, "",
+                    target.extension, False)
 
         if op == _OP_CREATE_UDF:
-            udf = _VolumeState(volume_id=self._new_volume_id(),
-                               volume_type=VolumeType.UDF)
-            state.volumes[udf.volume_id] = udf
-            state.volume_cache = None
-            user.volume_ids.append(udf.volume_id)
-            c_time.append(t); c_op.append(ApiOperation.CREATE_UDF)
-            c_node.append(0); c_vol.append(udf.volume_id)
-            c_vtype.append(VolumeType.UDF); c_kind.append(NodeKind.DIRECTORY)
-            c_size.append(0); c_hash.append(""); c_ext.append("")
-            c_upd.append(False)
-            return
+            udf = state.add_volume(VolumeType.UDF)
+            return (t, ApiOperation.CREATE_UDF, 0, udf.volume_id,
+                    VolumeType.UDF, NodeKind.DIRECTORY, 0, "", "", False)
 
-        if op == _OP_DELETE_VOLUME:
-            udf_ids = state.udf_volume_ids()
-            if not udf_ids:
-                return
-            volume_id = udf_ids[self._pool.integers(len(udf_ids))]
-            volume = state.volumes.pop(volume_id)
-            state.volume_cache = None
-            for node_id in volume.file_ids:
-                self._drop_file(state, node_id)
-            c_time.append(t); c_op.append(ApiOperation.DELETE_VOLUME)
-            c_node.append(0); c_vol.append(volume_id)
-            c_vtype.append(VolumeType.UDF); c_kind.append(NodeKind.DIRECTORY)
-            c_size.append(0); c_hash.append(""); c_ext.append("")
-            c_upd.append(False)
-            return
+        # _OP_DELETE_VOLUME, the last chain state.
+        udf_ids = state.udf_volume_ids()
+        if not udf_ids:
+            return None
+        pick = int(self._roll[slot] * len(udf_ids))
+        volume_id = udf_ids[pick if pick < len(udf_ids) else -1]
+        volume = state.volumes.pop(volume_id)
+        state.volume_cache = None
+        for node_id in volume.file_ids:
+            self._drop_file(state, node_id)
+        return (t, ApiOperation.DELETE_VOLUME, 0, volume_id, VolumeType.UDF,
+                NodeKind.DIRECTORY, 0, "", "", False)
 
-        # Maintenance operations carry no operand beyond the root volume.
-        c_time.append(t); c_op.append(CHAIN_OPS[op])
-        c_node.append(0); c_vol.append(state.root_id)
-        c_vtype.append(VolumeType.ROOT); c_kind.append(NodeKind.FILE)
-        c_size.append(0); c_hash.append(""); c_ext.append("")
-        c_upd.append(False)
-
-    # ------------------------------------------------------------- sessions
-    def _build_session(self, state: _UserState, spec: SessionSpec) -> SessionScript:
-        if spec.auth_fails:
-            # Failed authentications never establish a session; the script is
-            # kept (it still hits the auth service) but carries no events.
-            return SessionScript(user_id=self.user.user_id,
-                                 session_id=spec.session_id,
-                                 start=spec.start, end=spec.end,
-                                 auth_failed=True)
-        if spec.active:
-            block = self._build_active(state, spec)
-        else:
-            block = self._build_cold(state, spec)
-        return SessionScript(user_id=self.user.user_id,
-                             session_id=spec.session_id,
-                             start=spec.start, end=spec.end, block=block)
-
-    def _build_cold(self, state: _UserState, spec: SessionSpec) -> EventBlock:
-        """Cold session: occasional maintenance polls so that long idle
-        sessions still register as "online" activity."""
-        pool = self._pool
-        end = spec.end
-        times: list[float] = []
-        operations: list[ApiOperation] = []
-        get_delta = ApiOperation.GET_DELTA
-        query_caps = ApiOperation.QUERY_SET_CAPS
-        t = spec.start + 1.0
-        while t < end:
-            operations.append(get_delta if pool.random() < 0.6
-                              else query_caps)
-            times.append(t)
-            t += 4 * HOUR + 6 * HOUR * pool.random()
-        # Maintenance polls touch nothing but the root volume: every other
-        # column is one scalar constant for the whole block.
-        return EventBlock(times=times, operations=operations,
-                          volume_ids=state.root_id)
-
-    def _build_active(self, state: _UserState,
-                      spec: SessionSpec) -> EventBlock:
-        """Materialize an active session from array-drawn structure.
-
-        The session's stochastic skeleton is drawn up front instead of
-        event by event: every inter-operation gap comes from one
-        ``sample_many`` block, the whole timeline (and its truncation at
-        the session end) is one cumulative sum, the per-step download
-        biases are one vectorised diurnal evaluation, and the operation
-        sequence is an inverse-CDF walk over the user class's compiled
-        transition tables driven by one pre-drawn uniform block.  The
-        remaining per-event work — operand choice against the live file
-        table, volume bookkeeping, pending-upload coupling — consumes
-        per-type pre-drawn operand blocks inside the dispatch loop.
-        """
-        pool = self._pool
-        rng = self._rng
-        end = spec.end
-        t0 = spec.start + 0.2 + 2.8 * pool.random()
-        n = spec.n_ops
-        if n > 1:
-            times = np.empty(n)
-            times[0] = 0.0
-            np.cumsum(self._gaps.sample_many(n - 1), out=times[1:])
-            times += t0
-            k = int(np.searchsorted(times, end))
-        else:
-            times = np.full(1, t0)
-            k = 1 if t0 < end else 0
-        if k == 0:
-            return EventBlock(times=[], operations=[])
-        if k < n:
-            times = times[:k]
-        user = self.user
-        allow_volume_ops = user.udf_volumes > 0 or pool.random() < 0.3
-        chain = compiled_chain(user.user_class, allow_volume_ops)
-        ops = chain.walk(pool.random(), rng.random(k - 1),
-                         self._diurnal.download_bias_array(times[1:]))
-        counts = np.bincount(ops, minlength=len(CHAIN_OPS)).tolist()
-        n_uploads = counts[_OP_UPLOAD]
-        n_downloads = counts[_OP_DOWNLOAD]
-        n_makes = counts[_OP_MAKE]
-        # One uniform block covers every typed operand stream of the
-        # session: update rolls + pick selectors per upload, target rolls +
-        # two pick selectors per download, directory rolls per make.
-        block = rng.random(2 * n_uploads + 3 * n_downloads + n_makes).tolist()
-        stop_up = 2 * n_uploads
-        stop_dl = stop_up + 3 * n_downloads
-        self._up_rolls = iter(block[:n_uploads])
-        self._up_pick_u = iter(block[n_uploads:stop_up])
-        self._dl_rolls = iter(block[stop_up:stop_up + n_downloads])
-        self._dl_pick_u = iter(block[stop_up + n_downloads:stop_dl])
-        self._mk_rolls = iter(block[stop_dl:])
-        # Pre-drawn file entries for the session's creates, sized to the
-        # *expected* creation mix (file-makes ~70 % of makes, fresh remote
-        # content ~2/5 of downloads) plus slack; the draws are i.i.d., so
-        # consuming a prefix — or falling back to scalar draws once the
-        # feed runs dry — leaves the per-file distribution unchanged.
-        n_creates = n_makes + (2 * n_downloads) // 5 + 8
-        self._file_feed = iter(self._file_model.sample_new_files(n_creates))
-        root = state.root_id
-        chain_ops = CHAIN_OPS
-        cols: tuple[list, ...] = tuple([] for _ in range(10))
-        (c_time, c_op, c_node, c_vol, c_vtype, c_kind, c_size, c_hash,
-         c_ext, c_upd) = cols
-        root_type = VolumeType.ROOT
-        file_kind = NodeKind.FILE
+    def _active_block(self, state: _UserState, times: list[float],
+                      ops: list[int], slot: int) -> EventBlock:
+        """One active session's events; operation ``i`` owns ``slot + i``."""
+        maintenance = [(CHAIN_OPS[op], 0, state.root_id, VolumeType.ROOT,
+                        NodeKind.FILE, 0, "", "", False)
+                       for op in range(_FIRST_STATEFUL)]
         materialize = self._materialize
-        for t, op in zip(times.tolist(), ops):
+        rows = []
+        for t, op in zip(times, ops):
             if op < _FIRST_STATEFUL:
-                # Maintenance operations touch no operand state at all;
-                # emit their columns inline instead of paying the dispatch.
-                c_time.append(t); c_op.append(chain_ops[op])
-                c_node.append(0); c_vol.append(root)
-                c_vtype.append(root_type); c_kind.append(file_kind)
-                c_size.append(0); c_hash.append(""); c_ext.append("")
-                c_upd.append(False)
-                continue
-            materialize(state, op, t, cols)
-        return EventBlock(times=c_time, operations=c_op, node_ids=c_node,
-                          volume_ids=c_vol, volume_types=c_vtype,
-                          node_kinds=c_kind, size_bytes=c_size,
-                          content_hashes=c_hash, extensions=c_ext,
-                          is_updates=c_upd)
-
-    # ------------------------------------------------------------------ API
-    def materialize(self, plan: UserPlan) -> list[SessionScript]:
-        """All of this user's session scripts, in chronological order."""
-        has_active = any(spec.active for spec in plan.sessions)
-        if has_active:
-            self._ensure_models()
-        state = self._init_user_state(with_files=has_active)
-        scripts = []
-        for spec in plan.sessions:
-            script = self._build_session(state, spec)
-            script.member_planned_ops = plan.planned_ops
-            scripts.append(script)
-        return scripts
+                # Maintenance operations touch no operand state at all.
+                rows.append((t, *maintenance[op]))
+            else:
+                row = materialize(state, op, t, slot)
+                if row is not None:
+                    rows.append(row)
+            slot += 1
+        if not rows:
+            return EventBlock(times=[], operations=[])
+        return EventBlock(*map(list, zip(*rows)))
 
 
 def _materialize_attack(config: WorkloadConfig, plan: AttackPlan,
@@ -1271,6 +1286,11 @@ def _member_user_id(plan: WorkloadPlan, index: int) -> int:
     return plan.attacks[index - n_users].episode.attacker_user_id
 
 
+def _diurnal(config: WorkloadConfig) -> DiurnalProfile:
+    return DiurnalProfile(peak_to_trough=config.diurnal_peak_to_trough,
+                          weekend_factor=config.weekend_factor)
+
+
 def materialize_member(plan: WorkloadPlan, index: int,
                        diurnal: DiurnalProfile | None = None,
                        rng_batch: MemberRngBatch | None = None
@@ -1281,18 +1301,16 @@ def materialize_member(plan: WorkloadPlan, index: int,
     if index < n_users:
         user_plan = plan.users[index]
         if not user_plan.sessions:
-            # No sessions -> no scripts; skip building the materializer (the
-            # user's stream is independent, so skipping draws nothing).
+            # No sessions -> no scripts; the user's stream is independent,
+            # so skipping it draws nothing.
             return []
-        if diurnal is None:
-            diurnal = DiurnalProfile(
-                peak_to_trough=config.diurnal_peak_to_trough,
-                weekend_factor=config.weekend_factor)
-        rng = (rng_batch.rng(user_plan.user.user_id)
-               if rng_batch is not None else None)
-        materializer = UserMaterializer(config, user_plan.user,
-                                        plan.popular_pool, diurnal, rng=rng)
-        scripts = materializer.materialize(user_plan)
+        user_id = user_plan.user.user_id
+        rng = (rng_batch.rng(user_id) if rng_batch is not None
+               else member_rng(config.seed, user_id))
+        materializer = _BatchMaterializer(config, plan.popular_pool,
+                                          diurnal or _diurnal(config))
+        scripts = materializer.materialize([user_plan], [rng],
+                                           [_member_sizes(user_plan)])[0]
     else:
         attack_plan = plan.attacks[index - n_users]
         rng = (rng_batch.rng(attack_plan.episode.attacker_user_id)
@@ -1303,33 +1321,63 @@ def materialize_member(plan: WorkloadPlan, index: int,
     return scripts
 
 
-def _script_order(script: SessionScript) -> tuple[float, int]:
-    """Canonical script order: ``(start, session_id)``.
-
-    Session ids are globally unique and allocated by the plan, so this is a
-    total order — materializing any partition of the members and sorting
-    each part yields per-shard streams whose stable merge equals the
-    unsharded generator output, independent of partition shape.
-    """
-    return (script.start, script.session_id)
+#: Canonical script order: ``(start, session_id)``.  Session ids are
+#: globally unique and allocated by the plan, so this is a total order —
+#: materializing any partition of the members and sorting each part yields
+#: per-shard streams whose stable merge equals the unsharded generator
+#: output, independent of partition shape.
+_script_order = attrgetter("start", "session_id")
 
 
 def materialize_members(plan: WorkloadPlan,
                         members: Sequence[int] | None = None) -> list[SessionScript]:
-    """Materialize plan members (default: all) sorted in canonical order."""
+    """Materialize plan members (default: all) sorted in canonical order.
+
+    User members go through :class:`_BatchMaterializer` in batches of at
+    most ``_BATCH_DRAWS`` planned skeleton draws; attack slices one by one.
+    """
     config = plan.config
-    diurnal = DiurnalProfile(peak_to_trough=config.diurnal_peak_to_trough,
-                             weekend_factor=config.weekend_factor)
+    diurnal = _diurnal(config)
     indices = range(plan.n_members) if members is None else members
     # One vectorised derivation covers every member stream of the batch
     # (duplicate ids — a user appearing in several attack slices — cost one
     # derivation each way, so dict-deduping them is free and harmless).
     member_ids = sorted({_member_user_id(plan, index) for index in indices})
     rng_batch = MemberRngBatch(config.seed, member_ids)
+    materializer = _BatchMaterializer(config, plan.popular_pool, diurnal)
+    n_users = len(plan.users)
     scripts: list[SessionScript] = []
+
+    def flush() -> None:
+        plans = [plan.users[index] for index in batch]
+        rngs = [rng_batch.rng(user_plan.user.user_id) for user_plan in plans]
+        for index, member in zip(batch, materializer.materialize(plans, rngs,
+                                                                 sizes)):
+            for script in member:
+                script.plan_member = index
+            scripts.extend(member)
+        batch.clear()
+        sizes.clear()
+
+    batch: list[int] = []
+    sizes: list[list[int]] = []
+    draws = 0
     for index in indices:
-        scripts.extend(materialize_member(plan, index, diurnal=diurnal,
-                                          rng_batch=rng_batch))
+        if index >= n_users:
+            scripts.extend(materialize_member(plan, index, diurnal=diurnal,
+                                              rng_batch=rng_batch))
+            continue
+        if not plan.users[index].sessions:
+            continue
+        member_sizes = _member_sizes(plan.users[index])
+        if batch and draws + sum(member_sizes) > _BATCH_DRAWS:
+            flush()
+            draws = 0
+        batch.append(index)
+        sizes.append(member_sizes)
+        draws += sum(member_sizes)
+    if batch:
+        flush()
     scripts.sort(key=_script_order)
     return scripts
 

@@ -40,6 +40,7 @@ __all__ = [
     "CHAIN_OPS",
     "CHAIN_OP_INDEX",
     "compiled_chain",
+    "initial_state",
     "TRANSITION_TABLE",
     "INITIAL_OPERATIONS",
 ]
@@ -203,8 +204,8 @@ _INITIAL_CUMULATIVE = tuple(
 _INITIAL_TOTAL = _INITIAL_CUMULATIVE[-1]
 
 
-def _initial_index(u: float) -> int:
-    """Resolve one uniform into an initial-operation index (inverse CDF)."""
+def initial_state(u: float) -> int:
+    """Resolve one uniform into a session's first chain state (inverse CDF)."""
     x = u * _INITIAL_TOTAL
     for index, cumulative in zip(_INITIAL_INDICES, _INITIAL_CUMULATIVE):
         if x < cumulative:
@@ -317,7 +318,7 @@ class CompiledChain:
         steps — both paths produce bit-identical sequences for the same
         uniforms, so the cutover is purely a constant-factor choice.
         """
-        state = _initial_index(initial_u)
+        state = initial_state(initial_u)
         ops = [state]
         n = len(u)
         if n >= block_threshold:
@@ -361,8 +362,9 @@ class OperationChain:
     (the download bias from the diurnal model nudges the R/W ratio).
 
     Scalar sampling resolves one pooled uniform against the
-    :class:`CompiledChain` tables; block sampling (the vectorised
-    materializer) uses :meth:`CompiledChain.walk` on the same tables.
+    :class:`CompiledChain` tables; block sampling (:meth:`CompiledChain.walk`
+    and the materializer's batch-wide :meth:`CompiledChain.next_matrix`)
+    uses the same tables.
     """
 
     def __init__(self, rng: np.random.Generator | RngPool):
@@ -375,7 +377,7 @@ class OperationChain:
 
     def initial_operation(self) -> ApiOperation:
         """First operation of a session after authentication."""
-        return CHAIN_OPS[_initial_index(self._pool.random())]
+        return CHAIN_OPS[initial_state(self._pool.random())]
 
     def next_operation(self, current: ApiOperation, user: User,
                        download_bias: float = 1.0,
@@ -421,9 +423,13 @@ class BurstGapSampler:
 
     def sample_many(self, n: int) -> np.ndarray:
         """Vector of ``n`` gaps."""
-        u = self._rng.random(n)
-        gaps = self._theta * (1.0 - u) ** (-1.0 / self._alpha)
-        return np.minimum(gaps, self._cap)
+        return self.gaps(self._rng.random(n), self._alpha, self._theta,
+                         self._cap)
+
+    @staticmethod
+    def gaps(u: np.ndarray, alpha: float, theta: float, cap: float) -> np.ndarray:
+        """The capped Pareto inverse CDF over an array of uniforms."""
+        return np.minimum(theta * (1.0 - u) ** (-1.0 / alpha), cap)
 
     @staticmethod
     def mean_truncated_gap(alpha: float, theta: float, cap: float) -> float:

@@ -20,7 +20,7 @@ sigma is chosen to match the Gini target.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class User:
     #: media hoarders upload songs.  Kept as an index bias into the file
     #: model's profile table.
     developer_bias: float = 0.0
-    #: Populated by the generator: volume ids owned by the user.
-    volume_ids: list[int] = field(default_factory=list)
 
     @property
     def may_upload(self) -> bool:

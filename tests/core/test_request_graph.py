@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -87,3 +92,20 @@ class TestTransitionGraph:
         # The initialisation flow ListVolumes -> ListShares is visible.
         assert per_session.conditional_probability(ApiOperation.LIST_VOLUMES,
                                                    ApiOperation.LIST_SHARES) > 0.1
+
+
+def test_networkx_is_imported_only_by_to_networkx():
+    """Importing the pipeline and building a cluster never loads networkx."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "import repro.backend.cluster, repro.core.report, repro.faults.sweep\n"
+        "import repro.trace.validate, repro.whatif.sweep\n"
+        "import repro.workload.generator\n"
+        "from repro.backend.cluster import ClusterConfig, U1Cluster\n"
+        "U1Cluster(ClusterConfig(seed=1))\n"
+        "print('networkx' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip() == "False"
