@@ -177,7 +177,6 @@ class ApiServerProcess:
         # bus alive; the proxy is dereferenced once per publish.
         self._bus = weakref.proxy(bus)
         self._registry = registry
-        self._sink = sink
         self._rng = rng
         self._dedup_enabled = dedup_enabled
         self._delta_updates_enabled = delta_updates_enabled
@@ -193,8 +192,7 @@ class ApiServerProcess:
             self._fault_lo, self._fault_hi = faults.schedule.envelope
         else:
             self._fault_lo, self._fault_hi = float("inf"), float("-inf")
-        # Bound row emitters; bind_raw_sink() swaps in the sink's raw
-        # appenders for the sharded replay hot path.
+        # The sink's raw row appenders (bound list.append, never stale).
         self._storage_row = sink.storage_row
         self._session_row = sink.session_row
         self._token_cache = TokenCache()
@@ -227,18 +225,6 @@ class ApiServerProcess:
         return len(self._sessions)
 
     # ---------------------------------------------------------------- helpers
-    def bind_raw_sink(self) -> None:
-        """Bind the sink's raw row appenders directly (shard replay wiring).
-
-        Skips one method frame per emitted storage/session/RPC record.  The
-        bindings go stale when the sink's ``finish()`` runs, so this is only
-        for single-run wiring (the sharded replay engine builds fresh
-        processes per run); interactive use keeps the safe defaults.
-        """
-        self._storage_row = self._sink._append_storage  # noqa: SLF001
-        self._session_row = self._sink._append_session  # noqa: SLF001
-        self._rpc.bind_raw_sink()
-
     def _session_record(self, timestamp: float, user_id: int, session_id: int,
                         event: SessionEvent, attack: bool = False,
                         session_length: float = -1.0,

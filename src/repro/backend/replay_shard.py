@@ -408,9 +408,6 @@ class ReplayShard:
                 delta_update_factor=config.delta_update_factor,
                 interrupted_upload_fraction=config.interrupted_upload_fraction,
                 faults=self.faults))
-            # A shard's sink lives exactly one run, so the raw appender
-            # bindings can never go stale here.
-            self.processes[-1].bind_raw_sink()
         self.gateway = LoadBalancer([address for _, address in addresses],
                                     rng=rng)
         self.collector = UploadJobCollector(self.store, self.processes[0],
@@ -573,12 +570,12 @@ class ReplayShard:
         dispatch_seconds = time.perf_counter() - dispatch_started
 
         # The timeline is processed in timestamp order, so every stream was
-        # appended sorted; skip the per-stream re-check.  Column packing
+        # appended sorted (the merge re-checks global order).  Column packing
         # happens here, in the worker: building the per-field arrays is the
         # lazy materialization cost the parent would otherwise pay serially
         # after the merge.
         pack_started = time.perf_counter()
-        dataset = self.sink.finish_sorted()
+        dataset = self.sink.dataset
         storage = ColumnBlock.from_stream(dataset._storage)
         rpc = ColumnBlock.from_stream(dataset._rpc)
         sessions = ColumnBlock.from_stream(dataset._sessions)

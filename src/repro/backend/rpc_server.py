@@ -67,9 +67,7 @@ class RpcWorker:
         self.worker_id = worker_id
         self._store = store
         self._latency = latency
-        self._sink = sink
-        # Bound hot-path callee (execute() runs once per RPC); see
-        # bind_raw_sink() for the shard-replay variant.
+        # The sink's raw row appender (execute() runs once per RPC).
         self._rpc_row = sink.rpc_row
         #: Total number of RPCs executed by this worker.
         self.calls_executed = 0
@@ -98,17 +96,6 @@ class RpcWorker:
     def store(self) -> ShardedMetadataStore:
         """The sharded metadata store this worker queries."""
         return self._store
-
-    def bind_raw_sink(self) -> None:
-        """Bind the sink's raw row appender directly (shard replay wiring).
-
-        Skips the ``TraceSink`` method frame on every emitted RPC record.
-        Only valid until the sink's ``finish()`` is called — the sharded
-        replay engine builds fresh workers per run, so the binding can never
-        go stale there; long-lived interactive wiring keeps the safe
-        method-bound default.
-        """
-        self._rpc_row = self._sink._append_rpc  # noqa: SLF001
 
     def execute(self, rpc: RpcName, context: RpcContext,
                 operation: Callable[..., Any], *args,

@@ -1,107 +1,38 @@
 """Trace sink: collects the records emitted by the simulated back-end.
 
 The real measurement instruments every API/RPC server process and later
-merges their logfiles.  The simulator short-circuits that by writing records
+merges their logfiles.  The simulator short-circuits that by writing rows
 straight into a :class:`~repro.trace.dataset.TraceDataset`; the logfile
 round-trip of :mod:`repro.trace.logfile` is still available for tests and
 examples that want on-disk traces.
 
-The sink exposes two ingestion speeds:
-
-* ``record_*`` take record objects (compatibility path, used by tests);
-* ``*_row`` / the ``raw_*_appender`` bound appenders take positional field
-  tuples and write straight into the dataset's columnar row storage — the
-  replay hot loops use these, so no record object (and no per-append cache
-  bookkeeping) happens while the simulation runs.
+The sink's ``storage_row`` / ``rpc_row`` / ``session_row`` are the bound
+``list.append`` of each stream's append buffer: one C-level call per
+emitted row tuple (record-field order), no record object, no per-append
+bookkeeping.  The dataset packs the buffer into columns when it is first
+read and clears it in place, so the bound appenders never go stale.
 """
 
 from __future__ import annotations
 
 from repro.trace.dataset import TraceDataset
-from repro.trace.records import RpcRecord, SessionRecord, StorageRecord
 
 __all__ = ["TraceSink"]
 
 
 class TraceSink:
-    """Accumulates trace records produced during a simulation run."""
+    """Accumulates trace rows produced during a simulation run."""
 
-    __slots__ = ("dataset", "_append_storage", "_append_rpc", "_append_session")
+    __slots__ = ("dataset", "storage_row", "rpc_row", "session_row")
 
     def __init__(self, dataset: TraceDataset | None = None):
         self.dataset = dataset if dataset is not None else TraceDataset()
-        # Bound raw appenders: one C-level list.append per emitted record.
-        self._append_storage = self.dataset._storage.raw_appender()
-        self._append_rpc = self.dataset._rpc.raw_appender()
-        self._append_session = self.dataset._sessions.raw_appender()
-
-    # ------------------------------------------------------------- counters
-    @property
-    def storage_records(self) -> int:
-        """Number of storage records collected so far."""
-        return len(self.dataset._storage)
-
-    @property
-    def rpc_records(self) -> int:
-        """Number of RPC records collected so far."""
-        return len(self.dataset._rpc)
-
-    @property
-    def session_records(self) -> int:
-        """Number of session records collected so far."""
-        return len(self.dataset._sessions)
-
-    # -------------------------------------------------------- record objects
-    def record_storage(self, record: StorageRecord) -> None:
-        """Record one completed API (storage) operation."""
-        self.dataset.add_storage(record)
-
-    def record_rpc(self, record: RpcRecord) -> None:
-        """Record one RPC call against the metadata store."""
-        self.dataset.add_rpc(record)
-
-    def record_session(self, record: SessionRecord) -> None:
-        """Record one session-management event."""
-        self.dataset.add_session(record)
-
-    # ------------------------------------------------------------ fast paths
-    def storage_row(self, row: tuple) -> None:
-        """Record one storage operation as a raw field tuple."""
-        self._append_storage(row)
-
-    def rpc_row(self, row: tuple) -> None:
-        """Record one RPC call as a raw field tuple."""
-        self._append_rpc(row)
-
-    def session_row(self, row: tuple) -> None:
-        """Record one session event as a raw field tuple."""
-        self._append_session(row)
-
-    def finish(self) -> TraceDataset:
-        """Sort and return the collected dataset."""
-        self.dataset.sort()
-        # Sorting may have replaced the underlying row lists; rebind the raw
-        # appenders so the sink stays usable for a subsequent replay.
-        self._append_storage = self.dataset._storage.raw_appender()
-        self._append_rpc = self.dataset._rpc.raw_appender()
-        self._append_session = self.dataset._sessions.raw_appender()
-        return self.dataset
-
-    def finish_sorted(self) -> TraceDataset:
-        """Finish a sink whose rows were appended in timestamp order.
-
-        The replay shard loop processes a time-sorted timeline, so every
-        stream is emitted in nondecreasing timestamp order by construction;
-        this variant marks the streams sorted instead of re-deriving it from
-        the timestamp columns.  Downstream, the deterministic block merge
-        (:meth:`TraceDataset.from_sorted_blocks`) still verifies global
-        order, so a violated assumption cannot produce an unsorted dataset.
-        """
-        for stream in (self.dataset._storage, self.dataset._rpc,
-                       self.dataset._sessions):
-            stream._sorted = True
-        return self.dataset
+        #: Append one storage row tuple (``StorageRecord`` field order).
+        self.storage_row = self.dataset._storage.append
+        #: Append one RPC row tuple (``RpcRecord`` field order).
+        self.rpc_row = self.dataset._rpc.append
+        #: Append one session row tuple (``SessionRecord`` field order).
+        self.session_row = self.dataset._sessions.append
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"TraceSink(storage={self.storage_records}, "
-                f"rpc={self.rpc_records}, sessions={self.session_records})")
+        return f"TraceSink({self.dataset!r})"

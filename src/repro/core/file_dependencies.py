@@ -62,7 +62,7 @@ def _rwd_sorted(source: TraceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """W/R/D storage records with a node id, sorted by ``(node, timestamp)``.
 
     Returns ``(node_ids, timestamps, kind_codes)``; ties keep insertion
-    order (stable lexsort), matching ``storage_by_node``'s ordering.
+    order (stable lexsort), so each node's operations stay in trace order.
     """
     op_codes = source.storage_column("operation")
     node_ids = source.storage_column("node_id")

@@ -16,10 +16,11 @@ from repro.backend.replay_shard import (
     partition_scripts,
     script_weights,
 )
-from repro.trace.dataset import TraceDataset
+from repro.trace.dataset import ColumnBlock, TraceDataset
 from repro.workload.config import WorkloadConfig
 from repro.workload.events import SessionScript
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
+from tests.conftest import make_storage
 
 
 def _scripts(seed: int = 11, users: int = 80, days: float = 1.0):
@@ -152,23 +153,22 @@ class TestSortedBlockMerge:
         ts_rpc = dataset.rpc_column("timestamp")
         assert bool(np.all(ts_rpc[1:] >= ts_rpc[:-1]))
 
-    def test_from_sorted_blocks_accepts_datasets_and_row_tuples(self):
-        blocks = [
-            ([(2.0, "a", 0, 1, 1, None, 0, 0, None, None, 10, "", "", False,
-               0, False)], [], []),
-            ([(1.0, "b", 0, 2, 2, None, 0, 0, None, None, 20, "", "", False,
-               0, False)], [], []),
-        ]
-        merged = TraceDataset.from_sorted_blocks(blocks)
-        assert [r[0] for r in merged._storage.rows()] == [1.0, 2.0]
+    def test_from_sorted_blocks_accepts_datasets_and_column_blocks(self):
+        late = TraceDataset(storage=[make_storage(timestamp=2.0, user_id=1)])
+        early = TraceDataset(storage=[make_storage(timestamp=1.0, user_id=2)])
+        early_blocks = tuple(ColumnBlock.from_stream(stream) for stream in
+                             (early._storage, early._rpc, early._sessions))
+        merged = TraceDataset.from_sorted_blocks([late, early_blocks])
+        assert [r.user_id for r in merged.storage] == [2, 1]
         assert len(merged._rpc) == 0
+        # Packing a dataset block leaves the dataset intact.
+        assert [r.user_id for r in late.storage] == [1]
 
     def test_tie_break_preserves_block_order(self):
-        row = lambda ts, server: (ts, server, 0, 1, 1, None, 0, 0, None, None,
-                                  0, "", "", False, 0, False)
         merged = TraceDataset.from_sorted_blocks([
-            ([row(5.0, "first")], [], []),
-            ([row(5.0, "second")], [], []),
+            TraceDataset(storage=[make_storage(timestamp=5.0, server="first")]),
+            TraceDataset(storage=[make_storage(timestamp=5.0,
+                                               server="second")]),
         ])
         servers = [r[1] for r in merged._storage.rows()]
         assert servers == ["first", "second"]
@@ -305,11 +305,15 @@ class TestColumnarOutcome:
         return _replay(_scripts(), 1)[1]
 
     def test_every_seeded_column_matches_lazy_recompute(self, merged):
-        """Satellite guarantee: each ``seed_column``-seeded field equals the
-        column lazily recomputed from the row tuples."""
-        rebuilt = TraceDataset.from_sorted_blocks([
-            (merged._storage.rows(), merged._rpc.rows(),
-             merged._sessions.rows())])
+        """Each merged field equals the column packed from the decoded row
+        tuples."""
+        rebuilt = TraceDataset()
+        for row in merged._storage.rows():
+            rebuilt.append_storage_row(*row)
+        for row in merged._rpc.rows():
+            rebuilt.append_rpc_row(*row)
+        for row in merged._sessions.rows():
+            rebuilt.append_session_row(*row)
         for name in _STORAGE_COLUMNS:
             assert np.array_equal(merged.storage_column(name),
                                   rebuilt.storage_column(name)), name
@@ -321,15 +325,17 @@ class TestColumnarOutcome:
                                   rebuilt.session_column(name)), name
 
     def test_columns_are_pre_seeded_after_merge(self, merged):
-        # Every field is resident in the stream's column cache (object
-        # fields factorised), so no analysis pays lazy materialisation.
+        # Every field is resident in the stream's columns (object fields
+        # factorised) with nothing left to pack, so no analysis pays lazy
+        # materialisation.
         for stream, fields in ((merged._storage, _STORAGE_COLUMNS),
                                (merged._rpc, _RPC_COLUMNS),
                                (merged._sessions, _SESSION_COLUMNS)):
+            assert not stream._buf
             for name in fields:
-                kind = stream.spec.kinds[name]
-                key = f"{name}#codes" if kind is object else name
-                assert key in stream._cols, key
+                value = stream._cols[name]
+                assert (type(value) is tuple) == (stream.spec.kinds[name]
+                                                  is object), name
 
     def test_record_views_decode_from_columns(self, merged):
         records = merged.storage

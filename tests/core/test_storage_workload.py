@@ -123,7 +123,8 @@ class TestRwRatio:
 class TestUpdateShare:
     def test_exact_counts(self, crafted):
         share = update_traffic_share(crafted)
-        uploads = crafted.uploads()
+        uploads = [r for r in crafted.storage
+                   if r.operation is ApiOperation.UPLOAD]
         expected_ops = sum(r.is_update for r in uploads) / len(uploads)
         assert share.operation_share == pytest.approx(expected_ops)
         assert share.total_operations == len(uploads)

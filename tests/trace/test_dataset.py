@@ -44,17 +44,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             empty_dataset.time_span()
 
+    def test_len_and_bool_of_record_views_do_not_decode(self, dataset):
+        assert len(dataset.storage) == 4 and dataset.rpc
+        assert not dataset.filter_users([42]).sessions
+        assert dataset._storage._records is None
+        assert dataset._rpc._records is None
+
+    def test_records_are_copies(self, dataset):
+        dataset.storage[0].user_id = 99
+        assert dataset.storage_column("user_id")[0] == 1
+        assert 99 not in dataset.user_ids()
+
     def test_sort_orders_by_timestamp(self, dataset):
         dataset.sort()
         timestamps = [r.timestamp for r in dataset.storage]
         assert timestamps == sorted(timestamps)
-
-    def test_extend_merges_records(self, dataset):
-        other = TraceDataset()
-        other.add_storage(make_storage(timestamp=99, user_id=9))
-        dataset.extend(other)
-        assert any(r.user_id == 9 for r in dataset.storage)
-
 
 class TestFiltering:
     def test_filter_time(self, dataset):
@@ -72,11 +76,6 @@ class TestFiltering:
         legit = dataset.without_attack_traffic()
         assert all(not r.caused_by_attack for r in legit.storage)
         assert len(legit.storage) == 3
-
-    def test_filter_storage_predicate(self, dataset):
-        uploads = dataset.filter_storage(lambda r: r.operation is ApiOperation.UPLOAD)
-        assert len(uploads) == 2
-
 
 class TestAggregation:
     def test_user_and_session_ids(self, dataset):
@@ -98,10 +97,8 @@ class TestAggregation:
                                          session_id=9))
         assert dataset.user_ids() == {1, 2, 3, 7, 8}
         assert dataset.session_ids() == {1, 2, 3, 9}
-        other = TraceDataset()
-        other.add_storage(make_storage(timestamp=130, user_id=11,
-                                       session_id=12))
-        dataset.extend(other)
+        dataset.add_storage(make_storage(timestamp=130, user_id=11,
+                                         session_id=12))
         assert dataset.user_ids() == {1, 2, 3, 7, 8, 11}
         assert dataset.session_ids() == {1, 2, 3, 9, 12}
 
@@ -118,32 +115,50 @@ class TestAggregation:
         assert empty_dataset.user_ids() == set()
         assert empty_dataset.session_ids() == set()
 
-    def test_storage_by_user_sorted(self, dataset):
-        grouped = dataset.storage_by_user()
-        assert set(grouped) == {1, 2, 3}
-        user1 = grouped[1]
-        assert [r.timestamp for r in user1] == sorted(r.timestamp for r in user1)
-
-    def test_storage_by_node_skips_zero(self, dataset):
-        dataset.add_storage(make_storage(timestamp=50, node_id=0,
-                                         operation=ApiOperation.LIST_VOLUMES))
-        grouped = dataset.storage_by_node()
-        assert 0 not in grouped
-        assert set(grouped) == {1, 2, 3}
-
-    def test_storage_by_session(self, dataset):
-        grouped = dataset.storage_by_session()
-        assert len(grouped[1]) == 2
-
-    def test_iter_operations(self, dataset):
-        ops = list(dataset.iter_operations(ApiOperation.UPLOAD, ApiOperation.UNLINK))
-        assert len(ops) == 3
-
     def test_traffic_totals(self, dataset):
         assert dataset.upload_bytes() == 600
         assert dataset.download_bytes() == 100
 
-    def test_completed_sessions(self, dataset):
-        completed = dataset.completed_sessions()
-        assert len(completed) == 1
-        assert completed[0].session_length == 100.0
+
+class TestContentDigest:
+    """The digest is a function of the records, not of how they were built."""
+
+    @staticmethod
+    def _copy(dataset: TraceDataset) -> TraceDataset:
+        return TraceDataset(storage=list(dataset.storage),
+                            rpc=list(dataset.rpc),
+                            sessions=list(dataset.sessions))
+
+    def test_view_digest_ignores_unused_categories(self):
+        dataset = TraceDataset(storage=[
+            make_storage(timestamp=t, content_hash=h)
+            for t, h in ((1, "a"), (2, "b"), (3, "c"), (4, "b"))])
+        view = dataset.filter_time(TRACE_EPOCH + 2, TRACE_EPOCH + 5)
+        assert view == self._copy(view)
+        assert view.content_digest() == self._copy(view).content_digest()
+
+    def test_merge_digest_ignores_block_category_order(self):
+        late = TraceDataset(storage=[make_storage(timestamp=2, server="x")])
+        early = TraceDataset(storage=[make_storage(timestamp=1, server="y")])
+        merged = TraceDataset.from_sorted_blocks([late, early])
+        assert merged.storage_codes("server")[1] == ["x", "y"]
+        assert merged == self._copy(merged)
+        assert merged.content_digest() == self._copy(merged).content_digest()
+
+    def test_digest_still_separates_different_records(self):
+        one = TraceDataset(storage=[make_storage(content_hash="a")])
+        other = TraceDataset(storage=[make_storage(content_hash="b")])
+        assert one.content_digest() != other.content_digest()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_replayed_digest_equals_record_copy_digest(self, n_jobs):
+        from repro.backend.cluster import ClusterConfig, U1Cluster
+        from repro.workload.config import WorkloadConfig
+        from repro.workload.generator import SyntheticTraceGenerator
+
+        config = WorkloadConfig.scaled(users=60, days=1, seed=2027)
+        cluster = U1Cluster(ClusterConfig(seed=2027))
+        dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
+                                      n_jobs=n_jobs)
+        assert dataset == self._copy(dataset)
+        assert dataset.content_digest() == self._copy(dataset).content_digest()

@@ -109,13 +109,15 @@ class TestGenerateDataset:
         assert events[SessionEvent.AUTH_FAIL] > 0
 
     def test_disconnects_carry_session_metadata(self, generated_dataset):
-        for record in generated_dataset.completed_sessions():
+        for record in [r for r in generated_dataset.sessions
+                       if r.event is SessionEvent.DISCONNECT]:
             assert record.session_length >= 0
             assert record.storage_operations >= 0
 
     def test_workload_shape_headlines(self, generated_dataset):
         legit = generated_dataset.without_attack_traffic()
-        uploads = legit.uploads()
+        uploads = [r for r in legit.storage
+                   if r.operation is ApiOperation.UPLOAD]
         sizes = np.asarray([r.size_bytes for r in uploads if not r.is_update])
         assert np.mean(sizes < 1 * MB) > 0.7          # small files dominate counts
         update_share = sum(r.is_update for r in uploads) / len(uploads)
