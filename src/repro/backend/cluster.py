@@ -238,6 +238,10 @@ class U1Cluster:
             for k in range(n_shards)
         ]
 
+    def _processes_per_shard(self, n_shards: int) -> int:
+        """Sessions a replay shard needs to reach each of its processes."""
+        return -(-len(self.processes) // n_shards)
+
     def _run_sharded(self, workloads, n_shards: int, n_jobs: int,
                      addresses, *, policy=None,
                      chaos=None, checkpoint_dir=None,
@@ -441,13 +445,16 @@ class U1Cluster:
             PrebuiltShardWorkload,
             lpt_assignment,
             partition_scripts,
+            script_sessions,
             script_weights,
         )
 
         scripts = scripts if isinstance(scripts, list) else list(scripts)
         n_shards = self.config.effective_replay_shards()
         addresses, _ = self._shard_assignments(n_shards)
-        shard_of = lpt_assignment(script_weights(scripts), n_shards)
+        shard_of = lpt_assignment(script_weights(scripts), n_shards,
+                                  script_sessions(scripts),
+                                  self._processes_per_shard(n_shards))
         workloads = [PrebuiltShardWorkload(part)
                      for part in partition_scripts(scripts, n_shards,
                                                    shard_of=shard_of)]
@@ -476,7 +483,8 @@ class U1Cluster:
         n_shards = self.config.effective_replay_shards()
         addresses, _ = self._shard_assignments(n_shards)
         workloads = [PlannedShardWorkload(plan, members)
-                     for members in partition_members(plan, n_shards)]
+                     for members in partition_members(
+                         plan, n_shards, self._processes_per_shard(n_shards))]
         return self._run_sharded(workloads, n_shards, n_jobs, addresses,
                                  **run_kwargs)
 

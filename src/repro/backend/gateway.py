@@ -4,7 +4,10 @@ The visible endpoint of U1 is an HAProxy-based load balancer; a new session
 "starts in the least loaded machine and lives in the same node until it
 finishes", which keeps every event of a user session strictly sequential on
 one API process.  :class:`LoadBalancer` reproduces the least-connections
-assignment and keeps per-process connection counters.
+assignment and keeps per-process connection counters.  Like HAProxy's
+``leastconn``, which rotates among equally loaded servers so that all of
+them are used, it sends sessions to processes that have never had one
+before it breaks a tie at random.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class LoadBalancer:
         self._pos: dict[ProcessAddress, int] = {
             p: i for i, p in enumerate(self._processes)}
         self._min_count = 0
+        # Processes never assigned a session; they have no open connection,
+        # so they are always among the least loaded.
+        self._unused = list(self._processes)
 
     @property
     def processes(self) -> list[ProcessAddress]:
@@ -107,14 +113,19 @@ class LoadBalancer:
             self._min_count = new
 
     def assign(self) -> ProcessAddress:
-        """Pick the process with the fewest open connections (ties random)."""
+        """Pick the process with the fewest open connections.
+
+        Ties go to a never-used process first, then at random.
+        """
         while not self._buckets.get(self._min_count):
             self._min_count += 1
-        candidates = self._buckets[self._min_count]
+        candidates = self._unused or self._buckets[self._min_count]
         if len(candidates) == 1:
             choice = candidates[0]
         else:
             choice = candidates[self._pool.integers(len(candidates))]
+        if self._unused:
+            self._unused.remove(choice)
         count = self._open_connections[choice]
         self._open_connections[choice] = count + 1
         self._total_assigned[choice] += 1

@@ -12,9 +12,13 @@ Users map to shards by deterministic **longest-processing-time assignment**
 (:func:`lpt_assignment`) keyed on each user's *planned* operation count:
 users are placed heaviest-first onto the least-loaded shard, so one
 DDoS-heavy user no longer drags six neighbours onto the critical-path shard
-the way the historical ``user_id % n_shards`` round-robin did.  The
-assignment depends only on the plan weights — never on the worker count —
-preserving the bit-identical-for-any-``n_jobs`` guarantee.
+the way the historical ``user_id % n_shards`` round-robin did.  A shard
+left with fewer sessions than it has API processes (a heavy member with a
+couple of sessions, alone on its shard) then takes the lightest members of
+shards that can spare them, so the load balancer can reach every process.
+The assignment depends only on the plan's weights and session counts —
+never on the worker count — preserving the bit-identical-for-any-``n_jobs``
+guarantee.
 
 Since PR 3 a shard can also *generate* its own workload: the fused pipeline
 hands each worker a :class:`PlannedShardWorkload` (a slice of the global
@@ -59,6 +63,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +101,7 @@ __all__ = [
     "partition_members",
     "partition_scripts",
     "run_shards_supervised",
+    "script_sessions",
     "script_weights",
     "usable_cpus",
     "workload_planned_ops",
@@ -117,8 +123,9 @@ def usable_cpus() -> int:
 
 
 
-def lpt_assignment(weights: list[tuple[int, float]],
-                   n_shards: int) -> dict[int, int]:
+def lpt_assignment(weights: list[tuple[int, float]], n_shards: int,
+                   sessions: dict[int, int] | None = None,
+                   min_sessions: int = 0) -> dict[int, int]:
     """Deterministic longest-processing-time mapping ``key -> shard``.
 
     ``weights`` holds ``(key, weight)`` pairs (keys are user ids or plan
@@ -129,6 +136,12 @@ def lpt_assignment(weights: list[tuple[int, float]],
     4/3-approximation of makespan scheduling: a single flood user ends up
     alone on one shard instead of pinning six unlucky ``user_id % n_shards``
     neighbours to the critical path.
+
+    A heavy member alone on its shard may own only a couple of sessions,
+    too few to reach every API process of that shard.  Given each key's
+    session count (``sessions``), every shard left with fewer than
+    ``min_sessions`` sessions then takes the lightest members of shards that
+    keep at least ``min_sessions`` without them, until it has enough.
     """
     import heapq
 
@@ -140,6 +153,20 @@ def lpt_assignment(weights: list[tuple[int, float]],
         load, shard_id = heapq.heappop(loads)
         assignment[key] = shard_id
         heapq.heappush(loads, (load + weight, shard_id))
+    if sessions is None or min_sessions <= 0:
+        return assignment
+    counts = [0] * n_shards
+    for key, shard_id in assignment.items():
+        counts[shard_id] += sessions.get(key, 0)
+    for shard_id in range(n_shards):
+        for key, _ in reversed(order):
+            if counts[shard_id] >= min_sessions:
+                break
+            donor, n = assignment[key], sessions.get(key, 0)
+            if n and donor != shard_id and counts[donor] - n >= min_sessions:
+                assignment[key] = shard_id
+                counts[donor] -= n
+                counts[shard_id] += n
     return assignment
 
 
@@ -175,6 +202,11 @@ def script_weights(scripts: list[SessionScript]) -> list[tuple[int, float]]:
     return sorted(planned.items())
 
 
+def script_sessions(scripts: list[SessionScript]) -> dict[int, int]:
+    """Sessions per member key (see :func:`script_weights`)."""
+    return dict(Counter(map(_member_key, scripts)))
+
+
 def partition_scripts(scripts: list[SessionScript], n_shards: int,
                       shard_of: dict[int, int] | None = None
                       ) -> list[list[SessionScript]]:
@@ -196,14 +228,19 @@ def partition_scripts(scripts: list[SessionScript], n_shards: int,
     return by_shard
 
 
-def partition_members(plan, n_shards: int) -> list[list[int]]:
+def partition_members(plan, n_shards: int,
+                      min_sessions: int = 0) -> list[list[int]]:
     """LPT-partition a workload plan's members into per-shard index lists.
 
-    Keyed on the planned per-member operation counts, so the partition is a
-    pure function of the plan — the fused pipeline and a pre-materialized
-    ``replay(scripts)`` of the same plan produce the same shard layout.
+    Keyed on the planned per-member operation and session counts, so the
+    partition is a pure function of the plan — the fused pipeline and a
+    pre-materialized ``replay(scripts)`` of the same plan produce the same
+    shard layout.  ``min_sessions`` is :func:`lpt_assignment`'s floor.
     """
-    assignment = lpt_assignment(plan.member_weights(), n_shards)
+    sessions = [len(p.sessions) for p in plan.users]
+    sessions.extend(p.n_sessions for p in plan.attacks)
+    assignment = lpt_assignment(plan.member_weights(), n_shards,
+                                dict(enumerate(sessions)), min_sessions)
     members: list[list[int]] = [[] for _ in range(n_shards)]
     for index in range(plan.n_members):
         members[assignment[index]].append(index)

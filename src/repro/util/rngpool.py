@@ -7,7 +7,7 @@ times per run it dominates the profile.  :class:`RngPool` amortises that by
 drawing blocks of uniforms/normals at once and handing out plain Python
 floats from the block.
 
-Derived distributions (Pareto, lognormal, bounded integers) are computed by
+Derived distributions (lognormal, bounded integers) are computed by
 inverse transform / closed form from the pooled uniforms and normals, so the
 emitted streams follow exactly the same distributions as the direct Generator
 calls — only the order in which the underlying bit stream is consumed
@@ -76,12 +76,6 @@ class RngPool:
     def lognormal(self, mean: float, sigma: float) -> float:
         """One lognormal sample (same parameterisation as ``rng.lognormal``)."""
         return math.exp(mean + sigma * self.normal())
-
-    # ------------------------------------------------------- heavier tails
-    def pareto(self, alpha: float) -> float:
-        """One Lomax/Pareto-II sample (same support as ``rng.pareto``)."""
-        u = self.random()
-        return (1.0 - u) ** (-1.0 / alpha) - 1.0
 
     # ------------------------------------------------------ derived streams
     def spawn(self, key: int) -> "RngPool":

@@ -200,6 +200,10 @@ class WorkloadConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for fraction, bound in (("udf_user_fraction", "max_udf_volumes"),
+                                ("shared_user_fraction", "max_shared_volumes")):
+            if getattr(self, fraction) > 0 and getattr(self, bound) < 1:
+                raise ValueError(f"{bound} must be >= 1 when {fraction} > 0")
         if self.n_users <= 0:
             raise ValueError("n_users must be positive")
         if self.duration_days <= 0:

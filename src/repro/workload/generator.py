@@ -9,10 +9,11 @@ Since PR 3 generation is split into two passes:
 
 * :meth:`SyntheticTraceGenerator.plan` is the cheap **global planning
   pass**: it draws everything that needs cross-user totals from the one
-  seeded root stream — per-user session plans (including each active
-  session's planned operation count), globally allocated session ids, the
-  DDoS rate normalisation and the shared popular-content pool that keeps
-  cross-user dedup alive.
+  seeded root stream — every user's session plans (including each active
+  session's planned operation count, drawn population-wide by
+  :meth:`~repro.workload.sessionmodel.SessionModel.plan_sessions`),
+  globally allocated session ids, the DDoS rate normalisation and the
+  shared popular-content pool that keeps cross-user dedup alive.
 * :func:`materialize_members` is the **per-user materialization pass**: it
   turns plan members (users or attack episodes) into concrete
   :class:`SessionScript` streams.  Every member draws exclusively from its
@@ -1416,13 +1417,6 @@ class SyntheticTraceGenerator:
         return self._population
 
     # ------------------------------------------------------------- planning
-    def _sample_ops_count(self, user: User) -> int:
-        base = self.config.mean_ops_per_active_session
-        weight_factor = 0.5 + min(user.activity_weight, 50.0)
-        heavy_tail = self._pool.pareto(1.15) + 0.3
-        count = int(base * heavy_tail * weight_factor / 5.0) + 1
-        return min(count, self.config.max_ops_per_session)
-
     def plan(self) -> WorkloadPlan:
         """The global planning pass (see :mod:`repro.workload.plan`).
 
@@ -1435,9 +1429,8 @@ class SyntheticTraceGenerator:
 
     def _plan(self) -> WorkloadPlan:
         config = self.config
-        user_plans: list[UserPlan] = []
-        session_id = 0
-        planned_storage_ops = 0.0
+        population = self._population
+        table = self._session_model.plan_sessions(population)
         # Expected inter-operation gap E[min(pareto(alpha, theta), cap)]:
         # sessions stop materializing operations when the pre-drawn timeline
         # passes their end, so the *expected realized* operation count of an
@@ -1449,28 +1442,31 @@ class SyntheticTraceGenerator:
         # the same per-gap distribution as the historical scalar loop.
         mean_gap = BurstGapSampler.mean_truncated_gap(
             config.burst_alpha, config.burst_theta, config.burst_cap)
-        for user in self._population:
-            specs: list[SessionSpec] = []
-            weight = 0.0
-            for p in self._session_model.plan_user_sessions(user):
-                session_id += 1
-                n_ops = 0
-                if p.auth_fails:
-                    weight += 0.25
-                elif p.active:
-                    n_ops = self._sample_ops_count(user)
-                    expected = min(float(n_ops), 1.0 + p.length / mean_gap)
-                    weight += 1.0 + expected
-                    planned_storage_ops += expected
-                else:
-                    # Cold sessions only poll every 4-10 h; weigh them by the
-                    # expected number of maintenance interactions.
-                    weight += 1.0 + p.length / (7.0 * HOUR)
-                specs.append(SessionSpec(session_id=session_id, start=p.start,
-                                         length=p.length, active=p.active,
-                                         auth_fails=p.auth_fails, n_ops=n_ops))
-            user_plans.append(UserPlan(user=user, sessions=tuple(specs),
-                                       planned_ops=weight))
+        expected = np.minimum(table.n_ops, 1.0 + table.length / mean_gap)
+        # Cold sessions only poll every 4-10 h; weigh them by the expected
+        # number of maintenance interactions.
+        session_weight = np.where(
+            table.auth_fails, 0.25,
+            np.where(table.active, 1.0 + expected,
+                     1.0 + table.length / (7.0 * HOUR)))
+        planned_ops = np.bincount(table.owner, weights=session_weight,
+                                  minlength=len(population))
+        planned_storage_ops = float(
+            expected[table.active & ~table.auth_fails].sum())
+
+        # Session ids run 1..N in (user, start) order.
+        session_id = len(table)
+        specs = list(map(SessionSpec, range(1, session_id + 1),
+                         table.start.tolist(), table.length.tolist(),
+                         table.active.tolist(), table.auth_fails.tolist(),
+                         table.n_ops.tolist()))
+        bounds = np.searchsorted(table.owner, np.arange(len(population) + 1))
+        user_plans = [
+            UserPlan(user=user, sessions=tuple(specs[lo:hi]), planned_ops=weight)
+            for user, lo, hi, weight in zip(population, bounds[:-1].tolist(),
+                                            bounds[1:].tolist(),
+                                            planned_ops.tolist())
+        ]
 
         # Attack episodes are scaled from the *planned* legitimate baseline
         # (the realized baseline is not known before materialization, which
@@ -1511,7 +1507,7 @@ class SyntheticTraceGenerator:
 
         # Shared popular-content pool, sized to the planned workload (the
         # lazy-growth model minted roughly 0.3 entries per duplicate draw).
-        expected_creations = 0.5 * planned_storage_ops + 8.0 * len(self._population)
+        expected_creations = 0.5 * planned_storage_ops + 8.0 * len(population)
         pool_size = int(0.3 * config.duplicate_fraction * expected_creations)
         pool_size = max(32, min(pool_size, 200_000))
         popular_pool = PopularContentPool.build(

@@ -5,10 +5,11 @@ two passes:
 
 * a global **planning pass** (:meth:`SyntheticTraceGenerator.plan`) that
   draws everything needing cross-user totals from the one seeded root
-  stream — per-user session plans (start/length/active/auth outcome and the
-  planned operation count of every active session), global rate
-  normalisation for the DDoS episodes, session-id allocation and the shared
-  popular-content pool that keeps cross-user dedup alive;
+  stream — the session plans of the whole population (start/length/active/
+  auth outcome and the planned operation count of every active session,
+  drawn as arrays over all users in a fixed number of Generator calls),
+  global rate normalisation for the DDoS episodes, session-id allocation
+  and the shared popular-content pool that keeps cross-user dedup alive;
 * a per-user **materialization pass** (:mod:`repro.workload.generator`)
   that turns one user's plan into concrete :class:`SessionScript`\\ s,
   drawing only from that user's spawned RNG stream.

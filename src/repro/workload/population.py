@@ -14,7 +14,9 @@ Section 6 of the paper characterises U1 users:
 
 :func:`build_population` materialises a population consistent with those
 observations; the activity *weight* of each user follows a lognormal whose
-sigma is chosen to match the Gini target.
+sigma is chosen to match the Gini target.  Each attribute (class, weight,
+volume counts, diurnal phase offset, developer bias) is one array draw over
+the whole population.
 """
 
 from __future__ import annotations
@@ -76,52 +78,51 @@ class User:
         return self.user_class is UserClass.OCCASIONAL
 
 
-def _assign_classes(config: WorkloadConfig, rng: np.random.Generator) -> list[UserClass]:
-    classes = [UserClass.OCCASIONAL, UserClass.UPLOAD_ONLY,
-               UserClass.DOWNLOAD_ONLY, UserClass.HEAVY]
-    probabilities = [config.occasional_fraction, config.upload_only_fraction,
-                     config.download_only_fraction, config.heavy_fraction]
-    indices = rng.choice(len(classes), size=config.n_users, p=probabilities)
-    return [classes[i] for i in indices]
+#: User classes in the order of the configured class fractions.
+_CLASSES = (UserClass.OCCASIONAL, UserClass.UPLOAD_ONLY,
+            UserClass.DOWNLOAD_ONLY, UserClass.HEAVY)
 
 
 def build_population(config: WorkloadConfig,
                      rng: np.random.Generator | None = None) -> list[User]:
-    """Build the synthetic user population described by ``config``."""
+    """Build the synthetic user population described by ``config``.
+
+    Every per-user attribute is drawn as one array over the population, so
+    the number of Generator calls does not depend on the population size.
+    """
     config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    n = config.n_users
 
-    classes = _assign_classes(config, rng)
+    classes = rng.choice(len(_CLASSES), size=n, p=[
+        config.occasional_fraction, config.upload_only_fraction,
+        config.download_only_fraction, config.heavy_fraction])
     # Lognormal activity weights: sigma ~ 2.33 yields Gini ~ 0.9 for the
     # resulting traffic distribution.  Occasional users are clamped to a tiny
     # weight so that they stay below the 10 KB threshold.
-    raw_weights = rng.lognormal(mean=0.0, sigma=config.activity_sigma,
-                                size=config.n_users)
+    weights = rng.lognormal(mean=0.0, sigma=config.activity_sigma, size=n)
+    weights = np.where(classes == _CLASSES.index(UserClass.OCCASIONAL),
+                       np.minimum(weights, 0.05), weights)
+    weights = np.where(classes == _CLASSES.index(UserClass.HEAVY),
+                       np.maximum(weights, 1.0), weights)
 
-    users: list[User] = []
-    for user_id in range(1, config.n_users + 1):
-        user_class = classes[user_id - 1]
-        weight = float(raw_weights[user_id - 1])
-        if user_class is UserClass.OCCASIONAL:
-            weight = min(weight, 0.05)
-        elif user_class is UserClass.HEAVY:
-            weight = max(weight, 1.0)
+    udf_u, shared_u, developer_bias = rng.random((3, n))
+    # Counts are drawn for every user; a bound of 0 is valid at fraction 0.
+    udf = np.where(udf_u < config.udf_user_fraction,
+                   1 + rng.integers(0, max(config.max_udf_volumes, 1), size=n),
+                   0)
+    shared = np.where(shared_u < config.shared_user_fraction,
+                      1 + rng.integers(0, max(config.max_shared_volumes, 1),
+                                       size=n), 0)
+    phase = rng.normal(0.0, 2.0, size=n)
 
-        udf = 0
-        if rng.random() < config.udf_user_fraction:
-            udf = 1 + int(rng.integers(0, config.max_udf_volumes))
-        shared = 0
-        if rng.random() < config.shared_user_fraction:
-            shared = 1 + int(rng.integers(0, config.max_shared_volumes))
-
-        users.append(User(
-            user_id=user_id,
-            user_class=user_class,
-            activity_weight=weight,
-            udf_volumes=udf,
-            shared_volumes=shared,
-            phase_offset_hours=float(rng.normal(0.0, 2.0)),
-            developer_bias=float(rng.random()),
-        ))
-    return users
+    return [
+        User(user_id=user_id, user_class=_CLASSES[c], activity_weight=w,
+             udf_volumes=u, shared_volumes=s, phase_offset_hours=p,
+             developer_bias=b)
+        for user_id, c, w, u, s, p, b in zip(
+            range(1, n + 1), classes.tolist(), weights.tolist(),
+            udf.tolist(), shared.tolist(), phase.tolist(),
+            developer_bias.tolist())
+    ]

@@ -26,6 +26,16 @@ class TestLoadBalancer:
         counts = balancer.open_connections()
         assert set(counts.values()) == {1}
 
+    def test_sequential_sessions_reach_every_process(self):
+        # Non-overlapping sessions tie on zero open connections every time;
+        # the first one per process still goes to a never-used process.
+        for seed in range(5):
+            balancer = LoadBalancer(_processes(),
+                                    rng=np.random.default_rng(seed))
+            for _ in range(6):
+                balancer.release(balancer.assign())
+            assert set(balancer.total_assigned().values()) == {1}
+
     def test_release_frees_capacity(self):
         balancer = LoadBalancer(_processes(1, 2), rng=np.random.default_rng(0))
         a = balancer.assign()

@@ -14,6 +14,7 @@ from repro.backend.replay_shard import (
     lpt_assignment,
     partition_members,
     partition_scripts,
+    script_sessions,
     script_weights,
 )
 from repro.trace.dataset import ColumnBlock, TraceDataset
@@ -212,6 +213,26 @@ class TestLptAssignment:
         flood_shard = assignment[0]
         assert all(assignment[i] != flood_shard for i in range(1, 17))
 
+    def test_thin_shard_takes_lightest_members(self):
+        # Member 0 is heavy but has one session: alone on its shard it
+        # could reach only one of that shard's processes.
+        weights = [(0, 100.0)] + [(i, float(i)) for i in range(1, 13)]
+        sessions = {key: 1 for key, _ in weights}
+        plain = lpt_assignment(weights, 2)
+        assert [k for k, s in plain.items() if s == plain[0]] == [0]
+        floored = lpt_assignment(weights, 2, sessions, min_sessions=3)
+        assert sorted(k for k, s in floored.items()
+                      if s == floored[0]) == [0, 1, 2]
+        assert floored == lpt_assignment(list(reversed(weights)), 2,
+                                         sessions, min_sessions=3)
+
+    def test_floor_never_starves_a_donor(self):
+        weights = [(0, 100.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+        sessions = {0: 1, 1: 1, 2: 1, 3: 1}
+        assignment = lpt_assignment(weights, 2, sessions, min_sessions=3)
+        # The other shard holds exactly the floor, so it spares nothing.
+        assert assignment == lpt_assignment(weights, 2)
+
     def test_zero_weight_members_do_not_perturb(self):
         weights = [(i, float(i % 5) + 1.0) for i in range(20)]
         with_zeros = weights + [(100 + i, 0.0) for i in range(7)]
@@ -228,6 +249,13 @@ class TestLptAssignment:
         # assignment; every member that produced scripts must agree exactly.
         for key, weight in from_scripts.items():
             assert from_plan[key] == weight
+
+    def test_script_sessions_match_plan_sessions(self):
+        plan = _plan()
+        from_scripts = script_sessions(materialize_members(plan))
+        planned = [len(p.sessions) for p in plan.users]
+        planned.extend(p.n_sessions for p in plan.attacks)
+        assert from_scripts == {key: n for key, n in enumerate(planned) if n}
 
     def test_partition_members_is_jobs_independent_by_construction(self):
         plan = _plan()

@@ -77,6 +77,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             WorkloadConfig().replace(diurnal_peak_to_trough=0.5).validate()
 
+    @pytest.mark.parametrize("fraction, bound", [
+        ("udf_user_fraction", "max_udf_volumes"),
+        ("shared_user_fraction", "max_shared_volumes"),
+    ])
+    def test_volume_bound_needed_only_when_drawn(self, fraction, bound):
+        WorkloadConfig().replace(**{fraction: 0.0, bound: 0}).validate()
+        with pytest.raises(ValueError):
+            WorkloadConfig().replace(**{fraction: 0.1, bound: 0}).validate()
+
 
 class TestAttackConfig:
     def test_absolute_times(self):

@@ -51,6 +51,13 @@ class TestBuildPopulation:
         assert with_udf == pytest.approx(0.58, abs=0.05)
         assert with_shared == pytest.approx(0.018, abs=0.01)
 
+    def test_zero_volume_bounds_with_zero_fractions(self):
+        config = WorkloadConfig.scaled(users=50, days=1, seed=5).replace(
+            udf_user_fraction=0.0, max_udf_volumes=0,
+            shared_user_fraction=0.0, max_shared_volumes=0)
+        users = build_population(config)
+        assert all(u.udf_volumes == 0 and u.shared_volumes == 0 for u in users)
+
     def test_reproducible_given_seed(self):
         config = WorkloadConfig.scaled(users=50, days=1, seed=5)
         a = build_population(config)
