@@ -48,13 +48,18 @@ def cluster(workload_config) -> U1Cluster:
 def dataset(workload_config, cluster):
     """The synthetic month: workload generated and replayed once per session."""
     generator = SyntheticTraceGenerator(workload_config)
-    return cluster.replay(generator.client_events())
+    return cluster.replay_plan(generator.plan())
 
 
 @pytest.fixture(scope="session")
-def client_scripts(workload_config):
-    """Raw client session scripts (used by the ablation benchmarks)."""
-    return SyntheticTraceGenerator(workload_config).client_events()
+def workload_plan(workload_config):
+    """The benchmark workload's plan, replayed afresh by the ablations.
+
+    The ablations replay it at ``n_jobs=2``: the trace is identical at any
+    worker count, and the shard workers materialize their members in
+    parallel.
+    """
+    return SyntheticTraceGenerator(workload_config).plan()
 
 
 def print_rows(title: str, rows: list[tuple[str, str, str]]) -> None:

@@ -14,15 +14,15 @@ from repro.util.units import GB
 from .conftest import print_rows
 
 
-def _replay(scripts, dedup_enabled: bool) -> U1Cluster:
+def _replay(plan, dedup_enabled: bool) -> U1Cluster:
     cluster = U1Cluster(ClusterConfig(seed=77, dedup_enabled=dedup_enabled))
-    cluster.replay(scripts)
+    cluster.replay_plan(plan, n_jobs=2)
     return cluster
 
 
-def test_ablation_dedup(benchmark, client_scripts):
-    with_dedup = benchmark(_replay, client_scripts, True)
-    without_dedup = _replay(client_scripts, False)
+def test_ablation_dedup(benchmark, workload_plan):
+    with_dedup = benchmark(_replay, workload_plan, True)
+    without_dedup = _replay(workload_plan, False)
 
     stored_with = with_dedup.object_store.accounting.bytes_stored
     stored_without = without_dedup.object_store.accounting.bytes_stored

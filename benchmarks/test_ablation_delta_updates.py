@@ -14,15 +14,15 @@ from repro.util.units import GB
 from .conftest import print_rows
 
 
-def _replay(scripts, delta_enabled: bool) -> U1Cluster:
+def _replay(plan, delta_enabled: bool) -> U1Cluster:
     cluster = U1Cluster(ClusterConfig(seed=55, delta_updates_enabled=delta_enabled))
-    cluster.replay(scripts)
+    cluster.replay_plan(plan, n_jobs=2)
     return cluster
 
 
-def test_ablation_delta_updates(benchmark, client_scripts):
-    baseline = benchmark(_replay, client_scripts, False)
-    with_delta = _replay(client_scripts, True)
+def test_ablation_delta_updates(benchmark, workload_plan):
+    baseline = benchmark(_replay, workload_plan, False)
+    with_delta = _replay(workload_plan, True)
 
     uploaded_baseline = baseline.object_store.accounting.bytes_uploaded
     uploaded_delta = with_delta.object_store.accounting.bytes_uploaded

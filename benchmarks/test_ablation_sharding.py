@@ -16,14 +16,14 @@ from repro.util.units import MINUTE
 from .conftest import print_rows
 
 
-def _replay(scripts, routing: str):
+def _replay(plan, routing: str):
     cluster = U1Cluster(ClusterConfig(seed=99, shard_routing=routing))
-    return cluster.replay(scripts)
+    return cluster.replay_plan(plan, n_jobs=2)
 
 
-def test_ablation_shard_routing(benchmark, client_scripts):
-    by_user = benchmark(_replay, client_scripts, "user_id")
-    round_robin = _replay(client_scripts, "round_robin")
+def test_ablation_shard_routing(benchmark, workload_plan):
+    by_user = benchmark(_replay, workload_plan, "user_id")
+    round_robin = _replay(workload_plan, "round_robin")
 
     user_series = shard_load(by_user, bin_width=MINUTE, n_shards=10)
     rr_series = shard_load(round_robin, bin_width=MINUTE, n_shards=10)

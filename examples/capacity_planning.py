@@ -35,7 +35,7 @@ def run_one(users: int) -> dict:
     config = WorkloadConfig.scaled(users=users, days=DAYS, seed=SEED)
     cluster = U1Cluster(ClusterConfig(seed=SEED))
     started = time.time()
-    dataset = cluster.replay(SyntheticTraceGenerator(config).client_events())
+    dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan())
     elapsed = time.time() - started
 
     shards = shard_load(dataset, bin_width=MINUTE, n_shards=10)

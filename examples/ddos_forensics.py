@@ -33,7 +33,7 @@ def main() -> int:
     config = WorkloadConfig.scaled(users=600, days=10, seed=123)
     cluster = U1Cluster(ClusterConfig(seed=123))
     print("Simulating 10 days of U1 activity including abuse episodes ...")
-    dataset = cluster.replay(SyntheticTraceGenerator(config).client_events())
+    dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan())
 
     print("\nScanning per-hour session request rates for anomalies ...")
     windows = detect_anomalies(dataset, family="session", threshold=4.0)

@@ -39,7 +39,7 @@ def main(argv: list[str]) -> int:
           "(6 API machines, 10 metadata shards, S3-like object store) ...")
     started = time.time()
     cluster = U1Cluster(ClusterConfig(seed=seed))
-    dataset = cluster.replay(generator.client_events())
+    dataset = cluster.replay_plan(generator.plan())
     elapsed = time.time() - started
     print(f"Replay finished in {elapsed:.1f}s: {len(dataset.storage)} storage records, "
           f"{len(dataset.rpc)} RPC records, {len(dataset.sessions)} session records.\n")

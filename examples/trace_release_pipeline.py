@@ -40,7 +40,7 @@ def main(argv: list[str]) -> int:
     config = WorkloadConfig.scaled(users=250, days=3, seed=77)
     cluster = U1Cluster(ClusterConfig(seed=77))
     print("Simulating the back-end to collect raw logs ...")
-    raw = cluster.replay(SyntheticTraceGenerator(config).client_events())
+    raw = cluster.replay_plan(SyntheticTraceGenerator(config).plan())
 
     print("Anonymising the trace (keyed pseudonyms, extensions preserved) ...")
     anonymous = Anonymizer(secret=b"release-2014").anonymize(raw)

@@ -38,23 +38,19 @@ from repro.workload.generator import SyntheticTraceGenerator
 from repro.backend.cluster import ClusterConfig, U1Cluster
 
 
-def quick_dataset(users: int = 200, days: float = 2.0, seed: int = 0,
-                  simulate_backend: bool = True) -> TraceDataset:
+def quick_dataset(users: int = 200, days: float = 2.0,
+                  seed: int = 0) -> TraceDataset:
     """Generate a small synthetic U1 trace in one call.
 
     This is a convenience wrapper used by the examples and the test-suite:
     it builds a :class:`~repro.workload.config.WorkloadConfig` scaled down to
     ``users`` users over ``days`` days, runs the workload through the
-    back-end simulator (unless ``simulate_backend`` is False, in which case
-    only client-side records are emitted) and returns the resulting
+    back-end simulator and returns the resulting
     :class:`~repro.trace.dataset.TraceDataset`.
     """
     config = WorkloadConfig.scaled(users=users, days=days, seed=seed)
-    generator = SyntheticTraceGenerator(config)
-    if simulate_backend:
-        cluster = U1Cluster(ClusterConfig(seed=seed))
-        return cluster.replay_plan(generator.plan())
-    return generator.generate()
+    cluster = U1Cluster(ClusterConfig(seed=seed))
+    return cluster.replay_plan(SyntheticTraceGenerator(config).plan())
 
 
 __all__ = [

@@ -21,7 +21,7 @@ The real U1 back-end lives in a single Canonical datacenter and consists of:
   propagate events between API servers (:mod:`repro.backend.notifications`).
 
 :class:`repro.backend.cluster.U1Cluster` wires all of the above together and
-replays a workload (session scripts from :mod:`repro.workload`) into a fully
+replays a workload plan (from :mod:`repro.workload`) into a fully
 populated :class:`~repro.trace.dataset.TraceDataset`, including the RPC
 service times and server/shard placement needed by the back-end analyses
 (Figs. 12-15).

@@ -10,8 +10,6 @@ producing the complete back-end trace (storage, RPC and session records).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
 from repro.backend.api_server import ApiServerProcess, SessionRegistry
@@ -36,7 +34,6 @@ from repro.trace.dataset import TraceDataset
 from repro.util.units import DAY
 from repro.whatif.costs import StorageCostModel
 from repro.whatif.tiering import TieringPolicy
-from repro.workload.events import SessionScript
 
 __all__ = ["ClusterConfig", "U1Cluster"]
 
@@ -79,13 +76,14 @@ class ClusterConfig:
     gc_interval: float = DAY
     #: Observed fraction of failing authentication requests.
     auth_failure_fraction: float = 0.0276
-    #: Logical replay shards: sessions partition by ``user_id % replay_shards``
-    #: and each shard owns a disjoint slice of users, stores and API
+    #: Logical replay shards: plan members partition by a deterministic
+    #: longest-processing-time assignment over their planned operation
+    #: counts, and each shard owns a disjoint slice of users, stores and API
     #: processes.  This is a *model* knob, not a parallelism knob — the
-    #: replayed trace is a pure function of the configuration, and
-    #: ``replay(n_jobs=...)`` only decides how many OS processes execute the
-    #: shards.  Capped at the process count for tiny clusters.  Note that
-    #: cross-user dedup becomes per-shard (see
+    #: replayed trace is a pure function of the configuration and the plan,
+    #: and ``replay_plan(n_jobs=...)`` only decides how many OS processes
+    #: execute the shards.  Capped at the process count for tiny clusters.
+    #: Note that cross-user dedup becomes per-shard (see
     #: :mod:`repro.backend.replay_shard`); ``replay_shards=1`` recovers the
     #: exact single-store semantics.
     replay_shards: int = 8
@@ -215,7 +213,7 @@ class U1Cluster:
             self.processes.append(process)
         self.gateway = LoadBalancer(addresses, rng=self._rng)
         self._process_by_address = {p.address: p for p in self.processes}
-        #: Timings and shape of the most recent :meth:`replay` call.
+        #: Timings and shape of the most recent :meth:`replay_plan` call.
         self.last_replay_stats: dict | None = None
 
     # ----------------------------------------------------------------- sizes
@@ -412,68 +410,35 @@ class U1Cluster:
         self.last_replay_stats.update(report.as_stats())
         return dataset
 
-    def replay(self, scripts: Iterable[SessionScript],
-               n_jobs: int = 1, **run_kwargs) -> TraceDataset:
-        """Replay a workload (session scripts) through the back-end.
-
-        The replay is *sharded* (see :mod:`repro.backend.replay_shard`):
-        sessions partition into logical shards by a deterministic
-        longest-processing-time assignment over per-user planned operation
-        counts (falling back to event counts for hand-built scripts); every
-        shard owns a disjoint slice of the users, the metadata/object
-        stores and the API processes — mirroring the multi-process
-        production fleet the paper measured.  Within each shard, events
-        from overlapping sessions interleave in global timestamp order and
-        every session lives on the API process the shard's balancer picked
-        at connect time; per-shard uploadjob GC runs against the shard's
-        own store.  The per-shard sorted columnar blocks are then merged
-        column-wise into one :class:`~repro.trace.dataset.TraceDataset`
-        with every field's column cache pre-seeded.
-
-        ``n_jobs`` chooses how many worker processes execute the shards
-        (``1`` replays them sequentially in-process, which is also the
-        fallback on platforms without ``fork``).  Because the shard layout,
-        the per-shard RNG streams (spawned from the root seed, keyed by shard
-        id) and the merge are all independent of the worker count, the
-        returned dataset is **bit-identical for any** ``n_jobs``.
-
-        After the replay the per-shard counter summaries are folded back
-        into this cluster's gateway, processes, metadata store and object
-        store, so the fleet-wide statistics helpers keep working.
-        """
-        from repro.backend.replay_shard import (
-            PrebuiltShardWorkload,
-            lpt_assignment,
-            partition_scripts,
-            script_sessions,
-            script_weights,
-        )
-
-        scripts = scripts if isinstance(scripts, list) else list(scripts)
-        n_shards = self.config.effective_replay_shards()
-        addresses, _ = self._shard_assignments(n_shards)
-        shard_of = lpt_assignment(script_weights(scripts), n_shards,
-                                  script_sessions(scripts),
-                                  self._processes_per_shard(n_shards))
-        workloads = [PrebuiltShardWorkload(part)
-                     for part in partition_scripts(scripts, n_shards,
-                                                   shard_of=shard_of)]
-        return self._run_sharded(workloads, n_shards, n_jobs, addresses,
-                                 **run_kwargs)
-
     def replay_plan(self, plan, n_jobs: int = 1, **run_kwargs) -> TraceDataset:
-        """The fused pipeline: materialize *and* replay a workload plan.
+        """Materialize a workload plan and replay it through the back-end.
 
         ``plan`` is a :class:`~repro.workload.plan.WorkloadPlan` (from
         :meth:`~repro.workload.generator.SyntheticTraceGenerator.plan`).
-        Plan members are LPT-assigned to shards by their planned operation
-        counts, and each shard worker materializes its members' session
-        scripts from their per-user RNG streams before replaying them — the
-        generate phase runs inside the workers, in parallel across shards,
-        instead of sequentially in the parent.  Because materialization is
-        a pure function of ``(config, plan member)`` and the assignment
-        depends only on the plan, the returned dataset is bit-identical to
-        ``replay(materialized_scripts)`` for any ``n_jobs``.
+        The replay is *sharded* (see :mod:`repro.backend.replay_shard`):
+        plan members are LPT-assigned to logical shards by their planned
+        operation and session counts, and every shard owns a disjoint slice
+        of the users, the metadata/object stores and the API processes —
+        mirroring the multi-process production fleet the paper measured.
+        Each shard worker materializes its members' session scripts from
+        their per-user RNG streams, then replays them: events from
+        overlapping sessions interleave in global timestamp order, every
+        session lives on the API process the shard's balancer picked at
+        connect time, and uploadjob GC runs against the shard's own store.
+        The per-shard sorted columnar blocks are merged column-wise into one
+        :class:`~repro.trace.dataset.TraceDataset`.
+
+        ``n_jobs`` chooses how many worker processes execute the shards
+        (``1`` replays them sequentially in-process, which is also the
+        fallback on platforms without ``fork``).  Materialization is a pure
+        function of ``(config, plan member)``, and the assignment, the
+        per-shard RNG streams and the merge depend only on the plan and the
+        configuration, so the returned dataset is **bit-identical for any**
+        ``n_jobs``.  Afterwards the per-shard counter summaries are folded
+        back into this cluster's gateway, processes, metadata store and
+        object store, so the fleet-wide statistics helpers keep working.
+        ``run_kwargs`` configure supervision and checkpoints (see
+        :meth:`_run_sharded`).
         """
         from repro.backend.replay_shard import (
             PlannedShardWorkload,

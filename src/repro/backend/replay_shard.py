@@ -8,9 +8,10 @@ the users, its own metadata store, object store, authentication service,
 notification bus and a disjoint slice of the API server processes, so shards
 share no mutable state and can run concurrently.
 
-Users map to shards by deterministic **longest-processing-time assignment**
-(:func:`lpt_assignment`) keyed on each user's *planned* operation count:
-users are placed heaviest-first onto the least-loaded shard, so one
+Plan members (users and slices of DDoS episodes) map to shards by
+deterministic **longest-processing-time assignment** (:func:`lpt_assignment`,
+via :func:`partition_members`) keyed on each member's *planned* operation
+count: members are placed heaviest-first onto the least-loaded shard, so one
 DDoS-heavy user no longer drags six neighbours onto the critical-path shard
 the way the historical ``user_id % n_shards`` round-robin did.  A shard
 left with fewer sessions than it has API processes (a heavy member with a
@@ -20,8 +21,8 @@ The assignment depends only on the plan's weights and session counts —
 never on the worker count — preserving the bit-identical-for-any-``n_jobs``
 guarantee.
 
-Since PR 3 a shard can also *generate* its own workload: the fused pipeline
-hands each worker a :class:`PlannedShardWorkload` (a slice of the global
+Every shard *generates* its own workload: the pipeline hands each worker a
+:class:`PlannedShardWorkload` (a slice of the global
 :class:`~repro.workload.plan.WorkloadPlan`), and the worker materializes its
 members' session scripts from their per-user RNG streams before replaying
 them — the generate phase parallelises with the replay instead of running
@@ -63,7 +64,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,17 +92,13 @@ from repro.workload.events import SessionScript
 
 __all__ = [
     "PlannedShardWorkload",
-    "PrebuiltShardWorkload",
     "ReplayShard",
     "ShardOutcome",
     "UploadJobCollector",
     "fork_available",
     "lpt_assignment",
     "partition_members",
-    "partition_scripts",
     "run_shards_supervised",
-    "script_sessions",
-    "script_weights",
     "usable_cpus",
     "workload_planned_ops",
 ]
@@ -128,8 +124,8 @@ def lpt_assignment(weights: list[tuple[int, float]], n_shards: int,
                    min_sessions: int = 0) -> dict[int, int]:
     """Deterministic longest-processing-time mapping ``key -> shard``.
 
-    ``weights`` holds ``(key, weight)`` pairs (keys are user ids or plan
-    member indices).  Keys are placed heaviest-first onto the currently
+    ``weights`` holds ``(key, weight)`` pairs (keys are plan member
+    indices).  Keys are placed heaviest-first onto the currently
     least-loaded shard; ties break on the smaller weight-sorted position and
     the smaller shard id, so the mapping is a pure function of the weights —
     independent of input order, worker count or machine.  LPT is the classic
@@ -170,72 +166,13 @@ def lpt_assignment(weights: list[tuple[int, float]], n_shards: int,
     return assignment
 
 
-def _member_key(script: SessionScript) -> int:
-    """The LPT grouping key of a script.
-
-    Generator-produced scripts carry their plan-member index (a legitimate
-    user or one slice of a DDoS episode); hand-built scripts group per user
-    under negative keys so they can never collide with member indices.
-    """
-    if script.plan_member >= 0:
-        return script.plan_member
-    return -script.user_id - 1
-
-
-def script_weights(scripts: list[SessionScript]) -> list[tuple[int, float]]:
-    """Per-member ``(key, weight)`` pairs for the LPT shard assignment.
-
-    Generator-produced scripts carry their member's planned operation total
-    (``member_planned_ops``), making the weights — and therefore the shard
-    layout — identical whether the scripts were materialized up front or
-    will be materialized inside the shard workers from the same plan.
-    Hand-built scripts (``plan_member < 0``) fall back to counting events
-    per user, which is equally deterministic.
-    """
-    planned: dict[int, float] = {}
-    for script in scripts:
-        key = _member_key(script)
-        if script.plan_member >= 0:
-            planned[key] = script.member_planned_ops
-        else:
-            planned[key] = planned.get(key, 0.0) + 1.0 + len(script)
-    return sorted(planned.items())
-
-
-def script_sessions(scripts: list[SessionScript]) -> dict[int, int]:
-    """Sessions per member key (see :func:`script_weights`)."""
-    return dict(Counter(map(_member_key, scripts)))
-
-
-def partition_scripts(scripts: list[SessionScript], n_shards: int,
-                      shard_of: dict[int, int] | None = None
-                      ) -> list[list[SessionScript]]:
-    """Split session scripts into per-shard lists.
-
-    ``shard_of`` maps member keys (see :func:`script_weights`) to shard ids
-    — the LPT assignment; without it the historical ``user_id % n_shards``
-    round-robin applies.  Scripts arrive sorted by session start time and
-    each per-shard list preserves that order, so every shard replays a
-    time-ordered sub-workload.
-    """
-    by_shard: list[list[SessionScript]] = [[] for _ in range(n_shards)]
-    if shard_of is None:
-        for script in scripts:
-            by_shard[script.user_id % n_shards].append(script)
-    else:
-        for script in scripts:
-            by_shard[shard_of[_member_key(script)]].append(script)
-    return by_shard
-
-
 def partition_members(plan, n_shards: int,
                       min_sessions: int = 0) -> list[list[int]]:
     """LPT-partition a workload plan's members into per-shard index lists.
 
     Keyed on the planned per-member operation and session counts, so the
-    partition is a pure function of the plan — the fused pipeline and a
-    pre-materialized ``replay(scripts)`` of the same plan produce the same
-    shard layout.  ``min_sessions`` is :func:`lpt_assignment`'s floor.
+    partition is a pure function of the plan, never of the worker count.
+    ``min_sessions`` is :func:`lpt_assignment`'s floor.
     """
     sessions = [len(p.sessions) for p in plan.users]
     sessions.extend(p.n_sessions for p in plan.attacks)
@@ -248,22 +185,12 @@ def partition_members(plan, n_shards: int,
 
 
 # ---------------------------------------------------------------------------
-# Shard workloads: pre-materialized scripts or a plan slice to materialize
+# Shard workloads: a plan slice each worker materializes
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PrebuiltShardWorkload:
-    """A shard workload that was already materialized in the parent."""
-
-    prebuilt: list[SessionScript]
-
-    def scripts(self) -> list[SessionScript]:
-        return self.prebuilt
-
-
-@dataclass
 class PlannedShardWorkload:
-    """A shard's slice of the global workload plan (the fused pipeline).
+    """A shard's slice of the global workload plan.
 
     ``members`` are plan member indices; the shard worker materializes them
     from their per-user RNG streams (see
@@ -349,8 +276,7 @@ class ShardOutcome:
     shard_id: int
     #: Replay seconds (the shard's ``run`` call, including column packing).
     seconds: float
-    #: Seconds spent materializing the shard's scripts inside the worker
-    #: (0.0 when the workload was pre-materialized in the parent).
+    #: Seconds spent materializing the shard's scripts inside the worker.
     generate_seconds: float = 0.0
     storage: ColumnBlock | None = None
     rpc: ColumnBlock | None = None
@@ -468,8 +394,7 @@ class ReplayShard:
 
         Per-script dispatch rows (:meth:`EventBlock.rows` tuples) ride
         along: the one C-speed transpose per block replaces per-event
-        ``ClientEvent`` hydration; hand-built scripts without a block
-        transpose their scalar events into the same row shape.
+        ``ClientEvent`` hydration.
         """
         _OPEN, _EVENT, _CLOSE = self._OPEN, self._EVENT, self._CLOSE
         ts_col: list[float] = []
@@ -479,18 +404,7 @@ class ReplayShard:
         rows_by_script: list[list[tuple]] = []
         for index, script in enumerate(scripts):
             block = script.block
-            if block is not None:
-                times = block.times
-                rows = block.rows()
-            else:
-                events = script.events
-                times = [event.time for event in events]
-                rows = [(event.time, event.operation, event.node_id,
-                         event.volume_id, event.volume_type,
-                         event.node_kind, event.size_bytes,
-                         event.content_hash, event.extension,
-                         event.is_update, event.caused_by_attack)
-                        for event in events]
+            rows = block.rows()
             rows_by_script.append(rows)
             n = len(rows)
             ts_col.append(script.start)
@@ -498,7 +412,7 @@ class ReplayShard:
             script_col.append(index)
             event_col.append(0)
             if n:
-                ts_col.extend(times)
+                ts_col.extend(block.times)
                 kind_col.extend([_EVENT] * n)
                 script_col.extend([index] * n)
                 event_col.extend(range(n))
@@ -673,9 +587,6 @@ def _run_shard_task(shard_id: int) -> ShardOutcome:
 
 def workload_planned_ops(workload) -> float:
     """Planned operation count of one shard workload (the timeout basis)."""
-    prebuilt = getattr(workload, "prebuilt", None)
-    if prebuilt is not None:
-        return sum(1.0 + len(script) for script in prebuilt)
     weights = dict(workload.plan.member_weights())
     return sum(weights[member] for member in workload.members)
 
@@ -696,10 +607,9 @@ def run_shards_supervised(config,
     """Run every replay shard; return ``(outcomes, jobs_used, report)``.
 
     ``assignments[k]`` is shard ``k``'s slice of process addresses and
-    ``workloads[k]`` its workload — either a :class:`PrebuiltShardWorkload`
-    (scripts materialized in the parent) or a :class:`PlannedShardWorkload`
-    (a plan slice the worker materializes itself, fusing generation into
-    the parallel phase).  ``n_jobs`` is a ceiling, not a demand: it is
+    ``workloads[k]`` its :class:`PlannedShardWorkload` (a plan slice the
+    worker materializes itself, fusing generation into the parallel
+    phase).  ``n_jobs`` is a ceiling, not a demand: it is
     additionally capped at the shard count and at the machine's usable CPUs
     (forking workers a single core must time-slice only adds overhead, and
     changes nothing about the result).

@@ -90,9 +90,6 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the sharded replay "
                              "(default: 1; the trace is bit-identical for "
                              "any value)")
-    parser.add_argument("--no-backend", action="store_true",
-                        help="emit client-side records only (skip the back-end "
-                             "simulation; no RPC records will be available)")
     parser.add_argument("--validate", action="store_true",
                         help="check the trace invariants (monotonic "
                              "timelines, schema, session referential "
@@ -286,8 +283,6 @@ def _write_json_artifact(path: Path, payload, out) -> int:
 def _build_dataset(args: argparse.Namespace, out=None) -> TraceDataset:
     config = WorkloadConfig.scaled(users=args.users, days=args.days, seed=args.seed)
     generator = SyntheticTraceGenerator(config)
-    if args.no_backend:
-        return generator.generate()
     cluster = U1Cluster(ClusterConfig(seed=args.seed))
     # Fused pipeline: plan globally, materialize inside the replay workers.
     dataset = cluster.replay_plan(generator.plan(),

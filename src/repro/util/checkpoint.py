@@ -7,17 +7,17 @@ sound: a killed run re-executes only the shards that never finished, and
 the merged trace is indistinguishable from an undisturbed run.
 
 Layout: one ``.npz`` file per shard under a run directory keyed by a hash
-of the *work* (cluster configuration + the per-shard workload
-fingerprints), plus a write-ahead run manifest::
+of the *work* (cluster configuration, workload configuration and the
+per-shard workload fingerprints), plus a write-ahead run manifest::
 
     <checkpoint_root>/<run_key>/MANIFEST.json
     <checkpoint_root>/<run_key>/shard-0003.npz
 
 The run key deliberately covers everything that determines a shard's
 output: the frozen ``ClusterConfig`` (seed, shard layout, tiering, fault
-plan, ...) and the workload handed to each shard (plan member indices and
-planned-op weights for the fused pipeline, per-script identities for
-pre-materialized workloads).  Two runs share checkpoints only when they
+plan, ...), the plan's frozen ``WorkloadConfig`` (seed, scale, file and
+update models, ...) and the workload handed to each shard (plan member
+indices and planned-op weights).  Two runs share checkpoints only when they
 would compute identical outcomes; anything else hashes to a different
 directory and never collides.
 
@@ -99,10 +99,13 @@ _STREAMS = ("storage", "rpc", "sessions")
 def run_key(config, workloads) -> str:
     """Stable hex digest identifying one (config, workload) replay.
 
-    A pure function of the cluster configuration and the per-shard
-    workloads — never of the worker count, attempt number or wall clock —
-    so retries, resumes and different ``--jobs`` all map to the same run
-    directory.
+    A pure function of the cluster configuration, the plan's workload
+    configuration and the per-shard workloads — never of the worker count,
+    attempt number or wall clock — so retries, resumes and different
+    ``--jobs`` all map to the same run directory.  Two workload
+    configurations can plan the same member weights and still materialize
+    different events (update and duplicate fractions, file sizes), so the
+    workload configuration is hashed too.
     """
     digest = hashlib.sha256()
     digest.update(f"format:{_FORMAT};".encode())
@@ -110,16 +113,9 @@ def run_key(config, workloads) -> str:
     digest.update(f";shards:{len(workloads)};".encode())
     for shard_id, workload in enumerate(workloads):
         digest.update(f"shard:{shard_id}:".encode())
-        prebuilt = getattr(workload, "prebuilt", None)
-        if prebuilt is not None:
-            digest.update(f"scripts:{len(prebuilt)}:".encode())
-            for script in prebuilt:
-                digest.update(
-                    f"{script.user_id},{script.session_id},{script.start!r},"
-                    f"{script.end!r},{len(script)};".encode())
-        else:
-            digest.update(f"members:{workload.members!r};".encode())
-            digest.update(repr(workload.plan.member_weights()).encode())
+        digest.update(f"workload:{workload.plan.config!r};".encode())
+        digest.update(f"members:{workload.members!r};".encode())
+        digest.update(repr(workload.plan.member_weights()).encode())
     return digest.hexdigest()
 
 
@@ -131,8 +127,10 @@ def run_inputs_summary(config, workloads) -> dict:
     """
     return {
         "config_sha256": hashlib.sha256(repr(config).encode()).hexdigest(),
+        "workload_config_sha256": sorted({
+            hashlib.sha256(repr(w.plan.config).encode()).hexdigest()
+            for w in workloads}),
         "n_shards": len(workloads),
-        "workload_kinds": sorted({type(w).__name__ for w in workloads}),
     }
 
 

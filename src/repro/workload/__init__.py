@@ -21,9 +21,8 @@ using the empirical models the paper reports:
 models together.  Generation is a two-pass pipeline: :meth:`plan` runs the
 global planning pass (a :class:`~repro.workload.plan.WorkloadPlan`) and
 :func:`~repro.workload.generator.materialize_members` turns plan members
-into session scripts from per-user RNG streams — in-process
-(:meth:`client_events`, :meth:`generate`) or inside the sharded replay
-workers (the fused pipeline, :meth:`repro.backend.cluster.U1Cluster.replay_plan`).
+into session scripts from per-user RNG streams, inside the sharded replay
+workers of :meth:`repro.backend.cluster.U1Cluster.replay_plan`.
 """
 
 from repro.workload.config import WorkloadConfig

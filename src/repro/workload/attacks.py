@@ -71,7 +71,6 @@ class AttackEpisode:
                           session_id_start: int,
                           max_sessions: int = 5_000,
                           max_storage_ops: int = 30_000,
-                          member_planned_ops: float = -1.0,
                           session_range: tuple[int, int] | None = None
                           ) -> Iterator[SessionScript]:
         """Yield the attack sessions.
@@ -188,7 +187,6 @@ class AttackEpisode:
                 start=float(starts[i]),
                 end=float(session_ends[i]),
                 caused_by_attack=True,
-                member_planned_ops=member_planned_ops,
                 block=block,
             )
 

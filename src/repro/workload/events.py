@@ -12,9 +12,8 @@ struct-of-arrays container with one column per event field, hung off each
 :class:`SessionScript`.  The materializer appends scalars straight into the
 columns and the replay engine dispatches straight out of them, so no
 per-event object is built on the hot path.  :class:`ClientEvent` remains the
-scalar view: ``script.events`` hydrates objects from the block on first
-access, which keeps hand-built scripts, tests and slow paths working
-unchanged.
+scalar view: ``script.events`` decodes read-only copies from the block, and
+hand-built scripts pass ``block=EventBlock.from_events(...)``.
 """
 
 from __future__ import annotations
@@ -192,20 +191,17 @@ class SessionScript:
 
     A session starts with an OPEN_SESSION event and ends with CLOSE_SESSION;
     in between come the (possibly zero) operations the client performed.
-    Generated scripts carry their events columnar in :attr:`block`;
-    :attr:`events` hydrates (and caches) scalar :class:`ClientEvent` objects
-    on first access.  Hand-built scripts may instead pass or append to
-    ``events`` directly, exactly as before the columnar rework.
+    The events live only in :attr:`block`, columnar; a script without events
+    carries an empty block.  :attr:`events` is a read-only view: a tuple of
+    :class:`ClientEvent` copies decoded from the block on every access.
     """
 
-    __slots__ = ("user_id", "session_id", "start", "end", "_events",
-                 "caused_by_attack", "auth_failed", "plan_member",
-                 "member_planned_ops", "block")
+    __slots__ = ("user_id", "session_id", "start", "end", "caused_by_attack",
+                 "auth_failed", "block")
 
     def __init__(self, user_id: int, session_id: int, start: float,
-                 end: float, events: "list[ClientEvent] | None" = None,
-                 caused_by_attack: bool = False, auth_failed: bool = False,
-                 plan_member: int = -1, member_planned_ops: float = -1.0,
+                 end: float, caused_by_attack: bool = False,
+                 auth_failed: bool = False,
                  block: "EventBlock | None" = None) -> None:
         self.user_id = user_id
         self.session_id = session_id
@@ -213,34 +209,13 @@ class SessionScript:
         self.end = end
         self.caused_by_attack = caused_by_attack
         self.auth_failed = auth_failed
-        #: Plan-member identity and weight, stamped by the plan-driven
-        #: generator: ``plan_member`` is the index of the workload-plan
-        #: member (a legitimate user, or one slice of a DDoS episode) this
-        #: script was materialized from, and ``member_planned_ops`` the
-        #: member's planned operation total (the same value on every script
-        #: of the member).  The sharded replay keys its deterministic
-        #: longest-processing-time shard assignment on these, so replaying
-        #: pre-materialized scripts and materializing them inside the shard
-        #: workers produce the same shard layout.  ``-1`` means "unknown"
-        #: (hand-built scripts); the assignment then falls back to per-user
-        #: event counting.
-        self.plan_member = plan_member
-        self.member_planned_ops = member_planned_ops
-        self.block = block
-        if events is None and block is None:
-            events = []
-        self._events = events
+        self.block = block if block is not None else EventBlock(
+            times=[], operations=[])
 
     @property
-    def events(self) -> "list[ClientEvent]":
-        if self._events is None:
-            self._events = self.block.to_events(self.user_id, self.session_id)
-        return self._events
-
-    @events.setter
-    def events(self, value: "list[ClientEvent]") -> None:
-        self._events = value
-        self.block = None
+    def events(self) -> "tuple[ClientEvent, ...]":
+        """The events as :class:`ClientEvent` copies decoded from the block."""
+        return tuple(self.block.to_events(self.user_id, self.session_id))
 
     @property
     def length(self) -> float:
@@ -249,20 +224,16 @@ class SessionScript:
 
     @property
     def n_events(self) -> int:
-        """Event count, without hydrating scalar events from the block."""
-        if self._events is not None:
-            return len(self._events)
+        """Event count, without decoding events from the block."""
         return len(self.block.times)
 
     @property
     def storage_operation_count(self) -> int:
         """Number of data-management operations performed by the session."""
-        if self._events is None:
-            operations = self.block.operations
-            if type(operations) is not list:
-                operations = [operations] * len(self.block.times)
-            return sum(1 for op in operations if op.is_data_management)
-        return sum(1 for e in self._events if e.operation.is_data_management)
+        operations = self.block.operations
+        if type(operations) is not list:
+            operations = [operations] * len(self.block.times)
+        return sum(1 for op in operations if op.is_data_management)
 
     @property
     def is_active(self) -> bool:

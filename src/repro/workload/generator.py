@@ -1,9 +1,9 @@
 """Top-level synthetic trace generator (plan/materialize split).
 
 :class:`SyntheticTraceGenerator` stitches together the population, file,
-session, operation and attack models into a stream of per-session client
-scripts (:meth:`client_events`) or directly into a
-:class:`~repro.trace.dataset.TraceDataset` (:meth:`generate`).
+session, operation and attack models into a :class:`WorkloadPlan`, from
+which :func:`materialize_members` builds the per-session client scripts that
+:meth:`repro.backend.cluster.U1Cluster.replay_plan` replays.
 
 Since PR 3 generation is split into two passes:
 
@@ -55,11 +55,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.trace.dataset import TraceDataset
 from repro.trace.records import (
     ApiOperation,
     NodeKind,
-    SessionEvent,
     VolumeType,
 )
 from repro.util.gctools import cyclic_gc_paused
@@ -68,7 +66,7 @@ from repro.util.units import HOUR
 from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import WorkloadConfig
 from repro.workload.diurnal import DiurnalProfile
-from repro.workload.events import ClientEvent, EventBlock, SessionScript
+from repro.workload.events import EventBlock, SessionScript
 from repro.workload.filemodel import (
     PROFILE_EXTENSIONS,
     FileModel,
@@ -1025,7 +1023,6 @@ class _BatchMaterializer:
                                        session_id=spec.session_id,
                                        start=spec.start, end=spec.end,
                                        block=block)
-            script.member_planned_ops = plan.planned_ops
             scripts.append(script)
         return scripts
 
@@ -1275,7 +1272,6 @@ def _materialize_attack(config: WorkloadConfig, plan: AttackPlan,
         rng, plan.baseline_sessions_per_hour,
         plan.baseline_storage_ops_per_hour,
         session_id_start=plan.session_id_start,
-        member_planned_ops=plan.planned_ops,
         session_range=plan.sessions_slice))
 
 
@@ -1310,16 +1306,12 @@ def materialize_member(plan: WorkloadPlan, index: int,
                else member_rng(config.seed, user_id))
         materializer = _BatchMaterializer(config, plan.popular_pool,
                                           diurnal or _diurnal(config))
-        scripts = materializer.materialize([user_plan], [rng],
-                                           [_member_sizes(user_plan)])[0]
-    else:
-        attack_plan = plan.attacks[index - n_users]
-        rng = (rng_batch.rng(attack_plan.episode.attacker_user_id)
-               if rng_batch is not None else None)
-        scripts = _materialize_attack(config, attack_plan, rng=rng)
-    for script in scripts:
-        script.plan_member = index
-    return scripts
+        return materializer.materialize([user_plan], [rng],
+                                        [_member_sizes(user_plan)])[0]
+    attack_plan = plan.attacks[index - n_users]
+    rng = (rng_batch.rng(attack_plan.episode.attacker_user_id)
+           if rng_batch is not None else None)
+    return _materialize_attack(config, attack_plan, rng=rng)
 
 
 #: Canonical script order: ``(start, session_id)``.  Session ids are
@@ -1352,10 +1344,7 @@ def materialize_members(plan: WorkloadPlan,
     def flush() -> None:
         plans = [plan.users[index] for index in batch]
         rngs = [rng_batch.rng(user_plan.user.user_id) for user_plan in plans]
-        for index, member in zip(batch, materializer.materialize(plans, rngs,
-                                                                 sizes)):
-            for script in member:
-                script.plan_member = index
+        for member in materializer.materialize(plans, rngs, sizes):
             scripts.extend(member)
         batch.clear()
         sizes.clear()
@@ -1517,66 +1506,3 @@ class SyntheticTraceGenerator:
         return WorkloadPlan(config=config, users=tuple(user_plans),
                             attacks=tuple(attack_plans),
                             popular_pool=popular_pool)
-
-    # ------------------------------------------------------------------ API
-    def client_events(self) -> list[SessionScript]:
-        """Generate every session script of the measurement window.
-
-        Equivalent to planning and materializing every member in-process:
-        the result is sorted by ``(start, session_id)`` and includes both
-        the legitimate workload and the configured DDoS episodes.
-        Generation is a cycle-free bulk allocation, so the cyclic garbage
-        collector is paused for the duration (see :mod:`repro.util.gctools`).
-        """
-        with cyclic_gc_paused():
-            return materialize_members(self._plan())
-
-    # ------------------------------------------------------------ rendering
-    def _placement(self) -> tuple[str, int]:
-        """Random (machine, process) placement used when no simulator runs."""
-        machine = self._pool.integers(self.config.api_machines)
-        process = self._pool.integers(self.config.processes_per_machine)
-        return f"api{machine}", process
-
-    def generate(self) -> TraceDataset:
-        """Render the workload directly into a :class:`TraceDataset`.
-
-        The records produced here carry client-observable information only
-        (no RPC decomposition, no service times); analyses of the metadata
-        back-end (Figs. 12-14) require running the same scripts through
-        :class:`repro.backend.cluster.U1Cluster` instead.
-        """
-        dataset = TraceDataset()
-        shards = self.config.metadata_shards
-        # Row-append fast paths (positional record-field order); record
-        # objects are only built if an analysis iterates the dataset.
-        session_row = dataset.append_session_row
-        storage_row = dataset.append_storage_row
-        for script in self.client_events():
-            server, process = self._placement()
-            shard_id = script.user_id % shards
-            user_id = script.user_id
-            session_id = script.session_id
-            attack = script.caused_by_attack
-            session_row(script.start, server, process, user_id, session_id,
-                        SessionEvent.AUTH_REQUEST, attack, -1.0, 0)
-            if script.auth_failed:
-                session_row(script.start, server, process, user_id, session_id,
-                            SessionEvent.AUTH_FAIL, attack, -1.0, 0)
-                continue
-            session_row(script.start, server, process, user_id, session_id,
-                        SessionEvent.AUTH_OK, attack, -1.0, 0)
-            session_row(script.start, server, process, user_id, session_id,
-                        SessionEvent.CONNECT, attack, -1.0, 0)
-            for event in script.events:
-                storage_row(event.time, server, process, event.user_id,
-                            event.session_id, event.operation, event.node_id,
-                            event.volume_id, event.volume_type, event.node_kind,
-                            event.size_bytes, event.content_hash,
-                            event.extension, event.is_update, shard_id,
-                            event.caused_by_attack, "", 0)
-            session_row(script.end, server, process, user_id, session_id,
-                        SessionEvent.DISCONNECT, attack, script.length,
-                        script.storage_operation_count)
-        dataset.sort()
-        return dataset

@@ -9,8 +9,9 @@ import pytest
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import ClientEvent, SessionScript
+from repro.workload.events import ClientEvent, EventBlock, SessionScript
 from repro.workload.generator import SyntheticTraceGenerator
+from tests.conftest import replay_scripts
 
 
 class TestClusterConfig:
@@ -41,21 +42,22 @@ class TestClusterConfig:
 
 class TestReplayHandCraftedScripts:
     def _scripts(self) -> list[SessionScript]:
-        script = SessionScript(user_id=5, session_id=1, start=1000.0, end=2000.0)
-        script.events.append(ClientEvent(time=1010.0, user_id=5, session_id=1,
-                                         operation=ApiOperation.MAKE, node_id=7,
-                                         volume_id=3))
-        script.events.append(ClientEvent(time=1020.0, user_id=5, session_id=1,
-                                         operation=ApiOperation.UPLOAD, node_id=7,
-                                         volume_id=3, size_bytes=1000,
-                                         content_hash="sha1:h7", extension="txt"))
+        block = EventBlock.from_events([
+            ClientEvent(time=1010.0, user_id=5, session_id=1,
+                        operation=ApiOperation.MAKE, node_id=7, volume_id=3),
+            ClientEvent(time=1020.0, user_id=5, session_id=1,
+                        operation=ApiOperation.UPLOAD, node_id=7, volume_id=3,
+                        size_bytes=1000, content_hash="sha1:h7",
+                        extension="txt"),
+        ])
+        script = SessionScript(user_id=5, session_id=1, start=1000.0,
+                               end=2000.0, block=block)
         failed = SessionScript(user_id=6, session_id=2, start=1500.0, end=1501.0,
                                auth_failed=True)
         return [script, failed]
 
     def test_replay_emits_all_record_streams(self):
-        cluster = U1Cluster(ClusterConfig(seed=1))
-        dataset = cluster.replay(self._scripts())
+        _, dataset = replay_scripts(ClusterConfig(seed=1), self._scripts())
         assert len(dataset.storage) == 2
         events = Counter(r.event for r in dataset.sessions)
         assert events[SessionEvent.CONNECT] == 1
@@ -67,25 +69,24 @@ class TestReplayHandCraftedScripts:
         assert rpcs[RpcName.MAKE_CONTENT] == 1
 
     def test_replay_routes_by_user_id(self):
-        cluster = U1Cluster(ClusterConfig(seed=1, metadata_shards=10))
-        dataset = cluster.replay(self._scripts())
+        _, dataset = replay_scripts(ClusterConfig(seed=1, metadata_shards=10),
+                                    self._scripts())
         assert all(r.shard_id == 5 % 10 for r in dataset.rpc if r.user_id == 5)
         assert all(r.shard_id == 5 % 10 for r in dataset.storage)
 
     def test_session_sticks_to_one_process(self):
-        cluster = U1Cluster(ClusterConfig(seed=1))
-        dataset = cluster.replay(self._scripts())
+        _, dataset = replay_scripts(ClusterConfig(seed=1), self._scripts())
         placements = {(r.server, r.process) for r in dataset.storage}
         assert len(placements) == 1
 
     def test_gateway_connections_released_after_replay(self):
-        cluster = U1Cluster(ClusterConfig(seed=1))
-        cluster.replay(self._scripts())
-        assert all(v == 0 for v in cluster.gateway.open_connections().values())
+        shard, _ = replay_scripts(ClusterConfig(seed=1), self._scripts())
+        assert all(v == 0 for v in shard.gateway.open_connections().values())
 
     def test_round_robin_routing_option(self):
-        cluster = U1Cluster(ClusterConfig(seed=1, shard_routing="round_robin"))
-        dataset = cluster.replay(self._scripts())
+        _, dataset = replay_scripts(
+            ClusterConfig(seed=1, shard_routing="round_robin"),
+            self._scripts())
         shards = {r.shard_id for r in dataset.rpc}
         assert len(shards) > 1
 
@@ -119,11 +120,11 @@ class TestReplaySyntheticWorkload:
 
     def test_dedup_disabled_increases_stored_bytes(self):
         config = WorkloadConfig.scaled(users=120, days=2, seed=5)
-        scripts = SyntheticTraceGenerator(config).client_events()
+        plan = SyntheticTraceGenerator(config).plan()
         with_dedup = U1Cluster(ClusterConfig(seed=5, dedup_enabled=True))
         without_dedup = U1Cluster(ClusterConfig(seed=5, dedup_enabled=False))
-        with_dedup.replay(scripts)
-        without_dedup.replay(scripts)
+        with_dedup.replay_plan(plan)
+        without_dedup.replay_plan(plan)
         assert (without_dedup.object_store.accounting.bytes_uploaded >=
                 with_dedup.object_store.accounting.bytes_uploaded)
 

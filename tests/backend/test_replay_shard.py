@@ -13,20 +13,12 @@ from repro.backend.replay_shard import (
     fork_available,
     lpt_assignment,
     partition_members,
-    partition_scripts,
-    script_sessions,
-    script_weights,
 )
 from repro.trace.dataset import ColumnBlock, TraceDataset
 from repro.workload.config import WorkloadConfig
 from repro.workload.events import SessionScript
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
-from tests.conftest import make_storage
-
-
-def _scripts(seed: int = 11, users: int = 80, days: float = 1.0):
-    config = WorkloadConfig.scaled(users=users, days=days, seed=seed)
-    return SyntheticTraceGenerator(config).client_events()
+from tests.conftest import make_storage, replay_scripts
 
 
 def _plan(seed: int = 11, users: int = 80, days: float = 1.0):
@@ -34,13 +26,7 @@ def _plan(seed: int = 11, users: int = 80, days: float = 1.0):
     return SyntheticTraceGenerator(config).plan()
 
 
-def _replay(scripts, n_jobs: int, seed: int = 11):
-    cluster = U1Cluster(ClusterConfig(seed=seed))
-    dataset = cluster.replay(scripts, n_jobs=n_jobs)
-    return cluster, dataset
-
-
-def _replay_plan(plan, n_jobs: int, seed: int = 11):
+def _replay(plan, n_jobs: int, seed: int = 11):
     cluster = U1Cluster(ClusterConfig(seed=seed))
     dataset = cluster.replay_plan(plan, n_jobs=n_jobs)
     return cluster, dataset
@@ -58,18 +44,20 @@ _SESSION_COLUMNS = ("timestamp", "server", "process", "user_id", "session_id",
                     "storage_operations")
 
 
+@pytest.fixture(scope="module")
+def replays():
+    """The default workload replayed once per worker count: ``{jobs:
+    (cluster, dataset)}``, shared by every class of this module."""
+    plan = _plan()
+    # Pretend the machine has plenty of CPUs so n_jobs > 1 really runs the
+    # forked worker pool (the point of the tests) even on small CI boxes
+    # where run_shards_supervised would otherwise cap the worker count.
+    with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
+        return {jobs: _replay(plan, jobs) for jobs in (1, 2, 4)}
+
+
 class TestJobCountEquivalence:
     """The headline guarantee: output is bit-identical for any worker count."""
-
-    @pytest.fixture(scope="class")
-    def replays(self):
-        scripts = _scripts()
-        # Pretend the machine has plenty of CPUs so n_jobs > 1 really runs
-        # the forked worker pool (the point of the test) even on small CI
-        # boxes where run_shards_supervised would otherwise cap the worker
-        # count.
-        with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
-            return {jobs: _replay(scripts, jobs) for jobs in (1, 2, 4)}
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_datasets_bit_identical_across_job_counts(self, replays, jobs):
@@ -106,10 +94,9 @@ class TestJobCountEquivalence:
         assert (sequential_cluster.object_store.accounting
                 == parallel_cluster.object_store.accounting)
 
-    def test_replay_is_deterministic_across_runs(self):
-        a = _replay(_scripts(), 1)[1]
-        b = _replay(_scripts(), 1)[1]
-        assert a == b
+    def test_replay_is_deterministic_across_runs(self, replays):
+        # A fresh generator, plan and cluster replay the same trace.
+        assert _replay(_plan(), 1)[1] == replays[1][1]
 
     def test_stats_record_jobs_and_shards(self, replays):
         cluster, _ = replays[4]
@@ -123,13 +110,19 @@ class TestJobCountEquivalence:
 
 class TestPartitioning:
     def test_partition_is_disjoint_and_complete(self):
-        scripts = _scripts(seed=3, users=40)
-        parts = partition_scripts(scripts, 8)
-        assert sum(len(p) for p in parts) == len(scripts)
-        for shard_id, part in enumerate(parts):
-            assert all(s.user_id % 8 == shard_id for s in part)
-            starts = [s.start for s in part]
+        plan = _plan(seed=3, users=40)
+        parts = partition_members(plan, 8)
+        assert len(parts) == 8
+        assert sorted(m for part in parts for m in part) \
+            == list(range(plan.n_members))
+        n_scripts = 0
+        for part in parts:
+            assert part == sorted(part)
+            scripts = materialize_members(plan, part)
+            n_scripts += len(scripts)
+            starts = [s.start for s in scripts]
             assert starts == sorted(starts)
+        assert n_scripts == len(materialize_members(plan))
 
     def test_effective_shards_capped_by_process_count(self):
         config = ClusterConfig(api_machines=1, processes_per_machine=2,
@@ -137,7 +130,7 @@ class TestPartitioning:
         assert config.effective_replay_shards() == 2
         # A tiny cluster still replays correctly.
         cluster = U1Cluster(config)
-        dataset = cluster.replay(_scripts(seed=5, users=20))
+        dataset = cluster.replay_plan(_plan(seed=5, users=20))
         assert not dataset.is_empty
 
     def test_replay_shards_validation(self):
@@ -147,8 +140,7 @@ class TestPartitioning:
 
 class TestSortedBlockMerge:
     def test_merge_equals_stable_global_sort(self):
-        scripts = _scripts(seed=13, users=30)
-        dataset = _replay(scripts, 1, seed=13)[1]
+        dataset = _replay(_plan(seed=13, users=30), 1, seed=13)[1]
         ts = dataset.storage_column("timestamp")
         assert bool(np.all(ts[1:] >= ts[:-1]))
         ts_rpc = dataset.rpc_column("timestamp")
@@ -177,8 +169,7 @@ class TestSortedBlockMerge:
 
 class TestShardedStateAbsorption:
     def test_fleet_statistics_survive_sharded_replay(self):
-        scripts = _scripts(seed=21, users=60)
-        cluster, dataset = _replay(scripts, 2, seed=21)
+        cluster, dataset = _replay(_plan(seed=21, users=60), 2, seed=21)
         assert sum(p.requests_handled for p in cluster.processes) \
             == len(dataset.storage)
         assert sum(cluster.rpc_calls_per_worker()) == len(dataset.rpc)
@@ -191,8 +182,7 @@ class TestShardedStateAbsorption:
 class TestScriptOrderIndependenceOfMerge:
     def test_single_session_script_replays_on_one_process(self):
         script = SessionScript(user_id=9, session_id=1, start=100.0, end=200.0)
-        cluster = U1Cluster(ClusterConfig(seed=1))
-        dataset = cluster.replay([script])
+        _, dataset = replay_scripts(ClusterConfig(seed=1), [script])
         placements = {(r.server, r.process) for r in dataset.sessions}
         assert len(placements) == 1
 
@@ -240,47 +230,19 @@ class TestLptAssignment:
         extended = lpt_assignment(with_zeros, 3)
         assert all(extended[key] == shard for key, shard in base.items())
 
-    def test_script_weights_match_plan_member_weights(self):
-        plan = _plan()
-        scripts = materialize_members(plan)
-        from_scripts = dict(script_weights(scripts))
-        from_plan = dict(plan.member_weights())
-        # Members without scripts carry zero weight and cannot influence the
-        # assignment; every member that produced scripts must agree exactly.
-        for key, weight in from_scripts.items():
-            assert from_plan[key] == weight
-
-    def test_script_sessions_match_plan_sessions(self):
-        plan = _plan()
-        from_scripts = script_sessions(materialize_members(plan))
-        planned = [len(p.sessions) for p in plan.users]
-        planned.extend(p.n_sessions for p in plan.attacks)
-        assert from_scripts == {key: n for key, n in enumerate(planned) if n}
-
     def test_partition_members_is_jobs_independent_by_construction(self):
         plan = _plan()
         assert partition_members(plan, 4) == partition_members(plan, 4)
 
 
 class TestFusedPipeline:
-    """The fused generate->replay path: bit-identical to the unfused one."""
-
-    @pytest.fixture(scope="class")
-    def fused(self):
-        plan = _plan()
-        with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
-            return {jobs: _replay_plan(plan, jobs) for jobs in (1, 2, 4)}
-
-    def test_fused_equals_unfused(self, fused):
-        scripts = _scripts()
-        _, unfused = _replay(scripts, 1)
-        _, fused_dataset = fused[1]
-        assert unfused == fused_dataset
+    """The fused generate->replay path: materialization inside the shard
+    workers changes nothing about the workload or the trace."""
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_fused_bit_identical_across_job_counts(self, fused, jobs):
-        _, sequential = fused[1]
-        _, parallel = fused[jobs]
+    def test_fused_bit_identical_across_job_counts(self, replays, jobs):
+        _, sequential = replays[1]
+        _, parallel = replays[jobs]
         for name in _STORAGE_COLUMNS:
             assert np.array_equal(sequential.storage_column(name),
                                   parallel.storage_column(name)), name
@@ -292,32 +254,28 @@ class TestFusedPipeline:
                                   parallel.session_column(name)), name
         assert sequential == parallel
 
-    def test_fused_counters_match_unfused(self, fused):
-        fused_cluster, _ = fused[1]
-        unfused_cluster, _ = _replay(_scripts(), 1)
-        assert (fused_cluster.rpc_calls_per_worker()
-                == unfused_cluster.rpc_calls_per_worker())
-        assert (fused_cluster.gateway.total_assigned()
-                == unfused_cluster.gateway.total_assigned())
-
     def test_workload_identical_for_any_shard_partition(self):
-        """Materialization is shard-count independent: any member partition
-        reproduces the unsharded generator output."""
+        """Materialization is shard-count independent: the scripts the shard
+        workers materialize from any member partition equal the parent's
+        materialization of the whole plan, block column for block column."""
         plan = _plan()
         reference = materialize_members(plan)
-        for n_parts in (2, 4):
+        for n_parts in (1, 2, 4, 8):
             merged = []
             for members in partition_members(plan, n_parts):
                 merged.extend(materialize_members(plan, members))
             merged.sort(key=lambda s: (s.start, s.session_id))
             assert len(merged) == len(reference)
             for a, b in zip(reference, merged):
-                assert a.session_id == b.session_id
-                assert a.user_id == b.user_id
-                assert a.events == b.events
+                assert (a.session_id, a.user_id, a.start, a.end,
+                        a.auth_failed, a.caused_by_attack) == \
+                    (b.session_id, b.user_id, b.start, b.end,
+                     b.auth_failed, b.caused_by_attack)
+                assert a.block.caused_by_attack == b.block.caused_by_attack
+                assert a.block.columns() == b.block.columns()
 
-    def test_stats_record_balance_and_ipc(self, fused):
-        cluster, _ = fused[1]
+    def test_stats_record_balance_and_ipc(self, replays):
+        cluster, _ = replays[1]
         stats = cluster.last_replay_stats
         assert stats["shard_imbalance"] >= 1.0
         assert stats["ipc_block_bytes"] > 0
@@ -329,8 +287,8 @@ class TestColumnarOutcome:
     """Shard outcomes cross the boundary as columns and merge column-wise."""
 
     @pytest.fixture(scope="class")
-    def merged(self):
-        return _replay(_scripts(), 1)[1]
+    def merged(self, replays):
+        return replays[1][1]
 
     def test_every_seeded_column_matches_lazy_recompute(self, merged):
         """Each merged field equals the column packed from the decoded row
@@ -402,9 +360,9 @@ class TestColumnarOutcome:
 
 
 class TestFreshSeedDigestEquality:
-    """ISSUE 10 safety net at a seed no other test uses: the fused and
-    unfused engines, at any worker count, produce bit-identical datasets —
-    asserted through the dataset content digest."""
+    """Safety net at a seed no other test uses: the pipeline produces
+    bit-identical datasets at any worker count — asserted through the
+    dataset content digest."""
 
     SEED = 2027
 
@@ -413,27 +371,6 @@ class TestFreshSeedDigestEquality:
         digests = {}
         with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
             for jobs in (1, 2, 4):
-                _, dataset = _replay_plan(plan, jobs, seed=self.SEED)
+                _, dataset = _replay(plan, jobs, seed=self.SEED)
                 digests[f"fused-j{jobs}"] = dataset.content_digest()
-        scripts = _scripts(seed=self.SEED, users=60, days=1.0)
-        _, unfused = _replay(scripts, 1, seed=self.SEED)
-        digests["unfused-j1"] = unfused.content_digest()
         assert len(set(digests.values())) == 1, digests
-
-
-class TestEventBlockObjectPathEquivalence:
-    """Replaying block-backed scripts equals replaying the same scripts
-    with hydrated ClientEvent lists (the pre-columnar object path)."""
-
-    def test_block_and_object_scripts_replay_identically(self):
-        blocked = _scripts(seed=23, users=40, days=1.0)
-        hydrated = _scripts(seed=23, users=40, days=1.0)
-        assert any(s.block is not None for s in hydrated)
-        for script in hydrated:
-            # Force the object path: hydrate and drop the columnar block.
-            script.events = list(script.events)
-            assert script.block is None
-        _, from_blocks = _replay(blocked, 1, seed=23)
-        _, from_objects = _replay(hydrated, 1, seed=23)
-        assert from_blocks.content_digest() == from_objects.content_digest()
-        assert from_blocks == from_objects

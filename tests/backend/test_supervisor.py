@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import signal
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,9 +132,10 @@ class TestSupervisePrimitives:
 
 
 class _ExplodingWorkload:
-    """A shard workload whose materialization always raises."""
+    """A memberless shard workload whose materialization always raises."""
 
-    prebuilt = ()
+    plan = SimpleNamespace(member_weights=lambda: [])
+    members = ()
 
     def scripts(self):
         raise RuntimeError("boom")

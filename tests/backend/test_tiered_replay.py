@@ -23,25 +23,25 @@ _POLICY = TieringPolicy(age_threshold=2 * HOUR, hot_capacity_bytes=8 * MB,
                         eviction="lru")
 
 
-def _scripts(seed: int = 23, users: int = 60, days: float = 1.0):
+def _plan(seed: int = 23, users: int = 60, days: float = 1.0):
     config = WorkloadConfig.scaled(users=users, days=days, seed=seed)
-    return SyntheticTraceGenerator(config).client_events()
+    return SyntheticTraceGenerator(config).plan()
 
 
-def _tiered_replay(scripts, n_jobs: int):
+def _tiered_replay(plan, n_jobs: int):
     cluster = U1Cluster(ClusterConfig(seed=23, tiering=_POLICY))
-    dataset = cluster.replay(scripts, n_jobs=n_jobs)
+    dataset = cluster.replay_plan(plan, n_jobs=n_jobs)
     return cluster, dataset
 
 
 class TestTieredShardMerge:
     @pytest.fixture(scope="class")
     def replays(self):
-        scripts = _scripts()
+        plan = _plan()
         # Pretend the machine has plenty of CPUs so n_jobs > 1 really runs
         # the forked worker pool even on small CI boxes.
         with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
-            return {jobs: _tiered_replay(scripts, jobs) for jobs in (1, 2, 4)}
+            return {jobs: _tiered_replay(plan, jobs) for jobs in (1, 2, 4)}
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_tier_counters_identical_across_job_counts(self, replays, jobs):
@@ -74,8 +74,8 @@ class TestTieredShardMerge:
 
 class TestTieringIsTraceNeutral:
     def test_tiered_and_untiered_replays_emit_the_same_trace(self):
-        scripts = _scripts(seed=29, users=40)
-        untiered = U1Cluster(ClusterConfig(seed=29)).replay(scripts)
+        plan = _plan(seed=29, users=40)
+        untiered = U1Cluster(ClusterConfig(seed=29)).replay_plan(plan)
         tiered = U1Cluster(ClusterConfig(seed=29, tiering=_POLICY)) \
-            .replay(scripts)
+            .replay_plan(plan)
         assert tiered == untiered

@@ -20,6 +20,7 @@ from repro.trace.records import (
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 from repro.backend.cluster import ClusterConfig, U1Cluster
+from repro.backend.replay_shard import ReplayShard
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,17 @@ def make_session(timestamp: float = 0.0, user_id: int = 1, event=SessionEvent.CO
         caused_by_attack=caused_by_attack)
 
 
+def replay_scripts(config: ClusterConfig, scripts):
+    """Replay hand-built session scripts through one replay shard that owns
+    every API process of the cluster; returns ``(shard, dataset)``."""
+    shard = ReplayShard(config, 0, list(enumerate(config.process_addresses())),
+                        U1Cluster(config).latency.shard_factors)
+    outcome = shard.run(scripts)
+    dataset = TraceDataset.from_sorted_blocks(
+        [(outcome.storage, outcome.rpc, outcome.sessions)])
+    return shard, dataset
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG for model-level tests."""
@@ -90,17 +102,19 @@ def small_config() -> WorkloadConfig:
 
 
 @pytest.fixture(scope="session")
-def generated_dataset(small_config) -> TraceDataset:
-    """Dataset produced by the generator alone (no back-end simulation)."""
-    return SyntheticTraceGenerator(small_config).generate()
-
-
-@pytest.fixture(scope="session")
 def simulated_dataset(small_config) -> TraceDataset:
     """Dataset produced by replaying the workload through the back-end."""
     cluster = U1Cluster(ClusterConfig(seed=42))
     generator = SyntheticTraceGenerator(small_config)
-    return cluster.replay(generator.client_events())
+    return cluster.replay_plan(generator.plan())
+
+
+@pytest.fixture(scope="session")
+def dataset_without_rpc(simulated_dataset) -> TraceDataset:
+    """The simulated dataset with its RPC stream dropped (storage and
+    session records only, as a trace without back-end detail has)."""
+    return TraceDataset(storage=simulated_dataset.storage,
+                        sessions=simulated_dataset.sessions)
 
 
 @pytest.fixture(scope="session")
@@ -109,5 +123,5 @@ def simulated_cluster_and_dataset(small_config):
     cluster = U1Cluster(ClusterConfig(seed=7))
     generator = SyntheticTraceGenerator(
         WorkloadConfig.scaled(users=200, days=3, seed=7))
-    dataset = cluster.replay(generator.client_events())
+    dataset = cluster.replay_plan(generator.plan())
     return cluster, dataset

@@ -63,9 +63,9 @@ class TestFullReport:
         assert "Gini" in text
         assert "paper" in text
 
-    def test_report_without_backend_records(self, generated_dataset):
-        results = full_report(generated_dataset)
-        assert "fig12" not in results     # no RPC records without the simulator
+    def test_report_without_backend_records(self, dataset_without_rpc):
+        results = full_report(dataset_without_rpc)
+        assert "fig12" not in results     # no RPC records in this dataset
         assert "table1" in results
-        text = format_report(generated_dataset)
+        text = format_report(dataset_without_rpc)
         assert "Table 1" in text

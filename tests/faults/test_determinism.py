@@ -1,5 +1,5 @@
 """Faulted replay determinism: fault exposure is a pure function of the
-plan, never of the shard layout — fused == unfused == any ``--jobs``."""
+plan, never of the worker count — the trace is equal at any ``--jobs``."""
 
 from __future__ import annotations
 
@@ -78,10 +78,6 @@ def _cluster():
     return U1Cluster(ClusterConfig(seed=SEED, faults=_fault_plan()))
 
 
-def _scripts():
-    return SyntheticTraceGenerator(_workload_config()).client_events()
-
-
 def _plan():
     return SyntheticTraceGenerator(_workload_config()).plan()
 
@@ -93,16 +89,6 @@ class TestFaultedJobCountEquivalence:
 
     @pytest.fixture(scope="class")
     def replays(self):
-        scripts = _scripts()
-        with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
-            out = {}
-            for jobs in (1, 2, 4):
-                cluster = _cluster()
-                out[jobs] = (cluster, cluster.replay(scripts, n_jobs=jobs))
-            return out
-
-    @pytest.fixture(scope="class")
-    def fused(self):
         plan = _plan()
         with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
             out = {}
@@ -152,24 +138,19 @@ class TestFaultedJobCountEquivalence:
         assert (sequential.last_replay_stats["metadata_shard_errors"]
                 == parallel.last_replay_stats["metadata_shard_errors"])
 
-    def test_fused_equals_unfused(self, replays, fused):
-        _, unfused = replays[1]
-        _, fused_dataset = fused[1]
-        assert unfused == fused_dataset
-
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_fused_bit_identical_across_job_counts(self, fused, jobs):
-        sequential_cluster, sequential = fused[1]
-        parallel_cluster, parallel = fused[jobs]
+    def test_fused_bit_identical_across_job_counts(self, replays, jobs):
+        sequential_cluster, sequential = replays[1]
+        parallel_cluster, parallel = replays[jobs]
         assert sequential == parallel
         assert (sequential_cluster.last_replay_stats["fault_counters"]
                 == parallel_cluster.last_replay_stats["fault_counters"])
 
-    def test_faulted_replay_deterministic_across_runs(self):
-        a_cluster = _cluster()
-        a = a_cluster.replay(_scripts())
+    def test_faulted_replay_deterministic_across_runs(self, replays):
+        # A fresh plan and cluster replay the same trace and counters.
+        a_cluster, a = replays[1]
         b_cluster = _cluster()
-        b = b_cluster.replay(_scripts())
+        b = b_cluster.replay_plan(_plan())
         assert a == b
         assert (a_cluster.fault_accounting.as_dict()
                 == b_cluster.fault_accounting.as_dict())
@@ -178,7 +159,7 @@ class TestFaultedJobCountEquivalence:
 class TestFaultStatsSurface:
     def test_per_shard_counters_sum_to_total(self):
         cluster = _cluster()
-        cluster.replay(_scripts(), n_jobs=1)
+        cluster.replay_plan(_plan(), n_jobs=1)
         stats = cluster.last_replay_stats
         per_shard = stats["shard_fault_counters"]
         assert len(per_shard) == stats["n_shards"]
@@ -194,7 +175,7 @@ class TestFaultStatsSurface:
 
     def test_zero_fault_replay_records_clean_outcome_columns(self):
         cluster = U1Cluster(ClusterConfig(seed=SEED))
-        dataset = cluster.replay(_scripts())
+        dataset = cluster.replay_plan(_plan())
         assert not np.any(dataset.storage_column("retries"))
         codes, kinds = dataset.storage_codes("error_kind")
         assert set(kinds) == {""}

@@ -66,32 +66,32 @@ def _fault_plan(degraded: bool = False) -> FaultPlan:
 
 
 @pytest.fixture(scope="module")
-def scripts():
-    return SyntheticTraceGenerator(_workload_config()).client_events()
+def workload():
+    return SyntheticTraceGenerator(_workload_config()).plan()
 
 
-def live_replay(scripts, plan, mitigation=None):
+def live_replay(workload, plan, mitigation=None):
     """A live faulted replay under the equivalence conditions."""
     overrides = {} if mitigation is None else {"mitigation": mitigation}
     cluster = U1Cluster(ClusterConfig(seed=SEED, replay_shards=1,
                                       interrupted_upload_fraction=0.0,
                                       auth_failure_fraction=0.0,
                                       faults=plan, **overrides))
-    dataset = cluster.replay(scripts)
+    dataset = cluster.replay_plan(workload)
     return cluster, dataset
 
 
 @pytest.fixture(scope="module")
-def baseline(scripts):
+def baseline(workload):
     """Unmitigated faulted replay of the degraded-free plan."""
-    cluster, dataset = live_replay(scripts, _fault_plan())
+    cluster, dataset = live_replay(workload, _fault_plan())
     return cluster, dataset, FaultTrace.from_dataset(dataset)
 
 
 @pytest.fixture(scope="module")
-def degraded_baseline(scripts):
+def degraded_baseline(workload):
     """Unmitigated faulted replay of the plan with a flapping process."""
-    cluster, dataset = live_replay(scripts, _fault_plan(degraded=True))
+    cluster, dataset = live_replay(workload, _fault_plan(degraded=True))
     trace = FaultTrace.from_dataset(
         dataset,
         processes_per_machine=cluster.config.processes_per_machine,
@@ -116,12 +116,12 @@ class TestOfflineMatchesLive:
         assert live["requests_faulted"] > 0
         assert outcome.accounting.as_dict() == live
 
-    def test_retry_policy_pins_live_mitigated_replay(self, scripts, baseline):
+    def test_retry_policy_pins_live_mitigated_replay(self, workload, baseline):
         """ISSUE 6 acceptance: offline retry accounting equals a live
         replay that actually retried, counter for counter."""
         cluster, _, trace = baseline
         policy = _retry_policy()
-        live_cluster, _ = live_replay(scripts, _fault_plan(),
+        live_cluster, _ = live_replay(workload, _fault_plan(),
                                       mitigation=policy)
         outcome = simulate_mitigation(trace, cluster.fault_schedule, policy)
         live = live_cluster.fault_accounting.as_dict()

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,6 @@ class TestParser:
         assert args.users == 400
         assert args.days == 5.0
         assert args.seed == 2014
-        assert not args.no_backend
 
 
 class TestCommands:
@@ -37,7 +37,7 @@ class TestCommands:
         out = io.StringIO()
         trace_dir = tmp_path / "trace"
         code = main(["generate", "--users", "40", "--days", "1", "--seed", "3",
-                     "--no-backend", "--out", str(trace_dir)], out=out)
+                     "--out", str(trace_dir)], out=out)
         assert code == 0
         assert list(trace_dir.glob("production-*.csv"))
         assert "Unique user IDs" in out.getvalue()
@@ -54,7 +54,7 @@ class TestCommands:
         out = io.StringIO()
         trace_dir = tmp_path / "anon"
         code = main(["generate", "--users", "30", "--days", "1", "--seed", "4",
-                     "--no-backend", "--anonymize", "--out", str(trace_dir)], out=out)
+                     "--anonymize", "--out", str(trace_dir)], out=out)
         assert code == 0
         assert list(trace_dir.glob("production-*.csv"))
 
@@ -222,8 +222,9 @@ class TestGracefulInterruption:
         argv = [sys.executable, "-m", "repro", "report",
                 "--users", "1500", "--days", "6", "--seed", "7",
                 "--jobs", "2", "--checkpoint-dir", str(ckpt)]
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.Popen(argv, cwd="/root/repo", env=env,
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(argv, cwd=root, env=env,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
         # Signal once the run is mid-replay: the write-ahead manifest is

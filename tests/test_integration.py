@@ -19,10 +19,6 @@ class TestQuickDataset:
         dataset = quick_dataset(users=60, days=1, seed=2)
         assert dataset.storage and dataset.rpc and dataset.sessions
 
-    def test_quick_dataset_without_backend(self):
-        dataset = quick_dataset(users=60, days=1, seed=2, simulate_backend=False)
-        assert dataset.storage and not dataset.rpc
-
 
 class TestLogfileRoundTrip:
     def test_simulated_trace_survives_disk_round_trip(self, tmp_path, simulated_dataset):
@@ -48,10 +44,10 @@ class TestLogfileRoundTrip:
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         config = WorkloadConfig.scaled(users=80, days=1.5, seed=9)
-        a = U1Cluster(ClusterConfig(seed=9)).replay(
-            SyntheticTraceGenerator(config).client_events())
-        b = U1Cluster(ClusterConfig(seed=9)).replay(
-            SyntheticTraceGenerator(config).client_events())
+        a = U1Cluster(ClusterConfig(seed=9)).replay_plan(
+            SyntheticTraceGenerator(config).plan())
+        b = U1Cluster(ClusterConfig(seed=9)).replay_plan(
+            SyntheticTraceGenerator(config).plan())
         assert len(a.storage) == len(b.storage)
         assert len(a.rpc) == len(b.rpc)
         assert a.upload_bytes() == b.upload_bytes()

@@ -35,7 +35,7 @@ def simulated_dataset_module():
 
     config = WorkloadConfig.scaled(users=120, days=2, seed=99)
     cluster = U1Cluster(ClusterConfig(seed=99))
-    return cluster.replay(SyntheticTraceGenerator(config).client_events())
+    return cluster.replay_plan(SyntheticTraceGenerator(config).plan())
 
 
 class TestColumns:

@@ -33,8 +33,8 @@ class TestCleanTraces:
     def test_replayed_dataset_is_clean(self, simulated_dataset):
         assert validate_dataset(simulated_dataset) == []
 
-    def test_generated_dataset_is_clean(self, generated_dataset):
-        assert validate_dataset(generated_dataset) == []
+    def test_generated_dataset_is_clean(self, dataset_without_rpc):
+        assert validate_dataset(dataset_without_rpc) == []
 
     def test_system_sentinel_session_is_exempt(self):
         # Uploadjob GC probes carry session_id 0 and no client session.

@@ -53,6 +53,24 @@ class TestRunKey:
         assert run_key(other, workloads) != key
         assert run_key(config, workloads[:-1]) != key
 
+    def test_workload_config_is_part_of_the_key(self, tmp_path):
+        """Two workloads that plan the same member weights but materialize
+        different events never share a run directory, so a resume cannot
+        return the other workload's trace."""
+        base = WorkloadConfig.scaled(users=80, days=1, seed=3)
+        variant = base.replace(update_fraction=0.5, duplicate_fraction=0.6,
+                               max_file_bytes=1024 * 1024)
+        plan_a = SyntheticTraceGenerator(base).plan()
+        plan_b = SyntheticTraceGenerator(variant).plan()
+        assert plan_a.member_weights() == plan_b.member_weights()
+        config = ClusterConfig(seed=3)
+        first = U1Cluster(config).replay_plan(plan_a, checkpoint_dir=tmp_path)
+        resumed = U1Cluster(config).replay_plan(
+            plan_b, checkpoint_dir=tmp_path, resume=True)
+        fresh = U1Cluster(config).replay_plan(plan_b)
+        assert fresh.content_digest() != first.content_digest()
+        assert resumed.content_digest() == fresh.content_digest()
+
     def test_key_is_path_safe(self):
         config, workloads, _ = _outcomes()
         key = run_key(config, workloads)

@@ -1,7 +1,7 @@
 """Offline what-if simulator vs the live back-end: the equivalence pins.
 
 The offline passes run over the *baseline* replay's trace columns; the live
-side replays the same scripts with the policy applied for real.  With a
+side replays the same workload plan with the policy applied for real.  With a
 single replay shard (global store), uninterrupted uploads and a pinned
 finalize instant, the two must agree to the counter — which is what makes
 the sweep's what-if numbers trustworthy.
@@ -17,32 +17,32 @@ from repro.whatif.simulator import PolicySpec, StorageTrace, simulate_policy
 from repro.whatif.sweep import default_policies, run_sweep
 from repro.whatif.tiering import TieringPolicy
 from repro.workload.config import WorkloadConfig
-from repro.workload.generator import SyntheticTraceGenerator
+from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 
 SEED = 17
 
 
 @pytest.fixture(scope="module")
-def scripts():
+def workload():
     config = WorkloadConfig.scaled(users=60, days=1.0, seed=SEED)
-    return SyntheticTraceGenerator(config).client_events()
+    return SyntheticTraceGenerator(config).plan()
 
 
-def live_replay(scripts, **overrides):
+def live_replay(workload, **overrides):
     """A live replay under equivalence conditions (see the module docstring)."""
     cluster = U1Cluster(ClusterConfig(seed=SEED, replay_shards=1,
                                       interrupted_upload_fraction=0.0,
                                       auth_failure_fraction=0.0,
                                       **overrides))
-    dataset = cluster.replay(scripts)
+    dataset = cluster.replay_plan(workload)
     return cluster, dataset
 
 
 @pytest.fixture(scope="module")
-def baseline(scripts):
-    cluster, dataset = live_replay(scripts)
+def baseline(workload):
+    cluster, dataset = live_replay(workload)
     return cluster, dataset, StorageTrace.from_dataset(dataset), \
-        max(script.end for script in scripts)
+        max(script.end for script in materialize_members(workload))
 
 
 class TestOfflineMatchesLive:
@@ -52,16 +52,16 @@ class TestOfflineMatchesLive:
         assert outcome.accounting == cluster.object_store.accounting
         assert outcome.object_count == len(cluster.object_store)
 
-    def test_no_dedup_accounting(self, scripts, baseline):
+    def test_no_dedup_accounting(self, workload, baseline):
         _, _, trace, end = baseline
-        cluster, _ = live_replay(scripts, dedup_enabled=False)
+        cluster, _ = live_replay(workload, dedup_enabled=False)
         outcome = simulate_policy(trace, PolicySpec("no-dedup", dedup=False),
                                   end_time=end)
         assert outcome.accounting == cluster.object_store.accounting
 
-    def test_delta_updates_accounting(self, scripts, baseline):
+    def test_delta_updates_accounting(self, workload, baseline):
         _, _, trace, end = baseline
-        cluster, _ = live_replay(scripts, delta_updates_enabled=True)
+        cluster, _ = live_replay(workload, delta_updates_enabled=True)
         outcome = simulate_policy(
             trace, PolicySpec("delta", delta_update_factor=0.05),
             end_time=end)
@@ -77,12 +77,12 @@ class TestOfflineMatchesLive:
         TieringPolicy(age_threshold=6 * HOUR, hot_capacity_bytes=16 * MB,
                       eviction="size"),
     ], ids=["age", "age-no-promote", "lru-cap", "lfu-cap", "size-cap"])
-    def test_tiering_hit_and_migration_counters(self, scripts, baseline,
+    def test_tiering_hit_and_migration_counters(self, workload, baseline,
                                                 policy):
         """The acceptance pin: offline hit/migration counters equal a live
         tiered replay's accounting, field for field."""
         _, _, trace, end = baseline
-        cluster, _ = live_replay(scripts, tiering=policy)
+        cluster, _ = live_replay(workload, tiering=policy)
         outcome = simulate_policy(trace, PolicySpec("tier", tiering=policy),
                                   end_time=end)
         live = cluster.object_store.accounting
@@ -91,14 +91,14 @@ class TestOfflineMatchesLive:
         assert live.migrations > 0
         assert live.hot_hits + live.cold_hits == live.get_requests
 
-    def test_tiered_replay_trace_is_bit_identical_to_baseline(self, scripts,
+    def test_tiered_replay_trace_is_bit_identical_to_baseline(self, workload,
                                                               baseline):
         _, dataset, _, _ = baseline
         _, tiered = live_replay(
-            scripts, tiering=TieringPolicy(age_threshold=2 * HOUR))
+            workload, tiering=TieringPolicy(age_threshold=2 * HOUR))
         assert tiered == dataset
 
-    def test_finalize_instant_matches_timeline_end_stat(self, scripts,
+    def test_finalize_instant_matches_timeline_end_stat(self, workload,
                                                         baseline):
         cluster, _, _, end = baseline
         assert cluster.last_replay_stats["timeline_end"] == pytest.approx(end)

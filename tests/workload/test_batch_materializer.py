@@ -72,10 +72,9 @@ def reference(plan):
 def _by_session(scripts) -> dict:
     out = {}
     for script in scripts:
-        block = script.block
         out[script.session_id] = (
-            script.plan_member, script.start, script.end, script.auth_failed,
-            None if block is None else block.columns())
+            script.user_id, script.start, script.end, script.auth_failed,
+            script.block.columns())
     return out
 
 

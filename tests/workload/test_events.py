@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.trace.records import ApiOperation
@@ -25,14 +27,16 @@ class TestClientEvent:
 
 class TestSessionScript:
     def _script(self) -> SessionScript:
-        script = SessionScript(user_id=1, session_id=7, start=100.0, end=400.0)
-        script.events.append(ClientEvent(time=110.0, user_id=1, session_id=7,
-                                         operation=ApiOperation.LIST_VOLUMES))
-        script.events.append(ClientEvent(time=120.0, user_id=1, session_id=7,
-                                         operation=ApiOperation.UPLOAD, size_bytes=5))
-        script.events.append(ClientEvent(time=130.0, user_id=1, session_id=7,
-                                         operation=ApiOperation.UNLINK, node_id=3))
-        return script
+        block = EventBlock.from_events([
+            ClientEvent(time=110.0, user_id=1, session_id=7,
+                        operation=ApiOperation.LIST_VOLUMES),
+            ClientEvent(time=120.0, user_id=1, session_id=7,
+                        operation=ApiOperation.UPLOAD, size_bytes=5),
+            ClientEvent(time=130.0, user_id=1, session_id=7,
+                        operation=ApiOperation.UNLINK, node_id=3),
+        ])
+        return SessionScript(user_id=1, session_id=7, start=100.0, end=400.0,
+                             block=block)
 
     def test_length(self):
         assert self._script().length == 300.0
@@ -105,8 +109,11 @@ class TestEventBlock:
         block = EventBlock.from_events(self._events())
         script = SessionScript(user_id=4, session_id=9, start=0.0, end=20.0,
                                block=block)
-        assert script.n_events == 3
-        assert len(script) == 3
-        assert script.storage_operation_count == 2  # GET_DELTA is maintenance
-        assert script._events is None  # none of the above hydrated objects
+        # None of these decode ClientEvent objects from the block.
+        with mock.patch.object(EventBlock, "to_events",
+                               side_effect=AssertionError("hydrated")):
+            assert script.n_events == 3
+            assert len(script) == 3
+            # GET_DELTA is maintenance, not a data-management operation.
+            assert script.storage_operation_count == 2
         assert script.events[0].operation is ApiOperation.UPLOAD  # hydrates

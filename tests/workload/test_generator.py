@@ -10,12 +10,13 @@ import pytest
 from repro.trace.records import ApiOperation, NodeKind, SessionEvent
 from repro.util.units import MB
 from repro.workload.config import WorkloadConfig
-from repro.workload.generator import SyntheticTraceGenerator
+from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 
 
 @pytest.fixture(scope="module")
 def scripts(small_config_module):
-    return SyntheticTraceGenerator(small_config_module).client_events()
+    return materialize_members(
+        SyntheticTraceGenerator(small_config_module).plan())
 
 
 @pytest.fixture(scope="module")
@@ -88,34 +89,34 @@ class TestClientEvents:
         assert violations == 0
 
     def test_reproducibility(self, small_config_module):
-        a = SyntheticTraceGenerator(small_config_module).client_events()
-        b = SyntheticTraceGenerator(small_config_module).client_events()
+        a = materialize_members(
+            SyntheticTraceGenerator(small_config_module).plan())
+        b = materialize_members(
+            SyntheticTraceGenerator(small_config_module).plan())
         assert len(a) == len(b)
         assert [(s.user_id, s.start, len(s.events)) for s in a[:50]] == \
                [(s.user_id, s.start, len(s.events)) for s in b[:50]]
 
 
 class TestGenerateDataset:
-    def test_dataset_has_all_streams(self, generated_dataset):
-        assert generated_dataset.storage
-        assert generated_dataset.sessions
-        # The generator alone does not produce RPC records.
-        assert not generated_dataset.rpc
+    def test_dataset_has_all_streams(self, simulated_dataset):
+        assert simulated_dataset.storage
+        assert simulated_dataset.sessions
 
-    def test_session_records_are_balanced(self, generated_dataset):
-        events = Counter(r.event for r in generated_dataset.sessions)
+    def test_session_records_are_balanced(self, simulated_dataset):
+        events = Counter(r.event for r in simulated_dataset.sessions)
         assert events[SessionEvent.CONNECT] == events[SessionEvent.DISCONNECT]
         assert events[SessionEvent.AUTH_REQUEST] >= events[SessionEvent.CONNECT]
         assert events[SessionEvent.AUTH_FAIL] > 0
 
-    def test_disconnects_carry_session_metadata(self, generated_dataset):
-        for record in [r for r in generated_dataset.sessions
+    def test_disconnects_carry_session_metadata(self, simulated_dataset):
+        for record in [r for r in simulated_dataset.sessions
                        if r.event is SessionEvent.DISCONNECT]:
             assert record.session_length >= 0
             assert record.storage_operations >= 0
 
-    def test_workload_shape_headlines(self, generated_dataset):
-        legit = generated_dataset.without_attack_traffic()
+    def test_workload_shape_headlines(self, simulated_dataset):
+        legit = simulated_dataset.without_attack_traffic()
         uploads = [r for r in legit.storage
                    if r.operation is ApiOperation.UPLOAD]
         sizes = np.asarray([r.size_bytes for r in uploads if not r.is_update])
@@ -126,8 +127,9 @@ class TestGenerateDataset:
         transfers = operations[ApiOperation.UPLOAD] + operations[ApiOperation.DOWNLOAD]
         assert transfers > 0.35 * sum(operations.values())
 
-    def test_directory_nodes_exist(self, generated_dataset):
-        kinds = Counter(r.node_kind for r in generated_dataset.storage if r.node_id)
+    def test_directory_nodes_exist(self, simulated_dataset):
+        kinds = Counter(r.node_kind for r in simulated_dataset.storage
+                        if r.node_id)
         assert kinds[NodeKind.DIRECTORY] > 0
         assert kinds[NodeKind.FILE] > kinds[NodeKind.DIRECTORY]
 

@@ -3,7 +3,7 @@
 The vectorized engine draws from the same distributions as the historical
 per-call sampling, but consumes the RNG stream in a different order, so the
 emitted traces are different (equally likely) realisations.  These tests pin
-the *distributional* properties of ``client_events()`` output — operation
+the *distributional* properties of the materialized scripts — operation
 mix, session counts, inter-operation gaps and the upload/download byte
 ratio — with tolerances wide enough for realisation noise but tight enough
 to catch a broken sampler.
@@ -18,13 +18,13 @@ import pytest
 
 from repro.trace.records import ApiOperation
 from repro.workload.config import WorkloadConfig
-from repro.workload.generator import SyntheticTraceGenerator
+from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 
 
 @pytest.fixture(scope="module")
 def scripts():
     config = WorkloadConfig.scaled(users=400, days=5, seed=7)
-    return SyntheticTraceGenerator(config).client_events()
+    return materialize_members(SyntheticTraceGenerator(config).plan())
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ class TestGapsAndSizes:
 
     def test_reproducible_for_fixed_seed(self):
         config = WorkloadConfig.scaled(users=60, days=1, seed=11)
-        a = SyntheticTraceGenerator(config).client_events()
-        b = SyntheticTraceGenerator(config).client_events()
+        a = materialize_members(SyntheticTraceGenerator(config).plan())
+        b = materialize_members(SyntheticTraceGenerator(config).plan())
         assert [(s.session_id, s.start, len(s.events)) for s in a] == \
                [(s.session_id, s.start, len(s.events)) for s in b]

@@ -4,9 +4,9 @@ Two contracts are pinned here:
 
 * **Bit-identity** — array-drawing a session's structure (gap blocks,
   inverse-CDF chain walks, typed operand blocks) must keep the realised
-  workload a pure function of ``(config, plan member)``: the fused
-  pipeline equals the unfused one and any ``--jobs`` count, at a seed the
-  older equivalence suites do not use.
+  workload a pure function of ``(config, plan member)``: the trace is
+  equal at any ``--jobs`` count, at a seed the older equivalence suites do
+  not use.
 * **Distributions** — the array-drawn operation chain must realise the
   tabulated transition matrix: the compiled inverse-CDF rows, the
   vectorised block resolution and the scalar steps all agree with the
@@ -50,25 +50,17 @@ def _replay_plan(plan, n_jobs):
 
 
 class TestBitIdentity:
-    """Fused == unfused == any --jobs, at a fresh seed."""
+    """The same trace at any --jobs, at a fresh seed."""
 
     @pytest.fixture(scope="class")
     def datasets(self, plan):
         with mock.patch.object(replay_shard, "usable_cpus", return_value=8):
-            fused = {jobs: _replay_plan(plan, jobs) for jobs in (1, 2, 3)}
-        cluster = U1Cluster(ClusterConfig(seed=SEED))
-        unfused = cluster.replay(materialize_members(plan))
-        return fused, unfused
-
-    def test_fused_equals_unfused(self, datasets):
-        fused, unfused = datasets
-        assert fused[1] == unfused
+            return {jobs: _replay_plan(plan, jobs) for jobs in (1, 2, 3)}
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_jobs_sweep_is_bit_identical(self, datasets, jobs):
-        fused, _ = datasets
-        sequential = fused[1]
-        parallel = fused[jobs]
+        sequential = datasets[1]
+        parallel = datasets[jobs]
         for name in ("timestamp", "operation", "node_id", "size_bytes",
                      "content_hash", "user_id", "session_id", "is_update"):
             assert np.array_equal(sequential.storage_column(name),
