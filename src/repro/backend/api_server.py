@@ -17,7 +17,6 @@ emitted by the :class:`~repro.backend.rpc_server.RpcWorker` it delegates to.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from repro.backend.auth import AuthenticationService, TokenCache
 from repro.backend.datastore import ObjectStore
 from repro.backend.errors import AuthenticationError, UnknownNodeError
 from repro.backend.gateway import ProcessAddress
-from repro.backend.notifications import NotificationBus, Notification
+from repro.backend.notifications import Notification, NotificationBus
 from repro.backend.protocol.entities import SessionHandle
 from repro.backend.protocol.operations import ApiRequest, ApiResponse
 from repro.backend.rpc_server import RpcContext, RpcWorker
@@ -94,53 +93,67 @@ class _ReplayRequest:
                  "caused_by_attack")
 
 
-@dataclass
 class SessionRegistry:
     """Cluster-wide registry of open sessions, keyed by user id.
 
     API servers consult it to decide whether a mutation needs to be pushed to
-    other online clients of the same user (Section 3.4.2).
+    other online clients of the same user (Section 3.4.2).  Next to each
+    user's ``session id -> API process`` map it counts the user's sessions
+    per process, so :meth:`fellow_sessions` is O(1) in the session count.
     """
 
-    _by_user: dict[int, dict[int, ProcessAddress]] = field(default_factory=dict)
+    __slots__ = ("_by_user", "_per_process")
+
+    def __init__(self) -> None:
+        self._by_user: dict[int, dict[int, ProcessAddress]] = {}
+        self._per_process: dict[int, dict[ProcessAddress, int]] = {}
 
     def register(self, user_id: int, session_id: int, address: ProcessAddress) -> None:
         """Register an open session."""
-        self._by_user.setdefault(user_id, {})[session_id] = address
+        sessions = self._by_user.get(user_id)
+        if sessions is None:
+            self._by_user[user_id] = {session_id: address}
+            self._per_process[user_id] = {address: 1}
+            return
+        counts = self._per_process[user_id]
+        previous = sessions.get(session_id)
+        if previous is not None:  # a re-registered session moves
+            counts[previous] -= 1
+        sessions[session_id] = address
+        counts[address] = counts.get(address, 0) + 1
 
     def unregister(self, user_id: int, session_id: int) -> None:
         """Remove a closed session."""
         sessions = self._by_user.get(user_id)
         if sessions is None:
             return
-        sessions.pop(session_id, None)
-        if not sessions:
+        address = sessions.pop(session_id, None)
+        if address is None:
+            return
+        if sessions:
+            self._per_process[user_id][address] -= 1
+        else:
             del self._by_user[user_id]
+            del self._per_process[user_id]
 
     def sessions_of(self, user_id: int) -> dict[int, ProcessAddress]:
         """Open sessions of ``user_id`` (session id -> API process)."""
         return dict(self._by_user.get(user_id, {}))
 
-    def other_sessions(self, user_id: int, session_id: int) -> dict[int, ProcessAddress]:
-        """Open sessions of ``user_id`` other than ``session_id``."""
-        sessions = self.sessions_of(user_id)
-        sessions.pop(session_id, None)
-        return sessions
-
-    def open_session_count(self) -> int:
-        """Total number of open sessions across the cluster."""
-        return sum(len(s) for s in self._by_user.values())
-
-    def has_fellow_sessions(self, user_id: int, session_id: int) -> bool:
-        """Whether ``user_id`` has open sessions other than ``session_id``.
-
-        A copy-free probe for the notification fast path: most mutations come
-        from a user with a single open session, where no fan-out is needed.
-        """
+    def fellow_sessions(self, user_id: int, session_id: int,
+                        address: ProcessAddress) -> tuple[int, int]:
+        """``(local, remote)`` counts of ``user_id``'s open sessions other
+        than ``session_id``: local ones are held by the process at
+        ``address``."""
         sessions = self._by_user.get(user_id)
-        if not sessions:
-            return False
-        return len(sessions) > 1 or session_id not in sessions
+        if sessions is None:
+            return 0, 0
+        own = sessions.get(session_id)
+        others = len(sessions) - (own is not None)
+        if not others:
+            return 0, 0
+        local = self._per_process[user_id].get(address, 0) - (own == address)
+        return local, others - local
 
 
 class ApiServerProcess:
@@ -211,7 +224,9 @@ class ApiServerProcess:
         #: Counters useful for tests and the load-balancing analysis.
         self.requests_handled = 0
         self.notifications_pushed = 0
-        bus.subscribe(str(address), self.deliver_notification)
+        # Formatted once: every remote fan-out excludes it from its publish.
+        self._bus_name = str(address)
+        bus.subscribe(self._bus_name, self.deliver_notification)
 
     # ------------------------------------------------------------ properties
     @property
@@ -358,45 +373,37 @@ class ApiServerProcess:
 
     def _notify_mutation(self, request: ApiRequest) -> int:
         """Notify other online clients of the user about a mutation."""
-        registry = self._registry
-        # Inlined has_fellow_sessions: one dict probe decides the common
-        # single-session case (every mutating request passes through here).
-        sessions = registry._by_user.get(request.user_id)  # noqa: SLF001
-        if not sessions or (len(sessions) == 1
-                            and request.session_id in sessions):
-            return 0
-        others = registry.other_sessions(request.user_id, request.session_id)
-        if not others:
-            return 0
-        local = sum(1 for address in others.values() if address == self.address)
-        remote = len(others) - local
+        local, remote = self._registry.fellow_sessions(
+            request.user_id, request.session_id, self.address)
         pushed = local
         if local:
             self._bus.record_short_circuit(local)
         if remote:
-            notification = NotificationBus.for_users(
-                timestamp=request.timestamp, server=self.address.server,
-                process=self.address.process, user_ids=(request.user_id,),
-                volume_id=request.volume_id, kind=request.operation.value)
-            pushed += self._bus.publish(notification, exclude=str(self.address))
+            notification = Notification(
+                request.timestamp, self._server, self._process,
+                (request.user_id,), request.volume_id,
+                request.operation.value)
+            pushed += self._bus.publish(notification, exclude=self._bus_name)
         return pushed
 
     # -------------------------------------------------------------- requests
     def handle_event(self, handle: SessionHandle, row: tuple) -> None:
         """Process one replayed event straight from its event-block row.
 
-        ``row`` is an :meth:`EventBlock.rows` tuple — ``(time, operation,
-        node_id, volume_id, volume_type, node_kind, size_bytes,
-        content_hash, extension, is_update, caused_by_attack)``; user and
-        session identity come from the already-resolved ``handle``.  The
-        replay loop never builds a ``ClientEvent`` or an ``ApiResponse``
-        on this path: downloads run the fused fast path, session
-        maintenance (``_RPC_ONLY_OPERATIONS``) completes as one traced RPC
-        plus the storage row, and only the rare remainder — mutations,
-        interrupted uploads, tiered stores, events inside a fault
-        envelope — is written into the reusable :class:`_ReplayRequest`
-        and delegated to :meth:`handle`.  Every path emits rows
-        bit-identical to :meth:`handle` for the same event.
+        ``row`` is a replay shard's dispatch row (see
+        :meth:`repro.backend.replay_shard.ReplayShard._build_timeline`) —
+        ``(time, operation, node_id, volume_id, volume_type, node_kind,
+        size_bytes, content_hash, extension, is_update, caused_by_attack)``;
+        user and session identity come from the already-resolved
+        ``handle``.  The replay loop never builds a ``ClientEvent`` or an
+        ``ApiResponse`` on this path: downloads run the fused fast path,
+        session maintenance (``_RPC_ONLY_OPERATIONS``) completes as one
+        traced RPC plus the storage row, and only the rare remainder —
+        mutations, interrupted uploads, tiered stores, events inside a
+        fault envelope — is written into the reusable
+        :class:`_ReplayRequest` and delegated to :meth:`handle`.  Every
+        path emits rows bit-identical to :meth:`handle` for the same
+        event.
         """
         (timestamp, operation, node_id, volume_id, volume_type, node_kind,
          size_bytes, content_hash, extension, is_update, attack) = row

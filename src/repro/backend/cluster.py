@@ -250,7 +250,9 @@ class U1Cluster:
         Shards run under the crash-tolerant supervisor (``policy`` and
         ``chaos`` configure it); ``checkpoint_dir`` spills each completed
         shard as an atomic ``.npz`` under a run directory keyed by
-        ``(config, workloads)`` with a write-ahead ``MANIFEST.json``, and
+        ``(config, workloads)`` with a write-ahead ``MANIFEST.json`` (the
+        key, :func:`~repro.util.checkpoint.run_key`, is hashed only when a
+        checkpoint store or the run-event log records it), and
         ``resume`` loads those checkpoints instead of re-executing finished
         shards.  ``shutdown`` threads a
         :class:`~repro.util.lifecycle.ShutdownController` into the
@@ -272,7 +274,8 @@ class U1Cluster:
 
         started = _time.perf_counter()
         _, assignments = self._shard_assignments(n_shards)
-        key = run_key(self.config, workloads)
+        key = (run_key(self.config, workloads)
+               if checkpoint_dir is not None else None)
         checkpoint = (CheckpointStore(checkpoint_dir, key,
                                       n_shards=n_shards,
                                       inputs=run_inputs_summary(
@@ -287,8 +290,10 @@ class U1Cluster:
             events_path = directory / telemetry.EVENTS_NAME
         events = telemetry.EventLog(events_path)
         try:
-            events.emit("run-start", run_key=key, n_shards=n_shards,
-                        jobs=int(n_jobs))
+            if events:
+                events.emit("run-start",
+                            run_key=key or run_key(self.config, workloads),
+                            n_shards=n_shards, jobs=int(n_jobs))
             if self.fault_schedule is not None:
                 for kind, win_start, win_end, detail in \
                         self.fault_schedule.iter_windows():

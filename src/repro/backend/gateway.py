@@ -12,6 +12,8 @@ before it breaks a tie at random.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.util.rngpool import RngPool
@@ -19,46 +21,19 @@ from repro.util.rngpool import RngPool
 __all__ = ["ProcessAddress", "LoadBalancer"]
 
 
-class ProcessAddress:
+class ProcessAddress(NamedTuple):
     """Identity of one API server process (machine name + process number).
 
-    Value-semantics like the frozen dataclass it replaces, but with the
-    hash precomputed at construction: addresses key every load-balancer
-    dict (connection counters, bucket positions), so each session open and
-    close performs a dozen lookups and the per-lookup field-tuple hash of
-    the generated ``__hash__`` was measurable in the replay loop.
+    A named tuple, so hashing, equality and ``(server, process)`` ordering
+    run in C: addresses key the balancer's dicts, the replay loop's process
+    lookup and the session registry's counts, a dozen lookups per session.
     """
 
-    __slots__ = ("server", "process", "_hash")
-
-    def __init__(self, server: str, process: int) -> None:
-        self.server = server
-        self.process = process
-        self._hash = hash((server, process))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProcessAddress):
-            return NotImplemented
-        return self.server == other.server and self.process == other.process
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, ProcessAddress):
-            return NotImplemented
-        return (self.server, self.process) < (other.server, other.process)
-
-    def __repr__(self) -> str:
-        return f"ProcessAddress(server={self.server!r}, process={self.process!r})"
+    server: str
+    process: int
 
     def __str__(self) -> str:
         return f"{self.server}/{self.process}"
-
-    def __reduce__(self):
-        # Slots + cached hash: rebuild through __init__ when crossing
-        # process boundaries (supervised shard workers pickle addresses).
-        return (ProcessAddress, (self.server, self.process))
 
 
 class LoadBalancer:

@@ -16,14 +16,17 @@ can verify the short-circuit behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, NamedTuple
 
 __all__ = ["Notification", "NotificationBus", "Subscriber"]
 
 
-@dataclass(frozen=True)
-class Notification:
-    """An event published by an API server after a mutating operation."""
+class Notification(NamedTuple):
+    """An event published by an API server after a mutating operation.
+
+    A named tuple, so a publish builds it in one C-level tuple allocation
+    instead of a frozen dataclass's per-field ``object.__setattr__``.
+    """
 
     timestamp: float
     origin_server: str
@@ -99,11 +102,3 @@ class NotificationBus:
     def delivery_counts(self) -> dict[str, int]:
         """Per-subscriber delivery counters."""
         return {s.name: s.delivered for s in self._subscriptions}
-
-    @staticmethod
-    def for_users(timestamp: float, server: str, process: int,
-                  user_ids: Iterable[int], volume_id: int, kind: str) -> Notification:
-        """Convenience constructor for a notification."""
-        return Notification(timestamp=timestamp, origin_server=server,
-                            origin_process=process, user_ids=tuple(user_ids),
-                            volume_id=volume_id, kind=kind)

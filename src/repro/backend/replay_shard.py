@@ -65,6 +65,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -88,7 +90,7 @@ from repro.trace.records import RpcName
 from repro.util import telemetry
 from repro.util.gctools import cyclic_gc_paused
 from repro.util.rngpool import RngPool
-from repro.workload.events import SessionScript
+from repro.workload.events import EVENT_COLUMNS, SessionScript
 
 __all__ = [
     "PlannedShardWorkload",
@@ -102,6 +104,10 @@ __all__ = [
     "usable_cpus",
     "workload_planned_ops",
 ]
+
+
+#: A block's event columns after ``times``, in dispatch-row order.
+_value_columns = attrgetter(*EVENT_COLUMNS[1:])
 
 
 def fork_available() -> bool:
@@ -381,65 +387,74 @@ class ReplayShard:
     # timestamps.
     _OPEN, _EVENT, _CLOSE = 0, 1, 2
 
-    def _build_timeline(self, scripts: list[SessionScript]) -> tuple:
+    @classmethod
+    def _build_timeline(cls, scripts: list[SessionScript]) -> tuple:
         """Assemble the struct-of-arrays timeline and the dispatch rows.
 
-        Four parallel scalar columns (timestamp, record kind, script index,
-        event index) are extended per script straight from the event
+        Four parallel columns (timestamp, record kind, script index,
+        dispatch row) are extended per script straight from the event
         blocks, then ordered by one stable ``np.lexsort`` over (timestamp,
         kind) — opens before events before closes at equal timestamps,
         insertion order as the final tie-break, exactly the order the
         historical per-record ``(ts, kind, seq, payload)`` tuple sort
         produced, without building or sorting millions of tuples.
 
-        Per-script dispatch rows (:meth:`EventBlock.rows` tuples) ride
-        along: the one C-speed transpose per block replaces per-event
-        ``ClientEvent`` hydration.
+        The dispatch rows form one shard-wide list indexed like the other
+        columns, ``None`` at opens and closes, so the record index is the
+        event's ordinal.  A row is ``(time, operation, node_id, volume_id,
+        volume_type, node_kind, size_bytes, content_hash, extension,
+        is_update, caused_by_attack)``, the argument order of
+        :meth:`ApiServerProcess.handle_event`, zipped at C speed from the
+        block's columns with scalar columns repeated.
         """
-        _OPEN, _EVENT, _CLOSE = self._OPEN, self._EVENT, self._CLOSE
+        _OPEN, _EVENT, _CLOSE = cls._OPEN, cls._EVENT, cls._CLOSE
         ts_col: list[float] = []
         kind_col: list[int] = []
         script_col: list[int] = []
-        event_col: list[int] = []
-        rows_by_script: list[list[tuple]] = []
+        rows: list[tuple | None] = []
+        add_row = rows.append
         for index, script in enumerate(scripts):
             block = script.block
-            rows = block.rows()
-            rows_by_script.append(rows)
-            n = len(rows)
+            times = block.times
+            n = len(times)
             ts_col.append(script.start)
             kind_col.append(_OPEN)
             script_col.append(index)
-            event_col.append(0)
+            add_row(None)
             if n:
-                ts_col.extend(block.times)
+                # ``times`` leads the zip, so repeated scalars stop with it.
+                columns = [times]
+                for value in _value_columns(block):
+                    columns.append(value if type(value) is list
+                                   else repeat(value))
+                columns.append(repeat(block.caused_by_attack))
+                rows.extend(zip(*columns))
+                ts_col.extend(times)
                 kind_col.extend([_EVENT] * n)
                 script_col.extend([index] * n)
-                event_col.extend(range(n))
             ts_col.append(script.end)
             kind_col.append(_CLOSE)
             script_col.append(index)
-            event_col.append(0)
+            add_row(None)
         order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
                             np.asarray(ts_col, dtype=np.float64))).tolist()
-        return order, ts_col, kind_col, script_col, event_col, rows_by_script
+        return order, ts_col, kind_col, script_col, rows
 
     def _dispatch(self, scripts: list[SessionScript], order: list[int],
                   ts_col: list[float], kind_col: list[int],
-                  script_col: list[int], event_col: list[int],
-                  rows_by_script: list[list[tuple]]) -> None:
+                  script_col: list[int], rows: list) -> None:
         """Replay the sorted timeline through the shard's API processes.
 
         The per-event hot path is object-free: one list index into the
-        script's dispatch entry and one ``handle_event`` call with the
-        event's column row — no ``ClientEvent``, no ``ApiRequest``, no
-        ``ApiResponse`` on the fast paths.
+        script's dispatch entry, one into the dispatch rows and one
+        ``handle_event`` call with the event's row — no ``ClientEvent``, no
+        ``ApiRequest``, no ``ApiResponse`` on the fast paths.
         """
         _EVENT, _OPEN = self._EVENT, self._OPEN
         process_by_address = {p.address: p for p in self.processes}
         # Per-script dispatch entry, set at session open: (bound
-        # handle_event, session handle, dispatch rows, process, address).
-        # None for failed or not-yet-open sessions.
+        # handle_event, session handle, process, address).  None for failed
+        # or not-yet-open sessions.
         entries: list[tuple | None] = [None] * len(scripts)
         gateway = self.gateway
         collector = self.collector
@@ -465,7 +480,7 @@ class ReplayShard:
                         continue
                     # Object-free dispatch: the event's column row goes
                     # straight to the process, no ClientEvent in between.
-                    entry[0](entry[1], entry[2][event_col[j]])
+                    entry[0](entry[1], rows[j])
                 elif kind == _OPEN:
                     index = script_col[j]
                     script = scripts[index]
@@ -479,8 +494,7 @@ class ReplayShard:
                         gateway.release(address)
                     else:
                         entries[index] = (process.handle_event, handle,
-                                          rows_by_script[index], process,
-                                          address)
+                                          process, address)
                 else:  # close
                     index = script_col[j]
                     entry = entries[index]
@@ -488,10 +502,10 @@ class ReplayShard:
                         continue
                     entries[index] = None
                     script = scripts[index]
-                    entry[3].close_session(
+                    entry[2].close_session(
                         script.session_id, script.end,
                         caused_by_attack=script.caused_by_attack)
-                    gateway.release(entry[4])
+                    gateway.release(entry[3])
         progress.done = n_records
 
     def run(self, scripts: list[SessionScript]) -> ShardOutcome:
@@ -503,13 +517,12 @@ class ReplayShard:
         own timeline.
         """
         started = time.perf_counter()
-        (order, ts_col, kind_col, script_col, event_col,
-         rows_by_script) = self._build_timeline(scripts)
+        order, ts_col, kind_col, script_col, rows = \
+            self._build_timeline(scripts)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
-        self._dispatch(scripts, order, ts_col, kind_col, script_col,
-                       event_col, rows_by_script)
+        self._dispatch(scripts, order, ts_col, kind_col, script_col, rows)
 
         # Tiering epilogue: realise the age-demotions still pending at the
         # end of this shard's timeline, so the hot/cold byte split covers
@@ -538,7 +551,7 @@ class ReplayShard:
             storage=storage,
             rpc=rpc,
             sessions=sessions,
-            n_events=sum(len(rows) for rows in rows_by_script),
+            n_events=len(rows) - 2 * len(scripts),
             ipc_bytes=storage.nbytes + rpc.nbytes + sessions.nbytes,
             block_build_seconds=build_seconds,
             dispatch_seconds=dispatch_seconds,
@@ -585,10 +598,20 @@ def _run_shard_task(shard_id: int) -> ShardOutcome:
         return outcome
 
 
-def workload_planned_ops(workload) -> float:
-    """Planned operation count of one shard workload (the timeout basis)."""
-    weights = dict(workload.plan.member_weights())
-    return sum(weights[member] for member in workload.members)
+def workload_planned_ops(workloads: list) -> dict[int, float]:
+    """Planned operation count per shard id (the timeout basis).
+
+    Each plan's member-weight table is built once, not once per shard.
+    """
+    tables: dict[int, dict[int, float]] = {}
+    planned: dict[int, float] = {}
+    for shard_id, workload in enumerate(workloads):
+        key = id(workload.plan)
+        if key not in tables:
+            tables[key] = dict(workload.plan.member_weights())
+        weights = tables[key]
+        planned[shard_id] = sum(weights[m] for m in workload.members)
+    return planned
 
 
 def run_shards_supervised(config,
@@ -636,8 +659,7 @@ def run_shards_supervised(config,
                    fault_schedule)
     try:
         policy = policy or SupervisorPolicy()
-        planned = {shard_id: workload_planned_ops(workload)
-                   for shard_id, workload in enumerate(workloads)}
+        planned = workload_planned_ops(workloads)
         timeouts = {shard_id: policy.shard_timeout(ops)
                     for shard_id, ops in planned.items()}
         # Chaos wants a real worker process to kill, so it forces the

@@ -111,11 +111,19 @@ def run_key(config, workloads) -> str:
     digest.update(f"format:{_FORMAT};".encode())
     digest.update(repr(config).encode())
     digest.update(f";shards:{len(workloads)};".encode())
+    # Each plan's config and member weights are encoded once and fed to
+    # the digest once per shard.
+    encoded: dict[int, tuple[bytes, bytes]] = {}
     for shard_id, workload in enumerate(workloads):
+        plan = workload.plan
+        if id(plan) not in encoded:
+            encoded[id(plan)] = (f"workload:{plan.config!r};".encode(),
+                                 repr(plan.member_weights()).encode())
+        config_bytes, weight_bytes = encoded[id(plan)]
         digest.update(f"shard:{shard_id}:".encode())
-        digest.update(f"workload:{workload.plan.config!r};".encode())
+        digest.update(config_bytes)
         digest.update(f"members:{workload.members!r};".encode())
-        digest.update(repr(workload.plan.member_weights()).encode())
+        digest.update(weight_bytes)
     return digest.hexdigest()
 
 

@@ -149,13 +149,6 @@ class WorkloadConfig:
                      session_amplification=8.0, storage_amplification=6.7),
     ))
 
-    # ------------------------------------------------------------------ misc
-    #: Number of API machines / processes used when the generator emits
-    #: records directly (without the back-end simulator).
-    api_machines: int = 6
-    processes_per_machine: int = 4
-    metadata_shards: int = 10
-
     # -------------------------------------------------------------- factories
     @classmethod
     def scaled(cls, users: int, days: float, seed: int = 0,

@@ -4,13 +4,13 @@ The generator produces a time-ordered stream of client actions describing
 what desktop clients do (open/close sessions, upload, download, make,
 unlink, ...).  The back-end simulator consumes this stream and turns it
 into trace records enriched with server placement, RPC decomposition and
-service times; alternatively the generator itself can map the events onto
-records for analyses that do not need back-end detail.
+service times.
 
-Since the columnar rework the canonical storage is :class:`EventBlock` — a
-struct-of-arrays container with one column per event field, hung off each
-:class:`SessionScript`.  The materializer appends scalars straight into the
-columns and the replay engine dispatches straight out of them, so no
+The canonical storage is :class:`EventBlock` — a struct-of-arrays container
+with one column per event field, hung off each :class:`SessionScript`.  The
+materializer appends scalars straight into the columns, and a replay shard
+transposes every block of the shard into one list of dispatch rows (see
+:meth:`repro.backend.replay_shard.ReplayShard._build_timeline`), so no
 per-event object is built on the hot path.  :class:`ClientEvent` remains the
 scalar view: ``script.events`` decodes read-only copies from the block, and
 hand-built scripts pass ``block=EventBlock.from_events(...)``.
@@ -98,7 +98,8 @@ class EventBlock:
     value for every event" — attack episodes, for example, vary only in
     time and upload flag, so nine of their ten columns are scalars and the
     block costs O(1) per event to build.  :meth:`columns` broadcasts the
-    scalars into lists for the replay dispatch loop.
+    scalars into lists; the replay shard reads the columns as stored and
+    repeats the scalars itself while it builds its dispatch rows.
     """
 
     __slots__ = EVENT_COLUMNS + ("caused_by_attack",)
@@ -137,24 +138,6 @@ class EventBlock:
             value = getattr(self, name)
             out.append(value if type(value) is list else [value] * n)
         return tuple(out)
-
-    def rows(self) -> "list[tuple]":
-        """Dispatch rows: one tuple per event, transposed at C speed.
-
-        Each row is ``(time, operation, node_id, volume_id, volume_type,
-        node_kind, size_bytes, content_hash, extension, is_update,
-        caused_by_attack)`` — the argument order of
-        :meth:`repro.backend.api_server.ApiServerProcess.handle_event`.
-        One ``zip`` over the broadcast columns replaces a per-event object
-        construction; the replay loop indexes straight into the result.
-        """
-        n = len(self.times)
-        cols = []
-        for name in EVENT_COLUMNS:
-            value = getattr(self, name)
-            cols.append(value if type(value) is list else [value] * n)
-        cols.append([self.caused_by_attack] * n)
-        return list(zip(*cols))
 
     @classmethod
     def from_events(cls, events: "list[ClientEvent]",

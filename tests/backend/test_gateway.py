@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,33 @@ class TestLoadBalancer:
         a = ProcessAddress("api0", 1)
         assert str(a) == "api0/1"
         assert a < ProcessAddress("api1", 0)
+
+
+class TestProcessAddress:
+    def test_hash_and_equality_are_by_value(self):
+        a, b = ProcessAddress("api0", 1), ProcessAddress(server="api0", process=1)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != ProcessAddress("api0", 2)
+        assert a != ProcessAddress("api1", 1)
+        assert {a: "x"}[b] == "x"
+        assert len({a, b, ProcessAddress("api0", 2)}) == 2
+
+    def test_fields_order_and_text(self):
+        a = ProcessAddress("api3", 7)
+        assert (a.server, a.process) == ("api3", 7)
+        assert str(a) == "api3/7"
+        assert repr(a) == "ProcessAddress(server='api3', process=7)"
+
+    def test_ordering_is_by_server_then_process(self):
+        addresses = [ProcessAddress("m1", 0), ProcessAddress("m0", 2),
+                     ProcessAddress("m0", 10), ProcessAddress("m0", 1)]
+        assert sorted(addresses) == [
+            ProcessAddress("m0", 1), ProcessAddress("m0", 2),
+            ProcessAddress("m0", 10), ProcessAddress("m1", 0)]
+
+    def test_pickle_round_trip(self):
+        a = ProcessAddress("api2", 3)
+        copy = pickle.loads(pickle.dumps(a))
+        assert type(copy) is ProcessAddress
+        assert copy == a and hash(copy) == hash(a) and str(copy) == "api2/3"

@@ -6,8 +6,8 @@ from repro.backend.notifications import Notification, NotificationBus
 
 
 def _notification(user_ids=(1,)) -> Notification:
-    return NotificationBus.for_users(timestamp=0.0, server="api0", process=0,
-                                     user_ids=user_ids, volume_id=5, kind="Unlink")
+    return Notification(timestamp=0.0, origin_server="api0", origin_process=0,
+                        user_ids=tuple(user_ids), volume_id=5, kind="Unlink")
 
 
 class TestNotificationBus:

@@ -1,0 +1,277 @@
+"""Property tests for the replay shard's per-session fixed costs.
+
+Two hot-path structures are checked against brute-force references kept
+here:
+
+* the shard timeline: one list of dispatch rows for the whole shard,
+  indexed like the timeline's records, must give every event the row a
+  per-script transpose of its block gives, in the same timeline order;
+* the mutation fan-out: the session registry's per-process counts must
+  split a mutation's other open sessions into local and remote pushes
+  exactly as a scan of the user's sessions does, and the notification bus
+  must count the same publishes, deliveries, pushes and short circuits.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.backend.api_server import ApiServerProcess, SessionRegistry
+from repro.backend.auth import AuthenticationService
+from repro.backend.datastore import ObjectStore
+from repro.backend.gateway import ProcessAddress
+from repro.backend.latency import ServiceTimeModel
+from repro.backend.metadata_store import ShardedMetadataStore
+from repro.backend.notifications import NotificationBus
+from repro.backend.protocol.operations import ApiRequest
+from repro.backend.replay_shard import ReplayShard
+from repro.backend.rpc_server import RpcWorker
+from repro.backend.tracing import TraceSink
+from repro.trace.records import ApiOperation, NodeKind, VolumeType
+from repro.workload.events import EVENT_COLUMNS, EventBlock, SessionScript
+
+# ---------------------------------------------------------------------------
+# Timeline
+# ---------------------------------------------------------------------------
+
+
+def reference_rows(block: EventBlock) -> list[tuple]:
+    """One script's dispatch rows: its broadcast columns, transposed."""
+    n = len(block.times)
+    cols = [value if type(value) is list else [value] * n
+            for value in (getattr(block, name) for name in EVENT_COLUMNS)]
+    cols.append([block.caused_by_attack] * n)
+    return list(zip(*cols))
+
+
+def reference_timeline(scripts: list[SessionScript]):
+    """Per-script timeline: rows per script, events indexed within it."""
+    ts_col, kind_col, script_col, event_col, rows_by_script = [], [], [], [], []
+    for index, script in enumerate(scripts):
+        rows = reference_rows(script.block)
+        rows_by_script.append(rows)
+        n = len(rows)
+        ts_col.append(script.start)
+        kind_col.append(ReplayShard._OPEN)
+        script_col.append(index)
+        event_col.append(0)
+        ts_col.extend(script.block.times)
+        kind_col.extend([ReplayShard._EVENT] * n)
+        script_col.extend([index] * n)
+        event_col.extend(range(n))
+        ts_col.append(script.end)
+        kind_col.append(ReplayShard._CLOSE)
+        script_col.append(index)
+        event_col.append(0)
+    order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
+                        np.asarray(ts_col, dtype=np.float64))).tolist()
+    return order, ts_col, kind_col, script_col, event_col, rows_by_script
+
+
+_COLUMN_VALUES = {
+    "operations": st.sampled_from([ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
+                                   ApiOperation.GET_DELTA,
+                                   ApiOperation.UNLINK]),
+    "node_ids": st.integers(0, 5),
+    "volume_ids": st.integers(-3, 3),
+    "volume_types": st.sampled_from(list(VolumeType)),
+    "node_kinds": st.sampled_from(list(NodeKind)),
+    "size_bytes": st.integers(0, 1000),
+    "content_hashes": st.sampled_from(["", "h1", "h2"]),
+    "extensions": st.sampled_from(["", "pdf", "avi"]),
+    "is_updates": st.booleans(),
+}
+
+
+@st.composite
+def _scripts(draw):
+    """Scripts mixing list and scalar columns, with empty and auth-failed
+    scripts, on a coarse integer clock so timestamps collide across
+    scripts (and with their opens and closes)."""
+    scripts = []
+    for index in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, 6))
+        auth_failed = draw(st.integers(0, 4)) == 0
+        n = 0 if auth_failed else draw(st.integers(0, 4))
+        times = sorted(float(draw(st.integers(start, start + 6)))
+                       for _ in range(n))
+        end = max([float(start)] + times) + draw(st.integers(0, 3))
+        columns = {}
+        for name, values in _COLUMN_VALUES.items():
+            if draw(st.booleans()):
+                columns[name] = draw(st.lists(values, min_size=n, max_size=n))
+            else:
+                columns[name] = draw(values)
+        block = EventBlock(times=times, caused_by_attack=draw(st.booleans()),
+                           **columns)
+        scripts.append(SessionScript(
+            user_id=draw(st.integers(1, 3)), session_id=index + 1,
+            start=float(start), end=end, auth_failed=auth_failed,
+            block=block))
+    return scripts
+
+
+class TestShardTimeline:
+    @settings(max_examples=150, deadline=None)
+    @given(_scripts())
+    def test_shard_rows_and_order_equal_per_script_reference(self, scripts):
+        order, ts_col, kind_col, script_col, rows = \
+            ReplayShard._build_timeline(scripts)
+        (ref_order, ref_ts, ref_kind, ref_script, ref_event,
+         ref_rows) = reference_timeline(scripts)
+        assert order == ref_order
+        assert ts_col == ref_ts
+        assert kind_col == ref_kind
+        assert script_col == ref_script
+        assert len(rows) == len(ts_col)
+        assert all(rows[j] is None for j in range(len(rows))
+                   if kind_col[j] != ReplayShard._EVENT)
+        # Events dispatch, in timeline order, the reference's rows.
+        events = [j for j in order if kind_col[j] == ReplayShard._EVENT]
+        assert [rows[j] for j in events] == \
+            [ref_rows[ref_script[j]][ref_event[j]] for j in events]
+
+    def test_equal_timestamps_open_before_events_before_closes(self):
+        scripts = [
+            SessionScript(1, 1, 5.0, 5.0, block=EventBlock(
+                times=[5.0], operations=ApiOperation.GET_DELTA)),
+            SessionScript(2, 2, 5.0, 6.0, block=EventBlock(
+                times=[5.0, 5.0], operations=[ApiOperation.UPLOAD,
+                                              ApiOperation.DOWNLOAD])),
+        ]
+        order, _, kind_col, script_col, rows = \
+            ReplayShard._build_timeline(scripts)
+        sequence = [(kind_col[j], script_col[j]) for j in order]
+        assert sequence == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (2, 0),
+                            (2, 1)]
+        dispatched = [rows[j][1] for j in order
+                      if kind_col[j] == ReplayShard._EVENT]
+        assert dispatched == [ApiOperation.GET_DELTA, ApiOperation.UPLOAD,
+                              ApiOperation.DOWNLOAD]
+
+
+# ---------------------------------------------------------------------------
+# Mutation fan-out
+# ---------------------------------------------------------------------------
+
+_ADDRESSES = [ProcessAddress("api0", 0), ProcessAddress("api0", 1),
+              ProcessAddress("api1", 0)]
+
+
+def _ops(users: int, sessions: int):
+    """Lists of ``("open", user, session, process)``, ``("close",
+    session)`` and ``("mutate", session, process)`` operations."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("open"), st.integers(1, users),
+                  st.integers(1, sessions), st.integers(0, 2)),
+        st.tuples(st.just("close"), st.integers(1, sessions)),
+        st.tuples(st.just("mutate"), st.integers(1, sessions),
+                  st.integers(0, 2)),
+    ), max_size=40)
+
+
+def _scan(registry: SessionRegistry, user_id: int, session_id: int,
+          address: ProcessAddress) -> tuple[int, int]:
+    """Local/remote split by a scan of a copy of the user's sessions."""
+    others = registry.sessions_of(user_id)
+    others.pop(session_id, None)
+    local = sum(1 for other in others.values() if other == address)
+    return local, len(others) - local
+
+
+class TestFanOut:
+    @settings(max_examples=200, deadline=None)
+    @given(_ops(users=3, sessions=8), st.integers(1, 3))
+    def test_registry_split_equals_a_scan(self, ops, probe_user):
+        registry = SessionRegistry()
+        owner: dict[int, int] = {}
+        for op in ops:
+            if op[0] == "open":
+                _, user_id, session_id, p = op
+                # A re-registered session id moves (possibly to a new user).
+                if session_id in owner:
+                    registry.unregister(owner[session_id], session_id)
+                owner[session_id] = user_id
+                registry.register(user_id, session_id, _ADDRESSES[p])
+            elif op[0] == "close":
+                user_id = owner.pop(op[1], probe_user)
+                registry.unregister(user_id, op[1])
+            for user_id in {probe_user, *owner.values()}:
+                for session_id in range(1, 9):
+                    for address in _ADDRESSES:
+                        assert registry.fellow_sessions(
+                            user_id, session_id, address) == \
+                            _scan(registry, user_id, session_id, address)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ops(users=2, sessions=5))
+    def test_bus_counters_equal_brute_force(self, ops):
+        sink = TraceSink()
+        store = ShardedMetadataStore(n_shards=2)
+        objects = ObjectStore()
+        auth = AuthenticationService(rng=np.random.default_rng(0),
+                                     failure_fraction=0.0)
+        bus = NotificationBus()
+        registry = SessionRegistry()
+        latency = ServiceTimeModel(np.random.default_rng(0), n_shards=2)
+        processes = [
+            ApiServerProcess(
+                address=address, rpc_worker=RpcWorker(i, store, latency, sink),
+                object_store=objects, auth=auth, bus=bus, registry=registry,
+                sink=sink, rng=np.random.default_rng(i))
+            for i, address in enumerate(_ADDRESSES)]
+        open_sessions: dict[int, tuple[int, int]] = {}  # session -> (user, p)
+        expected = {"published": 0, "deliveries": 0, "pushes": 0,
+                    "short_circuits": 0}
+        pushed = [0] * len(processes)
+        clock = 0.0
+        for op in ops:
+            clock += 1.0
+            if op[0] == "open":
+                _, user_id, session_id, p = op
+                if session_id in open_sessions:
+                    continue
+                processes[p].open_session(user_id, session_id, clock)
+                open_sessions[session_id] = (user_id, p)
+            elif op[0] == "close":
+                if op[1] in open_sessions:
+                    _, p = open_sessions.pop(op[1])
+                    processes[p].close_session(op[1], clock)
+            else:
+                _, session_id, p = op
+                if session_id in open_sessions:
+                    # Sessions are pinned: the holder handles the request.
+                    user_id, p = open_sessions[session_id]
+                else:
+                    user_id = 1  # a request from a session that is not open
+                others = [q for s, (u, q) in open_sessions.items()
+                          if u == user_id and s != session_id]
+                local = others.count(p)
+                remote = len(others) - local
+                expected["short_circuits"] += local
+                expected["pushes"] += local
+                if remote:
+                    expected["published"] += 1
+                    expected["deliveries"] += len(processes) - 1
+                    for q in range(len(processes)):
+                        if q != p:
+                            on_q = sum(1 for u, r in open_sessions.values()
+                                       if u == user_id and r == q)
+                            pushed[q] += on_q
+                            expected["pushes"] += on_q
+                response = processes[p].handle(ApiRequest(
+                    operation=ApiOperation.UPLOAD, user_id=user_id,
+                    session_id=session_id, timestamp=clock,
+                    node_id=int(clock), volume_id=-user_id,
+                    volume_type=VolumeType.ROOT, node_kind=NodeKind.FILE,
+                    size_bytes=100, content_hash=f"h{int(clock)}",
+                    extension="txt"))
+                assert response.ok
+                assert response.notified_sessions == local + sum(
+                    1 for s, (u, q) in open_sessions.items()
+                    if u == user_id and s != session_id and q != p)
+        assert {"published": bus.published, "deliveries": bus.deliveries,
+                "pushes": bus.pushes,
+                "short_circuits": bus.short_circuits} == expected
+        assert [proc.notifications_pushed for proc in processes] == pushed

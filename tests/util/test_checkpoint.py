@@ -77,6 +77,67 @@ class TestRunKey:
         assert key == "".join(c for c in key if c in "0123456789abcdef")
 
 
+def _reference_run_key(config, workloads) -> str:
+    """The run key as first defined: every string encoded once per shard.
+
+    Checkpoint directories are named by this key, so the real
+    :func:`run_key` must keep producing it byte for byte.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"format:{CHECKPOINT_FORMAT};".encode())
+    digest.update(repr(config).encode())
+    digest.update(f";shards:{len(workloads)};".encode())
+    for shard_id, workload in enumerate(workloads):
+        digest.update(f"shard:{shard_id}:".encode())
+        digest.update(f"workload:{workload.plan.config!r};".encode())
+        digest.update(f"members:{workload.members!r};".encode())
+        digest.update(repr(workload.plan.member_weights()).encode())
+    return digest.hexdigest()
+
+
+class TestRunKeyReference:
+    @pytest.mark.parametrize("replay_shards", [1, 2, 8])
+    def test_key_equals_reference(self, replay_shards):
+        plan = SyntheticTraceGenerator(
+            WorkloadConfig.scaled(users=40, days=0.5, seed=7)).plan()
+        config = ClusterConfig(seed=7, replay_shards=replay_shards)
+        workloads = [PlannedShardWorkload(plan, members)
+                     for members in partition_members(plan, replay_shards)]
+        assert len(workloads) == replay_shards
+        assert run_key(config, workloads) == \
+            _reference_run_key(config, workloads)
+
+    def test_replay_without_a_recorder_never_hashes(self, monkeypatch):
+        import repro.util.checkpoint as checkpoint_module
+
+        def refuse(config, workloads):
+            raise AssertionError("run_key computed with nothing to record it")
+
+        plan = SyntheticTraceGenerator(
+            WorkloadConfig.scaled(users=30, days=0.5, seed=5)).plan()
+        reference = U1Cluster(ClusterConfig(seed=5)).replay_plan(plan)
+        monkeypatch.setattr(checkpoint_module, "run_key", refuse)
+        dataset = U1Cluster(ClusterConfig(seed=5)).replay_plan(plan)
+        assert dataset.content_digest() == reference.content_digest()
+
+    def test_event_log_records_the_same_key(self, tmp_path):
+        from repro.util import telemetry
+
+        plan = SyntheticTraceGenerator(
+            WorkloadConfig.scaled(users=30, days=0.5, seed=5)).plan()
+        cluster = U1Cluster(ClusterConfig(seed=5))
+        n_shards = cluster.config.effective_replay_shards()
+        cluster.replay_plan(plan, events_dir=tmp_path)
+        workloads = [PlannedShardWorkload(plan, members)
+                     for members in partition_members(
+                         plan, n_shards,
+                         cluster._processes_per_shard(n_shards))]  # noqa: SLF001
+        events = telemetry.read_events(tmp_path / telemetry.EVENTS_NAME)
+        assert events[0]["event"] == "run-start"
+        assert events[0]["run_key"] == \
+            _reference_run_key(cluster.config, workloads)
+
+
 class TestCheckpointStore:
     def test_round_trip_preserves_outcome(self, tmp_path):
         config, workloads, outcomes = _outcomes()

@@ -14,8 +14,6 @@ class TestDefaults:
         config = WorkloadConfig()
         assert config.n_users == 1_294_794
         assert config.duration_days == 30.0
-        assert config.metadata_shards == 10
-        assert config.api_machines == 6
         assert len(config.attacks) == 3
 
     def test_default_fractions_match_paper(self):

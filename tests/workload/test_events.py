@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from repro.backend.replay_shard import ReplayShard
 from repro.trace.records import ApiOperation
 from repro.workload.events import ClientEvent, EventBlock, SessionScript
 
@@ -79,9 +80,17 @@ class TestEventBlock:
         assert block.to_events(4, 9) == events
         assert len(block) == 3
 
+    @staticmethod
+    def _dispatch_rows(block):
+        """The rows a replay shard dispatches for a one-script shard."""
+        script = SessionScript(user_id=4, session_id=9, start=0.0, end=20.0,
+                               block=block)
+        return [row for row in ReplayShard._build_timeline([script])[-1]
+                if row is not None]
+
     def test_rows_match_hydrated_events(self):
         block = EventBlock.from_events(self._events())
-        rows = block.rows()
+        rows = self._dispatch_rows(block)
         hydrated = block.to_events(4, 9)
         assert len(rows) == len(hydrated)
         for row, event in zip(rows, hydrated):
@@ -102,8 +111,9 @@ class TestEventBlock:
         assert [e.operation for e in events] == [ApiOperation.UPLOAD] * 3
         assert [e.size_bytes for e in events] == [7, 7, 7]
         assert all(e.caused_by_attack for e in events)
-        assert all(row[1] is ApiOperation.UPLOAD and row[10]
-                   for row in block.rows())
+        rows = self._dispatch_rows(block)
+        assert [row[6] for row in rows] == [7, 7, 7]
+        assert all(row[1] is ApiOperation.UPLOAD and row[10] for row in rows)
 
     def test_script_block_properties_without_hydration(self):
         block = EventBlock.from_events(self._events())
