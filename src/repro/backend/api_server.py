@@ -29,6 +29,7 @@ from repro.backend.protocol.entities import SessionHandle
 from repro.backend.protocol.operations import ApiRequest, ApiResponse
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
+from repro.trace.dataset import RPC_CODE
 from repro.trace.records import (
     DATA_MANAGEMENT_OPERATIONS as _DATA_MANAGEMENT_OPERATIONS,
     ApiOperation,
@@ -47,6 +48,7 @@ _QUERY_SET_CAPS_OPERATION = ApiOperation.QUERY_SET_CAPS
 _LIST_VOLUMES_OPERATION = ApiOperation.LIST_VOLUMES
 _LIST_SHARES_OPERATION = ApiOperation.LIST_SHARES
 _GET_NODE_RPC = RpcName.GET_NODE
+_GET_NODE_CODE = RPC_CODE[_GET_NODE_RPC]
 _GET_DELTA_RPC = RpcName.GET_DELTA
 _GET_USER_DATA_RPC = RpcName.GET_USER_DATA
 _LIST_VOLUMES_RPC = RpcName.LIST_VOLUMES
@@ -64,8 +66,8 @@ _DISCONNECT = SessionEvent.DISCONNECT
 #: Session-maintenance operations whose handler is a single traced RPC with
 #: no metadata mutation, no S3 traffic and no notification fan-out.  The
 #: block-dispatch path completes them inline — routing memo, context
-#: mutation, the one RPC, the storage row — without building a request or
-#: a response object.
+#: mutation, the one RPC, the storage row's provenance — without building a
+#: request or a response object.
 _RPC_ONLY_OPERATIONS = frozenset({
     ApiOperation.GET_DELTA,
     ApiOperation.LIST_VOLUMES,
@@ -205,8 +207,11 @@ class ApiServerProcess:
             self._fault_lo, self._fault_hi = faults.schedule.envelope
         else:
             self._fault_lo, self._fault_hi = float("inf"), float("-inf")
-        # The sink's raw row appenders (bound list.append, never stale).
-        self._storage_row = sink.storage_row
+        # Storage rows are recorded as provenance (request reference, shard
+        # id) through the sink's bound buffer appenders, never stale.
+        self._sink = sink
+        self._storage_ref = sink.storage_refs.append
+        self._storage_shard = sink.storage_shards.append
         self._session_row = sink.session_row
         self._token_cache = TokenCache()
         self._sessions: dict[int, SessionHandle] = {}
@@ -214,8 +219,9 @@ class ApiServerProcess:
         # deliver_notification avoid scanning every open session.
         self._user_sessions: dict[int, int] = {}
         # Reusable request context: handle() runs once per replayed event and
-        # every RPC record copies the fields out immediately, so one mutable
-        # context per process avoids an allocation per request.
+        # every RPC row records the context's request reference immediately,
+        # so one mutable context per process avoids an allocation per
+        # request.
         self._request_context = RpcContext(0.0, address.server, address.process,
                                            0, 0)
         # Reusable request for the block-dispatch slow path (see
@@ -239,25 +245,17 @@ class ApiServerProcess:
         """Number of sessions currently connected to this process."""
         return len(self._sessions)
 
-    # ---------------------------------------------------------------- helpers
-    def _session_record(self, timestamp: float, user_id: int, session_id: int,
-                        event: SessionEvent, attack: bool = False,
-                        session_length: float = -1.0,
-                        storage_operations: int = 0) -> None:
-        # Positional SessionRecord field order (columnar fast path).
-        self._session_row((
-            timestamp, self._server, self._process, user_id,
-            session_id, event, attack, session_length, storage_operations))
-
     # ------------------------------------------------------- session handling
     def open_session(self, user_id: int, session_id: int, timestamp: float,
                      force_auth_failure: bool = False,
-                     caused_by_attack: bool = False) -> SessionHandle | None:
+                     caused_by_attack: bool = False,
+                     ref: int | None = None) -> SessionHandle | None:
         """Authenticate a client and establish a storage-protocol session.
 
         Returns the session handle, or None when authentication failed (the
         failed attempt is still traced, since it still consumed work in the
-        authentication subsystem).
+        authentication subsystem).  ``ref`` is the open's timeline ordinal
+        in a replay shard; a direct call registers the open with the sink.
         """
         server = self._server
         process = self._process
@@ -266,17 +264,18 @@ class ApiServerProcess:
         # once per session but four rows deep, so the helper frames add up.
         session_row((timestamp, server, process, user_id, session_id,
                      _AUTH_REQUEST, caused_by_attack, -1.0, 0))
+        if ref is None:
+            ref = self._sink.explicit_rpc(
+                timestamp, server, process, user_id, session_id,
+                _AUTHENTICATE_OPERATION, caused_by_attack)
         token = self._auth.token_for(user_id, timestamp)
         shard, shard_id = self._store.shard_and_id(user_id)
         # Reuse the process-lifetime context (handle() does the same): the
-        # RPC layer copies every field into the trace row at execute time,
-        # so a fresh allocation per session open buys nothing.
+        # RPC layer records the reference at execute time, so a fresh
+        # allocation per session open buys nothing.
         context = self._request_context
         context.timestamp = timestamp
-        context.user_id = user_id
-        context.session_id = session_id
-        context.api_operation = _AUTHENTICATE_OPERATION
-        context.caused_by_attack = caused_by_attack
+        context.ref = ref
         context.shard_id = shard_id
         # An AuthOutage window denies every open in it — the old
         # ``force_auth_failure`` special case, folded into the fault
@@ -324,12 +323,9 @@ class ApiServerProcess:
                           shard.ensure_user, user_id, -user_id, timestamp)
         self._rpc.execute_one(_GET_ROOT_RPC, context, shard.get_root, user_id)
 
-        handle = SessionHandle(session_id=session_id, user_id=user_id,
-                               server=server,
-                               process=process,
-                               established_at=timestamp, token=token.token)
-        if self._stable_routing:
-            handle.shard_cache = (shard, shard_id)
+        handle = SessionHandle(session_id, user_id, timestamp, 0,
+                               (shard, shard_id) if self._stable_routing
+                               else None)
         self._sessions[session_id] = handle
         self._user_sessions[user_id] = self._user_sessions.get(user_id, 0) + 1
         self._registry.register(user_id, session_id, self.address)
@@ -343,7 +339,6 @@ class ApiServerProcess:
         handle = self._sessions.pop(session_id, None)
         if handle is None:
             return
-        handle.close()
         remaining = self._user_sessions.get(handle.user_id, 0) - 1
         if remaining > 0:
             self._user_sessions[handle.user_id] = remaining
@@ -387,7 +382,8 @@ class ApiServerProcess:
         return pushed
 
     # -------------------------------------------------------------- requests
-    def handle_event(self, handle: SessionHandle, row: tuple) -> None:
+    def handle_event(self, handle: SessionHandle, row: tuple,
+                     ref: int | None = None) -> None:
         """Process one replayed event straight from its event-block row.
 
         ``row`` is a replay shard's dispatch row (see
@@ -395,18 +391,25 @@ class ApiServerProcess:
         ``(time, operation, node_id, volume_id, volume_type, node_kind,
         size_bytes, content_hash, extension, is_update, caused_by_attack)``;
         user and session identity come from the already-resolved
-        ``handle``.  The replay loop never builds a ``ClientEvent`` or an
-        ``ApiResponse`` on this path: downloads run the fused fast path,
-        session maintenance (``_RPC_ONLY_OPERATIONS``) completes as one
-        traced RPC plus the storage row, and only the rare remainder —
-        mutations, interrupted uploads, tiered stores, events inside a
-        fault envelope — is written into the reusable
-        :class:`_ReplayRequest` and delegated to :meth:`handle`.  Every
-        path emits rows bit-identical to :meth:`handle` for the same
-        event.
+        ``handle``, and ``ref`` is the event's timeline ordinal (a call
+        without one registers the event with the sink).  The storage row and
+        every RPC row record only ``ref`` and the back-end's own values; the
+        shard gathers the request fields from its event columns.  The replay
+        loop never builds a ``ClientEvent`` or an ``ApiResponse`` on this
+        path: downloads run the fused fast path, session maintenance
+        (``_RPC_ONLY_OPERATIONS``) completes as one traced RPC plus the
+        storage row, and only the rare remainder — mutations, interrupted
+        uploads, tiered stores, events inside a fault envelope — is written
+        into the reusable :class:`_ReplayRequest` and delegated to
+        :meth:`handle`.  Every path emits rows bit-identical to
+        :meth:`handle` for the same event.
         """
         (timestamp, operation, node_id, volume_id, volume_type, node_kind,
          size_bytes, content_hash, extension, is_update, attack) = row
+        if ref is None:
+            ref = self._sink.explicit((timestamp, self._server, self._process,
+                                       handle.user_id, handle.session_id,
+                                       *row[1:]))
         if not self._fault_lo <= timestamp < self._fault_hi:
             if (operation is _DOWNLOAD_OPERATION and self._stable_routing
                     and not self._tiered):
@@ -418,13 +421,11 @@ class ApiServerProcess:
                 if node_id in shard._nodes:  # noqa: SLF001 - has_node, inlined
                     self.requests_handled += 1
                     handle.storage_operations += 1
-                    user_id = handle.user_id
-                    session_id = handle.session_id
                     objects = self._objects
                     if content_hash and content_hash not in objects:
                         objects.put(content_hash, size_bytes)
                     # Inlined RpcWorker.execute_one(GET_NODE): pooled factor
-                    # draw, DAL touch, worker counters, RPC row.
+                    # draw, DAL touch, worker counters, RPC row provenance.
                     worker = self._rpc
                     model = worker._latency
                     factors = model._factors
@@ -439,26 +440,22 @@ class ApiServerProcess:
                     shard.requests_served += 1  # get_node, result unused
                     worker.calls_executed += 1
                     worker.busy_time += service_time
-                    worker._rpc_row((
-                        timestamp, self._server, self._process, user_id,
-                        session_id, _GET_NODE_RPC, shard_id, service_time,
-                        operation, attack))
+                    worker._rpc_ref(ref)
+                    worker._rpc_code(_GET_NODE_CODE)
+                    worker._rpc_shard(shard_id)
+                    worker._rpc_service(service_time)
                     if content_hash:
                         # Inlined ObjectStore.get() accounting.
                         accounting = objects.accounting
                         accounting.get_requests += 1
                         accounting.bytes_downloaded += \
                             objects._objects[content_hash]  # noqa: SLF001
-                    self._storage_row((
-                        timestamp, self._server, self._process, user_id,
-                        session_id, operation, node_id, volume_id,
-                        volume_type, node_kind, size_bytes, content_hash,
-                        extension, is_update, shard_id, attack, "", 0))
+                    self._storage_ref(ref)
+                    self._storage_shard(shard_id)
                     return
             elif operation in _RPC_ONLY_OPERATIONS:
                 self.requests_handled += 1
                 user_id = handle.user_id
-                session_id = handle.session_id
                 if self._stable_routing:
                     routed = handle.shard_cache
                     if routed is None:
@@ -470,10 +467,7 @@ class ApiServerProcess:
                     shard.ensure_user(user_id, -user_id, timestamp)
                 context = self._request_context
                 context.timestamp = timestamp
-                context.user_id = user_id
-                context.session_id = session_id
-                context.api_operation = operation
-                context.caused_by_attack = attack
+                context.ref = ref
                 context.shard_id = shard_id
                 execute = self._rpc.execute
                 if operation is _GET_DELTA_OPERATION:
@@ -491,11 +485,8 @@ class ApiServerProcess:
                 else:  # RESCAN_FROM_SCRATCH
                     execute(_GET_FROM_SCRATCH_RPC, context,
                             shard.get_from_scratch, user_id)
-                self._storage_row((
-                    timestamp, self._server, self._process, user_id,
-                    session_id, operation, node_id, volume_id, volume_type,
-                    node_kind, size_bytes, content_hash, extension,
-                    is_update, shard_id, attack, "", 0))
+                self._storage_ref(ref)
+                self._storage_shard(shard_id)
                 return
         request = self._replay_request
         request.timestamp = timestamp
@@ -511,17 +502,22 @@ class ApiServerProcess:
         request.extension = extension
         request.is_update = is_update
         request.caused_by_attack = attack
-        self.handle(request)
+        self.handle(request, ref)
 
-    def handle(self, request: ApiRequest) -> ApiResponse:
+    def handle(self, request: ApiRequest,
+               ref: int | None = None) -> ApiResponse:
         """Process one client request end to end.
 
-        Accepts anything request-shaped (a real :class:`ApiRequest`, a
-        workload ``ClientEvent`` or the replay's :class:`_ReplayRequest`,
-        which all expose the same attributes).  This is the generic path
-        for every operation; the replay's fast paths live in
-        :meth:`handle_event`.
+        Accepts anything request-shaped (a real :class:`ApiRequest` or the
+        replay's :class:`_ReplayRequest`, which expose the same
+        attributes).  ``ref`` is the request's timeline ordinal in a replay
+        shard; a direct call registers the request with the sink.  This is
+        the generic path for every operation; the replay's fast paths live
+        in :meth:`handle_event`.
         """
+        if ref is None:
+            ref = self._sink.explicit_request(request, self._server,
+                                              self._process)
         self.requests_handled += 1
         operation = request.operation
         handle = self._sessions.get(request.session_id)
@@ -562,14 +558,9 @@ class ApiServerProcess:
             if error_kind:
                 if error_kind == "shard_read_only":
                     shard.write_rejections += 1
-                self._storage_row((
-                    timestamp, self._server, self._process,
-                    request.user_id, request.session_id, operation,
-                    request.node_id, request.volume_id, request.volume_type,
-                    request.node_kind, request.size_bytes,
-                    request.content_hash, request.extension,
-                    request.is_update, shard_id, request.caused_by_attack,
-                    error_kind, fault_retries))
+                self._storage_ref(ref)
+                self._storage_shard(shard_id)
+                self._sink.storage_fault(error_kind, fault_retries)
                 return ApiResponse(operation, False,
                                    f"fault injected: {error_kind}")
             if failover:
@@ -581,10 +572,7 @@ class ApiServerProcess:
 
         context = self._request_context
         context.timestamp = timestamp
-        context.user_id = request.user_id
-        context.session_id = request.session_id
-        context.api_operation = operation
-        context.caused_by_attack = request.caused_by_attack
+        context.ref = ref
         context.shard_id = shard_id
         response = ApiResponse(operation=operation)
         rpc_before = self._rpc.calls_executed
@@ -600,14 +588,10 @@ class ApiServerProcess:
         if operation in self._MUTATING_OPERATIONS and response.ok:
             response.notified_sessions = self._notify_mutation(request)
 
-        # Positional StorageRecord field order (columnar fast path).
-        self._storage_row((
-            timestamp, self._server, self._process,
-            request.user_id, request.session_id, operation,
-            request.node_id, request.volume_id, request.volume_type,
-            request.node_kind, request.size_bytes, request.content_hash,
-            request.extension, request.is_update,
-            shard_id, request.caused_by_attack, "", fault_retries))
+        self._storage_ref(ref)
+        self._storage_shard(shard_id)
+        if fault_retries:
+            self._sink.storage_fault("", fault_retries)
         return response
 
     # ----------------------------------------------------------- op handlers

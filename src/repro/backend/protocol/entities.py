@@ -91,21 +91,14 @@ class Volume:
 
 @dataclass(slots=True)
 class SessionHandle:
-    """A storage-protocol session bound to an API server process."""
+    """A storage-protocol session, held by the API server process it was
+    opened on (that process's session table is the binding)."""
 
     session_id: int
     user_id: int
-    server: str
-    process: int
     established_at: float
-    token: str
-    is_open: bool = True
     storage_operations: int = 0
     #: ``(shard, shard_id)`` memo filled by the API server on first use —
     #: under stable (user-id) routing a session's shard never changes, so
     #: per-request routing is a handle attribute read.
     shard_cache: tuple | None = None
-
-    def close(self) -> None:
-        """Mark the session as closed."""
-        self.is_open = False

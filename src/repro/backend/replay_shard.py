@@ -65,8 +65,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -85,8 +85,13 @@ from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.faults.accounting import FaultAccounting
 from repro.faults.runtime import FaultInjector
-from repro.trace.dataset import ColumnBlock
-from repro.trace.records import RpcName
+from repro.trace.dataset import (
+    OPERATION_CODE,
+    ColumnBlock,
+    concat_stored,
+    request_column,
+)
+from repro.trace.records import ApiOperation, RpcName
 from repro.util import telemetry
 from repro.util.gctools import cyclic_gc_paused
 from repro.util.rngpool import RngPool
@@ -108,6 +113,59 @@ __all__ = [
 
 #: A block's event columns after ``times``, in dispatch-row order.
 _value_columns = attrgetter(*EVENT_COLUMNS[1:])
+#: The request fields those columns hold (``repro.trace.dataset.REQUEST_FIELDS``).
+_VALUE_FIELDS = ("operation", "node_id", "volume_id", "volume_type",
+                 "node_kind", "size_bytes", "content_hash", "extension",
+                 "is_update")
+_AUTHENTICATE_CODE = OPERATION_CODE[ApiOperation.AUTHENTICATE]
+
+
+class _EventColumns:
+    """What the timeline build's one walk keeps for the shard's event columns.
+
+    ``blocks`` holds, for every script with events and in script order,
+    its block's :data:`_VALUE_FIELDS` columns as stored (a list, or one
+    value for all of the script's events); ``ts`` and ``kinds`` are the
+    timeline's timestamp and record-kind arrays.  :func:`_event_column`
+    turns a field of ``blocks`` into a typed column indexed by event
+    ordinal (the shard's events in script order), which the storage and
+    RPC rows are gathered from.
+    """
+
+    __slots__ = ("blocks", "ts", "kinds")
+
+    def __init__(self) -> None:
+        self.blocks: list[tuple] = []
+        self.ts: np.ndarray | None = None
+        self.kinds: np.ndarray | None = None
+
+
+def _event_column(name: str, entries: tuple, counts: np.ndarray):
+    """Stored form of one event field, one row per event.
+
+    ``entries`` has one entry per script, ``counts`` its number of events.
+    List entries are converted concatenated; scalar entries are converted
+    once per script and repeated over its events in NumPy, so a broadcast
+    column costs per script, not per event.
+    """
+    is_list = np.fromiter(map(is_, map(type, entries), repeat(list)),
+                          dtype=np.bool_, count=len(entries))
+    if is_list.all():
+        return request_column(name, list(chain.from_iterable(entries)))
+    scalars = request_column(name, list(compress(entries,
+                                                 (~is_list).tolist())))
+    lists = request_column(name, list(chain.from_iterable(
+        compress(entries, is_list.tolist()))))
+    categories = None
+    if type(scalars) is tuple:
+        codes, categories = concat_stored([scalars, lists])
+        split = len(scalars[0])
+        scalars, lists = codes[:split], codes[split:]
+    from_list = np.repeat(is_list, counts)
+    out = np.empty(len(from_list), dtype=scalars.dtype)
+    out[~from_list] = np.repeat(scalars, counts[~is_list])
+    out[from_list] = lists
+    return out if categories is None else (out, categories)
 
 
 def fork_available() -> bool:
@@ -243,17 +301,23 @@ class UploadJobCollector:
         return self.last_sweep + self.interval
 
     def collect(self, now: float) -> None:
-        """One uploadjob garbage-collection sweep."""
+        """One uploadjob garbage-collection sweep.
+
+        A sweep serves no client request, so each job's RPCs share one
+        request registered with the trace sink (no timeline ordinal).
+        """
         self.last_sweep = now
         self.sweeps += 1
         process = self._process
         worker = process._rpc  # noqa: SLF001 - internal wiring
+        sink = process._sink  # noqa: SLF001
         for shard, jobs in self._store.pending_uploadjobs():
             for job in jobs:
                 context = RpcContext(
                     timestamp=now, server=process.address.server,
                     process=process.address.process, user_id=job.user_id,
                     session_id=0, api_operation=None)
+                context.ref = sink.explicit_context(context)
                 worker.execute(RpcName.GET_UPLOADJOB, context,
                                shard.get_uploadjob, job.job_id)
                 expired = worker.execute(RpcName.TOUCH_UPLOADJOB, context,
@@ -309,9 +373,10 @@ class ShardOutcome:
     #: instant; 0.0 for an empty shard).
     timeline_end: float = 0.0
     #: Replay sub-phase seconds (all included in :attr:`seconds`):
-    #: struct-of-arrays timeline assembly + lexsort (``block_build``),
-    #: the object-free dispatch loop (``dispatch``), and column packing
-    #: of the trace streams (``pack``).
+    #: struct-of-arrays timeline and event-column assembly + lexsort
+    #: (``block_build``), the object-free dispatch loop (``dispatch``), and
+    #: the trace streams' columns (``pack``: the storage and RPC gather from
+    #: the event columns, the session rows' pack).
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -388,7 +453,8 @@ class ReplayShard:
     _OPEN, _EVENT, _CLOSE = 0, 1, 2
 
     @classmethod
-    def _build_timeline(cls, scripts: list[SessionScript]) -> tuple:
+    def _build_timeline(cls, scripts: list[SessionScript],
+                        events: _EventColumns | None = None) -> tuple:
         """Assemble the struct-of-arrays timeline and the dispatch rows.
 
         Four parallel columns (timestamp, record kind, script index,
@@ -406,8 +472,14 @@ class ReplayShard:
         is_update, caused_by_attack)``, the argument order of
         :meth:`ApiServerProcess.handle_event`, zipped at C speed from the
         block's columns with scalar columns repeated.
+
+        The same walk keeps each block's value columns in ``events``, the
+        source of the shard's event columns (see :class:`_EventColumns`).
         """
         _OPEN, _EVENT, _CLOSE = cls._OPEN, cls._EVENT, cls._CLOSE
+        if events is None:
+            events = _EventColumns()
+        add_block = events.blocks.append
         ts_col: list[float] = []
         kind_col: list[int] = []
         script_col: list[int] = []
@@ -422,9 +494,11 @@ class ReplayShard:
             script_col.append(index)
             add_row(None)
             if n:
+                values = _value_columns(block)
+                add_block(values)
                 # ``times`` leads the zip, so repeated scalars stop with it.
                 columns = [times]
-                for value in _value_columns(block):
+                for value in values:
                     columns.append(value if type(value) is list
                                    else repeat(value))
                 columns.append(repeat(block.caused_by_attack))
@@ -436,22 +510,27 @@ class ReplayShard:
             kind_col.append(_CLOSE)
             script_col.append(index)
             add_row(None)
-        order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
-                            np.asarray(ts_col, dtype=np.float64))).tolist()
+        events.kinds = np.asarray(kind_col, dtype=np.int8)
+        events.ts = np.asarray(ts_col, dtype=np.float64)
+        order = np.lexsort((events.kinds, events.ts)).tolist()
         return order, ts_col, kind_col, script_col, rows
 
     def _dispatch(self, scripts: list[SessionScript], order: list[int],
                   ts_col: list[float], kind_col: list[int],
-                  script_col: list[int], rows: list) -> None:
+                  script_col: list[int], rows: list) -> list[int]:
         """Replay the sorted timeline through the shard's API processes.
 
         The per-event hot path is object-free: one list index into the
         script's dispatch entry, one into the dispatch rows and one
-        ``handle_event`` call with the event's row — no ``ClientEvent``, no
-        ``ApiRequest``, no ``ApiResponse`` on the fast paths.
+        ``handle_event`` call with the event's row and timeline ordinal —
+        no ``ClientEvent``, no ``ApiRequest``, no ``ApiResponse`` on the
+        fast paths.  Returns the index in :attr:`processes` of the process
+        each script's session was opened on.
         """
         _EVENT, _OPEN = self._EVENT, self._OPEN
-        process_by_address = {p.address: p for p in self.processes}
+        process_by_address = {p.address: (k, p)
+                              for k, p in enumerate(self.processes)}
+        assigned = [0] * len(scripts)
         # Per-script dispatch entry, set at session open: (bound
         # handle_event, session handle, process, address).  None for failed
         # or not-yet-open sessions.
@@ -480,16 +559,15 @@ class ReplayShard:
                         continue
                     # Object-free dispatch: the event's column row goes
                     # straight to the process, no ClientEvent in between.
-                    entry[0](entry[1], rows[j])
+                    entry[0](entry[1], rows[j], j)
                 elif kind == _OPEN:
                     index = script_col[j]
                     script = scripts[index]
                     address = gateway.assign()
-                    process = process_by_address[address]
+                    assigned[index], process = process_by_address[address]
                     handle = process.open_session(
                         script.user_id, script.session_id, script.start,
-                        force_auth_failure=script.auth_failed,
-                        caused_by_attack=script.caused_by_attack)
+                        script.auth_failed, script.caused_by_attack, j)
                     if handle is None:
                         gateway.release(address)
                     else:
@@ -507,6 +585,69 @@ class ReplayShard:
                         caused_by_attack=script.caused_by_attack)
                     gateway.release(entry[3])
         progress.done = n_records
+        return assigned
+
+    def _request_sources(self, scripts: list[SessionScript],
+                         events: _EventColumns,
+                         assigned: list[int]) -> tuple[dict, np.ndarray]:
+        """The request columns of the shard's timeline, and the map from a
+        timeline ordinal to its row there (:meth:`TraceSink.gather`).
+
+        Request rows are the events in event-ordinal order, then the
+        session opens in script order.  Event fields come from ``events``
+        (an open's are fillers no storage row reads, its operation is
+        ``AUTHENTICATE``), script fields from the scripts, ``server`` and
+        ``process`` from the process each session was opened on.
+        """
+        kinds = events.kinds
+        n_scripts = len(scripts)
+        event_at = np.flatnonzero(kinds == self._EVENT)
+        open_at = np.flatnonzero(kinds == self._OPEN)
+        n_events = len(event_at)
+        source_of = np.zeros(len(kinds), dtype=np.int64)
+        source_of[event_at] = np.arange(n_events)
+        source_of[open_at] = np.arange(n_events, n_events + n_scripts)
+        # A script's records are its open, its events and its close.
+        per_script = np.diff(open_at, append=len(kinds)) - 2
+        script_of = np.concatenate([
+            np.repeat(np.arange(n_scripts), per_script), np.arange(n_scripts)])
+
+        def of_scripts(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n_scripts)
+
+        process_of = np.asarray(assigned, dtype=np.int64)[script_of]
+        servers = list(dict.fromkeys(p.address.server for p in self.processes))
+        sources = {
+            "timestamp": events.ts[np.concatenate([event_at, open_at])],
+            "server": (np.array([servers.index(p.address.server)
+                                 for p in self.processes],
+                                dtype=np.int32)[process_of], servers),
+            "process": np.array([p.address.process for p in self.processes],
+                                dtype=np.int64)[process_of],
+            "user_id": of_scripts((s.user_id for s in scripts),
+                                  np.int64)[script_of],
+            "session_id": of_scripts((s.session_id for s in scripts),
+                                     np.int64)[script_of],
+            # An event carries its block's flag, an open its script's.
+            "caused_by_attack": np.concatenate([
+                of_scripts((s.block.caused_by_attack for s in scripts),
+                           np.bool_)[script_of[:n_events]],
+                of_scripts((s.caused_by_attack for s in scripts), np.bool_)]),
+        }
+        fields = list(zip(*events.blocks)) or [()] * len(_VALUE_FIELDS)
+        counts = per_script[per_script > 0]
+        for name, entries in zip(_VALUE_FIELDS, fields):
+            stored = _event_column(name, entries, counts)
+            if type(stored) is tuple:
+                codes, categories = stored
+                sources[name] = (np.concatenate([
+                    codes, np.zeros(n_scripts, dtype=np.int32)]),
+                    categories or [""])
+            else:
+                filler = (_AUTHENTICATE_CODE if name == "operation" else 0)
+                sources[name] = np.concatenate([
+                    stored, np.full(n_scripts, filler, dtype=stored.dtype)])
+        return sources, source_of
 
     def run(self, scripts: list[SessionScript]) -> ShardOutcome:
         """Replay this shard's scripts and summarise the outcome.
@@ -517,12 +658,16 @@ class ReplayShard:
         own timeline.
         """
         started = time.perf_counter()
+        events = _EventColumns()
         order, ts_col, kind_col, script_col, rows = \
-            self._build_timeline(scripts)
+            self._build_timeline(scripts, events)
+        n_events = len(rows) - 2 * len(scripts)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
-        self._dispatch(scripts, order, ts_col, kind_col, script_col, rows)
+        assigned = self._dispatch(scripts, order, ts_col, kind_col,
+                                  script_col, rows)
+        del rows  # the dispatch rows' tuples are not needed by the pack
 
         # Tiering epilogue: realise the age-demotions still pending at the
         # end of this shard's timeline, so the hot/cold byte split covers
@@ -535,14 +680,13 @@ class ReplayShard:
 
         # The timeline is processed in timestamp order, so every stream was
         # appended sorted (the merge re-checks global order).  Column packing
-        # happens here, in the worker: building the per-field arrays is the
-        # lazy materialization cost the parent would otherwise pay serially
-        # after the merge.
+        # happens here, in the worker: the storage and RPC rows are gathered
+        # by request reference from the event columns in one NumPy pass per
+        # field, the session rows packed from their tuples.
         pack_started = time.perf_counter()
-        dataset = self.sink.dataset
-        storage = ColumnBlock.from_stream(dataset._storage)
-        rpc = ColumnBlock.from_stream(dataset._rpc)
-        sessions = ColumnBlock.from_stream(dataset._sessions)
+        storage, rpc = self.sink.gather(
+            *self._request_sources(scripts, events, assigned))
+        sessions = ColumnBlock.from_stream(self.sink.dataset._sessions)
         pack_seconds = time.perf_counter() - pack_started
         totals = self.gateway.total_assigned()
         return ShardOutcome(
@@ -551,7 +695,7 @@ class ReplayShard:
             storage=storage,
             rpc=rpc,
             sessions=sessions,
-            n_events=len(rows) - 2 * len(scripts),
+            n_events=n_events,
             ipc_bytes=storage.nbytes + rpc.nbytes + sessions.nbytes,
             block_build_seconds=build_seconds,
             dispatch_seconds=dispatch_seconds,

@@ -5,7 +5,7 @@ RPC calls, translate them into database queries, route the queries to the
 appropriate shard and return the result.  The measurement traces every RPC
 together with its service time; the simulator reproduces that by sampling a
 service time from the :class:`~repro.backend.latency.ServiceTimeModel` for
-every executed call and emitting an :class:`~repro.trace.records.RpcRecord`.
+every executed call and recording it in the :mod:`~repro.backend.tracing` sink.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Any, Callable
 from repro.backend.latency import ServiceTimeModel
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.tracing import TraceSink
+from repro.trace.dataset import RPC_CODE
 from repro.trace.records import ApiOperation, RpcName
 
 __all__ = ["RpcContext", "RpcWorker"]
@@ -24,11 +25,13 @@ class RpcContext:
     """Provenance of an RPC call: who asked, when, from which API process.
 
     A plain slotted class (not a dataclass): one context is built per API
-    request, so construction cost matters in the replay hot loop.
+    request, so construction cost matters in the replay hot loop.  ``ref``
+    is the trace-sink reference of the request served (``None``: the worker
+    registers the context's own fields as one).
     """
 
     __slots__ = ("timestamp", "server", "process", "user_id", "session_id",
-                 "api_operation", "caused_by_attack", "shard_id")
+                 "api_operation", "caused_by_attack", "shard_id", "ref")
 
     def __init__(self, timestamp: float, server: str, process: int,
                  user_id: int, session_id: int,
@@ -45,18 +48,7 @@ class RpcContext:
         #: Pre-routed shard of ``user_id`` (optional; saves the worker a
         #: routing call per RPC on the request hot path).
         self.shard_id = shard_id
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"RpcContext(timestamp={self.timestamp!r}, server={self.server!r}, "
-                f"process={self.process!r}, user_id={self.user_id!r}, "
-                f"session_id={self.session_id!r}, api_operation={self.api_operation!r}, "
-                f"caused_by_attack={self.caused_by_attack!r})")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RpcContext):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+        self.ref: int | None = None
 
 
 class RpcWorker:
@@ -67,8 +59,12 @@ class RpcWorker:
         self.worker_id = worker_id
         self._store = store
         self._latency = latency
-        # The sink's raw row appender (execute() runs once per RPC).
-        self._rpc_row = sink.rpc_row
+        # The sink's bound provenance appenders (execute() runs per RPC).
+        self._sink = sink
+        self._rpc_ref = sink.rpc_refs.append
+        self._rpc_code = sink.rpc_codes.append
+        self._rpc_shard = sink.rpc_shards.append
+        self._rpc_service = sink.rpc_service_times.append
         #: Total number of RPCs executed by this worker.
         self.calls_executed = 0
         #: Total simulated time spent servicing RPCs (seconds).
@@ -133,11 +129,12 @@ class RpcWorker:
         result = operation(*args)
         self.calls_executed += 1
         self.busy_time += service_time
-        # Positional RpcRecord field order (columnar fast path).
-        self._rpc_row((
-            context.timestamp, context.server, context.process,
-            context.user_id, context.session_id, rpc, shard_id, service_time,
-            context.api_operation, context.caused_by_attack))
+        ref = context.ref
+        self._rpc_ref(ref if ref is not None
+                      else self._sink.explicit_context(context))
+        self._rpc_code(RPC_CODE[rpc])
+        self._rpc_shard(shard_id)
+        self._rpc_service(service_time)
         return result
 
     def execute_one(self, rpc: RpcName, context: RpcContext,
@@ -167,10 +164,12 @@ class RpcWorker:
         result = operation(arg)
         self.calls_executed += 1
         self.busy_time += service_time
-        self._rpc_row((
-            context.timestamp, context.server, context.process,
-            context.user_id, context.session_id, rpc, shard_id, service_time,
-            context.api_operation, context.caused_by_attack))
+        ref = context.ref
+        self._rpc_ref(ref if ref is not None
+                      else self._sink.explicit_context(context))
+        self._rpc_code(RPC_CODE[rpc])
+        self._rpc_shard(shard_id)
+        self._rpc_service(service_time)
         return result
 
     def execute_block(self, rpc: RpcName, context: RpcContext,
@@ -181,7 +180,7 @@ class RpcWorker:
         The vectorised counterpart of :meth:`execute` for runs of identical
         calls (multipart part uploads, GC sweeps): service times are drawn in
         one pooled block, the counters are updated once for the whole block,
-        and the trace rows share the prebuilt context fields — only the
+        and the trace rows share the context's request reference — only the
         per-call service time differs.  Returns the operation results in
         call order.
         """
@@ -198,12 +197,11 @@ class RpcWorker:
         results = [operation(*args) for args in args_list]
         self.calls_executed += n
         self.busy_time += sum(times)
-        rpc_row = self._rpc_row
-        timestamp, server, process = (context.timestamp, context.server,
-                                      context.process)
-        user_id, session_id = context.user_id, context.session_id
-        api_operation, attack = context.api_operation, context.caused_by_attack
-        for service_time in times:
-            rpc_row((timestamp, server, process, user_id, session_id, rpc,
-                     shard_id, service_time, api_operation, attack))
+        ref = context.ref
+        sink = self._sink
+        sink.rpc_refs.extend(
+            [ref if ref is not None else sink.explicit_context(context)] * n)
+        sink.rpc_codes.extend([RPC_CODE[rpc]] * n)
+        sink.rpc_shards.extend([shard_id] * n)
+        sink.rpc_service_times.extend(times)
         return results

@@ -1,38 +1,194 @@
 """Trace sink: collects the records emitted by the simulated back-end.
 
 The real measurement instruments every API/RPC server process and later
-merges their logfiles.  The simulator short-circuits that by writing rows
+merges their logfiles.  The simulator short-circuits that by writing
 straight into a :class:`~repro.trace.dataset.TraceDataset`; the logfile
 round-trip of :mod:`repro.trace.logfile` is still available for tests and
 examples that want on-disk traces.
 
-The sink's ``storage_row`` / ``rpc_row`` / ``session_row`` are the bound
-``list.append`` of each stream's append buffer: one C-level call per
-emitted row tuple (record-field order), no record object, no per-append
-bookkeeping.  The dataset packs the buffer into columns when it is first
-read and clears it in place, so the bound appenders never go stale.
+Most fields of a storage or RPC row are the fields of the request it
+serves (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
+*provenance* instead of rows, one buffer per provenance field:
+
+* a storage row: its request's reference and the metadata shard id, plus
+  ``error_kind``/``retries`` in a sparse table when a fault sets them;
+* an RPC row: its request's reference, the RPC code, the shard id and the
+  service time.
+
+A reference ``>= 0`` is a replay shard's timeline ordinal (an event or a
+session open); the shard resolves it when it gathers its column blocks
+(:meth:`TraceSink.gather`).  A request with no timeline ordinal — a direct
+``handle``/``open_session``/``RpcWorker.execute`` call, a GC sweep — is
+registered with :meth:`TraceSink.explicit` and gets a negative reference
+into the sink's own request table, so every row takes the same record
+path.  Reading :attr:`TraceSink.dataset` gathers the buffered rows into
+the dataset first.  Session rows stay row tuples: ``session_row`` is the
+bound ``list.append`` of the session stream's append buffer.
+
+The buffers are plain lists, each converted to one typed NumPy array when
+the rows are gathered.  A list append is about a third of an
+``array.array`` append (whose item setter parses every value), and its
+items are objects the request already holds — small ints, the timeline
+ordinal — except the service-time floats.
 """
 
 from __future__ import annotations
 
-from repro.trace.dataset import TraceDataset
+from operator import attrgetter
+
+import numpy as np
+
+from repro.trace.dataset import (
+    REQUEST_FIELDS,
+    ColumnBlock,
+    TraceDataset,
+    concat_stored,
+    request_column,
+)
 
 __all__ = ["TraceSink"]
 
+#: Request fields a session open or a bare RPC context does not carry
+#: (``node_id`` .. ``is_update``); no storage row ever reads them.
+_NO_EVENT = (0, 0, None, None, 0, "", "", False)
+
+
+#: A request-shaped object's :data:`REQUEST_FIELDS` after ``timestamp``,
+#: ``server`` and ``process``.
+_request_attributes = attrgetter(*REQUEST_FIELDS[3:])
+#: An RPC context's fields, in :meth:`TraceSink.explicit_rpc` order.
+_context_fields = attrgetter("timestamp", "server", "process", "user_id",
+                             "session_id", "api_operation", "caused_by_attack")
+
+
+def _typed(buffer: list, dtype) -> np.ndarray:
+    """One provenance buffer as a typed array."""
+    return np.fromiter(buffer, dtype=dtype, count=len(buffer))
+
 
 class TraceSink:
-    """Accumulates trace rows produced during a simulation run."""
+    """Accumulates the trace rows produced during a simulation run."""
 
-    __slots__ = ("dataset", "storage_row", "rpc_row", "session_row")
+    __slots__ = ("_dataset", "session_row", "storage_refs", "storage_shards",
+                 "storage_faults", "rpc_refs", "rpc_codes", "rpc_shards",
+                 "rpc_service_times", "_explicit", "_explicit_base")
 
     def __init__(self, dataset: TraceDataset | None = None):
-        self.dataset = dataset if dataset is not None else TraceDataset()
-        #: Append one storage row tuple (``StorageRecord`` field order).
-        self.storage_row = self.dataset._storage.append
-        #: Append one RPC row tuple (``RpcRecord`` field order).
-        self.rpc_row = self.dataset._rpc.append
+        self._dataset = dataset if dataset is not None else TraceDataset()
         #: Append one session row tuple (``SessionRecord`` field order).
-        self.session_row = self.dataset._sessions.append
+        self.session_row = self._dataset._sessions.append
+        #: Per storage row: request reference, metadata shard id.
+        self.storage_refs: list[int] = []
+        self.storage_shards: list[int] = []
+        #: storage row position -> ``(error_kind, retries)``, faulted rows only.
+        self.storage_faults: dict[int, tuple[str, int]] = {}
+        #: Per RPC row: request reference, ``RPC_CODE``, shard id, seconds.
+        self.rpc_refs: list[int] = []
+        self.rpc_codes: list[int] = []
+        self.rpc_shards: list[int] = []
+        self.rpc_service_times: list[float] = []
+        # Requests with no timeline ordinal (REQUEST_FIELDS tuples); the
+        # reference of entry k is -1 - (_explicit_base + k).
+        self._explicit: list[tuple] = []
+        self._explicit_base = 0
+
+    def explicit(self, request: tuple) -> int:
+        """Register a request given as a :data:`REQUEST_FIELDS` tuple and
+        return its reference (valid until the next :meth:`gather`)."""
+        self._explicit.append(request)
+        return -self._explicit_base - len(self._explicit)
+
+    def explicit_rpc(self, timestamp: float, server: str, process: int,
+                     user_id: int, session_id: int, operation,
+                     caused_by_attack: bool) -> int:
+        """:meth:`explicit` for a request that only has RPC-row fields."""
+        return self.explicit((timestamp, server, process, user_id, session_id,
+                              operation, *_NO_EVENT, caused_by_attack))
+
+    def explicit_context(self, context) -> int:
+        """:meth:`explicit_rpc` for an ``RpcContext``'s own fields."""
+        return self.explicit_rpc(*_context_fields(context))
+
+    def explicit_request(self, request, server: str, process: int) -> int:
+        """:meth:`explicit` for a request-shaped object (an ``ApiRequest``)
+        served by API process ``process`` on ``server``."""
+        return self.explicit((request.timestamp, server, process,
+                              *_request_attributes(request)))
+
+    def storage_fault(self, error_kind: str, retries: int) -> None:
+        """Set ``error_kind``/``retries`` of the last storage row."""
+        self.storage_faults[len(self.storage_refs) - 1] = (error_kind, retries)
+
+    def gather(self, sources: dict | None = None,
+               source_of: np.ndarray | None = None) -> tuple[ColumnBlock,
+                                                             ColumnBlock]:
+        """Gather the buffered rows into ``(storage, rpc)`` column blocks
+        and empty the buffers.
+
+        ``sources`` holds the :data:`REQUEST_FIELDS` columns of the timeline
+        requests in stored form, and ``source_of`` maps a reference ``>= 0``
+        to its row there; a sink that only saw explicit requests needs
+        neither.
+        """
+        explicit = self._explicit
+        offset = 0 if sources is None else len(sources["timestamp"])
+        merged = sources
+        if explicit or sources is None:
+            columns = list(zip(*explicit)) or [()] * len(REQUEST_FIELDS)
+            table = {name: request_column(name, values)
+                     for name, values in zip(REQUEST_FIELDS, columns)}
+            merged = table if sources is None else {
+                name: concat_stored([sources[name], table[name]])
+                for name in REQUEST_FIELDS}
+
+        def rows_of(refs: list[int]) -> np.ndarray:
+            ref = _typed(refs, np.int64)
+            timeline = ref >= 0
+            index = np.empty_like(ref)
+            if source_of is not None:
+                index[timeline] = source_of[ref[timeline]]
+            elif timeline.any():
+                raise ValueError("timeline references need the timeline's "
+                                 "request columns")
+            index[~timeline] = offset - 1 - self._explicit_base - ref[~timeline]
+            return index
+
+        n = len(self.storage_refs)
+        retries = np.zeros(n, dtype=np.int64)
+        kinds = {"": 0}
+        error_codes = np.zeros(n, dtype=np.int32)
+        for row, (error_kind, tries) in self.storage_faults.items():
+            error_codes[row] = kinds.setdefault(error_kind, len(kinds))
+            retries[row] = tries
+        storage = ColumnBlock.gather("storage", merged,
+                                     rows_of(self.storage_refs), {
+            "shard_id": _typed(self.storage_shards, np.int64),
+            "error_kind": (error_codes, list(kinds)),
+            "retries": retries})
+        rpc = ColumnBlock.gather(
+            "rpc", {**merged, "api_operation": merged["operation"]},
+            rows_of(self.rpc_refs), {
+                "rpc": _typed(self.rpc_codes, np.int16),
+                "shard_id": _typed(self.rpc_shards, np.int64),
+                "service_time": _typed(self.rpc_service_times, np.float64)})
+        # Cleared in place: the writers hold the buffers' bound appenders.
+        for buffer in (self.storage_refs, self.storage_shards, self.rpc_refs,
+                       self.rpc_codes, self.rpc_shards,
+                       self.rpc_service_times):
+            buffer.clear()
+        self.storage_faults.clear()
+        self._explicit_base += len(explicit)
+        explicit.clear()
+        return storage, rpc
+
+    @property
+    def dataset(self) -> TraceDataset:
+        """The trace so far, with every buffered row gathered into it."""
+        if self.storage_refs or self.rpc_refs:
+            storage, rpc = self.gather()
+            self._dataset._storage.append_block(storage)
+            self._dataset._rpc.append_block(rpc)
+        return self._dataset
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TraceSink({self.dataset!r})"
+        return f"TraceSink({self._dataset!r})"

@@ -22,8 +22,10 @@ is packed into the columns when the stream is next read.
   factorised as ``(int32 codes, categories)``, categories in
   first-occurrence order; ``*_column(name)`` decodes them on demand.
 * ``append_*_row``, ``add_*`` and the record-list constructor all append to
-  the buffer; the replay sinks append through the buffer's bound
-  ``list.append``.
+  the buffer.  The back-end's trace sink (:mod:`repro.backend.tracing`)
+  appends session rows the same way, but delivers storage and RPC rows as
+  whole :class:`ColumnBlock`\\ s (:meth:`ColumnBlock.gather`) that a stream
+  takes with :meth:`_Stream.append_block`.
 * The slicing primitives (``filter_time``, ``filter_users``,
   ``without_attack_traffic``) evaluate their predicate vectorised and return
   datasets of views: an index array into the parent's columns.
@@ -57,7 +59,10 @@ from repro.util.distinct import distinct
 
 __all__ = [
     "ColumnBlock",
+    "REQUEST_FIELDS",
     "TraceDataset",
+    "concat_stored",
+    "request_column",
     "OPERATION_CODE",
     "RPC_CODE",
     "SESSION_EVENT_CODE",
@@ -138,15 +143,17 @@ _SESSION_SPEC = _StreamSpec(
 class ColumnBlock:
     """One stream's events as per-field NumPy arrays (the shard IPC format).
 
-    This is what a replay shard ships across the worker boundary instead of
-    a list of per-event row tuples: ``cols`` maps every numeric/enum field
-    to the exact array ``_Stream.column`` would return (enum fields as
-    ``int16`` code arrays), and ``codes`` maps every object-dtype field
-    (``server``, ``content_hash``, ``extension``, ``error_kind``) to the
-    factorised ``(int32 codes, categories)`` pair ``_Stream.codes`` would
-    return.  Numeric arrays pickle as contiguous buffers — no per-event
-    Python objects cross the process boundary — and the factorisation dedups
-    the repeated strings (machine names, duplicated content hashes).
+    ``cols`` maps every numeric/enum field to the exact array
+    ``_Stream.column`` would return (enum fields as ``int16`` code arrays),
+    and ``codes`` maps every object-dtype field (``server``,
+    ``content_hash``, ``extension``, ``error_kind``) to a factorised
+    ``(int32 codes, categories)`` pair, categories in first-occurrence
+    order.  A replay shard builds its storage and RPC blocks with
+    :meth:`gather` from request columns and per-row back-end values, its
+    session block with :meth:`from_stream`, and ships them across the
+    worker boundary: numeric arrays pickle as contiguous buffers, no
+    per-event Python objects cross, and the factorisation dedups the
+    repeated strings (machine names, duplicated content hashes).
     """
 
     __slots__ = ("n", "cols", "codes")
@@ -170,6 +177,26 @@ class ColumnBlock:
             else:
                 cols[name] = value
         return cls(len(stream), cols, codes)
+
+    @classmethod
+    def gather(cls, stream: str, sources: dict, index: np.ndarray,
+               own: dict) -> "ColumnBlock":
+        """A ``stream`` block (``"storage"`` or ``"rpc"``) of ``len(index)``
+        rows: each field in ``own`` as given (stored form), every other field
+        taken from the same-named ``sources`` column at ``index`` in one
+        NumPy gather.  Object fields are renumbered to first-occurrence row
+        order, so the block equals the one packed from the same rows."""
+        cols: dict[str, np.ndarray] = {}
+        codes: dict[str, tuple[np.ndarray, list]] = {}
+        for name in _SPECS[stream].fields:
+            value = own.get(name)
+            if value is None:
+                value = _take(sources[name], index)
+            if type(value) is tuple:
+                codes[name] = _canonical_codes(*value)
+            else:
+                cols[name] = value
+        return cls(len(index), cols, codes)
 
     @property
     def nbytes(self) -> int:
@@ -206,6 +233,24 @@ def _column_from_values(spec: _StreamSpec, name: str, values: tuple):
         return (np.fromiter(map(mapping.__getitem__, values),
                             dtype=np.int32, count=n), list(mapping))
     return np.asarray(values, dtype=kind)
+
+
+#: What a storage or RPC row takes from the request it serves: every
+#: storage field but the back-end's ``shard_id``, ``error_kind`` and
+#: ``retries`` (an RPC row reads ``operation`` as its ``api_operation``).
+REQUEST_FIELDS = _STORAGE_SPEC.fields[:14] + ("caused_by_attack",)
+
+
+def request_column(name: str, values) -> np.ndarray | tuple[np.ndarray, list]:
+    """Stored form of one request field (see :data:`REQUEST_FIELDS`)."""
+    return _column_from_values(_STORAGE_SPEC, name, values)
+
+
+def concat_stored(parts: list) -> np.ndarray | tuple[np.ndarray, list]:
+    """Concatenate stored forms of one field (arrays or factorised pairs)."""
+    if type(parts[0]) is tuple:
+        return _merge_factorised(parts)
+    return np.concatenate(parts)
 
 
 def _pack(spec: _StreamSpec, rows: list[tuple]) -> dict:
@@ -269,13 +314,14 @@ class _Stream:
     A *base* stream owns ``_cols``: the stored form of every field of its
     first ``_n`` events (arrays; object fields as ``(codes, categories)``
     pairs).  Rows appended since sit in ``_buf`` and are packed into a new
-    column dict on the next read.  A *view* (``_indices`` set) reads the
-    column dict of the stream it was taken from, as installed when it was
-    taken.  Packing and sorting install a new dict and never mutate an
-    installed one, so a view stays coherent whatever happens to its base.
+    column dict on the next read; whole column blocks join through
+    :meth:`append_block`.  A *view* (``_indices`` set) reads the column
+    dict of the stream it was taken from, as installed when it was taken.
+    Packing and sorting install a new dict and never mutate an installed
+    one, so a view stays coherent whatever happens to its base.
 
-    ``_buf`` is cleared in place, never rebound, so :attr:`append` (the
-    replay sinks' appender) never goes stale.
+    ``_buf`` is cleared in place, never rebound, so a bound :attr:`append`
+    (the trace sink's session-row appender) never goes stale.
     """
 
     __slots__ = ("spec", "_cols", "_n", "_indices", "_buf", "append",
@@ -307,14 +353,20 @@ class _Stream:
         buf = self._buf
         if not buf:
             return
-        packed = _pack(self.spec, buf)
-        if self._n:
-            packed = {name: (_merge_factorised([self.stored(name), value])
-                             if type(value) is tuple
-                             else np.concatenate([self.stored(name), value]))
-                      for name, value in packed.items()}
-        self._install(packed, self._n + len(buf))
+        self._extend(_pack(self.spec, buf), len(buf))
         del buf[:]
+
+    def append_block(self, block: ColumnBlock) -> None:
+        """Append a column block's rows after every row appended so far."""
+        self.pack()
+        if block.n:
+            self._extend({**block.cols, **block.codes}, block.n)
+
+    def _extend(self, packed: dict, n: int) -> None:
+        if self._n:
+            packed = {name: concat_stored([self.stored(name), packed[name]])
+                      for name in self.spec.fields}
+        self._install(packed, self._n + n)
 
     def _install(self, cols: dict, n: int) -> None:
         self._cols = cols
@@ -453,6 +505,9 @@ class _Stream:
                 value = np.concatenate([b.cols.pop(name) for b in blocks])
             cols[name] = value if order is None else _take(value, order)
         return cls(spec, cols, int(ts.size))
+
+
+_SPECS = {"storage": _STORAGE_SPEC, "rpc": _RPC_SPEC}
 
 
 class _RecordsView(Sequence):

@@ -30,12 +30,14 @@ class TestEntities:
         assert volume.bump_generation() == 2
         assert volume.node_count == 0
 
-    def test_session_handle_close(self):
-        handle = SessionHandle(session_id=1, user_id=2, server="api0", process=0,
-                               established_at=0.0, token="t")
-        assert handle.is_open
-        handle.close()
-        assert not handle.is_open
+    def test_session_handle_fields(self):
+        handle = SessionHandle(1, 2, 0.5)
+        assert (handle.session_id, handle.user_id, handle.established_at) == \
+            (1, 2, 0.5)
+        assert handle.storage_operations == 0
+        assert handle.shard_cache is None
+        handle.storage_operations += 1
+        assert handle.storage_operations == 1
 
 
 class TestApiRequest:

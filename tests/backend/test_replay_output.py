@@ -1,0 +1,420 @@
+"""Column-native replay output against a row-tuple reference.
+
+A replay shard records each storage and RPC row as provenance (the
+request's reference plus the back-end's own values) and gathers the
+request fields from its event columns.  The reference here rebuilds every
+row the way the row-tuple sink did: at each write it takes the fields of
+the request being served — tracked from the call stack, not from the
+reference the row carries — and packs the 18-field storage and 10-field
+RPC tuples with ``repro.trace.dataset._pack``.  Every shard block must
+equal the packed reference array for array, categories included.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from perfbench.workloads import WORKLOADS, cluster_config, workload_config
+from repro.backend import replay_shard
+from repro.backend.api_server import ApiServerProcess, SessionRegistry
+from repro.backend.auth import AuthenticationService
+from repro.backend.cluster import ClusterConfig, U1Cluster
+from repro.backend.datastore import ObjectStore
+from repro.backend.gateway import ProcessAddress
+from repro.backend.latency import ServiceTimeModel
+from repro.backend.metadata_store import ShardedMetadataStore
+from repro.backend.notifications import NotificationBus
+from repro.backend.protocol.operations import ApiRequest
+from repro.backend.replay_shard import ReplayShard, UploadJobCollector
+from repro.backend.rpc_server import RpcWorker
+from repro.backend.tracing import TraceSink
+from repro.faults.mitigation import MitigationPolicy
+from repro.faults.runtime import compile_plan
+from repro.faults.spec import default_fault_plan
+from repro.trace.dataset import (
+    _RPC_SPEC,
+    _SESSION_SPEC,
+    _STORAGE_SPEC,
+    ColumnBlock,
+    _pack,
+)
+from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
+from repro.workload.events import EventBlock, SessionScript
+from repro.workload.generator import SyntheticTraceGenerator
+
+_RPC_NAMES = list(RpcName)
+#: Request fields a session open or a bare RPC context does not carry.
+_NO_EVENT = (0, 0, None, None, 0, "", "", False)
+_GC = object()  # stack marker: inside an uploadjob GC sweep
+
+
+class _Tap(list):
+    """A provenance buffer that notes the request served at each write."""
+
+    def __init__(self, note):
+        super().__init__()
+        self._note = note
+
+    def append(self, value):
+        list.append(self, value)
+        self._note(1)
+
+    def extend(self, values):
+        values = list(values)
+        list.extend(self, values)
+        self._note(len(values))
+
+
+class _RecordingSink(TraceSink):
+    """A trace sink that also keeps what the row-tuple sink would have built."""
+
+    __slots__ = ("stack", "storage_requests", "rpc_requests", "storage_values",
+                 "rpc_values", "session_rows")
+
+    def __init__(self, dataset=None):
+        super().__init__(dataset)
+        self.stack: list = []
+        self.storage_requests: list[tuple] = []
+        self.rpc_requests: list[tuple] = []
+        self.storage_values: list[tuple] = []
+        self.rpc_values: list[tuple] = []
+        self.session_rows: list[tuple] = []
+        self.storage_refs = _Tap(self._note(self.storage_requests))
+        self.rpc_refs = _Tap(self._note(self.rpc_requests))
+        append_session = self.session_row
+
+        def session_row(row):
+            self.session_rows.append(row)
+            append_session(row)
+        self.session_row = session_row
+
+    def _note(self, requests):
+        def note(n):
+            requests.extend([self.stack[-1]] * n)
+        return note
+
+    def gather(self, sources=None, source_of=None):
+        n = len(self.storage_shards)
+        self.storage_values.extend(
+            (shard, *self.storage_faults.get(i, ("", 0)))
+            for i, shard in enumerate(self.storage_shards))
+        self.rpc_values.extend(zip(self.rpc_codes, self.rpc_shards,
+                                   self.rpc_service_times))
+        assert len(self.storage_requests) == len(self.storage_values) \
+            and n == len(self.storage_refs)
+        return super().gather(sources, source_of)
+
+    def reference_blocks(self) -> tuple[dict, dict, dict]:
+        """Stored columns of the row tuples the row-tuple sink packed."""
+        storage = [(*request[:14], shard, request[14], error_kind, retries)
+                   for request, (shard, error_kind, retries)
+                   in zip(self.storage_requests, self.storage_values)]
+        rpc = [(*request[:5], _RPC_NAMES[code], shard, service_time,
+                request[5], request[14])
+               for request, (code, shard, service_time)
+               in zip(self.rpc_requests, self.rpc_values)]
+        return (_pack(_STORAGE_SPEC, storage), _pack(_RPC_SPEC, rpc),
+                _pack(_SESSION_SPEC, self.session_rows))
+
+
+def _serving(sink_of, request_of):
+    """Wrap a back-end method so the request it serves tops the stack."""
+    def wrap(original):
+        def wrapper(self, *args, **kwargs):
+            stack = sink_of(self).stack
+            request = request_of(self, *args, **kwargs)
+            if request is not None:
+                stack.append(request)
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                if request is not None:
+                    stack.pop()
+        return wrapper
+    return wrap
+
+
+def _open_request(self, user_id, session_id, timestamp,
+                  force_auth_failure=False, caused_by_attack=False, ref=None):
+    return (timestamp, self._server, self._process, user_id, session_id,
+            ApiOperation.AUTHENTICATE, *_NO_EVENT, caused_by_attack)
+
+
+def _event_request(self, handle, row, ref=None):
+    return (row[0], self._server, self._process, handle.user_id,
+            handle.session_id, *row[1:])
+
+
+def _handle_request(self, request, ref=None):
+    return (request.timestamp, self._server, self._process, request.user_id,
+            request.session_id, request.operation, request.node_id,
+            request.volume_id, request.volume_type, request.node_kind,
+            request.size_bytes, request.content_hash, request.extension,
+            request.is_update, request.caused_by_attack)
+
+
+def _gc_rpc_request(self, rpc, context, *args, **kwargs):
+    if self._sink.stack[-1:] != [_GC]:
+        return None
+    return (context.timestamp, context.server, context.process,
+            context.user_id, context.session_id, context.api_operation,
+            *_NO_EVENT, context.caused_by_attack)
+
+
+@contextmanager
+def _row_reference():
+    """Record, for every sink built inside, the row-tuple reference."""
+    process_sink = lambda process: process._sink  # noqa: E731
+    patches = [
+        (ApiServerProcess, "open_session", process_sink, _open_request),
+        (ApiServerProcess, "handle_event", process_sink, _event_request),
+        (ApiServerProcess, "handle", process_sink, _handle_request),
+        (UploadJobCollector, "collect", lambda c: c._process._sink,
+         lambda self, now: _GC),
+        (RpcWorker, "execute", lambda w: w._sink, _gc_rpc_request),
+    ]
+    with ExitStack() as stack:
+        for owner, name, sink_of, request_of in patches:
+            stack.enter_context(mock.patch.object(
+                owner, name, _serving(sink_of, request_of)(
+                    getattr(owner, name))))
+        stack.enter_context(mock.patch.object(
+            replay_shard, "TraceSink", _RecordingSink))
+        yield
+
+
+def _assert_block_equals(block: ColumnBlock, reference: dict, label: str):
+    assert block.n == len(reference["timestamp"]), label
+    stored = {**block.cols, **block.codes}
+    assert set(stored) == set(reference), label
+    for name, expected in reference.items():
+        value = stored[name]
+        if type(expected) is tuple:
+            assert type(value) is tuple, (label, name)
+            assert value[0].dtype == expected[0].dtype, (label, name)
+            assert np.array_equal(value[0], expected[0]), (label, name)
+            assert value[1] == expected[1], (label, name)
+        else:
+            assert value.dtype == expected.dtype, (label, name)
+            assert np.array_equal(value, expected), (label, name)
+
+
+def _assert_outcome_equals_reference(shard: ReplayShard, outcome) -> None:
+    storage, rpc, sessions = shard.sink.reference_blocks()
+    _assert_block_equals(outcome.storage, storage, "storage")
+    _assert_block_equals(outcome.rpc, rpc, "rpc")
+    _assert_block_equals(outcome.sessions, sessions, "sessions")
+
+
+# ---------------------------------------------------------------------------
+# Generated scripts through one replay shard
+# ---------------------------------------------------------------------------
+
+_COLUMN_VALUES = {
+    "operations": st.sampled_from([
+        ApiOperation.UPLOAD, ApiOperation.DOWNLOAD, ApiOperation.GET_DELTA,
+        ApiOperation.LIST_VOLUMES, ApiOperation.QUERY_SET_CAPS,
+        ApiOperation.RESCAN_FROM_SCRATCH, ApiOperation.UNLINK,
+        ApiOperation.MAKE, ApiOperation.MOVE]),
+    "node_ids": st.integers(1, 6),
+    "volume_ids": st.integers(0, 2),
+    "volume_types": st.sampled_from(list(VolumeType)),
+    "node_kinds": st.sampled_from(list(NodeKind)),
+    # Sizes past the 1 KiB chunk below go multipart; interrupted ones leave
+    # uploadjobs for the GC sweeps.
+    "size_bytes": st.sampled_from([0, 100, 5000]),
+    "content_hashes": st.sampled_from(["", "h1", "h2"]),
+    "extensions": st.sampled_from(["", "pdf", "avi"]),
+    "is_updates": st.booleans(),
+}
+
+
+@st.composite
+def _scripts(draw):
+    """Scripts mixing list and scalar columns, with empty and auth-failed
+    scripts, on a coarse integer clock so timestamps collide across
+    scripts (and with their opens and closes)."""
+    scripts = []
+    for index in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, 12))
+        auth_failed = draw(st.integers(0, 5)) == 0
+        n = draw(st.integers(0, 5))
+        times = sorted(float(draw(st.integers(start, start + 8)))
+                       for _ in range(n))
+        end = max([float(start)] + times) + draw(st.integers(0, 3))
+        columns = {}
+        for name, values in _COLUMN_VALUES.items():
+            if draw(st.booleans()):
+                columns[name] = draw(st.lists(values, min_size=n, max_size=n))
+            else:
+                columns[name] = draw(values)
+        block = EventBlock(times=times, caused_by_attack=draw(st.booleans()),
+                           **columns)
+        scripts.append(SessionScript(
+            user_id=draw(st.integers(1, 3)), session_id=index + 1,
+            start=float(start), end=end,
+            caused_by_attack=draw(st.booleans()), auth_failed=auth_failed,
+            block=block))
+    return scripts
+
+
+@st.composite
+def _configs(draw):
+    faults = draw(st.booleans())
+    return ClusterConfig(
+        seed=draw(st.integers(0, 3)), api_machines=2, processes_per_machine=2,
+        metadata_shards=3, replay_shards=1,
+        shard_routing=draw(st.sampled_from(["user_id", "round_robin"])),
+        multipart_chunk_bytes=1024, interrupted_upload_fraction=0.5,
+        gc_interval=float(draw(st.integers(1, 4))),
+        faults=default_fault_plan(0.0, 20.0, seed=1) if faults else None,
+        mitigation=(MitigationPolicy(name="retry", kind="retry",
+                                     max_retries=2)
+                    if faults and draw(st.booleans()) else
+                    MitigationPolicy()))
+
+
+def _replay_one_shard(config: ClusterConfig, scripts) -> None:
+    schedule = (compile_plan(config.faults,
+                             n_processes=len(config.process_addresses()),
+                             n_shards=config.metadata_shards)
+                if config.faults is not None else None)
+    with _row_reference():
+        shard = ReplayShard(config, 0,
+                            list(enumerate(config.process_addresses())),
+                            U1Cluster(config).latency.shard_factors,
+                            fault_schedule=schedule)
+        outcome = shard.run(scripts)
+    _assert_outcome_equals_reference(shard, outcome)
+
+
+class TestGatheredBlocksEqualRowReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_configs(), _scripts())
+    def test_generated_scripts(self, config, scripts):
+        _replay_one_shard(config, scripts)
+
+    def test_gc_rows_interleave_with_events(self):
+        """A fixed case that must produce GC-sweep RPC rows."""
+        config = ClusterConfig(seed=0, api_machines=1, processes_per_machine=2,
+                               metadata_shards=2, replay_shards=1,
+                               multipart_chunk_bytes=1024,
+                               interrupted_upload_fraction=0.99,
+                               gc_interval=1.0)
+        scripts = [SessionScript(
+            user_id=1 + k % 2, session_id=k + 1, start=float(k),
+            end=float(k + 4), block=EventBlock(
+                times=[float(k), float(k + 1), float(k + 2)],
+                operations=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
+                            ApiOperation.GET_DELTA],
+                node_ids=[10 + k, 10 + k, 0], size_bytes=[5000, 5000, 0],
+                content_hashes=[f"c{k}", f"c{k}", ""]))
+            for k in range(6)]
+        with _row_reference():
+            shard = ReplayShard(config, 0,
+                                list(enumerate(config.process_addresses())),
+                                U1Cluster(config).latency.shard_factors)
+            outcome = shard.run(scripts)
+        gc_rows = sum(1 for request in shard.sink.rpc_requests
+                      if request[5] is None)
+        assert shard.collector.sweeps and gc_rows
+        _assert_outcome_equals_reference(shard, outcome)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+def test_perfbench_shapes_at_a_tenth(workload):
+    """Every shard block of each benchmark workload's shape, at about a
+    tenth of its size, equals the row reference."""
+    small = dataclasses.replace(
+        workload, users=max(15, workload.users // 10),
+        days=min(workload.days, 1.0),
+        attacks=None if workload.attacks is None else tuple(
+            {**attack, "session_amplification": 10.0,
+             "storage_amplification": 200.0}
+            for attack in workload.attacks))
+    config = workload_config(small, seed=2014)
+    cluster = U1Cluster(cluster_config(small, config))
+    checked = []
+    run = ReplayShard.run
+
+    def checked_run(shard, scripts):
+        outcome = run(shard, scripts)
+        _assert_outcome_equals_reference(shard, outcome)
+        checked.append(outcome.storage.n + outcome.rpc.n)
+        return outcome
+
+    with _row_reference(), mock.patch.object(ReplayShard, "run", checked_run):
+        dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
+                                      n_jobs=1)
+    assert len(checked) == cluster.config.effective_replay_shards()
+    assert sum(checked) == len(dataset.storage) + len(dataset.rpc) > 0
+
+
+# ---------------------------------------------------------------------------
+# Direct callers: one sink, rows in emission order
+# ---------------------------------------------------------------------------
+
+def _request(operation, user_id, session_id, timestamp, node_id=10,
+             size=100, content_hash="h1"):
+    return ApiRequest(operation=operation, user_id=user_id,
+                      session_id=session_id, timestamp=timestamp,
+                      node_id=node_id, volume_id=5,
+                      volume_type=VolumeType.ROOT, node_kind=NodeKind.FILE,
+                      size_bytes=size, content_hash=content_hash,
+                      extension="txt")
+
+
+def test_direct_calls_and_gc_sweep_keep_emission_order():
+    with _row_reference():
+        sink = _RecordingSink()
+        store = ShardedMetadataStore(n_shards=2)
+        latency = ServiceTimeModel(np.random.default_rng(0), n_shards=2)
+        bus = NotificationBus()
+        registry = SessionRegistry()
+        auth = AuthenticationService(rng=np.random.default_rng(0),
+                                     failure_fraction=0.0)
+        objects = ObjectStore(chunk_bytes=1024)
+        processes = [ApiServerProcess(
+            address=ProcessAddress("api0", p),
+            rpc_worker=RpcWorker(p, store, latency, sink),
+            object_store=objects, auth=auth, bus=bus, registry=registry,
+            sink=sink, rng=np.random.default_rng(p),
+            interrupted_upload_fraction=1.0) for p in range(2)]
+        collector = UploadJobCollector(store, processes[0], interval=1.0)
+        first, second = processes
+        first.open_session(1, 1, 1.0)
+        # An interrupted multipart upload leaves an uploadjob to sweep.
+        first.handle(_request(ApiOperation.UPLOAD, 1, 1, 2.0, size=5000))
+        second.open_session(2, 2, 3.0, caused_by_attack=True)
+        collector.collect(4.0)
+        second.handle(_request(ApiOperation.DOWNLOAD, 2, 2, 5.0, node_id=11,
+                               content_hash="h2"))
+        first.handle(_request(ApiOperation.GET_DELTA, 1, 1, 6.0, node_id=0,
+                              size=0, content_hash=""))
+        collector.collect(7.0)
+        dataset = sink.dataset
+    assert collector.sweeps == 2
+    storage, rpc, _ = sink.reference_blocks()
+    _assert_block_equals(ColumnBlock.from_stream(dataset._storage), storage,
+                         "storage")
+    _assert_block_equals(ColumnBlock.from_stream(dataset._rpc), rpc, "rpc")
+    # Emission order, spelled out: the sweep's RPCs (no API operation) sit
+    # between the second open's and the download's.
+    operations = [r.api_operation for r in dataset.rpc]
+    first_gc = operations.index(None)
+    assert ApiOperation.AUTHENTICATE in operations[:first_gc]
+    assert operations[first_gc - 1] is ApiOperation.AUTHENTICATE
+    assert dataset.rpc[first_gc].user_id == 1
+    assert [r.timestamp for r in dataset.rpc] == \
+        sorted(r.timestamp for r in dataset.rpc)
+    assert [r.operation for r in dataset.storage] == [
+        ApiOperation.UPLOAD, ApiOperation.DOWNLOAD, ApiOperation.GET_DELTA]
+    assert [r.server for r in dataset.rpc][:first_gc] == ["api0"] * first_gc
+    assert [r.process for r in dataset.storage] == [0, 1, 0]
+    assert dataset.sessions[-1].caused_by_attack
