@@ -27,7 +27,6 @@ service times and server/shard placement needed by the back-end analyses
 (Figs. 12-15).
 """
 
-from repro.backend.client import DesktopClient
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.datastore import ObjectStore
 from repro.backend.auth import AuthenticationService
@@ -37,7 +36,6 @@ from repro.backend.uploadjob import UploadJob, UploadJobState
 from repro.backend.latency import ServiceTimeModel
 
 __all__ = [
-    "DesktopClient",
     "ClusterConfig",
     "U1Cluster",
     "ObjectStore",

@@ -23,9 +23,9 @@ from repro.backend.metadata_store import (
     user_id_routing,
 )
 from repro.backend.notifications import NotificationBus
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
+from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.faults.accounting import FaultAccounting
 from repro.faults.mitigation import LIVE_KINDS, MitigationPolicy
 from repro.faults.runtime import FaultInjector, compile_plan
@@ -212,7 +212,6 @@ class U1Cluster:
                 faults=faults)
             self.processes.append(process)
         self.gateway = LoadBalancer(addresses, rng=self._rng)
-        self._process_by_address = {p.address: p for p in self.processes}
         #: Timings and shape of the most recent :meth:`replay_plan` call.
         self.last_replay_stats: dict | None = None
 
@@ -221,10 +220,6 @@ class U1Cluster:
     def n_processes(self) -> int:
         """Total number of API server processes."""
         return len(self.processes)
-
-    def process_at(self, address: ProcessAddress) -> ApiServerProcess:
-        """The API process living at ``address``."""
-        return self._process_by_address[address]
 
     # ---------------------------------------------------------------- replay
     def _shard_assignments(self, n_shards: int):
@@ -467,14 +462,6 @@ class U1Cluster:
         return self.replay_plan(generator.plan(), n_jobs=n_jobs, **run_kwargs)
 
     # ------------------------------------------------------------ statistics
-    def load_per_machine(self) -> dict[str, int]:
-        """Requests handled per physical machine (from process counters)."""
-        totals: dict[str, int] = {}
-        for process in self.processes:
-            totals[process.address.server] = (totals.get(process.address.server, 0)
-                                              + process.requests_handled)
-        return totals
-
     def rpc_calls_per_worker(self) -> list[int]:
         """RPC calls executed by each worker."""
         return [p._rpc.calls_executed for p in self.processes]  # noqa: SLF001

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.backend.errors import InvalidTransitionError, UnknownContentError
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES
+from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.whatif.costs import StorageCostModel
 from repro.whatif.tiering import TieringPolicy
 
@@ -405,9 +405,10 @@ class ObjectStore:
         """Download a content; returns the number of bytes transferred.
 
         NOTE: the accounting side effects (``get_requests``,
-        ``bytes_downloaded``) are inlined in the download fast path of
-        ``ApiServerProcess.handle_event``; keep both in sync.  (That fast path is
-        disabled on tiered stores, which need the tier bookkeeping below.)
+        ``bytes_downloaded``) are inlined in the download of
+        ``ApiServerProcess.handle_event``; keep both in sync.  (A tiered
+        store's download calls this method: it needs the tier bookkeeping
+        below.)
         """
         size = self.size_of(content_hash)
         self.accounting.get_requests += 1

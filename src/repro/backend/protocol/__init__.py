@@ -1,9 +1,10 @@
-"""The U1 storage protocol: entities and operations (Section 3.1).
+"""The U1 storage protocol's entities (Section 3.1).
 
 The protocol (``ubuntuone-storageprotocol`` in the real system, TCP +
 protocol buffers) defines three entity types — nodes, volumes and sessions —
-and the API operations clients can issue against them.  The simulator keeps
-the same vocabulary so that the emitted trace speaks the paper's language.
+and the API operations clients can issue against them
+(:class:`~repro.trace.records.ApiOperation`).  The simulator keeps the same
+vocabulary so that the emitted trace speaks the paper's language.
 """
 
 from repro.backend.protocol.entities import (
@@ -13,7 +14,6 @@ from repro.backend.protocol.entities import (
     VolumeId,
     SessionHandle,
 )
-from repro.backend.protocol.operations import ApiRequest, ApiResponse, UPLOAD_CHUNK_BYTES
 
 __all__ = [
     "Node",
@@ -21,7 +21,4 @@ __all__ = [
     "Volume",
     "VolumeId",
     "SessionHandle",
-    "ApiRequest",
-    "ApiResponse",
-    "UPLOAD_CHUNK_BYTES",
 ]

@@ -118,6 +118,9 @@ _VALUE_FIELDS = ("operation", "node_id", "volume_id", "volume_type",
                  "node_kind", "size_bytes", "content_hash", "extension",
                  "is_update")
 _AUTHENTICATE_CODE = OPERATION_CODE[ApiOperation.AUTHENTICATE]
+#: A GC sweep's request fields after ``user_id`` (``REQUEST_FIELDS`` order):
+#: session 0, no API operation, no event fields, not an attack.
+_GC_REQUEST = (0, None, 0, 0, None, None, 0, "", "", False, False)
 
 
 class _EventColumns:
@@ -304,20 +307,20 @@ class UploadJobCollector:
         """One uploadjob garbage-collection sweep.
 
         A sweep serves no client request, so each job's RPCs share one
-        request registered with the trace sink (no timeline ordinal).
+        request registered with the trace sink (no timeline ordinal): no
+        session, no API operation, none of an event's fields.
         """
         self.last_sweep = now
         self.sweeps += 1
         process = self._process
         worker = process._rpc  # noqa: SLF001 - internal wiring
         sink = process._sink  # noqa: SLF001
+        server, process_no = process.address
         for shard, jobs in self._store.pending_uploadjobs():
             for job in jobs:
-                context = RpcContext(
-                    timestamp=now, server=process.address.server,
-                    process=process.address.process, user_id=job.user_id,
-                    session_id=0, api_operation=None)
-                context.ref = sink.explicit_context(context)
+                context = RpcContext(now, job.user_id)
+                context.ref = sink.explicit((now, server, process_no,
+                                             job.user_id, *_GC_REQUEST))
                 worker.execute(RpcName.GET_UPLOADJOB, context,
                                shard.get_uploadjob, job.job_id)
                 expired = worker.execute(RpcName.TOUCH_UPLOADJOB, context,
@@ -523,9 +526,9 @@ class ReplayShard:
         The per-event hot path is object-free: one list index into the
         script's dispatch entry, one into the dispatch rows and one
         ``handle_event`` call with the event's row and timeline ordinal —
-        no ``ClientEvent``, no ``ApiRequest``, no ``ApiResponse`` on the
-        fast paths.  Returns the index in :attr:`processes` of the process
-        each script's session was opened on.
+        no per-event object in between.  Returns the index in
+        :attr:`processes` of the process each script's session was opened
+        on.
         """
         _EVENT, _OPEN = self._EVENT, self._OPEN
         process_by_address = {p.address: (k, p)
@@ -566,8 +569,8 @@ class ReplayShard:
                     address = gateway.assign()
                     assigned[index], process = process_by_address[address]
                     handle = process.open_session(
-                        script.user_id, script.session_id, script.start,
-                        script.auth_failed, script.caused_by_attack, j)
+                        script.user_id, script.session_id, script.start, j,
+                        script.auth_failed, script.caused_by_attack)
                     if handle is None:
                         gateway.release(address)
                     else:

@@ -16,35 +16,29 @@ from repro.backend.latency import ServiceTimeModel
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.tracing import TraceSink
 from repro.trace.dataset import RPC_CODE
-from repro.trace.records import ApiOperation, RpcName
+from repro.trace.records import RpcName
 
 __all__ = ["RpcContext", "RpcWorker"]
 
 
 class RpcContext:
-    """Provenance of an RPC call: who asked, when, from which API process.
+    """The request an RPC call serves: when it runs, whose shard it hits,
+    and the request's trace-sink reference.
 
-    A plain slotted class (not a dataclass): one context is built per API
-    request, so construction cost matters in the replay hot loop.  ``ref``
-    is the trace-sink reference of the request served (``None``: the worker
-    registers the context's own fields as one).
+    Every other field of an RPC row (server, process, session, API
+    operation, ...) is the served request's, gathered through ``ref`` — a
+    timeline ordinal or a :meth:`~repro.backend.tracing.TraceSink.explicit`
+    registration, set by the caller before the context reaches a worker.
+    A plain slotted class: an API process reuses one context for all its
+    requests.
     """
 
-    __slots__ = ("timestamp", "server", "process", "user_id", "session_id",
-                 "api_operation", "caused_by_attack", "shard_id", "ref")
+    __slots__ = ("timestamp", "user_id", "shard_id", "ref")
 
-    def __init__(self, timestamp: float, server: str, process: int,
-                 user_id: int, session_id: int,
-                 api_operation: ApiOperation | None = None,
-                 caused_by_attack: bool = False,
+    def __init__(self, timestamp: float, user_id: int,
                  shard_id: int | None = None):
         self.timestamp = timestamp
-        self.server = server
-        self.process = process
         self.user_id = user_id
-        self.session_id = session_id
-        self.api_operation = api_operation
-        self.caused_by_attack = caused_by_attack
         #: Pre-routed shard of ``user_id`` (optional; saves the worker a
         #: routing call per RPC on the request hot path).
         self.shard_id = shard_id
@@ -94,23 +88,18 @@ class RpcWorker:
         return self._store
 
     def execute(self, rpc: RpcName, context: RpcContext,
-                operation: Callable[..., Any], *args,
-                shard_user_id: int | None = None) -> Any:
+                operation: Callable[..., Any], *args) -> Any:
         """Run ``operation(*args)`` against the store as RPC ``rpc``.
 
         ``operation`` performs the actual shard query; callers on the hot
         path pass the bound shard method plus its arguments directly (no
         closure allocation per RPC), while zero-argument closures keep
         working.  The worker samples a service time, traces the call and
-        returns the operation's result.  ``shard_user_id`` overrides the
-        user id used for shard attribution (system-initiated calls).
+        returns the operation's result.
         """
-        if shard_user_id is not None:
-            shard_id = self._store.shard_id_of(shard_user_id)
-        else:
-            shard_id = context.shard_id
-            if shard_id is None:
-                shard_id = self._store.shard_id_of(context.user_id)
+        shard_id = context.shard_id
+        if shard_id is None:
+            shard_id = self._store.shard_id_of(context.user_id)
         # Inlined ServiceTimeModel.sample (one call frame per RPC matters
         # here): pull the next pooled body factor and scale the per-(rpc,
         # shard) base median.  Falls back to the model for pool refills.
@@ -129,9 +118,7 @@ class RpcWorker:
         result = operation(*args)
         self.calls_executed += 1
         self.busy_time += service_time
-        ref = context.ref
-        self._rpc_ref(ref if ref is not None
-                      else self._sink.explicit_context(context))
+        self._rpc_ref(context.ref)
         self._rpc_code(RPC_CODE[rpc])
         self._rpc_shard(shard_id)
         self._rpc_service(service_time)
@@ -164,9 +151,7 @@ class RpcWorker:
         result = operation(arg)
         self.calls_executed += 1
         self.busy_time += service_time
-        ref = context.ref
-        self._rpc_ref(ref if ref is not None
-                      else self._sink.explicit_context(context))
+        self._rpc_ref(context.ref)
         self._rpc_code(RPC_CODE[rpc])
         self._rpc_shard(shard_id)
         self._rpc_service(service_time)
@@ -197,10 +182,8 @@ class RpcWorker:
         results = [operation(*args) for args in args_list]
         self.calls_executed += n
         self.busy_time += sum(times)
-        ref = context.ref
         sink = self._sink
-        sink.rpc_refs.extend(
-            [ref if ref is not None else sink.explicit_context(context)] * n)
+        sink.rpc_refs.extend([context.ref] * n)
         sink.rpc_codes.extend([RPC_CODE[rpc]] * n)
         sink.rpc_shards.extend([shard_id] * n)
         sink.rpc_service_times.extend(times)

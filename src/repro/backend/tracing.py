@@ -17,13 +17,13 @@ serves (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
 
 A reference ``>= 0`` is a replay shard's timeline ordinal (an event or a
 session open); the shard resolves it when it gathers its column blocks
-(:meth:`TraceSink.gather`).  A request with no timeline ordinal — a direct
-``handle``/``open_session``/``RpcWorker.execute`` call, a GC sweep — is
-registered with :meth:`TraceSink.explicit` and gets a negative reference
-into the sink's own request table, so every row takes the same record
-path.  Reading :attr:`TraceSink.dataset` gathers the buffered rows into
-the dataset first.  Session rows stay row tuples: ``session_row`` is the
-bound ``list.append`` of the session stream's append buffer.
+(:meth:`TraceSink.gather`).  The only requests without a timeline ordinal
+are the uploadjob garbage-collection sweeps, which serve no client: each
+swept job is registered with :meth:`TraceSink.explicit` and gets a negative
+reference into the sink's own request table, so every row takes the same
+record path.  Reading :attr:`TraceSink.dataset` gathers the buffered rows
+into the dataset first.  Session rows stay row tuples: ``session_row`` is
+the bound ``list.append`` of the session stream's append buffer.
 
 The buffers are plain lists, each converted to one typed NumPy array when
 the rows are gathered.  A list append is about a third of an
@@ -33,8 +33,6 @@ ordinal — except the service-time floats.
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 import numpy as np
 
@@ -47,19 +45,6 @@ from repro.trace.dataset import (
 )
 
 __all__ = ["TraceSink"]
-
-#: Request fields a session open or a bare RPC context does not carry
-#: (``node_id`` .. ``is_update``); no storage row ever reads them.
-_NO_EVENT = (0, 0, None, None, 0, "", "", False)
-
-
-#: A request-shaped object's :data:`REQUEST_FIELDS` after ``timestamp``,
-#: ``server`` and ``process``.
-_request_attributes = attrgetter(*REQUEST_FIELDS[3:])
-#: An RPC context's fields, in :meth:`TraceSink.explicit_rpc` order.
-_context_fields = attrgetter("timestamp", "server", "process", "user_id",
-                             "session_id", "api_operation", "caused_by_attack")
-
 
 def _typed(buffer: list, dtype) -> np.ndarray:
     """One provenance buffer as a typed array."""
@@ -97,23 +82,6 @@ class TraceSink:
         return its reference (valid until the next :meth:`gather`)."""
         self._explicit.append(request)
         return -self._explicit_base - len(self._explicit)
-
-    def explicit_rpc(self, timestamp: float, server: str, process: int,
-                     user_id: int, session_id: int, operation,
-                     caused_by_attack: bool) -> int:
-        """:meth:`explicit` for a request that only has RPC-row fields."""
-        return self.explicit((timestamp, server, process, user_id, session_id,
-                              operation, *_NO_EVENT, caused_by_attack))
-
-    def explicit_context(self, context) -> int:
-        """:meth:`explicit_rpc` for an ``RpcContext``'s own fields."""
-        return self.explicit_rpc(*_context_fields(context))
-
-    def explicit_request(self, request, server: str, process: int) -> int:
-        """:meth:`explicit` for a request-shaped object (an ``ApiRequest``)
-        served by API process ``process`` on ``server``."""
-        return self.explicit((request.timestamp, server, process,
-                              *_request_attributes(request)))
 
     def storage_fault(self, error_kind: str, retries: int) -> None:
         """Set ``error_kind``/``retries`` of the last storage row."""

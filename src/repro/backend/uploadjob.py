@@ -26,10 +26,13 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.backend.errors import InvalidTransitionError
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES
 from repro.util.units import WEEK
 
-__all__ = ["UploadJobState", "UploadJob", "GARBAGE_COLLECTION_AGE"]
+__all__ = ["UploadJobState", "UploadJob", "GARBAGE_COLLECTION_AGE",
+           "UPLOAD_CHUNK_BYTES"]
+
+#: Multipart upload chunk size used by U1 against Amazon S3 (Appendix A).
+UPLOAD_CHUNK_BYTES: int = 5 * 1024 * 1024
 
 #: Uploadjobs older than one week are assumed cancelled and garbage collected.
 GARBAGE_COLLECTION_AGE: float = WEEK

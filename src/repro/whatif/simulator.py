@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.backend.datastore import ObjectStore, StorageAccounting
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES
+from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
 from repro.whatif.costs import StorageCostModel

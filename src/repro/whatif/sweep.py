@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES
+from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.util.units import DAY, format_bytes
 from repro.whatif.costs import StorageCostModel
 from repro.whatif.simulator import (

@@ -1,4 +1,10 @@
-"""Unit tests for the API server process."""
+"""Unit tests for the API server process.
+
+Requests enter the process the way a replay shard sends them: a dispatch
+row plus a trace-sink reference (``tests.conftest.send_event``).  What a
+request did is read off the observable state: the trace rows, the object
+store's accounting, the metadata shards and the notification bus.
+"""
 
 from __future__ import annotations
 
@@ -12,24 +18,39 @@ from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel
-from repro.backend.metadata_store import ShardedMetadataStore
+from repro.backend.cluster import ClusterConfig
+from repro.backend.metadata_store import (
+    ShardedMetadataStore,
+    round_robin_routing,
+    user_id_routing,
+)
 from repro.backend.notifications import NotificationBus
-from repro.backend.protocol.operations import ApiRequest
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
-from repro.trace.records import ApiOperation, NodeKind, RpcName, SessionEvent, VolumeType
+from repro.faults.spec import (
+    DegradedProcess,
+    FaultPlan,
+    ReadOnlyShard,
+    StorageNodeOutage,
+)
+from repro.trace.records import ApiOperation, NodeKind, RpcName, SessionEvent
+from repro.trace.validate import validate_dataset
 from repro.util.units import MB
+from repro.whatif.tiering import TieringPolicy
+from repro.workload.events import EventBlock, SessionScript
+from tests.conftest import event_row, open_session, replay_scripts, send_event
 
 
 def _build_process(dedup_enabled=True, delta_updates_enabled=False,
-                   interrupted_upload_fraction=0.0, seed=0):
+                   interrupted_upload_fraction=0.0, seed=0, n_shards=4,
+                   routing=user_id_routing, tiering=None):
     sink = TraceSink()
-    store = ShardedMetadataStore(n_shards=4)
-    objects = ObjectStore()
+    store = ShardedMetadataStore(n_shards=n_shards, routing_factory=routing)
+    objects = ObjectStore(tiering=tiering)
     auth = AuthenticationService(rng=np.random.default_rng(seed), failure_fraction=0.0)
     bus = NotificationBus()
     registry = SessionRegistry()
-    latency = ServiceTimeModel(np.random.default_rng(seed), n_shards=4)
+    latency = ServiceTimeModel(np.random.default_rng(seed), n_shards=n_shards)
     worker = RpcWorker(0, store, latency, sink)
     process = ApiServerProcess(
         address=ProcessAddress("api0", 0), rpc_worker=worker, object_store=objects,
@@ -40,20 +61,14 @@ def _build_process(dedup_enabled=True, delta_updates_enabled=False,
     return process, sink, objects, registry, bus
 
 
-def _request(operation, user_id=1, session_id=1, node_id=10, size=100_000,
-             content_hash="h1", is_update=False, node_kind=NodeKind.FILE,
-             volume_id=5, timestamp=10.0, extension="txt"):
-    return ApiRequest(operation=operation, user_id=user_id, session_id=session_id,
-                      timestamp=timestamp, node_id=node_id, volume_id=volume_id,
-                      volume_type=VolumeType.ROOT, node_kind=node_kind,
-                      size_bytes=size, content_hash=content_hash,
-                      extension=extension, is_update=is_update)
+def _rpcs(sink) -> list[RpcName]:
+    return [r.rpc for r in sink.dataset.rpc]
 
 
 class TestSessions:
     def test_open_and_close_session_emit_records(self):
         process, sink, _, registry, _ = _build_process()
-        handle = process.open_session(user_id=1, session_id=1, timestamp=5.0)
+        handle = open_session(process, user_id=1, session_id=1, timestamp=5.0)
         assert handle is not None
         assert process.open_sessions == 1
         assert registry.sessions_of(1)
@@ -64,6 +79,8 @@ class TestSessions:
         rpcs = {r.rpc for r in sink.dataset.rpc}
         assert RpcName.GET_USER_ID_FROM_TOKEN in rpcs
         assert RpcName.GET_USER_DATA in rpcs and RpcName.GET_ROOT in rpcs
+        assert {r.api_operation for r in sink.dataset.rpc} == {
+            ApiOperation.AUTHENTICATE}
 
         process.close_session(1, timestamp=65.0)
         assert process.open_sessions == 0
@@ -74,8 +91,8 @@ class TestSessions:
 
     def test_failed_authentication(self):
         process, sink, _, registry, _ = _build_process()
-        handle = process.open_session(user_id=1, session_id=1, timestamp=5.0,
-                                      force_auth_failure=True)
+        handle = open_session(process, user_id=1, session_id=1, timestamp=5.0,
+                              force_auth_failure=True)
         assert handle is None
         assert process.open_sessions == 0
         assert sink.dataset.sessions[-1].event is SessionEvent.AUTH_FAIL
@@ -90,13 +107,12 @@ class TestSessions:
 class TestUploads:
     def test_small_upload_goes_straight_to_s3(self):
         process, sink, objects, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        response = process.handle(_request(ApiOperation.UPLOAD, size=200_000))
-        assert response.ok
-        assert response.bytes_to_s3 == 200_000
-        assert not response.deduplicated
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=200_000))
+        assert objects.accounting.bytes_uploaded == 200_000
+        assert objects.accounting.dedup_hits == 0
         assert "h1" in objects
-        rpcs = [r.rpc for r in sink.dataset.rpc]
+        rpcs = _rpcs(sink)
         assert RpcName.GET_REUSABLE_CONTENT in rpcs
         assert RpcName.MAKE_CONTENT in rpcs
         assert RpcName.MAKE_UPLOADJOB not in rpcs
@@ -105,112 +121,138 @@ class TestUploads:
 
     def test_duplicate_upload_is_deduplicated(self):
         process, _, objects, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.open_session(2, 2, 1.5)
-        process.handle(_request(ApiOperation.UPLOAD, user_id=1, node_id=10))
-        response = process.handle(_request(ApiOperation.UPLOAD, user_id=2, node_id=20,
-                                           session_id=2))
-        assert response.deduplicated
-        assert response.bytes_to_s3 == 0
+        first = open_session(process, 1, 1, 1.0)
+        second = open_session(process, 2, 2, 1.5)
+        send_event(process, first, event_row(ApiOperation.UPLOAD, node_id=10))
+        send_event(process, second, event_row(ApiOperation.UPLOAD, node_id=20))
+        assert objects.accounting.dedup_hits == 1
+        assert objects.accounting.bytes_uploaded == 100_000  # only the first
         assert objects.refcount("h1") == 2
 
     def test_dedup_can_be_disabled(self):
         process, _, objects, _, _ = _build_process(dedup_enabled=False)
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.UPLOAD, node_id=10))
-        response = process.handle(_request(ApiOperation.UPLOAD, node_id=20, session_id=1))
-        assert not response.deduplicated
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, node_id=10))
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, node_id=20))
+        assert objects.accounting.dedup_hits == 0
         assert objects.accounting.bytes_uploaded == 200_000
 
     def test_large_upload_uses_multipart_and_uploadjob(self):
         process, sink, objects, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        response = process.handle(_request(ApiOperation.UPLOAD, size=12 * MB,
-                                           content_hash="h-big"))
-        assert response.bytes_to_s3 == 12 * MB
-        rpcs = [r.rpc for r in sink.dataset.rpc]
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=12 * MB,
+                                              content_hash="h-big"))
+        assert objects.accounting.bytes_uploaded == 12 * MB
+        rpcs = _rpcs(sink)
         assert rpcs.count(RpcName.ADD_PART_TO_UPLOADJOB) == 3
         assert RpcName.MAKE_UPLOADJOB in rpcs
         assert RpcName.SET_UPLOADJOB_MULTIPART_ID in rpcs
-        assert RpcName.DELETE_UPLOADJOB in rpcs
+        assert rpcs[-2:] == [RpcName.MAKE_CONTENT, RpcName.DELETE_UPLOADJOB]
         assert objects.size_of("h-big") == 12 * MB
         # The job was committed and removed from the metadata store.
         assert all(not jobs for _, jobs in process.store.pending_uploadjobs())
 
     def test_interrupted_upload_leaves_pending_job(self):
-        process, _, objects, _, _ = _build_process(interrupted_upload_fraction=1.0)
-        process.open_session(1, 1, 1.0)
-        response = process.handle(_request(ApiOperation.UPLOAD, size=20 * MB,
-                                           content_hash="h-partial"))
-        assert not response.ok
-        assert 0 < response.bytes_to_s3 < 20 * MB
+        process, sink, objects, _, bus = _build_process(
+            interrupted_upload_fraction=1.0)
+        handle = open_session(process, 1, 1, 1.0)
+        open_session(process, 1, 2, 1.5)  # a second device to notify
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=20 * MB,
+                                              content_hash="h-partial"))
+        # One 5 MB chunk went up before the client went away.
+        assert 0 < objects.accounting.bytes_uploaded < 20 * MB
         assert "h-partial" not in objects
         pending = list(process.store.pending_uploadjobs())
         assert pending and pending[0][1]
+        rpcs = _rpcs(sink)
+        assert rpcs.count(RpcName.ADD_PART_TO_UPLOADJOB) == 1
+        assert RpcName.MAKE_CONTENT not in rpcs
+        # A failed mutation notifies nobody; it is still a storage row.
+        assert bus.pushes == 0
+        assert sink.dataset.storage[-1].operation is ApiOperation.UPLOAD
 
     def test_delta_updates_reduce_transferred_bytes(self):
-        process, _, _, _, _ = _build_process(delta_updates_enabled=True)
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.UPLOAD, size=4_000_000, content_hash="v1"))
-        response = process.handle(_request(ApiOperation.UPLOAD, size=4_000_000,
-                                           content_hash="v2", is_update=True))
-        assert response.bytes_to_s3 <= 4_000_000 * 0.1
+        process, _, objects, _, _ = _build_process(delta_updates_enabled=True)
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=4_000_000,
+                                              content_hash="v1"))
+        before = objects.accounting.bytes_uploaded
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=4_000_000,
+                                              content_hash="v2", is_update=True))
+        assert objects.accounting.bytes_uploaded - before <= 4_000_000 * 0.1
 
 
 class TestOtherOperations:
     def test_download_fetches_from_s3(self):
-        process, sink, _, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.UPLOAD))
-        response = process.handle(_request(ApiOperation.DOWNLOAD))
-        assert response.bytes_from_s3 == 100_000
-        assert RpcName.GET_NODE in [r.rpc for r in sink.dataset.rpc]
+        process, sink, objects, _, _ = _build_process()
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD))
+        send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
+        assert objects.accounting.get_requests == 1
+        assert objects.accounting.bytes_downloaded == 100_000
+        assert _rpcs(sink)[-1] is RpcName.GET_NODE
 
     def test_download_of_pre_trace_file_registers_it(self):
-        process, _, objects, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        response = process.handle(_request(ApiOperation.DOWNLOAD, node_id=77,
-                                           content_hash="old", size=5_000))
-        assert response.bytes_from_s3 == 5_000
+        process, sink, objects, _, _ = _build_process()
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.DOWNLOAD, node_id=77,
+                                              content_hash="old", size=5_000))
+        assert objects.accounting.bytes_downloaded == 5_000
         assert "old" in objects
+        shard, _ = process.store.shard_and_id(1)
+        assert shard.get_node(77).content_hash == "old"
+        # The registration is quiet: only the download's GET_NODE is traced.
+        assert [r.rpc for r in sink.dataset.rpc
+                if r.api_operation is ApiOperation.DOWNLOAD] == [RpcName.GET_NODE]
 
     def test_make_unlink_and_move(self):
         process, sink, objects, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.MAKE, node_id=30, size=0, content_hash=""))
-        process.handle(_request(ApiOperation.UPLOAD, node_id=30, content_hash="h30"))
-        process.handle(_request(ApiOperation.MOVE, node_id=30, volume_id=99))
-        response = process.handle(_request(ApiOperation.UNLINK, node_id=30))
-        assert response.ok
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.MAKE, node_id=30, size=0,
+                                              content_hash=""))
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, node_id=30,
+                                              content_hash="h30"))
+        send_event(process, handle, event_row(ApiOperation.MOVE, node_id=30,
+                                              volume_id=99))
+        shard, _ = process.store.shard_and_id(1)
+        assert shard.get_node(30).volume_id == 99
+        send_event(process, handle, event_row(ApiOperation.UNLINK, node_id=30))
         assert "h30" not in objects  # content released with its last reference
-        rpcs = [r.rpc for r in sink.dataset.rpc]
+        assert not shard.has_node(30)
+        rpcs = _rpcs(sink)
         assert RpcName.MAKE_FILE in rpcs
         assert RpcName.MOVE in rpcs
         assert RpcName.UNLINK_NODE in rpcs
 
     def test_make_directory_uses_make_dir_rpc(self):
         process, sink, _, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.MAKE, node_id=40, size=0, content_hash="",
-                                node_kind=NodeKind.DIRECTORY))
-        assert RpcName.MAKE_DIR in [r.rpc for r in sink.dataset.rpc]
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.MAKE, node_id=40, size=0,
+                                              content_hash="",
+                                              node_kind=NodeKind.DIRECTORY))
+        assert RpcName.MAKE_DIR in _rpcs(sink)
 
     def test_volume_lifecycle(self):
-        process, sink, _, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.CREATE_UDF, node_id=0, volume_id=200,
-                                size=0, content_hash=""))
-        process.handle(_request(ApiOperation.UPLOAD, node_id=50, volume_id=200,
-                                content_hash="h50"))
-        response = process.handle(_request(ApiOperation.DELETE_VOLUME, node_id=0,
-                                           volume_id=200, size=0, content_hash=""))
-        assert response.ok
-        assert response.details["nodes_removed"] == 1
-        assert RpcName.DELETE_VOLUME in [r.rpc for r in sink.dataset.rpc]
+        process, sink, objects, _, _ = _build_process()
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.CREATE_UDF, node_id=0,
+                                              volume_id=200, size=0,
+                                              content_hash=""))
+        send_event(process, handle, event_row(ApiOperation.UPLOAD, node_id=50,
+                                              volume_id=200, content_hash="h50"))
+        shard, _ = process.store.shard_and_id(1)
+        assert shard.has_node(50) and "h50" in objects
+        send_event(process, handle, event_row(ApiOperation.DELETE_VOLUME, node_id=0,
+                                              volume_id=200, size=0,
+                                              content_hash=""))
+        # The cascade removed the volume's one node and released its content.
+        assert not shard.has_node(50)
+        assert "h50" not in objects
+        assert RpcName.DELETE_VOLUME in _rpcs(sink)
 
     def test_maintenance_operations(self):
         process, sink, _, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
+        handle = open_session(process, 1, 1, 1.0)
         for operation, rpc in [
             (ApiOperation.LIST_VOLUMES, RpcName.LIST_VOLUMES),
             (ApiOperation.LIST_SHARES, RpcName.LIST_SHARES),
@@ -218,95 +260,239 @@ class TestOtherOperations:
             (ApiOperation.QUERY_SET_CAPS, RpcName.GET_USER_DATA),
             (ApiOperation.RESCAN_FROM_SCRATCH, RpcName.GET_FROM_SCRATCH),
         ]:
-            response = process.handle(_request(operation, node_id=0, size=0,
-                                               content_hash=""))
-            assert response.ok
-            assert rpc in [r.rpc for r in sink.dataset.rpc]
+            send_event(process, handle, event_row(operation, node_id=0, size=0,
+                                                  content_hash=""))
+            last = sink.dataset.rpc[-1]
+            assert (last.rpc, last.api_operation) == (rpc, operation)
+            assert sink.dataset.storage[-1].operation is operation
 
     def test_storage_operations_counted_on_handle(self):
         process, sink, _, _, _ = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.handle(_request(ApiOperation.UPLOAD))
-        process.handle(_request(ApiOperation.GET_DELTA, node_id=0, size=0,
-                                content_hash=""))
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD))
+        send_event(process, handle, event_row(ApiOperation.GET_DELTA, node_id=0,
+                                              size=0, content_hash=""))
         process.close_session(1, timestamp=100.0)
         disconnect = sink.dataset.sessions[-1]
         assert disconnect.storage_operations == 1  # GetDelta is maintenance
+        assert process.requests_handled == 2
 
 
-def _row(request):
-    """The ``EventBlock.rows`` tuple ``handle_event`` receives for ``request``."""
-    return (request.timestamp, request.operation, request.node_id,
-            request.volume_id, request.volume_type, request.node_kind,
-            request.size_bytes, request.content_hash, request.extension,
-            request.is_update, request.caused_by_attack)
+#: StorageAccounting fields a download moves on any store (a tiered store
+#: adds its tier counters on top).
+_TRANSFER_FIELDS = ("get_requests", "bytes_downloaded", "put_requests",
+                    "bytes_uploaded", "bytes_stored", "logical_bytes",
+                    "dedup_hits")
 
 
-def _state(process, sink, objects, handle):
-    """Everything one request can touch: trace rows and every counter."""
+def _download_rows(uploaded_node: int, **options):
+    """The download of node 10 (content ``h1``) after an upload of
+    ``uploaded_node`` with the same content, on a one-shard store: its
+    storage and RPC rows, and what it moved in the store and the worker."""
+    process, sink, objects, _, _ = _build_process(n_shards=1, **options)
+    handle = open_session(process, 1, 1, 1.0)
+    send_event(process, handle, event_row(ApiOperation.UPLOAD, timestamp=5.0,
+                                          node_id=uploaded_node))
+    before = dataclasses.asdict(objects.accounting)
     worker = process._rpc  # noqa: SLF001
+    calls = worker.calls_executed
+    send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
+    after = dataclasses.asdict(objects.accounting)
+    rpc = [r for r in sink.dataset.rpc
+           if r.api_operation is ApiOperation.DOWNLOAD]
     return {
-        "storage": list(sink.dataset.storage),
-        "rpc": list(sink.dataset.rpc),
-        "accounting": dataclasses.asdict(objects.accounting),
-        "objects": len(objects),
-        "shards": process.store.summary(),
-        "worker": (worker.calls_executed, worker.busy_time),
-        "requests_handled": process.requests_handled,
+        "storage": sink.dataset.storage[-1],
+        "rpc": rpc,
+        "moved": {name: after[name] - before[name] for name in _TRANSFER_FIELDS},
+        "rpc_calls": worker.calls_executed - calls,
         "storage_operations": handle.storage_operations,
     }
 
 
-_EVENTS = {
-    "download-known-node": (ApiOperation.DOWNLOAD, {}),
-    "download-unknown-node": (ApiOperation.DOWNLOAD,
-                              {"node_id": 77, "content_hash": "old"}),
-    "upload": (ApiOperation.UPLOAD, {"node_id": 11, "content_hash": "h2"}),
-    **{operation.value: (operation, {"node_id": 0, "size": 0,
-                                     "content_hash": ""})
-       for operation in (ApiOperation.GET_DELTA, ApiOperation.LIST_VOLUMES,
-                         ApiOperation.LIST_SHARES, ApiOperation.QUERY_SET_CAPS,
-                         ApiOperation.RESCAN_FROM_SCRATCH)},
-}
+class TestDownloadBranches:
+    """The download's known-node branch (inlined ``GET_NODE`` and store
+    accounting) and its general branch (unknown node, tiered store,
+    round-robin routing) leave the same rows and accounting."""
 
-
-class TestHandleEventMatchesHandle:
-    """``handle_event`` (the replay's dispatch) and ``handle`` (the generic
-    path) are twins: the same event leaves identical rows and counters."""
-
-    @pytest.mark.parametrize("name", sorted(_EVENTS))
-    def test_same_event_same_rows_and_counters(self, name):
-        operation, overrides = _EVENTS[name]
-        states = []
-        for via_handle_event in (False, True):
-            process, sink, objects, _, _ = _build_process()
-            handle = process.open_session(1, 1, 1.0)
-            # Shared history: node 10 is known to the metadata store.
-            process.handle(_request(ApiOperation.UPLOAD, timestamp=5.0))
-            request = _request(operation, **overrides)
-            if via_handle_event:
-                process.handle_event(handle, _row(request))
-            else:
-                process.handle(request)
-            states.append(_state(process, sink, objects, handle))
-        generic, replayed = states
-        assert replayed["storage"][-1].operation is operation
-        assert replayed == generic
+    @pytest.mark.parametrize("options", [
+        {"uploaded_node": 11},  # node 10 predates the trace
+        {"uploaded_node": 10, "routing": round_robin_routing},
+        {"uploaded_node": 10, "tiering": TieringPolicy()},
+        {"uploaded_node": 11, "routing": round_robin_routing,
+         "tiering": TieringPolicy()},
+    ], ids=["unknown-node", "round-robin", "tiered", "all-three"])
+    def test_same_rows_and_accounting(self, options):
+        known = _download_rows(10)
+        general = _download_rows(**options)
+        assert known["storage"].operation is ApiOperation.DOWNLOAD
+        assert [r.rpc for r in known["rpc"]] == [RpcName.GET_NODE]
+        assert known["moved"]["bytes_downloaded"] == 100_000
+        assert general == known
 
 
 class TestNotifications:
     def test_mutation_notifies_other_sessions_of_same_user(self):
         process, _, _, _, bus = _build_process()
-        process.open_session(1, 1, 1.0)
-        process.open_session(1, 2, 2.0)   # second device of the same user
-        response = process.handle(_request(ApiOperation.UPLOAD, session_id=1))
-        assert response.notified_sessions == 1
+        handle = open_session(process, 1, 1, 1.0)
+        open_session(process, 1, 2, 2.0)   # second device of the same user
+        send_event(process, handle, event_row(ApiOperation.UPLOAD))
+        assert bus.pushes == 1
         assert bus.short_circuits == 1    # same process: queue bypassed
         assert bus.published == 0
 
     def test_no_notification_for_single_session_users(self):
         process, _, _, _, bus = _build_process()
-        process.open_session(1, 1, 1.0)
-        response = process.handle(_request(ApiOperation.UPLOAD))
-        assert response.notified_sessions == 0
+        handle = open_session(process, 1, 1, 1.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD))
         assert bus.pushes == 0
+
+    def test_reads_notify_nobody(self):
+        process, _, _, _, bus = _build_process()
+        handle = open_session(process, 1, 1, 1.0)
+        open_session(process, 1, 2, 2.0)
+        send_event(process, handle, event_row(ApiOperation.UPLOAD))
+        pushes = bus.pushes
+        send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
+        send_event(process, handle, event_row(ApiOperation.GET_DELTA, node_id=0,
+                                              size=0, content_hash=""))
+        assert bus.pushes == pushes
+
+
+class TestOneEntryPoint:
+    def test_handle_event_is_the_only_request_entry(self):
+        public = {name for name, value in vars(ApiServerProcess).items()
+                  if callable(value) and not name.startswith("_")}
+        assert public == {"open_session", "close_session",
+                          "deliver_notification", "handle_event"}
+
+    def test_every_client_operation_has_one_implementation(self):
+        session_management = {ApiOperation.AUTHENTICATE,
+                              ApiOperation.OPEN_SESSION,
+                              ApiOperation.CLOSE_SESSION}
+        handlers = ApiServerProcess._HANDLERS  # noqa: SLF001
+        # The download runs inline in handle_event; every other operation
+        # a client event can carry has its own table entry.
+        assert set(handlers) == set(ApiOperation) - session_management - {
+            ApiOperation.DOWNLOAD}
+        assert len(set(handlers.values())) == len(handlers)
+        assert ApiServerProcess._MUTATING_OPERATIONS <= set(handlers)  # noqa: SLF001
+
+
+# ---------------------------------------------------------------------------
+# Every operation through a replay shard
+# ---------------------------------------------------------------------------
+
+#: One session's script: every client operation once, one second apart,
+#: and the RPCs each one issues when it is served.
+_SCRIPT = [
+    (ApiOperation.CREATE_UDF, {"node_id": 0, "volume_id": 200},
+     [RpcName.CREATE_UDF]),
+    (ApiOperation.MAKE, {"node_id": 30, "volume_id": 200}, [RpcName.MAKE_FILE]),
+    # Past the 1 KiB chunk: a multipart upload of a new node.
+    (ApiOperation.UPLOAD, {"node_id": 31, "volume_id": 200, "size": 3000,
+                           "content_hash": "c1"},
+     [RpcName.MAKE_FILE, RpcName.GET_REUSABLE_CONTENT, RpcName.MAKE_UPLOADJOB,
+      RpcName.SET_UPLOADJOB_MULTIPART_ID, RpcName.ADD_PART_TO_UPLOADJOB,
+      RpcName.ADD_PART_TO_UPLOADJOB, RpcName.ADD_PART_TO_UPLOADJOB,
+      RpcName.MAKE_CONTENT, RpcName.DELETE_UPLOADJOB]),
+    (ApiOperation.DOWNLOAD, {"node_id": 31, "volume_id": 200, "size": 3000,
+                             "content_hash": "c1"}, [RpcName.GET_NODE]),
+    (ApiOperation.MOVE, {"node_id": 30, "volume_id": 5}, [RpcName.MOVE]),
+    (ApiOperation.GET_DELTA, {"node_id": 0, "volume_id": 200},
+     [RpcName.GET_DELTA]),
+    (ApiOperation.LIST_VOLUMES, {"node_id": 0}, [RpcName.LIST_VOLUMES]),
+    (ApiOperation.LIST_SHARES, {"node_id": 0}, [RpcName.LIST_SHARES]),
+    (ApiOperation.QUERY_SET_CAPS, {"node_id": 0}, [RpcName.GET_USER_DATA]),
+    (ApiOperation.RESCAN_FROM_SCRATCH, {"node_id": 0},
+     [RpcName.GET_FROM_SCRATCH]),
+    (ApiOperation.UNLINK, {"node_id": 31, "volume_id": 200},
+     [RpcName.UNLINK_NODE]),
+    (ApiOperation.DELETE_VOLUME, {"node_id": 0, "volume_id": 200},
+     [RpcName.DELETE_VOLUME]),
+]
+
+
+def _every_operation_script():
+    columns = {"times": [], "operations": [], "node_ids": [], "volume_ids": [],
+               "size_bytes": [], "content_hashes": []}
+    for k, (operation, fields, _) in enumerate(_SCRIPT):
+        columns["times"].append(1.0 + k)
+        columns["operations"].append(operation)
+        columns["node_ids"].append(fields["node_id"])
+        columns["volume_ids"].append(fields.get("volume_id", 5))
+        columns["size_bytes"].append(fields.get("size", 0))
+        columns["content_hashes"].append(fields.get("content_hash", ""))
+    busy = SessionScript(user_id=1, session_id=1, start=0.5,
+                         end=len(_SCRIPT) + 2.0,
+                         block=EventBlock(extensions="txt", **columns))
+    # A second device of the same user, online throughout: every served
+    # mutation notifies it.
+    idle = SessionScript(user_id=1, session_id=2, start=0.0,
+                         end=len(_SCRIPT) + 3.0,
+                         block=EventBlock(times=[], operations=[]))
+    return [idle, busy]
+
+
+def _fault_plan(n_shards: int):
+    # Every process slowed, every content's storage node down with a
+    # replica to fail over to, every shard read-only from the unlink on.
+    return FaultPlan(faults=(
+        *(DegradedProcess(0.0, 20.0, process_index=p, inflation=3.0)
+          for p in range(2)),
+        *(StorageNodeOutage(0.0, 20.0, node_index=n, n_nodes=2, failover=True)
+          for n in range(2)),
+        *(ReadOnlyShard(10.5, 20.0, shard_id=s) for s in range(n_shards)),
+    ), seed=3)
+
+
+class TestEveryOperationReplayed:
+    """A hand-built script with all 12 client operations, replayed through
+    one replay shard under each routing, tiering and fault setting."""
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize("tiering", [None, TieringPolicy(age_threshold=0.5)],
+                             ids=["single-tier", "tiered"])
+    @pytest.mark.parametrize("routing", ["user_id", "round_robin"])
+    def test_each_operation_issues_its_rpcs(self, routing, tiering, faults):
+        config = ClusterConfig(
+            seed=1, api_machines=1, processes_per_machine=2, metadata_shards=3,
+            replay_shards=1, shard_routing=routing, multipart_chunk_bytes=1024,
+            interrupted_upload_fraction=0.0, auth_failure_fraction=0.0,
+            tiering=tiering, faults=_fault_plan(3) if faults else None)
+        shard, dataset = replay_scripts(config, _every_operation_script())
+        assert validate_dataset(dataset) == []
+
+        storage = dataset.storage
+        assert [r.operation for r in storage] == [op for op, _, _ in _SCRIPT]
+        issued: dict[float, list[RpcName]] = {}
+        for record in dataset.rpc:
+            if record.api_operation is not ApiOperation.AUTHENTICATE:
+                issued.setdefault(record.timestamp, []).append(record.rpc)
+        served_mutations = 0
+        for record, (operation, _, expected) in zip(storage, _SCRIPT):
+            if record.error_kind:
+                # A rejected request runs no handler: no RPC at all.
+                assert faults and record.timestamp not in issued
+                continue
+            assert issued[record.timestamp] == expected, operation
+            served_mutations += operation in ApiServerProcess._MUTATING_OPERATIONS  # noqa: SLF001
+        # Each served mutation reached the user's other session.
+        assert shard.bus.pushes == served_mutations
+
+        accounting = shard.objects.accounting
+        counters = shard.faults.accounting if faults else None
+        if faults:
+            # The read-only window rejected the unlink and the volume delete;
+            # both transfers were served by a replica.
+            assert [r.error_kind for r in storage][-2:] == ["shard_read_only"] * 2
+            assert counters.failover_requests == accounting.failover_reads == 2
+            assert counters.degraded_rpcs > 0
+        else:
+            assert not any(r.error_kind for r in storage)
+        assert accounting.get_requests == 1
+        assert accounting.bytes_downloaded == 3000
+        if tiering is not None:
+            assert accounting.hot_hits + accounting.cold_hits == 1
+        closes = [r for r in dataset.sessions if r.event is SessionEvent.DISCONNECT]
+        assert {r.session_id: r.storage_operations for r in closes} == {
+            1: 7, 2: 0}

@@ -1,13 +1,11 @@
-"""Unit tests for protocol entities and request envelopes."""
+"""Unit tests for protocol entities."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backend.protocol.entities import Node, SessionHandle, Volume
-from repro.backend.protocol.operations import UPLOAD_CHUNK_BYTES, ApiRequest, ApiResponse
-from repro.trace.records import ApiOperation, NodeKind, VolumeType
-from repro.workload.events import ClientEvent
+from repro.trace.records import NodeKind, VolumeType
 
 
 class TestEntities:
@@ -39,21 +37,3 @@ class TestEntities:
         handle.storage_operations += 1
         assert handle.storage_operations == 1
 
-
-class TestApiRequest:
-    def test_field_defaults_cover_non_transfer_requests(self):
-        request = ApiRequest(operation=ApiOperation.MAKE, user_id=1,
-                             session_id=2, timestamp=10.0, node_id=3)
-        assert request.volume_type is VolumeType.ROOT
-        assert request.node_kind is NodeKind.FILE
-        assert request.size_bytes == 0 and request.content_hash == ""
-        assert not request.is_update and not request.caused_by_attack
-
-    def test_chunk_size_is_5mb(self):
-        assert UPLOAD_CHUNK_BYTES == 5 * 1024 * 1024
-
-    def test_response_defaults(self):
-        response = ApiResponse(operation=ApiOperation.MAKE)
-        assert response.ok
-        assert response.rpc_count == 0
-        assert response.details == {}

@@ -30,7 +30,6 @@ from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
-from repro.backend.protocol.operations import ApiRequest
 from repro.backend.replay_shard import ReplayShard, UploadJobCollector
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
@@ -47,6 +46,7 @@ from repro.trace.dataset import (
 from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
 from repro.workload.events import EventBlock, SessionScript
 from repro.workload.generator import SyntheticTraceGenerator
+from tests.conftest import event_row, open_session, send_event
 
 _RPC_NAMES = list(RpcName)
 #: Request fields a session open or a bare RPC context does not carry.
@@ -140,31 +140,29 @@ def _serving(sink_of, request_of):
     return wrap
 
 
-def _open_request(self, user_id, session_id, timestamp,
-                  force_auth_failure=False, caused_by_attack=False, ref=None):
+def _open_request(self, user_id, session_id, timestamp, ref,
+                  force_auth_failure=False, caused_by_attack=False):
     return (timestamp, self._server, self._process, user_id, session_id,
             ApiOperation.AUTHENTICATE, *_NO_EVENT, caused_by_attack)
 
 
-def _event_request(self, handle, row, ref=None):
+def _event_request(self, handle, row, ref):
     return (row[0], self._server, self._process, handle.user_id,
             handle.session_id, *row[1:])
 
 
-def _handle_request(self, request, ref=None):
-    return (request.timestamp, self._server, self._process, request.user_id,
-            request.session_id, request.operation, request.node_id,
-            request.volume_id, request.volume_type, request.node_kind,
-            request.size_bytes, request.content_hash, request.extension,
-            request.is_update, request.caused_by_attack)
+def _gc_sweep(self, now):
+    server, process = self._process.address
+    return (_GC, now, server, process)
 
 
 def _gc_rpc_request(self, rpc, context, *args, **kwargs):
-    if self._sink.stack[-1:] != [_GC]:
+    top = self._sink.stack[-1:]
+    if not top or top[0][0] is not _GC:
         return None
-    return (context.timestamp, context.server, context.process,
-            context.user_id, context.session_id, context.api_operation,
-            *_NO_EVENT, context.caused_by_attack)
+    _, now, server, process = top[0]
+    return (now, server, process, context.user_id, 0, None, *_NO_EVENT,
+            False)
 
 
 @contextmanager
@@ -174,9 +172,8 @@ def _row_reference():
     patches = [
         (ApiServerProcess, "open_session", process_sink, _open_request),
         (ApiServerProcess, "handle_event", process_sink, _event_request),
-        (ApiServerProcess, "handle", process_sink, _handle_request),
         (UploadJobCollector, "collect", lambda c: c._process._sink,
-         lambda self, now: _GC),
+         _gc_sweep),
         (RpcWorker, "execute", lambda w: w._sink, _gc_rpc_request),
     ]
     with ExitStack() as stack:
@@ -360,16 +357,6 @@ def test_perfbench_shapes_at_a_tenth(workload):
 # Direct callers: one sink, rows in emission order
 # ---------------------------------------------------------------------------
 
-def _request(operation, user_id, session_id, timestamp, node_id=10,
-             size=100, content_hash="h1"):
-    return ApiRequest(operation=operation, user_id=user_id,
-                      session_id=session_id, timestamp=timestamp,
-                      node_id=node_id, volume_id=5,
-                      volume_type=VolumeType.ROOT, node_kind=NodeKind.FILE,
-                      size_bytes=size, content_hash=content_hash,
-                      extension="txt")
-
-
 def test_direct_calls_and_gc_sweep_keep_emission_order():
     with _row_reference():
         sink = _RecordingSink()
@@ -388,15 +375,16 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
             interrupted_upload_fraction=1.0) for p in range(2)]
         collector = UploadJobCollector(store, processes[0], interval=1.0)
         first, second = processes
-        first.open_session(1, 1, 1.0)
+        alice = open_session(first, 1, 1, 1.0)
         # An interrupted multipart upload leaves an uploadjob to sweep.
-        first.handle(_request(ApiOperation.UPLOAD, 1, 1, 2.0, size=5000))
-        second.open_session(2, 2, 3.0, caused_by_attack=True)
+        send_event(first, alice, event_row(ApiOperation.UPLOAD, 2.0, size=5000))
+        bob = open_session(second, 2, 2, 3.0, caused_by_attack=True)
         collector.collect(4.0)
-        second.handle(_request(ApiOperation.DOWNLOAD, 2, 2, 5.0, node_id=11,
-                               content_hash="h2"))
-        first.handle(_request(ApiOperation.GET_DELTA, 1, 1, 6.0, node_id=0,
-                              size=0, content_hash=""))
+        send_event(second, bob, event_row(ApiOperation.DOWNLOAD, 5.0,
+                                          node_id=11, size=100,
+                                          content_hash="h2"))
+        send_event(first, alice, event_row(ApiOperation.GET_DELTA, 6.0,
+                                           node_id=0, size=0, content_hash=""))
         collector.collect(7.0)
         dataset = sink.dataset
     assert collector.sweeps == 2

@@ -1,4 +1,9 @@
-"""Unit tests for the RPC worker."""
+"""Unit tests for the RPC worker.
+
+Every RPC row records the reference of the request it serves, so each test
+context is registered with the worker's trace sink first, as a replay
+shard's request or a GC sweep's is.
+"""
 
 from __future__ import annotations
 
@@ -20,22 +25,26 @@ def worker():
     return RpcWorker(worker_id=0, store=store, latency=latency, sink=sink), sink
 
 
-def _context(user_id=6) -> RpcContext:
-    return RpcContext(timestamp=100.0, server="api0", process=1, user_id=user_id,
-                      session_id=9, api_operation=ApiOperation.LIST_VOLUMES)
+def _context(sink: TraceSink, user_id=6) -> RpcContext:
+    context = RpcContext(timestamp=100.0, user_id=user_id)
+    context.ref = sink.explicit((100.0, "api0", 1, user_id, 9,
+                                 ApiOperation.LIST_VOLUMES, 0, 0, None, None,
+                                 0, "", "", False, False))
+    return context
 
 
 class TestRpcWorker:
     def test_execute_returns_operation_result(self, worker):
-        rpc_worker, _ = worker
-        result = rpc_worker.execute(RpcName.GET_DELTA, _context(), lambda: 42)
+        rpc_worker, sink = worker
+        result = rpc_worker.execute(RpcName.GET_DELTA, _context(sink), lambda: 42)
         assert result == 42
         assert rpc_worker.calls_executed == 1
         assert rpc_worker.busy_time > 0
 
     def test_execute_records_rpc_with_routing_shard(self, worker):
         rpc_worker, sink = worker
-        rpc_worker.execute(RpcName.LIST_VOLUMES, _context(user_id=6), lambda: None)
+        rpc_worker.execute(RpcName.LIST_VOLUMES, _context(sink, user_id=6),
+                           lambda: None)
         record = sink.dataset.rpc[0]
         assert record.rpc is RpcName.LIST_VOLUMES
         assert record.shard_id == 6 % 4
@@ -43,11 +52,18 @@ class TestRpcWorker:
         assert record.service_time > 0
         assert record.api_operation is ApiOperation.LIST_VOLUMES
 
-    def test_shard_override_for_system_calls(self, worker):
+    def test_pre_routed_shard_and_block_rows_share_the_reference(self, worker):
         rpc_worker, sink = worker
-        rpc_worker.execute(RpcName.TOUCH_UPLOADJOB, _context(user_id=0), lambda: None,
-                           shard_user_id=7)
-        assert sink.dataset.rpc[0].shard_id == 7 % 4
+        context = _context(sink, user_id=6)
+        context.shard_id = 3
+        assert rpc_worker.execute_one(RpcName.GET_NODE, context, abs, -5) == 5
+        assert rpc_worker.execute_block(RpcName.ADD_PART_TO_UPLOADJOB, context,
+                                        lambda part: part, [(1,), (2,)]) == [1, 2]
+        records = sink.dataset.rpc
+        assert [r.shard_id for r in records] == [3, 3, 3]
+        assert {(r.user_id, r.session_id, r.api_operation) for r in records} \
+            == {(6, 9, ApiOperation.LIST_VOLUMES)}
+        assert rpc_worker.calls_executed == 3
 
     def test_store_property(self, worker):
         rpc_worker, _ = worker
@@ -56,7 +72,7 @@ class TestRpcWorker:
     def test_exceptions_propagate(self, worker):
         rpc_worker, sink = worker
         with pytest.raises(RuntimeError):
-            rpc_worker.execute(RpcName.GET_NODE, _context(),
+            rpc_worker.execute(RpcName.GET_NODE, _context(sink),
                                lambda: (_ for _ in ()).throw(RuntimeError("boom")))
         # The failing call is not recorded as a completed RPC.
         assert rpc_worker.calls_executed == 0

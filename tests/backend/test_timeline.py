@@ -24,12 +24,13 @@ from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
-from repro.backend.protocol.operations import ApiRequest
+from repro.backend.protocol.entities import SessionHandle
 from repro.backend.replay_shard import ReplayShard
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
 from repro.workload.events import EVENT_COLUMNS, EventBlock, SessionScript
+from tests.conftest import event_row, open_session, send_event
 
 # ---------------------------------------------------------------------------
 # Timeline
@@ -222,6 +223,7 @@ class TestFanOut:
                 sink=sink, rng=np.random.default_rng(i))
             for i, address in enumerate(_ADDRESSES)]
         open_sessions: dict[int, tuple[int, int]] = {}  # session -> (user, p)
+        handles: dict[int, SessionHandle] = {}
         expected = {"published": 0, "deliveries": 0, "pushes": 0,
                     "short_circuits": 0}
         pushed = [0] * len(processes)
@@ -232,7 +234,8 @@ class TestFanOut:
                 _, user_id, session_id, p = op
                 if session_id in open_sessions:
                     continue
-                processes[p].open_session(user_id, session_id, clock)
+                handles[session_id] = open_session(processes[p], user_id,
+                                                   session_id, clock)
                 open_sessions[session_id] = (user_id, p)
             elif op[0] == "close":
                 if op[1] in open_sessions:
@@ -243,8 +246,10 @@ class TestFanOut:
                 if session_id in open_sessions:
                     # Sessions are pinned: the holder handles the request.
                     user_id, p = open_sessions[session_id]
+                    handle = handles[session_id]
                 else:
                     user_id = 1  # a request from a session that is not open
+                    handle = SessionHandle(session_id, user_id, clock)
                 others = [q for s, (u, q) in open_sessions.items()
                           if u == user_id and s != session_id]
                 local = others.count(p)
@@ -260,15 +265,13 @@ class TestFanOut:
                                        if u == user_id and r == q)
                             pushed[q] += on_q
                             expected["pushes"] += on_q
-                response = processes[p].handle(ApiRequest(
-                    operation=ApiOperation.UPLOAD, user_id=user_id,
-                    session_id=session_id, timestamp=clock,
-                    node_id=int(clock), volume_id=-user_id,
-                    volume_type=VolumeType.ROOT, node_kind=NodeKind.FILE,
-                    size_bytes=100, content_hash=f"h{int(clock)}",
-                    extension="txt"))
-                assert response.ok
-                assert response.notified_sessions == local + sum(
+                pushes = bus.pushes
+                send_event(processes[p], handle, event_row(
+                    ApiOperation.UPLOAD, timestamp=clock, node_id=int(clock),
+                    volume_id=-user_id, size=100,
+                    content_hash=f"h{int(clock)}"))
+                # The upload succeeded and notified every other session.
+                assert bus.pushes - pushes == local + sum(
                     1 for s, (u, q) in open_sessions.items()
                     if u == user_id and s != session_id and q != p)
         assert {"published": bus.published, "deliveries": bus.deliveries,

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.backend.errors import InvalidTransitionError
-from repro.backend.uploadjob import GARBAGE_COLLECTION_AGE, UploadJob, UploadJobState
+from repro.backend.uploadjob import (
+    GARBAGE_COLLECTION_AGE,
+    UPLOAD_CHUNK_BYTES,
+    UploadJob,
+    UploadJobState,
+)
 
 
 def _job(total_bytes=12 * 1024 * 1024, chunk=5 * 1024 * 1024) -> UploadJob:
@@ -15,6 +20,12 @@ def _job(total_bytes=12 * 1024 * 1024, chunk=5 * 1024 * 1024) -> UploadJob:
 
 
 class TestHappyPath:
+    def test_chunk_size_is_5mb(self):
+        assert UPLOAD_CHUNK_BYTES == 5 * 1024 * 1024
+        job = UploadJob(job_id=1, user_id=7, node_id=3, volume_id=2,
+                        content_hash="sha1:abc", total_bytes=1, created_at=0.0)
+        assert job.chunk_bytes == UPLOAD_CHUNK_BYTES
+
     def test_full_lifecycle(self):
         job = _job()
         assert job.state is UploadJobState.CREATED

@@ -21,6 +21,7 @@ from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.replay_shard import ReplayShard
+from repro.faults.runtime import compile_plan
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +69,56 @@ def make_session(timestamp: float = 0.0, user_id: int = 1, event=SessionEvent.CO
         caused_by_attack=caused_by_attack)
 
 
+#: Request fields a session open does not carry (``node_id`` ..
+#: ``is_update``, :data:`repro.trace.dataset.REQUEST_FIELDS` order).
+_NO_EVENT = (0, 0, None, None, 0, "", "", False)
+
+
+def event_row(operation, timestamp: float = 10.0, node_id: int = 10,
+              volume_id: int = 5, size: int = 100_000,
+              content_hash: str = "h1", node_kind=NodeKind.FILE,
+              extension: str = "txt", is_update: bool = False,
+              volume_type=VolumeType.ROOT,
+              caused_by_attack: bool = False) -> tuple:
+    """A dispatch row as ``ApiServerProcess.handle_event`` receives it."""
+    return (timestamp, operation, node_id, volume_id, volume_type, node_kind,
+            size, content_hash, extension, is_update, caused_by_attack)
+
+
+def open_session(process, user_id: int, session_id: int, timestamp: float,
+                 force_auth_failure: bool = False,
+                 caused_by_attack: bool = False):
+    """Open a session on an API process outside a replay: the open is
+    registered with the process's trace sink, as a replay shard's timeline
+    would, and its reference passed on."""
+    server, number = process.address
+    ref = process._sink.explicit((
+        timestamp, server, number, user_id, session_id,
+        ApiOperation.AUTHENTICATE, *_NO_EVENT, caused_by_attack))
+    return process.open_session(user_id, session_id, timestamp, ref,
+                                force_auth_failure, caused_by_attack)
+
+
+def send_event(process, handle, row: tuple) -> None:
+    """Send one dispatch row to an API process outside a replay, registered
+    with the process's trace sink first."""
+    server, number = process.address
+    ref = process._sink.explicit((row[0], server, number, handle.user_id,
+                                  handle.session_id, *row[1:]))
+    process.handle_event(handle, row, ref)
+
+
 def replay_scripts(config: ClusterConfig, scripts):
     """Replay hand-built session scripts through one replay shard that owns
-    every API process of the cluster; returns ``(shard, dataset)``."""
-    shard = ReplayShard(config, 0, list(enumerate(config.process_addresses())),
-                        U1Cluster(config).latency.shard_factors)
+    every API process of the cluster (under the config's fault plan, if
+    any); returns ``(shard, dataset)``."""
+    addresses = config.process_addresses()
+    schedule = (compile_plan(config.faults, n_processes=len(addresses),
+                             n_shards=config.metadata_shards)
+                if config.faults is not None else None)
+    shard = ReplayShard(config, 0, list(enumerate(addresses)),
+                        U1Cluster(config).latency.shard_factors,
+                        fault_schedule=schedule)
     outcome = shard.run(scripts)
     dataset = TraceDataset.from_sorted_blocks(
         [(outcome.storage, outcome.rpc, outcome.sessions)])
