@@ -200,11 +200,6 @@ class ApiServerProcess:
         """The sharded metadata store reached through the RPC worker."""
         return self._rpc.store
 
-    @property
-    def open_sessions(self) -> int:
-        """Number of sessions currently connected to this process."""
-        return len(self._sessions)
-
     # ------------------------------------------------------- session handling
     def open_session(self, user_id: int, session_id: int, timestamp: float,
                      ref: int, force_auth_failure: bool = False,

@@ -20,7 +20,7 @@ be reproduced.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,19 +70,6 @@ class TokenCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
         self._entries[token] = user_id
-
-    def invalidate_user(self, user_id: int) -> int:
-        """Drop every cached token of ``user_id`` (used when banning abusers)."""
-        doomed = [tok for tok, uid in self._entries.items() if uid == user_id]
-        for token in doomed:
-            del self._entries[token]
-        return len(doomed)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class AuthenticationService:

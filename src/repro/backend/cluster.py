@@ -453,15 +453,4 @@ class U1Cluster:
         return self._run_sharded(workloads, n_shards, n_jobs, addresses,
                                  **run_kwargs)
 
-    def run_workload(self, workload_config, n_jobs: int = 1,
-                     **run_kwargs) -> TraceDataset:
-        """Convenience: plan a workload and run the fused generate→replay."""
-        from repro.workload.generator import SyntheticTraceGenerator
-
-        generator = SyntheticTraceGenerator(workload_config)
-        return self.replay_plan(generator.plan(), n_jobs=n_jobs, **run_kwargs)
-
     # ------------------------------------------------------------ statistics
-    def rpc_calls_per_worker(self) -> list[int]:
-        """RPC calls executed by each worker."""
-        return [p._rpc.calls_executed for p in self.processes]  # noqa: SLF001

@@ -112,20 +112,16 @@ class StorageAccounting:
         total = self.hot_hits + self.cold_hits
         return self.hot_hits / total if total else 1.0
 
-    def monthly_cost_estimate(self, cost_model=None) -> float:
+    def monthly_cost_estimate(self,
+                              cost_model: StorageCostModel | None = None) -> float:
         """Monthly storage bill estimate (the paper cites ~$20k/month).
 
-        ``cost_model`` is a :class:`~repro.whatif.costs.StorageCostModel`,
-        or a bare hot-tier $/GB-month rate for backward compatibility with
-        the historical ``monthly_cost_estimate(0.03)`` signature; ``None``
-        uses the default model.  Cold-resident bytes are billed at the cold
-        rate, the rest at the hot rate.
+        ``cost_model`` defaults to :class:`~repro.whatif.costs.StorageCostModel`'s
+        defaults.  Cold-resident bytes are billed at the cold rate, the rest
+        at the hot rate.
         """
         if cost_model is None:
             cost_model = StorageCostModel()
-        elif isinstance(cost_model, (int, float)):
-            cost_model = StorageCostModel(
-                hot_dollars_per_gb_month=float(cost_model))
         return cost_model.storage_monthly_cost(self)
 
     def merge(self, other: "StorageAccounting") -> None:
@@ -234,14 +230,6 @@ class ObjectStore:
             return self._objects[content_hash]
         except KeyError:
             raise UnknownContentError(content_hash) from None
-
-    def refcount(self, content_hash: str) -> int:
-        """Number of file nodes referencing a content."""
-        return self._refcounts.get(content_hash, 0)
-
-    def is_cold(self, content_hash: str) -> bool:
-        """Whether a stored content currently resides in the cold tier."""
-        return content_hash in self._cold
 
     # ---------------------------------------------------------------- tiers
     def _tier_admit(self, key, size: int, now: float) -> None:

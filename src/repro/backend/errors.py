@@ -22,7 +22,6 @@ __all__ = [
     "BackendError",
     "AuthenticationError",
     "UnknownUserError",
-    "UnknownVolumeError",
     "UnknownNodeError",
     "UnknownContentError",
     "UploadJobError",
@@ -54,10 +53,6 @@ class AuthenticationError(BackendError):
 
 class UnknownUserError(BackendError):
     """Raised when an operation references a user id the store has never seen."""
-
-
-class UnknownVolumeError(BackendError):
-    """Raised when an operation references a volume that does not exist."""
 
 
 class UnknownNodeError(BackendError):

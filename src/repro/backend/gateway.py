@@ -129,10 +129,6 @@ class LoadBalancer:
                 raise ValueError(f"unknown process {address}")
             self._total_assigned[address] += count
 
-    def open_connections(self) -> dict[ProcessAddress, int]:
-        """Snapshot of the open-connection counters."""
-        return dict(self._open_connections)
-
     def total_assigned(self) -> dict[ProcessAddress, int]:
         """Total sessions ever assigned to each process."""
         return dict(self._total_assigned)

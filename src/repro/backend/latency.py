@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.records import RpcClass, RpcName, rpc_class_of
+from repro.trace.records import RpcName
 
 __all__ = ["ServiceTimeModel", "LatencyParameters", "DEFAULT_MEDIANS_MS"]
 
@@ -149,10 +149,6 @@ class ServiceTimeModel:
         """The fixed per-shard skew factors (shareable across replay shards)."""
         return list(self._shard_factors)
 
-    def median_seconds(self, rpc: RpcName) -> float:
-        """Median service time of ``rpc`` in seconds."""
-        return self._median_seconds[rpc]
-
     def sample(self, rpc: RpcName, shard_id: int = 0) -> float:
         """Sample one service time (seconds) for ``rpc`` on ``shard_id``.
 
@@ -200,19 +196,3 @@ class ServiceTimeModel:
             remaining -= take
         return out
 
-    def sample_class(self, rpc_class: RpcClass, shard_id: int = 0) -> float:
-        """Sample a service time for an arbitrary RPC of the given class."""
-        representative = {
-            RpcClass.READ: RpcName.GET_NODE,
-            RpcClass.WRITE: RpcName.MAKE_FILE,
-            RpcClass.CASCADE: RpcName.DELETE_VOLUME,
-        }[rpc_class]
-        return self.sample(representative, shard_id)
-
-    def expected_ordering(self) -> list[RpcName]:
-        """RPC names sorted by median service time (fastest first)."""
-        return sorted(self._medians_ms, key=self._medians_ms.get)
-
-    def class_of(self, rpc: RpcName) -> RpcClass:
-        """Convenience passthrough to :func:`repro.trace.records.rpc_class_of`."""
-        return rpc_class_of(rpc)

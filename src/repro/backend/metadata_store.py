@@ -66,10 +66,6 @@ class ShardedMetadataStore:
         """The shard objects (read-only usage expected)."""
         return list(self._shards)
 
-    def shard_of(self, user_id: int) -> MetadataShard:
-        """The shard responsible for ``user_id`` under the routing policy."""
-        return self._shards[self.shard_id_of(user_id)]
-
     def shard_id_of(self, user_id: int) -> int:
         """The shard index responsible for ``user_id``."""
         return self._route(user_id)

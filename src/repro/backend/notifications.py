@@ -35,11 +35,6 @@ class Notification(NamedTuple):
     volume_id: int
     kind: str
 
-    def affects(self, user_id: int) -> bool:
-        """Whether the notification is relevant to ``user_id``."""
-        return user_id in self.user_ids
-
-
 #: A subscriber callback receives a notification and returns the number of
 #: client sessions it pushed the event to.
 Subscriber = Callable[[Notification], int]
@@ -99,6 +94,3 @@ class NotificationBus:
         self.short_circuits += count
         self.pushes += count
 
-    def delivery_counts(self) -> dict[str, int]:
-        """Per-subscriber delivery counters."""
-        return {s.name: s.delivered for s in self._subscriptions}

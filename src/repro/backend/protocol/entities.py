@@ -49,11 +49,6 @@ class Node:
         """True when the node is a file."""
         return self.kind is NodeKind.FILE
 
-    @property
-    def is_directory(self) -> bool:
-        """True when the node is a directory."""
-        return self.kind is NodeKind.DIRECTORY
-
     def apply_content(self, content_hash: str, size_bytes: int, when: float) -> None:
         """Record a (new) content version on this node."""
         if size_bytes < 0:
@@ -74,8 +69,6 @@ class Volume:
     created_at: float = 0.0
     generation: int = 0
     node_ids: set[NodeId] = field(default_factory=set)
-    #: For shared volumes: user ids the volume is shared with.
-    shared_to: set[int] = field(default_factory=set)
     is_live: bool = True
 
     @property

@@ -561,7 +561,7 @@ class ReplayShard:
                     if entry is None:
                         continue
                     # Object-free dispatch: the event's column row goes
-                    # straight to the process, no ClientEvent in between.
+                    # straight to the process, no event object in between.
                     entry[0](entry[1], rows[j], j)
                 elif kind == _OPEN:
                     index = script_col[j]

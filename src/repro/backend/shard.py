@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.errors import UnknownNodeError, UnknownUserError, UnknownVolumeError
+from repro.backend.errors import UnknownNodeError, UnknownUserError
 from repro.backend.protocol.entities import Node, Volume
 from repro.backend.uploadjob import UploadJob
 from repro.trace.records import NodeKind, VolumeType
@@ -121,14 +121,6 @@ class MetadataShard:
             self._volumes[volume_id] = volume
         row.volume_ids.add(volume_id)
         return volume
-
-    def get_volume(self, volume_id: int) -> Volume:
-        """``dal.get_volume_id``."""
-        self.requests_served += 1
-        try:
-            return self._volumes[volume_id]
-        except KeyError:
-            raise UnknownVolumeError(volume_id) from None
 
     def list_volumes(self, user_id: int) -> list[Volume]:
         """``dal.list_volumes``."""

@@ -255,10 +255,6 @@ class SupervisionReport:
     #: shard id -> heartbeats received across all of its attempts.
     heartbeats: dict = field(default_factory=dict)
 
-    @property
-    def total_failures(self) -> int:
-        return len(self.failures)
-
     def as_stats(self) -> dict:
         """JSON-able summary merged into ``last_replay_stats``."""
         return {

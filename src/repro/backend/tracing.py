@@ -2,9 +2,9 @@
 
 The real measurement instruments every API/RPC server process and later
 merges their logfiles.  The simulator short-circuits that by writing
-straight into a :class:`~repro.trace.dataset.TraceDataset`; the logfile
-round-trip of :mod:`repro.trace.logfile` is still available for tests and
-examples that want on-disk traces.
+straight into a :class:`~repro.trace.dataset.TraceDataset`;
+:mod:`repro.trace.logfile` writes a finished trace out as those per-process
+logfiles (``repro generate --out``) and reads them back.
 
 Most fields of a storage or RPC row are the fields of the request it
 serves (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records

@@ -168,6 +168,3 @@ class UploadJob:
             return True
         return False
 
-    def resume_point(self) -> int:
-        """Byte offset from which an interrupted transfer should resume."""
-        return self.uploaded_bytes

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
-from repro.util.stats import EmpiricalCDF
 
 __all__ = ["DeduplicationAnalysis", "deduplication_analysis"]
 
@@ -67,12 +66,6 @@ class DeduplicationAnalysis:
         if self.copies_per_hash.size == 0:
             return 0
         return int(self.copies_per_hash.max())
-
-    def copies_cdf(self) -> EmpiricalCDF:
-        """CDF of the number of copies per content hash (Fig. 4a)."""
-        if self.copies_per_hash.size == 0:
-            raise ValueError("no hashed uploads observed")
-        return EmpiricalCDF(self.copies_per_hash)
 
     def storage_saved_bytes(self) -> int:
         """Bytes that file-level deduplication avoids storing."""

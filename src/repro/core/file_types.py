@@ -43,12 +43,6 @@ class FileSizeAnalysis:
         """Number of distinct uploaded files considered."""
         return int(self.all_sizes.size)
 
-    def overall_cdf(self) -> EmpiricalCDF:
-        """CDF of all file sizes."""
-        if self.all_sizes.size == 0:
-            raise ValueError("no files observed")
-        return EmpiricalCDF(self.all_sizes)
-
     def extension_cdf(self, extension: str) -> EmpiricalCDF:
         """CDF of the sizes of one extension."""
         sizes = self.sizes_by_extension.get(extension)
@@ -69,12 +63,6 @@ class FileSizeAnalysis:
         if sizes.size == 0:
             raise ValueError("no files observed")
         return float(np.median(sizes))
-
-    def top_extensions(self, n: int = 10) -> list[tuple[str, int]]:
-        """The ``n`` most popular extensions with their file counts."""
-        counts = [(ext, sizes.size) for ext, sizes in self.sizes_by_extension.items()]
-        counts.sort(key=lambda item: item[1], reverse=True)
-        return counts[:n]
 
 
 def _distinct_file_arrays(dataset: TraceDataset, include_attacks: bool):
@@ -158,12 +146,3 @@ def category_shares(dataset: TraceDataset,
     }
 
 
-def format_category_table(shares: dict[str, CategoryShare]) -> str:
-    """Render the Fig. 4c data as an aligned text table."""
-    lines = [f"{'Category':<14} {'files %':>8} {'storage %':>10} {'files':>9} {'MB':>12}"]
-    for share in sorted(shares.values(), key=lambda s: s.file_share, reverse=True):
-        lines.append(
-            f"{share.category:<14} {share.file_share * 100:>7.1f}% "
-            f"{share.storage_share * 100:>9.1f}% {share.file_count:>9} "
-            f"{share.storage_bytes / MB:>12.1f}")
-    return "\n".join(lines)

@@ -38,25 +38,11 @@ class TransitionGraph:
             return 0.0
         return self.counts.get((source, target), 0) / self.total_transitions
 
-    def conditional_probability(self, source: ApiOperation,
-                                target: ApiOperation) -> float:
-        """Probability of ``target`` given the previous operation ``source``."""
-        out_edges = [(pair, count) for pair, count in self.counts.items()
-                     if pair[0] is source]
-        total = sum(count for _, count in out_edges)
-        if total == 0:
-            return 0.0
-        return self.counts.get((source, target), 0) / total
-
     def top_transitions(self, n: int = 10) -> list[tuple[ApiOperation, ApiOperation, float]]:
         """The ``n`` most frequent transitions with global probabilities."""
         ordered = sorted(self.counts.items(), key=lambda item: item[1], reverse=True)
         return [(src, dst, count / self.total_transitions)
                 for (src, dst), count in ordered[:n]]
-
-    def repeat_probability(self, operation: ApiOperation) -> float:
-        """Conditional probability that ``operation`` is followed by itself."""
-        return self.conditional_probability(operation, operation)
 
     def transfer_repeat_probability(self) -> float:
         """P(next op is a transfer | current op is a transfer).

@@ -126,13 +126,6 @@ class SessionAnalysis:
         """Median session length."""
         return self.length_cdf(active_only=active_only).median()
 
-    def operations_cdf(self) -> EmpiricalCDF:
-        """CDF of storage operations per active session (inner plot, Fig. 16)."""
-        active = self.storage_operations[self.storage_operations > 0]
-        if active.size == 0:
-            raise ValueError("no active sessions observed")
-        return EmpiricalCDF(active)
-
     def top_sessions_share(self, top_fraction: float = 0.2) -> float:
         """Share of storage operations performed by the busiest sessions.
 

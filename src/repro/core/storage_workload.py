@@ -26,7 +26,7 @@ from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
 from repro.util.stats import BoxplotSummary, autocorrelation, boxplot_summary
 from repro.util.timebin import TimeBinner, bin_sum_series
-from repro.util.units import GB, HOUR, MB
+from repro.util.units import HOUR, MB
 
 __all__ = [
     "TrafficTimeSeries",
@@ -53,16 +53,6 @@ class TrafficTimeSeries:
     upload_bytes: np.ndarray
     download_bytes: np.ndarray
     bin_width: float
-
-    @property
-    def upload_gb(self) -> np.ndarray:
-        """Uploaded GBytes per bin."""
-        return self.upload_bytes / GB
-
-    @property
-    def download_gb(self) -> np.ndarray:
-        """Downloaded GBytes per bin."""
-        return self.download_bytes / GB
 
     def peak_to_trough(self, series: np.ndarray | None = None) -> float:
         """Ratio between the busiest and the quietest non-empty bin."""
@@ -97,8 +87,8 @@ def traffic_timeseries(dataset: TraceDataset, bin_width: float = HOUR,
     codes = source.storage_column("operation")
     up = codes == OPERATION_CODE[ApiOperation.UPLOAD]
     down = codes == OPERATION_CODE[ApiOperation.DOWNLOAD]
-    uploads = bin_sum_series(binner, (ts[up], sizes[up]))
-    downloads = bin_sum_series(binner, (ts[down], sizes[down]))
+    uploads = bin_sum_series(binner, ts[up], sizes[up])
+    downloads = bin_sum_series(binner, ts[down], sizes[down])
     return TrafficTimeSeries(bin_edges=binner.edges(), upload_bytes=uploads,
                              download_bytes=downloads, bin_width=bin_width)
 
@@ -198,11 +188,6 @@ class RwRatioAnalysis:
     def mean(self) -> float:
         """Mean hourly R/W ratio (the paper reports 1.17)."""
         return self.boxplot.mean
-
-    @property
-    def is_read_dominated(self) -> bool:
-        """True when downloads exceed uploads on the median hour."""
-        return self.median > 1.0
 
     def significant_lags(self) -> int:
         """Number of lags (>0) whose ACF exceeds the 95 % confidence bound."""

@@ -73,10 +73,10 @@ def online_active_users(dataset: TraceDataset, bin_width: float = HOUR,
     storage_users = source.storage_column("user_id")
     online_ts = np.concatenate([source.session_column("timestamp"), storage_ts])
     online_users = np.concatenate([source.session_column("user_id"), storage_users])
-    online = bin_unique_series(binner, (online_ts, online_users))
+    online = bin_unique_series(binner, online_ts, online_users)
     management = np.isin(source.storage_column("operation"), _DATA_MANAGEMENT_CODES)
-    active = bin_unique_series(binner, (storage_ts[management],
-                                        storage_users[management]))
+    active = bin_unique_series(binner, storage_ts[management],
+                               storage_users[management])
     return OnlineActiveSeries(bin_edges=binner.edges(), online=online,
                               active=active, bin_width=bin_width)
 
@@ -95,14 +95,6 @@ class OperationCountReport:
         """Operations sorted by decreasing frequency."""
         ordered = sorted(self.counts.items(), key=lambda item: item[1], reverse=True)
         return ordered if n is None else ordered[:n]
-
-    def data_management_share(self) -> float:
-        """Share of operations that are data management (vs maintenance)."""
-        total = self.total()
-        if total == 0:
-            return 0.0
-        data = sum(count for op, count in self.counts.items() if op.is_data_management)
-        return data / total
 
     def share(self, operation: ApiOperation) -> float:
         """Share of one operation among all operations."""

@@ -23,7 +23,7 @@ from repro.trace.dataset import (
 )
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
 from repro.util.distinct import distinct, distinct_pairs
-from repro.util.stats import EmpiricalCDF, pearson_correlation
+from repro.util.stats import pearson_correlation
 
 __all__ = [
     "VolumeContents",
@@ -54,16 +54,6 @@ class VolumeContents:
         if files.size < 2:
             return 0.0
         return pearson_correlation(files, dirs)
-
-    def files_cdf(self) -> EmpiricalCDF:
-        """CDF of the number of files per volume."""
-        files, _ = self.counts()
-        return EmpiricalCDF(files)
-
-    def directories_cdf(self) -> EmpiricalCDF:
-        """CDF of the number of directories per volume."""
-        _, dirs = self.counts()
-        return EmpiricalCDF(dirs)
 
     def share_with_files(self) -> float:
         """Fraction of volumes containing at least one file (paper: >60 %)."""
@@ -131,14 +121,6 @@ class VolumeTypeDistribution:
         """Fraction of users with at least one shared volume (paper: 1.8 %)."""
         with_shared = sum(1 for count in self.shared_volumes_per_user.values() if count > 0)
         return with_shared / self.total_users if self.total_users else 0.0
-
-    def udf_cdf(self) -> EmpiricalCDF:
-        """CDF of UDF volumes per user (over all users, zeros included)."""
-        values = [self.udf_volumes_per_user.get(u, 0)
-                  for u in range(self.total_users)]
-        counts = list(self.udf_volumes_per_user.values())
-        counts += [0] * max(0, self.total_users - len(self.udf_volumes_per_user))
-        return EmpiricalCDF(counts if counts else values)
 
 
 def volume_type_distribution(dataset: TraceDataset,

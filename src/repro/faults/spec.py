@@ -25,7 +25,7 @@ Four infrastructure fault kinds plus the auth outage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "AuthOutage",

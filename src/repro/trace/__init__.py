@@ -33,7 +33,7 @@ from repro.trace.records import (
     TRACE_EPOCH,
 )
 from repro.trace.dataset import TraceDataset
-from repro.trace.logfile import LogfileName, read_logfile, write_logfile
+from repro.trace.logfile import LogfileName, read_trace_directory, write_trace_directory
 from repro.trace.anonymize import Anonymizer
 from repro.trace.stats import TraceSummary, summarize
 
@@ -50,8 +50,8 @@ __all__ = [
     "TRACE_EPOCH",
     "TraceDataset",
     "LogfileName",
-    "read_logfile",
-    "write_logfile",
+    "read_trace_directory",
+    "write_trace_directory",
     "Anonymizer",
     "TraceSummary",
     "summarize",

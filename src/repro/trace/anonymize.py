@@ -14,8 +14,10 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 
-from repro.trace.dataset import TraceDataset
-from repro.trace.records import RpcRecord, SessionRecord, StorageRecord
+import numpy as np
+
+from repro.trace.dataset import ColumnBlock, TraceDataset
+from repro.util.distinct import distinct
 
 __all__ = ["Anonymizer"]
 
@@ -72,63 +74,39 @@ class Anonymizer:
         digest = hmac.new(self.secret, f"hash:{content_hash}".encode(), hashlib.sha256)
         return digest.hexdigest()[:40]
 
-    # --------------------------------------------------------------- records
-    def anonymize_storage(self, record: StorageRecord) -> StorageRecord:
-        """Anonymised copy of a storage record."""
-        return StorageRecord(
-            timestamp=record.timestamp,
-            server=record.server,
-            process=record.process,
-            user_id=self.anonymize_user_id(record.user_id),
-            session_id=self.anonymize_session_id(record.session_id),
-            operation=record.operation,
-            node_id=self.anonymize_node_id(record.node_id),
-            volume_id=record.volume_id,
-            volume_type=record.volume_type,
-            node_kind=record.node_kind,
-            size_bytes=record.size_bytes,
-            content_hash=self.anonymize_hash(record.content_hash),
-            extension=record.extension if self.preserve_extensions else "",
-            is_update=record.is_update,
-            shard_id=record.shard_id,
-            caused_by_attack=record.caused_by_attack,
-            error_kind=record.error_kind,
-            retries=record.retries,
-        )
-
-    def anonymize_rpc(self, record: RpcRecord) -> RpcRecord:
-        """Anonymised copy of an RPC record."""
-        return RpcRecord(
-            timestamp=record.timestamp,
-            server=record.server,
-            process=record.process,
-            user_id=self.anonymize_user_id(record.user_id),
-            session_id=self.anonymize_session_id(record.session_id),
-            rpc=record.rpc,
-            shard_id=record.shard_id,
-            service_time=record.service_time,
-            api_operation=record.api_operation,
-            caused_by_attack=record.caused_by_attack,
-        )
-
-    def anonymize_session(self, record: SessionRecord) -> SessionRecord:
-        """Anonymised copy of a session record."""
-        return SessionRecord(
-            timestamp=record.timestamp,
-            server=record.server,
-            process=record.process,
-            user_id=self.anonymize_user_id(record.user_id),
-            session_id=self.anonymize_session_id(record.session_id),
-            event=record.event,
-            session_length=record.session_length,
-            storage_operations=record.storage_operations,
-            caused_by_attack=record.caused_by_attack,
-        )
-
+    # --------------------------------------------------------------- dataset
     def anonymize(self, dataset: TraceDataset) -> TraceDataset:
-        """Anonymised copy of a whole dataset."""
-        return TraceDataset(
-            storage=[self.anonymize_storage(r) for r in dataset.storage],
-            rpc=[self.anonymize_rpc(r) for r in dataset.rpc],
-            sessions=[self.anonymize_session(r) for r in dataset.sessions],
-        )
+        """Anonymised copy of a whole dataset.
+
+        Works on the columns: each id column is mapped through its pseudonym
+        once per distinct id, and the content hashes (and extensions, when
+        stripped) once per category of their factorisation, never per row.
+        """
+        anonymous = TraceDataset()
+        for source, target in zip(
+                (dataset._storage, dataset._rpc, dataset._sessions),
+                (anonymous._storage, anonymous._rpc, anonymous._sessions)):
+            block = ColumnBlock.from_stream(source)
+            cols, codes = block.cols, block.codes
+            cols["user_id"] = _map_ids(cols["user_id"], self.anonymize_user_id)
+            cols["session_id"] = _map_ids(cols["session_id"],
+                                          self.anonymize_session_id)
+            if "node_id" in cols:
+                cols["node_id"] = _map_ids(cols["node_id"], self.anonymize_node_id)
+            if "content_hash" in codes:
+                hash_codes, hashes = codes["content_hash"]
+                codes["content_hash"] = (
+                    hash_codes, [self.anonymize_hash(h) for h in hashes])
+            if "extension" in codes and not self.preserve_extensions:
+                codes["extension"] = (np.zeros(block.n, dtype=np.int32),
+                                      [""] if block.n else [])
+            target.append_block(block)
+        return anonymous
+
+
+def _map_ids(ids: np.ndarray, pseudonym) -> np.ndarray:
+    """``pseudonym`` of every id, computed once per distinct id."""
+    values = distinct(ids)
+    mapped = np.fromiter(map(pseudonym, values.tolist()), dtype=np.int64,
+                         count=len(values))
+    return mapped[np.searchsorted(values, ids)]

@@ -21,11 +21,13 @@ is packed into the columns when the stream is next read.
   (``server``, ``content_hash``, ``extension``, ``error_kind``) are stored
   factorised as ``(int32 codes, categories)``, categories in
   first-occurrence order; ``*_column(name)`` decodes them on demand.
-* ``append_*_row``, ``add_*`` and the record-list constructor all append to
-  the buffer.  The back-end's trace sink (:mod:`repro.backend.tracing`)
-  appends session rows the same way, but delivers storage and RPC rows as
-  whole :class:`ColumnBlock`\\ s (:meth:`ColumnBlock.gather`) that a stream
-  takes with :meth:`_Stream.append_block`.
+* The record-list constructor appends to the buffer, and so does the
+  back-end's trace sink (:mod:`repro.backend.tracing`) with its session
+  rows.  The sink delivers storage and RPC rows as whole
+  :class:`ColumnBlock`\\ s (:meth:`ColumnBlock.gather`) that a stream takes
+  with :meth:`_Stream.append_block`; the anonymiser and the logfile reader
+  (:mod:`repro.trace.anonymize`, :mod:`repro.trace.logfile`) build their
+  streams the same way.
 * The slicing primitives (``filter_time``, ``filter_users``,
   ``without_attack_traffic``) evaluate their predicate vectorised and return
   datasets of views: an index array into the parent's columns.
@@ -549,11 +551,10 @@ class TraceDataset:
     :attr:`storage` / :attr:`rpc` / :attr:`sessions` attributes are lazy
     read-only sequences of record copies, ``*_column(name)`` exposes NumPy
     arrays of individual fields (enum fields as integer codes, see
-    :data:`OPERATION_CODE` and friends), ``*_codes(name)`` returns an object
-    field's ``(codes, categories)`` factorisation, and ``append_*_row``
-    ingests events as positional field tuples without building record
-    objects.  All slicing/aggregation primitives below run vectorised on the
-    columns.
+    :data:`OPERATION_CODE` and friends) and ``*_codes(name)`` returns an
+    object field's ``(codes, categories)`` factorisation.  Records enter
+    through the constructor; all slicing/aggregation primitives below run
+    vectorised on the columns.
     """
 
     __slots__ = ("_storage", "_rpc", "_sessions", "_legit_cache",
@@ -695,34 +696,6 @@ class TraceDataset:
         return digest.hexdigest()
 
     # -------------------------------------------------------------- mutation
-    def add_storage(self, record: StorageRecord) -> None:
-        """Append a storage record (its field values are copied)."""
-        self._storage.append(_STORAGE_SPEC.row_of(record))
-
-    def add_rpc(self, record: RpcRecord) -> None:
-        """Append an RPC record (its field values are copied)."""
-        self._rpc.append(_RPC_SPEC.row_of(record))
-
-    def add_session(self, record: SessionRecord) -> None:
-        """Append a session record (its field values are copied)."""
-        self._sessions.append(_SESSION_SPEC.row_of(record))
-
-    def append_storage_row(self, *fields) -> None:
-        """Fast path: append a storage event as positional field values.
-
-        The positional order is exactly :class:`StorageRecord`'s field order;
-        no record object is built.
-        """
-        self._storage.append(fields)
-
-    def append_rpc_row(self, *fields) -> None:
-        """Fast path: append an RPC event (``RpcRecord`` field order)."""
-        self._rpc.append(fields)
-
-    def append_session_row(self, *fields) -> None:
-        """Fast path: append a session event (``SessionRecord`` field order)."""
-        self._sessions.append(fields)
-
     def sort(self) -> None:
         """Sort every stream by timestamp in place (no-op when already sorted)."""
         self._storage.sort()

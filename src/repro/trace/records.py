@@ -77,13 +77,6 @@ class ApiOperation(str, enum.Enum):
         """True for operations that move file contents to/from Amazon S3."""
         return self in (ApiOperation.UPLOAD, ApiOperation.DOWNLOAD)
 
-    @property
-    def is_session_management(self) -> bool:
-        """True for session start-up/tear-down and authentication."""
-        return self in (ApiOperation.AUTHENTICATE, ApiOperation.OPEN_SESSION,
-                        ApiOperation.CLOSE_SESSION)
-
-
 _DATA_MANAGEMENT_OPERATIONS = frozenset({
     ApiOperation.UPLOAD,
     ApiOperation.DOWNLOAD,
@@ -242,16 +235,6 @@ class StorageRecord:
     def failed(self) -> bool:
         """True when the request ended in a user-visible error."""
         return bool(self.error_kind)
-
-    @property
-    def is_upload(self) -> bool:
-        """True for PutContent operations."""
-        return self.operation is ApiOperation.UPLOAD
-
-    @property
-    def is_download(self) -> bool:
-        """True for GetContent operations."""
-        return self.operation is ApiOperation.DOWNLOAD
 
 
 @dataclass(slots=True)

@@ -43,11 +43,6 @@ class PowerLawFit:
     n_tail: int
     ks_distance: float
 
-    @property
-    def is_heavy_tailed(self) -> bool:
-        """True when the fitted exponent indicates infinite variance."""
-        return self.alpha < 2.0
-
     def ccdf(self, x: float) -> float:
         """Model CCDF ``P(X >= x)`` conditional on ``X >= theta``."""
         if x < self.theta:

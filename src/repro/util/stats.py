@@ -78,10 +78,6 @@ class EmpiricalCDF:
         ys = np.arange(1, self.n + 1, dtype=float) / self.n
         return self._values.copy(), ys
 
-    def survival(self, x: float) -> float:
-        """Fraction of samples strictly greater than ``x`` (CCDF)."""
-        return 1.0 - self(x)
-
 
 def percentile(samples: Iterable[float], q: float) -> float:
     """Percentile (``q`` in [0, 100]) of ``samples``."""
@@ -116,20 +112,6 @@ def autocorrelation(series: Sequence[float], max_lag: int | None = None) -> np.n
     for lag in range(max_lag + 1):
         acf[lag] = float(np.dot(x[: x.size - lag], x[lag:])) / denom
     return acf
-
-
-def acf_confidence_bound(n_samples: int, level: float = 0.95) -> float:
-    """Approximate confidence bound for the ACF of an uncorrelated series.
-
-    The paper uses the classical ``±2/sqrt(N)`` approximation for the 95 %
-    level; other levels scale with the normal quantile.
-    """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    from scipy import stats as _stats
-
-    z = float(_stats.norm.ppf(0.5 + level / 2.0))
-    return z / np.sqrt(n_samples)
 
 
 @dataclass(frozen=True)

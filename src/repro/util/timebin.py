@@ -2,13 +2,13 @@
 
 Figures 2a, 5, 6, 14 and 15 all reduce the trace to per-hour (or per-minute)
 counts or byte sums.  :class:`TimeBinner` provides a reusable, allocation-free
-way to build those series from ``(timestamp, value)`` pairs.
+way to build those series from timestamp and value columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -57,32 +57,12 @@ class TimeBinner:
         """Left edges of all bins."""
         return self.start + self.width * np.arange(self.n_bins, dtype=float)
 
-    def centers(self) -> np.ndarray:
-        """Centres of all bins."""
-        return self.edges() + self.width / 2.0
-
-    def iter_bins(self) -> Iterator[tuple[float, float]]:
-        """Iterate over ``(left_edge, right_edge)`` pairs."""
-        for left in self.edges():
-            yield float(left), float(min(left + self.width, self.end))
-
 
 def _bin_indices(binner: TimeBinner, timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised ``index_of``: (in-range mask, bin index per in-range event)."""
     in_range = (timestamps >= binner.start) & (timestamps < binner.end)
     indices = ((timestamps[in_range] - binner.start) // binner.width).astype(np.intp)
     return in_range, indices
-
-
-def _is_presplit(events) -> bool:
-    """Whether ``events`` is a pre-split ``(array, array)`` pair.
-
-    The array members are required so a legacy iterable that happens to be a
-    tuple of two (timestamp, value) pairs is not misparsed.
-    """
-    return (isinstance(events, tuple) and len(events) == 2
-            and isinstance(events[0], np.ndarray)
-            and isinstance(events[1], np.ndarray))
 
 
 def bin_count_series(binner: TimeBinner, timestamps: Iterable[float]) -> np.ndarray:
@@ -93,59 +73,32 @@ def bin_count_series(binner: TimeBinner, timestamps: Iterable[float]) -> np.ndar
     return np.bincount(indices, minlength=binner.n_bins).astype(float)
 
 
-def bin_sum_series(binner: TimeBinner,
-                   events: Iterable[tuple[float, float]]) -> np.ndarray:
-    """Sum of event values per bin, from ``(timestamp, value)`` pairs.
-
-    Also accepts a pre-split ``(timestamps, values)`` pair of arrays, which
-    the columnar analyses use to avoid building tuples per event.
-    """
-    if _is_presplit(events):
-        ts, values = (np.asarray(events[0], dtype=float),
-                      np.asarray(events[1], dtype=float))
-    else:
-        pairs = list(events)
-        if not pairs:
-            return np.zeros(binner.n_bins, dtype=float)
-        ts = np.asarray([p[0] for p in pairs], dtype=float)
-        values = np.asarray([p[1] for p in pairs], dtype=float)
-    in_range, indices = _bin_indices(binner, ts)
-    return np.bincount(indices, weights=values[in_range],
+def bin_sum_series(binner: TimeBinner, timestamps: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
+    """Sum of event values per bin."""
+    in_range, indices = _bin_indices(binner, np.asarray(timestamps, dtype=float))
+    return np.bincount(indices, weights=np.asarray(values, dtype=float)[in_range],
                        minlength=binner.n_bins).astype(float)
 
 
-def bin_unique_series(binner: TimeBinner,
-                      events: Iterable[tuple[float, object]]) -> np.ndarray:
-    """Number of distinct keys seen per bin, from ``(timestamp, key)`` pairs.
+def bin_unique_series(binner: TimeBinner, timestamps: np.ndarray,
+                      keys: np.ndarray) -> np.ndarray:
+    """Number of distinct integer keys seen per bin.
 
     Used for the online/active users-per-hour series of Fig. 6, where each
     user should be counted once per hour regardless of how many requests the
-    user issued in that hour.  Accepts a pre-split ``(timestamps, keys)``
-    array pair like :func:`bin_sum_series`.  Integer and bool keys are
-    deduplicated per bin with :func:`~repro.util.distinct.distinct_pairs`
-    over ``(bin, key)`` pairs; any other key (floats included) is compared
-    exactly through per-bin sets.
+    user issued in that hour.  The keys are deduplicated per bin with
+    :func:`~repro.util.distinct.distinct_pairs` over ``(bin, key)`` pairs;
+    non-integer keys raise ``TypeError`` (casting them would merge keys).
     """
-    if _is_presplit(events):
-        ts = np.asarray(events[0], dtype=float)
-        keys = np.asarray(events[1])
-    else:
-        pairs = list(events)
-        if not pairs:
-            return np.zeros(binner.n_bins, dtype=float)
-        ts = np.asarray([p[0] for p in pairs], dtype=float)
-        keys = np.asarray([p[1] for p in pairs])
-    in_range, indices = _bin_indices(binner, ts)
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "biu":
+        raise TypeError(f"bin_unique_series takes integer keys, not {keys.dtype}")
+    in_range, indices = _bin_indices(binner, np.asarray(timestamps, dtype=float))
     keys = keys[in_range]
     if keys.size == 0:
         return np.zeros(binner.n_bins, dtype=float)
-    if keys.dtype.kind in "biu":
-        # Casting to int64 is injective on every integer width (uint64 wraps
-        # one-to-one), so distinct pairs are counted exactly.
-        bins = distinct_pairs(indices, keys.astype(np.int64, copy=False))[:, 0]
-        return np.bincount(bins, minlength=binner.n_bins).astype(float)
-    seen: dict[int, set] = {}
-    for idx, key in zip(indices.tolist(), keys.tolist()):
-        seen.setdefault(idx, set()).add(key)
-    return np.asarray([len(seen.get(i, ())) for i in range(binner.n_bins)],
-                      dtype=float)
+    # Casting to int64 is injective on every integer width (uint64 wraps
+    # one-to-one), so distinct pairs are counted exactly.
+    bins = distinct_pairs(indices, keys.astype(np.int64, copy=False))[:, 0]
+    return np.bincount(bins, minlength=binner.n_bins).astype(float)

@@ -50,11 +50,3 @@ def format_duration(seconds: float) -> str:
     return f"{seconds:.3f} s"
 
 
-def mbytes(num_bytes: float) -> float:
-    """Convert bytes to MBytes (binary)."""
-    return num_bytes / MB
-
-
-def gbytes(num_bytes: float) -> float:
-    """Convert bytes to GBytes (binary)."""
-    return num_bytes / GB

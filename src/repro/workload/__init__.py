@@ -26,7 +26,7 @@ workers of :meth:`repro.backend.cluster.U1Cluster.replay_plan`.
 """
 
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import ClientEvent, SessionScript
+from repro.workload.events import SessionScript
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 from repro.workload.plan import AttackPlan, SessionSpec, UserPlan, WorkloadPlan
 from repro.workload.population import User, UserClass, build_population
@@ -40,7 +40,6 @@ from repro.workload.attacks import AttackEpisode
 
 __all__ = [
     "WorkloadConfig",
-    "ClientEvent",
     "SessionScript",
     "SyntheticTraceGenerator",
     "materialize_members",

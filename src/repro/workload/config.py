@@ -128,9 +128,6 @@ class WorkloadConfig:
     #: deleted within 8 hours and 28.9 % within the month.
     short_lived_file_fraction: float = 0.17
 
-    #: Target read/write byte ratio (median R/W ratio of 1.14).
-    target_rw_ratio: float = 1.14
-
     # --------------------------------------------------------------- diurnal
     #: Ratio between the peak (working hours) and the trough (night) of the
     #: hourly activity profile; the paper reports up to 10x for uploads.

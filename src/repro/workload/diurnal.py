@@ -99,11 +99,6 @@ class DiurnalProfile:
         hours = start_time + np.arange(24 * 7) * HOUR
         return float(self.intensity_array(hours).max())
 
-    def mean_intensity(self) -> float:
-        """Average of :meth:`intensity` over one week (should be close to 1)."""
-        samples = [self.intensity(t * HOUR) for t in range(7 * 24)]
-        return sum(samples) / len(samples)
-
     # --------------------------------------------------------- download bias
     def download_bias(self, timestamp: float) -> float:
         """Multiplier (>1 favours downloads) encoding the R/W daily trend.

@@ -11,16 +11,14 @@ Fig. 9 shows that the gaps between consecutive operations of the same user
 follow a power law with exponent between 1 and 2 — users alternate short
 bursts of many operations with long idle periods (non-Poisson behaviour).
 
-:class:`OperationChain` implements the transition structure;
-:class:`BurstGapSampler` the Pareto gaps.
-
-Since PR 5 the chain is *compiled* per ``(user class, volume-ops flag)``
-into :class:`CompiledChain` inverse-CDF tables (cumulative weight rows with
-the time-varying ``Download`` entry kept last), so a whole session's
+The transition structure is *compiled* per ``(user class, volume-ops
+flag)`` into :class:`CompiledChain` inverse-CDF tables (cumulative weight
+rows with the time-varying ``Download`` entry kept last), so a whole session's
 operation sequence can be drawn from one pre-drawn uniform block — either
 step by step in O(row) scalar work, or via :meth:`CompiledChain.walk`,
 which resolves every ``(state, step)`` pair with a handful of vectorised
 array operations and then walks the chain with O(1) lookups per step.
+:class:`BurstGapSampler` draws the Pareto gaps.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ import numpy as np
 
 from repro.trace.records import ApiOperation
 from repro.util.rngpool import RngPool
-from repro.workload.population import User, UserClass
+from repro.workload.population import UserClass
 
 __all__ = [
-    "OperationChain",
     "BurstGapSampler",
     "CompiledChain",
     "CHAIN_OPS",
@@ -352,42 +349,6 @@ def compiled_chain(user_class: UserClass, allow_volume_ops: bool) -> CompiledCha
         chain = _COMPILED_CHAINS[key] = CompiledChain(
             bias.upload, bias.download, allow_volume_ops)
     return chain
-
-
-class OperationChain:
-    """Samples sequences of API operations for a session.
-
-    The chain is the Fig. 8 transition structure re-weighted per user class
-    (upload-only users rarely download and vice versa) and per time of day
-    (the download bias from the diurnal model nudges the R/W ratio).
-
-    Scalar sampling resolves one pooled uniform against the
-    :class:`CompiledChain` tables; block sampling (:meth:`CompiledChain.walk`
-    and the materializer's batch-wide :meth:`CompiledChain.next_matrix`)
-    uses the same tables.
-    """
-
-    def __init__(self, rng: np.random.Generator | RngPool):
-        if isinstance(rng, RngPool):
-            self._pool = rng
-            self._rng = rng.generator
-        else:
-            self._rng = rng
-            self._pool = RngPool(rng)
-
-    def initial_operation(self) -> ApiOperation:
-        """First operation of a session after authentication."""
-        return CHAIN_OPS[initial_state(self._pool.random())]
-
-    def next_operation(self, current: ApiOperation, user: User,
-                       download_bias: float = 1.0,
-                       allow_volume_ops: bool = True) -> ApiOperation:
-        """Sample the operation following ``current`` for ``user``."""
-        state = CHAIN_OP_INDEX.get(current)
-        if state is None:
-            return self.initial_operation()
-        chain = compiled_chain(user.user_class, allow_volume_ops)
-        return CHAIN_OPS[chain.step(state, self._pool.random(), download_bias)]
 
 
 class BurstGapSampler:

@@ -149,11 +149,6 @@ class WorkloadPlan:
                        for i, p in enumerate(self.attacks))
         return weights
 
-    def planned_sessions(self) -> int:
-        """Total number of planned sessions (legitimate + attack)."""
-        return (sum(len(p.sessions) for p in self.users)
-                + sum(p.n_sessions for p in self.attacks))
-
     def materialize(self, members: Sequence[int] | None = None
                     ) -> "list[SessionScript]":
         """Materialize the given members (default: all) into session scripts.

@@ -60,24 +60,6 @@ class User:
     #: model's profile table.
     developer_bias: float = 0.0
 
-    @property
-    def may_upload(self) -> bool:
-        """Whether this user's class allows uploads."""
-        return self.user_class in (UserClass.UPLOAD_ONLY, UserClass.HEAVY,
-                                   UserClass.OCCASIONAL)
-
-    @property
-    def may_download(self) -> bool:
-        """Whether this user's class allows downloads."""
-        return self.user_class in (UserClass.DOWNLOAD_ONLY, UserClass.HEAVY,
-                                   UserClass.OCCASIONAL)
-
-    @property
-    def is_occasional(self) -> bool:
-        """True for occasional users (< 10 KB transferred in the month)."""
-        return self.user_class is UserClass.OCCASIONAL
-
-
 #: User classes in the order of the configured class fractions.
 _CLASSES = (UserClass.OCCASIONAL, UserClass.UPLOAD_ONLY,
             UserClass.DOWNLOAD_ONLY, UserClass.HEAVY)

@@ -70,7 +70,7 @@ class TestSessions:
         process, sink, _, registry, _ = _build_process()
         handle = open_session(process, user_id=1, session_id=1, timestamp=5.0)
         assert handle is not None
-        assert process.open_sessions == 1
+        assert 1 in process._sessions
         assert registry.sessions_of(1)
         events = [r.event for r in sink.dataset.sessions]
         assert events[:3] == [SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
@@ -83,7 +83,7 @@ class TestSessions:
             ApiOperation.AUTHENTICATE}
 
         process.close_session(1, timestamp=65.0)
-        assert process.open_sessions == 0
+        assert not process._sessions
         disconnect = sink.dataset.sessions[-1]
         assert disconnect.event is SessionEvent.DISCONNECT
         assert disconnect.session_length == pytest.approx(60.0)
@@ -94,7 +94,7 @@ class TestSessions:
         handle = open_session(process, user_id=1, session_id=1, timestamp=5.0,
                               force_auth_failure=True)
         assert handle is None
-        assert process.open_sessions == 0
+        assert not process._sessions
         assert sink.dataset.sessions[-1].event is SessionEvent.AUTH_FAIL
         assert not registry.sessions_of(1)
 
@@ -127,7 +127,7 @@ class TestUploads:
         send_event(process, second, event_row(ApiOperation.UPLOAD, node_id=20))
         assert objects.accounting.dedup_hits == 1
         assert objects.accounting.bytes_uploaded == 100_000  # only the first
-        assert objects.refcount("h1") == 2
+        assert objects._refcounts.get("h1", 0) == 2
 
     def test_dedup_can_be_disabled(self):
         process, _, objects, _, _ = _build_process(dedup_enabled=False)

@@ -9,7 +9,7 @@ import pytest
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import ClientEvent, EventBlock, SessionScript
+from repro.workload.events import EventBlock, SessionScript
 from repro.workload.generator import SyntheticTraceGenerator
 from tests.conftest import replay_scripts
 
@@ -42,14 +42,11 @@ class TestClusterConfig:
 
 class TestReplayHandCraftedScripts:
     def _scripts(self) -> list[SessionScript]:
-        block = EventBlock.from_events([
-            ClientEvent(time=1010.0, user_id=5, session_id=1,
-                        operation=ApiOperation.MAKE, node_id=7, volume_id=3),
-            ClientEvent(time=1020.0, user_id=5, session_id=1,
-                        operation=ApiOperation.UPLOAD, node_id=7, volume_id=3,
-                        size_bytes=1000, content_hash="sha1:h7",
-                        extension="txt"),
-        ])
+        block = EventBlock(times=[1010.0, 1020.0],
+                           operations=[ApiOperation.MAKE, ApiOperation.UPLOAD],
+                           node_ids=7, volume_ids=3, size_bytes=[0, 1000],
+                           content_hashes=["", "sha1:h7"],
+                           extensions=["", "txt"])
         script = SessionScript(user_id=5, session_id=1, start=1000.0,
                                end=2000.0, block=block)
         failed = SessionScript(user_id=6, session_id=2, start=1500.0, end=1501.0,
@@ -81,7 +78,7 @@ class TestReplayHandCraftedScripts:
 
     def test_gateway_connections_released_after_replay(self):
         shard, _ = replay_scripts(ClusterConfig(seed=1), self._scripts())
-        assert all(v == 0 for v in shard.gateway.open_connections().values())
+        assert all(v == 0 for v in shard.gateway._open_connections.values())
 
     def test_round_robin_routing_option(self):
         _, dataset = replay_scripts(
@@ -114,7 +111,7 @@ class TestReplaySyntheticWorkload:
         cluster, dataset = simulated_cluster_and_dataset
         handled = sum(p.requests_handled for p in cluster.processes)
         assert handled == len(dataset.storage)
-        assert sum(cluster.rpc_calls_per_worker()) == len(dataset.rpc)
+        assert sum(p._rpc.calls_executed for p in cluster.processes) == len(dataset.rpc)
 
     def test_dedup_disabled_increases_stored_bytes(self):
         config = WorkloadConfig.scaled(users=120, days=2, seed=5)
@@ -126,7 +123,3 @@ class TestReplaySyntheticWorkload:
         assert (without_dedup.object_store.accounting.bytes_uploaded >=
                 with_dedup.object_store.accounting.bytes_uploaded)
 
-    def test_run_workload_convenience(self):
-        cluster = U1Cluster(ClusterConfig(seed=3))
-        dataset = cluster.run_workload(WorkloadConfig.scaled(users=40, days=1, seed=3))
-        assert not dataset.is_empty

@@ -33,7 +33,7 @@ class TestSimplePut:
             store.link("missing")
         store.put("h1", 500)
         store.link("h1")
-        assert store.refcount("h1") == 2
+        assert store._refcounts.get("h1", 0) == 2
         assert store.accounting.dedup_saved_bytes == 500
 
     def test_unlink_respects_refcounts(self):
@@ -58,7 +58,7 @@ class TestSimplePut:
     def test_monthly_cost_estimate(self):
         store = ObjectStore()
         store.put("h1", 1024 ** 3)
-        assert store.accounting.monthly_cost_estimate(0.03) == pytest.approx(0.03)
+        assert store.accounting.monthly_cost_estimate() == pytest.approx(0.03)
 
 
 class TestMultipart:

@@ -15,7 +15,7 @@ class TestEntities:
         node.apply_content("sha1:y", 200, when=6.0)
         assert node.generation == 2
         assert node.size_bytes == 200
-        assert node.is_file and not node.is_directory
+        assert node.is_file
 
     def test_node_rejects_negative_size(self):
         node = Node(node_id=1, volume_id=2, owner_id=3, kind=NodeKind.FILE)

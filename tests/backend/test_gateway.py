@@ -25,7 +25,7 @@ class TestLoadBalancer:
         first_round = [balancer.assign() for _ in range(6)]
         # Every process got exactly one session before any got a second one.
         assert len(set(first_round)) == 6
-        counts = balancer.open_connections()
+        counts = balancer._open_connections
         assert set(counts.values()) == {1}
 
     def test_sequential_sessions_reach_every_process(self):
@@ -45,7 +45,7 @@ class TestLoadBalancer:
         balancer.release(a)
         c = balancer.assign()
         assert c == a  # the freed process is the least loaded again
-        assert b in balancer.open_connections()
+        assert b in balancer._open_connections
 
     def test_release_unknown_or_idle_raises(self):
         balancer = LoadBalancer(_processes(1, 1))

@@ -28,12 +28,12 @@ class TestShardedStore:
         store = ShardedMetadataStore(n_shards=4)
         assert store.n_shards == 4
         assert store.shard_id_of(7) == 3
-        assert store.shard_of(7).shard_id == 3
+        assert store.shards[store.shard_id_of(7)].shard_id == 3
 
     def test_all_metadata_of_a_user_lives_in_one_shard(self):
         store = ShardedMetadataStore(n_shards=5)
         for user_id in range(50):
-            shard = store.shard_of(user_id)
+            shard = store.shards[store.shard_id_of(user_id)]
             shard.ensure_user(user_id, -user_id, now=0.0)
         users_per_shard = store.users_per_shard()
         assert sum(users_per_shard) == 50
@@ -45,7 +45,7 @@ class TestShardedStore:
         from repro.trace.records import NodeKind
 
         store = ShardedMetadataStore(n_shards=2)
-        shard = store.shard_of(1)
+        shard = store.shards[store.shard_id_of(1)]
         shard.ensure_user(1, -1, now=0.0)
         shard.make_node(1, -1, 10, NodeKind.FILE, "txt", now=1.0)
         assert sum(store.requests_per_shard()) >= 2
@@ -53,7 +53,7 @@ class TestShardedStore:
 
     def test_pending_uploadjobs_iteration(self):
         store = ShardedMetadataStore(n_shards=2)
-        shard = store.shard_of(1)
+        shard = store.shards[store.shard_id_of(1)]
         shard.ensure_user(1, -1, now=0.0)
         shard.make_uploadjob(1, 5, -1, "h", 100, now=0.0, chunk_bytes=50)
         pending = list(store.pending_uploadjobs())

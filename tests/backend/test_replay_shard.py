@@ -18,7 +18,7 @@ from repro.trace.dataset import ColumnBlock, TraceDataset
 from repro.workload.config import WorkloadConfig
 from repro.workload.events import SessionScript
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
-from tests.conftest import make_storage, replay_scripts
+from tests.conftest import events_of, make_storage, replay_scripts
 
 
 def _plan(seed: int = 11, users: int = 80, days: float = 1.0):
@@ -85,8 +85,8 @@ class TestJobCountEquivalence:
         parallel_cluster, _ = replays[jobs]
         assert ([p.requests_handled for p in sequential_cluster.processes]
                 == [p.requests_handled for p in parallel_cluster.processes])
-        assert (sequential_cluster.rpc_calls_per_worker()
-                == parallel_cluster.rpc_calls_per_worker())
+        assert ([p._rpc.calls_executed for p in sequential_cluster.processes]
+                == [p._rpc.calls_executed for p in parallel_cluster.processes])
         assert (sequential_cluster.gateway.total_assigned()
                 == parallel_cluster.gateway.total_assigned())
         assert (sequential_cluster.metadata_store.users_per_shard()
@@ -172,8 +172,8 @@ class TestShardedStateAbsorption:
         cluster, dataset = _replay(_plan(seed=21, users=60), 2, seed=21)
         assert sum(p.requests_handled for p in cluster.processes) \
             == len(dataset.storage)
-        assert sum(cluster.rpc_calls_per_worker()) == len(dataset.rpc)
-        assert all(v == 0 for v in cluster.gateway.open_connections().values())
+        assert sum(p._rpc.calls_executed for p in cluster.processes) == len(dataset.rpc)
+        assert all(v == 0 for v in cluster.gateway._open_connections.values())
         assert sum(cluster.gateway.total_assigned().values()) > 0
         assert sum(cluster.metadata_store.users_per_shard()) > 0
         assert len(cluster.object_store) > 0
@@ -271,8 +271,7 @@ class TestFusedPipeline:
                         a.auth_failed, a.caused_by_attack) == \
                     (b.session_id, b.user_id, b.start, b.end,
                      b.auth_failed, b.caused_by_attack)
-                assert a.block.caused_by_attack == b.block.caused_by_attack
-                assert a.block.columns() == b.block.columns()
+                assert events_of(a) == events_of(b)
 
     def test_stats_record_balance_and_ipc(self, replays):
         cluster, _ = replays[1]
@@ -294,12 +293,9 @@ class TestColumnarOutcome:
         """Each merged field equals the column packed from the decoded row
         tuples."""
         rebuilt = TraceDataset()
-        for row in merged._storage.rows():
-            rebuilt.append_storage_row(*row)
-        for row in merged._rpc.rows():
-            rebuilt.append_rpc_row(*row)
-        for row in merged._sessions.rows():
-            rebuilt.append_session_row(*row)
+        for label in ("_storage", "_rpc", "_sessions"):
+            for row in getattr(merged, label).rows():
+                getattr(rebuilt, label).append(row)
         for name in _STORAGE_COLUMNS:
             assert np.array_equal(merged.storage_column(name),
                                   rebuilt.storage_column(name)), name

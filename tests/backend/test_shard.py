@@ -88,8 +88,8 @@ class TestNodes:
         shard.make_node(1, -1, 5, NodeKind.FILE, "pdf", now=1.0)
         moved = shard.move_node(5, 100, now=2.0)
         assert moved.volume_id == 100
-        assert 5 in shard.get_volume(100).node_ids
-        assert 5 not in shard.get_volume(-1).node_ids
+        assert 5 in shard._volumes[100].node_ids
+        assert 5 not in shard._volumes[-1].node_ids
 
     def test_get_from_scratch_lists_everything(self, shard):
         shard.make_node(1, -1, 5, NodeKind.FILE, "pdf", now=1.0)

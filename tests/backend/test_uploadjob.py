@@ -49,7 +49,7 @@ class TestHappyPath:
         job = _job()
         job.assign_multipart_id("mp-1", when=1001.0)
         job.add_part(5 * 1024 * 1024, when=1002.0)
-        assert job.resume_point() == 5 * 1024 * 1024
+        assert job.uploaded_bytes == 5 * 1024 * 1024
 
     def test_zero_byte_upload(self):
         job = _job(total_bytes=0)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from repro.trace.dataset import TraceDataset
+from repro.trace.dataset import ColumnBlock, TraceDataset
 from repro.trace.records import (
     ApiOperation,
     NodeKind,
@@ -21,6 +23,7 @@ from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.replay_shard import ReplayShard
+from repro.workload.events import EVENT_COLUMNS
 from repro.faults.runtime import compile_plan
 
 
@@ -123,6 +126,49 @@ def replay_scripts(config: ClusterConfig, scripts):
     dataset = TraceDataset.from_sorted_blocks(
         [(outcome.storage, outcome.rpc, outcome.sessions)])
     return shard, dataset
+
+
+def append_records(dataset: TraceDataset, storage=(), rpc=(),
+                   sessions=()) -> None:
+    """Append records to ``dataset``, after the rows it holds, as one column
+    block per stream (``append_block``, the trace sink's route)."""
+    extra = TraceDataset(storage=storage, rpc=rpc, sessions=sessions)
+    for stream, source in zip(
+            (dataset._storage, dataset._rpc, dataset._sessions),
+            (extra._storage, extra._rpc, extra._sessions)):
+        stream.append_block(ColumnBlock.from_stream(source))
+
+
+class Event(NamedTuple):
+    """One event of a session script, decoded from its columnar block."""
+
+    time: float
+    user_id: int
+    session_id: int
+    operation: ApiOperation
+    node_id: int
+    volume_id: int
+    volume_type: VolumeType
+    node_kind: NodeKind
+    size_bytes: int
+    content_hash: str
+    extension: str
+    is_update: bool
+    caused_by_attack: bool
+
+
+def events_of(script) -> list[Event]:
+    """The events of ``script``, one per row of ``script.block``'s columns
+    (a scalar column stands for the same value in every row)."""
+    block = script.block
+    n = len(block.times)
+    columns = []
+    for name in EVENT_COLUMNS:
+        value = getattr(block, name)
+        columns.append(value if type(value) is list else [value] * n)
+    return [Event(time, script.user_id, script.session_id, *fields,
+                  block.caused_by_attack)
+            for time, *fields in zip(*columns)]
 
 
 @pytest.fixture

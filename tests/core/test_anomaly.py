@@ -14,7 +14,8 @@ from tests.conftest import make_session, make_storage
 @pytest.fixture
 def crafted() -> TraceDataset:
     """Three days of steady traffic with a 2-hour 20x session spike on day 2."""
-    dataset = TraceDataset()
+    storage = []
+    sessions = []
     session_id = 0
     for hour in range(72):
         rate = 5
@@ -23,18 +24,18 @@ def crafted() -> TraceDataset:
             rate = 100
         for i in range(rate):
             session_id += 1
-            dataset.add_session(make_session(timestamp=hour * HOUR + i,
-                                             session_id=session_id,
-                                             event=SessionEvent.CONNECT,
-                                             caused_by_attack=attack))
-            dataset.add_session(make_session(timestamp=hour * HOUR + i + 1,
-                                             session_id=session_id,
-                                             event=SessionEvent.AUTH_REQUEST,
-                                             caused_by_attack=attack))
-        dataset.add_storage(make_storage(timestamp=hour * HOUR, node_id=hour + 1,
-                                         operation=ApiOperation.UPLOAD,
+            sessions.append(make_session(timestamp=hour * HOUR + i,
+                                         session_id=session_id,
+                                         event=SessionEvent.CONNECT,
                                          caused_by_attack=attack))
-    return dataset
+            sessions.append(make_session(timestamp=hour * HOUR + i + 1,
+                                         session_id=session_id,
+                                         event=SessionEvent.AUTH_REQUEST,
+                                         caused_by_attack=attack))
+        storage.append(make_storage(timestamp=hour * HOUR, node_id=hour + 1,
+                                    operation=ApiOperation.UPLOAD,
+                                    caused_by_attack=attack))
+    return TraceDataset(storage=storage, sessions=sessions)
 
 
 class TestRequestRateSeries:

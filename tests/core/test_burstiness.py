@@ -13,19 +13,19 @@ from tests.conftest import make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
     # User 1 uploads at known gaps of 10, 20 and 3600 seconds.
     times = [0, 10, 30, 3630]
     for i, ts in enumerate(times):
-        dataset.add_storage(make_storage(timestamp=ts, user_id=1, node_id=i + 1,
-                                         operation=ApiOperation.UPLOAD))
+        storage.append(make_storage(timestamp=ts, user_id=1, node_id=i + 1,
+                                    operation=ApiOperation.UPLOAD))
     # A download in between must not affect upload inter-arrival times.
-    dataset.add_storage(make_storage(timestamp=15, user_id=1, node_id=50,
-                                     operation=ApiOperation.DOWNLOAD))
+    storage.append(make_storage(timestamp=15, user_id=1, node_id=50,
+                                operation=ApiOperation.DOWNLOAD))
     # User 2 contributes a single upload -> no gap.
-    dataset.add_storage(make_storage(timestamp=5, user_id=2, node_id=60,
-                                     operation=ApiOperation.UPLOAD))
-    return dataset
+    storage.append(make_storage(timestamp=5, user_id=2, node_id=60,
+                                operation=ApiOperation.UPLOAD))
+    return TraceDataset(storage=storage)
 
 
 class TestInterOperationTimes:
@@ -45,13 +45,11 @@ class TestBurstinessAnalysis:
 
     def test_synthetic_pareto_gaps_are_recognised(self):
         rng = np.random.default_rng(0)
-        dataset = TraceDataset()
-        t = 0.0
         gaps = 2.0 * (1.0 - rng.random(800)) ** (-1.0 / 1.5)
-        for i, gap in enumerate(gaps):
-            t += gap
-            dataset.add_storage(make_storage(timestamp=t, user_id=1, node_id=i + 1,
-                                             operation=ApiOperation.UPLOAD))
+        dataset = TraceDataset(storage=[
+            make_storage(timestamp=t, user_id=1, node_id=i + 1,
+                         operation=ApiOperation.UPLOAD)
+            for i, t in enumerate(np.cumsum(gaps).tolist())])
         analysis = burstiness_analysis(dataset, ApiOperation.UPLOAD)
         assert 1.1 < analysis.alpha < 2.0
         assert analysis.is_non_poisson

@@ -12,20 +12,20 @@ from tests.conftest import make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
     # Hash A uploaded three times (1000 bytes each), hash B once (500 bytes).
     for i, ts in enumerate((0, 10, 20)):
-        dataset.add_storage(make_storage(timestamp=ts, node_id=10 + i,
-                                         operation=ApiOperation.UPLOAD,
-                                         size_bytes=1000, content_hash="A"))
-    dataset.add_storage(make_storage(timestamp=30, node_id=20,
-                                     operation=ApiOperation.UPLOAD,
-                                     size_bytes=500, content_hash="B"))
+        storage.append(make_storage(timestamp=ts, node_id=10 + i,
+                                    operation=ApiOperation.UPLOAD,
+                                    size_bytes=1000, content_hash="A"))
+    storage.append(make_storage(timestamp=30, node_id=20,
+                                operation=ApiOperation.UPLOAD,
+                                size_bytes=500, content_hash="B"))
     # Uploads without hash are ignored.
-    dataset.add_storage(make_storage(timestamp=40, node_id=30,
-                                     operation=ApiOperation.UPLOAD,
-                                     size_bytes=999, content_hash=""))
-    return dataset
+    storage.append(make_storage(timestamp=40, node_id=30,
+                                operation=ApiOperation.UPLOAD,
+                                size_bytes=999, content_hash=""))
+    return TraceDataset(storage=storage)
 
 
 class TestDeduplication:
@@ -43,15 +43,11 @@ class TestDeduplication:
         assert list(analysis.copies_per_hash) == [1.0, 3.0]
         assert analysis.max_copies == 3
         assert analysis.fraction_without_duplicates == pytest.approx(0.5)
-        cdf = analysis.copies_cdf()
-        assert cdf(1) == pytest.approx(0.5)
 
     def test_empty_dataset(self):
         analysis = deduplication_analysis(TraceDataset())
         assert analysis.byte_dedup_ratio == 0.0
         assert analysis.file_dedup_ratio == 0.0
-        with pytest.raises(ValueError):
-            analysis.copies_cdf()
 
     def test_simulated_dataset_shape(self, simulated_dataset):
         analysis = deduplication_analysis(simulated_dataset)

@@ -19,19 +19,19 @@ from tests.conftest import make_storage
 @pytest.fixture
 def crafted() -> TraceDataset:
     """One file with a known W->W->R->R->D history plus a second file W->R."""
-    dataset = TraceDataset()
+    storage = []
     timeline = [
         (0, ApiOperation.UPLOAD), (600, ApiOperation.UPLOAD),
         (1200, ApiOperation.DOWNLOAD), (1200 + 2 * HOUR, ApiOperation.DOWNLOAD),
         (2 * DAY, ApiOperation.UNLINK),
     ]
     for ts, op in timeline:
-        dataset.add_storage(make_storage(timestamp=ts, node_id=1, operation=op))
-    dataset.add_storage(make_storage(timestamp=100, node_id=2,
-                                     operation=ApiOperation.UPLOAD))
-    dataset.add_storage(make_storage(timestamp=200, node_id=2,
-                                     operation=ApiOperation.DOWNLOAD))
-    return dataset
+        storage.append(make_storage(timestamp=ts, node_id=1, operation=op))
+    storage.append(make_storage(timestamp=100, node_id=2,
+                                operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(timestamp=200, node_id=2,
+                                operation=ApiOperation.DOWNLOAD))
+    return TraceDataset(storage=storage)
 
 
 class TestDependencies:
@@ -64,11 +64,9 @@ class TestDependencies:
             analysis.cdf(Dependency.WAR)
 
     def test_nothing_follows_a_delete(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(timestamp=0, node_id=1,
-                                         operation=ApiOperation.UNLINK))
-        dataset.add_storage(make_storage(timestamp=10, node_id=1,
-                                         operation=ApiOperation.UPLOAD))
+        dataset = TraceDataset(storage=[
+            make_storage(timestamp=0, node_id=1, operation=ApiOperation.UNLINK),
+            make_storage(timestamp=10, node_id=1, operation=ApiOperation.UPLOAD)])
         analysis = file_dependencies(dataset)
         assert analysis.total_after_write() == 0
         assert analysis.total_after_read() == 0
@@ -113,11 +111,9 @@ class TestDyingFiles:
         assert 0 < report.share_of_all_files <= 1
 
     def test_threshold_excludes_fast_deletes(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(timestamp=0, node_id=1,
-                                         operation=ApiOperation.UPLOAD))
-        dataset.add_storage(make_storage(timestamp=60, node_id=1,
-                                         operation=ApiOperation.UNLINK))
+        dataset = TraceDataset(storage=[
+            make_storage(timestamp=0, node_id=1, operation=ApiOperation.UPLOAD),
+            make_storage(timestamp=60, node_id=1, operation=ApiOperation.UNLINK)])
         report = dying_files(dataset, idle_threshold=DAY)
         assert report.dying_files == 0
         assert report.deleted_files == 1

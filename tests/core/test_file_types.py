@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.file_types import category_shares, file_size_analysis, format_category_table
+from repro.core.file_types import category_shares, file_size_analysis
 from repro.trace.dataset import TraceDataset
 from repro.trace.records import ApiOperation
 from repro.util.units import KB, MB
@@ -13,20 +13,20 @@ from tests.conftest import make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
     files = [
         (1, 4 * KB, "py"), (2, 8 * KB, "py"), (3, 5 * MB, "mp3"),
         (4, 200 * KB, "jpg"), (5, 100 * KB, "pdf"),
     ]
     for node_id, size, ext in files:
-        dataset.add_storage(make_storage(node_id=node_id, size_bytes=size,
-                                         extension=ext,
-                                         operation=ApiOperation.UPLOAD))
+        storage.append(make_storage(node_id=node_id, size_bytes=size,
+                                    extension=ext,
+                                    operation=ApiOperation.UPLOAD))
     # A later update of node 1 changes its size; the analysis keeps the last.
-    dataset.add_storage(make_storage(timestamp=100, node_id=1, size_bytes=6 * KB,
-                                     extension="py", is_update=True,
-                                     operation=ApiOperation.UPLOAD))
-    return dataset
+    storage.append(make_storage(timestamp=100, node_id=1, size_bytes=6 * KB,
+                                extension="py", is_update=True,
+                                operation=ApiOperation.UPLOAD))
+    return TraceDataset(storage=storage)
 
 
 class TestFileSizes:
@@ -44,10 +44,6 @@ class TestFileSizes:
         assert analysis.extension_cdf("py").n == 2
         with pytest.raises(ValueError):
             analysis.extension_cdf("zip")
-
-    def test_top_extensions(self, crafted):
-        top = file_size_analysis(crafted).top_extensions(2)
-        assert top[0][0] == "py"
 
     def test_simulated_dataset_matches_fig4b_shape(self, simulated_dataset):
         analysis = file_size_analysis(simulated_dataset)
@@ -71,11 +67,6 @@ class TestCategoryShares:
         # The single mp3 dominates storage despite being 20 % of files.
         assert shares["Audio/Video"].storage_share > 0.8
         assert shares["Code"].storage_share < 0.05
-
-    def test_format_table(self, crafted):
-        text = format_category_table(category_shares(crafted))
-        assert "Audio/Video" in text
-        assert "Code" in text
 
     def test_simulated_dataset_matches_fig4c_shape(self, simulated_dataset):
         shares = category_shares(simulated_dataset)

@@ -13,25 +13,26 @@ from tests.conftest import make_rpc, make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
+    rpc = []
     # Hour 0: server a gets 3 requests, server b gets 1.
     for i in range(3):
-        dataset.add_storage(make_storage(timestamp=i * 60, server="a", node_id=i + 1,
-                                         operation=ApiOperation.UPLOAD))
-    dataset.add_storage(make_storage(timestamp=100, server="b", node_id=10,
-                                     operation=ApiOperation.UPLOAD))
+        storage.append(make_storage(timestamp=i * 60, server="a", node_id=i + 1,
+                                    operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(timestamp=100, server="b", node_id=10,
+                                operation=ApiOperation.UPLOAD))
     # Hour 1: both get 2.
     for i in range(2):
-        dataset.add_storage(make_storage(timestamp=HOUR + i * 60, server="a",
-                                         node_id=20 + i, operation=ApiOperation.UPLOAD))
-        dataset.add_storage(make_storage(timestamp=HOUR + i * 60 + 10, server="b",
-                                         node_id=30 + i, operation=ApiOperation.UPLOAD))
+        storage.append(make_storage(timestamp=HOUR + i * 60, server="a",
+                                    node_id=20 + i, operation=ApiOperation.UPLOAD))
+        storage.append(make_storage(timestamp=HOUR + i * 60 + 10, server="b",
+                                    node_id=30 + i, operation=ApiOperation.UPLOAD))
     # RPCs over two shards, unbalanced within the first minute.
     for i in range(4):
-        dataset.add_rpc(make_rpc(timestamp=i, shard_id=0))
-    dataset.add_rpc(make_rpc(timestamp=5, shard_id=1))
-    dataset.add_rpc(make_rpc(timestamp=MINUTE + 1, shard_id=1))
-    return dataset
+        rpc.append(make_rpc(timestamp=i, shard_id=0))
+    rpc.append(make_rpc(timestamp=5, shard_id=1))
+    rpc.append(make_rpc(timestamp=MINUTE + 1, shard_id=1))
+    return TraceDataset(storage=storage, rpc=rpc)
 
 
 class TestApiServerLoad:

@@ -13,23 +13,23 @@ from tests.conftest import make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
     # File 1: created and deleted after 2 hours.
-    dataset.add_storage(make_storage(timestamp=0, node_id=1, operation=ApiOperation.UPLOAD))
-    dataset.add_storage(make_storage(timestamp=2 * HOUR, node_id=1,
-                                     operation=ApiOperation.UNLINK))
+    storage.append(make_storage(timestamp=0, node_id=1, operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(timestamp=2 * HOUR, node_id=1,
+                                operation=ApiOperation.UNLINK))
     # File 2: created, never deleted.
-    dataset.add_storage(make_storage(timestamp=0, node_id=2, operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(timestamp=0, node_id=2, operation=ApiOperation.UPLOAD))
     # Directory 3: created via Make and deleted after 3 days.
-    dataset.add_storage(make_storage(timestamp=0, node_id=3, operation=ApiOperation.MAKE,
-                                     node_kind=NodeKind.DIRECTORY))
-    dataset.add_storage(make_storage(timestamp=3 * DAY, node_id=3,
-                                     operation=ApiOperation.UNLINK,
-                                     node_kind=NodeKind.DIRECTORY))
+    storage.append(make_storage(timestamp=0, node_id=3, operation=ApiOperation.MAKE,
+                                node_kind=NodeKind.DIRECTORY))
+    storage.append(make_storage(timestamp=3 * DAY, node_id=3,
+                                operation=ApiOperation.UNLINK,
+                                node_kind=NodeKind.DIRECTORY))
     # File 4: only downloaded (existed before the trace) -> not counted as created.
-    dataset.add_storage(make_storage(timestamp=10, node_id=4,
-                                     operation=ApiOperation.DOWNLOAD))
-    return dataset
+    storage.append(make_storage(timestamp=10, node_id=4,
+                                operation=ApiOperation.DOWNLOAD))
+    return TraceDataset(storage=storage)
 
 
 class TestNodeLifetimes:
@@ -53,8 +53,8 @@ class TestNodeLifetimes:
         assert analysis.short_lived_share(NodeKind.DIRECTORY) == 0.0
 
     def test_cdf_requires_deletions(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(node_id=1, operation=ApiOperation.UPLOAD))
+        dataset = TraceDataset(
+            storage=[make_storage(node_id=1, operation=ApiOperation.UPLOAD)])
         analysis = node_lifetimes(dataset)
         with pytest.raises(ValueError):
             analysis.lifetime_cdf(NodeKind.FILE)

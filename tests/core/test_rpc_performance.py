@@ -17,15 +17,15 @@ from tests.conftest import make_rpc
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    rpc = []
     for i in range(20):
-        dataset.add_rpc(make_rpc(timestamp=i, rpc=RpcName.GET_NODE, service_time=0.004))
+        rpc.append(make_rpc(timestamp=i, rpc=RpcName.GET_NODE, service_time=0.004))
     for i in range(10):
-        dataset.add_rpc(make_rpc(timestamp=i, rpc=RpcName.MAKE_FILE, service_time=0.015))
+        rpc.append(make_rpc(timestamp=i, rpc=RpcName.MAKE_FILE, service_time=0.015))
     # One slow outlier gives GET_NODE a visible tail.
-    dataset.add_rpc(make_rpc(timestamp=99, rpc=RpcName.GET_NODE, service_time=0.4))
-    dataset.add_rpc(make_rpc(timestamp=100, rpc=RpcName.DELETE_VOLUME, service_time=0.3))
-    return dataset
+    rpc.append(make_rpc(timestamp=99, rpc=RpcName.GET_NODE, service_time=0.4))
+    rpc.append(make_rpc(timestamp=100, rpc=RpcName.DELETE_VOLUME, service_time=0.3))
+    return TraceDataset(rpc=rpc)
 
 
 class TestServiceTimes:

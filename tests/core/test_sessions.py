@@ -13,28 +13,28 @@ from tests.conftest import make_session
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    sessions = []
     lengths = [0.5, 30.0, 600.0, 10 * HOUR]
     ops = [0, 0, 5, 95]
     for i, (length, op_count) in enumerate(zip(lengths, ops)):
         session_id = i + 1
-        dataset.add_session(make_session(timestamp=i * HOUR, session_id=session_id,
-                                         event=SessionEvent.AUTH_REQUEST))
-        dataset.add_session(make_session(timestamp=i * HOUR, session_id=session_id,
-                                         event=SessionEvent.AUTH_OK))
-        dataset.add_session(make_session(timestamp=i * HOUR, session_id=session_id,
-                                         event=SessionEvent.CONNECT))
-        dataset.add_session(make_session(timestamp=i * HOUR + length,
-                                         session_id=session_id,
-                                         event=SessionEvent.DISCONNECT,
-                                         session_length=length,
-                                         storage_operations=op_count))
-    # One failed authentication.
-    dataset.add_session(make_session(timestamp=5 * HOUR, session_id=99,
+        sessions.append(make_session(timestamp=i * HOUR, session_id=session_id,
                                      event=SessionEvent.AUTH_REQUEST))
-    dataset.add_session(make_session(timestamp=5 * HOUR, session_id=99,
-                                     event=SessionEvent.AUTH_FAIL))
-    return dataset
+        sessions.append(make_session(timestamp=i * HOUR, session_id=session_id,
+                                     event=SessionEvent.AUTH_OK))
+        sessions.append(make_session(timestamp=i * HOUR, session_id=session_id,
+                                     event=SessionEvent.CONNECT))
+        sessions.append(make_session(timestamp=i * HOUR + length,
+                                     session_id=session_id,
+                                     event=SessionEvent.DISCONNECT,
+                                     session_length=length,
+                                     storage_operations=op_count))
+    # One failed authentication.
+    sessions.append(make_session(timestamp=5 * HOUR, session_id=99,
+                                 event=SessionEvent.AUTH_REQUEST))
+    sessions.append(make_session(timestamp=5 * HOUR, session_id=99,
+                                 event=SessionEvent.AUTH_FAIL))
+    return TraceDataset(sessions=sessions)
 
 
 class TestAuthActivity:
@@ -76,8 +76,8 @@ class TestSessionAnalysis:
 
     def test_operations_distribution(self, crafted):
         analysis = session_analysis(crafted)
-        cdf = analysis.operations_cdf()
-        assert cdf.n == 2
+        active = analysis.storage_operations[analysis.storage_operations > 0]
+        assert active.size == 2
         assert analysis.top_sessions_share(0.5) == pytest.approx(95 / 100)
 
     def test_empty_session_analysis(self):

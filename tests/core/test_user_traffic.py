@@ -13,24 +13,25 @@ from tests.conftest import make_session, make_storage
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
+    sessions = []
     # User 1: heavy (uploads and downloads GBs).
-    dataset.add_storage(make_storage(user_id=1, node_id=1, size_bytes=2 * GB,
-                                     operation=ApiOperation.UPLOAD))
-    dataset.add_storage(make_storage(user_id=1, node_id=1, size_bytes=1 * GB,
-                                     operation=ApiOperation.DOWNLOAD, timestamp=10))
+    storage.append(make_storage(user_id=1, node_id=1, size_bytes=2 * GB,
+                                operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(user_id=1, node_id=1, size_bytes=1 * GB,
+                                operation=ApiOperation.DOWNLOAD, timestamp=10))
     # User 2: upload-only.
-    dataset.add_storage(make_storage(user_id=2, node_id=2, size_bytes=50 * MB,
-                                     operation=ApiOperation.UPLOAD, timestamp=20))
+    storage.append(make_storage(user_id=2, node_id=2, size_bytes=50 * MB,
+                                operation=ApiOperation.UPLOAD, timestamp=20))
     # User 3: download-only.
-    dataset.add_storage(make_storage(user_id=3, node_id=1, size_bytes=30 * MB,
-                                     operation=ApiOperation.DOWNLOAD, timestamp=30))
+    storage.append(make_storage(user_id=3, node_id=1, size_bytes=30 * MB,
+                                operation=ApiOperation.DOWNLOAD, timestamp=30))
     # User 4: occasional (2 KB upload).
-    dataset.add_storage(make_storage(user_id=4, node_id=4, size_bytes=2 * KB,
-                                     operation=ApiOperation.UPLOAD, timestamp=40))
+    storage.append(make_storage(user_id=4, node_id=4, size_bytes=2 * KB,
+                                operation=ApiOperation.UPLOAD, timestamp=40))
     # User 5: online but never transfers.
-    dataset.add_session(make_session(user_id=5, session_id=50, timestamp=50))
-    return dataset
+    sessions.append(make_session(user_id=5, session_id=50, timestamp=50))
+    return TraceDataset(storage=storage, sessions=sessions)
 
 
 class TestPerUserTraffic:

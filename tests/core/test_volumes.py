@@ -7,32 +7,33 @@ import pytest
 from repro.core.volumes import volume_contents, volume_type_distribution
 from repro.trace.dataset import TraceDataset
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
+from repro.util.stats import EmpiricalCDF
 from tests.conftest import make_storage
 
 
 @pytest.fixture
 def crafted() -> TraceDataset:
-    dataset = TraceDataset()
+    storage = []
     # Volume 1 (root of user 1): 3 files, 1 directory.
     for node_id in (1, 2, 3):
-        dataset.add_storage(make_storage(user_id=1, node_id=node_id, volume_id=1,
-                                         operation=ApiOperation.UPLOAD))
-    dataset.add_storage(make_storage(user_id=1, node_id=4, volume_id=1,
-                                     node_kind=NodeKind.DIRECTORY,
-                                     operation=ApiOperation.MAKE))
+        storage.append(make_storage(user_id=1, node_id=node_id, volume_id=1,
+                                    operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(user_id=1, node_id=4, volume_id=1,
+                                node_kind=NodeKind.DIRECTORY,
+                                operation=ApiOperation.MAKE))
     # Volume 2 (UDF of user 1): 1 file.
-    dataset.add_storage(make_storage(user_id=1, node_id=5, volume_id=2,
-                                     volume_type=VolumeType.UDF,
-                                     operation=ApiOperation.UPLOAD))
+    storage.append(make_storage(user_id=1, node_id=5, volume_id=2,
+                                volume_type=VolumeType.UDF,
+                                operation=ApiOperation.UPLOAD))
     # Volume 3 (shared, user 2): no files, referenced by a listing op only.
-    dataset.add_storage(make_storage(user_id=2, node_id=0, volume_id=3,
-                                     volume_type=VolumeType.SHARED,
-                                     operation=ApiOperation.GET_DELTA))
+    storage.append(make_storage(user_id=2, node_id=0, volume_id=3,
+                                volume_type=VolumeType.SHARED,
+                                operation=ApiOperation.GET_DELTA))
     # User 3 creates a UDF volume explicitly.
-    dataset.add_storage(make_storage(user_id=3, node_id=0, volume_id=4,
-                                     volume_type=VolumeType.UDF,
-                                     operation=ApiOperation.CREATE_UDF))
-    return dataset
+    storage.append(make_storage(user_id=3, node_id=0, volume_id=4,
+                                volume_type=VolumeType.UDF,
+                                operation=ApiOperation.CREATE_UDF))
+    return TraceDataset(storage=storage)
 
 
 class TestVolumeContents:
@@ -49,9 +50,9 @@ class TestVolumeContents:
         assert contents.share_heavily_loaded(threshold=2) == pytest.approx(1 / 4)
 
     def test_cdfs(self, crafted):
-        contents = volume_contents(crafted)
-        assert contents.files_cdf().n == 4
-        assert contents.directories_cdf()(0) == pytest.approx(3 / 4)
+        files, dirs = volume_contents(crafted).counts()
+        assert EmpiricalCDF(files).n == 4
+        assert EmpiricalCDF(dirs)(0) == pytest.approx(3 / 4)
 
     def test_files_and_directories_correlate_in_simulation(self, simulated_dataset):
         contents = volume_contents(simulated_dataset)
@@ -60,11 +61,10 @@ class TestVolumeContents:
         assert contents.correlation() > 0.3        # paper: 0.998 at full scale
 
     def test_moved_node_counted_once(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(node_id=1, volume_id=1,
-                                         operation=ApiOperation.UPLOAD))
-        dataset.add_storage(make_storage(timestamp=10, node_id=1, volume_id=2,
-                                         operation=ApiOperation.MOVE))
+        dataset = TraceDataset(storage=[
+            make_storage(node_id=1, volume_id=1, operation=ApiOperation.UPLOAD),
+            make_storage(timestamp=10, node_id=1, volume_id=2,
+                         operation=ApiOperation.MOVE)])
         contents = volume_contents(dataset)
         assert contents.files_per_volume[2] == 1
         assert contents.files_per_volume[1] == 0

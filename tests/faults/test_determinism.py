@@ -23,6 +23,7 @@ from repro.faults.spec import (
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
+from repro.workload.population import UserClass
 
 SEED = 17
 USERS = 60
@@ -43,13 +44,17 @@ def _workload_config():
                                  active_session_fraction=0.25)
 
 
+#: The user classes whose sessions may upload.
+_UPLOAD_CAPABLE = (UserClass.UPLOAD_ONLY, UserClass.HEAVY, UserClass.OCCASIONAL)
+
+
 def _read_only_shard(start: float, end: float) -> int:
     """The metadata shard with the most planned operations of upload-capable
     users in sessions overlapping ``[start, end)``."""
     shard_id_of = U1Cluster(ClusterConfig(seed=SEED)).metadata_store.shard_id_of
     ops = Counter()
     for user_plan in _plan().users:
-        if user_plan.user.may_upload:
+        if user_plan.user.user_class in _UPLOAD_CAPABLE:
             for spec in user_plan.sessions:
                 if spec.n_ops and spec.start < end and spec.end > start:
                     ops[shard_id_of(user_plan.user.user_id)] += spec.n_ops

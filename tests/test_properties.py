@@ -131,7 +131,7 @@ def test_object_store_accounting_invariants(operations):
     for key_index, _ in operations:
         while store.unlink(f"hash-{key_index}"):
             pass
-        while store.refcount(f"hash-{key_index}") > 0:
+        while store._refcounts.get(f"hash-{key_index}", 0) > 0:
             store.unlink(f"hash-{key_index}")
     assert len(store) == 0
 

@@ -21,7 +21,9 @@ class TestAnonymizer:
     def test_node_zero_stays_zero(self):
         anonymizer = Anonymizer()
         assert anonymizer.anonymize_node_id(0) == 0
-        assert anonymizer.anonymize_node_id(5) != 5 or True  # pseudonymised
+        # Any other id is pseudonymised: deterministically, never to itself.
+        assert anonymizer.anonymize_node_id(5) == Anonymizer().anonymize_node_id(5)
+        assert anonymizer.anonymize_node_id(5) != 5
 
     def test_hash_mapping_preserves_equality(self):
         anonymizer = Anonymizer()
@@ -30,21 +32,20 @@ class TestAnonymizer:
         assert anonymizer.anonymize_hash("") == ""
 
     def test_extension_preserved_or_stripped(self):
-        record = make_storage(extension="mp3")
-        keep = Anonymizer(preserve_extensions=True).anonymize_storage(record)
-        strip = Anonymizer(preserve_extensions=False).anonymize_storage(record)
-        assert keep.extension == "mp3"
-        assert strip.extension == ""
+        dataset = TraceDataset(storage=[make_storage(extension="mp3")])
+        keep = Anonymizer(preserve_extensions=True).anonymize(dataset)
+        strip = Anonymizer(preserve_extensions=False).anonymize(dataset)
+        assert keep.storage[0].extension == "mp3"
+        assert strip.storage[0].extension == ""
 
     def test_dataset_anonymisation_preserves_structure(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(user_id=1, node_id=10, content_hash="h1"))
-        dataset.add_storage(make_storage(user_id=1, node_id=10, content_hash="h1",
-                                         timestamp=5))
-        dataset.add_storage(make_storage(user_id=2, node_id=11, content_hash="h1",
-                                         timestamp=9))
-        dataset.add_rpc(make_rpc(user_id=1))
-        dataset.add_session(make_session(user_id=2))
+        dataset = TraceDataset(
+            storage=[make_storage(user_id=1, node_id=10, content_hash="h1"),
+                     make_storage(user_id=1, node_id=10, content_hash="h1",
+                                  timestamp=5),
+                     make_storage(user_id=2, node_id=11, content_hash="h1",
+                                  timestamp=9)],
+            rpc=[make_rpc(user_id=1)], sessions=[make_session(user_id=2)])
         anonymous = Anonymizer().anonymize(dataset)
 
         assert len(anonymous) == len(dataset)

@@ -150,18 +150,11 @@ class TestIngestionModes:
         records = [make_storage(timestamp=float(i), user_id=i % 3,
                                 node_id=i + 1, size_bytes=10 * i)
                    for i in range(20)]
-        by_record = TraceDataset()
-        for record in records:
-            by_record.add_storage(record)
+        by_record = TraceDataset(storage=records)
+        # A stream's row appender (the trace sink's session-row route).
         by_row = TraceDataset()
         for record in records:
-            by_row.append_storage_row(
-                record.timestamp, record.server, record.process,
-                record.user_id, record.session_id, record.operation,
-                record.node_id, record.volume_id, record.volume_type,
-                record.node_kind, record.size_bytes, record.content_hash,
-                record.extension, record.is_update, record.shard_id,
-                record.caused_by_attack, record.error_kind, record.retries)
+            by_row._storage.append(_row_of(record))
         assert by_record == by_row
         assert np.array_equal(by_record.storage_column("size_bytes"),
                               by_row.storage_column("size_bytes"))
@@ -170,10 +163,10 @@ class TestIngestionModes:
         from tests.conftest import make_storage
 
         dataset = TraceDataset()
-        dataset.append_storage_row(*_row_of(make_storage(timestamp=1.0)))
+        dataset._storage.append(_row_of(make_storage(timestamp=1.0)))
         assert len(dataset.storage) == 1
         first = dataset.storage[0]
-        dataset.append_storage_row(*_row_of(make_storage(timestamp=2.0)))
+        dataset._storage.append(_row_of(make_storage(timestamp=2.0)))
         assert len(dataset.storage) == 2
         assert dataset.storage[0] == first
         ts = dataset.storage_column("timestamp")
@@ -182,9 +175,9 @@ class TestIngestionModes:
     def test_sort_is_noop_on_sorted_and_stable_otherwise(self):
         from tests.conftest import make_storage
 
-        dataset = TraceDataset()
-        for user_id, ts in enumerate((3.0, 1.0, 2.0, 1.0)):
-            dataset.add_storage(make_storage(timestamp=ts, user_id=user_id))
+        dataset = TraceDataset(storage=[
+            make_storage(timestamp=ts, user_id=user_id)
+            for user_id, ts in enumerate((3.0, 1.0, 2.0, 1.0))])
         before = list(dataset.storage)
         dataset.sort()
         after = list(dataset.storage)

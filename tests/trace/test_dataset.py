@@ -6,26 +6,28 @@ import pytest
 
 from repro.trace.dataset import TraceDataset
 from repro.trace.records import ApiOperation, SessionEvent, TRACE_EPOCH
-from tests.conftest import make_rpc, make_session, make_storage
+from tests.conftest import append_records, make_rpc, make_session, make_storage
 
 
 @pytest.fixture
 def dataset() -> TraceDataset:
-    ds = TraceDataset()
-    ds.add_storage(make_storage(timestamp=10, user_id=1, operation=ApiOperation.UPLOAD,
+    storage = []
+    rpc = []
+    sessions = []
+    storage.append(make_storage(timestamp=10, user_id=1, operation=ApiOperation.UPLOAD,
                                 node_id=1, size_bytes=100))
-    ds.add_storage(make_storage(timestamp=20, user_id=1, operation=ApiOperation.DOWNLOAD,
+    storage.append(make_storage(timestamp=20, user_id=1, operation=ApiOperation.DOWNLOAD,
                                 node_id=1, size_bytes=100))
-    ds.add_storage(make_storage(timestamp=30, user_id=2, operation=ApiOperation.UPLOAD,
+    storage.append(make_storage(timestamp=30, user_id=2, operation=ApiOperation.UPLOAD,
                                 node_id=2, size_bytes=500, session_id=2))
-    ds.add_storage(make_storage(timestamp=5, user_id=3, operation=ApiOperation.UNLINK,
+    storage.append(make_storage(timestamp=5, user_id=3, operation=ApiOperation.UNLINK,
                                 node_id=3, size_bytes=0, session_id=3,
                                 caused_by_attack=True))
-    ds.add_rpc(make_rpc(timestamp=11, user_id=1))
-    ds.add_session(make_session(timestamp=0, user_id=1, event=SessionEvent.CONNECT))
-    ds.add_session(make_session(timestamp=100, user_id=1, event=SessionEvent.DISCONNECT,
-                                session_length=100.0, storage_operations=2))
-    return ds
+    rpc.append(make_rpc(timestamp=11, user_id=1))
+    sessions.append(make_session(timestamp=0, user_id=1, event=SessionEvent.CONNECT))
+    sessions.append(make_session(timestamp=100, user_id=1, event=SessionEvent.DISCONNECT,
+                                 session_length=100.0, storage_operations=2))
+    return TraceDataset(storage=storage, rpc=rpc, sessions=sessions)
 
 
 class TestBasics:
@@ -91,14 +93,14 @@ class TestAggregation:
 
     def test_distinct_ids_follow_appends(self, dataset):
         assert dataset.user_ids() == {1, 2, 3}
-        dataset.add_rpc(make_rpc(timestamp=40, user_id=7))
+        append_records(dataset, rpc=[make_rpc(timestamp=40, user_id=7)])
         assert dataset.user_ids() == {1, 2, 3, 7}
-        dataset.add_session(make_session(timestamp=120, user_id=8,
-                                         session_id=9))
+        append_records(dataset, sessions=[make_session(timestamp=120, user_id=8,
+                                                       session_id=9)])
         assert dataset.user_ids() == {1, 2, 3, 7, 8}
         assert dataset.session_ids() == {1, 2, 3, 9}
-        dataset.add_storage(make_storage(timestamp=130, user_id=11,
-                                         session_id=12))
+        append_records(dataset, storage=[make_storage(timestamp=130, user_id=11,
+                                                      session_id=12)])
         assert dataset.user_ids() == {1, 2, 3, 7, 8, 11}
         assert dataset.session_ids() == {1, 2, 3, 9, 12}
 

@@ -10,9 +10,7 @@ from repro.trace.dataset import TraceDataset
 from repro.trace.logfile import (
     LogfileName,
     ParseError,
-    read_logfile,
     read_trace_directory,
-    write_logfile,
     write_trace_directory,
 )
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
@@ -49,9 +47,10 @@ class TestLogfileName:
         with pytest.raises(ParseError):
             LogfileName.parse(bad)
 
-    def test_for_record_uses_utc_date(self):
+    def test_for_record_uses_utc_date(self, tmp_path):
         record = make_storage(timestamp=0.0, server="whitecurrant", process=5)
-        name = LogfileName.for_record(record)
+        (path,) = write_trace_directory(tmp_path, TraceDataset(storage=[record]))
+        name = LogfileName.parse(path.name)
         assert name.machine == "whitecurrant"
         assert name.process == 5
         assert name.date == dt.date(2014, 1, 11)
@@ -68,35 +67,38 @@ class TestRoundTrip:
                          session_length=55.5, storage_operations=7),
         ]
 
+    @staticmethod
+    def _dataset(records) -> TraceDataset:
+        storage, rpc, session = records
+        return TraceDataset(storage=[storage], rpc=[rpc], sessions=[session])
+
     def test_logfile_round_trip(self, tmp_path):
         records = self._sample_records()
-        path = tmp_path / "production-api0-0-20140111.csv"
-        assert write_logfile(path, records) == 3
-        loaded = list(read_logfile(path))
-        assert loaded == records
+        paths = write_trace_directory(tmp_path, self._dataset(records))
+        assert [path.name for path in paths] == ["production-api0-0-20140111.csv"]
+        loaded = read_trace_directory(tmp_path)
+        assert [*loaded.storage, *loaded.rpc, *loaded.sessions] == records
 
     def test_malformed_rows_raise_or_skip(self, tmp_path):
-        path = tmp_path / "production-api0-0-20140111.csv"
-        write_logfile(path, self._sample_records())
-        with path.open("a") as handle:
-            handle.write("garbage,row\n")
+        (path,) = write_trace_directory(tmp_path,
+                                        self._dataset(self._sample_records()))
+        rows = path.read_text().splitlines()
+        # A storage row in the layout before the outcome columns is valid.
+        old_layout = rows[0].rsplit(",", 2)[0]
+        path.write_text("\n".join(rows + [old_layout, "garbage,row"]) + "\n")
         with pytest.raises(ParseError):
-            list(read_logfile(path))
-        loaded = list(read_logfile(path, skip_malformed=True))
-        assert len(loaded) == 3
+            read_trace_directory(tmp_path)
+        loaded = read_trace_directory(tmp_path, skip_malformed=True)
+        assert len(loaded) == 4
+        assert (loaded.storage[-1].error_kind, loaded.storage[-1].retries) == ("", 0)
 
     def test_directory_round_trip(self, tmp_path):
-        dataset = TraceDataset()
+        records = [[], [], []]
         for day in range(2):
-            for record in self._sample_records():
+            for stream, record in zip(records, self._sample_records()):
                 record.timestamp += day * 86400.0
-                dataset_record = record
-                if hasattr(dataset_record, "rpc"):
-                    dataset.add_rpc(dataset_record)
-                elif hasattr(dataset_record, "event"):
-                    dataset.add_session(dataset_record)
-                else:
-                    dataset.add_storage(dataset_record)
+                stream.append(record)
+        dataset = TraceDataset(*records)
         paths = write_trace_directory(tmp_path / "trace", dataset)
         assert len(paths) == 2  # one logfile per day (same server/process)
         loaded = read_trace_directory(tmp_path / "trace")

@@ -29,9 +29,10 @@ class TestApiOperation:
         assert not ApiOperation.MAKE.is_transfer
 
     def test_session_management_classification(self):
-        assert ApiOperation.AUTHENTICATE.is_session_management
-        assert ApiOperation.OPEN_SESSION.is_session_management
-        assert not ApiOperation.UPLOAD.is_session_management
+        # Session management is neither data management nor a transfer.
+        for op in (ApiOperation.AUTHENTICATE, ApiOperation.OPEN_SESSION,
+                   ApiOperation.CLOSE_SESSION):
+            assert not op.is_data_management and not op.is_transfer
 
     def test_operations_from_table2_exist(self):
         expected = {"Upload", "Download", "Make", "Unlink", "Move", "CreateUDF",
@@ -73,10 +74,10 @@ class TestRpcClassification:
 
 class TestRecordConstruction:
     def test_storage_record_properties(self):
-        upload = make_storage(operation=ApiOperation.UPLOAD)
-        download = make_storage(operation=ApiOperation.DOWNLOAD)
-        assert upload.is_upload and not upload.is_download
-        assert download.is_download and not download.is_upload
+        assert not make_storage(operation=ApiOperation.UPLOAD).failed
+        failed = make_storage(operation=ApiOperation.UPLOAD)
+        failed.error_kind = "timeout"
+        assert failed.failed
 
     def test_rpc_record_class_property(self):
         record = make_rpc(rpc=RpcName.DELETE_VOLUME)

@@ -17,18 +17,18 @@ class TestSummarize:
             summarize(empty_dataset)
 
     def test_counts(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage(timestamp=0, user_id=1, node_id=1,
-                                         operation=ApiOperation.UPLOAD, size_bytes=100,
-                                         server="a"))
-        dataset.add_storage(make_storage(timestamp=DAY, user_id=2, node_id=2,
-                                         operation=ApiOperation.DOWNLOAD, size_bytes=50,
-                                         server="b"))
-        dataset.add_storage(make_storage(timestamp=DAY, user_id=2, node_id=3,
-                                         operation=ApiOperation.MAKE,
-                                         node_kind=NodeKind.DIRECTORY, server="b"))
-        dataset.add_session(make_session(timestamp=10, user_id=3, session_id=77,
-                                         server="c"))
+        dataset = TraceDataset(
+            storage=[make_storage(timestamp=0, user_id=1, node_id=1,
+                                  operation=ApiOperation.UPLOAD, size_bytes=100,
+                                  server="a"),
+                     make_storage(timestamp=DAY, user_id=2, node_id=2,
+                                  operation=ApiOperation.DOWNLOAD, size_bytes=50,
+                                  server="b"),
+                     make_storage(timestamp=DAY, user_id=2, node_id=3,
+                                  operation=ApiOperation.MAKE,
+                                  node_kind=NodeKind.DIRECTORY, server="b")],
+            sessions=[make_session(timestamp=10, user_id=3, session_id=77,
+                                   server="c")])
         summary = summarize(dataset)
         assert summary.duration_days == pytest.approx(1.0)
         assert summary.servers_traced == 3
@@ -40,8 +40,7 @@ class TestSummarize:
         assert summary.download_bytes == 50
 
     def test_rows_and_str(self):
-        dataset = TraceDataset()
-        dataset.add_storage(make_storage())
+        dataset = TraceDataset(storage=[make_storage()])
         summary = summarize(dataset)
         rows = summary.rows()
         assert rows[0][0] == "Trace duration"

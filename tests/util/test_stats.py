@@ -8,7 +8,6 @@ import pytest
 from repro.util.stats import (
     BoxplotSummary,
     EmpiricalCDF,
-    acf_confidence_bound,
     autocorrelation,
     boxplot_summary,
     pearson_correlation,
@@ -43,10 +42,6 @@ class TestEmpiricalCDF:
         xs, ys = cdf.points()
         assert list(xs) == [1.0, 2.0, 3.0]
         assert list(ys) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_survival_complements_cdf(self):
-        cdf = EmpiricalCDF([1, 2, 3, 4, 5])
-        assert cdf.survival(3) == pytest.approx(1.0 - cdf(3))
 
     def test_evaluate_vectorised(self):
         cdf = EmpiricalCDF([1, 2, 3, 4])
@@ -96,12 +91,6 @@ class TestAutocorrelation:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             autocorrelation([1.0])
-
-    def test_confidence_bound_decreases_with_n(self):
-        assert acf_confidence_bound(100) > acf_confidence_bound(10000)
-        with pytest.raises(ValueError):
-            acf_confidence_bound(0)
-
 
 class TestBoxplot:
     def test_summary_values(self):

@@ -13,8 +13,6 @@ from repro.util.units import (
     TB,
     format_bytes,
     format_duration,
-    gbytes,
-    mbytes,
 )
 
 
@@ -61,9 +59,3 @@ class TestFormatDuration:
             format_duration(-3)
 
 
-class TestConversions:
-    def test_mbytes(self):
-        assert mbytes(3 * MB) == pytest.approx(3.0)
-
-    def test_gbytes(self):
-        assert gbytes(GB) == pytest.approx(1.0)

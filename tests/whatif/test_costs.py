@@ -15,11 +15,6 @@ class TestStorageCostModel:
         accounting = StorageAccounting(bytes_stored=GB)
         assert accounting.monthly_cost_estimate() == pytest.approx(0.03)
 
-    def test_bare_float_rate_still_accepted(self):
-        accounting = StorageAccounting(bytes_stored=GB)
-        assert accounting.monthly_cost_estimate(0.03) == pytest.approx(0.03)
-        assert accounting.monthly_cost_estimate(0.05) == pytest.approx(0.05)
-
     def test_cold_bytes_billed_at_cold_rate(self):
         model = StorageCostModel(hot_dollars_per_gb_month=0.03,
                                  cold_dollars_per_gb_month=0.004)

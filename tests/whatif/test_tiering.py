@@ -36,7 +36,7 @@ class TestAgeThresholdTiering:
     def test_fresh_objects_are_hot(self):
         store = make_store(age_threshold=DAY)
         store.put("a", 100, now=0.0)
-        assert not store.is_cold("a")
+        assert "a" not in store._cold
         assert store.accounting.hot_bytes == 100
         assert store.accounting.cold_bytes == 0
 
@@ -60,7 +60,7 @@ class TestAgeThresholdTiering:
         assert accounting.migrated_cold_bytes == 100
         assert accounting.migrated_hot_bytes == 100
         assert accounting.migrations == 2
-        assert not store.is_cold("a")
+        assert "a" not in store._cold
         assert accounting.hot_bytes == 100 and accounting.cold_bytes == 0
 
     def test_no_promotion_keeps_object_cold(self):
@@ -69,7 +69,7 @@ class TestAgeThresholdTiering:
         store.get("a", now=2 * DAY)
         store.get("a", now=2 * DAY + 1.0)  # immediately again: still cold
         accounting = store.accounting
-        assert store.is_cold("a")
+        assert "a" in store._cold
         assert accounting.cold_hits == 2
         assert accounting.cold_retrieved_bytes == 200
         assert accounting.migrated_hot_bytes == 0
@@ -88,7 +88,7 @@ class TestAgeThresholdTiering:
         store.put("b", 50, now=2.5 * DAY)
         store.finalize_tiers(3 * DAY)
         accounting = store.accounting
-        assert store.is_cold("a") and not store.is_cold("b")
+        assert "a" in store._cold and "b" not in store._cold
         assert accounting.cold_bytes == 100
         assert accounting.hot_bytes == 50
         assert accounting.hot_bytes + accounting.cold_bytes \
@@ -121,8 +121,8 @@ class TestCapacityEviction:
         store.put("mid", 100, now=10.0)
         store.get("old", now=20.0)           # now "mid" is the stalest
         store.put("new", 100, now=30.0)      # 300 > 250: evict one
-        assert store.is_cold("mid")
-        assert not store.is_cold("old") and not store.is_cold("new")
+        assert "mid" in store._cold
+        assert "old" not in store._cold and "new" not in store._cold
         assert store.accounting.hot_bytes == 200
 
     def test_lfu_evicts_least_frequent_first(self):
@@ -133,8 +133,8 @@ class TestCapacityEviction:
         store.get("hotter", now=2.0)
         store.get("hotter", now=3.0)
         store.put("new", 100, now=4.0)
-        assert store.is_cold("colder")
-        assert not store.is_cold("hotter")
+        assert "colder" in store._cold
+        assert "hotter" not in store._cold
 
     def test_size_aware_evicts_largest_first(self):
         store = make_store(age_threshold=10 * DAY, hot_capacity_bytes=250,
@@ -142,7 +142,7 @@ class TestCapacityEviction:
         store.put("big", 180, now=0.0)
         store.put("small", 60, now=1.0)
         store.put("tiny", 30, now=2.0)       # 270 > 250: evict the 180
-        assert store.is_cold("big")
+        assert "big" in store._cold
         assert store.accounting.hot_bytes == 90
 
     def test_eviction_is_batched_until_budget_fits(self):
@@ -160,7 +160,7 @@ class TestCapacityEviction:
                            eviction="lru")
         store.put("a", 100, now=0.0)
         store.put("b", 100, now=0.0)         # overflow: "a" goes cold
-        assert store.is_cold("a")
+        assert "a" in store._cold
         store.get("a", now=1.0)              # promote "a": overflow again
-        assert not store.is_cold("a")
+        assert "a" not in store._cold
         assert store.accounting.hot_bytes <= 150

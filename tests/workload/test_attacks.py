@@ -8,6 +8,7 @@ import pytest
 from repro.trace.records import ApiOperation
 from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import AttackConfig, WorkloadConfig
+from tests.conftest import events_of
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ class TestGenerateSessions:
             assert script.caused_by_attack
             assert script.user_id == episode.attacker_user_id
             assert episode.start <= script.start <= episode.end
-            for event in script.events:
+            for event in events_of(script):
                 assert event.caused_by_attack
                 assert event.operation in (ApiOperation.DOWNLOAD, ApiOperation.UPLOAD)
                 assert event.node_id == episode.shared_node_id
@@ -64,12 +65,12 @@ class TestGenerateSessions:
             baseline_storage_ops_per_hour=1e7, session_id_start=0,
             max_sessions=200, max_storage_ops=500))
         assert len(scripts) <= 200
-        assert sum(len(s.events) for s in scripts) <= 1500  # poisson slack
+        assert sum(s.n_events for s in scripts) <= 1500  # poisson slack
 
     def test_mostly_downloads(self, config):
         episode = build_attack_episodes(config, 1000, 5000, 6000)[0]
         rng = np.random.default_rng(1)
         scripts = list(episode.generate_sessions(rng, 20.0, 200.0, 0))
-        events = [e for s in scripts for e in s.events]
+        events = [e for s in scripts for e in events_of(s)]
         downloads = sum(1 for e in events if e.operation is ApiOperation.DOWNLOAD)
         assert downloads / max(len(events), 1) > 0.8

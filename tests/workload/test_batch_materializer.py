@@ -38,6 +38,7 @@ from repro.workload.generator import SyntheticTraceGenerator, materialize_member
 from repro.workload.opmodel import compiled_chain
 from repro.workload.plan import SessionSpec
 from repro.workload.population import User, UserClass
+from tests.conftest import events_of
 
 N = 200_000
 
@@ -74,7 +75,7 @@ def _by_session(scripts) -> dict:
     for script in scripts:
         out[script.session_id] = (
             script.user_id, script.start, script.end, script.auth_failed,
-            script.block.columns())
+            events_of(script))
     return out
 
 

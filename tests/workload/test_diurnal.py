@@ -22,7 +22,8 @@ class TestDiurnalProfile:
 
     def test_weekly_mean_is_about_one(self):
         profile = DiurnalProfile()
-        assert profile.mean_intensity() == pytest.approx(1.0, abs=0.15)
+        week = [profile.intensity(h * HOUR) for h in range(7 * 24)]
+        assert sum(week) / len(week) == pytest.approx(1.0, abs=0.15)
 
     def test_weekend_reduction(self):
         profile = DiurnalProfile(weekend_factor=0.85)

@@ -11,6 +11,7 @@ from repro.trace.records import ApiOperation, NodeKind, SessionEvent
 from repro.util.units import MB
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
+from tests.conftest import events_of
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +36,14 @@ class TestClientEvents:
 
     def test_events_fall_inside_their_session(self, scripts):
         for script in scripts:
-            for event in script.events:
+            for event in events_of(script):
                 assert script.start <= event.time <= script.end + 1e-6
                 assert event.session_id == script.session_id
                 assert event.user_id == script.user_id
 
     def test_event_times_are_monotonic_within_session(self, scripts):
         for script in scripts:
-            times = [e.time for e in script.events]
+            times = [e.time for e in events_of(script)]
             assert times == sorted(times)
 
     def test_attack_scripts_present_and_flagged(self, scripts):
@@ -53,7 +54,7 @@ class TestClientEvents:
         assert attacker_ids.isdisjoint(legit_ids)
 
     def test_uploads_carry_content_metadata(self, scripts):
-        uploads = [e for s in scripts for e in s.events
+        uploads = [e for s in scripts for e in events_of(s)
                    if e.operation is ApiOperation.UPLOAD]
         assert uploads
         for event in uploads:
@@ -63,7 +64,7 @@ class TestClientEvents:
 
     def test_downloads_reference_previously_known_files(self, scripts):
         # Downloads always reference a node id; sizes are positive.
-        downloads = [e for s in scripts for e in s.events
+        downloads = [e for s in scripts for e in events_of(s)
                      if e.operation is ApiOperation.DOWNLOAD]
         assert downloads
         assert all(e.node_id > 0 and e.size_bytes > 0 for e in downloads)
@@ -73,7 +74,7 @@ class TestClientEvents:
         for script in scripts:
             if script.caused_by_attack:
                 continue
-            for event in script.events:
+            for event in events_of(script):
                 if event.node_id:
                     per_node_ops.setdefault(event.node_id, []).append(event)
         violations = 0
@@ -94,8 +95,8 @@ class TestClientEvents:
         b = materialize_members(
             SyntheticTraceGenerator(small_config_module).plan())
         assert len(a) == len(b)
-        assert [(s.user_id, s.start, len(s.events)) for s in a[:50]] == \
-               [(s.user_id, s.start, len(s.events)) for s in b[:50]]
+        assert [(s.user_id, s.start, s.n_events) for s in a[:50]] == \
+               [(s.user_id, s.start, s.n_events) for s in b[:50]]
 
 
 class TestGenerateDataset:

@@ -34,6 +34,7 @@ from repro.workload.opmodel import (
     compiled_chain,
 )
 from repro.workload.population import UserClass
+from tests.conftest import events_of
 
 SEED = 23
 
@@ -72,7 +73,7 @@ class TestBitIdentity:
         b = materialize_members(plan)
         assert [s.session_id for s in a] == [s.session_id for s in b]
         for x, y in zip(a, b):
-            assert x.events == y.events
+            assert events_of(x) == events_of(y)
 
 
 def _expected_row_distribution(state: ApiOperation, user_class: UserClass,

@@ -9,17 +9,15 @@ import pytest
 
 from repro.trace.records import ApiOperation
 from repro.workload.opmodel import (
+    CHAIN_OP_INDEX,
+    CHAIN_OPS,
     BurstGapSampler,
     INITIAL_OPERATIONS,
-    OperationChain,
     TRANSITION_TABLE,
+    compiled_chain,
+    initial_state,
 )
-from repro.workload.population import User, UserClass
-
-
-def _user(user_class=UserClass.HEAVY) -> User:
-    return User(user_id=1, user_class=user_class, activity_weight=1.0,
-                udf_volumes=1, shared_volumes=0)
+from repro.workload.population import UserClass
 
 
 class TestTransitionTable:
@@ -48,46 +46,39 @@ class TestTransitionTable:
         assert download_edges[ApiOperation.DOWNLOAD] >= 0.3
 
 
+def _next_ops(rng, current, n, user_class=UserClass.HEAVY, bias=1.0,
+              allow_volume_ops=True) -> Counter:
+    """``n`` draws of the operation after ``current`` from the compiled
+    tables the materializer walks."""
+    chain = compiled_chain(user_class, allow_volume_ops)
+    state = CHAIN_OP_INDEX[current]
+    return Counter(CHAIN_OPS[chain.step(state, u, bias)]
+                   for u in rng.random(n).tolist())
+
+
 class TestOperationChain:
     def test_sampled_transitions_follow_the_table(self, rng):
-        chain = OperationChain(rng)
-        user = _user()
         allowed = {op for op, _ in TRANSITION_TABLE[ApiOperation.UPLOAD]}
-        for _ in range(200):
-            nxt = chain.next_operation(ApiOperation.UPLOAD, user)
-            assert nxt in allowed
+        assert set(_next_ops(rng, ApiOperation.UPLOAD, 200)) <= allowed
 
     def test_upload_only_users_rarely_download(self, rng):
-        chain = OperationChain(rng)
-        uploader = _user(UserClass.UPLOAD_ONLY)
-        samples = Counter(chain.next_operation(ApiOperation.GET_DELTA, uploader)
-                          for _ in range(600))
+        samples = _next_ops(rng, ApiOperation.GET_DELTA, 600,
+                            user_class=UserClass.UPLOAD_ONLY)
         assert samples[ApiOperation.DOWNLOAD] < 30
 
     def test_download_bias_shifts_towards_downloads(self, rng):
-        chain = OperationChain(rng)
-        user = _user()
-        low = Counter(chain.next_operation(ApiOperation.UPLOAD, user, download_bias=0.2)
-                      for _ in range(800))
-        high = Counter(chain.next_operation(ApiOperation.UPLOAD, user, download_bias=4.0)
-                       for _ in range(800))
+        low = _next_ops(rng, ApiOperation.UPLOAD, 800, bias=0.2)
+        high = _next_ops(rng, ApiOperation.UPLOAD, 800, bias=4.0)
         assert high[ApiOperation.DOWNLOAD] > low[ApiOperation.DOWNLOAD]
 
     def test_volume_ops_can_be_disabled(self, rng):
-        chain = OperationChain(rng)
-        user = _user()
-        for _ in range(300):
-            nxt = chain.next_operation(ApiOperation.UNLINK, user, allow_volume_ops=False)
-            assert nxt not in (ApiOperation.CREATE_UDF, ApiOperation.DELETE_VOLUME)
-
-    def test_unknown_state_falls_back_to_initial(self, rng):
-        chain = OperationChain(rng)
-        nxt = chain.next_operation(ApiOperation.AUTHENTICATE, _user())
-        assert nxt in {op for op, _ in INITIAL_OPERATIONS}
+        samples = _next_ops(rng, ApiOperation.UNLINK, 300,
+                            allow_volume_ops=False)
+        assert not {ApiOperation.CREATE_UDF, ApiOperation.DELETE_VOLUME} & set(samples)
 
     def test_initial_operation_distribution(self, rng):
-        chain = OperationChain(rng)
-        counts = Counter(chain.initial_operation() for _ in range(1000))
+        counts = Counter(CHAIN_OPS[initial_state(u)]
+                         for u in rng.random(1000).tolist())
         assert counts[ApiOperation.LIST_VOLUMES] > counts[ApiOperation.RESCAN_FROM_SCRATCH]
 
 

@@ -19,6 +19,7 @@ from repro.workload.generator import (
     materialize_members,
     member_rng,
 )
+from tests.conftest import events_of
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ class TestMaterialization:
         assert [s.session_id for s in merged] == \
             [s.session_id for s in reference]
         for mine, ref in zip(merged, reference):
-            assert mine.events == ref.events
+            assert events_of(mine) == events_of(ref)
 
     def test_single_member_materialization_is_stable(self, plan):
         index = next(i for i, user in enumerate(plan.users) if user.sessions)
@@ -87,7 +88,7 @@ class TestMaterialization:
         b = materialize_member(plan, index)
         assert [s.session_id for s in a] == [s.session_id for s in b]
         for x, y in zip(a, b):
-            assert x.events == y.events
+            assert events_of(x) == events_of(y)
 
     def test_attack_slices_union_equals_whole_episode(self, plan):
         attack_members = [len(plan.users) + i for i in range(len(plan.attacks))]
@@ -110,14 +111,14 @@ class TestMaterialization:
             [s.session_id for s in reference]
         for mine, ref in zip(by_slice, reference):
             assert mine.start == ref.start
-            assert mine.events == ref.events
+            assert events_of(mine) == events_of(ref)
 
     def test_node_ids_live_in_per_user_namespaces(self, plan):
         scripts = materialize_members(plan)
         for script in scripts:
             if script.caused_by_attack:
                 continue
-            for event in script.events:
+            for event in events_of(script):
                 if event.node_id:
                     assert event.node_id >> 24 == script.user_id
 
@@ -133,7 +134,7 @@ class TestSharedPopularPool:
         for script in scripts:
             if script.caused_by_attack:
                 continue
-            for event in script.events:
+            for event in events_of(script):
                 if event.content_hash:
                     owners.setdefault(event.content_hash,
                                       set()).add(script.user_id)

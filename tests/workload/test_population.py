@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.workload.config import WorkloadConfig
-from repro.workload.population import User, UserClass, build_population
+from repro.workload.population import UserClass, build_population
 
 
 @pytest.fixture(scope="module")
@@ -69,17 +69,3 @@ class TestBuildPopulation:
         config = WorkloadConfig.scaled(users=10, days=1).replace(occasional_fraction=0.2)
         with pytest.raises(ValueError):
             build_population(config)
-
-
-class TestUserProperties:
-    def test_upload_download_permissions(self):
-        uploader = User(1, UserClass.UPLOAD_ONLY, 1.0, 0, 0)
-        downloader = User(2, UserClass.DOWNLOAD_ONLY, 1.0, 0, 0)
-        heavy = User(3, UserClass.HEAVY, 1.0, 0, 0)
-        assert uploader.may_upload and not downloader.may_upload
-        assert downloader.may_download and heavy.may_download
-        assert heavy.may_upload
-
-    def test_occasional_flag(self):
-        assert User(1, UserClass.OCCASIONAL, 0.01, 0, 0).is_occasional
-        assert not User(2, UserClass.HEAVY, 3.0, 0, 0).is_occasional
