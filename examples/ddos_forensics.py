@@ -10,8 +10,8 @@ distribute illegal content.  This example:
    Fig. 5 plots);
 3. attributes each window to the responsible account by ranking per-user
    request counts inside the window;
-4. simulates the countermeasure the U1 engineers applied manually — banning
-   the offending account in the authentication service.
+4. names the accounts to ban — the countermeasure the U1 engineers applied
+   manually in the authentication service.
 
 Run with::
 
@@ -43,6 +43,7 @@ def main() -> int:
           f"storage {amplification['storage']:.1f}x (paper: 5-15x / up to 245x).")
 
     start, _ = dataset.time_span()
+    to_ban: set[int] = set()
     for index, window in enumerate(windows, start=1):
         subset = dataset.filter_time(window.start, window.end)
         per_user = Counter(r.user_id for r in subset.storage)
@@ -57,14 +58,13 @@ def main() -> int:
               f"({requests / total:.0%})")
         print(f"  ground-truth attacker ids in window: {sorted(truth) or 'none'}")
         if suspect in truth:
-            print("  -> attribution matches the injected attacker; banning account")
-            cluster.auth.ban_user(suspect)
+            print("  -> attribution matches the injected attacker; ban the account")
+            to_ban.add(suspect)
         else:
             print("  -> attribution does not match an injected attacker "
                   "(legitimate hot spot)")
 
-    banned = [uid for uid in dataset.user_ids() if cluster.auth.is_banned(uid)]
-    print(f"\nAccounts banned in the authentication service: {banned}")
+    print(f"\nAccounts to ban in the authentication service: {sorted(to_ban)}")
     print("In production this reaction was manual; the paper calls for "
           "automatic countermeasures like this one.")
     return 0

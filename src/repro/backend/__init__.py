@@ -20,11 +20,13 @@ The real U1 back-end lives in a single Canonical datacenter and consists of:
   :mod:`repro.backend.auth`) and the **RabbitMQ notification bus** used to
   propagate events between API servers (:mod:`repro.backend.notifications`).
 
-:class:`repro.backend.cluster.U1Cluster` wires all of the above together and
-replays a workload plan (from :mod:`repro.workload`) into a fully
-populated :class:`~repro.trace.dataset.TraceDataset`, including the RPC
-service times and server/shard placement needed by the back-end analyses
-(Figs. 12-15).
+Each replay shard (:class:`repro.backend.replay_shard.ReplayShard`) wires
+its slice of the above together and serves its share of the requests.
+:class:`repro.backend.cluster.U1Cluster` drives the shards through a
+workload plan (from :mod:`repro.workload`), merges their output into a
+fully populated :class:`~repro.trace.dataset.TraceDataset`, including the
+RPC service times and server/shard placement needed by the back-end
+analyses (Figs. 12-15), and sums their counters into the fleet totals.
 """
 
 from repro.backend.cluster import ClusterConfig, U1Cluster

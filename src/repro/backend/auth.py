@@ -83,7 +83,6 @@ class AuthenticationService:
         self._failure_fraction = failure_fraction
         self._tokens_by_user: dict[int, AuthToken] = {}
         self._users_by_token: dict[str, AuthToken] = {}
-        self._banned_users: set[int] = set()
         self.requests = 0
         self.failures = 0
         self.token_issues = 0
@@ -104,9 +103,6 @@ class AuthenticationService:
     def issue_token(self, user_id: int, now: float) -> AuthToken:
         """First-connection flow: credentials exchanged for a new token."""
         self.requests += 1
-        if user_id in self._banned_users:
-            self.failures += 1
-            raise AuthenticationError(f"user {user_id} is banned")
         return self._mint_token(user_id, now)
 
     def token_for(self, user_id: int, now: float) -> AuthToken:
@@ -120,9 +116,8 @@ class AuthenticationService:
     def validate(self, token: str, now: float, force_failure: bool = False) -> int:
         """Validate a token and return the associated user id.
 
-        Raises :class:`AuthenticationError` when the token is unknown,
-        expired, belongs to a banned user, or when a transient failure is
-        injected (``force_failure`` or the configured failure fraction).
+        Raises :class:`AuthenticationError` when the token is unknown or
+        expired, or when a transient failure is injected (``force_failure`` or the configured failure fraction).
         """
         self.requests += 1
         if force_failure or self._rng.random() < self._failure_fraction:
@@ -132,22 +127,7 @@ class AuthenticationService:
         if entry is None or not entry.is_valid(now):
             self.failures += 1
             raise AuthenticationError("unknown or expired token")
-        if entry.user_id in self._banned_users:
-            self.failures += 1
-            raise AuthenticationError(f"user {entry.user_id} is banned")
         return entry.user_id
-
-    # -------------------------------------------------------------- banning
-    def ban_user(self, user_id: int) -> None:
-        """Ban a user (the manual DDoS countermeasure of Section 5.4)."""
-        self._banned_users.add(user_id)
-        token = self._tokens_by_user.pop(user_id, None)
-        if token is not None:
-            self._users_by_token.pop(token.token, None)
-
-    def is_banned(self, user_id: int) -> bool:
-        """Whether a user id has been banned."""
-        return user_id in self._banned_users
 
     @property
     def failure_ratio(self) -> float:

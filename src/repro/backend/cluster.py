@@ -1,36 +1,39 @@
-"""The U1 back-end cluster: wiring and workload replay.
+"""The U1 back-end cluster: configuration and workload replay.
 
-:class:`U1Cluster` assembles the full back-end described in Section 3.4 —
-load balancer, API server processes spread over six machines, RPC workers,
-the 10-shard metadata store, the S3-like object store, the authentication
-service and the notification bus — and replays a client workload through it,
-producing the complete back-end trace (storage, RPC and session records).
+:class:`ClusterConfig` sizes the back-end described in Section 3.4 — load
+balancer, API server processes spread over six machines, RPC workers, the
+10-shard metadata store, the S3-like object store, the authentication
+service and the notification bus.  :class:`U1Cluster` replays a workload
+plan through it: each replay shard (:mod:`repro.backend.replay_shard`)
+assembles its slice of that back-end and serves its requests, and the
+cluster merges their traces into the complete back-end trace (storage, RPC
+and session records) and adds their counters to the fleet totals.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-import numpy as np
+from pathlib import Path
 
-from repro.backend.api_server import ApiServerProcess, SessionRegistry
-from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import LoadBalancer, ProcessAddress
-from repro.backend.latency import LatencyParameters, ServiceTimeModel
-from repro.backend.metadata_store import (
-    ShardedMetadataStore,
-    round_robin_routing,
-    user_id_routing,
+from repro.backend.latency import LatencyParameters, shard_skew_factors
+from repro.backend.metadata_store import ShardedMetadataStore
+from repro.backend.replay_shard import (
+    PlannedShardWorkload,
+    ProcessTotals,
+    partition_members,
+    process_slices,
+    run_shards_supervised,
 )
-from repro.backend.notifications import NotificationBus
-from repro.backend.rpc_server import RpcWorker
-from repro.backend.tracing import TraceSink
 from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.faults.accounting import FaultAccounting
 from repro.faults.mitigation import LIVE_KINDS, MitigationPolicy
-from repro.faults.runtime import FaultInjector, compile_plan
+from repro.faults.runtime import compile_plan
 from repro.faults.spec import FaultPlan
 from repro.trace.dataset import TraceDataset
+from repro.util import telemetry
 from repro.util.units import DAY
 from repro.whatif.costs import StorageCostModel
 from repro.whatif.tiering import TieringPolicy
@@ -159,88 +162,74 @@ class ClusterConfig:
 
 
 class U1Cluster:
-    """The simulated U1 back-end."""
+    """The simulated U1 back-end: drives the replay shards, keeps the totals.
+
+    Every request is served inside a replay shard
+    (:class:`~repro.backend.replay_shard.ReplayShard`), which assembles its
+    own API processes, RPC workers and stores.  The cluster keeps what
+    drives and summarises a replay: the configuration, the compiled fault
+    schedule, the shard skew factors and the fleet counters, which only
+    the shard summaries feed.
+    """
 
     def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
         self.config.validate()
-        self._rng = np.random.default_rng(self.config.seed)
-        self.sink = TraceSink()
-        routing = (user_id_routing if self.config.shard_routing == "user_id"
-                   else round_robin_routing)
-        self.metadata_store = ShardedMetadataStore(
-            n_shards=self.config.metadata_shards, routing_factory=routing)
-        self.object_store = ObjectStore(chunk_bytes=self.config.multipart_chunk_bytes,
-                                        tiering=self.config.tiering)
-        self.auth = AuthenticationService(
-            rng=self._rng, failure_fraction=self.config.auth_failure_fraction)
-        self.bus = NotificationBus()
-        self.registry = SessionRegistry()
-        self.latency = ServiceTimeModel(self._rng, parameters=self.config.latency,
-                                        n_shards=self.config.metadata_shards)
-
+        #: Per-metadata-shard service-time multipliers, shared by every
+        #: replay shard's service-time model.
+        self.shard_factors = shard_skew_factors(
+            self.config.seed, self.config.metadata_shards, self.config.latency)
+        addresses = self.config.process_addresses()
         #: Compiled fault timeline (``None`` on a healthy cluster); compiled
         #: once here — the planning pass — and shared verbatim with every
         #: replay shard so fault exposure is independent of ``n_jobs``.
         self.fault_schedule = (
-            compile_plan(self.config.faults,
-                         n_processes=len(self.config.process_addresses()),
+            compile_plan(self.config.faults, n_processes=len(addresses),
                          n_shards=self.config.metadata_shards)
             if self.config.faults is not None else None)
-        #: Fleet-wide fault-exposure counters, merged from the replay shards
-        #: after every replay (and updated directly by the interactive path).
-        self.fault_accounting = FaultAccounting()
-        faults = (FaultInjector(self.fault_schedule, self.config.mitigation,
-                                accounting=self.fault_accounting)
-                  if self.fault_schedule is not None else None)
 
-        self.processes: list[ApiServerProcess] = []
-        addresses = self.config.process_addresses()
-        for worker_id, address in enumerate(addresses):
-            worker = RpcWorker(worker_id=worker_id, store=self.metadata_store,
-                               latency=self.latency, sink=self.sink,
-                               faults=faults)
-            process = ApiServerProcess(
-                address=address, rpc_worker=worker,
-                object_store=self.object_store, auth=self.auth,
-                bus=self.bus, registry=self.registry, sink=self.sink,
-                rng=self._rng,
-                dedup_enabled=self.config.dedup_enabled,
-                delta_updates_enabled=self.config.delta_updates_enabled,
-                delta_update_factor=self.config.delta_update_factor,
-                interrupted_upload_fraction=self.config.interrupted_upload_fraction,
-                faults=faults)
-            self.processes.append(process)
-        self.gateway = LoadBalancer(addresses, rng=self._rng)
+        # Fleet counters, summed over every replay's shard summaries.
+        self.metadata_store = ShardedMetadataStore(
+            n_shards=self.config.metadata_shards)
+        self.object_store = ObjectStore(chunk_bytes=self.config.multipart_chunk_bytes,
+                                        tiering=self.config.tiering)
+        self.gateway = LoadBalancer(addresses)
+        #: Per-process totals, in :meth:`ClusterConfig.process_addresses`
+        #: order.
+        self.processes = [ProcessTotals(address) for address in addresses]
+        self.fault_accounting = FaultAccounting()
         #: Timings and shape of the most recent :meth:`replay_plan` call.
         self.last_replay_stats: dict | None = None
 
-    # ----------------------------------------------------------------- sizes
-    @property
-    def n_processes(self) -> int:
-        """Total number of API server processes."""
-        return len(self.processes)
+    def replay_plan(self, plan, n_jobs: int = 1, *, policy=None, chaos=None,
+                    checkpoint_dir=None, resume: bool = False, shutdown=None,
+                    events_dir=None, progress=None) -> TraceDataset:
+        """Materialize a workload plan and replay it through the back-end.
 
-    # ---------------------------------------------------------------- replay
-    def _shard_assignments(self, n_shards: int):
-        """Each shard's slice of process addresses as (index, address)."""
-        addresses = [p.address for p in self.processes]
-        # Round-robin process ownership: each shard's slice spans machines.
-        return addresses, [
-            [(i, addresses[i]) for i in range(k, len(addresses), n_shards)]
-            for k in range(n_shards)
-        ]
+        ``plan`` is a :class:`~repro.workload.plan.WorkloadPlan` (from
+        :meth:`~repro.workload.generator.SyntheticTraceGenerator.plan`).
+        The replay is *sharded* (see :mod:`repro.backend.replay_shard`):
+        plan members are LPT-assigned to logical shards by their planned
+        operation and session counts, and every shard owns a disjoint slice
+        of the users, the metadata/object stores and the API processes —
+        mirroring the multi-process production fleet the paper measured.
+        Each shard worker materializes its members' session scripts from
+        their per-user RNG streams, then replays them: events from
+        overlapping sessions interleave in global timestamp order, every
+        session lives on the API process the shard's balancer picked at
+        connect time, and uploadjob GC runs against the shard's own store.
+        The per-shard sorted columnar blocks are merged column-wise into one
+        :class:`~repro.trace.dataset.TraceDataset`.
 
-    def _processes_per_shard(self, n_shards: int) -> int:
-        """Sessions a replay shard needs to reach each of its processes."""
-        return -(-len(self.processes) // n_shards)
-
-    def _run_sharded(self, workloads, n_shards: int, n_jobs: int,
-                     addresses, *, policy=None,
-                     chaos=None, checkpoint_dir=None,
-                     resume: bool = False, shutdown=None,
-                     events_dir=None, progress=None) -> TraceDataset:
-        """Run shard workloads, merge columnar outcomes, absorb counters.
+        ``n_jobs`` chooses how many worker processes execute the shards
+        (``1`` replays them sequentially in-process, which is also the
+        fallback on platforms without ``fork``).  Materialization is a pure
+        function of ``(config, plan member)``, and the assignment, the
+        per-shard RNG streams and the merge depend only on the plan and the
+        configuration, so the returned dataset is **bit-identical for any**
+        ``n_jobs``.  Afterwards the per-shard counter summaries are added
+        to this cluster's gateway, process totals, metadata store and
+        object store.
 
         Shards run under the crash-tolerant supervisor (``policy`` and
         ``chaos`` configure it); ``checkpoint_dir`` spills each completed
@@ -259,16 +248,16 @@ class U1Cluster:
         only way a merged dataset can be partial, and they are reported in
         ``last_replay_stats`` rather than raised.
         """
-        from pathlib import Path
-
-        from repro.backend.replay_shard import run_shards_supervised
-        from repro.util import telemetry
         from repro.util.checkpoint import (CheckpointStore,
                                            run_inputs_summary, run_key)
-        import time as _time
 
-        started = _time.perf_counter()
-        _, assignments = self._shard_assignments(n_shards)
+        started = time.perf_counter()
+        slices = process_slices(self.config)
+        n_shards = len(slices)
+        # A shard needs at least one session per process it owns.
+        workloads = [PlannedShardWorkload(plan, members)
+                     for members in partition_members(plan, n_shards,
+                                                      len(slices[0]))]
         key = (run_key(self.config, workloads)
                if checkpoint_dir is not None else None)
         checkpoint = (CheckpointStore(checkpoint_dir, key,
@@ -296,7 +285,7 @@ class U1Cluster:
                                 start=win_start, end=win_end, **detail)
             with telemetry.span("replay", events=events, n_shards=n_shards):
                 outcomes, jobs_used, report = run_shards_supervised(
-                    self.config, assignments, self.latency.shard_factors,
+                    self.config, slices, self.shard_factors,
                     workloads, n_jobs=n_jobs,
                     fault_schedule=self.fault_schedule,
                     policy=policy, chaos=chaos,
@@ -304,14 +293,14 @@ class U1Cluster:
                     events=events, progress=progress)
 
             # The merge consumes the shard blocks; from here on the outcomes
-            # carry only the counter summaries absorbed below.
+            # carry only the counter summaries added below.
             blocks = [(o.storage, o.rpc, o.sessions) for o in outcomes]
             for outcome in outcomes:
                 outcome.storage = outcome.rpc = outcome.sessions = None
-            merge_started = _time.perf_counter()
+            merge_started = time.perf_counter()
             with telemetry.span("merge", events=events):
                 dataset = TraceDataset.from_sorted_blocks(blocks)
-            merge_seconds = _time.perf_counter() - merge_started
+            merge_seconds = time.perf_counter() - merge_started
         finally:
             events.close()
 
@@ -326,15 +315,10 @@ class U1Cluster:
                 edges=telemetry.SERVICE_TIME_MS_EDGES)
 
         for outcome in outcomes:
-            for index, (handled, pushed, calls, busy) in \
-                    outcome.process_counters.items():
-                process = self.processes[index]
-                process.requests_handled += handled
-                process.notifications_pushed += pushed
-                process._rpc.calls_executed += calls  # noqa: SLF001
-                process._rpc.busy_time += busy  # noqa: SLF001
+            for index, totals in outcome.process_counters.items():
+                self.processes[index] = self.processes[index].plus(totals)
             self.gateway.absorb_totals(
-                {addresses[index]: count
+                {self.processes[index].address: count
                  for index, count in outcome.gateway_totals.items()})
             self.metadata_store.absorb_summary(outcome.store_summary)
             self.object_store.absorb_summary(outcome.object_count,
@@ -374,7 +358,7 @@ class U1Cluster:
                                    for outcome in outcomes],
             "events_replayed": sum(outcome.n_events for outcome in outcomes),
             "merge_seconds": merge_seconds,
-            "replay_seconds": _time.perf_counter() - started,
+            "replay_seconds": time.perf_counter() - started,
             "gc_sweeps": sum(outcome.gc_sweeps for outcome in outcomes),
             #: Last timeline timestamp across the shards — the instant the
             #: per-shard ``finalize_tiers`` sweeps (and any offline what-if
@@ -409,48 +393,3 @@ class U1Cluster:
         #: shard ids (see ``SupervisionReport.as_stats``).
         self.last_replay_stats.update(report.as_stats())
         return dataset
-
-    def replay_plan(self, plan, n_jobs: int = 1, **run_kwargs) -> TraceDataset:
-        """Materialize a workload plan and replay it through the back-end.
-
-        ``plan`` is a :class:`~repro.workload.plan.WorkloadPlan` (from
-        :meth:`~repro.workload.generator.SyntheticTraceGenerator.plan`).
-        The replay is *sharded* (see :mod:`repro.backend.replay_shard`):
-        plan members are LPT-assigned to logical shards by their planned
-        operation and session counts, and every shard owns a disjoint slice
-        of the users, the metadata/object stores and the API processes —
-        mirroring the multi-process production fleet the paper measured.
-        Each shard worker materializes its members' session scripts from
-        their per-user RNG streams, then replays them: events from
-        overlapping sessions interleave in global timestamp order, every
-        session lives on the API process the shard's balancer picked at
-        connect time, and uploadjob GC runs against the shard's own store.
-        The per-shard sorted columnar blocks are merged column-wise into one
-        :class:`~repro.trace.dataset.TraceDataset`.
-
-        ``n_jobs`` chooses how many worker processes execute the shards
-        (``1`` replays them sequentially in-process, which is also the
-        fallback on platforms without ``fork``).  Materialization is a pure
-        function of ``(config, plan member)``, and the assignment, the
-        per-shard RNG streams and the merge depend only on the plan and the
-        configuration, so the returned dataset is **bit-identical for any**
-        ``n_jobs``.  Afterwards the per-shard counter summaries are folded
-        back into this cluster's gateway, processes, metadata store and
-        object store, so the fleet-wide statistics helpers keep working.
-        ``run_kwargs`` configure supervision and checkpoints (see
-        :meth:`_run_sharded`).
-        """
-        from repro.backend.replay_shard import (
-            PlannedShardWorkload,
-            partition_members,
-        )
-
-        n_shards = self.config.effective_replay_shards()
-        addresses, _ = self._shard_assignments(n_shards)
-        workloads = [PlannedShardWorkload(plan, members)
-                     for members in partition_members(
-                         plan, n_shards, self._processes_per_shard(n_shards))]
-        return self._run_sharded(workloads, n_shards, n_jobs, addresses,
-                                 **run_kwargs)
-
-    # ------------------------------------------------------------ statistics

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.trace.records import RpcName
 
-__all__ = ["ServiceTimeModel", "LatencyParameters", "DEFAULT_MEDIANS_MS"]
+__all__ = ["ServiceTimeModel", "LatencyParameters", "DEFAULT_MEDIANS_MS",
+           "shard_skew_factors"]
 
 
 #: Median service time (milliseconds) of each RPC, ordered as in Fig. 13:
@@ -88,14 +89,29 @@ class LatencyParameters:
             raise ValueError("sigma must be positive")
 
 
-class ServiceTimeModel:
-    """Samples RPC service times with long tails."""
+def shard_skew_factors(seed: int, n_shards: int,
+                       parameters: LatencyParameters | None = None) -> list[float]:
+    """Fixed per-metadata-shard service-time multipliers, drawn from ``seed``.
 
-    def __init__(self, rng: np.random.Generator,
+    One table per cluster: every replay shard's :class:`ServiceTimeModel`
+    gets the same factors, so a metadata shard is equally fast or slow
+    wherever its requests are replayed.
+    """
+    skew = (parameters or LatencyParameters()).shard_skew
+    rng = np.random.default_rng(seed)
+    return (1.0 + skew * (rng.random(n_shards) - 0.5) * 2.0).tolist()
+
+
+class ServiceTimeModel:
+    """Samples RPC service times with long tails.
+
+    ``shard_factors`` are the per-metadata-shard multipliers (see
+    :func:`shard_skew_factors`); ``rng`` feeds the body and tail draws.
+    """
+
+    def __init__(self, rng: np.random.Generator, shard_factors: list[float],
                  parameters: LatencyParameters | None = None,
-                 medians_ms: dict[RpcName, float] | None = None,
-                 n_shards: int = 10,
-                 shard_factors: list[float] | None = None):
+                 medians_ms: dict[RpcName, float] | None = None):
         self._rng = rng
         self._parameters = parameters or LatencyParameters()
         self._medians_ms = dict(DEFAULT_MEDIANS_MS)
@@ -104,15 +120,7 @@ class ServiceTimeModel:
         #: Per-RPC median in seconds, precomputed for the sampling fast path.
         self._median_seconds = {rpc: ms / 1000.0
                                 for rpc, ms in self._medians_ms.items()}
-        if shard_factors is not None:
-            # Externally supplied skew (the sharded replay engine passes one
-            # cluster-wide table so every replay shard sees the same
-            # per-metadata-shard hardware skew).
-            self._shard_factors = list(shard_factors)
-        else:
-            # Fixed per-shard skew factors, deterministic given the RNG state.
-            skew = self._parameters.shard_skew
-            self._shard_factors = (1.0 + skew * (rng.random(n_shards) - 0.5) * 2.0).tolist()
+        self._shard_factors = list(shard_factors)
         self._n_shards = len(self._shard_factors)
         # median * shard_factor, pre-multiplied per (rpc, shard): the sample
         # fast path then only draws the lognormal body and the Pareto tail.
@@ -143,11 +151,6 @@ class ServiceTimeModel:
     def parameters(self) -> LatencyParameters:
         """The shape parameters in use."""
         return self._parameters
-
-    @property
-    def shard_factors(self) -> list[float]:
-        """The fixed per-shard skew factors (shareable across replay shards)."""
-        return list(self._shard_factors)
 
     def sample(self, rpc: RpcName, shard_id: int = 0) -> float:
         """Sample one service time (seconds) for ``rpc`` on ``shard_id``.

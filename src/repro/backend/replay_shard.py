@@ -67,6 +67,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +100,14 @@ from repro.workload.events import EVENT_COLUMNS, SessionScript
 
 __all__ = [
     "PlannedShardWorkload",
+    "ProcessTotals",
     "ReplayShard",
     "ShardOutcome",
     "UploadJobCollector",
     "fork_available",
     "lpt_assignment",
     "partition_members",
+    "process_slices",
     "run_shards_supervised",
     "usable_cpus",
     "workload_planned_ops",
@@ -233,6 +236,20 @@ def lpt_assignment(weights: list[tuple[int, float]], n_shards: int,
     return assignment
 
 
+def process_slices(config) -> list[list[tuple[int, ProcessAddress]]]:
+    """Each replay shard's slice of the fleet as ``(index, address)`` pairs.
+
+    ``index`` is the address's position in
+    :meth:`~repro.backend.cluster.ClusterConfig.process_addresses`.
+    Ownership is round-robin, so each shard's slice spans machines and the
+    first slice is the largest.
+    """
+    addresses = config.process_addresses()
+    n_shards = config.effective_replay_shards()
+    return [[(i, addresses[i]) for i in range(k, len(addresses), n_shards)]
+            for k in range(n_shards)]
+
+
 def partition_members(plan, n_shards: int,
                       min_sessions: int = 0) -> list[list[int]]:
     """LPT-partition a workload plan's members into per-shard index lists.
@@ -332,6 +349,25 @@ class UploadJobCollector:
                                                             commit=False))
 
 
+class ProcessTotals(NamedTuple):
+    """One API process's request and RPC counters."""
+
+    address: ProcessAddress
+    requests_handled: int = 0
+    notifications_pushed: int = 0
+    rpc_calls: int = 0
+    rpc_busy_time: float = 0.0
+
+    def plus(self, other: ProcessTotals) -> ProcessTotals:
+        """These totals with ``other``'s counts added."""
+        return ProcessTotals(
+            self.address,
+            self.requests_handled + other.requests_handled,
+            self.notifications_pushed + other.notifications_pushed,
+            self.rpc_calls + other.rpc_calls,
+            self.rpc_busy_time + other.rpc_busy_time)
+
+
 @dataclass
 class ShardOutcome:
     """Picklable result of one replay shard.
@@ -340,8 +376,8 @@ class ShardOutcome:
     :class:`~repro.trace.dataset.ColumnBlock`\\ s — one NumPy array per
     trace field, numeric arrays crossing the worker boundary as contiguous
     pickle buffers and string fields factorised — plus the counter summaries
-    the cluster absorbs so fleet-wide statistics keep working after a
-    sharded replay.  The parent merges the blocks column-wise
+    the cluster adds to its fleet counters, the only source of those
+    counters.  The parent merges the blocks column-wise
     (:meth:`~repro.trace.dataset.TraceDataset.from_sorted_blocks`), so the
     merged dataset's columns are all pre-seeded.
     """
@@ -358,10 +394,8 @@ class ShardOutcome:
     n_events: int = 0
     #: Total NumPy payload bytes of the three column blocks (IPC size).
     ipc_bytes: int = 0
-    #: address index -> (requests_handled, notifications_pushed,
-    #:                   rpc_calls_executed, rpc_busy_time)
-    process_counters: dict[int, tuple[int, int, int, float]] = field(
-        default_factory=dict)
+    #: address index -> the process's counters
+    process_counters: dict[int, ProcessTotals] = field(default_factory=dict)
     #: address index -> sessions ever assigned by the shard's balancer
     gateway_totals: dict[int, int] = field(default_factory=dict)
     #: per-metadata-shard (users, nodes, requests) counts
@@ -393,9 +427,11 @@ class ShardOutcome:
 class ReplayShard:
     """One logical replay shard: a self-contained slice of the back-end.
 
-    ``addresses`` is the shard's slice of the cluster's process addresses as
-    ``(global_index, address)`` pairs — the global index keys the counter
-    summaries so the parent cluster can absorb them positionally.
+    The only place that assembles API processes and RPC workers.
+    ``addresses`` is the shard's slice of the fleet (see
+    :func:`process_slices`) as ``(global_index, address)`` pairs — the
+    global index keys the counter summaries so the cluster can add them to
+    its per-process totals positionally.
     """
 
     def __init__(self, config, shard_id: int,
@@ -422,9 +458,8 @@ class ReplayShard:
             rng=pool, failure_fraction=config.auth_failure_fraction)
         self.bus = NotificationBus()
         self.registry = SessionRegistry()
-        self.latency = ServiceTimeModel(rng, parameters=config.latency,
-                                        n_shards=config.metadata_shards,
-                                        shard_factors=shard_factors)
+        self.latency = ServiceTimeModel(rng, shard_factors,
+                                        parameters=config.latency)
         # One injector per shard: the compiled schedule is shared and
         # immutable, the accounting is this shard's own (merged by the
         # parent alongside the storage counters).
@@ -704,8 +739,9 @@ class ReplayShard:
             dispatch_seconds=dispatch_seconds,
             pack_seconds=pack_seconds,
             process_counters={
-                index: (p.requests_handled, p.notifications_pushed,
-                        p._rpc.calls_executed, p._rpc.busy_time)  # noqa: SLF001
+                index: ProcessTotals(
+                    p.address, p.requests_handled, p.notifications_pushed,
+                    p._rpc.calls_executed, p._rpc.busy_time)  # noqa: SLF001
                 for index, p in zip(self._address_indices, self.processes)},
             gateway_totals={index: totals[p.address]
                             for index, p in zip(self._address_indices,

@@ -90,12 +90,14 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the sharded replay "
                              "(default: 1; the trace is bit-identical for "
                              "any value)")
+
+
+def _add_validate_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--validate", action="store_true",
                         help="check the trace invariants (monotonic "
                              "timelines, schema, session referential "
                              "integrity, fault columns) after the replay; "
                              "violations exit with code 4")
-    _add_resume_options(parser)
 
 
 def _add_resume_options(parser: argparse.ArgumentParser) -> None:
@@ -136,6 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser(
         "generate", help="generate a synthetic trace and write logfiles")
     _add_workload_options(generate)
+    _add_validate_option(generate)
+    _add_resume_options(generate)
     generate.add_argument("--out", type=Path, required=True,
                           help="directory to write the per-process logfiles to")
     generate.add_argument("--anonymize", action="store_true",
@@ -154,19 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="generate, simulate and analyse in one go")
     _add_workload_options(report)
+    _add_validate_option(report)
+    _add_resume_options(report)
 
     whatif = subparsers.add_parser(
         "whatif", help="replay once, then sweep storage policies offline "
                        "over the trace columns")
-    whatif.add_argument("--users", type=int, default=400,
-                        help="number of synthetic users (default: 400)")
-    whatif.add_argument("--days", type=float, default=5.0,
-                        help="trace duration in days (default: 5)")
-    whatif.add_argument("--seed", type=int, default=2014,
-                        help="random seed (default: 2014)")
-    whatif.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the one sharded replay "
-                             "(default: 1)")
+    _add_workload_options(whatif)
     whatif.add_argument("--delta-factor", type=float, default=0.05,
                         help="delta-update upload size factor (default: 0.05)")
     whatif.add_argument("--tier-age-days", type=float, default=1.0,
@@ -180,15 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faultsweep", help="replay once through a faulted cluster, then "
                            "sweep mitigation policies offline over the "
                            "faulted trace")
-    faultsweep.add_argument("--users", type=int, default=400,
-                            help="number of synthetic users (default: 400)")
-    faultsweep.add_argument("--days", type=float, default=5.0,
-                            help="trace duration in days (default: 5)")
-    faultsweep.add_argument("--seed", type=int, default=2014,
-                            help="random seed (default: 2014)")
-    faultsweep.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for the one sharded "
-                                 "replay (default: 1)")
+    _add_workload_options(faultsweep)
     faultsweep.add_argument("--detection-seconds", type=float, default=60.0,
                             help="operator reaction delay of the drain/"
                                  "disable policies (default: 60)")
@@ -280,15 +270,29 @@ def _write_json_artifact(path: Path, payload, out) -> int:
     return 0
 
 
-def _build_dataset(args: argparse.Namespace, out=None) -> TraceDataset:
-    config = WorkloadConfig.scaled(users=args.users, days=args.days, seed=args.seed)
-    generator = SyntheticTraceGenerator(config)
-    cluster = U1Cluster(ClusterConfig(seed=args.seed))
+def _replay(args: argparse.Namespace, out=None, *,
+            faulted: bool = False) -> tuple[U1Cluster, TraceDataset]:
+    """Plan the --users/--days/--seed workload and replay it.
+
+    ``faulted`` replays through :func:`~repro.faults.spec.default_fault_plan`
+    over the trace window.  With ``out``, a checkpointed run prints how
+    many shards it resumed and executed there.
+    """
+    config = WorkloadConfig.scaled(users=args.users, days=args.days,
+                                   seed=args.seed)
+    faults = None
+    if faulted:
+        from repro.faults.spec import default_fault_plan
+        from repro.util.units import DAY
+
+        faults = default_fault_plan(config.start_time, args.days * DAY,
+                                    seed=args.seed)
+    cluster = U1Cluster(ClusterConfig(seed=args.seed, faults=faults))
     # Fused pipeline: plan globally, materialize inside the replay workers.
-    dataset = cluster.replay_plan(generator.plan(),
-                                  n_jobs=getattr(args, "jobs", 1),
+    dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
+                                  n_jobs=args.jobs,
                                   **_checkpoint_kwargs(args))
-    if out is not None and getattr(args, "checkpoint_dir", None) is not None:
+    if out is not None and args.checkpoint_dir is not None:
         stats = cluster.last_replay_stats or {}
         print(f"checkpoint: resumed {len(stats.get('shards_resumed', []))} "
               f"shard(s), executed {len(stats.get('completion_order', []))} "
@@ -296,7 +300,7 @@ def _build_dataset(args: argparse.Namespace, out=None) -> TraceDataset:
         if stats.get("checkpoint_disabled"):
             print("checkpoint: degraded to in-memory "
                   f"({stats['checkpoint_disabled']})", file=out)
-    return dataset
+    return cluster, dataset
 
 
 def _maybe_validate(dataset: TraceDataset, args: argparse.Namespace) -> int:
@@ -315,7 +319,7 @@ def _maybe_validate(dataset: TraceDataset, args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace, out) -> int:
-    dataset = _build_dataset(args, out)
+    _, dataset = _replay(args, out)
     status = _maybe_validate(dataset, args)
     if status:
         return status  # do not write a trace that failed validation
@@ -347,7 +351,7 @@ def _command_summarize(args: argparse.Namespace, out) -> int:
 
 
 def _command_report(args: argparse.Namespace, out) -> int:
-    dataset = _build_dataset(args, out)
+    _, dataset = _replay(args, out)
     status = _maybe_validate(dataset, args)
     if status:
         return status
@@ -361,13 +365,8 @@ def _command_whatif(args: argparse.Namespace, out) -> int:
     from repro.util.units import DAY
     from repro.whatif.sweep import run_sweep
 
-    config = WorkloadConfig.scaled(users=args.users, days=args.days,
-                                   seed=args.seed)
-    cluster = U1Cluster(ClusterConfig(seed=args.seed))
     started = time.perf_counter()
-    dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
-                                  n_jobs=args.jobs,
-                                  **_checkpoint_kwargs(args))
+    cluster, dataset = _replay(args)
     replay_seconds = time.perf_counter() - started
 
     # The dataset goes in un-decoded: the sweep timing then covers the
@@ -399,19 +398,10 @@ def _command_whatif(args: argparse.Namespace, out) -> int:
 def _command_faultsweep(args: argparse.Namespace, out) -> int:
     import time
 
-    from repro.faults.spec import default_fault_plan
     from repro.faults.sweep import run_fault_sweep
-    from repro.util.units import DAY
 
-    config = WorkloadConfig.scaled(users=args.users, days=args.days,
-                                   seed=args.seed)
-    plan = default_fault_plan(config.start_time, args.days * DAY,
-                              seed=args.seed)
-    cluster = U1Cluster(ClusterConfig(seed=args.seed, faults=plan))
     started = time.perf_counter()
-    dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
-                                  n_jobs=args.jobs,
-                                  **_checkpoint_kwargs(args))
+    cluster, dataset = _replay(args, faulted=True)
     replay_seconds = time.perf_counter() - started
 
     # The dataset goes in un-decoded: the sweep timing then covers the

@@ -326,19 +326,16 @@ class FaultInjector:
     """Per-shard runtime face of a schedule: decisions plus counters.
 
     The schedule is shared and immutable; the accounting is this shard's
-    own (or, for the interactive cluster processes, the cluster-level
-    instance passed in).
+    own (the cluster merges every shard's after a replay).
     """
 
     __slots__ = ("schedule", "policy", "accounting")
 
     def __init__(self, schedule: FaultSchedule,
-                 policy: MitigationPolicy | None = None,
-                 accounting: FaultAccounting | None = None):
+                 policy: MitigationPolicy | None = None):
         self.schedule = schedule
         self.policy = policy
-        self.accounting = accounting if accounting is not None \
-            else FaultAccounting()
+        self.accounting = FaultAccounting()
 
     def check_request(self, ts: float, user_id: int, session_id: int,
                       mutating: bool, transfer_hash: str,

@@ -75,8 +75,10 @@ __all__ = [
 
 #: Bump when the checkpoint layout changes: old files then silently miss
 #: (the format also feeds :func:`run_key`, so old *directories* are never
-#: even visited).  2 = JSON metadata blob + write-ahead manifest (PR 8).
-CHECKPOINT_FORMAT = 2
+#: even visited).  2 = JSON metadata blob + write-ahead manifest;
+#: 3 = process counters carry their address, and the replay sub-phase
+#: seconds are stored.
+CHECKPOINT_FORMAT = 3
 _FORMAT = CHECKPOINT_FORMAT
 
 #: Version of the ``MANIFEST.json`` schema itself.
@@ -187,9 +189,11 @@ def _pack_outcome(outcome) -> bytes:
         "n_events": int(outcome.n_events),
         "ipc_bytes": int(outcome.ipc_bytes),
         "process_counters": {
-            int(index): [int(handled), int(pushed), int(calls), float(busy)]
-            for index, (handled, pushed, calls, busy)
-            in outcome.process_counters.items()},
+            int(index): [totals.address.server, int(totals.address.process),
+                         int(totals.requests_handled),
+                         int(totals.notifications_pushed),
+                         int(totals.rpc_calls), float(totals.rpc_busy_time)]
+            for index, totals in outcome.process_counters.items()},
         "gateway_totals": {int(index): int(count)
                            for index, count in outcome.gateway_totals.items()},
         "store_summary": [[int(value) for value in row]
@@ -200,6 +204,9 @@ def _pack_outcome(outcome) -> bytes:
                    if outcome.faults is not None else None),
         "gc_sweeps": int(outcome.gc_sweeps),
         "timeline_end": float(outcome.timeline_end),
+        "block_build_seconds": float(outcome.block_build_seconds),
+        "dispatch_seconds": float(outcome.dispatch_seconds),
+        "pack_seconds": float(outcome.pack_seconds),
         "counts": counts,
         "categories": categories,
     }
@@ -218,7 +225,8 @@ def _unpack_outcome(payload: bytes):
     untrusted checkpoint bytes can fail to parse but never execute code.
     """
     from repro.backend.datastore import StorageAccounting
-    from repro.backend.replay_shard import ShardOutcome
+    from repro.backend.gateway import ProcessAddress
+    from repro.backend.replay_shard import ProcessTotals, ShardOutcome
     from repro.faults.accounting import FaultAccounting
 
     with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
@@ -245,8 +253,9 @@ def _unpack_outcome(payload: bytes):
         n_events=meta["n_events"],
         ipc_bytes=meta["ipc_bytes"],
         process_counters={
-            int(index): (int(row[0]), int(row[1]), int(row[2]),
-                         float(row[3]))
+            int(index): ProcessTotals(
+                ProcessAddress(str(row[0]), int(row[1])), int(row[2]),
+                int(row[3]), int(row[4]), float(row[5]))
             for index, row in meta["process_counters"].items()},
         gateway_totals={int(index): int(count)
                         for index, count in meta["gateway_totals"].items()},
@@ -258,7 +267,10 @@ def _unpack_outcome(payload: bytes):
         faults=(_accounting_from_json(FaultAccounting, meta["faults"])
                 if meta["faults"] is not None else None),
         gc_sweeps=meta["gc_sweeps"],
-        timeline_end=meta["timeline_end"])
+        timeline_end=meta["timeline_end"],
+        block_build_seconds=meta["block_build_seconds"],
+        dispatch_seconds=meta["dispatch_seconds"],
+        pack_seconds=meta["pack_seconds"])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.backend.api_server import ApiServerProcess, SessionRegistry
 from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
-from repro.backend.latency import ServiceTimeModel
+from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.cluster import ClusterConfig
 from repro.backend.metadata_store import (
     ShardedMetadataStore,
@@ -50,7 +50,8 @@ def _build_process(dedup_enabled=True, delta_updates_enabled=False,
     auth = AuthenticationService(rng=np.random.default_rng(seed), failure_fraction=0.0)
     bus = NotificationBus()
     registry = SessionRegistry()
-    latency = ServiceTimeModel(np.random.default_rng(seed), n_shards=n_shards)
+    latency = ServiceTimeModel(np.random.default_rng(seed),
+                               shard_skew_factors(seed, n_shards))
     worker = RpcWorker(0, store, latency, sink)
     process = ApiServerProcess(
         address=ProcessAddress("api0", 0), rpc_worker=worker, object_store=objects,

@@ -54,16 +54,6 @@ class TestTokens:
             AuthenticationService(failure_fraction=1.0)
 
 
-class TestBanning:
-    def test_banned_user_cannot_authenticate(self, auth):
-        token = auth.token_for(9, 0.0)
-        auth.ban_user(9)
-        assert auth.is_banned(9)
-        with pytest.raises(AuthenticationError):
-            auth.validate(token.token, now=1.0)
-        with pytest.raises(AuthenticationError):
-            auth.issue_token(9, now=2.0)
-
 
 class TestTokenCache:
     def test_hit_and_miss_accounting(self):

@@ -6,7 +6,18 @@ from collections import Counter
 
 import pytest
 
+from repro.backend import (
+    api_server,
+    auth,
+    latency,
+    notifications,
+    rpc_server,
+    tracing,
+)
 from repro.backend.cluster import ClusterConfig, U1Cluster
+from repro.backend.replay_shard import ProcessTotals
+from repro.faults import runtime
+from repro.faults.spec import default_fault_plan
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
 from repro.workload.config import WorkloadConfig
 from repro.workload.events import EventBlock, SessionScript
@@ -38,6 +49,26 @@ class TestClusterConfig:
     def test_validation_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs).validate()
+
+
+class TestAssembly:
+    def test_only_replay_shards_build_servers(self, monkeypatch):
+        """A cluster keeps configuration and totals; the servers that serve
+        requests exist only inside replay shards."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built by U1Cluster")
+
+        for cls in (api_server.ApiServerProcess, api_server.SessionRegistry,
+                    rpc_server.RpcWorker, tracing.TraceSink,
+                    auth.AuthenticationService, notifications.NotificationBus,
+                    latency.ServiceTimeModel, runtime.FaultInjector):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        config = ClusterConfig(seed=3, faults=default_fault_plan(0.0, 3600.0))
+        cluster = U1Cluster(config)
+        assert cluster.processes == [ProcessTotals(address)
+                                     for address in config.process_addresses()]
+        assert cluster.shard_factors == latency.shard_skew_factors(
+            3, config.metadata_shards, config.latency)
 
 
 class TestReplayHandCraftedScripts:
@@ -111,7 +142,7 @@ class TestReplaySyntheticWorkload:
         cluster, dataset = simulated_cluster_and_dataset
         handled = sum(p.requests_handled for p in cluster.processes)
         assert handled == len(dataset.storage)
-        assert sum(p._rpc.calls_executed for p in cluster.processes) == len(dataset.rpc)
+        assert sum(p.rpc_calls for p in cluster.processes) == len(dataset.rpc)
 
     def test_dedup_disabled_increases_stored_bytes(self):
         config = WorkloadConfig.scaled(users=120, days=2, seed=5)

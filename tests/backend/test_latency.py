@@ -5,13 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.latency import DEFAULT_MEDIANS_MS, LatencyParameters, ServiceTimeModel
+from repro.backend.latency import (
+    DEFAULT_MEDIANS_MS,
+    LatencyParameters,
+    ServiceTimeModel,
+    shard_skew_factors,
+)
 from repro.trace.records import RpcName
 
 
 @pytest.fixture
 def model(rng) -> ServiceTimeModel:
-    return ServiceTimeModel(rng)
+    return ServiceTimeModel(rng, shard_skew_factors(0, 10))
 
 
 class TestServiceTimeModel:
@@ -45,12 +50,14 @@ class TestServiceTimeModel:
         assert ordering[-1] is RpcName.DELETE_VOLUME
 
     def test_custom_medians_override(self, rng):
-        model = ServiceTimeModel(rng, medians_ms={RpcName.GET_NODE: 100.0})
+        model = ServiceTimeModel(rng, shard_skew_factors(0, 10),
+                                 medians_ms={RpcName.GET_NODE: 100.0})
         assert model._median_seconds[RpcName.GET_NODE] == pytest.approx(0.1)
 
     def test_shard_skew_is_bounded(self, rng):
-        model = ServiceTimeModel(rng, parameters=LatencyParameters(shard_skew=0.05,
-                                                                   tail_probability=0.0))
+        parameters = LatencyParameters(shard_skew=0.05, tail_probability=0.0)
+        model = ServiceTimeModel(rng, shard_skew_factors(0, 10, parameters),
+                                 parameters=parameters)
         per_shard = []
         for shard in range(10):
             samples = [model.sample(RpcName.GET_NODE, shard) for _ in range(500)]

@@ -27,7 +27,7 @@ from repro.backend.auth import AuthenticationService
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
-from repro.backend.latency import ServiceTimeModel
+from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
 from repro.backend.replay_shard import ReplayShard, UploadJobCollector
@@ -285,7 +285,7 @@ def _replay_one_shard(config: ClusterConfig, scripts) -> None:
     with _row_reference():
         shard = ReplayShard(config, 0,
                             list(enumerate(config.process_addresses())),
-                            U1Cluster(config).latency.shard_factors,
+                            U1Cluster(config).shard_factors,
                             fault_schedule=schedule)
         outcome = shard.run(scripts)
     _assert_outcome_equals_reference(shard, outcome)
@@ -316,7 +316,7 @@ class TestGatheredBlocksEqualRowReference:
         with _row_reference():
             shard = ReplayShard(config, 0,
                                 list(enumerate(config.process_addresses())),
-                                U1Cluster(config).latency.shard_factors)
+                                U1Cluster(config).shard_factors)
             outcome = shard.run(scripts)
         gc_rows = sum(1 for request in shard.sink.rpc_requests
                       if request[5] is None)
@@ -361,7 +361,8 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
     with _row_reference():
         sink = _RecordingSink()
         store = ShardedMetadataStore(n_shards=2)
-        latency = ServiceTimeModel(np.random.default_rng(0), n_shards=2)
+        latency = ServiceTimeModel(np.random.default_rng(0),
+                                   shard_skew_factors(0, 2))
         bus = NotificationBus()
         registry = SessionRegistry()
         auth = AuthenticationService(rng=np.random.default_rng(0),

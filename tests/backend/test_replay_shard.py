@@ -83,10 +83,7 @@ class TestJobCountEquivalence:
     def test_cluster_counters_identical_across_job_counts(self, replays, jobs):
         sequential_cluster, _ = replays[1]
         parallel_cluster, _ = replays[jobs]
-        assert ([p.requests_handled for p in sequential_cluster.processes]
-                == [p.requests_handled for p in parallel_cluster.processes])
-        assert ([p._rpc.calls_executed for p in sequential_cluster.processes]
-                == [p._rpc.calls_executed for p in parallel_cluster.processes])
+        assert sequential_cluster.processes == parallel_cluster.processes
         assert (sequential_cluster.gateway.total_assigned()
                 == parallel_cluster.gateway.total_assigned())
         assert (sequential_cluster.metadata_store.users_per_shard()
@@ -172,7 +169,7 @@ class TestShardedStateAbsorption:
         cluster, dataset = _replay(_plan(seed=21, users=60), 2, seed=21)
         assert sum(p.requests_handled for p in cluster.processes) \
             == len(dataset.storage)
-        assert sum(p._rpc.calls_executed for p in cluster.processes) == len(dataset.rpc)
+        assert sum(p.rpc_calls for p in cluster.processes) == len(dataset.rpc)
         assert all(v == 0 for v in cluster.gateway._open_connections.values())
         assert sum(cluster.gateway.total_assigned().values()) > 0
         assert sum(cluster.metadata_store.users_per_shard()) > 0
@@ -334,15 +331,15 @@ class TestColumnarOutcome:
         # Re-run one shard directly to inspect its outcome payload.
         from repro.backend.replay_shard import (
             PlannedShardWorkload,
+            process_slices,
             run_shards_supervised,
         )
         n_shards = cluster.config.effective_replay_shards()
-        addresses, assignments = cluster._shard_assignments(n_shards)
         workloads = [PlannedShardWorkload(plan, members)
                      for members in partition_members(plan, n_shards)]
         outcomes, _, _ = run_shards_supervised(
-            cluster.config, assignments, cluster.latency.shard_factors,
-            workloads)
+            cluster.config, process_slices(cluster.config),
+            cluster.shard_factors, workloads)
         assert any(outcome.n_events for outcome in outcomes)
         for outcome in outcomes:
             for block in (outcome.storage, outcome.rpc, outcome.sessions):

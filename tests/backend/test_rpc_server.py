@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.latency import ServiceTimeModel
+from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
@@ -21,7 +21,8 @@ from repro.trace.records import ApiOperation, RpcName
 def worker():
     sink = TraceSink()
     store = ShardedMetadataStore(n_shards=4)
-    latency = ServiceTimeModel(np.random.default_rng(0), n_shards=4)
+    latency = ServiceTimeModel(np.random.default_rng(0),
+                               shard_skew_factors(0, 4))
     return RpcWorker(worker_id=0, store=store, latency=latency, sink=sink), sink
 
 

@@ -23,9 +23,11 @@ from repro.backend.supervisor import (
     SupervisorPolicy,
     supervise_shards,
 )
+from repro.faults.spec import default_fault_plan
 from repro.trace.validate import validate_dataset
 from repro.util.checkpoint import CheckpointStore
 from repro.util.lifecycle import RunInterrupted, ShutdownController
+from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 
@@ -43,6 +45,20 @@ def _replay_plan(plan, n_jobs: int, seed: int = 11, **kwargs):
 
 
 _FAST = SupervisorPolicy(backoff_base=0.0)
+
+
+def _fleet_counters(cluster) -> dict:
+    """Every counter a cluster keeps across replays."""
+    return {
+        "processes": cluster.processes,
+        "gateway": cluster.gateway.total_assigned(),
+        "accounting": cluster.object_store.accounting,
+        "objects": len(cluster.object_store),
+        "users_per_shard": cluster.metadata_store.users_per_shard(),
+        "write_rejections":
+            cluster.metadata_store.write_rejections_per_shard(),
+        "faults": cluster.fault_accounting.as_dict(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +209,7 @@ class TestChaosRecovery:
 class TestCheckpointResume:
     def test_resume_skips_finished_shards(self, tmp_path):
         plan = _plan()
-        _, undisturbed = _replay_plan(plan, n_jobs=2)
+        undisturbed_cluster, undisturbed = _replay_plan(plan, n_jobs=2)
         cluster, first = _replay_plan(plan, n_jobs=2,
                                       checkpoint_dir=tmp_path)
         n_shards = cluster.last_replay_stats["n_shards"]
@@ -211,6 +227,29 @@ class TestCheckpointResume:
         assert stats["completion_order"] == []
         assert resumed.content_digest() == undisturbed.content_digest()
         assert resumed == first
+        # The fleet counters come from the shard summaries only, so the
+        # checkpoints must carry every one of them.
+        assert _fleet_counters(resumed_cluster) == \
+            _fleet_counters(undisturbed_cluster)
+
+    def test_resume_keeps_fault_counters(self, tmp_path):
+        config = WorkloadConfig.scaled(users=50, days=0.5, seed=11)
+        faults = default_fault_plan(config.start_time, 0.5 * DAY, seed=11)
+        plan = SyntheticTraceGenerator(config).plan()
+
+        def replay(**kwargs):
+            cluster = U1Cluster(ClusterConfig(seed=11, faults=faults))
+            return cluster, cluster.replay_plan(plan, **kwargs)
+
+        undisturbed_cluster, undisturbed = replay()
+        replay(checkpoint_dir=tmp_path)
+        resumed_cluster, resumed = replay(checkpoint_dir=tmp_path,
+                                          resume=True)
+        assert resumed_cluster.last_replay_stats["completion_order"] == []
+        assert resumed.content_digest() == undisturbed.content_digest()
+        assert undisturbed_cluster.fault_accounting  # the windows fired
+        assert _fleet_counters(resumed_cluster) == \
+            _fleet_counters(undisturbed_cluster)
 
     def test_partial_checkpoints_reexecute_only_missing(self, tmp_path):
         plan = _plan()

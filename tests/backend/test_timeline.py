@@ -21,7 +21,7 @@ from repro.backend.api_server import ApiServerProcess, SessionRegistry
 from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
-from repro.backend.latency import ServiceTimeModel
+from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
 from repro.backend.protocol.entities import SessionHandle
@@ -215,7 +215,8 @@ class TestFanOut:
                                      failure_fraction=0.0)
         bus = NotificationBus()
         registry = SessionRegistry()
-        latency = ServiceTimeModel(np.random.default_rng(0), n_shards=2)
+        latency = ServiceTimeModel(np.random.default_rng(0),
+                                   shard_skew_factors(0, 2))
         processes = [
             ApiServerProcess(
                 address=address, rpc_worker=RpcWorker(i, store, latency, sink),

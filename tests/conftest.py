@@ -120,7 +120,7 @@ def replay_scripts(config: ClusterConfig, scripts):
                              n_shards=config.metadata_shards)
                 if config.faults is not None else None)
     shard = ReplayShard(config, 0, list(enumerate(addresses)),
-                        U1Cluster(config).latency.shard_factors,
+                        U1Cluster(config).shard_factors,
                         fault_schedule=schedule)
     outcome = shard.run(scripts)
     dataset = TraceDataset.from_sorted_blocks(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,9 @@ import pytest
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.replay_shard import (
     PlannedShardWorkload,
+    ShardOutcome,
     partition_members,
+    process_slices,
     run_shards_supervised,
 )
 from repro.util.atomicio import atomic_write_bytes, atomic_write_json
@@ -37,10 +40,9 @@ def _outcomes(seed: int = 5, users: int = 30, days: float = 0.5):
     n_shards = cluster.config.effective_replay_shards()
     workloads = [PlannedShardWorkload(plan, members)
                  for members in partition_members(plan, n_shards)]
-    _, assignments = cluster._shard_assignments(n_shards)  # noqa: SLF001
     outcomes, _, _ = run_shards_supervised(
-        cluster.config, assignments, cluster.latency.shard_factors,
-        workloads, n_jobs=1)
+        cluster.config, process_slices(cluster.config),
+        cluster.shard_factors, workloads, n_jobs=1)
     return cluster.config, workloads, outcomes
 
 
@@ -131,7 +133,7 @@ class TestRunKeyReference:
         workloads = [PlannedShardWorkload(plan, members)
                      for members in partition_members(
                          plan, n_shards,
-                         cluster._processes_per_shard(n_shards))]  # noqa: SLF001
+                         len(process_slices(cluster.config)[0]))]
         events = telemetry.read_events(tmp_path / telemetry.EVENTS_NAME)
         assert events[0]["event"] == "run-start"
         assert events[0]["run_key"] == \
@@ -146,22 +148,24 @@ class TestCheckpointStore:
         store.save(original)
         loaded = store.load(original.shard_id)
         assert loaded is not None
-        assert loaded.shard_id == original.shard_id
-        assert loaded.n_events == original.n_events
-        assert loaded.process_counters == original.process_counters
-        assert loaded.gateway_totals == original.gateway_totals
-        assert loaded.object_count == original.object_count
-        assert loaded.timeline_end == original.timeline_end
-        for stream in ("storage", "rpc", "sessions"):
+        streams = ("storage", "rpc", "sessions")
+        for spec in dataclasses.fields(ShardOutcome):
+            if spec.name not in streams:
+                assert getattr(loaded, spec.name) == \
+                    getattr(original, spec.name), spec.name
+        assert original.process_counters and original.block_build_seconds
+        for stream in streams:
             a, b = getattr(loaded, stream), getattr(original, stream)
             assert a.n == b.n
             assert set(a.cols) == set(b.cols)
             for name in a.cols:
-                assert (a.cols[name] == b.cols[name]).all()
+                assert a.cols[name].dtype == b.cols[name].dtype, name
+                assert np.array_equal(a.cols[name], b.cols[name]), name
             assert set(a.codes) == set(b.codes)
             for name in a.codes:
-                assert (a.codes[name][0] == b.codes[name][0]).all()
-                assert a.codes[name][1] == b.codes[name][1]
+                assert a.codes[name][0].dtype == b.codes[name][0].dtype
+                assert np.array_equal(a.codes[name][0], b.codes[name][0])
+                assert list(a.codes[name][1]) == list(b.codes[name][1])
 
     def test_missing_and_corrupt_reads_as_absent(self, tmp_path):
         config, workloads, outcomes = _outcomes()

@@ -11,6 +11,7 @@ from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.replay_shard import (
     PlannedShardWorkload,
     partition_members,
+    process_slices,
     run_shards_supervised,
 )
 from repro.util.checkpoint import CheckpointStore, run_inputs_summary, run_key
@@ -29,10 +30,9 @@ def completed_run(tmp_path_factory):
     n_shards = cluster.config.effective_replay_shards()
     workloads = [PlannedShardWorkload(plan, members)
                  for members in partition_members(plan, n_shards)]
-    _, assignments = cluster._shard_assignments(n_shards)  # noqa: SLF001
     outcomes, _, _ = run_shards_supervised(
-        cluster.config, assignments, cluster.latency.shard_factors,
-        workloads, n_jobs=1)
+        cluster.config, process_slices(cluster.config),
+        cluster.shard_factors, workloads, n_jobs=1)
     store = CheckpointStore(root, run_key(cluster.config, workloads),
                             n_shards=n_shards,
                             inputs=run_inputs_summary(cluster.config,
