@@ -145,10 +145,6 @@ class ApiServerProcess:
         self._server = address.server
         self._process = address.process
         self._objects = object_store
-        # Tiered stores need per-access timestamps for their idle clocks;
-        # the download's inlined object-store accounting skips that
-        # bookkeeping, so it is only used on classic single-tier stores.
-        self._tiered = object_store.tiering is not None
         self._auth = auth
         # The bus holds this process's bound deliver_notification, so a
         # strong reference back would close a process -> bus -> process
@@ -408,7 +404,7 @@ class ApiServerProcess:
                     shard.make_content(node_id, content_hash, size_bytes,
                                        timestamp)
             if content_hash and content_hash not in objects:
-                objects.put(content_hash, size_bytes, now=timestamp)
+                objects.put(content_hash, size_bytes)
             # Inlined RpcWorker.execute_one(GET_NODE): pooled factor draw,
             # DAL touch, worker counters, RPC row provenance.
             worker = self._rpc
@@ -432,14 +428,11 @@ class ApiServerProcess:
             worker._rpc_shard(shard_id)
             worker._rpc_service(service_time)
             if content_hash:
-                if self._tiered:
-                    objects.get(content_hash, now=timestamp)
-                else:
-                    # Inlined ObjectStore.get() accounting.
-                    accounting = objects.accounting
-                    accounting.get_requests += 1
-                    accounting.bytes_downloaded += \
-                        objects._objects[content_hash]  # noqa: SLF001
+                # Inlined ObjectStore.get() accounting.
+                accounting = objects.accounting
+                accounting.get_requests += 1
+                accounting.bytes_downloaded += \
+                    objects._objects[content_hash]  # noqa: SLF001
         else:
             context = self._request_context
             context.timestamp = timestamp
@@ -492,9 +485,9 @@ class ApiServerProcess:
                         shard.get_reusable_content, content_hash)
         job = None
         if self._dedup_enabled and content_hash and content_hash in objects:
-            objects.link(content_hash, now=timestamp)
+            objects.link(content_hash)
         elif size <= objects.chunk_bytes:
-            objects.put(storage_key, size, now=timestamp)
+            objects.put(storage_key, size)
         else:
             # Multipart upload through the uploadjob state machine
             # (Appendix A).
@@ -524,8 +517,7 @@ class ApiServerProcess:
             if interrupted:
                 objects.abort_multipart(multipart_id)
                 return False
-            objects.complete_multipart(multipart_id, storage_key,
-                                       now=timestamp)
+            objects.complete_multipart(multipart_id, storage_key)
         rpc.execute(RpcName.MAKE_CONTENT, context, shard.make_content,
                     node_id, content_hash, size_bytes, timestamp)
         if job is not None:
@@ -538,7 +530,7 @@ class ApiServerProcess:
         node = self._rpc.execute(RpcName.UNLINK_NODE, context,
                                  shard.unlink_node, row[2])
         if node is not None and node.content_hash:
-            self._objects.unlink(node.content_hash, now=context.timestamp)
+            self._objects.unlink(node.content_hash)
         return True
 
     def _handle_move(self, user_id: int, row: tuple, context: RpcContext,
@@ -566,7 +558,7 @@ class ApiServerProcess:
                                     shard.delete_volume, user_id, row[3])
         for node in removed:
             if node.content_hash:
-                self._objects.unlink(node.content_hash, now=context.timestamp)
+                self._objects.unlink(node.content_hash)
         return True
 
     def _handle_get_delta(self, user_id: int, row: tuple, context: RpcContext,

@@ -36,7 +36,6 @@ from repro.trace.dataset import TraceDataset
 from repro.util import telemetry
 from repro.util.units import DAY
 from repro.whatif.costs import StorageCostModel
-from repro.whatif.tiering import TieringPolicy
 
 __all__ = ["ClusterConfig", "U1Cluster"]
 
@@ -92,11 +91,6 @@ class ClusterConfig:
     replay_shards: int = 8
     #: Service-time distribution shape.
     latency: LatencyParameters = field(default_factory=LatencyParameters)
-    #: Hot/cold tiering policy of the object store (Section 9 what-ifs);
-    #: ``None`` keeps the classic single-tier store.  Tier state is
-    #: per-replay-shard, like the dedup state (see the replay-shard module
-    #: docstring); ``replay_shards=1`` recovers a single global tier clock.
-    tiering: TieringPolicy | None = None
     #: Storage cost model used for bill estimates (the historical hardcoded
     #: ``$0.03/GB-month`` hot rate lives here now).
     cost_model: StorageCostModel = field(default_factory=StorageCostModel)
@@ -146,8 +140,6 @@ class ClusterConfig:
             raise ValueError("multipart_chunk_bytes must be positive")
         if self.replay_shards <= 0:
             raise ValueError("replay_shards must be positive")
-        if self.tiering is not None:
-            self.tiering.validate()
         self.cost_model.validate()
         if self.faults is not None:
             self.faults.validate(
@@ -191,8 +183,7 @@ class U1Cluster:
         # Fleet counters, summed over every replay's shard summaries.
         self.metadata_store = ShardedMetadataStore(
             n_shards=self.config.metadata_shards)
-        self.object_store = ObjectStore(chunk_bytes=self.config.multipart_chunk_bytes,
-                                        tiering=self.config.tiering)
+        self.object_store = ObjectStore(chunk_bytes=self.config.multipart_chunk_bytes)
         self.gateway = LoadBalancer(addresses)
         #: Per-process totals, in :meth:`ClusterConfig.process_addresses`
         #: order.
@@ -360,16 +351,15 @@ class U1Cluster:
             "merge_seconds": merge_seconds,
             "replay_seconds": time.perf_counter() - started,
             "gc_sweeps": sum(outcome.gc_sweeps for outcome in outcomes),
-            #: Last timeline timestamp across the shards — the instant the
-            #: per-shard ``finalize_tiers`` sweeps (and any offline what-if
-            #: wanting to match them) measure idle time against.
+            #: Last timeline timestamp across the shards — the end instant
+            #: the offline what-if sweep measures idle time against.
             "timeline_end": max((outcome.timeline_end for outcome in outcomes),
                                 default=0.0),
             #: Fault-exposure counters of *this* replay (merged across the
             #: replay shards; empty dict values on a healthy cluster), the
             #: per-replay-shard breakdown, and the mutations each metadata
-            #: shard rejected while read-only — surfaced here the same way
-            #: the tier counters are, so callers never reach into shards.
+            #: shard rejected while read-only — surfaced here so callers
+            #: never reach into shards.
             "fault_counters": replay_faults.as_dict(),
             "shard_fault_counters": [
                 outcome.faults.as_dict() if outcome.faults is not None else {}

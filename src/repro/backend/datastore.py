@@ -7,31 +7,23 @@ the uploadjob machinery drives, and tracks the accounting figures the paper
 discusses (bytes stored, bytes transferred, per-month storage bill estimate,
 savings from file-level deduplication).
 
-Tiered storage (Section 9)
---------------------------
-Passing a :class:`~repro.whatif.tiering.TieringPolicy` turns the store into
-a two-tier (hot/cold) store: new objects are admitted hot, objects idle for
-longer than the policy's age threshold migrate to cold, an optional hot-tier
-byte budget evicts (LRU/LFU/size-aware) into cold, and touched cold objects
-optionally promote back.  Demotions are *lazily realised* at the object's
-next touch (or at :meth:`ObjectStore.finalize_tiers`), which keeps every
-tier counter a pure function of the access sequence — the property the
-offline what-if simulator (:mod:`repro.whatif.simulator`) relies on to
-reproduce a live tiered replay exactly.  All tier/retrieval counters live in
-:class:`StorageAccounting` and merge through the existing counter-summary
-path, so they stay correct under the sharded replay at any ``--jobs``.
+Tier counters (Section 9)
+-------------------------
+:class:`StorageAccounting` carries hot/cold tier fields, but this store
+never moves an object between tiers: hot/cold tiering is an offline
+what-if only.  :mod:`repro.whatif.simulator` drives the what-if
+``TierEngine`` from the tier events its metadata pass records and writes
+the engine's counters into a copy of the untiered accounting.  On a live replay the tier fields stay 0.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
 from repro.backend.errors import InvalidTransitionError, UnknownContentError
 from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.whatif.costs import StorageCostModel
-from repro.whatif.tiering import TieringPolicy
 
 __all__ = ["ObjectStore", "MultipartUpload", "StorageAccounting"]
 
@@ -72,9 +64,9 @@ class StorageAccounting:
     delete_requests: int = 0
     dedup_hits: int = 0
     # ------------------------------------------------- tiering (Section 9)
-    #: Bytes currently resident in the hot tier (0 when tiering is off —
-    #: ``bytes_stored - cold_bytes`` is the billable hot occupancy either
-    #: way, which keeps the flat-rate cost estimate backward compatible).
+    #: Bytes resident in the hot tier.  Only a what-if outcome sets the
+    #: tier fields; a live store leaves them 0, and ``bytes_stored -
+    #: cold_bytes`` is the billable hot occupancy either way.
     hot_bytes: int = 0
     #: Bytes currently resident in the cold tier.
     cold_bytes: int = 0
@@ -106,8 +98,8 @@ class StorageAccounting:
     def hot_hit_rate(self) -> float:
         """Fraction of downloads served from the hot tier.
 
-        1.0 when nothing was ever downloaded (or tiering is off): every
-        download an untier-ed store serves is by definition hot.
+        1.0 when nothing was ever downloaded (or on a single-tier store,
+        which counts no tier hits): every download it serves is hot.
         """
         total = self.hot_hits + self.cold_hits
         return self.hot_hits / total if total else 1.0
@@ -151,52 +143,19 @@ class ObjectStore:
 
     Contents are keyed by their (client-provided SHA-1) hash; multiple nodes
     across users may reference the same content, which is exactly the
-    file-level cross-user deduplication U1 applies.  With a
-    :class:`~repro.whatif.tiering.TieringPolicy` the store additionally
-    tracks hot/cold tier residency per object (see the module docstring);
-    the ``now`` arguments of the mutating methods drive the idle clocks and
-    are ignored when tiering is off.
+    file-level cross-user deduplication U1 applies.
     """
 
-    def __init__(self, chunk_bytes: int = UPLOAD_CHUNK_BYTES,
-                 tiering: TieringPolicy | None = None):
+    def __init__(self, chunk_bytes: int = UPLOAD_CHUNK_BYTES):
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if tiering is not None:
-            tiering.validate()
         self._chunk_bytes = chunk_bytes
-        self._tiering = tiering
         self._objects: dict[str, int] = {}
         self._refcounts: dict[str, int] = {}
         self._multiparts: dict[str, MultipartUpload] = {}
         self._multipart_ids = itertools.count(1)
         self._absorbed_objects = 0
         self.accounting = StorageAccounting()
-        # Per-object tier state (only maintained when tiering is on).
-        self._cold: set = set()
-        self._last_access: dict = {}
-        self._access_count: dict = {}
-        self._admit_seq: dict = {}
-        self._seq = 0
-        # Lazy eviction heap of ``(metric, key)`` entries: one is pushed at
-        # every metric change of a hot object, and stale entries (metric no
-        # longer current, object gone or already cold) are skipped at pop
-        # time — amortised O(log n) per access instead of re-sorting every
-        # hot object on each overflow.  The metric tuples embed the unique
-        # admission sequence, so ordering is total and the heap pops in
-        # exactly the order a full eviction sort would produce.
-        self._evict_heap: list = []
-        if tiering is not None:
-            self._eviction_key = {
-                "lru": lambda key: (self._last_access[key],
-                                    self._admit_seq[key]),
-                "lfu": lambda key: (self._access_count[key],
-                                    self._last_access[key],
-                                    self._admit_seq[key]),
-                "size": lambda key: (-self._objects[key],
-                                     self._admit_seq[key]),
-            }[tiering.eviction]
-            self._track_eviction = tiering.hot_capacity_bytes is not None
 
     # ------------------------------------------------------------- queries
     def __contains__(self, content_hash: str) -> bool:
@@ -204,11 +163,6 @@ class ObjectStore:
 
     def __len__(self) -> int:
         return len(self._objects) + self._absorbed_objects
-
-    @property
-    def tiering(self) -> TieringPolicy | None:
-        """The tiering policy, or None for the classic single-tier store."""
-        return self._tiering
 
     def absorb_summary(self, n_objects: int,
                        accounting: StorageAccounting) -> None:
@@ -218,8 +172,8 @@ class ObjectStore:
         disjoint users, so cross-shard state never interacts during a run);
         workers ship back only ``(object count, accounting)`` summaries —
         cheap to pickle — and the cluster-level store absorbs them so
-        fleet-wide accounting (bytes stored, dedup hits, tier occupancy,
-        cost estimates) keeps working after a sharded replay.
+        fleet-wide accounting (bytes stored, dedup hits, cost estimates)
+        keeps working after a sharded replay.
         """
         self._absorbed_objects += n_objects
         self.accounting.merge(accounting)
@@ -231,132 +185,8 @@ class ObjectStore:
         except KeyError:
             raise UnknownContentError(content_hash) from None
 
-    # ---------------------------------------------------------------- tiers
-    def _tier_admit(self, key, size: int, now: float) -> None:
-        """A freshly stored object enters the hot tier."""
-        self.accounting.hot_bytes += size
-        self._last_access[key] = now
-        self._access_count[key] = 1
-        self._seq += 1
-        self._admit_seq[key] = self._seq
-        if self._track_eviction:
-            self._push_eviction(key)
-            self._enforce_hot_capacity()
-
-    def _push_eviction(self, key) -> None:
-        """Push a hot object's current eviction metric; compact stale debt.
-
-        Every touch leaves the previous entry stale, so the heap is rebuilt
-        from the live hot set once it outgrows it ~4x — keeping it O(hot
-        objects) instead of O(total accesses).
-        """
-        heap = self._evict_heap
-        hot_count = len(self._objects) - len(self._cold)
-        if len(heap) > 4 * hot_count + 64:
-            cold = self._cold
-            eviction_key = self._eviction_key
-            heap[:] = [(eviction_key(k), k) for k in self._objects
-                       if k not in cold]
-            heapq.heapify(heap)
-        else:
-            heapq.heappush(heap, (self._eviction_key(key), key))
-
-    def _tier_access(self, key, now: float, download: bool) -> None:
-        """Touch an existing object: realise lazy demotion, count the hit,
-        optionally promote, refresh the idle clock."""
-        policy = self._tiering
-        accounting = self.accounting
-        size = self._objects[key]
-        cold = key in self._cold
-        if not cold and now - self._last_access[key] > policy.age_threshold:
-            # The object went cold during the idle gap; realise it now.
-            self._demote(key, size)
-            cold = True
-        if download:
-            if cold:
-                accounting.cold_hits += 1
-                accounting.cold_retrieved_bytes += size
-            else:
-                accounting.hot_hits += 1
-        promote = cold and policy.promote_on_access
-        if promote:
-            self._promote(key, size)
-        self._last_access[key] = now
-        self._access_count[key] += 1
-        if self._track_eviction and (promote or not cold):
-            self._push_eviction(key)
-            if promote:
-                self._enforce_hot_capacity()
-
-    def _tier_remove(self, key, size: int, now: float) -> None:
-        """Drop an object's tier state when it is physically deleted."""
-        if key not in self._cold \
-                and now - self._last_access[key] > self._tiering.age_threshold:
-            self._demote(key, size)
-        if key in self._cold:
-            self.accounting.cold_bytes -= size
-            self._cold.discard(key)
-        else:
-            self.accounting.hot_bytes -= size
-        del self._last_access[key]
-        del self._access_count[key]
-        del self._admit_seq[key]
-
-    def _demote(self, key, size: int) -> None:
-        self._cold.add(key)
-        accounting = self.accounting
-        accounting.hot_bytes -= size
-        accounting.cold_bytes += size
-        accounting.migrated_cold_bytes += size
-        accounting.migrations += 1
-
-    def _promote(self, key, size: int) -> None:
-        self._cold.discard(key)
-        accounting = self.accounting
-        accounting.cold_bytes -= size
-        accounting.hot_bytes += size
-        accounting.migrated_hot_bytes += size
-        accounting.migrations += 1
-
-    def _enforce_hot_capacity(self) -> None:
-        """Demote hot objects in eviction order until the budget fits.
-
-        Pops the lazy heap; an entry is acted on only when its recorded
-        metric still matches the object's current eviction key (touches and
-        promotions push fresh entries, so the current key of every hot
-        object is always present).
-        """
-        capacity = self._tiering.hot_capacity_bytes
-        accounting = self.accounting
-        heap = self._evict_heap
-        objects = self._objects
-        cold = self._cold
-        while accounting.hot_bytes > capacity and heap:
-            metric, key = heapq.heappop(heap)
-            if key not in objects or key in cold:
-                continue  # deleted or already cold
-            if metric != self._eviction_key(key):
-                continue  # stale entry; a fresher one is in the heap
-            self._demote(key, objects[key])
-
-    def finalize_tiers(self, now: float) -> None:
-        """Realise the pending age-demotions at the end of a replay.
-
-        Objects idle for longer than the age threshold at time ``now`` are
-        demoted, so the final ``hot_bytes`` / ``cold_bytes`` split reflects
-        the whole observation window.  No-op without a tiering policy.
-        """
-        if self._tiering is None:
-            return
-        threshold = self._tiering.age_threshold
-        last_access = self._last_access
-        cold = self._cold
-        for key, size in self._objects.items():
-            if key not in cold and now - last_access[key] > threshold:
-                self._demote(key, size)
-
     # ---------------------------------------------------------- simple put
-    def put(self, content_hash: str, size_bytes: int, now: float = 0.0) -> bool:
+    def put(self, content_hash: str, size_bytes: int) -> bool:
         """Store a content in a single request (small files).
 
         Returns True when bytes actually had to be transferred, False when
@@ -369,43 +199,33 @@ class ObjectStore:
         self._refcounts[content_hash] = self._refcounts.get(content_hash, 0) + 1
         if content_hash in self._objects:
             self.accounting.dedup_hits += 1
-            if self._tiering is not None:
-                self._tier_access(content_hash, now, download=False)
             return False
         self._objects[content_hash] = size_bytes
         self.accounting.bytes_stored += size_bytes
         self.accounting.bytes_uploaded += size_bytes
-        if self._tiering is not None:
-            self._tier_admit(content_hash, size_bytes, now)
         return True
 
-    def link(self, content_hash: str, now: float = 0.0) -> None:
+    def link(self, content_hash: str) -> None:
         """Add a logical reference to an existing content (dedup hit)."""
         if content_hash not in self._objects:
             raise UnknownContentError(content_hash)
         self._refcounts[content_hash] = self._refcounts.get(content_hash, 0) + 1
         self.accounting.logical_bytes += self._objects[content_hash]
         self.accounting.dedup_hits += 1
-        if self._tiering is not None:
-            self._tier_access(content_hash, now, download=False)
 
-    def get(self, content_hash: str, now: float = 0.0) -> int:
+    def get(self, content_hash: str) -> int:
         """Download a content; returns the number of bytes transferred.
 
         NOTE: the accounting side effects (``get_requests``,
         ``bytes_downloaded``) are inlined in the download of
-        ``ApiServerProcess.handle_event``; keep both in sync.  (A tiered
-        store's download calls this method: it needs the tier bookkeeping
-        below.)
+        ``ApiServerProcess.handle_event``; keep both in sync.
         """
         size = self.size_of(content_hash)
         self.accounting.get_requests += 1
         self.accounting.bytes_downloaded += size
-        if self._tiering is not None:
-            self._tier_access(content_hash, now, download=True)
         return size
 
-    def unlink(self, content_hash: str, now: float = 0.0) -> bool:
+    def unlink(self, content_hash: str) -> bool:
         """Drop one reference; the object is deleted when unreferenced.
 
         Returns True when the object was physically removed.
@@ -422,8 +242,6 @@ class ObjectStore:
         self._refcounts.pop(content_hash, None)
         self.accounting.bytes_stored -= size
         self.accounting.logical_bytes -= size
-        if self._tiering is not None:
-            self._tier_remove(content_hash, size, now)
         return True
 
     # ------------------------------------------------------------ multipart
@@ -448,8 +266,7 @@ class ObjectStore:
         self.accounting.bytes_uploaded += size_bytes
         return part_number
 
-    def complete_multipart(self, multipart_id: str, content_hash: str,
-                           now: float = 0.0) -> int:
+    def complete_multipart(self, multipart_id: str, content_hash: str) -> int:
         """Finish a multipart upload and commit the content.
 
         Returns the total stored size.
@@ -465,12 +282,8 @@ class ObjectStore:
         if content_hash not in self._objects:
             self._objects[content_hash] = size
             self.accounting.bytes_stored += size
-            if self._tiering is not None:
-                self._tier_admit(content_hash, size, now)
         else:
             self.accounting.dedup_hits += 1
-            if self._tiering is not None:
-                self._tier_access(content_hash, now, download=False)
         del self._multiparts[multipart_id]
         return size
 

@@ -147,11 +147,6 @@ class ServiceTimeModel:
         self._factors = factors.tolist()
         self._factor_index = 0
 
-    @property
-    def parameters(self) -> LatencyParameters:
-        """The shape parameters in use."""
-        return self._parameters
-
     def sample(self, rpc: RpcName, shard_id: int = 0) -> float:
         """Sample one service time (seconds) for ``rpc`` on ``shard_id``.
 

@@ -39,12 +39,7 @@ once per cluster, so with the default ``replay_shards=8`` the object-store
 dedup hit rate and stored-byte totals sit a few percent below the
 single-store model (the Fig. 4 dedup *analyses* are unaffected: they are
 computed from content hashes in the trace, not from object-store state).
-The hot/cold tier state of a tiered store (``ClusterConfig.tiering``) is in
-the same class: each shard keeps its own idle clocks and finalises them at
-its *own* last timeline instant, so tier/retrieval counters at
-``replay_shards>1`` realise a per-shard variant of the policy (still
-bit-identical for any ``n_jobs``).  Set ``replay_shards=1`` to recover the
-exact single-store semantics.
+Set ``replay_shards=1`` to recover the exact single-store semantics.
 
 Determinism is the headline guarantee.  The shard count is a *configuration*
 knob (``ClusterConfig.replay_shards``), not the worker count: ``n_jobs`` only
@@ -406,8 +401,8 @@ class ShardOutcome:
     #: without a fault schedule).
     faults: FaultAccounting | None = None
     gc_sweeps: int = 0
-    #: Last timeline timestamp of the shard (the per-shard tier-finalize
-    #: instant; 0.0 for an empty shard).
+    #: Last timeline timestamp of the shard (0.0 for an empty shard); the
+    #: cluster reports the maximum as ``timeline_end``.
     timeline_end: float = 0.0
     #: Replay sub-phase seconds (all included in :attr:`seconds`):
     #: struct-of-arrays timeline and event-column assembly + lexsort
@@ -449,8 +444,7 @@ class ReplayShard:
                    else round_robin_routing)
         self.store = ShardedMetadataStore(
             n_shards=config.metadata_shards, routing_factory=routing)
-        self.objects = ObjectStore(chunk_bytes=config.multipart_chunk_bytes,
-                                   tiering=config.tiering)
+        self.objects = ObjectStore(chunk_bytes=config.multipart_chunk_bytes)
         # The auth service and the API processes only draw scalar uniforms;
         # handing them the pool (same .random() surface as a Generator)
         # amortises the per-draw Generator call overhead.
@@ -706,14 +700,7 @@ class ReplayShard:
         assigned = self._dispatch(scripts, order, ts_col, kind_col,
                                   script_col, rows)
         del rows  # the dispatch rows' tuples are not needed by the pack
-
-        # Tiering epilogue: realise the age-demotions still pending at the
-        # end of this shard's timeline, so the hot/cold byte split covers
-        # the whole observation window.  The finalize instant is per-shard
-        # (its own last session close) — part of the per-shard tier-state
-        # caveat; replay_shards=1 gives the global instant.
         timeline_end = ts_col[order[-1]] if order else 0.0
-        self.objects.finalize_tiers(timeline_end)
         dispatch_seconds = time.perf_counter() - dispatch_started
 
         # The timeline is processed in timestamp order, so every stream was

@@ -14,8 +14,8 @@ per-shard workload fingerprints), plus a write-ahead run manifest::
     <checkpoint_root>/<run_key>/shard-0003.npz
 
 The run key deliberately covers everything that determines a shard's
-output: the frozen ``ClusterConfig`` (seed, shard layout, tiering, fault
-plan, ...), the plan's frozen ``WorkloadConfig`` (seed, scale, file and
+output: the frozen ``ClusterConfig`` (seed, shard layout, fault plan,
+...), the plan's frozen ``WorkloadConfig`` (seed, scale, file and
 update models, ...) and the workload handed to each shard (plan member
 indices and planned-op weights).  Two runs share checkpoints only when they
 would compute identical outcomes; anything else hashes to a different

@@ -3,10 +3,11 @@
 Two coupled halves (Section 9 of the paper):
 
 * the **policy and cost vocabulary** — :class:`~repro.whatif.tiering.
-  TieringPolicy` and :class:`~repro.whatif.costs.StorageCostModel` — shared
-  with the live back-end (``ClusterConfig.tiering`` /
-  ``ClusterConfig.cost_model`` drive the tiered
-  :class:`~repro.backend.datastore.ObjectStore`);
+  TieringPolicy` with its :class:`~repro.whatif.tiering.TierEngine`, and
+  :class:`~repro.whatif.costs.StorageCostModel`, which the live back-end
+  shares (``ClusterConfig.cost_model`` prices its single-tier
+  :class:`~repro.backend.datastore.ObjectStore`).  Tiering is an offline
+  what-if only: the engine runs over the simulator's tier-event log;
 * the **offline what-if simulator** (:mod:`repro.whatif.simulator`,
   :mod:`repro.whatif.sweep`, :mod:`repro.whatif.economics`) which replays
   storage policies directly over :class:`~repro.trace.dataset.TraceDataset`
@@ -14,8 +15,8 @@ Two coupled halves (Section 9 of the paper):
   plus N cheap columnar passes.
 
 Only the leaf vocabulary modules are imported eagerly (the back-end imports
-them while this package initialises); the simulator half loads lazily on
-first attribute access to keep the import graph acyclic.
+the cost model while this package initialises); the simulator half loads
+lazily on first attribute access to keep the import graph acyclic.
 """
 
 from __future__ import annotations

@@ -12,30 +12,35 @@ small-file/multipart split, delta sizing, metadata-driven unlinks and
 volume cascades).  No RPC decomposition, no service-time sampling, no
 session machinery, no trace sink.
 
-Since PR 5 the policies that keep baseline store semantics additionally
-share one *resolution pass* per trace (:meth:`StorageTrace.shared_pass`):
-the metadata bookkeeping runs once, recording the flat store-call stream
-and every object's access-gap log.  The age-only (no-capacity) tiering
-family is then computed fully vectorised from those per-content gap arrays
-(:func:`_simulate_age_policy` — typically orders of magnitude below an
-interpreted pass), capacity-eviction policies replay the recorded call
-stream through a real tiered store (their eviction heaps are inherently
-sequential), and only semantics-changing specs (no-dedup, delta updates)
-still pay the full interpreted metadata pass.  A default five-policy sweep
-therefore costs one replay plus roughly two interpreted passes.
+The policies that keep baseline store semantics share one *metadata pass*
+per trace (:meth:`StorageTrace.shared_pass`): the node/volume bookkeeping
+runs once, recording the tier-event log — one ``(kind, segment, ts)`` tuple
+per object admission, touch, download and physical removal.  Tiering is
+applied to that log afterwards: the age-only (no-capacity) family fully
+vectorised over the per-segment idle gaps (:func:`_simulate_age_policy`),
+capacity-eviction policies through a
+:class:`~repro.whatif.tiering.TierEngine` (their eviction heaps are
+inherently sequential).  Only semantics-changing specs (no-dedup, delta
+updates) pay their own interpreted pass, which records the log when the
+spec is tiered.  A default five-policy sweep therefore costs one replay
+plus three interpreted passes.
 
-Because the pass uses the real ``ObjectStore`` (including its tiering
-engine), the produced :class:`~repro.backend.datastore.StorageAccounting`
-is *identical* to what a live replay with the same policy produces — the
-equivalence tests pin this — under three conditions the caller controls:
+The pass drives a plain (single-tier)
+:class:`~repro.backend.datastore.ObjectStore`, so the untiered counters of
+the produced :class:`~repro.backend.datastore.StorageAccounting` are
+*identical* to what a live replay with the same dedup and delta knobs
+produces — the equivalence tests pin this — under two conditions the
+caller controls:
 
 * ``replay_shards=1`` on the live side (the offline store is global; with
-  more shards, dedup and tier state become per-shard — the documented
-  model caveat);
+  more shards, dedup state becomes per-shard — the documented model
+  caveat);
 * ``interrupted_upload_fraction=0.0`` (interrupted multiparts leave a trace
-  record but no store commit, and the trace does not say which);
-* ``end_time`` matching the live replay's tier-finalize instant
-  (``U1Cluster.last_replay_stats["timeline_end"]``).
+  record but no store commit, and the trace does not say which).
+
+The tier counters exist only here: the live back-end has one tier.  The
+sweep measures idle time up to ``end_time``, which callers set to the
+replay's ``U1Cluster.last_replay_stats["timeline_end"]``.
 
 On traces replayed with the default knobs the offline figures drift by the
 corresponding few percent; they remain what-if *estimates* either way.
@@ -53,7 +58,14 @@ from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
 from repro.whatif.costs import StorageCostModel
-from repro.whatif.tiering import TieringPolicy
+from repro.whatif.tiering import (
+    ADMIT,
+    DOWNLOAD,
+    REMOVE,
+    TOUCH,
+    TierEngine,
+    TieringPolicy,
+)
 
 __all__ = ["PolicyOutcome", "PolicySpec", "StorageTrace", "simulate_policy"]
 
@@ -114,25 +126,25 @@ class StorageTrace:
         self.n_records = n_records
         #: Memoised baseline-semantics resolutions keyed by
         #: ``(chunk_bytes, end_time)`` — see :meth:`shared_pass`.
-        self._shared_passes: dict[tuple, _SharedPass] = {}
+        self._shared_passes: dict[tuple, _MetadataPass] = {}
 
-    def shared_pass(self, chunk_bytes: int, end_time: float) -> "_SharedPass":
-        """The baseline-semantics resolution of this trace, built once.
+    def shared_pass(self, chunk_bytes: int,
+                    end_time: float) -> "_MetadataPass":
+        """The baseline-semantics metadata pass of this trace, built once.
 
         Every policy with baseline store semantics (``dedup`` on, full
-        re-uploads) drives the object store through the *same* call
-        sequence — tiering changes how objects migrate, never which calls
-        happen.  The shared pass therefore runs the metadata bookkeeping
-        once and records (a) the flat store-call stream the capacity
-        policies replay, and (b) the per-content access-gap log the
-        age-only policies consume vectorised, alongside the baseline
-        accounting itself.
+        re-uploads) drives the object store through the *same* calls —
+        tiering changes how objects migrate, never which calls happen.  The
+        shared pass therefore runs the metadata bookkeeping once and keeps
+        the baseline accounting and the tier-event log every tiered policy
+        of that family replays.
         """
         key = (chunk_bytes, end_time)
         shared = self._shared_passes.get(key)
         if shared is None:
-            shared = self._shared_passes[key] = _build_shared_pass(
-                self, chunk_bytes, end_time)
+            shared = self._shared_passes[key] = _metadata_pass(
+                self, PolicySpec("baseline"), chunk_bytes, end_time,
+                record=True)
         return shared
 
     def __len__(self) -> int:
@@ -206,169 +218,144 @@ def simulate_policy(trace: StorageTrace, spec: PolicySpec,
                     end_time: float | None = None) -> PolicyOutcome:
     """Replay one storage policy over a decoded trace.
 
-    Dispatches by what the policy changes:
+    Two steps:
 
-    * baseline store semantics (dedup on, full re-uploads) reuse the
-      trace's memoised :meth:`StorageTrace.shared_pass`; a *no-tiering*
-      spec is then just a copy of the shared accounting, an **age-only**
-      tiering spec runs the fully vectorised gap kernel
-      (:func:`_simulate_age_policy`), and a capacity-eviction spec replays
-      the recorded flat store-call stream through a real tiered
-      :class:`~repro.backend.datastore.ObjectStore`
-      (:func:`_replay_op_stream`) — the heap-driven eviction machinery is
-      inherently sequential, so it stays interpreted;
-    * anything that changes the call sequence itself (``dedup=False`` or a
-      delta-update factor) takes the full interpreted metadata pass
-      (:func:`_interpreted_pass`).
+    * resolve the spec's store semantics through one metadata pass.
+      Baseline semantics (dedup on, full re-uploads) reuse the trace's
+      memoised :meth:`StorageTrace.shared_pass`; ``dedup=False`` or a
+      delta-update factor takes its own interpreted pass
+      (:func:`_interpreted_pass`), which records the tier-event log only
+      when the spec is tiered;
+    * apply the spec's tiering to that pass's tier-event log.  An
+      **age-only** policy runs the vectorised gap kernel
+      (:func:`_simulate_age_policy`); a capacity-eviction policy drives a
+      :class:`~repro.whatif.tiering.TierEngine`, whose eviction heap is
+      inherently sequential.
 
-    Every path produces accounting identical to a live replay with the
-    same policy — the equivalence tests pin each family counter for
-    counter.
+    The untiered counters equal a live replay's with the same dedup and
+    delta knobs (see the module docstring); the tier counters come from
+    the tiering what-if alone.
     """
     started = time.perf_counter()
     cost_model = cost_model or StorageCostModel()
     end = trace.end_time if end_time is None else end_time
+    tiering = spec.tiering
     if spec.dedup and spec.delta_update_factor is None:
-        shared = trace.shared_pass(chunk_bytes, end)
-        tiering = spec.tiering
-        if tiering is None:
-            accounting = replace(shared.accounting)
-            object_count = shared.object_count
-        elif tiering.hot_capacity_bytes is None:
-            accounting = _simulate_age_policy(shared, tiering)
-            object_count = shared.object_count
-        else:
-            store = _replay_op_stream(shared, spec, chunk_bytes, end)
-            accounting = store.accounting
-            object_count = len(store)
+        resolved = trace.shared_pass(chunk_bytes, end)
     else:
-        store = _interpreted_pass(trace, spec, chunk_bytes, end)
-        accounting = store.accounting
-        object_count = len(store)
+        resolved = _metadata_pass(trace, spec, chunk_bytes, end,
+                                  record=tiering is not None)
+    counters = {}
+    if tiering is not None:
+        if tiering.hot_capacity_bytes is None:
+            counters = _simulate_age_policy(resolved, tiering)
+        else:
+            counters = TierEngine(tiering, resolved.sizes).run(
+                resolved.events, end).counters()
+    accounting = replace(resolved.accounting, **counters)
     return PolicyOutcome(
         spec=spec,
         accounting=accounting,
-        object_count=object_count,
+        object_count=resolved.object_count,
         seconds=time.perf_counter() - started,
         costs=cost_model.cost_breakdown(accounting),
         monthly_cost=cost_model.monthly_total(accounting))
 
 
-#: Flat store-call stream opcodes recorded by the shared pass.
-_CALL_PUT, _CALL_MPUT, _CALL_GET, _CALL_LINK, _CALL_UNLINK = range(5)
+class _MetadataPass:
+    """The outcome of one interpreted metadata pass.
 
-
-class _SharedPass:
-    """Everything the baseline-semantics policy family shares.
-
-    ``accounting``/``object_count`` are the baseline outcome itself.  The
-    flat call stream (``call_kinds``/``call_keys``/``call_sizes``/
-    ``call_ts``) replays through any tiered store without re-running the
-    node/volume metadata bookkeeping.  The touch log and segment arrays
-    describe every stored object's *life segment* (admission to physical
-    removal or end of trace): per touch the idle gap since the previous
-    touch and whether it was a download, per segment the object size, the
-    closing idle gap and whether the segment ended in a physical delete —
-    exactly the quantities the lazily-realised age-tiering semantics are a
-    pure function of.
+    ``accounting``/``object_count`` are the untiered store's outcome.  A
+    recorded pass also keeps the tier-event log: ``events`` holds one
+    ``(kind, segment, ts)`` tuple per admit, touch, download and removal,
+    and ``sizes[segment]`` is the size of each object life (admission to
+    physical removal or end of trace), numbered in admission order.
     """
 
-    __slots__ = ("accounting", "object_count",
-                 "call_kinds", "call_keys", "call_sizes", "call_ts",
-                 "touch_seg", "touch_gap", "touch_dl",
-                 "seg_size", "seg_final_gap", "seg_removed")
+    __slots__ = ("accounting", "object_count", "end_time", "events", "sizes",
+                 "_gaps")
 
-    def __init__(self, accounting, object_count, call_kinds, call_keys,
-                 call_sizes, call_ts, touch_seg, touch_gap, touch_dl,
-                 seg_size, seg_final_gap, seg_removed):
+    def __init__(self, accounting, object_count, end_time, events, sizes):
         self.accounting = accounting
         self.object_count = object_count
-        self.call_kinds = call_kinds
-        self.call_keys = call_keys
-        self.call_sizes = call_sizes
-        self.call_ts = call_ts
-        self.touch_seg = touch_seg
-        self.touch_gap = touch_gap
-        self.touch_dl = touch_dl
-        self.seg_size = seg_size
-        self.seg_final_gap = seg_final_gap
-        self.seg_removed = seg_removed
+        self.end_time = end_time
+        self.events = events
+        self.sizes = sizes
+        self._gaps = None
+
+    def gaps(self) -> tuple:
+        """Per-touch and per-segment idle gaps of the log, built once.
+
+        Returns ``(touch_seg, touch_gap, touch_dl, seg_size, seg_final_gap,
+        seg_removed)``: per touch (or download) its segment, the idle gap
+        since the segment's previous event and whether it was a download;
+        per segment its size, the closing idle gap (to its removal or to
+        ``end_time``) and whether it ended in a removal — the quantities
+        the lazily realised age semantics are a pure function of.  Touches
+        are grouped by segment, in time order within each.
+        """
+        if self._gaps is None:
+            log = np.fromiter(self.events, dtype=_EVENT_DTYPE,
+                              count=len(self.events))
+            log = log[np.argsort(log["seg"], kind="stable")]
+            kinds, segs, ts = log["kind"], log["seg"], log["ts"]
+            # A segment's first event is its admission, so the difference to
+            # the previous row is the idle gap wherever it is read.
+            gap = np.diff(ts, prepend=0.0)
+            touched = (kinds == TOUCH) | (kinds == DOWNLOAD)
+            last = np.ones(len(segs), dtype=bool)  # a segment's last event
+            last[:-1] = segs[1:] != segs[:-1]
+            removed = kinds[last] == REMOVE
+            self._gaps = (
+                segs[touched], gap[touched], kinds[touched] == DOWNLOAD,
+                np.asarray(self.sizes, dtype=np.int64),
+                np.where(removed, gap[last], self.end_time - ts[last]),
+                removed)
+        return self._gaps
 
 
-def _build_shared_pass(trace: StorageTrace, chunk_bytes: int,
-                       end_time: float) -> _SharedPass:
-    """Run the baseline metadata pass once, recording calls and touches."""
-    recorder = _PassRecorder()
-    store = _interpreted_pass(trace, PolicySpec("baseline"), chunk_bytes,
-                              end_time, recorder=recorder)
-    n_segments = len(recorder.seg_size)
-    seg_final_gap = np.empty(n_segments)
-    seg_removed = np.zeros(n_segments, dtype=bool)
-    for seg, gap in recorder.closed_segments.items():
-        seg_final_gap[seg] = gap
-        seg_removed[seg] = True
-    for key, seg in recorder.seg_of.items():
-        seg_final_gap[seg] = end_time - recorder.last_access[key]
-    return _SharedPass(
-        accounting=store.accounting,
-        object_count=len(store),
-        call_kinds=recorder.call_kinds,
-        call_keys=recorder.call_keys,
-        call_sizes=recorder.call_sizes,
-        call_ts=recorder.call_ts,
-        touch_seg=np.asarray(recorder.touch_seg, dtype=np.int64),
-        touch_gap=np.asarray(recorder.touch_gap),
-        touch_dl=np.asarray(recorder.touch_dl, dtype=bool),
-        seg_size=np.asarray(recorder.seg_size, dtype=np.int64),
-        seg_final_gap=seg_final_gap,
-        seg_removed=seg_removed)
+#: Row layout of a tier-event log decoded for the age kernel.
+_EVENT_DTYPE = np.dtype([("kind", np.int8), ("seg", np.int64),
+                         ("ts", np.float64)])
+
+
+def _metadata_pass(trace: StorageTrace, spec: PolicySpec, chunk_bytes: int,
+                   end_time: float, record: bool) -> _MetadataPass:
+    """Run one interpreted pass, recording the tier-event log if asked."""
+    recorder = _PassRecorder() if record else None
+    store = _interpreted_pass(trace, spec, chunk_bytes, recorder)
+    return _MetadataPass(
+        store.accounting, len(store), end_time,
+        recorder.events if record else None,
+        recorder.sizes if record else None)
 
 
 class _PassRecorder:
-    """Call-stream and tier-touch recorder driven by the metadata pass."""
+    """Tier-event recorder driven by the metadata pass."""
 
-    __slots__ = ("call_kinds", "call_keys", "call_sizes", "call_ts",
-                 "touch_seg", "touch_gap", "touch_dl", "seg_size",
-                 "seg_of", "last_access", "closed_segments")
+    __slots__ = ("events", "sizes", "seg_of")
 
     def __init__(self):
-        self.call_kinds: list[int] = []
-        self.call_keys: list = []
-        self.call_sizes: list[int] = []
-        self.call_ts: list[float] = []
-        self.touch_seg: list[int] = []
-        self.touch_gap: list[float] = []
-        self.touch_dl: list[bool] = []
-        self.seg_size: list[int] = []
+        self.events: list[tuple[int, int, float]] = []
+        self.sizes: list[int] = []
+        #: Live object key -> its current segment ordinal.
         self.seg_of: dict = {}
-        self.last_access: dict = {}
-        self.closed_segments: dict[int, float] = {}
-
-    def call(self, kind: int, key, size: int, ts: float) -> None:
-        self.call_kinds.append(kind)
-        self.call_keys.append(key)
-        self.call_sizes.append(size)
-        self.call_ts.append(ts)
 
     def admit(self, key, size: int, ts: float) -> None:
-        self.seg_of[key] = len(self.seg_size)
-        self.seg_size.append(size)
-        self.last_access[key] = ts
+        seg = self.seg_of[key] = len(self.sizes)
+        self.sizes.append(size)
+        self.events.append((ADMIT, seg, ts))
 
-    def touch(self, key, ts: float, download: bool) -> None:
-        self.touch_seg.append(self.seg_of[key])
-        self.touch_gap.append(ts - self.last_access[key])
-        self.touch_dl.append(download)
-        self.last_access[key] = ts
+    def touch(self, key, ts: float, kind: int) -> None:
+        self.events.append((kind, self.seg_of[key], ts))
 
     def remove(self, key, ts: float) -> None:
-        seg = self.seg_of.pop(key)
-        self.closed_segments[seg] = ts - self.last_access.pop(key)
+        self.events.append((REMOVE, self.seg_of.pop(key), ts))
 
 
-def _simulate_age_policy(shared: _SharedPass,
-                         policy: TieringPolicy) -> StorageAccounting:
-    """Vectorised age-threshold tiering over the shared access-gap arrays.
+def _simulate_age_policy(resolved: _MetadataPass,
+                         policy: TieringPolicy) -> dict[str, int]:
+    """Vectorised age-threshold tiering over a pass's idle-gap arrays.
 
     The lazily-realised age semantics make every tier counter a pure
     function of each object's touch gaps: a touch whose idle gap exceeds
@@ -378,88 +365,58 @@ def _simulate_age_policy(shared: _SharedPass,
     physical delete or the finalize sweep).  With ``promote_on_access``
     every touch is independent; without it the object turns cold at its
     *first* crossing and stays cold — one unsorted ``minimum.at`` pass
-    finds that crossing per segment.
+    finds that crossing per segment.  Returns the :data:`TIER_FIELDS`
+    counters.
     """
     threshold = policy.age_threshold
-    accounting = replace(shared.accounting)
-    seg = shared.touch_seg
-    sizes_touch = shared.seg_size[seg] if seg.size else np.empty(0, np.int64)
-    crossed = shared.touch_gap > threshold
-    final_crossed = shared.seg_final_gap > threshold
-    alive = ~shared.seg_removed
+    seg, touch_gap, touch_dl, seg_size, seg_final_gap, seg_removed = \
+        resolved.gaps()
+    sizes_touch = seg_size[seg] if seg.size else np.empty(0, np.int64)
+    crossed = touch_gap > threshold
+    final_crossed = seg_final_gap > threshold
+    alive = ~seg_removed
     if policy.promote_on_access:
         # Every crossing demotes and immediately promotes back; objects are
         # therefore hot after every touch and the touches are independent.
-        cold_dl = shared.touch_dl & crossed
+        cold_dl = touch_dl & crossed
         n_crossed = int(crossed.sum())
         touch_migrated = int(sizes_touch[crossed].sum())
-        n_final = int(final_crossed.sum())
-        accounting.hot_hits = int((shared.touch_dl & ~crossed).sum())
-        accounting.cold_hits = int(cold_dl.sum())
-        accounting.cold_retrieved_bytes = int(sizes_touch[cold_dl].sum())
-        accounting.migrations = 2 * n_crossed + n_final
-        accounting.migrated_cold_bytes = touch_migrated \
-            + int(shared.seg_size[final_crossed].sum())
-        accounting.migrated_hot_bytes = touch_migrated
+        counters = {
+            "hot_hits": int((touch_dl & ~crossed).sum()),
+            "migrations": 2 * n_crossed + int(final_crossed.sum()),
+            "migrated_cold_bytes": touch_migrated
+            + int(seg_size[final_crossed].sum()),
+            "migrated_hot_bytes": touch_migrated,
+        }
         cold_resident = alive & final_crossed
     else:
         # The first crossing per segment demotes for good; every touch from
-        # that one on is served cold.  Touches append in time order, so the
-        # first crossing is the minimum touch index per segment.
-        n_segments = len(shared.seg_size)
-        first_cross = np.full(n_segments, np.iinfo(np.int64).max)
+        # that one on is served cold.  Touches are in time order within a
+        # segment, so the first crossing is the minimum touch index per
+        # segment.
+        first_cross = np.full(len(seg_size), np.iinfo(np.int64).max)
         cross_positions = np.flatnonzero(crossed)
         np.minimum.at(first_cross, seg[cross_positions], cross_positions)
         served_cold = np.arange(seg.size) >= first_cross[seg]
-        cold_dl = shared.touch_dl & served_cold
+        cold_dl = touch_dl & served_cold
         seg_touch_crossed = first_cross < np.iinfo(np.int64).max
-        final_demotes = ~seg_touch_crossed & final_crossed
-        demoted = seg_touch_crossed | final_demotes
-        accounting.hot_hits = int((shared.touch_dl & ~served_cold).sum())
-        accounting.cold_hits = int(cold_dl.sum())
-        accounting.cold_retrieved_bytes = int(sizes_touch[cold_dl].sum())
-        accounting.migrations = int(demoted.sum())
-        accounting.migrated_cold_bytes = int(shared.seg_size[demoted].sum())
-        accounting.migrated_hot_bytes = 0
-        cold_resident = alive & (seg_touch_crossed | final_crossed)
-    accounting.cold_bytes = int(shared.seg_size[cold_resident].sum())
-    accounting.hot_bytes = int(shared.seg_size[alive & ~cold_resident].sum())
-    return accounting
-
-
-def _replay_op_stream(shared: _SharedPass, spec: PolicySpec,
-                      chunk_bytes: int, end_time: float) -> ObjectStore:
-    """Drive a tiered store through the recorded baseline call stream.
-
-    Tiering never changes which store calls happen, so the capacity
-    policies (whose eviction heaps are inherently sequential) skip the
-    node/volume metadata resolution and pay only the store calls.
-    """
-    store = ObjectStore(chunk_bytes=chunk_bytes, tiering=spec.tiering)
-    put = store.put
-    get = store.get
-    link = store.link
-    unlink = store.unlink
-    for kind, key, size, ts in zip(shared.call_kinds, shared.call_keys,
-                                   shared.call_sizes, shared.call_ts):
-        if kind == _CALL_PUT:
-            put(key, size, now=ts)
-        elif kind == _CALL_GET:
-            get(key, now=ts)
-        elif kind == _CALL_LINK:
-            link(key, now=ts)
-        elif kind == _CALL_UNLINK:
-            unlink(key, now=ts)
-        else:  # _CALL_MPUT: one aggregate part, as in the metadata pass
-            multipart_id = store.initiate_multipart(key, size)
-            store.upload_part(multipart_id, size)
-            store.complete_multipart(multipart_id, key, now=ts)
-    store.finalize_tiers(end_time)
-    return store
+        demoted = seg_touch_crossed | final_crossed
+        counters = {
+            "hot_hits": int((touch_dl & ~served_cold).sum()),
+            "migrations": int(demoted.sum()),
+            "migrated_cold_bytes": int(seg_size[demoted].sum()),
+            "migrated_hot_bytes": 0,
+        }
+        cold_resident = alive & demoted
+    counters["cold_hits"] = int(cold_dl.sum())
+    counters["cold_retrieved_bytes"] = int(sizes_touch[cold_dl].sum())
+    counters["cold_bytes"] = int(seg_size[cold_resident].sum())
+    counters["hot_bytes"] = int(seg_size[alive & ~cold_resident].sum())
+    return counters
 
 
 def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
-                      chunk_bytes: int, end_time: float,
+                      chunk_bytes: int,
                       recorder: _PassRecorder | None = None) -> ObjectStore:
     """The full interpreted metadata + store pass.
 
@@ -472,10 +429,10 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
     keys, so hashes stay factorised integer codes and the anonymous /
     no-dedup keys are tuples.
 
-    With a ``recorder`` (shared-pass construction, baseline spec only)
-    every store call and tier-relevant touch is logged as it happens.
+    With a ``recorder`` every tier event (admission, touch, download,
+    physical removal) is logged as it happens.
     """
-    store = ObjectStore(chunk_bytes=chunk_bytes, tiering=spec.tiering)
+    store = ObjectStore(chunk_bytes=chunk_bytes)
     dedup = spec.dedup
     delta = spec.delta_update_factor
     empty = trace.empty_hash
@@ -506,13 +463,11 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
             if h != empty:
                 if h not in objects:
                     if rec is not None:
-                        rec.call(_CALL_PUT, h, size, ts)
                         rec.admit(h, size, ts)
-                    put(h, size, now=ts)
+                    put(h, size)
                 if rec is not None:
-                    rec.call(_CALL_GET, h, 0, ts)
-                    rec.touch(h, ts, True)
-                get(h, now=ts)
+                    rec.touch(h, ts, DOWNLOAD)
+                get(h)
         elif op == _UPLOAD:
             if node not in node_volume:  # _ensure_node
                 node_volume[node] = volume
@@ -521,9 +476,8 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
                 size = max(1, int(size * delta))
             if dedup and h != empty and h in objects:
                 if rec is not None:
-                    rec.call(_CALL_LINK, h, 0, ts)
-                    rec.touch(h, ts, False)
-                link(h, now=ts)
+                    rec.touch(h, ts, TOUCH)
+                link(h)
             else:
                 key = h if h != empty else ("anon", node)
                 if not dedup:
@@ -531,33 +485,27 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
                     # contents — the no-dedup ablation.
                     key = (key, user, node)
                 if rec is not None:
-                    rec.call(_CALL_PUT if size <= chunk_bytes else _CALL_MPUT,
-                             key, size, ts)
                     if key in objects:
-                        rec.touch(key, ts, False)
+                        rec.touch(key, ts, TOUCH)
                     else:
                         rec.admit(key, size, ts)
                 if size <= chunk_bytes:
-                    put(key, size, now=ts)
+                    put(key, size)
                 else:
                     # One aggregate part is accounting-equivalent to the
                     # per-chunk schedule (same uploaded/committed bytes).
                     multipart_id = store.initiate_multipart(key, size)
                     store.upload_part(multipart_id, size)
-                    store.complete_multipart(multipart_id, key, now=ts)
+                    store.complete_multipart(multipart_id, key)
             node_hash[node] = h  # make_content
         elif op == _UNLINK:
             old_volume = node_volume.pop(node, None)
             if old_volume is not None:
                 volume_nodes[old_volume].discard(node)
                 h_node = node_hash.pop(node, empty)
-                if h_node != empty and h_node in objects:
-                    if rec is not None:
-                        rec.call(_CALL_UNLINK, h_node, 0, ts)
-                        if unlink(h_node, now=ts):
-                            rec.remove(h_node, ts)
-                    else:
-                        unlink(h_node, now=ts)
+                if h_node != empty and h_node in objects \
+                        and unlink(h_node) and rec is not None:
+                    rec.remove(h_node, ts)
         elif op == _MAKE:
             if node not in node_volume:
                 node_volume[node] = volume
@@ -577,13 +525,7 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
                 for dead in sorted(doomed):
                     node_volume.pop(dead, None)
                     h_node = node_hash.pop(dead, empty)
-                    if h_node != empty and h_node in objects:
-                        if rec is not None:
-                            rec.call(_CALL_UNLINK, h_node, 0, ts)
-                            if unlink(h_node, now=ts):
-                                rec.remove(h_node, ts)
-                        else:
-                            unlink(h_node, now=ts)
-
-    store.finalize_tiers(end_time)
+                    if h_node != empty and h_node in objects \
+                            and unlink(h_node) and rec is not None:
+                        rec.remove(h_node, ts)
     return store

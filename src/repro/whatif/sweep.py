@@ -93,8 +93,8 @@ class SweepResult:
             "whatif_sweep_seconds": self.seconds,
             "n_policies": len(self.outcomes),
             # Per-policy pass seconds: the vectorised age-only passes sit
-            # orders of magnitude below the interpreted capacity passes,
-            # and the first baseline pass carries the shared decode.
+            # orders of magnitude below the capacity passes' tier engine,
+            # and the first baseline pass carries the shared metadata pass.
             "whatif_per_policy_seconds": {
                 outcome.spec.name: outcome.seconds
                 for outcome in self.outcomes

@@ -36,17 +36,16 @@ from repro.faults.spec import (
 from repro.trace.records import ApiOperation, NodeKind, RpcName, SessionEvent
 from repro.trace.validate import validate_dataset
 from repro.util.units import MB
-from repro.whatif.tiering import TieringPolicy
 from repro.workload.events import EventBlock, SessionScript
 from tests.conftest import event_row, open_session, replay_scripts, send_event
 
 
 def _build_process(dedup_enabled=True, delta_updates_enabled=False,
                    interrupted_upload_fraction=0.0, seed=0, n_shards=4,
-                   routing=user_id_routing, tiering=None):
+                   routing=user_id_routing):
     sink = TraceSink()
     store = ShardedMetadataStore(n_shards=n_shards, routing_factory=routing)
-    objects = ObjectStore(tiering=tiering)
+    objects = ObjectStore()
     auth = AuthenticationService(rng=np.random.default_rng(seed), failure_fraction=0.0)
     bus = NotificationBus()
     registry = SessionRegistry()
@@ -279,8 +278,7 @@ class TestOtherOperations:
         assert process.requests_handled == 2
 
 
-#: StorageAccounting fields a download moves on any store (a tiered store
-#: adds its tier counters on top).
+#: StorageAccounting fields a download moves.
 _TRANSFER_FIELDS = ("get_requests", "bytes_downloaded", "put_requests",
                     "bytes_uploaded", "bytes_stored", "logical_bytes",
                     "dedup_hits")
@@ -312,16 +310,14 @@ def _download_rows(uploaded_node: int, **options):
 
 class TestDownloadBranches:
     """The download's known-node branch (inlined ``GET_NODE`` and store
-    accounting) and its general branch (unknown node, tiered store,
-    round-robin routing) leave the same rows and accounting."""
+    accounting) and its general branch (unknown node, round-robin routing)
+    leave the same rows and accounting."""
 
     @pytest.mark.parametrize("options", [
         {"uploaded_node": 11},  # node 10 predates the trace
         {"uploaded_node": 10, "routing": round_robin_routing},
-        {"uploaded_node": 10, "tiering": TieringPolicy()},
-        {"uploaded_node": 11, "routing": round_robin_routing,
-         "tiering": TieringPolicy()},
-    ], ids=["unknown-node", "round-robin", "tiered", "all-three"])
+        {"uploaded_node": 11, "routing": round_robin_routing},
+    ], ids=["unknown-node", "round-robin", "both"])
     def test_same_rows_and_accounting(self, options):
         known = _download_rows(10)
         general = _download_rows(**options)
@@ -448,18 +444,16 @@ def _fault_plan(n_shards: int):
 
 class TestEveryOperationReplayed:
     """A hand-built script with all 12 client operations, replayed through
-    one replay shard under each routing, tiering and fault setting."""
+    one replay shard under each routing and fault setting."""
 
     @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-    @pytest.mark.parametrize("tiering", [None, TieringPolicy(age_threshold=0.5)],
-                             ids=["single-tier", "tiered"])
     @pytest.mark.parametrize("routing", ["user_id", "round_robin"])
-    def test_each_operation_issues_its_rpcs(self, routing, tiering, faults):
+    def test_each_operation_issues_its_rpcs(self, routing, faults):
         config = ClusterConfig(
             seed=1, api_machines=1, processes_per_machine=2, metadata_shards=3,
             replay_shards=1, shard_routing=routing, multipart_chunk_bytes=1024,
             interrupted_upload_fraction=0.0, auth_failure_fraction=0.0,
-            tiering=tiering, faults=_fault_plan(3) if faults else None)
+            faults=_fault_plan(3) if faults else None)
         shard, dataset = replay_scripts(config, _every_operation_script())
         assert validate_dataset(dataset) == []
 
@@ -492,8 +486,6 @@ class TestEveryOperationReplayed:
             assert not any(r.error_kind for r in storage)
         assert accounting.get_requests == 1
         assert accounting.bytes_downloaded == 3000
-        if tiering is not None:
-            assert accounting.hot_hits + accounting.cold_hits == 1
         closes = [r for r in dataset.sessions if r.event is SessionEvent.DISCONNECT]
         assert {r.session_id: r.storage_operations for r in closes} == {
             1: 7, 2: 0}

@@ -1,23 +1,41 @@
 """Offline what-if simulator vs the live back-end: the equivalence pins.
 
 The offline passes run over the *baseline* replay's trace columns; the live
-side replays the same workload plan with the policy applied for real.  With a
-single replay shard (global store), uninterrupted uploads and a pinned
-finalize instant, the two must agree to the counter — which is what makes
-the sweep's what-if numbers trustworthy.
+side replays the same workload plan with the dedup or delta knob applied for
+real.  With a single replay shard (global store) and uninterrupted uploads,
+the untiered counters must agree to the counter — which is what makes the
+sweep's what-if numbers trustworthy.  Tiering has no live counterpart: its
+counters are pinned to the brute-force reference of ``test_tiering.py``
+run over the metadata pass's tier-event log, and the log itself is tied to
+the untiered store.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.backend.cluster import ClusterConfig, U1Cluster
-from repro.util.units import DAY, HOUR, MB
-from repro.whatif.simulator import PolicySpec, StorageTrace, simulate_policy
+from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
+from repro.util.units import HOUR, MB
+from repro.whatif.simulator import (
+    PolicySpec,
+    StorageTrace,
+    _metadata_pass,
+    simulate_policy,
+)
 from repro.whatif.sweep import default_policies, run_sweep
-from repro.whatif.tiering import TieringPolicy
+from repro.whatif.tiering import (
+    ADMIT,
+    DOWNLOAD,
+    REMOVE,
+    TIER_FIELDS,
+    TieringPolicy,
+)
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
+from tests.whatif.test_tiering import ReferenceTiers
 
 SEED = 17
 
@@ -45,6 +63,69 @@ def baseline(workload):
         max(script.end for script in materialize_members(workload))
 
 
+#: Untiered store semantics of the what-if specs, with the live knobs that
+#: realise each.
+SEMANTICS = {
+    "baseline": ({}, {}),
+    "no-dedup": ({"dedup": False}, {"dedup_enabled": False}),
+    "delta": ({"delta_update_factor": 0.05}, {"delta_updates_enabled": True}),
+}
+
+POLICIES = {
+    "age": TieringPolicy(age_threshold=2 * HOUR),
+    "age-no-promote": TieringPolicy(age_threshold=2 * HOUR,
+                                    promote_on_access=False),
+    "lru-cap": TieringPolicy(age_threshold=2 * HOUR, hot_capacity_bytes=4 * MB,
+                             eviction="lru"),
+    "lfu-cap": TieringPolicy(age_threshold=2 * HOUR, hot_capacity_bytes=4 * MB,
+                             eviction="lfu", promote_on_access=False),
+    "size-cap": TieringPolicy(age_threshold=6 * HOUR,
+                              hot_capacity_bytes=16 * MB, eviction="size"),
+}
+
+
+@pytest.fixture(scope="module")
+def live_stores(workload):
+    """The live object store of each untiered semantics."""
+    return {name: live_replay(workload, **knobs)[0].object_store
+            for name, (_, knobs) in SEMANTICS.items()}
+
+
+def recorded_pass(trace, end, semantics: str):
+    """The metadata pass of ``semantics`` with its tier-event log."""
+    if semantics == "baseline":
+        return trace.shared_pass(UPLOAD_CHUNK_BYTES, end)
+    spec = PolicySpec(semantics, **SEMANTICS[semantics][0])
+    return _metadata_pass(trace, spec, UPLOAD_CHUNK_BYTES, end, record=True)
+
+
+def untiered(accounting) -> dict:
+    return {name: value for name, value in dataclasses.asdict(accounting).items()
+            if name not in TIER_FIELDS}
+
+
+def check_tiered_outcome(baseline, live_stores, semantics, policy):
+    """Untiered counters equal the live replay's; tier counters equal the
+    brute-force reference over the pass's tier-event log."""
+    _, _, trace, end = baseline
+    outcome = simulate_policy(
+        trace, PolicySpec("tier", tiering=policy, **SEMANTICS[semantics][0]),
+        end_time=end)
+    accounting = outcome.accounting
+    assert untiered(accounting) == untiered(live_stores[semantics].accounting)
+    resolved = recorded_pass(trace, end, semantics)
+    expected = ReferenceTiers(policy, resolved.sizes).run(resolved.events, end)
+    assert {name: getattr(accounting, name) for name in TIER_FIELDS} \
+        == expected
+    assert all(type(getattr(accounting, name)) is int for name in TIER_FIELDS)
+    # The interesting counters actually fired on this workload.
+    assert accounting.migrations > 0
+    assert accounting.hot_hits + accounting.cold_hits \
+        == accounting.get_requests
+    assert accounting.hot_bytes + accounting.cold_bytes \
+        == accounting.bytes_stored
+
+
 class TestOfflineMatchesLive:
     def test_baseline_accounting_and_object_count(self, baseline):
         cluster, _, trace, end = baseline
@@ -52,54 +133,48 @@ class TestOfflineMatchesLive:
         assert outcome.accounting == cluster.object_store.accounting
         assert outcome.object_count == len(cluster.object_store)
 
-    def test_no_dedup_accounting(self, workload, baseline):
+    def test_no_dedup_accounting(self, baseline, live_stores):
         _, _, trace, end = baseline
-        cluster, _ = live_replay(workload, dedup_enabled=False)
         outcome = simulate_policy(trace, PolicySpec("no-dedup", dedup=False),
                                   end_time=end)
-        assert outcome.accounting == cluster.object_store.accounting
+        assert outcome.accounting == live_stores["no-dedup"].accounting
 
-    def test_delta_updates_accounting(self, workload, baseline):
+    def test_delta_updates_accounting(self, baseline, live_stores):
         _, _, trace, end = baseline
-        cluster, _ = live_replay(workload, delta_updates_enabled=True)
         outcome = simulate_policy(
             trace, PolicySpec("delta", delta_update_factor=0.05),
             end_time=end)
-        assert outcome.accounting == cluster.object_store.accounting
+        assert outcome.accounting == live_stores["delta"].accounting
 
-    @pytest.mark.parametrize("policy", [
-        TieringPolicy(age_threshold=2 * HOUR),
-        TieringPolicy(age_threshold=2 * HOUR, promote_on_access=False),
-        TieringPolicy(age_threshold=2 * HOUR, hot_capacity_bytes=4 * MB,
-                      eviction="lru"),
-        TieringPolicy(age_threshold=2 * HOUR, hot_capacity_bytes=4 * MB,
-                      eviction="lfu", promote_on_access=False),
-        TieringPolicy(age_threshold=6 * HOUR, hot_capacity_bytes=16 * MB,
-                      eviction="size"),
-    ], ids=["age", "age-no-promote", "lru-cap", "lfu-cap", "size-cap"])
-    def test_tiering_hit_and_migration_counters(self, workload, baseline,
+    @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+    def test_tiering_hit_and_migration_counters(self, baseline, live_stores,
                                                 policy):
-        """The acceptance pin: offline hit/migration counters equal a live
-        tiered replay's accounting, field for field."""
+        """The acceptance pin over the baseline semantics."""
+        check_tiered_outcome(baseline, live_stores, "baseline", policy)
+
+    @pytest.mark.parametrize("semantics", ["no-dedup", "delta"])
+    @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+    def test_tiering_over_changed_semantics(self, baseline, live_stores,
+                                            semantics, policy):
+        check_tiered_outcome(baseline, live_stores, semantics, policy)
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_tier_event_log_matches_untiered_store(self, baseline,
+                                                   live_stores, semantics):
         _, _, trace, end = baseline
-        cluster, _ = live_replay(workload, tiering=policy)
-        outcome = simulate_policy(trace, PolicySpec("tier", tiering=policy),
-                                  end_time=end)
-        live = cluster.object_store.accounting
-        assert outcome.accounting == live
-        # The interesting counters actually fired on this workload.
-        assert live.migrations > 0
-        assert live.hot_hits + live.cold_hits == live.get_requests
+        resolved = recorded_pass(trace, end, semantics)
+        store = live_stores[semantics]
+        assert resolved.accounting == store.accounting
+        kinds = [kind for kind, _, _ in resolved.events]
+        removed = {seg for kind, seg, _ in resolved.events if kind == REMOVE}
+        assert kinds.count(ADMIT) == len(resolved.sizes)
+        assert kinds.count(ADMIT) - kinds.count(REMOVE) \
+            == resolved.object_count == len(store)
+        assert sum(size for seg, size in enumerate(resolved.sizes)
+                   if seg not in removed) == store.accounting.bytes_stored
+        assert kinds.count(DOWNLOAD) == store.accounting.get_requests
 
-    def test_tiered_replay_trace_is_bit_identical_to_baseline(self, workload,
-                                                              baseline):
-        _, dataset, _, _ = baseline
-        _, tiered = live_replay(
-            workload, tiering=TieringPolicy(age_threshold=2 * HOUR))
-        assert tiered == dataset
-
-    def test_finalize_instant_matches_timeline_end_stat(self, workload,
-                                                        baseline):
+    def test_finalize_instant_matches_timeline_end_stat(self, baseline):
         cluster, _, _, end = baseline
         assert cluster.last_replay_stats["timeline_end"] == pytest.approx(end)
 
