@@ -8,9 +8,18 @@ editable wheel).
 import sys
 from pathlib import Path
 
+from hypothesis import Phase, settings
+
 _SRC = Path(__file__).parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+#: Every property suite runs without hypothesis's shrink phase: shrinking a
+#: failing example through a replay or a dataset route is unbounded and can
+#: take minutes, while the unshrunk counterexamples are small already.
+settings.register_profile(
+    "repro", phases=[phase for phase in Phase if phase is not Phase.shrink])
+settings.load_profile("repro")
 
 
 def pytest_addoption(parser):

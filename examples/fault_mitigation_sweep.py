@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fault injection and offline mitigation sweeps: one bad day, six answers.
+"""Fault injection and offline mitigation sweeps: one bad day, three answers.
 
 The paper's operational sections describe the failure modes a Personal
 Cloud back-end actually lives with: slow or flapping API processes, lossy
@@ -10,14 +10,11 @@ tic :class:`~repro.faults.spec.FaultPlan`, replays the workload through
 the real back-end **once** with the faults injected, and then answers
 "what should the operator have done?" entirely offline: the mitigation
 sweep (:mod:`repro.faults.sweep`) re-resolves every faulted request under
-six policies — do-nothing, two retry budgets, request hedging,
-drain-and-repair, disable-and-continue — for a fraction of the cost of a
-single replay.
+three policies — do-nothing and two client retry budgets — for a fraction
+of the cost of a single replay.
 
-The do-nothing and retry policies are exact (they pin the live replay's
-fault counters counter-for-counter, a property the test-suite enforces);
-hedge/drain/disable are what-if estimates built from the same
-deterministic fault decisions.
+Every policy is exact: each pins the fault counters of a live replay under
+it counter-for-counter, a property the test-suite enforces.
 
 Run with::
 
@@ -95,8 +92,7 @@ def main() -> int:
 
     # ... then every mitigation as an offline pass over the faulted trace.
     sweep = run_fault_sweep(dataset, cluster.fault_schedule,
-                            config=cluster.config,
-                            detection_seconds=span / 96)  # ~30 min at 2 days
+                            config=cluster.config)
     print("What each mitigation would have made of it (offline):")
     print(sweep.format_table())
 

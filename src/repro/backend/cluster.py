@@ -29,7 +29,7 @@ from repro.backend.replay_shard import (
 )
 from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
 from repro.faults.accounting import FaultAccounting
-from repro.faults.mitigation import LIVE_KINDS, MitigationPolicy
+from repro.faults.mitigation import MitigationPolicy
 from repro.faults.runtime import compile_plan
 from repro.faults.spec import FaultPlan
 from repro.trace.dataset import TraceDataset
@@ -100,10 +100,9 @@ class ClusterConfig:
     #: ``(plan, config)`` and the trace stays bit-identical at any
     #: ``n_jobs``.
     faults: FaultPlan | None = None
-    #: Mitigation applied by the live request path when a fault fires.  Only
-    #: the ``none`` and ``retry`` kinds run live (they are the ones the
-    #: offline fault sweep pins counter-for-counter); the speculative kinds
-    #: (hedge/drain/disable) exist only as offline what-ifs.
+    #: Mitigation applied by the live request path when a fault fires
+    #: (``none`` or ``retry``; the offline fault sweep evaluates the same
+    #: policies and pins their counters counter-for-counter).
     mitigation: MitigationPolicy = field(default_factory=MitigationPolicy)
 
     def machine_names(self) -> list[str]:
@@ -146,11 +145,6 @@ class ClusterConfig:
                 n_processes=self.api_machines * self.processes_per_machine,
                 n_shards=self.metadata_shards)
         self.mitigation.validate()
-        if self.mitigation.kind not in LIVE_KINDS:
-            raise ValueError(
-                f"mitigation kind {self.mitigation.kind!r} is offline-only; "
-                f"live replay supports {LIVE_KINDS} "
-                "(evaluate the others with `repro faultsweep`)")
 
 
 class U1Cluster:

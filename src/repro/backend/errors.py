@@ -96,7 +96,7 @@ class ShardReadOnly(FaultError):
 
     Mutations are rejected for the whole window by operator action —
     client retries cannot help, which makes this the canonical *terminal*
-    fault; only drain/disable mitigations change the outcome.
+    fault: no mitigation policy changes the outcome.
     """
 
     retryable = False

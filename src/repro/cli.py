@@ -26,8 +26,8 @@ Four sub-commands cover the full pipeline::
         Replay the workload once through a faulted cluster (degraded and
         flapping processes, a lossy link, a read-only metadata shard, a
         storage-node outage, an auth outage), then evaluate mitigation
-        policies (retry budgets, hedging, drain-and-repair,
-        disable-and-continue) *offline* over the faulted trace and print
+        policies (do-nothing and two retry budgets, each one a live
+        replay can run too) *offline* over the faulted trace and print
         the error-rate / tail-latency / penalty comparison.
 
     python -m repro verify checkpoint_dir
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "sweep mitigation policies offline over the "
                            "faulted trace")
     _add_workload_options(faultsweep)
-    faultsweep.add_argument("--detection-seconds", type=float, default=60.0,
-                            help="operator reaction delay of the drain/"
-                                 "disable policies (default: 60)")
     faultsweep.add_argument("--json", type=Path, default=None,
                             help="also write the sweep result as JSON")
     _add_resume_options(faultsweep)
@@ -407,16 +404,15 @@ def _command_faultsweep(args: argparse.Namespace, out) -> int:
     # The dataset goes in un-decoded: the sweep timing then covers the
     # one-off column decode as well as the policy passes.
     sweep = run_fault_sweep(dataset, cluster.fault_schedule,
-                            config=cluster.config,
-                            detection_seconds=args.detection_seconds)
+                            config=cluster.config)
 
     print(f"Replayed {len(dataset)} records through the faulted cluster in "
           f"{replay_seconds:.3f}s; evaluated {len(sweep.outcomes)} "
           f"mitigation policies offline in {sweep.seconds:.3f}s "
           f"({sweep.seconds / replay_seconds:.2f}x one replay)", file=out)
     print(sweep.format_table(), file=out)
-    print("(none/retry pin the live counters exactly; hedge/drain/disable "
-          "are offline estimates — see repro.faults)", file=out)
+    print("(each policy pins the live counters of a replay under it; "
+          "see repro.faults)", file=out)
     if args.json is not None:
         payload = sweep.to_json()
         payload["replay_seconds"] = replay_seconds

@@ -29,16 +29,15 @@ Three design rules keep the replay contract intact:
   replay clock.
 
 Mitigation sweeps mirror :mod:`repro.whatif`: ``python -m repro faultsweep``
-replays one faulted trace, then evaluates N
-:class:`~repro.faults.mitigation.MitigationPolicy` configurations (retry
-budgets with exponential backoff, hedged requests, drain-and-repair,
-disable-and-continue) *offline* over the trace columns
-(:mod:`repro.faults.simulator`, :mod:`repro.faults.sweep`), reporting
-user-visible error rate, p99/p999 latency inflation and a
-linkguardian-style penalty score per policy.  Live replays support the
-``none``/``retry`` kinds, and the offline retry accounting pins
-counter-for-counter against a live retry replay — the equivalence tests
-hold the two to it.
+replays one faulted trace, then evaluates
+:class:`~repro.faults.mitigation.MitigationPolicy` configurations (doing
+nothing, and retry budgets with exponential backoff) *offline* over the
+trace columns (:mod:`repro.faults.simulator`, :mod:`repro.faults.sweep`),
+reporting user-visible error rate, p99/p999 latency inflation and a
+linkguardian-style penalty score per policy.  Every policy kind is one the
+live request path runs too, and the offline accounting pins
+counter-for-counter against a live replay under the same policy — the
+equivalence tests hold the two to it.
 
 Only the leaf vocabulary modules (spec, accounting, mitigation) are
 imported eagerly — the back-end imports them while this package

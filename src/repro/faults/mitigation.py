@@ -1,25 +1,20 @@
-"""Mitigation policies: what the operator (or client library) does about
-injected faults.
+"""Mitigation policies: what the client library does about injected faults.
 
 A :class:`MitigationPolicy` is declarative and frozen, like the storage
-:class:`~repro.whatif.simulator.PolicySpec`.  Live replays support the
-``none`` and ``retry`` kinds (the client-side mitigations the API server
-can apply per request); the operator-side kinds (``hedge``,
-``drain-and-repair``, ``disable-and-continue``) are evaluated offline only,
-by :func:`repro.faults.simulator.simulate_mitigation`.
+:class:`~repro.whatif.simulator.PolicySpec`.  Its two kinds, ``none`` and
+``retry``, are the client-side mitigations the API server applies per
+request, so every policy a sweep evaluates offline
+(:func:`repro.faults.simulator.simulate_mitigation`) is one a live replay
+can run too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LIVE_KINDS", "MitigationPolicy", "default_mitigations"]
+__all__ = ["MitigationPolicy", "default_mitigations"]
 
-#: Policy kinds a live replay can apply (``ClusterConfig.validate`` rejects
-#: the offline-only ones).
-LIVE_KINDS = ("none", "retry")
-
-_ALL_KINDS = ("none", "retry", "hedge", "drain", "disable")
+_KINDS = ("none", "retry")
 
 
 @dataclass(frozen=True)
@@ -27,7 +22,7 @@ class MitigationPolicy:
     """One mitigation configuration of a fault sweep."""
 
     name: str = "do-nothing"
-    #: "none" | "retry" | "hedge" | "drain" | "disable".
+    #: "none" | "retry".
     kind: str = "none"
     #: Retry budget: additional attempts after the first (``retry`` only).
     max_retries: int = 0
@@ -35,21 +30,16 @@ class MitigationPolicy:
     #: ``backoff_base * backoff_factor ** k`` seconds before retrying.
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
-    #: Seconds until the operator-side kinds detect a fault window and act
-    #: (``drain``/``disable`` only).
-    detection_seconds: float = 60.0
     description: str = ""
 
     def validate(self) -> None:
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown mitigation kind: {self.kind!r}")
         if self.kind == "retry" and self.max_retries < 1:
             raise ValueError("retry mitigation needs max_retries >= 1")
         if self.backoff_base < 0.0 or self.backoff_factor < 1.0:
             raise ValueError("backoff_base must be >= 0 and backoff_factor "
                              ">= 1")
-        if self.detection_seconds < 0.0:
-            raise ValueError("detection_seconds must be >= 0")
 
     def backoff(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), in seconds."""
@@ -60,15 +50,8 @@ class MitigationPolicy:
         return sum(self.backoff(k) for k in range(retries))
 
 
-def default_mitigations(detection_seconds: float = 60.0) \
-        -> list[MitigationPolicy]:
-    """The standard six-policy sweep set (do-nothing first).
-
-    Mirrors linkguardian's sweep shape: a do-nothing baseline, client-side
-    retry budgets and hedging, then the two operator responses — drain the
-    ailing component onto healthy capacity versus disable it and accept
-    the degraded mode.
-    """
+def default_mitigations() -> list[MitigationPolicy]:
+    """The standard sweep set: do-nothing first, then two retry budgets."""
     return [
         MitigationPolicy("do-nothing", "none",
                          description="faults hit users unmitigated"),
@@ -78,14 +61,4 @@ def default_mitigations(detection_seconds: float = 60.0) \
         MitigationPolicy("retry-3", "retry", max_retries=3,
                          backoff_base=1.0, backoff_factor=2.0,
                          description="3 retries, exponential 1s/2s/4s"),
-        MitigationPolicy("hedge", "hedge",
-                         description="duplicate hedged attempt per request"),
-        MitigationPolicy("drain-repair", "drain",
-                         detection_seconds=detection_seconds,
-                         description="drain faulty component after "
-                                     "detection, repair offline"),
-        MitigationPolicy("disable", "disable",
-                         detection_seconds=detection_seconds,
-                         description="disable faulty component after "
-                                     "detection, fail fast / use replicas"),
     ]

@@ -48,16 +48,12 @@ from repro.faults.spec import (
     StorageNodeOutage,
 )
 
-__all__ = ["FAILOVER", "FaultInjector", "FaultSchedule", "HEDGE_ATTEMPT",
-           "compile_plan", "content_node", "request_disposition"]
+__all__ = ["FAILOVER", "FaultInjector", "FaultSchedule", "compile_plan",
+           "content_node", "request_disposition"]
 
 #: Sentinel outcome: the request hit a down storage node but a surviving
 #: replica served it (counted, not failed).
 FAILOVER = "failover"
-
-#: Attempt-index offset of a hedged duplicate (offline ``hedge`` policy):
-#: far above any retry budget, so hedge draws never collide with retry draws.
-HEDGE_ATTEMPT = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _LOSSY_TAG = 0xA1
@@ -288,7 +284,7 @@ def compile_plan(plan: FaultPlan, n_processes: int | None = None,
 
 
 def request_disposition(schedule: FaultSchedule,
-                        policy: MitigationPolicy | None,
+                        policy: MitigationPolicy,
                         ts: float, user_id: int, session_id: int,
                         mutating: bool, transfer_hash: str,
                         shard_id: int) -> tuple[str, int, float, bool]:
@@ -308,7 +304,7 @@ def request_disposition(schedule: FaultSchedule,
         return "", 0, 0.0, True
     retries = 0
     backoff = 0.0
-    if policy is not None and policy.kind == "retry":
+    if policy.kind == "retry":
         while retries < policy.max_retries and is_retryable_kind(outcome):
             backoff += policy.backoff(retries)
             retries += 1
@@ -331,8 +327,7 @@ class FaultInjector:
 
     __slots__ = ("schedule", "policy", "accounting")
 
-    def __init__(self, schedule: FaultSchedule,
-                 policy: MitigationPolicy | None = None):
+    def __init__(self, schedule: FaultSchedule, policy: MitigationPolicy):
         self.schedule = schedule
         self.policy = policy
         self.accounting = FaultAccounting()

@@ -13,31 +13,29 @@ re-resolves only that faulted residue, row by row, under a
 :class:`~repro.faults.mitigation.MitigationPolicy` — no backend, no RPC
 sampling, no trace sink (see :mod:`repro.faults.sweep`).
 
-Equivalence contract (pinned by ``tests/faults/test_simulator.py``): for the
-policy kinds the live request path supports (``none`` and ``retry``), the
-offline :class:`~repro.faults.accounting.FaultAccounting` matches the live
-replay's counter-for-counter, because both sides call the same decision
-procedure over the same request identities — the offline pass literally
-drives a :class:`~repro.faults.runtime.FaultInjector`.  Skipping the rows
-whose first attempt is clean changes nothing: for them the injector updates
-no counter and the latency stays as recorded.  Two caveats the caller
-controls:
+Equivalence contract (pinned by ``tests/faults/test_simulator.py``): every
+policy kind (``none`` and ``retry``) is one the live request path runs, and
+the offline :class:`~repro.faults.accounting.FaultAccounting` matches a live
+replay under the same policy counter-for-counter, because both sides call
+the same decision procedure over the same request identities — the offline
+pass literally drives a :class:`~repro.faults.runtime.FaultInjector`.
+Skipping the rows whose first attempt is clean changes nothing: for them
+the injector updates no counter and the latency stays as recorded.  Two
+rules bound the contract:
 
 * the trace must be the **mitigation-free** (``kind="none"``) replay of the
   same fault plan: a fault-hit request fails before dispatch and leaves
   exactly one storage row, so the baseline row set is the complete request
   log whatever policy is re-evaluated offline;
-* the ``degraded_*`` counters are exact against the baseline replay (the
-  inflation is inverted from the recorded service times), but under a live
-  *retry* policy recovered requests execute RPCs the baseline trace never
-  saw — pin retry counters with a degraded-free plan, or accept the
-  documented drift on the two degraded counters.
-
-The speculative policy kinds (``hedge``, ``drain``, ``disable``) have no
-live counterpart by design; their outcome figures are what-if *estimates*
-built from the same deterministic machinery (hedge duplicates draw with a
-disjoint attempt salt; drain/disable model an operator reacting
-``detection_seconds`` after each fault window opens).
+* the offline ``degraded_rpcs``/``degraded_extra_seconds`` are those of the
+  mitigation-free replay under every policy (the inflation is inverted from
+  the baseline trace's recorded service times).  A live *retry* replay can
+  differ from them in these two counters: its recovered requests run RPCs
+  the baseline trace never recorded, and their latency draws shift the
+  replay shard's sequential stream, so later RPCs on a degraded worker draw
+  other service times.  Every other counter stays equal (the flapping
+  fixture of the tests pins exactly this split), and on a plan without
+  degraded-process windows the two sides are equal throughout.
 """
 
 from __future__ import annotations
@@ -49,14 +47,7 @@ import numpy as np
 
 from repro.faults.accounting import FaultAccounting
 from repro.faults.mitigation import MitigationPolicy
-from repro.faults.runtime import (
-    FAILOVER,
-    HEDGE_ATTEMPT,
-    FaultInjector,
-    FaultSchedule,
-    _float_bits,
-    content_node,
-)
+from repro.faults.runtime import FaultInjector, FaultSchedule
 from repro.trace.dataset import (
     OPERATION_CODE,
     SESSION_EVENT_CODE,
@@ -72,6 +63,10 @@ _MUTATING = frozenset({
     ApiOperation.UPLOAD, ApiOperation.UNLINK, ApiOperation.MAKE,
     ApiOperation.MOVE, ApiOperation.CREATE_UDF, ApiOperation.DELETE_VOLUME,
 })
+
+#: Client-visible cost of one failed attempt, in seconds (the latency
+#: model's stand-in for the request timeout).
+TIMEOUT_SECONDS = 0.5
 
 _AUTH_REQUEST = SESSION_EVENT_CODE[SessionEvent.AUTH_REQUEST]
 _AUTH_FAIL = SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]
@@ -97,7 +92,7 @@ class MitigationOutcome:
     #: baseline (degradation inverted, faults ignored); 1.0 = no inflation.
     p99_inflation: float
     p999_inflation: float
-    #: Extra backend attempts (retries, hedge arms) per request.
+    #: Retries per request.
     ops_overhead: float
     #: linkguardian-style scalar: errors dominate, then tail inflation,
     #: then the cost of extra attempts.
@@ -268,7 +263,7 @@ class _ScheduleStats:
     """Per-(trace, schedule) derivations shared across a sweep's policies."""
 
     __slots__ = ("auth_outage_failures", "degraded_rpcs",
-                 "degraded_extra_seconds", "degraded_hits", "fault_rows",
+                 "degraded_extra_seconds", "fault_rows",
                  "fault_requests", "healthy_p99", "healthy_p999",
                  "clean_fill")
 
@@ -285,10 +280,6 @@ class _ScheduleStats:
         # that the live ``degraded_extra_seconds`` accumulated.
         self.degraded_rpcs = 0
         self.degraded_extra_seconds = 0.0
-        #: ``(request row, extra seconds, rpc timestamp, window start)`` per
-        #: degraded RPC — what the drain policy needs to lift inflation
-        #: ``detection_seconds`` after each window opens.
-        self.degraded_hits: list[tuple[int, float, float, float]] = []
         healthy = trace.latency.copy()
         if schedule.degraded:
             if trace._rpc_workers is None:
@@ -296,26 +287,26 @@ class _ScheduleStats:
                     "schedule has degraded-process windows; decode the trace "
                     "with the cluster's processes_per_machine/machine_names "
                     "so RPC rows can be mapped back to workers")
+            hit_rpcs, hit_extras = [], []
             for worker, windows in schedule.degraded.items():
                 on_worker = trace._rpc_workers == worker
                 for start, end, inflation in windows:
-                    mask = (on_worker & (trace._rpc_ts >= start)
-                            & (trace._rpc_ts < end))
-                    hits = np.flatnonzero(mask)
+                    hits = np.flatnonzero(on_worker & (trace._rpc_ts >= start)
+                                          & (trace._rpc_ts < end))
                     if not len(hits):
                         continue
-                    service = trace._rpc_service[hits]
-                    extra = service * (1.0 - 1.0 / inflation)
+                    extra = trace._rpc_service[hits] * (1.0 - 1.0 / inflation)
                     self.degraded_rpcs += len(hits)
                     self.degraded_extra_seconds += float(extra.sum())
-                    rows = trace._rpc_request[hits]
-                    for k in range(len(hits)):
-                        row = int(rows[k])
-                        if row >= 0:
-                            healthy[row] -= extra[k]
-                            self.degraded_hits.append(
-                                (row, float(extra[k]),
-                                 float(trace._rpc_ts[hits[k]]), start))
+                    hit_rpcs.append(hits)
+                    hit_extras.append(extra)
+            if hit_rpcs:
+                # Unbuffered, in hit order: the same subtractions, in the
+                # same order, as one ``healthy[row] -= extra`` per hit.
+                rows = trace._rpc_request[np.concatenate(hit_rpcs)]
+                extra = np.concatenate(hit_extras)
+                served = rows >= 0
+                np.subtract.at(healthy, rows[served], extra[served])
 
         # The fault-free latency baseline: degradation inverted, and rows
         # the baseline replay failed (they carry no RPCs, hence zero
@@ -351,39 +342,10 @@ class _ScheduleStats:
                 trace.shards[rows].tolist())]
 
 
-def _window_open(schedule: FaultSchedule, error_kind: str, ts: float,
-                 shard_id: int, transfer_hash: str) -> float:
-    """Start of the fault window behind ``error_kind`` at ``ts``.
-
-    The drain/disable policies model an operator reacting a detection
-    delay after the *window opens*, so they need the opening instant of
-    whichever window actually produced the error.
-    """
-    if error_kind == "service_unavailable":
-        for start, end, _rate in schedule.lossy:
-            if start <= ts < end:
-                return start
-    elif error_kind == "shard_read_only":
-        for start, end, ro_shard in schedule.read_only:
-            if ro_shard == shard_id and start <= ts < end:
-                return start
-    else:
-        for start, end, node, n_nodes, _failover in schedule.storage_down:
-            if start <= ts < end and content_node(transfer_hash,
-                                                  n_nodes) == node:
-                return start
-    return ts
-
-
 def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
-                        policy: MitigationPolicy,
-                        timeout_seconds: float = 0.5) -> MitigationOutcome:
+                        policy: MitigationPolicy) -> MitigationOutcome:
     """Re-resolve every first-attempt-faulted request under ``policy``,
-    offline.
-
-    ``timeout_seconds`` is the client-visible cost of one failed attempt
-    (the latency model's stand-in for the request timeout).
-    """
+    offline."""
     started = time.perf_counter()
     policy.validate()
     stats = trace.schedule_stats(schedule)
@@ -394,79 +356,18 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
     acc.degraded_extra_seconds = stats.degraded_extra_seconds
 
     latency = trace.latency.copy()
-    kind = policy.kind
-    detection = policy.detection_seconds
     clean = stats.clean_fill
-    hedges = 0
-
-    if kind in ("drain", "disable"):
-        # The operator reaction also lifts (drain) the degraded-process
-        # inflation once the degradation is detected.
-        if kind == "drain":
-            for row, extra, rpc_ts, win_start in stats.degraded_hits:
-                if rpc_ts >= win_start + detection:
-                    latency[row] -= extra
-
     for i, row_ts, user, session, mut, thash, shard in stats.fault_requests:
-        if kind in ("none", "retry"):
-            # Exactly the live request path: same injector, same identity,
-            # same counter updates — this is the pinned configuration.
-            error_kind, retries, _failover = injector.check_request(
-                row_ts, user, session, mut, thash, shard)
-            if error_kind:
-                latency[i] = (retries + 1) * timeout_seconds \
-                    + policy.total_backoff(retries)
-            elif retries:
-                latency[i] = retries * timeout_seconds \
-                    + policy.total_backoff(retries) + clean
-            continue
-
-        # Speculative kinds: resolve the unmitigated first attempt, then
-        # model the policy's reaction.
-        error_kind, _retries, _failover = FaultInjector.check_request(
-            _Probe(injector), row_ts, user, session, mut, thash, shard)
-        if not error_kind:
-            continue
-        acc.requests_failed -= 1  # re-decided below
-        _uncount_kind(acc, error_kind)
-        if kind == "hedge":
-            hedges += 1
-            second = schedule.attempt_outcome(
-                row_ts, _float_bits(row_ts), user, session, mut, thash,
-                shard, HEDGE_ATTEMPT)
-            if second is None or second == FAILOVER:
-                if second == FAILOVER:
-                    acc.failover_requests += 1
-                acc.requests_recovered += 1
-                latency[i] = clean
-            else:
-                acc.requests_failed += 1
-                _count_kind(acc, error_kind)
-                latency[i] = timeout_seconds
-        else:
-            opened = _window_open(schedule, error_kind, row_ts, shard,
-                                  thash)
-            detected = row_ts >= opened + detection
-            if not detected:
-                acc.requests_failed += 1
-                _count_kind(acc, error_kind)
-                latency[i] = timeout_seconds
-            elif kind == "drain":
-                # Drained to healthy capacity: the request is served.
-                acc.requests_recovered += 1
-                latency[i] = clean
-            elif error_kind == "storage_node_down":
-                # Disable-and-continue: the dead node is dropped from the
-                # placement and a surviving replica serves the read.
-                acc.requests_recovered += 1
-                acc.failover_requests += 1
-                latency[i] = clean
-            else:
-                # Disabled component: fail fast — still an error, but the
-                # client is told immediately instead of timing out.
-                acc.requests_failed += 1
-                _count_kind(acc, error_kind)
-                latency[i] = 0.0
+        # Exactly the live request path: same injector, same identity,
+        # same counter updates.
+        error_kind, retries, _failover = injector.check_request(
+            row_ts, user, session, mut, thash, shard)
+        if error_kind:
+            latency[i] = (retries + 1) * TIMEOUT_SECONDS \
+                + policy.total_backoff(retries)
+        elif retries:
+            latency[i] = retries * TIMEOUT_SECONDS \
+                + policy.total_backoff(retries) + clean
 
     n_requests = trace.n_requests + trace.auth_requests
     errors = acc.user_visible_errors
@@ -476,7 +377,7 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
     hp99, hp999 = stats.healthy_p99, stats.healthy_p999
     p99_inflation = p99 / hp99 if hp99 > 0 else 1.0
     p999_inflation = p999 / hp999 if hp999 > 0 else 1.0
-    ops_overhead = ((acc.retries + hedges) / trace.n_requests
+    ops_overhead = (acc.retries / trace.n_requests
                     if trace.n_requests else 0.0)
     penalty = (1000.0 * error_rate
                + 10.0 * max(0.0, p999_inflation - 1.0)
@@ -487,35 +388,6 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
         p999_latency=p999, p99_inflation=p99_inflation,
         p999_inflation=p999_inflation, ops_overhead=ops_overhead,
         penalty=penalty, seconds=time.perf_counter() - started)
-
-
-class _Probe:
-    """A policy-free view of an injector (first-attempt resolution only)."""
-
-    __slots__ = ("schedule", "policy", "accounting")
-
-    def __init__(self, injector: FaultInjector):
-        self.schedule = injector.schedule
-        self.policy = None
-        self.accounting = injector.accounting
-
-
-def _count_kind(acc: FaultAccounting, error_kind: str) -> None:
-    if error_kind == "service_unavailable":
-        acc.service_unavailable += 1
-    elif error_kind == "shard_read_only":
-        acc.shard_read_only += 1
-    else:
-        acc.storage_node_down += 1
-
-
-def _uncount_kind(acc: FaultAccounting, error_kind: str) -> None:
-    if error_kind == "service_unavailable":
-        acc.service_unavailable -= 1
-    elif error_kind == "shard_read_only":
-        acc.shard_read_only -= 1
-    else:
-        acc.storage_node_down -= 1
 
 
 def _pct(values: np.ndarray, q: float) -> float:

@@ -4,9 +4,9 @@
 (:class:`~repro.faults.simulator.FaultTrace`) and runs
 :func:`~repro.faults.simulator.simulate_mitigation` for every
 :class:`~repro.faults.mitigation.MitigationPolicy` — by default the
-six-policy set of :func:`~repro.faults.mitigation.default_mitigations`
-(do-nothing, two retry budgets, hedging, drain-and-repair,
-disable-and-continue).  The result renders as a comparison table
+three-policy set of :func:`~repro.faults.mitigation.default_mitigations`
+(do-nothing and two retry budgets, each one a live replay can run too).
+The result renders as a comparison table
 (``python -m repro faultsweep``) or as the JSON payload of
 ``repro faultsweep --json``.
 """
@@ -95,9 +95,7 @@ class FaultSweepResult:
 def run_fault_sweep(source: FaultTrace | object,
                     schedule: FaultSchedule | FaultPlan,
                     policies: list[MitigationPolicy] | None = None,
-                    config=None,
-                    detection_seconds: float = 60.0,
-                    timeout_seconds: float = 0.5) -> FaultSweepResult:
+                    config=None) -> FaultSweepResult:
     """Sweep mitigation policies over one faulted trace.
 
     ``source`` is a :class:`~repro.trace.dataset.TraceDataset` (or an
@@ -125,11 +123,10 @@ def run_fault_sweep(source: FaultTrace | object,
         trace = FaultTrace.from_dataset(source)
 
     if policies is None:
-        policies = default_mitigations(detection_seconds=detection_seconds)
+        policies = default_mitigations()
     elif not policies:
         raise ValueError("policies must not be empty")
-    outcomes = [simulate_mitigation(trace, schedule, policy,
-                                    timeout_seconds=timeout_seconds)
+    outcomes = [simulate_mitigation(trace, schedule, policy)
                 for policy in policies]
     return FaultSweepResult(outcomes=outcomes,
                             seconds=time.perf_counter() - started)

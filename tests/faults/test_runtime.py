@@ -14,11 +14,7 @@ from repro.backend.errors import (
     StorageNodeDown,
     is_retryable_kind,
 )
-from repro.faults.mitigation import (
-    LIVE_KINDS,
-    MitigationPolicy,
-    default_mitigations,
-)
+from repro.faults.mitigation import MitigationPolicy, default_mitigations
 from repro.faults.runtime import (
     _LOSSY_TAG,
     FAILOVER,
@@ -362,10 +358,9 @@ class TestDisposition:
 class TestMitigationPolicies:
     def test_default_set_shape(self):
         policies = default_mitigations()
-        assert len(policies) >= 4
-        assert policies[0].kind == "none"
-        kinds = {p.kind for p in policies}
-        assert kinds >= {"none", "retry", "hedge", "drain", "disable"}
+        assert [(p.name, p.kind, p.max_retries) for p in policies] == [
+            ("do-nothing", "none", 0), ("retry-1", "retry", 1),
+            ("retry-3", "retry", 3)]
         for policy in policies:
             policy.validate()
 
@@ -383,6 +378,3 @@ class TestMitigationPolicies:
         assert policy.backoff(0) == 1.0
         assert policy.backoff(2) == 4.0
         assert policy.total_backoff(3) == 7.0
-
-    def test_live_kinds_subset(self):
-        assert set(LIVE_KINDS) == {"none", "retry"}

@@ -15,7 +15,7 @@ import dataclasses
 import datetime as dt
 import tempfile
 
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.anonymize import Anonymizer
@@ -75,12 +75,7 @@ _LOGGED = _traces(
                      1389571199.999999]),
     st.sampled_from(["api0", "api-node-1", "whitecurrant"]))
 
-#: No shrink phase: shrinking a failing trace through every route costs
-#: minutes, and the unshrunk counterexample is small already (at most 12
-#: records per stream).
 _SETTINGS = settings(max_examples=40, deadline=None,
-                     phases=[phase for phase in Phase
-                             if phase is not Phase.shrink],
                      suppress_health_check=[HealthCheck.too_slow])
 
 

@@ -9,7 +9,7 @@ age kernel) through generated tier-event logs.
 from __future__ import annotations
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.datastore import ObjectStore
@@ -293,8 +293,7 @@ def _log(steps) -> tuple[list, list]:
     return events, sizes
 
 
-@settings(max_examples=300, deadline=None,
-          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@settings(max_examples=300, deadline=None)
 @given(_STEPS, _POLICIES, st.sampled_from([0.0, 3.0, 10.0]))
 def test_engine_equals_brute_force_reference(steps, policy, tail):
     events, sizes = _log(steps)
