@@ -32,7 +32,7 @@ from repro.backend.notifications import Notification, NotificationBus
 from repro.backend.protocol.entities import SessionHandle
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
-from repro.trace.dataset import RPC_CODE
+from repro.trace.dataset import RPC_CODE, SESSION_EVENT_CODE
 from repro.trace.records import (
     DATA_MANAGEMENT_OPERATIONS as _DATA_MANAGEMENT_OPERATIONS,
     ApiOperation,
@@ -51,11 +51,10 @@ _GET_NODE_CODE = RPC_CODE[_GET_NODE_RPC]
 _GET_USER_DATA_RPC = RpcName.GET_USER_DATA
 _GET_USER_ID_FROM_TOKEN_RPC = RpcName.GET_USER_ID_FROM_TOKEN
 _GET_ROOT_RPC = RpcName.GET_ROOT
-_AUTH_REQUEST = SessionEvent.AUTH_REQUEST
-_AUTH_OK = SessionEvent.AUTH_OK
-_AUTH_FAIL = SessionEvent.AUTH_FAIL
-_CONNECT = SessionEvent.CONNECT
-_DISCONNECT = SessionEvent.DISCONNECT
+_AUTH_REQUEST = SESSION_EVENT_CODE[SessionEvent.AUTH_REQUEST]
+_AUTH_OK = SESSION_EVENT_CODE[SessionEvent.AUTH_OK]
+_AUTH_FAIL = SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]
+_CONNECT = SESSION_EVENT_CODE[SessionEvent.CONNECT]
 
 
 class SessionRegistry:
@@ -168,12 +167,14 @@ class ApiServerProcess:
             self._fault_lo, self._fault_hi = faults.schedule.envelope
         else:
             self._fault_lo, self._fault_hi = float("inf"), float("-inf")
-        # Storage rows are recorded as provenance (request reference, shard
-        # id) through the sink's bound buffer appenders, never stale.
+        # Storage and session rows are recorded as provenance (request
+        # reference, shard id or session event) through the sink's bound
+        # buffer appenders, never stale.
         self._sink = sink
         self._storage_ref = sink.storage_refs.append
         self._storage_shard = sink.storage_shards.append
-        self._session_row = sink.session_row
+        self._session_ref = sink.session_refs.append
+        self._session_event = sink.session_events.append
         self._token_cache = TokenCache()
         self._sessions: dict[int, SessionHandle] = {}
         # user id -> number of open sessions on this process; lets
@@ -198,22 +199,21 @@ class ApiServerProcess:
 
     # ------------------------------------------------------- session handling
     def open_session(self, user_id: int, session_id: int, timestamp: float,
-                     ref: int, force_auth_failure: bool = False,
-                     caused_by_attack: bool = False) -> SessionHandle | None:
+                     ref: int, force_auth_failure: bool = False
+                     ) -> SessionHandle | None:
         """Authenticate a client and establish a storage-protocol session.
 
         Returns the session handle, or None when authentication failed (the
         failed attempt is still traced, since it still consumed work in the
         authentication subsystem).  ``ref`` is the open's trace-sink
-        reference (its timeline ordinal in a replay shard).
+        reference (its timeline ordinal in a replay shard); every session
+        row of the session records it and its ``SessionEvent`` code, the
+        sink gathers the other fields from the open's request.
         """
-        server = self._server
-        process = self._process
-        session_row = self._session_row
-        # Positional SessionRecord rows built inline: session management runs
-        # once per session but four rows deep, so the helper frames add up.
-        session_row((timestamp, server, process, user_id, session_id,
-                     _AUTH_REQUEST, caused_by_attack, -1.0, 0))
+        session_ref = self._session_ref
+        session_event = self._session_event
+        session_ref(ref)
+        session_event(_AUTH_REQUEST)
         token = self._auth.token_for(user_id, timestamp)
         shard, shard_id = self._store.shard_and_id(user_id)
         # Reuse the process-lifetime context (requests do the same): the
@@ -257,11 +257,11 @@ class ApiServerProcess:
                 # fraction-drawn ones included): the offline simulator
                 # counts AUTH_FAIL rows in outage windows, which must match.
                 faults.accounting.auth_outage_failures += 1
-            session_row((timestamp, server, process, user_id, session_id,
-                         _AUTH_FAIL, caused_by_attack, -1.0, 0))
+            session_ref(ref)
+            session_event(_AUTH_FAIL)
             return None
-        session_row((timestamp, server, process, user_id, session_id,
-                     _AUTH_OK, caused_by_attack, -1.0, 0))
+        session_ref(ref)
+        session_event(_AUTH_OK)
 
         # Register the user (and its root volume) on its shard, then fetch the
         # session bootstrap data the desktop client asks for.
@@ -269,18 +269,17 @@ class ApiServerProcess:
                           shard.ensure_user, user_id, -user_id, timestamp)
         self._rpc.execute_one(_GET_ROOT_RPC, context, shard.get_root, user_id)
 
-        handle = SessionHandle(session_id, user_id, timestamp, 0,
+        handle = SessionHandle(session_id, user_id, timestamp, ref, 0,
                                (shard, shard_id) if self._stable_routing
                                else None)
         self._sessions[session_id] = handle
         self._user_sessions[user_id] = self._user_sessions.get(user_id, 0) + 1
         self._registry.register(user_id, session_id, self.address)
-        session_row((timestamp, server, process, user_id, session_id,
-                     _CONNECT, caused_by_attack, -1.0, 0))
+        session_ref(ref)
+        session_event(_CONNECT)
         return handle
 
-    def close_session(self, session_id: int, timestamp: float,
-                      caused_by_attack: bool = False) -> None:
+    def close_session(self, session_id: int, timestamp: float) -> None:
         """Tear down a session and emit the DISCONNECT record."""
         handle = self._sessions.pop(session_id, None)
         if handle is None:
@@ -291,11 +290,10 @@ class ApiServerProcess:
         else:
             self._user_sessions.pop(handle.user_id, None)
         self._registry.unregister(handle.user_id, session_id)
-        self._session_row((
-            timestamp, self._server, self._process, handle.user_id,
-            session_id, _DISCONNECT, caused_by_attack,
+        self._sink.session_close(
+            handle.open_ref, timestamp,
             max(0.0, timestamp - handle.established_at),
-            handle.storage_operations))
+            handle.storage_operations)
 
     # --------------------------------------------------------- notifications
     def deliver_notification(self, notification: Notification) -> int:

@@ -90,6 +90,9 @@ class SessionHandle:
     session_id: int
     user_id: int
     established_at: float
+    #: Trace-sink reference of the open request (every session row's
+    #: provenance).
+    open_ref: int = 0
     storage_operations: int = 0
     #: ``(shard, shard_id)`` memo filled by the API server on first use —
     #: under stable (user-id) routing a session's shard never changes, so

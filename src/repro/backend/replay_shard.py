@@ -24,9 +24,10 @@ guarantee.
 Every shard *generates* its own workload: the pipeline hands each worker a
 :class:`PlannedShardWorkload` (a slice of the global
 :class:`~repro.workload.plan.WorkloadPlan`), and the worker materializes its
-members' session scripts from their per-user RNG streams before replaying
-them — the generate phase parallelises with the replay instead of running
-sequentially in the parent.  Results return as
+members' session scripts from their per-user RNG streams into one typed
+:class:`~repro.workload.events.ScriptTable` before replaying them — the
+generate phase parallelises with the replay instead of running sequentially
+in the parent.  Results return as
 :class:`~repro.trace.dataset.ColumnBlock` NumPy columns (buffer-pickled
 arrays, factorised strings) instead of per-event row tuples, so the parent's
 merge is pure array work and every merged column arrives pre-seeded.
@@ -60,8 +61,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -81,17 +80,12 @@ from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.faults.accounting import FaultAccounting
 from repro.faults.runtime import FaultInjector
-from repro.trace.dataset import (
-    OPERATION_CODE,
-    ColumnBlock,
-    concat_stored,
-    request_column,
-)
-from repro.trace.records import ApiOperation, RpcName
+from repro.trace.dataset import OPERATION_CODE, ColumnBlock
+from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
 from repro.util import telemetry
 from repro.util.gctools import cyclic_gc_paused
 from repro.util.rngpool import RngPool
-from repro.workload.events import EVENT_COLUMNS, SessionScript
+from repro.workload.events import ScriptTable
 
 __all__ = [
     "PlannedShardWorkload",
@@ -109,64 +103,33 @@ __all__ = [
 ]
 
 
-#: A block's event columns after ``times``, in dispatch-row order.
-_value_columns = attrgetter(*EVENT_COLUMNS[1:])
-#: The request fields those columns hold (``repro.trace.dataset.REQUEST_FIELDS``).
-_VALUE_FIELDS = ("operation", "node_id", "volume_id", "volume_type",
-                 "node_kind", "size_bytes", "content_hash", "extension",
-                 "is_update")
 _AUTHENTICATE_CODE = OPERATION_CODE[ApiOperation.AUTHENTICATE]
 #: A GC sweep's request fields after ``user_id`` (``REQUEST_FIELDS`` order):
 #: session 0, no API operation, no event fields, not an attack.
 _GC_REQUEST = (0, None, 0, 0, None, None, 0, "", "", False, False)
+#: Event columns a session open's request row fills with zeros (it reads
+#: only ``operation``, as ``AUTHENTICATE``).
+_ZERO_FILLED = ("node_id", "volume_id", "volume_type", "node_kind",
+                "size_bytes", "is_update")
 
 
-class _EventColumns:
-    """What the timeline build's one walk keeps for the shard's event columns.
-
-    ``blocks`` holds, for every script with events and in script order,
-    its block's :data:`_VALUE_FIELDS` columns as stored (a list, or one
-    value for all of the script's events); ``ts`` and ``kinds`` are the
-    timeline's timestamp and record-kind arrays.  :func:`_event_column`
-    turns a field of ``blocks`` into a typed column indexed by event
-    ordinal (the shard's events in script order), which the storage and
-    RPC rows are gathered from.
-    """
-
-    __slots__ = ("blocks", "ts", "kinds")
-
-    def __init__(self) -> None:
-        self.blocks: list[tuple] = []
-        self.ts: np.ndarray | None = None
-        self.kinds: np.ndarray | None = None
+def _members(values) -> np.ndarray:
+    """Object array mapping a code (position) to its value."""
+    table = np.empty(len(values), dtype=object)
+    table[:] = list(values)
+    return table
 
 
-def _event_column(name: str, entries: tuple, counts: np.ndarray):
-    """Stored form of one event field, one row per event.
+#: Trace code -> enum member, for the dispatch rows.
+_OPERATIONS = _members(ApiOperation)
+_VOLUME_TYPES = _members(VolumeType)
+_NODE_KINDS = _members(NodeKind)
 
-    ``entries`` has one entry per script, ``counts`` its number of events.
-    List entries are converted concatenated; scalar entries are converted
-    once per script and repeated over its events in NumPy, so a broadcast
-    column costs per script, not per event.
-    """
-    is_list = np.fromiter(map(is_, map(type, entries), repeat(list)),
-                          dtype=np.bool_, count=len(entries))
-    if is_list.all():
-        return request_column(name, list(chain.from_iterable(entries)))
-    scalars = request_column(name, list(compress(entries,
-                                                 (~is_list).tolist())))
-    lists = request_column(name, list(chain.from_iterable(
-        compress(entries, is_list.tolist()))))
-    categories = None
-    if type(scalars) is tuple:
-        codes, categories = concat_stored([scalars, lists])
-        split = len(scalars[0])
-        scalars, lists = codes[:split], codes[split:]
-    from_list = np.repeat(is_list, counts)
-    out = np.empty(len(from_list), dtype=scalars.dtype)
-    out[~from_list] = np.repeat(scalars, counts[~is_list])
-    out[from_list] = lists
-    return out if categories is None else (out, categories)
+
+def _decoded(stored) -> list:
+    """A factorised string column's values."""
+    codes, categories = stored
+    return _members(categories)[codes].tolist()
 
 
 def fork_available() -> bool:
@@ -280,7 +243,8 @@ class PlannedShardWorkload:
     plan: object  # WorkloadPlan (kept untyped: workload layer import cycle)
     members: list[int]
 
-    def scripts(self) -> list[SessionScript]:
+    def scripts(self) -> ScriptTable:
+        """The shard's script table, in canonical order."""
         from repro.workload.generator import materialize_members
         return materialize_members(self.plan, self.members)
 
@@ -385,7 +349,7 @@ class ShardOutcome:
     storage: ColumnBlock | None = None
     rpc: ColumnBlock | None = None
     sessions: ColumnBlock | None = None
-    #: Client events replayed (``sum(len(script))``).
+    #: Client events replayed (the table's ``n_events``).
     n_events: int = 0
     #: Total NumPy payload bytes of the three column blocks (IPC size).
     ipc_bytes: int = 0
@@ -404,11 +368,12 @@ class ShardOutcome:
     #: Last timeline timestamp of the shard (0.0 for an empty shard); the
     #: cluster reports the maximum as ``timeline_end``.
     timeline_end: float = 0.0
-    #: Replay sub-phase seconds (all included in :attr:`seconds`):
-    #: struct-of-arrays timeline and event-column assembly + lexsort
-    #: (``block_build``), the object-free dispatch loop (``dispatch``), and
-    #: the trace streams' columns (``pack``: the storage and RPC gather from
-    #: the event columns, the session rows' pack).
+    #: Replay sub-phase seconds (all included in :attr:`seconds`): the
+    #: NumPy timeline, its lexsort and the dispatch rows decoded from the
+    #: script table (``block_build``), the object-free dispatch loop
+    #: (``dispatch``), and the trace streams' columns (``pack``: the
+    #: request columns concatenated from the table, and the storage, RPC
+    #: and session rows gathered from them by provenance).
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -485,69 +450,52 @@ class ReplayShard:
     _OPEN, _EVENT, _CLOSE = 0, 1, 2
 
     @classmethod
-    def _build_timeline(cls, scripts: list[SessionScript],
-                        events: _EventColumns | None = None) -> tuple:
+    def _build_timeline(cls, table: ScriptTable) -> tuple:
         """Assemble the struct-of-arrays timeline and the dispatch rows.
 
-        Four parallel columns (timestamp, record kind, script index,
-        dispatch row) are extended per script straight from the event
-        blocks, then ordered by one stable ``np.lexsort`` over (timestamp,
-        kind) — opens before events before closes at equal timestamps,
-        insertion order as the final tie-break, exactly the order the
-        historical per-record ``(ts, kind, seq, payload)`` tuple sort
-        produced, without building or sorting millions of tuples.
+        The timeline's records are the table's session opens (script
+        order), then its events (script order, each script's in time
+        order), then its closes: the timestamp column is ``start``,
+        ``times`` and ``end`` concatenated, and the script-index column
+        comes from ``np.repeat``.  The records are laid out kind-major, so
+        one stable ``np.argsort`` of the timestamps orders them as the
+        historical per-record ``(ts, kind, seq, payload)`` tuple sort did:
+        opens before events before closes at equal timestamps, and within
+        a kind script-major.  A record's index is its timeline ordinal, and
+        the first ``len(table) + table.n_events`` of them, the opens and
+        the events, are the rows of the shard's request columns
+        (:meth:`_request_sources`).
 
         The dispatch rows form one shard-wide list indexed like the other
-        columns, ``None`` at opens and closes, so the record index is the
-        event's ordinal.  A row is ``(time, operation, node_id, volume_id,
-        volume_type, node_kind, size_bytes, content_hash, extension,
-        is_update, caused_by_attack)``, the argument order of
-        :meth:`ApiServerProcess.handle_event`, zipped at C speed from the
-        block's columns with scalar columns repeated.
-
-        The same walk keeps each block's value columns in ``events``, the
-        source of the shard's event columns (see :class:`_EventColumns`).
+        columns, ``None`` at the opens (the closes lie past its end).  A
+        row is ``(time, operation, node_id, volume_id, volume_type,
+        node_kind, size_bytes, content_hash, extension, is_update,
+        caused_by_attack)``, the argument order of
+        :meth:`ApiServerProcess.handle_event`, decoded from the typed
+        columns with NumPy gathers and zipped at C speed.
         """
-        _OPEN, _EVENT, _CLOSE = cls._OPEN, cls._EVENT, cls._CLOSE
-        if events is None:
-            events = _EventColumns()
-        add_block = events.blocks.append
-        ts_col: list[float] = []
-        kind_col: list[int] = []
-        script_col: list[int] = []
-        rows: list[tuple | None] = []
-        add_row = rows.append
-        for index, script in enumerate(scripts):
-            block = script.block
-            times = block.times
-            n = len(times)
-            ts_col.append(script.start)
-            kind_col.append(_OPEN)
-            script_col.append(index)
-            add_row(None)
-            if n:
-                values = _value_columns(block)
-                add_block(values)
-                # ``times`` leads the zip, so repeated scalars stop with it.
-                columns = [times]
-                for value in values:
-                    columns.append(value if type(value) is list
-                                   else repeat(value))
-                columns.append(repeat(block.caused_by_attack))
-                rows.extend(zip(*columns))
-                ts_col.extend(times)
-                kind_col.extend([_EVENT] * n)
-                script_col.extend([index] * n)
-            ts_col.append(script.end)
-            kind_col.append(_CLOSE)
-            script_col.append(index)
-            add_row(None)
-        events.kinds = np.asarray(kind_col, dtype=np.int8)
-        events.ts = np.asarray(ts_col, dtype=np.float64)
-        order = np.lexsort((events.kinds, events.ts)).tolist()
+        n = len(table)
+        m = table.n_events
+        counts = table.counts
+        scripts = np.arange(n)
+        kind_col = [cls._OPEN] * n + [cls._EVENT] * m + [cls._CLOSE] * n
+        ts = np.concatenate([table.start, table.times, table.end])
+        order = np.argsort(ts, kind="stable").tolist()
+        ts_col = ts.tolist()
+        script_col = np.concatenate([scripts, np.repeat(scripts, counts),
+                                     scripts]).tolist()
+        rows: list[tuple | None] = [None] * n
+        rows.extend(zip(
+            ts_col[n:n + m], _OPERATIONS[table.operation].tolist(),
+            table.node_id.tolist(), table.volume_id.tolist(),
+            _VOLUME_TYPES[table.volume_type].tolist(),
+            _NODE_KINDS[table.node_kind].tolist(), table.size_bytes.tolist(),
+            _decoded(table.content_hash), _decoded(table.extension),
+            table.is_update.tolist(),
+            np.repeat(table.caused_by_attack, counts).tolist()))
         return order, ts_col, kind_col, script_col, rows
 
-    def _dispatch(self, scripts: list[SessionScript], order: list[int],
+    def _dispatch(self, table: ScriptTable, order: list[int],
                   ts_col: list[float], kind_col: list[int],
                   script_col: list[int], rows: list) -> list[int]:
         """Replay the sorted timeline through the shard's API processes.
@@ -562,11 +510,14 @@ class ReplayShard:
         _EVENT, _OPEN = self._EVENT, self._OPEN
         process_by_address = {p.address: (k, p)
                               for k, p in enumerate(self.processes)}
-        assigned = [0] * len(scripts)
+        user_ids = table.user_id.tolist()
+        session_ids = table.session_id.tolist()
+        auth_failed = table.auth_failed.tolist()
+        assigned = [0] * len(table)
         # Per-script dispatch entry, set at session open: (bound
         # handle_event, session handle, process, address).  None for failed
         # or not-yet-open sessions.
-        entries: list[tuple | None] = [None] * len(scripts)
+        entries: list[tuple | None] = [None] * len(table)
         gateway = self.gateway
         collector = self.collector
         next_gc = float("-inf")
@@ -594,12 +545,11 @@ class ReplayShard:
                     entry[0](entry[1], rows[j], j)
                 elif kind == _OPEN:
                     index = script_col[j]
-                    script = scripts[index]
                     address = gateway.assign()
                     assigned[index], process = process_by_address[address]
                     handle = process.open_session(
-                        script.user_id, script.session_id, script.start, j,
-                        script.auth_failed, script.caused_by_attack)
+                        user_ids[index], session_ids[index], timestamp, j,
+                        auth_failed[index])
                     if handle is None:
                         gateway.release(address)
                     else:
@@ -611,77 +561,52 @@ class ReplayShard:
                     if entry is None:
                         continue
                     entries[index] = None
-                    script = scripts[index]
-                    entry[2].close_session(
-                        script.session_id, script.end,
-                        caused_by_attack=script.caused_by_attack)
+                    entry[2].close_session(session_ids[index], timestamp)
                     gateway.release(entry[3])
         progress.done = n_records
         return assigned
 
-    def _request_sources(self, scripts: list[SessionScript],
-                         events: _EventColumns,
-                         assigned: list[int]) -> tuple[dict, np.ndarray]:
-        """The request columns of the shard's timeline, and the map from a
-        timeline ordinal to its row there (:meth:`TraceSink.gather`).
+    def _request_sources(self, table: ScriptTable,
+                         assigned: list[int]) -> dict:
+        """The request columns of the shard's timeline
+        (:meth:`TraceSink.gather`): its session opens, then its events, so
+        a timeline ordinal is its request's row.
 
-        Request rows are the events in event-ordinal order, then the
-        session opens in script order.  Event fields come from ``events``
-        (an open's are fillers no storage row reads, its operation is
-        ``AUTHENTICATE``), script fields from the scripts, ``server`` and
-        ``process`` from the process each session was opened on.
+        Event fields are the table's event columns (an open's are zero
+        fillers no storage row reads, its operation is ``AUTHENTICATE``),
+        script fields the table's script columns, ``server`` and
+        ``process`` those of the process each session was opened on.
         """
-        kinds = events.kinds
-        n_scripts = len(scripts)
-        event_at = np.flatnonzero(kinds == self._EVENT)
-        open_at = np.flatnonzero(kinds == self._OPEN)
-        n_events = len(event_at)
-        source_of = np.zeros(len(kinds), dtype=np.int64)
-        source_of[event_at] = np.arange(n_events)
-        source_of[open_at] = np.arange(n_events, n_events + n_scripts)
-        # A script's records are its open, its events and its close.
-        per_script = np.diff(open_at, append=len(kinds)) - 2
-        script_of = np.concatenate([
-            np.repeat(np.arange(n_scripts), per_script), np.arange(n_scripts)])
-
-        def of_scripts(values, dtype) -> np.ndarray:
-            return np.fromiter(values, dtype=dtype, count=n_scripts)
-
+        n = len(table)
+        scripts = np.arange(n)
+        script_of = np.concatenate([scripts, np.repeat(scripts, table.counts)])
         process_of = np.asarray(assigned, dtype=np.int64)[script_of]
         servers = list(dict.fromkeys(p.address.server for p in self.processes))
         sources = {
-            "timestamp": events.ts[np.concatenate([event_at, open_at])],
+            "timestamp": np.concatenate([table.start, table.times]),
             "server": (np.array([servers.index(p.address.server)
                                  for p in self.processes],
                                 dtype=np.int32)[process_of], servers),
             "process": np.array([p.address.process for p in self.processes],
                                 dtype=np.int64)[process_of],
-            "user_id": of_scripts((s.user_id for s in scripts),
-                                  np.int64)[script_of],
-            "session_id": of_scripts((s.session_id for s in scripts),
-                                     np.int64)[script_of],
-            # An event carries its block's flag, an open its script's.
-            "caused_by_attack": np.concatenate([
-                of_scripts((s.block.caused_by_attack for s in scripts),
-                           np.bool_)[script_of[:n_events]],
-                of_scripts((s.caused_by_attack for s in scripts), np.bool_)]),
+            "user_id": table.user_id[script_of],
+            "session_id": table.session_id[script_of],
+            "caused_by_attack": table.caused_by_attack[script_of],
+            "operation": np.concatenate([
+                np.full(n, _AUTHENTICATE_CODE, dtype=np.int16),
+                table.operation]),
         }
-        fields = list(zip(*events.blocks)) or [()] * len(_VALUE_FIELDS)
-        counts = per_script[per_script > 0]
-        for name, entries in zip(_VALUE_FIELDS, fields):
-            stored = _event_column(name, entries, counts)
-            if type(stored) is tuple:
-                codes, categories = stored
-                sources[name] = (np.concatenate([
-                    codes, np.zeros(n_scripts, dtype=np.int32)]),
-                    categories or [""])
-            else:
-                filler = (_AUTHENTICATE_CODE if name == "operation" else 0)
-                sources[name] = np.concatenate([
-                    stored, np.full(n_scripts, filler, dtype=stored.dtype)])
-        return sources, source_of
+        for name in _ZERO_FILLED:
+            column = getattr(table, name)
+            sources[name] = np.concatenate([np.zeros(n, dtype=column.dtype),
+                                            column])
+        for name in ("content_hash", "extension"):
+            codes, categories = getattr(table, name)
+            sources[name] = (np.concatenate([np.zeros(n, dtype=np.int32),
+                                             codes]), categories or [""])
+        return sources
 
-    def run(self, scripts: list[SessionScript]) -> ShardOutcome:
+    def run(self, table: ScriptTable) -> ShardOutcome:
         """Replay this shard's scripts and summarise the outcome.
 
         The loop is the classic timsort-merge replay: opens before events
@@ -690,14 +615,12 @@ class ReplayShard:
         own timeline.
         """
         started = time.perf_counter()
-        events = _EventColumns()
         order, ts_col, kind_col, script_col, rows = \
-            self._build_timeline(scripts, events)
-        n_events = len(rows) - 2 * len(scripts)
+            self._build_timeline(table)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
-        assigned = self._dispatch(scripts, order, ts_col, kind_col,
+        assigned = self._dispatch(table, order, ts_col, kind_col,
                                   script_col, rows)
         del rows  # the dispatch rows' tuples are not needed by the pack
         timeline_end = ts_col[order[-1]] if order else 0.0
@@ -705,13 +628,12 @@ class ReplayShard:
 
         # The timeline is processed in timestamp order, so every stream was
         # appended sorted (the merge re-checks global order).  Column packing
-        # happens here, in the worker: the storage and RPC rows are gathered
-        # by request reference from the event columns in one NumPy pass per
-        # field, the session rows packed from their tuples.
+        # happens here, in the worker: the storage, RPC and session rows are
+        # gathered by request reference from the request columns in one
+        # NumPy pass per field.
         pack_started = time.perf_counter()
-        storage, rpc = self.sink.gather(
-            *self._request_sources(scripts, events, assigned))
-        sessions = ColumnBlock.from_stream(self.sink.dataset._sessions)
+        storage, rpc, sessions = self.sink.gather(
+            self._request_sources(table, assigned))
         pack_seconds = time.perf_counter() - pack_started
         totals = self.gateway.total_assigned()
         return ShardOutcome(
@@ -720,7 +642,7 @@ class ReplayShard:
             storage=storage,
             rpc=rpc,
             sessions=sessions,
-            n_events=n_events,
+            n_events=table.n_events,
             ipc_bytes=storage.nbytes + rpc.nbytes + sessions.nbytes,
             block_build_seconds=build_seconds,
             dispatch_seconds=dispatch_seconds,

@@ -6,24 +6,28 @@ straight into a :class:`~repro.trace.dataset.TraceDataset`;
 :mod:`repro.trace.logfile` writes a finished trace out as those per-process
 logfiles (``repro generate --out``) and reads them back.
 
-Most fields of a storage or RPC row are the fields of the request it
-serves (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
+Most fields of a trace row are the fields of the request it serves
+(:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
 *provenance* instead of rows, one buffer per provenance field:
 
 * a storage row: its request's reference and the metadata shard id, plus
   ``error_kind``/``retries`` in a sparse table when a fault sets them;
 * an RPC row: its request's reference, the RPC code, the shard id and the
-  service time.
+  service time;
+* a session row: the reference of its session's open and the
+  ``SessionEvent`` code, plus the close timestamp, ``session_length`` and
+  ``storage_operations`` in a sparse table for a ``DISCONNECT`` row
+  (the other rows carry the open's timestamp, ``-1.0`` and ``0``).
 
-A reference ``>= 0`` is a replay shard's timeline ordinal (an event or a
-session open); the shard resolves it when it gathers its column blocks
-(:meth:`TraceSink.gather`).  The only requests without a timeline ordinal
-are the uploadjob garbage-collection sweeps, which serve no client: each
-swept job is registered with :meth:`TraceSink.explicit` and gets a negative
-reference into the sink's own request table, so every row takes the same
-record path.  Reading :attr:`TraceSink.dataset` gathers the buffered rows
-into the dataset first.  Session rows stay row tuples: ``session_row`` is
-the bound ``list.append`` of the session stream's append buffer.
+A reference ``>= 0`` is a row of a replay shard's request columns (its
+timeline ordinal: a session open or an event); the shard resolves it when
+it gathers its column blocks (:meth:`TraceSink.gather`).  The only
+requests without a timeline ordinal are the uploadjob garbage-collection
+sweeps, which serve no client, and the requests of callers outside a
+replay: each is registered with :meth:`TraceSink.explicit` and gets a
+negative reference into the sink's own request table, so every row takes
+the same record path.  Reading :attr:`TraceSink.dataset` gathers the
+buffered rows into the dataset first.
 
 The buffers are plain lists, each converted to one typed NumPy array when
 the rows are gathered.  A list append is about a third of an
@@ -38,13 +42,18 @@ import numpy as np
 
 from repro.trace.dataset import (
     REQUEST_FIELDS,
+    SESSION_EVENT_CODE,
     ColumnBlock,
     TraceDataset,
     concat_stored,
     request_column,
 )
+from repro.trace.records import SessionEvent
 
 __all__ = ["TraceSink"]
+
+_DISCONNECT = SESSION_EVENT_CODE[SessionEvent.DISCONNECT]
+
 
 def _typed(buffer: list, dtype) -> np.ndarray:
     """One provenance buffer as a typed array."""
@@ -54,14 +63,19 @@ def _typed(buffer: list, dtype) -> np.ndarray:
 class TraceSink:
     """Accumulates the trace rows produced during a simulation run."""
 
-    __slots__ = ("_dataset", "session_row", "storage_refs", "storage_shards",
+    __slots__ = ("_dataset", "session_refs", "session_events",
+                 "session_closes", "storage_refs", "storage_shards",
                  "storage_faults", "rpc_refs", "rpc_codes", "rpc_shards",
-                 "rpc_service_times", "_explicit", "_explicit_base")
+                 "rpc_service_times", "_explicit")
 
     def __init__(self, dataset: TraceDataset | None = None):
         self._dataset = dataset if dataset is not None else TraceDataset()
-        #: Append one session row tuple (``SessionRecord`` field order).
-        self.session_row = self._dataset._sessions.append
+        #: Per session row: the open's reference, ``SESSION_EVENT_CODE``.
+        self.session_refs: list[int] = []
+        self.session_events: list[int] = []
+        #: session row position -> ``(timestamp, session_length,
+        #: storage_operations)``, DISCONNECT rows only.
+        self.session_closes: dict[int, tuple[float, float, int]] = {}
         #: Per storage row: request reference, metadata shard id.
         self.storage_refs: list[int] = []
         self.storage_shards: list[int] = []
@@ -72,31 +86,38 @@ class TraceSink:
         self.rpc_codes: list[int] = []
         self.rpc_shards: list[int] = []
         self.rpc_service_times: list[float] = []
-        # Requests with no timeline ordinal (REQUEST_FIELDS tuples); the
-        # reference of entry k is -1 - (_explicit_base + k).
+        # Requests with no timeline ordinal (REQUEST_FIELDS tuples), kept
+        # for the sink's lifetime: a session row gathered after its open's
+        # still refers to it.  The reference of entry k is -1 - k.
         self._explicit: list[tuple] = []
-        self._explicit_base = 0
 
     def explicit(self, request: tuple) -> int:
         """Register a request given as a :data:`REQUEST_FIELDS` tuple and
-        return its reference (valid until the next :meth:`gather`)."""
+        return its reference."""
         self._explicit.append(request)
-        return -self._explicit_base - len(self._explicit)
+        return -len(self._explicit)
 
     def storage_fault(self, error_kind: str, retries: int) -> None:
         """Set ``error_kind``/``retries`` of the last storage row."""
         self.storage_faults[len(self.storage_refs) - 1] = (error_kind, retries)
 
-    def gather(self, sources: dict | None = None,
-               source_of: np.ndarray | None = None) -> tuple[ColumnBlock,
-                                                             ColumnBlock]:
-        """Gather the buffered rows into ``(storage, rpc)`` column blocks
-        and empty the buffers.
+    def session_close(self, ref: int, timestamp: float, session_length: float,
+                      storage_operations: int) -> None:
+        """Record the ``DISCONNECT`` row of the session opened by request
+        ``ref``."""
+        self.session_closes[len(self.session_refs)] = (
+            timestamp, session_length, storage_operations)
+        self.session_refs.append(ref)
+        self.session_events.append(_DISCONNECT)
+
+    def gather(self, sources: dict | None = None
+               ) -> tuple[ColumnBlock, ColumnBlock, ColumnBlock]:
+        """Gather the buffered rows into ``(storage, rpc, sessions)``
+        column blocks and empty the buffers.
 
         ``sources`` holds the :data:`REQUEST_FIELDS` columns of the timeline
-        requests in stored form, and ``source_of`` maps a reference ``>= 0``
-        to its row there; a sink that only saw explicit requests needs
-        neither.
+        requests in stored form, a reference ``>= 0`` being a row there; a
+        sink that only saw explicit requests needs none.
         """
         explicit = self._explicit
         offset = 0 if sources is None else len(sources["timestamp"])
@@ -112,14 +133,10 @@ class TraceSink:
         def rows_of(refs: list[int]) -> np.ndarray:
             ref = _typed(refs, np.int64)
             timeline = ref >= 0
-            index = np.empty_like(ref)
-            if source_of is not None:
-                index[timeline] = source_of[ref[timeline]]
-            elif timeline.any():
+            if sources is None and timeline.any():
                 raise ValueError("timeline references need the timeline's "
                                  "request columns")
-            index[~timeline] = offset - 1 - self._explicit_base - ref[~timeline]
-            return index
+            return np.where(timeline, ref, offset - 1 - ref)
 
         n = len(self.storage_refs)
         retries = np.zeros(n, dtype=np.int64)
@@ -139,23 +156,38 @@ class TraceSink:
                 "rpc": _typed(self.rpc_codes, np.int16),
                 "shard_id": _typed(self.rpc_shards, np.int64),
                 "service_time": _typed(self.rpc_service_times, np.float64)})
+        rows = rows_of(self.session_refs)
+        timestamps = merged["timestamp"][rows]
+        lengths = np.full(len(rows), -1.0)
+        operations = np.zeros(len(rows), dtype=np.int64)
+        if self.session_closes:
+            closes = np.fromiter(self.session_closes, dtype=np.int64,
+                                 count=len(self.session_closes))
+            (timestamps[closes], lengths[closes],
+             operations[closes]) = zip(*self.session_closes.values())
+        sessions = ColumnBlock.gather("sessions", merged, rows, {
+            "timestamp": timestamps,
+            "event": _typed(self.session_events, np.int16),
+            "session_length": lengths,
+            "storage_operations": operations})
         # Cleared in place: the writers hold the buffers' bound appenders.
         for buffer in (self.storage_refs, self.storage_shards, self.rpc_refs,
                        self.rpc_codes, self.rpc_shards,
-                       self.rpc_service_times):
+                       self.rpc_service_times, self.session_refs,
+                       self.session_events):
             buffer.clear()
         self.storage_faults.clear()
-        self._explicit_base += len(explicit)
-        explicit.clear()
-        return storage, rpc
+        self.session_closes.clear()
+        return storage, rpc, sessions
 
     @property
     def dataset(self) -> TraceDataset:
         """The trace so far, with every buffered row gathered into it."""
-        if self.storage_refs or self.rpc_refs:
-            storage, rpc = self.gather()
-            self._dataset._storage.append_block(storage)
-            self._dataset._rpc.append_block(rpc)
+        if self.storage_refs or self.rpc_refs or self.session_refs:
+            for stream, block in zip(
+                    (self._dataset._storage, self._dataset._rpc,
+                     self._dataset._sessions), self.gather()):
+                stream.append_block(block)
         return self._dataset
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

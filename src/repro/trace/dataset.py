@@ -21,9 +21,9 @@ is packed into the columns when the stream is next read.
   (``server``, ``content_hash``, ``extension``, ``error_kind``) are stored
   factorised as ``(int32 codes, categories)``, categories in
   first-occurrence order; ``*_column(name)`` decodes them on demand.
-* The record-list constructor appends to the buffer, and so does the
-  back-end's trace sink (:mod:`repro.backend.tracing`) with its session
-  rows.  The sink delivers storage and RPC rows as whole
+* The record-list constructor appends to the buffer.  The back-end's
+  trace sink (:mod:`repro.backend.tracing`) records provenance instead of
+  rows and delivers its storage, RPC and session rows as whole
   :class:`ColumnBlock`\\ s (:meth:`ColumnBlock.gather`) that a stream takes
   with :meth:`_Stream.append_block`; the anonymiser and the logfile reader
   (:mod:`repro.trace.anonymize`, :mod:`repro.trace.logfile`) build their
@@ -64,6 +64,7 @@ __all__ = [
     "REQUEST_FIELDS",
     "TraceDataset",
     "concat_stored",
+    "factorise",
     "request_column",
     "OPERATION_CODE",
     "RPC_CODE",
@@ -150,10 +151,9 @@ class ColumnBlock:
     and ``codes`` maps every object-dtype field (``server``,
     ``content_hash``, ``extension``, ``error_kind``) to a factorised
     ``(int32 codes, categories)`` pair, categories in first-occurrence
-    order.  A replay shard builds its storage and RPC blocks with
-    :meth:`gather` from request columns and per-row back-end values, its
-    session block with :meth:`from_stream`, and ships them across the
-    worker boundary: numeric arrays pickle as contiguous buffers, no
+    order.  A replay shard builds its storage, RPC and session blocks with
+    :meth:`gather` from request columns and per-row back-end values, and
+    ships them across the worker boundary: numeric arrays pickle as contiguous buffers, no
     per-event Python objects cross, and the factorisation dedups the
     repeated strings (machine names, duplicated content hashes).
     """
@@ -183,10 +183,10 @@ class ColumnBlock:
     @classmethod
     def gather(cls, stream: str, sources: dict, index: np.ndarray,
                own: dict) -> "ColumnBlock":
-        """A ``stream`` block (``"storage"`` or ``"rpc"``) of ``len(index)``
-        rows: each field in ``own`` as given (stored form), every other field
-        taken from the same-named ``sources`` column at ``index`` in one
-        NumPy gather.  Object fields are renumbered to first-occurrence row
+        """A ``stream`` block (``"storage"``, ``"rpc"`` or ``"sessions"``)
+        of ``len(index)`` rows: each field in ``own`` as given (stored
+        form), every other field taken from the same-named ``sources``
+        column at ``index`` in one NumPy gather.  Object fields are renumbered to first-occurrence row
         order, so the block equals the one packed from the same rows."""
         cols: dict[str, np.ndarray] = {}
         codes: dict[str, tuple[np.ndarray, list]] = {}
@@ -228,13 +228,19 @@ def _column_from_values(spec: _StreamSpec, name: str, values: tuple):
             return np.fromiter((codes.get(v, -1) for v in values),
                                dtype=np.int16, count=n)
     if kind is object:
-        # C-speed factorisation: dict.fromkeys dedups in insertion order and
-        # the code lookup maps at C level.
-        mapping = {value: code
-                   for code, value in enumerate(dict.fromkeys(values))}
-        return (np.fromiter(map(mapping.__getitem__, values),
-                            dtype=np.int32, count=n), list(mapping))
+        return factorise(values)
     return np.asarray(values, dtype=kind)
+
+
+def factorise(values) -> tuple[np.ndarray, list]:
+    """``(int32 codes, categories)`` of a sequence of hashable values,
+    categories in first-occurrence order (the stored form of an object
+    field)."""
+    # C-speed factorisation: dict.fromkeys dedups in insertion order and
+    # the code lookup maps at C level.
+    mapping = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return (np.fromiter(map(mapping.__getitem__, values), dtype=np.int32,
+                        count=len(values)), list(mapping))
 
 
 #: What a storage or RPC row takes from the request it serves: every
@@ -323,7 +329,7 @@ class _Stream:
     one, so a view stays coherent whatever happens to its base.
 
     ``_buf`` is cleared in place, never rebound, so a bound :attr:`append`
-    (the trace sink's session-row appender) never goes stale.
+    never goes stale.
     """
 
     __slots__ = ("spec", "_cols", "_n", "_indices", "_buf", "append",
@@ -509,7 +515,7 @@ class _Stream:
         return cls(spec, cols, int(ts.size))
 
 
-_SPECS = {"storage": _STORAGE_SPEC, "rpc": _RPC_SPEC}
+_SPECS = {"storage": _STORAGE_SPEC, "rpc": _RPC_SPEC, "sessions": _SESSION_SPEC}
 
 
 class _RecordsView(Sequence):

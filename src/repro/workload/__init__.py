@@ -21,12 +21,13 @@ using the empirical models the paper reports:
 models together.  Generation is a two-pass pipeline: :meth:`plan` runs the
 global planning pass (a :class:`~repro.workload.plan.WorkloadPlan`) and
 :func:`~repro.workload.generator.materialize_members` turns plan members
-into session scripts from per-user RNG streams, inside the sharded replay
+into a :class:`~repro.workload.events.ScriptTable` of session scripts
+from per-user RNG streams, inside the sharded replay
 workers of :meth:`repro.backend.cluster.U1Cluster.replay_plan`.
 """
 
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import SessionScript
+from repro.workload.events import ScriptTable
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 from repro.workload.plan import AttackPlan, SessionSpec, UserPlan, WorkloadPlan
 from repro.workload.population import User, UserClass, build_population
@@ -40,7 +41,7 @@ from repro.workload.attacks import AttackEpisode
 
 __all__ = [
     "WorkloadConfig",
-    "SessionScript",
+    "ScriptTable",
     "SyntheticTraceGenerator",
     "materialize_members",
     "AttackPlan",

@@ -9,22 +9,28 @@ Canonical engineers manually deleted the fraudulent account (activity decays
 within about an hour of the response).
 
 :class:`AttackEpisode` generates the corresponding burst of session,
-authentication and storage events attributed to a dedicated attacker user id.
+authentication and storage events attributed to a dedicated attacker user id,
+as a :class:`~repro.workload.events.ScriptTable` built with array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
+from repro.trace.dataset import NODE_KIND_CODE, OPERATION_CODE, VOLUME_TYPE_CODE
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
 from repro.util.units import HOUR
 from repro.workload.config import AttackConfig, WorkloadConfig
-from repro.workload.events import EventBlock, SessionScript
+from repro.workload.events import ScriptTable, ranges
 
 __all__ = ["AttackEpisode", "build_attack_episodes"]
+
+_UPLOAD = OPERATION_CODE[ApiOperation.UPLOAD]
+_DOWNLOAD = OPERATION_CODE[ApiOperation.DOWNLOAD]
+_SHARED = VOLUME_TYPE_CODE[VolumeType.SHARED]
+_FILE = NODE_KIND_CODE[NodeKind.FILE]
 
 
 @dataclass
@@ -72,8 +78,8 @@ class AttackEpisode:
                           max_sessions: int = 5_000,
                           max_storage_ops: int = 30_000,
                           session_range: tuple[int, int] | None = None
-                          ) -> Iterator[SessionScript]:
-        """Yield the attack sessions.
+                          ) -> ScriptTable:
+        """The attack sessions, as one script table.
 
         ``baseline_sessions_per_hour`` and ``baseline_storage_ops_per_hour``
         are the legitimate per-hour rates; the attack multiplies them by the
@@ -84,17 +90,17 @@ class AttackEpisode:
         bound the absolute size of an episode so that laptop-scale runs stay
         tractable while the relative spike remains visible.
 
-        ``session_range=(lo, hi)`` yields only sessions ``lo <= i < hi`` of
+        ``session_range=(lo, hi)`` keeps only sessions ``lo <= i < hi`` of
         the episode.  The whole-episode vectorised draws happen on the
         first call and are memoised on the episode object (they are a pure
         function of the spawned attacker stream and the baselines, so every
         slice of the episode — typically materialized back to back inside
         one replay worker — reuses the same arrays instead of re-drawing
-        and re-sorting them), while the per-event script building — the
-        actual cost — is restricted to the requested range.  A sharded
-        replay can therefore split one botnet flood across workers: the
-        attack's thousands of sessions are *concurrent* independent clients
-        sharing one account, not a sequential per-user activity stream.
+        and re-sorting them), while the slice's columns are gathered from
+        them with array operations.  A sharded replay can therefore split
+        one botnet flood across workers: the attack's thousands of sessions
+        are *concurrent* independent clients sharing one account, not a
+        sequential per-user activity stream.
         """
         # The memo key includes the identity of the caller's stream (its
         # SeedSequence entropy/spawn key): a differently-seeded rng must
@@ -140,55 +146,48 @@ class AttackEpisode:
                 - np.repeat(base, op_counts)
             session_ends = starts + lengths
             valid = times < np.repeat(session_ends, op_counts)
-            n_valid = np.add.reduceat(valid, seg_first).tolist()
-            uploads_list = uploads.tolist()
-            upload_op = ApiOperation.UPLOAD
-            download_op = ApiOperation.DOWNLOAD
-            ops_list = [upload_op if u else download_op for u in uploads_list]
+            n_valid = np.add.reduceat(valid, seg_first)
             cached = (n_sessions, starts, session_ends, seg_first, n_valid,
-                      times.tolist(), uploads_list, ops_list)
+                      times, uploads)
             self._draws_key = cache_key
             self._draws = cached
         (n_sessions, starts, session_ends, seg_first, n_valid,
-         times_list, uploads_list, ops_list) = cached
+         times, uploads) = cached
         lo, hi = session_range if session_range is not None else (0, n_sessions)
         hi = min(hi, n_sessions)
-        attacker = self.attacker_user_id
-        node_id = self.shared_node_id
-        volume_id = self.shared_volume_id
-        file_size = self.config.shared_file_size
-        content_hash = self.content_hash
-        shared = VolumeType.SHARED
-        file_kind = NodeKind.FILE
-        for i in range(lo, hi):
-            session_id = session_id_start + i + 1
-            cursor = int(seg_first[i])
-            stop = cursor + int(n_valid[i])
-            # The attack is content distribution: overwhelmingly reads of
-            # the same shared file, with occasional re-uploads.  Only the
-            # event time, operation and upload flag vary, so the block
-            # stores everything else as scalar constant columns.
-            block = EventBlock(
-                times=times_list[cursor:stop],
-                operations=ops_list[cursor:stop],
-                node_ids=node_id,
-                volume_ids=volume_id,
-                volume_types=shared,
-                node_kinds=file_kind,
-                size_bytes=file_size,
-                content_hashes=content_hash,
-                extensions="avi",
-                is_updates=uploads_list[cursor:stop],
-                caused_by_attack=True,
-            )
-            yield SessionScript(
-                user_id=attacker,
-                session_id=session_id,
-                start=float(starts[i]),
-                end=float(session_ends[i]),
-                caused_by_attack=True,
-                block=block,
-            )
+        lo = min(lo, hi)
+        # Session i keeps the valid prefix of its gap block.
+        counts = n_valid[lo:hi]
+        rows = ranges(seg_first[lo:hi], counts)
+        n = hi - lo
+        m = len(rows)
+        # The attack is content distribution: overwhelmingly reads of the
+        # same shared file, with occasional re-uploads.  Only the event
+        # time, operation and upload flag vary.
+        is_update = uploads[rows]
+        return ScriptTable(
+            {"user_id": np.full(n, self.attacker_user_id, dtype=np.int64),
+             "session_id": np.arange(session_id_start + lo + 1,
+                                     session_id_start + hi + 1,
+                                     dtype=np.int64),
+             "start": starts[lo:hi],
+             "end": session_ends[lo:hi],
+             "caused_by_attack": np.ones(n, dtype=np.bool_),
+             "auth_failed": np.zeros(n, dtype=np.bool_)},
+            counts,
+            {"times": times[rows],
+             "operation": np.where(is_update, _UPLOAD, _DOWNLOAD).astype(
+                 np.int16),
+             "node_id": np.full(m, self.shared_node_id, dtype=np.int64),
+             "volume_id": np.full(m, self.shared_volume_id, dtype=np.int64),
+             "volume_type": np.full(m, _SHARED, dtype=np.int16),
+             "node_kind": np.full(m, _FILE, dtype=np.int16),
+             "size_bytes": np.full(m, self.config.shared_file_size,
+                                   dtype=np.int64),
+             "content_hash": (np.zeros(m, dtype=np.int32),
+                              [self.content_hash]),
+             "extension": (np.zeros(m, dtype=np.int32), ["avi"]),
+             "is_update": is_update})
 
 
 def build_attack_episodes(config: WorkloadConfig, first_attacker_id: int,

@@ -2,8 +2,8 @@
 
 :class:`SyntheticTraceGenerator` stitches together the population, file,
 session, operation and attack models into a :class:`WorkloadPlan`, from
-which :func:`materialize_members` builds the per-session client scripts that
-:meth:`repro.backend.cluster.U1Cluster.replay_plan` replays.
+which :func:`materialize_members` builds the table of client session scripts
+that :meth:`repro.backend.cluster.U1Cluster.replay_plan` replays.
 
 Since PR 3 generation is split into two passes:
 
@@ -15,13 +15,14 @@ Since PR 3 generation is split into two passes:
   globally allocated session ids, the DDoS rate normalisation and the
   shared popular-content pool that keeps cross-user dedup alive.
 * :func:`materialize_members` is the **per-user materialization pass**: it
-  turns plan members (users or attack episodes) into concrete
-  :class:`SessionScript` streams.  Every member draws exclusively from its
-  own RNG stream spawned from ``(seed, member user id)``, and node /
-  volume / content-hash identifiers live in per-user namespaces, so the
-  realised workload is a pure function of ``(config, plan member)`` —
-  independent of which replay shard (or worker process) materializes it,
-  and bit-identical to running the whole generator unsharded.
+  turns plan members (users or attack episodes) into one typed
+  :class:`~repro.workload.events.ScriptTable` per replay shard.  Every
+  member draws exclusively from its own RNG stream spawned from ``(seed,
+  member user id)``, and node / volume / content-hash identifiers live in
+  per-user namespaces, so the realised workload is a pure function of
+  ``(config, plan member)`` — independent of which replay shard (or worker
+  process) materializes it, and bit-identical to running the whole
+  generator unsharded.
 
 The per-user materializer maintains the *client-side namespace state* of its
 user — volumes, directories and files, together with their sizes, content
@@ -50,11 +51,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
+from repro.trace.dataset import NODE_KIND_CODE, OPERATION_CODE, VOLUME_TYPE_CODE
 from repro.trace.records import (
     ApiOperation,
     NodeKind,
@@ -66,7 +68,7 @@ from repro.util.units import HOUR
 from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import WorkloadConfig
 from repro.workload.diurnal import DiurnalProfile
-from repro.workload.events import EventBlock, SessionScript
+from repro.workload.events import ScriptRows, ScriptTable, ranges
 from repro.workload.filemodel import (
     PROFILE_EXTENSIONS,
     FileModel,
@@ -162,6 +164,24 @@ _OP_MOVE = CHAIN_OP_INDEX[ApiOperation.MOVE]
 _OP_CREATE_UDF = CHAIN_OP_INDEX[ApiOperation.CREATE_UDF]
 _OP_DELETE_VOLUME = CHAIN_OP_INDEX[ApiOperation.DELETE_VOLUME]
 
+#: Trace codes of the event rows' enum fields (see
+#: :class:`~repro.workload.events.ScriptTable`).
+_CHAIN_CODES = [OPERATION_CODE[op] for op in CHAIN_OPS]
+_MAKE = OPERATION_CODE[ApiOperation.MAKE]
+_UPLOAD = OPERATION_CODE[ApiOperation.UPLOAD]
+_DOWNLOAD = OPERATION_CODE[ApiOperation.DOWNLOAD]
+_UNLINK = OPERATION_CODE[ApiOperation.UNLINK]
+_MOVE = OPERATION_CODE[ApiOperation.MOVE]
+_CREATE_UDF = OPERATION_CODE[ApiOperation.CREATE_UDF]
+_DELETE_VOLUME = OPERATION_CODE[ApiOperation.DELETE_VOLUME]
+_COLD_OPS = (OPERATION_CODE[ApiOperation.QUERY_SET_CAPS],
+             OPERATION_CODE[ApiOperation.GET_DELTA])
+_ROOT = VOLUME_TYPE_CODE[VolumeType.ROOT]
+_UDF = VOLUME_TYPE_CODE[VolumeType.UDF]
+_SHARED = VOLUME_TYPE_CODE[VolumeType.SHARED]
+_FILE = NODE_KIND_CODE[NodeKind.FILE]
+_DIRECTORY = NODE_KIND_CODE[NodeKind.DIRECTORY]
+
 
 # ---------------------------------------------------------------------------
 # Client-side namespace state
@@ -171,7 +191,7 @@ _OP_DELETE_VOLUME = CHAIN_OP_INDEX[ApiOperation.DELETE_VOLUME]
 class _FileState:
     node_id: int
     volume_id: int
-    volume_type: VolumeType
+    volume_type: int  # VOLUME_TYPE_CODE
     size_bytes: int
     content_hash: str
     extension: str
@@ -180,7 +200,7 @@ class _FileState:
 @dataclass(slots=True)
 class _VolumeState:
     volume_id: int
-    volume_type: VolumeType
+    volume_type: int  # VOLUME_TYPE_CODE
     directory_count: int = 0
     file_ids: set[int] = field(default_factory=set)
 
@@ -495,19 +515,19 @@ class _UserState:
         # Volume choice cache (volume list, cumulative weights), rebuilt
         # only when the volume set changes (UDF creation/deletion is rare).
         self.volume_cache: tuple[list[_VolumeState], list[float]] | None = None
-        self.add_volume(VolumeType.ROOT)
+        self.add_volume(_ROOT)
         # The root volume is created first and never deleted.
         self.root_id = self.id_base + 1
         for _ in range(user.udf_volumes):
-            self.add_volume(VolumeType.UDF)
+            self.add_volume(_UDF)
         for _ in range(user.shared_volumes):
-            self.add_volume(VolumeType.SHARED)
+            self.add_volume(_SHARED)
 
     def new_node_id(self) -> int:
         self.next_node += 1
         return self.id_base + self.next_node
 
-    def add_volume(self, volume_type: VolumeType) -> _VolumeState:
+    def add_volume(self, volume_type: int) -> _VolumeState:
         self.next_volume += 1
         volume = _VolumeState(volume_id=self.id_base + self.next_volume,
                               volume_type=volume_type)
@@ -521,7 +541,7 @@ class _UserState:
 
     def udf_volume_ids(self) -> list[int]:
         return [v.volume_id for v in self.volumes.values()
-                if v.volume_type is VolumeType.UDF]
+                if v.volume_type == _UDF]
 
 
 # ---------------------------------------------------------------------------
@@ -743,16 +763,6 @@ def _member_sizes(plan: UserPlan) -> list[int]:
     return [_skeleton_size(spec) for spec in plan.sessions]
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray,
-            stride: int = 1) -> np.ndarray:
-    """The concatenated ``starts[i] + stride * arange(lengths[i])``."""
-    counts = np.asarray(lengths, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts
-    return (np.repeat(np.asarray(starts, dtype=np.int64) - stride * offsets,
-                      counts)
-            + stride * np.arange(int(counts.sum())))
-
-
 def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                 list[int]]:
     """The lockstep schedule of sessions holding ``counts`` items each.
@@ -828,8 +838,10 @@ class _BatchMaterializer:
 
     def materialize(self, plans: Sequence[UserPlan],
                     rngs: Sequence[np.random.Generator],
-                    sizes: list[list[int]]) -> list[list[SessionScript]]:
-        """Every member's session scripts, in its plan order.
+                    sizes: list[list[int]],
+                    script_rows: ScriptRows) -> None:
+        """Append every member's session scripts to ``script_rows``,
+        member by member, each in its plan order.
 
         ``sizes`` holds each member's :func:`_member_sizes`.
         """
@@ -837,9 +849,8 @@ class _BatchMaterializer:
                                    for rng, member_sizes in zip(rngs, sizes)])
         sessions = self._structure(plans, sizes, skeleton)
         slots = self._draw_operands(plans, rngs, sessions)
-        return [self._scripts(plan, member_sessions, member_slots)
-                for plan, member_sessions, member_slots
-                in zip(plans, sessions, slots)]
+        for plan, member_sessions, member_slots in zip(plans, sessions, slots):
+            self._scripts(plan, member_sessions, member_slots, script_rows)
 
     # ------------------------------------------------------------ skeleton
     def _structure(self, plans: Sequence[UserPlan], sizes: list[list[int]],
@@ -871,9 +882,8 @@ class _BatchMaterializer:
                 np.asarray([spec.start for spec in specs]) + _COLD_FIRST_POLL,
                 _COLD_MIN_SPACING + _COLD_SPACING_SPREAD * skeleton, at + 1, 2,
                 np.asarray(polls), np.asarray([spec.end for spec in specs]))
-            choice = (ApiOperation.QUERY_SET_CAPS, ApiOperation.GET_DELTA)
-            ops = [choice[flag] for flag in (
-                skeleton[_ranges(at, kept, 2)] < _COLD_GET_DELTA_SHARE).tolist()]
+            ops = [_COLD_OPS[flag] for flag in (
+                skeleton[ranges(at, kept, 2)] < _COLD_GET_DELTA_SHARE).tolist()]
             _deal(entries, kept, 0, times.tolist())
             _deal(entries, kept, 1, ops)
         if active:
@@ -904,7 +914,7 @@ class _BatchMaterializer:
         if not walking:
             return
         steps = kept[walking] - 1
-        u = skeleton[_ranges(at[walking] + n_ops[walking] + 1, steps)]
+        u = skeleton[ranges(at[walking] + n_ops[walking] + 1, steps)]
         # Each walking session's transitions follow its first operation.
         bias = self._diurnal.download_bias_array(
             np.delete(times, (np.cumsum(kept) - kept)[walking]))
@@ -990,7 +1000,10 @@ class _BatchMaterializer:
 
     # -------------------------------------------------------------- scripts
     def _scripts(self, plan: UserPlan, sessions: list,
-                 slots: tuple[int, int, int] | None) -> list[SessionScript]:
+                 slots: tuple[int, int, int] | None,
+                 script_rows: ScriptRows) -> None:
+        """Append the member's scripts and their event rows to
+        ``script_rows``."""
         user_id = plan.user.user_id
         if slots is None:
             root_id = (user_id << _ID_BITS) + 1
@@ -999,32 +1012,28 @@ class _BatchMaterializer:
             root_id = state.root_id
             self._add_existing_files(state)
             slot = state.slot_base + state.n_files
-        scripts = []
+        add_script = script_rows.scripts.append
+        rows = script_rows.rows
         for spec, entry in zip(plan.sessions, sessions):
             if entry is None:
                 # Failed authentications never establish a session; the
                 # script is kept (it still hits the auth service) but
                 # carries no events.
-                script = SessionScript(user_id=user_id,
-                                       session_id=spec.session_id,
-                                       start=spec.start, end=spec.end,
-                                       auth_failed=True)
+                add_script((user_id, spec.session_id, spec.start, spec.end,
+                            False, True, 0))
+                continue
+            times, ops = entry
+            if not spec.active:
+                # Maintenance polls touch nothing but the root volume.
+                rows.extend(zip(times, ops, repeat(0), repeat(root_id),
+                                repeat(_ROOT), repeat(_FILE), repeat(0),
+                                repeat(""), repeat(""), repeat(False)))
+                n_events = len(times)
             else:
-                times, ops = entry
-                if not spec.active:
-                    # Maintenance polls touch nothing but the root volume:
-                    # every other column is one scalar for the whole block.
-                    block = EventBlock(times=times, operations=ops,
-                                       volume_ids=root_id)
-                else:
-                    block = self._active_block(state, times, ops, slot)
-                    slot += len(times)
-                script = SessionScript(user_id=user_id,
-                                       session_id=spec.session_id,
-                                       start=spec.start, end=spec.end,
-                                       block=block)
-            scripts.append(script)
-        return scripts
+                n_events = self._active_rows(state, times, ops, slot, rows)
+                slot += len(times)
+            add_script((user_id, spec.session_id, spec.start, spec.end,
+                        False, False, n_events))
 
     # -------------------------------------------------------- file tables
     @staticmethod
@@ -1035,7 +1044,7 @@ class _BatchMaterializer:
             cumulative: list[float] = []
             total = 0.0
             for volume in volumes:
-                total += 3.0 if volume.volume_type is VolumeType.ROOT else 1.0
+                total += 3.0 if volume.volume_type == _ROOT else 1.0
                 cumulative.append(total)
             cache = state.volume_cache = (volumes, cumulative)
         return cache
@@ -1138,15 +1147,15 @@ class _BatchMaterializer:
         first); every stochastic choice reads a lane of the operation's
         operand ``slot``, while the table/pending-upload/volume bookkeeping —
         the truly state-dependent residue — stays scalar.  The row holds
-        the event's :data:`~repro.workload.events.EVENT_COLUMNS` values;
-        operations that resolve to nothing (empty table, tombstoned pending
-        upload) give ``None``.
+        the event's :data:`~repro.workload.events.EVENT_FIELDS` values, enum
+        fields as their trace codes; operations that resolve to nothing
+        (empty table, tombstoned pending upload) give ``None``.
         """
         if op == _OP_DOWNLOAD:
             target = self._pick_download_target(state, t, slot)
             state.table.touch_read(target.node_id, t)
-            return (t, ApiOperation.DOWNLOAD, target.node_id, target.volume_id,
-                    target.volume_type, NodeKind.FILE, target.size_bytes,
+            return (t, _DOWNLOAD, target.node_id, target.volume_id,
+                    target.volume_type, _FILE, target.size_bytes,
                     target.content_hash, target.extension, False)
 
         if op == _OP_UPLOAD:
@@ -1164,9 +1173,9 @@ class _BatchMaterializer:
                 update_target.content_hash = new_hash
                 update_target.size_bytes = new_size
                 state.table.touch_write(update_target.node_id, t, new_size)
-                return (t, ApiOperation.UPLOAD, update_target.node_id,
+                return (t, _UPLOAD, update_target.node_id,
                         update_target.volume_id, update_target.volume_type,
-                        NodeKind.FILE, new_size, new_hash,
+                        _FILE, new_size, new_hash,
                         update_target.extension, True)
             if state.pending_uploads:
                 node_id = state.pending_uploads.popleft()
@@ -1176,23 +1185,23 @@ class _BatchMaterializer:
                 state.table.touch_write(node_id, t)
             else:
                 file_state = self._create_file(state, t, slot)
-            return (t, ApiOperation.UPLOAD, file_state.node_id,
+            return (t, _UPLOAD, file_state.node_id,
                     file_state.volume_id, file_state.volume_type,
-                    NodeKind.FILE, file_state.size_bytes,
+                    _FILE, file_state.size_bytes,
                     file_state.content_hash, file_state.extension, False)
 
         if op == _OP_MAKE:
             if self._roll[slot] < 0.30:
                 volume = self._pick_volume(state, slot)
                 volume.directory_count += 1
-                return (t, ApiOperation.MAKE, state.new_node_id(),
+                return (t, _MAKE, state.new_node_id(),
                         volume.volume_id, volume.volume_type,
-                        NodeKind.DIRECTORY, 0, "", "", False)
+                        _DIRECTORY, 0, "", "", False)
             file_state = self._create_file(state, t, slot)
             state.pending_uploads.append(file_state.node_id)
-            return (t, ApiOperation.MAKE, file_state.node_id,
+            return (t, _MAKE, file_state.node_id,
                     file_state.volume_id, file_state.volume_type,
-                    NodeKind.FILE, 0, "", "", False)
+                    _FILE, 0, "", "", False)
 
         if op == _OP_UNLINK:
             if not state.files:
@@ -1209,8 +1218,8 @@ class _BatchMaterializer:
             volume = state.volumes.get(target.volume_id)
             if volume is not None:
                 volume.file_ids.discard(target.node_id)
-            return (t, ApiOperation.UNLINK, target.node_id, target.volume_id,
-                    target.volume_type, NodeKind.FILE, 0, "",
+            return (t, _UNLINK, target.node_id, target.volume_id,
+                    target.volume_type, _FILE, 0, "",
                     target.extension, False)
 
         if op == _OP_MOVE:
@@ -1218,14 +1227,14 @@ class _BatchMaterializer:
             if node_id is None:
                 return None
             target = state.files[node_id]
-            return (t, ApiOperation.MOVE, target.node_id, target.volume_id,
-                    target.volume_type, NodeKind.FILE, 0, "",
+            return (t, _MOVE, target.node_id, target.volume_id,
+                    target.volume_type, _FILE, 0, "",
                     target.extension, False)
 
         if op == _OP_CREATE_UDF:
-            udf = state.add_volume(VolumeType.UDF)
-            return (t, ApiOperation.CREATE_UDF, 0, udf.volume_id,
-                    VolumeType.UDF, NodeKind.DIRECTORY, 0, "", "", False)
+            udf = state.add_volume(_UDF)
+            return (t, _CREATE_UDF, 0, udf.volume_id,
+                    _UDF, _DIRECTORY, 0, "", "", False)
 
         # _OP_DELETE_VOLUME, the last chain state.
         udf_ids = state.udf_volume_ids()
@@ -1237,42 +1246,42 @@ class _BatchMaterializer:
         state.volume_cache = None
         for node_id in volume.file_ids:
             self._drop_file(state, node_id)
-        return (t, ApiOperation.DELETE_VOLUME, 0, volume_id, VolumeType.UDF,
-                NodeKind.DIRECTORY, 0, "", "", False)
+        return (t, _DELETE_VOLUME, 0, volume_id, _UDF,
+                _DIRECTORY, 0, "", "", False)
 
-    def _active_block(self, state: _UserState, times: list[float],
-                      ops: list[int], slot: int) -> EventBlock:
-        """One active session's events; operation ``i`` owns ``slot + i``."""
-        maintenance = [(CHAIN_OPS[op], 0, state.root_id, VolumeType.ROOT,
-                        NodeKind.FILE, 0, "", "", False)
+    def _active_rows(self, state: _UserState, times: list[float],
+                     ops: list[int], slot: int, rows: list) -> int:
+        """Append one active session's event rows to ``rows`` and return
+        how many; operation ``i`` owns operand slot ``slot + i``."""
+        maintenance = [(_CHAIN_CODES[op], 0, state.root_id, _ROOT, _FILE, 0,
+                        "", "", False)
                        for op in range(_FIRST_STATEFUL)]
         materialize = self._materialize
-        rows = []
+        add = rows.append
+        before = len(rows)
         for t, op in zip(times, ops):
             if op < _FIRST_STATEFUL:
                 # Maintenance operations touch no operand state at all.
-                rows.append((t, *maintenance[op]))
+                add((t, *maintenance[op]))
             else:
                 row = materialize(state, op, t, slot)
                 if row is not None:
-                    rows.append(row)
+                    add(row)
             slot += 1
-        if not rows:
-            return EventBlock(times=[], operations=[])
-        return EventBlock(*map(list, zip(*rows)))
+        return len(rows) - before
 
 
 def _materialize_attack(config: WorkloadConfig, plan: AttackPlan,
                         rng: np.random.Generator | None = None
-                        ) -> list[SessionScript]:
+                        ) -> ScriptTable:
     """Materialize one DDoS episode slice from the attacker's own stream."""
     if rng is None:
         rng = member_rng(config.seed, plan.episode.attacker_user_id)
-    return list(plan.episode.generate_sessions(
+    return plan.episode.generate_sessions(
         rng, plan.baseline_sessions_per_hour,
         plan.baseline_storage_ops_per_hour,
         session_id_start=plan.session_id_start,
-        session_range=plan.sessions_slice))
+        session_range=plan.sessions_slice)
 
 
 def _member_user_id(plan: WorkloadPlan, index: int) -> int:
@@ -1291,43 +1300,42 @@ def _diurnal(config: WorkloadConfig) -> DiurnalProfile:
 def materialize_member(plan: WorkloadPlan, index: int,
                        diurnal: DiurnalProfile | None = None,
                        rng_batch: MemberRngBatch | None = None
-                       ) -> list[SessionScript]:
-    """Materialize one plan member (user or attack slice) into scripts."""
+                       ) -> ScriptTable:
+    """Materialize one plan member (user or attack slice) into its script
+    table, in plan order."""
     config = plan.config
     n_users = len(plan.users)
     if index < n_users:
         user_plan = plan.users[index]
-        if not user_plan.sessions:
-            # No sessions -> no scripts; the user's stream is independent,
-            # so skipping it draws nothing.
-            return []
-        user_id = user_plan.user.user_id
-        rng = (rng_batch.rng(user_id) if rng_batch is not None
-               else member_rng(config.seed, user_id))
-        materializer = _BatchMaterializer(config, plan.popular_pool,
-                                          diurnal or _diurnal(config))
-        return materializer.materialize([user_plan], [rng],
-                                        [_member_sizes(user_plan)])[0]
+        script_rows = ScriptRows()
+        if user_plan.sessions:
+            # A user without sessions has no scripts; its stream is
+            # independent, so skipping it draws nothing.
+            user_id = user_plan.user.user_id
+            rng = (rng_batch.rng(user_id) if rng_batch is not None
+                   else member_rng(config.seed, user_id))
+            materializer = _BatchMaterializer(config, plan.popular_pool,
+                                              diurnal or _diurnal(config))
+            materializer.materialize([user_plan], [rng],
+                                     [_member_sizes(user_plan)], script_rows)
+        return script_rows.build()
     attack_plan = plan.attacks[index - n_users]
     rng = (rng_batch.rng(attack_plan.episode.attacker_user_id)
            if rng_batch is not None else None)
     return _materialize_attack(config, attack_plan, rng=rng)
 
 
-#: Canonical script order: ``(start, session_id)``.  Session ids are
-#: globally unique and allocated by the plan, so this is a total order —
-#: materializing any partition of the members and sorting each part yields
-#: per-shard streams whose stable merge equals the unsharded generator
-#: output, independent of partition shape.
-_script_order = attrgetter("start", "session_id")
-
-
 def materialize_members(plan: WorkloadPlan,
-                        members: Sequence[int] | None = None) -> list[SessionScript]:
-    """Materialize plan members (default: all) sorted in canonical order.
+                        members: Sequence[int] | None = None) -> ScriptTable:
+    """Materialize plan members (default: all) into one script table in
+    canonical ``(start, session_id)`` order (:meth:`ScriptTable.sorted`).
 
     User members go through :class:`_BatchMaterializer` in batches of at
-    most ``_BATCH_DRAWS`` planned skeleton draws; attack slices one by one.
+    most ``_BATCH_DRAWS`` planned skeleton draws, all appending to one
+    :class:`ScriptRows`; attack slices build their own tables.
+    Session ids are globally unique and allocated by the plan, so the
+    canonical order is total: the tables of any member partition merge
+    stably into the table of all members.
     """
     config = plan.config
     diurnal = _diurnal(config)
@@ -1339,13 +1347,13 @@ def materialize_members(plan: WorkloadPlan,
     rng_batch = MemberRngBatch(config.seed, member_ids)
     materializer = _BatchMaterializer(config, plan.popular_pool, diurnal)
     n_users = len(plan.users)
-    scripts: list[SessionScript] = []
+    script_rows = ScriptRows()
+    attacks: list[ScriptTable] = []
 
     def flush() -> None:
         plans = [plan.users[index] for index in batch]
         rngs = [rng_batch.rng(user_plan.user.user_id) for user_plan in plans]
-        for member in materializer.materialize(plans, rngs, sizes):
-            scripts.extend(member)
+        materializer.materialize(plans, rngs, sizes, script_rows)
         batch.clear()
         sizes.clear()
 
@@ -1354,7 +1362,7 @@ def materialize_members(plan: WorkloadPlan,
     draws = 0
     for index in indices:
         if index >= n_users:
-            scripts.extend(materialize_member(plan, index, diurnal=diurnal,
+            attacks.append(materialize_member(plan, index, diurnal=diurnal,
                                               rng_batch=rng_batch))
             continue
         if not plan.users[index].sessions:
@@ -1368,8 +1376,7 @@ def materialize_members(plan: WorkloadPlan,
         draws += sum(member_sizes)
     if batch:
         flush()
-    scripts.sort(key=_script_order)
-    return scripts
+    return ScriptTable.concat([script_rows.build(), *attacks]).sorted()
 
 
 # ---------------------------------------------------------------------------

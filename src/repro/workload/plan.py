@@ -11,8 +11,9 @@ two passes:
   global rate normalisation for the DDoS episodes, session-id allocation
   and the shared popular-content pool that keeps cross-user dedup alive;
 * a per-user **materialization pass** (:mod:`repro.workload.generator`)
-  that turns one user's plan into concrete :class:`SessionScript`\\ s,
-  drawing only from that user's spawned RNG stream.
+  that turns one user's plan into the rows of a replay shard's
+  :class:`~repro.workload.events.ScriptTable`, drawing only from that
+  user's spawned RNG stream.
 
 Because materialization is a pure function of ``(config, plan entry)``, it
 can run *inside* the sharded replay workers — fusing generation into the
@@ -39,7 +40,7 @@ from repro.workload.filemodel import PopularContentPool
 from repro.workload.population import User
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workload.events import SessionScript
+    from repro.workload.events import ScriptTable
 
 __all__ = ["SessionSpec", "UserPlan", "AttackPlan", "WorkloadPlan"]
 
@@ -150,13 +151,12 @@ class WorkloadPlan:
         return weights
 
     def materialize(self, members: Sequence[int] | None = None
-                    ) -> "list[SessionScript]":
-        """Materialize the given members (default: all) into session scripts.
+                    ) -> "ScriptTable":
+        """Materialize the given members (default: all) into a script table.
 
-        The result is sorted by the canonical ``(start, session_id)`` order,
-        so materializing any partition of the members and concatenating the
-        sorted parts in a stable merge reproduces exactly the unsharded
-        generator's output.
+        The table is in the canonical ``(start, session_id)`` order, so
+        materializing any partition of the members and merging the sorted
+        parts stably reproduces exactly the unsharded generator's output.
         """
         from repro.workload.generator import materialize_members
         return materialize_members(self, members)

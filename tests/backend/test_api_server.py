@@ -36,8 +36,13 @@ from repro.faults.spec import (
 from repro.trace.records import ApiOperation, NodeKind, RpcName, SessionEvent
 from repro.trace.validate import validate_dataset
 from repro.util.units import MB
-from repro.workload.events import EventBlock, SessionScript
-from tests.conftest import event_row, open_session, replay_scripts, send_event
+from tests.conftest import (
+    event_row,
+    open_session,
+    replay_scripts,
+    script,
+    send_event,
+)
 
 
 def _build_process(dedup_enabled=True, delta_updates_enabled=False,
@@ -410,23 +415,19 @@ _SCRIPT = [
 
 
 def _every_operation_script():
-    columns = {"times": [], "operations": [], "node_ids": [], "volume_ids": [],
-               "size_bytes": [], "content_hashes": []}
+    columns = {"times": [], "operation": [], "node_id": [], "volume_id": [],
+               "size_bytes": [], "content_hash": []}
     for k, (operation, fields, _) in enumerate(_SCRIPT):
         columns["times"].append(1.0 + k)
-        columns["operations"].append(operation)
-        columns["node_ids"].append(fields["node_id"])
-        columns["volume_ids"].append(fields.get("volume_id", 5))
+        columns["operation"].append(operation)
+        columns["node_id"].append(fields["node_id"])
+        columns["volume_id"].append(fields.get("volume_id", 5))
         columns["size_bytes"].append(fields.get("size", 0))
-        columns["content_hashes"].append(fields.get("content_hash", ""))
-    busy = SessionScript(user_id=1, session_id=1, start=0.5,
-                         end=len(_SCRIPT) + 2.0,
-                         block=EventBlock(extensions="txt", **columns))
+        columns["content_hash"].append(fields.get("content_hash", ""))
+    busy = script(1, 1, 0.5, len(_SCRIPT) + 2.0, extension="txt", **columns)
     # A second device of the same user, online throughout: every served
     # mutation notifies it.
-    idle = SessionScript(user_id=1, session_id=2, start=0.0,
-                         end=len(_SCRIPT) + 3.0,
-                         block=EventBlock(times=[], operations=[]))
+    idle = script(1, 2, 0.0, len(_SCRIPT) + 3.0)
     return [idle, busy]
 
 

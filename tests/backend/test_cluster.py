@@ -20,9 +20,8 @@ from repro.faults import runtime
 from repro.faults.spec import default_fault_plan
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import EventBlock, SessionScript
 from repro.workload.generator import SyntheticTraceGenerator
-from tests.conftest import replay_scripts
+from tests.conftest import Script, replay_scripts, script
 
 
 class TestClusterConfig:
@@ -72,17 +71,13 @@ class TestAssembly:
 
 
 class TestReplayHandCraftedScripts:
-    def _scripts(self) -> list[SessionScript]:
-        block = EventBlock(times=[1010.0, 1020.0],
-                           operations=[ApiOperation.MAKE, ApiOperation.UPLOAD],
-                           node_ids=7, volume_ids=3, size_bytes=[0, 1000],
-                           content_hashes=["", "sha1:h7"],
-                           extensions=["", "txt"])
-        script = SessionScript(user_id=5, session_id=1, start=1000.0,
-                               end=2000.0, block=block)
-        failed = SessionScript(user_id=6, session_id=2, start=1500.0, end=1501.0,
-                               auth_failed=True)
-        return [script, failed]
+    def _scripts(self) -> list[Script]:
+        session = script(5, 1, 1000.0, 2000.0, times=[1010.0, 1020.0],
+                         operation=[ApiOperation.MAKE, ApiOperation.UPLOAD],
+                         node_id=7, volume_id=3, size_bytes=[0, 1000],
+                         content_hash=["", "sha1:h7"], extension=["", "txt"])
+        failed = script(6, 2, 1500.0, 1501.0, auth_failed=True)
+        return [session, failed]
 
     def test_replay_emits_all_record_streams(self):
         _, dataset = replay_scripts(ClusterConfig(seed=1), self._scripts())

@@ -1,12 +1,14 @@
 """Column-native replay output against a row-tuple reference.
 
-A replay shard records each storage and RPC row as provenance (the
-request's reference plus the back-end's own values) and gathers the
-request fields from its event columns.  The reference here rebuilds every
-row the way the row-tuple sink did: at each write it takes the fields of
-the request being served — tracked from the call stack, not from the
-reference the row carries — and packs the 18-field storage and 10-field
-RPC tuples with ``repro.trace.dataset._pack``.  Every shard block must
+A replay shard records each storage, RPC and session row as provenance
+(the request's reference plus the back-end's own values) and gathers the
+request fields from its request columns.  The reference here rebuilds
+every row the way the row-tuple sink did: at each write it takes the
+fields of the request being served — tracked from the call stack, not from
+the reference the row carries — and at each session open and close it
+builds the session rows from the call's arguments, its outcome and the
+session's handle.  It packs the 18-field storage, 10-field RPC and 9-field
+session tuples with ``repro.trace.dataset._pack``.  Every shard block must
 equal the packed reference array for array, categories included.
 """
 
@@ -35,7 +37,7 @@ from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.faults.mitigation import MitigationPolicy
 from repro.faults.runtime import compile_plan
-from repro.faults.spec import default_fault_plan
+from repro.faults.spec import AuthOutage, FaultPlan, default_fault_plan
 from repro.trace.dataset import (
     _RPC_SPEC,
     _SESSION_SPEC,
@@ -43,10 +45,15 @@ from repro.trace.dataset import (
     ColumnBlock,
     _pack,
 )
-from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
-from repro.workload.events import EventBlock, SessionScript
+from repro.trace.records import (
+    ApiOperation,
+    NodeKind,
+    RpcName,
+    SessionEvent,
+    VolumeType,
+)
 from repro.workload.generator import SyntheticTraceGenerator
-from tests.conftest import event_row, open_session, send_event
+from tests.conftest import event_row, open_session, script, send_event, table_of
 
 _RPC_NAMES = list(RpcName)
 #: Request fields a session open or a bare RPC context does not carry.
@@ -75,7 +82,7 @@ class _RecordingSink(TraceSink):
     """A trace sink that also keeps what the row-tuple sink would have built."""
 
     __slots__ = ("stack", "storage_requests", "rpc_requests", "storage_values",
-                 "rpc_values", "session_rows")
+                 "rpc_values", "session_rows", "attack_of")
 
     def __init__(self, dataset=None):
         super().__init__(dataset)
@@ -84,22 +91,19 @@ class _RecordingSink(TraceSink):
         self.rpc_requests: list[tuple] = []
         self.storage_values: list[tuple] = []
         self.rpc_values: list[tuple] = []
+        #: The session rows the row-tuple API process appended.
         self.session_rows: list[tuple] = []
+        #: session id -> the session's ``caused_by_attack`` (its script's).
+        self.attack_of: dict[int, bool] = {}
         self.storage_refs = _Tap(self._note(self.storage_requests))
         self.rpc_refs = _Tap(self._note(self.rpc_requests))
-        append_session = self.session_row
-
-        def session_row(row):
-            self.session_rows.append(row)
-            append_session(row)
-        self.session_row = session_row
 
     def _note(self, requests):
         def note(n):
             requests.extend([self.stack[-1]] * n)
         return note
 
-    def gather(self, sources=None, source_of=None):
+    def gather(self, sources=None):
         n = len(self.storage_shards)
         self.storage_values.extend(
             (shard, *self.storage_faults.get(i, ("", 0)))
@@ -108,7 +112,7 @@ class _RecordingSink(TraceSink):
                                    self.rpc_service_times))
         assert len(self.storage_requests) == len(self.storage_values) \
             and n == len(self.storage_refs)
-        return super().gather(sources, source_of)
+        return super().gather(sources)
 
     def reference_blocks(self) -> tuple[dict, dict, dict]:
         """Stored columns of the row tuples the row-tuple sink packed."""
@@ -141,9 +145,49 @@ def _serving(sink_of, request_of):
 
 
 def _open_request(self, user_id, session_id, timestamp, ref,
-                  force_auth_failure=False, caused_by_attack=False):
+                  force_auth_failure=False):
     return (timestamp, self._server, self._process, user_id, session_id,
-            ApiOperation.AUTHENTICATE, *_NO_EVENT, caused_by_attack)
+            ApiOperation.AUTHENTICATE, *_NO_EVENT,
+            self._sink.attack_of[session_id])
+
+
+def _session_rows(open_session, close_session):
+    """Wrap session open and close so that each appends the session rows
+    the row-tuple API process built, from its arguments and outcome."""
+    def opened(self, user_id, session_id, timestamp, ref,
+               force_auth_failure=False):
+        handle = open_session(self, user_id, session_id, timestamp, ref,
+                              force_auth_failure)
+        sink = self._sink
+        head = (timestamp, self._server, self._process, user_id, session_id)
+        tail = (sink.attack_of[session_id], -1.0, 0)
+        events = ((SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_FAIL)
+                  if handle is None else
+                  (SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
+                   SessionEvent.CONNECT))
+        sink.session_rows.extend((*head, event, *tail) for event in events)
+        return handle
+
+    def closed(self, session_id, timestamp):
+        handle = self._sessions.get(session_id)
+        close_session(self, session_id, timestamp)
+        if handle is not None:
+            self._sink.session_rows.append((
+                timestamp, self._server, self._process, handle.user_id,
+                session_id, SessionEvent.DISCONNECT,
+                self._sink.attack_of[session_id],
+                max(0.0, timestamp - handle.established_at),
+                handle.storage_operations))
+    return opened, closed
+
+
+def _recording_run(run):
+    """Wrap ``ReplayShard.run`` to note each script's attack flag."""
+    def wrapper(self, table):
+        self.sink.attack_of.update(zip(table.session_id.tolist(),
+                                       table.caused_by_attack.tolist()))
+        return run(self, table)
+    return wrapper
 
 
 def _event_request(self, handle, row, ref):
@@ -181,6 +225,15 @@ def _row_reference():
             stack.enter_context(mock.patch.object(
                 owner, name, _serving(sink_of, request_of)(
                     getattr(owner, name))))
+        # Around the open's request tracking: the session rows follow the
+        # outcome of the whole open.
+        for name, wrapper in zip(("open_session", "close_session"),
+                                 _session_rows(ApiServerProcess.open_session,
+                                               ApiServerProcess.close_session)):
+            stack.enter_context(mock.patch.object(ApiServerProcess, name,
+                                                  wrapper))
+        stack.enter_context(mock.patch.object(
+            ReplayShard, "run", _recording_run(ReplayShard.run)))
         stack.enter_context(mock.patch.object(
             replay_shard, "TraceSink", _RecordingSink))
         yield
@@ -214,29 +267,29 @@ def _assert_outcome_equals_reference(shard: ReplayShard, outcome) -> None:
 # ---------------------------------------------------------------------------
 
 _COLUMN_VALUES = {
-    "operations": st.sampled_from([
+    "operation": st.sampled_from([
         ApiOperation.UPLOAD, ApiOperation.DOWNLOAD, ApiOperation.GET_DELTA,
         ApiOperation.LIST_VOLUMES, ApiOperation.QUERY_SET_CAPS,
         ApiOperation.RESCAN_FROM_SCRATCH, ApiOperation.UNLINK,
         ApiOperation.MAKE, ApiOperation.MOVE]),
-    "node_ids": st.integers(1, 6),
-    "volume_ids": st.integers(0, 2),
-    "volume_types": st.sampled_from(list(VolumeType)),
-    "node_kinds": st.sampled_from(list(NodeKind)),
+    "node_id": st.integers(1, 6),
+    "volume_id": st.integers(0, 2),
+    "volume_type": st.sampled_from(list(VolumeType)),
+    "node_kind": st.sampled_from(list(NodeKind)),
     # Sizes past the 1 KiB chunk below go multipart; interrupted ones leave
     # uploadjobs for the GC sweeps.
     "size_bytes": st.sampled_from([0, 100, 5000]),
-    "content_hashes": st.sampled_from(["", "h1", "h2"]),
-    "extensions": st.sampled_from(["", "pdf", "avi"]),
-    "is_updates": st.booleans(),
+    "content_hash": st.sampled_from(["", "h1", "h2"]),
+    "extension": st.sampled_from(["", "pdf", "avi"]),
+    "is_update": st.booleans(),
 }
 
 
 @st.composite
 def _scripts(draw):
-    """Scripts mixing list and scalar columns, with empty and auth-failed
-    scripts, on a coarse integer clock so timestamps collide across
-    scripts (and with their opens and closes)."""
+    """Scripts mixing varying and constant columns, with empty and
+    auth-failed scripts, on a coarse integer clock so timestamps collide
+    across scripts (and with their opens and closes)."""
     scripts = []
     for index in range(draw(st.integers(0, 8))):
         start = draw(st.integers(0, 12))
@@ -251,14 +304,19 @@ def _scripts(draw):
                 columns[name] = draw(st.lists(values, min_size=n, max_size=n))
             else:
                 columns[name] = draw(values)
-        block = EventBlock(times=times, caused_by_attack=draw(st.booleans()),
-                           **columns)
-        scripts.append(SessionScript(
-            user_id=draw(st.integers(1, 3)), session_id=index + 1,
-            start=float(start), end=end,
+        scripts.append(script(
+            draw(st.integers(1, 3)), index + 1, float(start), end,
             caused_by_attack=draw(st.booleans()), auth_failed=auth_failed,
-            block=block))
+            times=times, **columns))
     return scripts
+
+
+def _fault_plan() -> FaultPlan:
+    """The reference incident over the scripts' clock, plus an auth outage
+    early enough to deny some of their opens."""
+    plan = default_fault_plan(0.0, 20.0, seed=1)
+    return FaultPlan(faults=(*plan.faults, AuthOutage(3.0, 6.0)),
+                     seed=plan.seed)
 
 
 @st.composite
@@ -270,14 +328,14 @@ def _configs(draw):
         shard_routing=draw(st.sampled_from(["user_id", "round_robin"])),
         multipart_chunk_bytes=1024, interrupted_upload_fraction=0.5,
         gc_interval=float(draw(st.integers(1, 4))),
-        faults=default_fault_plan(0.0, 20.0, seed=1) if faults else None,
+        faults=_fault_plan() if faults else None,
         mitigation=(MitigationPolicy(name="retry", kind="retry",
                                      max_retries=2)
                     if faults and draw(st.booleans()) else
                     MitigationPolicy()))
 
 
-def _replay_one_shard(config: ClusterConfig, scripts) -> None:
+def _replay_one_shard(config: ClusterConfig, scripts):
     schedule = (compile_plan(config.faults,
                              n_processes=len(config.process_addresses()),
                              n_shards=config.metadata_shards)
@@ -287,8 +345,9 @@ def _replay_one_shard(config: ClusterConfig, scripts) -> None:
                             list(enumerate(config.process_addresses())),
                             U1Cluster(config).shard_factors,
                             fault_schedule=schedule)
-        outcome = shard.run(scripts)
+        outcome = shard.run(table_of(scripts))
     _assert_outcome_equals_reference(shard, outcome)
+    return shard, outcome
 
 
 class TestGatheredBlocksEqualRowReference:
@@ -304,24 +363,41 @@ class TestGatheredBlocksEqualRowReference:
                                multipart_chunk_bytes=1024,
                                interrupted_upload_fraction=0.99,
                                gc_interval=1.0)
-        scripts = [SessionScript(
-            user_id=1 + k % 2, session_id=k + 1, start=float(k),
-            end=float(k + 4), block=EventBlock(
-                times=[float(k), float(k + 1), float(k + 2)],
-                operations=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
-                            ApiOperation.GET_DELTA],
-                node_ids=[10 + k, 10 + k, 0], size_bytes=[5000, 5000, 0],
-                content_hashes=[f"c{k}", f"c{k}", ""]))
-            for k in range(6)]
-        with _row_reference():
-            shard = ReplayShard(config, 0,
-                                list(enumerate(config.process_addresses())),
-                                U1Cluster(config).shard_factors)
-            outcome = shard.run(scripts)
+        shard, _ = _replay_one_shard(config, self._uploads(6))
         gc_rows = sum(1 for request in shard.sink.rpc_requests
                       if request[5] is None)
         assert shard.collector.sweeps and gc_rows
-        _assert_outcome_equals_reference(shard, outcome)
+
+    def test_failed_and_denied_opens_beside_gc_sweeps(self):
+        """A fixed case with forced auth failures, opens an ``AuthOutage``
+        denies, GC sweeps and closes of every other session."""
+        config = ClusterConfig(seed=0, api_machines=1, processes_per_machine=2,
+                               metadata_shards=2, replay_shards=1,
+                               multipart_chunk_bytes=1024,
+                               interrupted_upload_fraction=0.99,
+                               gc_interval=1.0, auth_failure_fraction=0.0,
+                               faults=FaultPlan((AuthOutage(3.0, 5.0),)))
+        scripts = self._uploads(8)
+        scripts[1] = scripts[1]._replace(auth_failed=True)
+        scripts[6] = scripts[6]._replace(auth_failed=True,
+                                         caused_by_attack=True)
+        shard, outcome = _replay_one_shard(config, scripts)
+        events = [row[5] for row in shard.sink.session_rows]
+        assert events.count(SessionEvent.AUTH_FAIL) == 4
+        assert shard.faults.accounting.auth_outage_failures == 2
+        assert events.count(SessionEvent.DISCONNECT) == 4
+        assert shard.collector.sweeps
+        assert outcome.sessions.n == len(events)
+
+    @staticmethod
+    def _uploads(n: int) -> list:
+        return [script(
+            1 + k % 2, k + 1, float(k), float(k + 4),
+            times=[float(k), float(k + 1), float(k + 2)],
+            operation=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
+                       ApiOperation.GET_DELTA],
+            node_id=[10 + k, 10 + k, 0], size_bytes=[5000, 5000, 0],
+            content_hash=[f"c{k}", f"c{k}", ""]) for k in range(n)]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
@@ -338,19 +414,21 @@ def test_perfbench_shapes_at_a_tenth(workload):
     config = workload_config(small, seed=2014)
     cluster = U1Cluster(cluster_config(small, config))
     checked = []
-    run = ReplayShard.run
 
-    def checked_run(shard, scripts):
-        outcome = run(shard, scripts)
+    def checked_run(shard, table):
+        outcome = run(shard, table)
         _assert_outcome_equals_reference(shard, outcome)
-        checked.append(outcome.storage.n + outcome.rpc.n)
+        checked.append(outcome.storage.n + outcome.rpc.n + outcome.sessions.n)
         return outcome
 
-    with _row_reference(), mock.patch.object(ReplayShard, "run", checked_run):
-        dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
-                                      n_jobs=1)
+    with _row_reference():
+        run = ReplayShard.run
+        with mock.patch.object(ReplayShard, "run", checked_run):
+            dataset = cluster.replay_plan(
+                SyntheticTraceGenerator(config).plan(), n_jobs=1)
     assert len(checked) == cluster.config.effective_replay_shards()
-    assert sum(checked) == len(dataset.storage) + len(dataset.rpc) > 0
+    assert sum(checked) == len(dataset) > 0
+    assert len(dataset.sessions) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +438,7 @@ def test_perfbench_shapes_at_a_tenth(workload):
 def test_direct_calls_and_gc_sweep_keep_emission_order():
     with _row_reference():
         sink = _RecordingSink()
+        sink.attack_of.update({1: False, 2: True})
         store = ShardedMetadataStore(n_shards=2)
         latency = ServiceTimeModel(np.random.default_rng(0),
                                    shard_skew_factors(0, 2))
@@ -387,12 +466,18 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         send_event(first, alice, event_row(ApiOperation.GET_DELTA, 6.0,
                                            node_id=0, size=0, content_hash=""))
         collector.collect(7.0)
+        first.close_session(1, 8.0)
+        assert len(sink.dataset.sessions) == 7
+        # A session row gathered after its open's refers to it still.
+        second.close_session(2, 9.0)
         dataset = sink.dataset
     assert collector.sweeps == 2
-    storage, rpc, _ = sink.reference_blocks()
+    storage, rpc, sessions = sink.reference_blocks()
     _assert_block_equals(ColumnBlock.from_stream(dataset._storage), storage,
                          "storage")
     _assert_block_equals(ColumnBlock.from_stream(dataset._rpc), rpc, "rpc")
+    _assert_block_equals(ColumnBlock.from_stream(dataset._sessions), sessions,
+                         "sessions")
     # Emission order, spelled out: the sweep's RPCs (no API operation) sit
     # between the second open's and the download's.
     operations = [r.api_operation for r in dataset.rpc]
@@ -406,4 +491,7 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         ApiOperation.UPLOAD, ApiOperation.DOWNLOAD, ApiOperation.GET_DELTA]
     assert [r.server for r in dataset.rpc][:first_gc] == ["api0"] * first_gc
     assert [r.process for r in dataset.storage] == [0, 1, 0]
+    assert [(r.event, r.timestamp) for r in dataset.sessions][-2:] == [
+        (SessionEvent.DISCONNECT, 8.0), (SessionEvent.DISCONNECT, 9.0)]
     assert dataset.sessions[-1].caused_by_attack
+    assert dataset.sessions[-1].session_length == 6.0

@@ -16,9 +16,14 @@ from repro.backend.replay_shard import (
 )
 from repro.trace.dataset import ColumnBlock, TraceDataset
 from repro.workload.config import WorkloadConfig
-from repro.workload.events import SessionScript
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
-from tests.conftest import events_of, make_storage, replay_scripts
+from tests.conftest import (
+    events_of,
+    make_storage,
+    replay_scripts,
+    script,
+    scripts_of,
+)
 
 
 def _plan(seed: int = 11, users: int = 80, days: float = 1.0):
@@ -115,9 +120,9 @@ class TestPartitioning:
         n_scripts = 0
         for part in parts:
             assert part == sorted(part)
-            scripts = materialize_members(plan, part)
-            n_scripts += len(scripts)
-            starts = [s.start for s in scripts]
+            table = materialize_members(plan, part)
+            n_scripts += len(table)
+            starts = table.start.tolist()
             assert starts == sorted(starts)
         assert n_scripts == len(materialize_members(plan))
 
@@ -178,8 +183,8 @@ class TestShardedStateAbsorption:
 
 class TestScriptOrderIndependenceOfMerge:
     def test_single_session_script_replays_on_one_process(self):
-        script = SessionScript(user_id=9, session_id=1, start=100.0, end=200.0)
-        _, dataset = replay_scripts(ClusterConfig(seed=1), [script])
+        _, dataset = replay_scripts(ClusterConfig(seed=1),
+                                    [script(9, 1, 100.0, 200.0)])
         placements = {(r.server, r.process) for r in dataset.sessions}
         assert len(placements) == 1
 
@@ -256,11 +261,11 @@ class TestFusedPipeline:
         workers materialize from any member partition equal the parent's
         materialization of the whole plan, block column for block column."""
         plan = _plan()
-        reference = materialize_members(plan)
+        reference = scripts_of(materialize_members(plan))
         for n_parts in (1, 2, 4, 8):
             merged = []
             for members in partition_members(plan, n_parts):
-                merged.extend(materialize_members(plan, members))
+                merged.extend(scripts_of(materialize_members(plan, members)))
             merged.sort(key=lambda s: (s.start, s.session_id))
             assert len(merged) == len(reference)
             for a, b in zip(reference, merged):

@@ -3,9 +3,11 @@
 Two hot-path structures are checked against brute-force references kept
 here:
 
-* the shard timeline: one list of dispatch rows for the whole shard,
-  indexed like the timeline's records, must give every event the row a
-  per-script transpose of its block gives, in the same timeline order;
+* the shard timeline: built with NumPy passes over the shard's script
+  table, it must order the records exactly as the historical per-script
+  insertion-order sort does (opens, then each script's events, then its
+  close, stably sorted by timestamp and record kind), and dispatch every
+  event the row its script's events give;
 * the mutation fan-out: the session registry's per-process counts must
   split a mutation's other open sessions into local and remote pushes
   exactly as a scan of the user's sessions does, and the notification bus
@@ -29,67 +31,53 @@ from repro.backend.replay_shard import ReplayShard
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
-from repro.workload.events import EVENT_COLUMNS, EventBlock, SessionScript
-from tests.conftest import event_row, open_session, send_event
+from tests.conftest import event_row, open_session, script, send_event, table_of
 
 # ---------------------------------------------------------------------------
 # Timeline
 # ---------------------------------------------------------------------------
 
-
-def reference_rows(block: EventBlock) -> list[tuple]:
-    """One script's dispatch rows: its broadcast columns, transposed."""
-    n = len(block.times)
-    cols = [value if type(value) is list else [value] * n
-            for value in (getattr(block, name) for name in EVENT_COLUMNS)]
-    cols.append([block.caused_by_attack] * n)
-    return list(zip(*cols))
+_OPEN, _EVENT, _CLOSE = ReplayShard._OPEN, ReplayShard._EVENT, ReplayShard._CLOSE
 
 
-def reference_timeline(scripts: list[SessionScript]):
-    """Per-script timeline: rows per script, events indexed within it."""
-    ts_col, kind_col, script_col, event_col, rows_by_script = [], [], [], [], []
-    for index, script in enumerate(scripts):
-        rows = reference_rows(script.block)
-        rows_by_script.append(rows)
-        n = len(rows)
-        ts_col.append(script.start)
-        kind_col.append(ReplayShard._OPEN)
-        script_col.append(index)
-        event_col.append(0)
-        ts_col.extend(script.block.times)
-        kind_col.extend([ReplayShard._EVENT] * n)
-        script_col.extend([index] * n)
-        event_col.extend(range(n))
-        ts_col.append(script.end)
-        kind_col.append(ReplayShard._CLOSE)
-        script_col.append(index)
-        event_col.append(0)
-    order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
-                        np.asarray(ts_col, dtype=np.float64))).tolist()
-    return order, ts_col, kind_col, script_col, event_col, rows_by_script
+def reference_sequence(scripts) -> list[tuple]:
+    """``(kind, script index, dispatch row)`` per record in replay order,
+    from the historical per-script insertion-order sort: each script adds
+    its open, its events and its close, and one stable sort by (timestamp,
+    kind) keeps insertion order among ties."""
+    records = []
+    for index, s in enumerate(scripts):
+        records.append((s.start, _OPEN, index, None))
+        records.extend((e.time, _EVENT, index, (
+            e.time, e.operation, e.node_id, e.volume_id, e.volume_type,
+            e.node_kind, e.size_bytes, e.content_hash, e.extension,
+            e.is_update, s.caused_by_attack)) for e in s.events)
+        records.append((s.end, _CLOSE, index, None))
+    records.sort(key=lambda record: (record[0], record[1]))
+    return [record[1:] for record in records]
 
 
 _COLUMN_VALUES = {
-    "operations": st.sampled_from([ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
-                                   ApiOperation.GET_DELTA,
-                                   ApiOperation.UNLINK]),
-    "node_ids": st.integers(0, 5),
-    "volume_ids": st.integers(-3, 3),
-    "volume_types": st.sampled_from(list(VolumeType)),
-    "node_kinds": st.sampled_from(list(NodeKind)),
+    "operation": st.sampled_from([ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
+                                  ApiOperation.GET_DELTA,
+                                  ApiOperation.UNLINK]),
+    "node_id": st.integers(0, 5),
+    "volume_id": st.integers(-3, 3),
+    "volume_type": st.sampled_from(list(VolumeType)),
+    "node_kind": st.sampled_from(list(NodeKind)),
     "size_bytes": st.integers(0, 1000),
-    "content_hashes": st.sampled_from(["", "h1", "h2"]),
-    "extensions": st.sampled_from(["", "pdf", "avi"]),
-    "is_updates": st.booleans(),
+    "content_hash": st.sampled_from(["", "h1", "h2"]),
+    "extension": st.sampled_from(["", "pdf", "avi"]),
+    "is_update": st.booleans(),
 }
 
 
 @st.composite
 def _scripts(draw):
-    """Scripts mixing list and scalar columns, with empty and auth-failed
-    scripts, on a coarse integer clock so timestamps collide across
-    scripts (and with their opens and closes)."""
+    """Scripts mixing varying and constant columns, with empty and
+    auth-failed scripts, on a coarse integer clock so timestamps collide
+    across scripts, with their own opens and closes and with other scripts'
+    records of every kind."""
     scripts = []
     for index in range(draw(st.integers(0, 8))):
         start = draw(st.integers(0, 6))
@@ -104,52 +92,44 @@ def _scripts(draw):
                 columns[name] = draw(st.lists(values, min_size=n, max_size=n))
             else:
                 columns[name] = draw(values)
-        block = EventBlock(times=times, caused_by_attack=draw(st.booleans()),
-                           **columns)
-        scripts.append(SessionScript(
-            user_id=draw(st.integers(1, 3)), session_id=index + 1,
-            start=float(start), end=end, auth_failed=auth_failed,
-            block=block))
+        scripts.append(script(
+            draw(st.integers(1, 3)), index + 1, float(start), end,
+            caused_by_attack=draw(st.booleans()), auth_failed=auth_failed,
+            times=times, **columns))
     return scripts
+
+
+def _sequence(scripts) -> list[tuple]:
+    """``(kind, script index, dispatch row)`` per record in the order the
+    shard's NumPy timeline replays them."""
+    order, ts_col, kind_col, script_col, rows = \
+        ReplayShard._build_timeline(table_of(scripts))
+    assert len(order) == len(ts_col) == len(kind_col) == len(script_col)
+    assert sorted(order) == list(range(len(order)))
+    # Opens and events index the dispatch rows; closes lie past their end.
+    assert len(rows) == len(order) - len(scripts)
+    return [(kind_col[j], script_col[j],
+             rows[j] if kind_col[j] == _EVENT else None) for j in order]
 
 
 class TestShardTimeline:
     @settings(max_examples=150, deadline=None)
     @given(_scripts())
     def test_shard_rows_and_order_equal_per_script_reference(self, scripts):
-        order, ts_col, kind_col, script_col, rows = \
-            ReplayShard._build_timeline(scripts)
-        (ref_order, ref_ts, ref_kind, ref_script, ref_event,
-         ref_rows) = reference_timeline(scripts)
-        assert order == ref_order
-        assert ts_col == ref_ts
-        assert kind_col == ref_kind
-        assert script_col == ref_script
-        assert len(rows) == len(ts_col)
-        assert all(rows[j] is None for j in range(len(rows))
-                   if kind_col[j] != ReplayShard._EVENT)
-        # Events dispatch, in timeline order, the reference's rows.
-        events = [j for j in order if kind_col[j] == ReplayShard._EVENT]
-        assert [rows[j] for j in events] == \
-            [ref_rows[ref_script[j]][ref_event[j]] for j in events]
+        assert _sequence(scripts) == reference_sequence(scripts)
 
     def test_equal_timestamps_open_before_events_before_closes(self):
         scripts = [
-            SessionScript(1, 1, 5.0, 5.0, block=EventBlock(
-                times=[5.0], operations=ApiOperation.GET_DELTA)),
-            SessionScript(2, 2, 5.0, 6.0, block=EventBlock(
-                times=[5.0, 5.0], operations=[ApiOperation.UPLOAD,
-                                              ApiOperation.DOWNLOAD])),
+            script(1, 1, 5.0, 5.0, times=[5.0],
+                   operation=ApiOperation.GET_DELTA),
+            script(2, 2, 5.0, 6.0, times=[5.0, 5.0],
+                   operation=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD]),
         ]
-        order, _, kind_col, script_col, rows = \
-            ReplayShard._build_timeline(scripts)
-        sequence = [(kind_col[j], script_col[j]) for j in order]
-        assert sequence == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (2, 0),
-                            (2, 1)]
-        dispatched = [rows[j][1] for j in order
-                      if kind_col[j] == ReplayShard._EVENT]
-        assert dispatched == [ApiOperation.GET_DELTA, ApiOperation.UPLOAD,
-                              ApiOperation.DOWNLOAD]
+        sequence = _sequence(scripts)
+        assert [(kind, index) for kind, index, _ in sequence] == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (2, 0), (2, 1)]
+        assert [row[1] for _, _, row in sequence if row is not None] == [
+            ApiOperation.GET_DELTA, ApiOperation.UPLOAD, ApiOperation.DOWNLOAD]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.trace.dataset import ColumnBlock, TraceDataset
+from repro.trace.dataset import (
+    NODE_KIND_CODE,
+    OPERATION_CODE,
+    VOLUME_TYPE_CODE,
+    ColumnBlock,
+    TraceDataset,
+)
 from repro.trace.records import (
     ApiOperation,
     NodeKind,
@@ -23,7 +29,7 @@ from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.replay_shard import ReplayShard
-from repro.workload.events import EVENT_COLUMNS
+from repro.workload.events import ScriptRows, ScriptTable
 from repro.faults.runtime import compile_plan
 
 
@@ -99,7 +105,7 @@ def open_session(process, user_id: int, session_id: int, timestamp: float,
         timestamp, server, number, user_id, session_id,
         ApiOperation.AUTHENTICATE, *_NO_EVENT, caused_by_attack))
     return process.open_session(user_id, session_id, timestamp, ref,
-                                force_auth_failure, caused_by_attack)
+                                force_auth_failure)
 
 
 def send_event(process, handle, row: tuple) -> None:
@@ -112,9 +118,11 @@ def send_event(process, handle, row: tuple) -> None:
 
 
 def replay_scripts(config: ClusterConfig, scripts):
-    """Replay hand-built session scripts through one replay shard that owns
-    every API process of the cluster (under the config's fault plan, if
-    any); returns ``(shard, dataset)``."""
+    """Replay session scripts (a :class:`ScriptTable` or a list of
+    :class:`Script`\\ s) through one replay shard that owns every API
+    process of the cluster (under the config's fault plan, if any); returns
+    ``(shard, dataset)``."""
+    table = scripts if isinstance(scripts, ScriptTable) else table_of(scripts)
     addresses = config.process_addresses()
     schedule = (compile_plan(config.faults, n_processes=len(addresses),
                              n_shards=config.metadata_shards)
@@ -122,7 +130,7 @@ def replay_scripts(config: ClusterConfig, scripts):
     shard = ReplayShard(config, 0, list(enumerate(addresses)),
                         U1Cluster(config).shard_factors,
                         fault_schedule=schedule)
-    outcome = shard.run(scripts)
+    outcome = shard.run(table)
     dataset = TraceDataset.from_sorted_blocks(
         [(outcome.storage, outcome.rpc, outcome.sessions)])
     return shard, dataset
@@ -140,7 +148,7 @@ def append_records(dataset: TraceDataset, storage=(), rpc=(),
 
 
 class Event(NamedTuple):
-    """One event of a session script, decoded from its columnar block."""
+    """One event of a session script, decoded from a script table."""
 
     time: float
     user_id: int
@@ -157,18 +165,93 @@ class Event(NamedTuple):
     caused_by_attack: bool
 
 
-def events_of(script) -> list[Event]:
-    """The events of ``script``, one per row of ``script.block``'s columns
-    (a scalar column stands for the same value in every row)."""
-    block = script.block
-    n = len(block.times)
-    columns = []
-    for name in EVENT_COLUMNS:
-        value = getattr(block, name)
-        columns.append(value if type(value) is list else [value] * n)
-    return [Event(time, script.user_id, script.session_id, *fields,
-                  block.caused_by_attack)
-            for time, *fields in zip(*columns)]
+class Script(NamedTuple):
+    """One session script with its events, decoded from (or encoded into)
+    a :class:`ScriptTable`."""
+
+    user_id: int
+    session_id: int
+    start: float
+    end: float
+    caused_by_attack: bool = False
+    auth_failed: bool = False
+    events: tuple[Event, ...] = ()
+
+    @property
+    def n_events(self) -> int:
+        return len(self.events)
+
+    @property
+    def length(self) -> float:
+        return self.end - self.start
+
+
+def script(user_id: int, session_id: int, start: float, end: float,
+           caused_by_attack: bool = False, auth_failed: bool = False,
+           times=(), operation=ApiOperation.GET_DELTA, node_id=0,
+           volume_id=0, volume_type=VolumeType.ROOT, node_kind=NodeKind.FILE,
+           size_bytes=0, content_hash="", extension="",
+           is_update=False) -> Script:
+    """A script whose events are given as columns: each a list with one
+    value per event time, or one value for every event."""
+    n = len(times)
+    columns = [value if isinstance(value, list) else [value] * n
+               for value in (operation, node_id, volume_id, volume_type,
+                             node_kind, size_bytes, content_hash, extension,
+                             is_update)]
+    return Script(user_id, session_id, start, end, caused_by_attack,
+                  auth_failed, tuple(
+                      Event(t, user_id, session_id, *fields, caused_by_attack)
+                      for t, *fields in zip(times, *columns)))
+
+
+def table_of(scripts) -> ScriptTable:
+    """The script table of ``scripts``, in order, through the
+    :class:`ScriptRows` the materializer uses."""
+    script_rows = ScriptRows()
+    for s in scripts:
+        script_rows.scripts.append((s.user_id, s.session_id, s.start, s.end,
+                                    s.caused_by_attack, s.auth_failed,
+                                    len(s.events)))
+        script_rows.rows.extend(
+            (e.time, OPERATION_CODE[e.operation], e.node_id, e.volume_id,
+             VOLUME_TYPE_CODE[e.volume_type], NODE_KIND_CODE[e.node_kind],
+             e.size_bytes, e.content_hash, e.extension, e.is_update)
+            for e in s.events)
+    return script_rows.build()
+
+
+def scripts_of(table: ScriptTable) -> list[Script]:
+    """Every script of ``table`` with its events, decoded."""
+    operations, volume_types, node_kinds = (
+        list(ApiOperation), list(VolumeType), list(NodeKind))
+    hashes, extensions = (
+        [categories[c] for c in codes.tolist()]
+        for codes, categories in (table.content_hash, table.extension))
+    events = list(zip(
+        table.times.tolist(), [operations[c] for c in table.operation.tolist()],
+        table.node_id.tolist(), table.volume_id.tolist(),
+        [volume_types[c] for c in table.volume_type.tolist()],
+        [node_kinds[c] for c in table.node_kind.tolist()],
+        table.size_bytes.tolist(), hashes, extensions,
+        table.is_update.tolist()))
+    offsets = table.offsets.tolist()
+    scripts = []
+    for i, (user_id, session_id, start, end, attack, failed) in enumerate(zip(
+            table.user_id.tolist(), table.session_id.tolist(),
+            table.start.tolist(), table.end.tolist(),
+            table.caused_by_attack.tolist(), table.auth_failed.tolist())):
+        scripts.append(Script(user_id, session_id, start, end, attack, failed,
+                              tuple(Event(t, user_id, session_id, *fields,
+                                          attack)
+                                    for t, *fields
+                                    in events[offsets[i]:offsets[i + 1]])))
+    return scripts
+
+
+def events_of(script: Script) -> list[Event]:
+    """The events of ``script``."""
+    return list(script.events)
 
 
 @pytest.fixture

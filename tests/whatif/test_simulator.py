@@ -60,7 +60,7 @@ def live_replay(workload, **overrides):
 def baseline(workload):
     cluster, dataset = live_replay(workload)
     return cluster, dataset, StorageTrace.from_dataset(dataset), \
-        max(script.end for script in materialize_members(workload))
+        float(materialize_members(workload).end.max())
 
 
 #: Untiered store semantics of the what-if specs, with the live knobs that

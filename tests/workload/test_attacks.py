@@ -8,7 +8,7 @@ import pytest
 from repro.trace.records import ApiOperation
 from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import AttackConfig, WorkloadConfig
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ class TestGenerateSessions:
     def test_sessions_amplify_baseline_and_are_flagged(self, config):
         episode = build_attack_episodes(config, 1000, 5000, 6000)[1]
         rng = np.random.default_rng(0)
-        scripts = list(episode.generate_sessions(
+        scripts = scripts_of(episode.generate_sessions(
             rng, baseline_sessions_per_hour=10.0,
             baseline_storage_ops_per_hour=50.0, session_id_start=0))
         duration_hours = (episode.end - episode.start) / 3600.0
@@ -60,7 +60,7 @@ class TestGenerateSessions:
     def test_caps_bound_the_episode_size(self, config):
         episode = build_attack_episodes(config, 1000, 5000, 6000)[1]
         rng = np.random.default_rng(0)
-        scripts = list(episode.generate_sessions(
+        scripts = scripts_of(episode.generate_sessions(
             rng, baseline_sessions_per_hour=1e6,
             baseline_storage_ops_per_hour=1e7, session_id_start=0,
             max_sessions=200, max_storage_ops=500))
@@ -70,7 +70,7 @@ class TestGenerateSessions:
     def test_mostly_downloads(self, config):
         episode = build_attack_episodes(config, 1000, 5000, 6000)[0]
         rng = np.random.default_rng(1)
-        scripts = list(episode.generate_sessions(rng, 20.0, 200.0, 0))
+        scripts = scripts_of(episode.generate_sessions(rng, 20.0, 200.0, 0))
         events = [e for s in scripts for e in events_of(s)]
         downloads = sum(1 for e in events if e.operation is ApiOperation.DOWNLOAD)
         assert downloads / max(len(events), 1) > 0.8

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.trace.dataset import VOLUME_TYPE_CODE
 from repro.trace.records import ApiOperation, VolumeType
 from repro.util.units import HOUR
 from repro.workload import generator
@@ -38,7 +39,7 @@ from repro.workload.generator import SyntheticTraceGenerator, materialize_member
 from repro.workload.opmodel import compiled_chain
 from repro.workload.plan import SessionSpec
 from repro.workload.population import User, UserClass
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 N = 200_000
 
@@ -70,9 +71,9 @@ def reference(plan):
     return _by_session(materialize_members(plan))
 
 
-def _by_session(scripts) -> dict:
+def _by_session(table) -> dict:
     out = {}
-    for script in scripts:
+    for script in scripts_of(table):
         out[script.session_id] = (
             script.user_id, script.start, script.end, script.auth_failed,
             events_of(script))
@@ -219,7 +220,7 @@ class TestOperandLanes:
         materializer._volume_u = np.random.default_rng(6).random(N).tolist()
         picks = [materializer._pick_volume(state, slot).volume_type
                  for slot in range(N)]
-        share = picks.count(VolumeType.ROOT) / N
+        share = picks.count(VOLUME_TYPE_CODE[VolumeType.ROOT]) / N
         assert abs(share - 0.6) < _five_sigma(0.6, N)
 
 
@@ -238,19 +239,20 @@ class TestColdPolls:
             for user_plan in plan.users)
         cold_plan = replace(plan, users=users, attacks=())
         specs = {s.session_id: s for u in users for s in u.sessions}
-        return specs, materialize_members(cold_plan)
+        return specs, scripts_of(materialize_members(cold_plan))
 
     def test_polls_start_one_second_in(self, cold):
         specs, scripts = cold
         for script in scripts:
-            if script.block.times:
-                assert script.block.times[0] == specs[script.session_id].start + 1.0
+            if script.events:
+                assert script.events[0].time == \
+                    specs[script.session_id].start + 1.0
 
     def test_spacing_is_uniform_over_four_to_ten_hours(self, cold):
         specs, scripts = cold
         scaled = []
         for script in scripts:
-            times = script.block.times
+            times = [e.time for e in script.events]
             end = specs[script.session_id].end
             # A spacing is only observed if the next poll fits before the
             # session ends: given room ``end - a``, it is U(4 h, min(10 h,
@@ -267,7 +269,7 @@ class TestColdPolls:
 
     def test_get_delta_share(self, cold):
         _, scripts = cold
-        ops = [op for script in scripts for op in script.block.operations]
+        ops = [e.operation for script in scripts for e in script.events]
         assert set(ops) <= {ApiOperation.GET_DELTA, ApiOperation.QUERY_SET_CAPS}
         share = ops.count(ApiOperation.GET_DELTA) / len(ops)
         assert len(ops) > 2000

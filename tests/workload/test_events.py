@@ -1,105 +1,117 @@
-"""Unit tests for repro.workload.events."""
+"""Unit tests for repro.workload.events (the script table)."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.backend.cluster import ClusterConfig
 from repro.backend.replay_shard import ReplayShard
+from repro.trace.dataset import OPERATION_CODE
 from repro.trace.records import ApiOperation, SessionEvent
-from repro.workload.events import EventBlock, SessionScript
-from tests.conftest import events_of, replay_scripts
+from repro.workload.events import EVENT_FIELDS, ScriptTable
+from tests.conftest import replay_scripts, script, scripts_of, table_of
 
 
-def _disconnect_storage_operations(script: SessionScript) -> int:
-    """The ``storage_operations`` the replay traces when ``script`` closes."""
-    _, dataset = replay_scripts(ClusterConfig(seed=1), [script])
+def _disconnect_storage_operations(scripts) -> int:
+    """The ``storage_operations`` the replay traces when the script closes."""
+    _, dataset = replay_scripts(ClusterConfig(seed=1), scripts)
     (record,) = [r for r in dataset.sessions
                  if r.event is SessionEvent.DISCONNECT]
     return record.storage_operations
 
 
-class TestSessionScript:
-    def _script(self) -> SessionScript:
-        block = EventBlock(times=[110.0, 120.0, 130.0],
-                           operations=[ApiOperation.LIST_VOLUMES,
-                                       ApiOperation.MAKE, ApiOperation.UPLOAD],
-                           node_ids=[0, 3, 3], volume_ids=[0, 1, 1],
-                           size_bytes=[0, 0, 5],
-                           content_hashes=["", "", "h3"])
-        return SessionScript(user_id=1, session_id=7, start=100.0, end=400.0,
-                             block=block)
+def _session():
+    return script(1, 7, 100.0, 400.0, times=[110.0, 120.0, 130.0],
+                  operation=[ApiOperation.LIST_VOLUMES, ApiOperation.MAKE,
+                             ApiOperation.UPLOAD],
+                  node_id=[0, 3, 3], volume_id=[0, 1, 1], size_bytes=[0, 0, 5],
+                  content_hash=["", "", "h3"])
 
-    def test_length(self):
-        assert self._script().length == 300.0
+
+def _mixed():
+    """Scripts out of canonical order, one failed and one without events."""
+    return [
+        script(4, 9, 50.0, 60.0, times=[51.0, 52.0],
+               operation=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD],
+               node_id=[3, 3], size_bytes=100, content_hash="h1",
+               extension=".pdf"),
+        script(2, 3, 10.0, 20.0, auth_failed=True),
+        script(5, 2, 50.0, 55.0, caused_by_attack=True, times=[50.0],
+               operation=ApiOperation.DOWNLOAD, content_hash="h2",
+               extension="avi"),
+        script(1, 1, 30.0, 31.0),
+    ]
+
+
+class TestScriptTable:
+    def test_columns_and_offsets(self):
+        table = table_of([_session()])
+        assert len(table) == 1 and table.n_events == 3
+        assert table.offsets.tolist() == [0, 3]
+        assert table.operation.dtype == np.int16
+        assert table.operation.tolist() == [
+            OPERATION_CODE[ApiOperation.LIST_VOLUMES],
+            OPERATION_CODE[ApiOperation.MAKE],
+            OPERATION_CODE[ApiOperation.UPLOAD]]
+        assert table.content_hash[0].dtype == np.int32
+        assert table.content_hash[1] == ["", "h3"]
+        assert float(table.end[0] - table.start[0]) == 300.0
+
+    def test_rows_round_trip(self):
+        scripts = _mixed()
+        assert scripts_of(table_of(scripts)) == scripts
+
+    def test_empty_table(self):
+        table = ScriptTable.empty()
+        assert len(table) == 0 and table.n_events == 0
+        assert scripts_of(table) == []
+        assert scripts_of(ScriptTable.concat([table, table])) == []
+
+    def test_take_sorted_and_concat(self):
+        scripts = _mixed()
+        table = table_of(scripts)
+        assert scripts_of(table.take([3, 0, 2])) == \
+            [scripts[3], scripts[0], scripts[2]]
+        assert scripts_of(table.sorted()) == sorted(
+            scripts, key=lambda s: (s.start, s.session_id))
+        halves = [table_of(scripts[:2]), table_of(scripts[2:])]
+        assert scripts_of(ScriptTable.concat(halves)) == scripts
 
     def test_storage_operation_count_excludes_maintenance(self):
         # ListVolumes is maintenance; Make and Upload are data management.
-        assert _disconnect_storage_operations(self._script()) == 2
+        assert _disconnect_storage_operations([_session()]) == 2
 
     def test_cold_session_is_not_active(self):
-        script = SessionScript(user_id=1, session_id=1, start=0.0, end=10.0)
-        assert _disconnect_storage_operations(script) == 0
-
-    def test_iteration_and_len(self):
-        script = self._script()
-        assert len(script) == 3
-        assert [e.operation for e in events_of(script)] == [
-            ApiOperation.LIST_VOLUMES, ApiOperation.MAKE, ApiOperation.UPLOAD]
+        assert _disconnect_storage_operations(
+            [script(1, 1, 0.0, 10.0)]) == 0
 
 
-class TestEventBlock:
+class TestDispatchRows:
     @staticmethod
-    def _block() -> EventBlock:
-        return EventBlock(times=[10.0, 11.0, 12.5],
-                          operations=[ApiOperation.UPLOAD,
-                                      ApiOperation.DOWNLOAD,
-                                      ApiOperation.GET_DELTA],
-                          node_ids=[3, 3, 0], volume_ids=[-4, -4, 0],
-                          size_bytes=[100, 100, 0],
-                          content_hashes=["h1", "h1", ""],
-                          extensions=[".pdf", ".pdf", ""],
-                          is_updates=[False, False, False])
+    def _dispatch_rows(scripts):
+        """The rows a replay shard dispatches, in script order."""
+        rows = ReplayShard._build_timeline(table_of(scripts))[-1]
+        return [row for row in rows if row is not None]
 
-    @staticmethod
-    def _script(block: EventBlock) -> SessionScript:
-        return SessionScript(user_id=4, session_id=9, start=0.0, end=20.0,
-                             block=block)
-
-    @classmethod
-    def _dispatch_rows(cls, block):
-        """The rows a replay shard dispatches for a one-script shard."""
-        return [row for row in
-                ReplayShard._build_timeline([cls._script(block)])[-1]
-                if row is not None]
-
-    def test_rows_match_hydrated_events(self):
-        block = self._block()
-        rows = self._dispatch_rows(block)
-        events = events_of(self._script(block))
+    def test_rows_equal_decoded_events(self):
+        scripts = _mixed()
+        rows = self._dispatch_rows(scripts)
+        events = [e for s in scripts for e in s.events]
         assert len(rows) == len(events) == 3
         for row, event in zip(rows, events):
-            (t, op, node_id, volume_id, volume_type, node_kind, size,
-             content_hash, extension, is_update, attack) = row
-            assert (t, op, node_id, volume_id, volume_type, node_kind,
-                    size, content_hash, extension, is_update, attack) == (
-                event.time, event.operation, event.node_id, event.volume_id,
-                event.volume_type, event.node_kind, event.size_bytes,
-                event.content_hash, event.extension, event.is_update,
-                event.caused_by_attack)
+            assert row == (event.time, event.operation, event.node_id,
+                           event.volume_id, event.volume_type,
+                           event.node_kind, event.size_bytes,
+                           event.content_hash, event.extension,
+                           event.is_update, event.caused_by_attack)
+            # Enum members, not codes: handle_event compares by identity.
+            assert row[1] is event.operation
+            assert not any(isinstance(value, np.generic) for value in row)
 
-    def test_scalar_columns_broadcast(self):
-        block = EventBlock(times=[1.0, 2.0, 3.0],
-                           operations=ApiOperation.UPLOAD,
-                           size_bytes=7, caused_by_attack=True)
-        events = events_of(self._script(block))
-        assert [e.operation for e in events] == [ApiOperation.UPLOAD] * 3
-        assert [e.size_bytes for e in events] == [7, 7, 7]
-        assert all(e.caused_by_attack for e in events)
-        rows = self._dispatch_rows(block)
+    def test_constant_columns_broadcast(self):
+        rows = self._dispatch_rows([script(
+            1, 1, 0.0, 5.0, caused_by_attack=True, times=[1.0, 2.0, 3.0],
+            operation=ApiOperation.UPLOAD, size_bytes=7)])
         assert [row[6] for row in rows] == [7, 7, 7]
         assert all(row[1] is ApiOperation.UPLOAD and row[10] for row in rows)
-
-    def test_script_block_properties_without_hydration(self):
-        script = self._script(self._block())
-        assert script.n_events == 3
-        assert len(script) == 3
-        assert events_of(script)[0].operation is ApiOperation.UPLOAD
+        assert len(rows[0]) == len(EVENT_FIELDS) + 1

@@ -11,13 +11,13 @@ from repro.trace.records import ApiOperation, NodeKind, SessionEvent
 from repro.util.units import MB
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 
 @pytest.fixture(scope="module")
 def scripts(small_config_module):
-    return materialize_members(
-        SyntheticTraceGenerator(small_config_module).plan())
+    return scripts_of(materialize_members(
+        SyntheticTraceGenerator(small_config_module).plan()))
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +90,10 @@ class TestClientEvents:
         assert violations == 0
 
     def test_reproducibility(self, small_config_module):
-        a = materialize_members(
-            SyntheticTraceGenerator(small_config_module).plan())
-        b = materialize_members(
-            SyntheticTraceGenerator(small_config_module).plan())
+        a = scripts_of(materialize_members(
+            SyntheticTraceGenerator(small_config_module).plan()))
+        b = scripts_of(materialize_members(
+            SyntheticTraceGenerator(small_config_module).plan()))
         assert len(a) == len(b)
         assert [(s.user_id, s.start, s.n_events) for s in a[:50]] == \
                [(s.user_id, s.start, s.n_events) for s in b[:50]]

@@ -19,13 +19,14 @@ import pytest
 from repro.trace.records import ApiOperation
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 
 @pytest.fixture(scope="module")
 def scripts():
     config = WorkloadConfig.scaled(users=400, days=5, seed=7)
-    return materialize_members(SyntheticTraceGenerator(config).plan())
+    return scripts_of(materialize_members(
+        SyntheticTraceGenerator(config).plan()))
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestGapsAndSizes:
 
     def test_reproducible_for_fixed_seed(self):
         config = WorkloadConfig.scaled(users=60, days=1, seed=11)
-        a = materialize_members(SyntheticTraceGenerator(config).plan())
-        b = materialize_members(SyntheticTraceGenerator(config).plan())
+        a = scripts_of(materialize_members(SyntheticTraceGenerator(config).plan()))
+        b = scripts_of(materialize_members(SyntheticTraceGenerator(config).plan()))
         assert [(s.session_id, s.start, s.n_events) for s in a] == \
                [(s.session_id, s.start, s.n_events) for s in b]

@@ -34,7 +34,7 @@ from repro.workload.opmodel import (
     compiled_chain,
 )
 from repro.workload.population import UserClass
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 SEED = 23
 
@@ -69,8 +69,8 @@ class TestBitIdentity:
         assert sequential == parallel
 
     def test_materialization_is_repeatable(self, plan):
-        a = materialize_members(plan)
-        b = materialize_members(plan)
+        a = scripts_of(materialize_members(plan))
+        b = scripts_of(materialize_members(plan))
         assert [s.session_id for s in a] == [s.session_id for s in b]
         for x, y in zip(a, b):
             assert events_of(x) == events_of(y)

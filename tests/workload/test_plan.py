@@ -8,10 +8,14 @@ process, reproduces the unsharded generator output bit-for-bit.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.workload import generator
 from repro.workload.config import WorkloadConfig
+from repro.workload.events import ScriptTable
 from repro.workload.filemodel import FileModel, PopularContentPool
 from repro.workload.generator import (
     SyntheticTraceGenerator,
@@ -19,7 +23,7 @@ from repro.workload.generator import (
     materialize_members,
     member_rng,
 )
-from tests.conftest import events_of
+from tests.conftest import events_of, scripts_of
 
 
 @pytest.fixture(scope="module")
@@ -68,24 +72,62 @@ class TestPlanning:
         assert all(w > 0 for key, w in weights if key >= offset)
 
 
+def _canonical(scripts) -> list:
+    return sorted(scripts, key=lambda s: (s.start, s.session_id))
+
+
 class TestMaterialization:
     def test_any_partition_reproduces_unsharded_output(self, config, plan):
-        reference = materialize_members(SyntheticTraceGenerator(config).plan())
+        reference = scripts_of(materialize_members(
+            SyntheticTraceGenerator(config).plan()))
         indices = list(range(plan.n_members))
         parts = [indices[0::3], indices[1::3], indices[2::3]]
         merged = []
         for part in parts:
-            merged.extend(materialize_members(plan, part))
-        merged.sort(key=lambda s: (s.start, s.session_id))
+            merged.extend(scripts_of(materialize_members(plan, part)))
+        merged = _canonical(merged)
         assert [s.session_id for s in merged] == \
             [s.session_id for s in reference]
         for mine, ref in zip(merged, reference):
             assert events_of(mine) == events_of(ref)
 
+    def test_member_list_table_equals_per_member_tables(self, plan):
+        """One table built for a member list decodes, script for script, to
+        the per-member tables concatenated (canonical order), however the
+        batches are cut and however one DDoS episode is split."""
+        members = list(range(plan.n_members))
+        per_member = [materialize_member(plan, index) for index in members]
+        reference = _canonical(s for table in per_member
+                               for s in scripts_of(table))
+        assert any(s.caused_by_attack for s in reference)
+        assert scripts_of(ScriptTable.concat(per_member).sorted()) == reference
+        for batch_draws in (1 << 17, 64, 1):
+            with mock.patch.object(generator, "_BATCH_DRAWS", batch_draws):
+                assert scripts_of(materialize_members(plan, members)) == \
+                    reference
+        # Reversed member order changes neither the table nor a value.
+        assert scripts_of(materialize_members(plan, members[::-1])) == \
+            reference
+        attack = plan.attacks[0]
+        rng_of = lambda: member_rng(  # noqa: E731
+            plan.config.seed, attack.episode.attacker_user_id)
+        whole = attack.episode.generate_sessions(
+            rng_of(), attack.baseline_sessions_per_hour,
+            attack.baseline_storage_ops_per_hour,
+            session_id_start=attack.session_id_start)
+        n = len(whole)
+        for cuts in ([0, n], [0, 1, n], [0, n // 3, n // 2, n - 1, n]):
+            slices = [attack.episode.generate_sessions(
+                rng_of(), attack.baseline_sessions_per_hour,
+                attack.baseline_storage_ops_per_hour,
+                session_id_start=attack.session_id_start,
+                session_range=(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+            assert scripts_of(ScriptTable.concat(slices)) == scripts_of(whole)
+
     def test_single_member_materialization_is_stable(self, plan):
         index = next(i for i, user in enumerate(plan.users) if user.sessions)
-        a = materialize_member(plan, index)
-        b = materialize_member(plan, index)
+        a = scripts_of(materialize_member(plan, index))
+        b = scripts_of(materialize_member(plan, index))
         assert [s.session_id for s in a] == [s.session_id for s in b]
         for x, y in zip(a, b):
             assert events_of(x) == events_of(y)
@@ -94,17 +136,17 @@ class TestMaterialization:
         attack_members = [len(plan.users) + i for i in range(len(plan.attacks))]
         by_slice = []
         for member in attack_members:
-            by_slice.extend(materialize_member(plan, member))
+            by_slice.extend(scripts_of(materialize_member(plan, member)))
         # Whole-episode reference: one slice covering everything.
         episodes = {p.episode.attacker_user_id: p for p in plan.attacks}
         reference = []
         for plan_slice in episodes.values():
-            reference.extend(plan_slice.episode.generate_sessions(
+            reference.extend(scripts_of(plan_slice.episode.generate_sessions(
                 member_rng(plan.config.seed,
                            plan_slice.episode.attacker_user_id),
                 plan_slice.baseline_sessions_per_hour,
                 plan_slice.baseline_storage_ops_per_hour,
-                session_id_start=plan_slice.session_id_start))
+                session_id_start=plan_slice.session_id_start)))
         by_slice.sort(key=lambda s: s.session_id)
         reference.sort(key=lambda s: s.session_id)
         assert [s.session_id for s in by_slice] == \
@@ -114,7 +156,7 @@ class TestMaterialization:
             assert events_of(mine) == events_of(ref)
 
     def test_node_ids_live_in_per_user_namespaces(self, plan):
-        scripts = materialize_members(plan)
+        scripts = scripts_of(materialize_members(plan))
         for script in scripts:
             if script.caused_by_attack:
                 continue
@@ -129,7 +171,7 @@ class TestSharedPopularPool:
         # transfers (the module-scoped tiny config can realise none).
         config = WorkloadConfig.scaled(users=200, days=3, seed=19)
         plan = SyntheticTraceGenerator(config).plan()
-        scripts = materialize_members(plan)
+        scripts = scripts_of(materialize_members(plan))
         owners: dict[str, set[int]] = {}
         for script in scripts:
             if script.caused_by_attack:
