@@ -87,7 +87,7 @@ def main() -> int:
           f"(incl. {live.auth_outage_failures} auth denials)")
     print(f"  degraded RPCs:           {live.degraded_rpcs} "
           f"(+{live.degraded_extra_seconds:.1f}s of service time)")
-    per_shard = cluster.metadata_store.write_rejections_per_shard()
+    per_shard = cluster.last_replay_stats["metadata_shard_errors"]
     print(f"  read-only rejections by metadata shard: {per_shard}\n")
 
     # ... then every mitigation as an offline pass over the faulted trace.

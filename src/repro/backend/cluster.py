@@ -268,7 +268,7 @@ class U1Cluster:
                         self.fault_schedule.iter_windows():
                     events.emit("fault-window", kind=kind,
                                 start=win_start, end=win_end, **detail)
-            with telemetry.span("replay", events=events, n_shards=n_shards):
+            with events.span("replay", n_shards=n_shards):
                 outcomes, jobs_used, report = run_shards_supervised(
                     self.config, slices, self.shard_factors,
                     workloads, n_jobs=n_jobs,
@@ -283,21 +283,11 @@ class U1Cluster:
             for outcome in outcomes:
                 outcome.storage = outcome.rpc = outcome.sessions = None
             merge_started = time.perf_counter()
-            with telemetry.span("merge", events=events):
+            with events.span("merge"):
                 dataset = TraceDataset.from_sorted_blocks(blocks)
             merge_seconds = time.perf_counter() - merge_started
         finally:
             events.close()
-
-        # Per-op service-time histogram: computed vectorised from the merged
-        # rpc column, off the replay hot path (and deterministic: the column
-        # is bit-identical for any jobs/telemetry setting).
-        registry = telemetry.get_registry()
-        if registry.enabled and len(dataset.rpc):
-            registry.observe_array(
-                "rpc.service_time_ms",
-                dataset.rpc_column("service_time") * 1e3,
-                edges=telemetry.SERVICE_TIME_MS_EDGES)
 
         for outcome in outcomes:
             for index, totals in outcome.process_counters.items():
@@ -310,11 +300,16 @@ class U1Cluster:
                                              outcome.accounting)
 
         # Fault-exposure counters: merged per replay (this replay's view
-        # goes in ``last_replay_stats``) and accumulated fleet-wide.
+        # goes in ``last_replay_stats``) and accumulated fleet-wide.  The
+        # per-metadata-shard read-only rejections are this replay's too
+        # (the fleet store's counters add up every replay).
         replay_faults = FaultAccounting()
+        shard_errors = [0] * self.config.metadata_shards
         for outcome in outcomes:
             if outcome.faults is not None:
                 replay_faults.merge(outcome.faults)
+            for index, counts in enumerate(outcome.store_summary):
+                shard_errors[index] += counts[3]
         self.fault_accounting.merge(replay_faults)
 
         totals = [outcome.total_seconds for outcome in outcomes]
@@ -358,8 +353,7 @@ class U1Cluster:
             "shard_fault_counters": [
                 outcome.faults.as_dict() if outcome.faults is not None else {}
                 for outcome in outcomes],
-            "metadata_shard_errors":
-                self.metadata_store.write_rejections_per_shard(),
+            "metadata_shard_errors": shard_errors,
             #: Where the shard checkpoints live (``None`` when disabled).
             "checkpoint_dir": (str(checkpoint.run_dir)
                                if checkpoint is not None else None),

@@ -369,9 +369,9 @@ class ShardOutcome:
     #: cluster reports the maximum as ``timeline_end``.
     timeline_end: float = 0.0
     #: Replay sub-phase seconds (all included in :attr:`seconds`): the
-    #: NumPy timeline, its lexsort and the dispatch rows decoded from the
-    #: script table (``block_build``), the object-free dispatch loop
-    #: (``dispatch``), and the trace streams' columns (``pack``: the
+    #: NumPy timeline, its stable argsort and the dispatch rows decoded
+    #: from the script table (``block_build``), the object-free dispatch
+    #: loop (``dispatch``), and the trace streams' columns (``pack``: the
     #: request columns concatenated from the table, and the storage, RPC
     #: and session rows gathered from them by provenance).
     block_build_seconds: float = 0.0

@@ -40,9 +40,9 @@ every other input is re-derived identically on every attempt.
 Checkpoints (:mod:`repro.util.checkpoint`) plug into the same loop: each
 completed outcome is spilled as an atomic ``.npz`` and a resumed run loads
 finished shards instead of executing them — the first concrete step toward
-the spill-to-disk merge of ROADMAP item 1.
+the spill-to-disk merge of ROADMAP item 10.
 
-Graceful shutdown (PR 8): pass a
+Graceful shutdown: pass a
 :class:`~repro.util.lifecycle.ShutdownController` and the dispatch loop
 polls it between waits.  On the first request (SIGINT/SIGTERM relayed by
 the CLI, or the opt-in RSS watchdog) the supervisor stops dispatching new
@@ -59,7 +59,7 @@ worker attempts SIGKILL themselves mid-run (or hang until the deadline),
 so the recovery paths are exercised deterministically and the recovered
 trace can be asserted bit-identical to an undisturbed run.
 
-Telemetry (PR 9): forked workers piggyback periodic **heartbeats** on the
+Telemetry: forked workers piggyback periodic **heartbeats** on the
 duplex pipe — ``("heartbeat", shard_id, attempt, {records done/total, rss,
 phase})`` every ``SupervisorPolicy.heartbeat_interval`` seconds, sent by a
 daemon thread under the same lock as the result message.  The supervisor
@@ -72,7 +72,8 @@ deadline would fire.  Chaos arms *before* the heartbeat thread starts, so
 a chaos-hung worker is heartbeat-silent by construction.  Every
 supervision decision (dispatch, retry, quarantine, checkpoint spill,
 resume, shutdown) is additionally appended to the run's
-:class:`~repro.util.telemetry.EventLog`.
+:class:`~repro.util.telemetry.EventLog`, and the finalized manifest carries
+the run's own :meth:`SupervisionReport.as_stats` under ``metrics``.
 """
 
 from __future__ import annotations
@@ -437,7 +438,8 @@ def supervise_shards(task, shard_ids, jobs: int, *,
     workers up to ``policy.shutdown_grace`` seconds (results checkpointed
     normally), finalizes the manifest as ``interrupted`` and raises
     :class:`~repro.util.lifecycle.RunInterrupted` carrying the
-    completed/remaining accounting.
+    completed/remaining accounting, the report and the manifest's
+    ``interrupt`` block.
 
     ``events`` accepts an :class:`~repro.util.telemetry.EventLog` the
     supervision decisions are appended to; ``progress`` a callable fed
@@ -480,19 +482,20 @@ def supervise_shards(task, shard_ids, jobs: int, *,
         exc.completed = len(outcomes)
         exc.remaining = len(remaining)
         exc.report = report
+        exc.interrupt = _interrupt_info(exc, shutdown)
         events.emit("shutdown", reason=exc.reason, signum=exc.signum,
                     completed=exc.completed, remaining=exc.remaining)
         events.emit("run-finalize", status="interrupted")
         if checkpoint is not None:
-            checkpoint.finalize("interrupted", extra=_interrupt_info(exc,
-                                                                     shutdown))
+            checkpoint.finalize("interrupted", metrics=report.as_stats(),
+                                extra=exc.interrupt)
         raise
 
     if checkpoint is not None:
         done = len(outcomes) == len(shard_ids)
         status = "complete" if done else "partial"
         events.emit("run-finalize", status=status)
-        checkpoint.finalize(status)
+        checkpoint.finalize(status, metrics=report.as_stats())
     else:
         events.emit("run-finalize",
                     status="complete" if len(outcomes) == len(shard_ids)
@@ -516,8 +519,8 @@ def _interrupt_info(exc: RunInterrupted, shutdown) -> dict:
     high_water = getattr(shutdown, "rss_high_water_bytes", 0) \
         if shutdown is not None else 0
     if high_water:
-        # Satellite of ISSUE 9: the watchdog's observed high-water mark —
-        # OOM-adjacent exits become diagnosable after the fact.
+        # The watchdog's observed high-water mark: OOM-adjacent exits
+        # stay diagnosable after the fact.
         info["rss_high_water_mb"] = round(high_water / 2**20, 3)
     if shutdown is not None and shutdown.max_rss_bytes:
         info["max_rss_mb"] = round(shutdown.max_rss_bytes / 2**20, 3)
@@ -530,9 +533,6 @@ def _record_success(shard_id, outcome, checkpoint, outcomes, report,
     report.completion_order.append(shard_id)
     if wall_seconds is not None:
         report.wall_seconds[shard_id] = wall_seconds
-        telemetry.get_registry().observe(
-            "supervisor.attempt_seconds", wall_seconds,
-            edges=telemetry.ATTEMPT_SECONDS_EDGES)
     if events:
         events.emit("shard-complete", shard=shard_id,
                     seconds=(round(wall_seconds, 6)

@@ -116,9 +116,10 @@ def _add_resume_options(parser: argparse.ArgumentParser) -> None:
                              "checkpoints completed shards and exits with "
                              "code 3 instead of being OOM-killed")
     parser.add_argument("--metrics", type=Path, default=None,
-                        help="write the final telemetry registry snapshot "
-                             "(counters, gauges, histograms, phase spans) "
-                             "as JSON to this path")
+                        help="write the replay's stats (shard timings, "
+                             "fault counters, supervision accounting; an "
+                             "interrupted run's supervision accounting and "
+                             "interrupt block) as JSON to this path")
     parser.add_argument("--progress", action="store_true",
                         help="print a live replay progress line to stderr "
                              "(records/s, per-shard completion, ETA, "
@@ -243,15 +244,12 @@ def _progress_printer(stream=None):
     return show
 
 
-def _dump_metrics(args: argparse.Namespace, out) -> int:
-    """Write the final registry snapshot when --metrics was given."""
+def _dump_metrics(args: argparse.Namespace, stats: dict, out) -> int:
+    """Write the replay's stats when --metrics was given."""
     path = getattr(args, "metrics", None)
     if path is None:
         return 0
-    from repro.util import telemetry
-
-    return _write_json_artifact(path, telemetry.get_registry().snapshot(),
-                                out)
+    return _write_json_artifact(path, stats, out)
 
 
 def _write_json_artifact(path: Path, payload, out) -> int:
@@ -273,7 +271,8 @@ def _replay(args: argparse.Namespace, out=None, *,
 
     ``faulted`` replays through :func:`~repro.faults.spec.default_fault_plan`
     over the trace window.  With ``out``, a checkpointed run prints how
-    many shards it resumed and executed there.
+    many shards it resumed and executed there.  The replay's
+    ``last_replay_stats`` is kept as ``args.replay_stats`` for --metrics.
     """
     config = WorkloadConfig.scaled(users=args.users, days=args.days,
                                    seed=args.seed)
@@ -289,6 +288,7 @@ def _replay(args: argparse.Namespace, out=None, *,
     dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan(),
                                   n_jobs=args.jobs,
                                   **_checkpoint_kwargs(args))
+    args.replay_stats = cluster.last_replay_stats
     if out is not None and args.checkpoint_dir is not None:
         stats = cluster.last_replay_stats or {}
         print(f"checkpoint: resumed {len(stats.get('shards_resumed', []))} "
@@ -546,9 +546,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
             print(f"interrupted: {exc} — {exc.completed} shard(s) "
                   f"completed, {exc.remaining} remaining; {hint}",
                   file=sys.stderr)
-            _dump_metrics(args, out)
+            _dump_metrics(args, {**exc.report.as_stats(),
+                                 "interrupt": exc.interrupt}, out)
             return EXIT_INTERRUPTED
-        return code or _dump_metrics(args, out)
+        return code or _dump_metrics(args, args.replay_stats, out)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -466,22 +466,29 @@ class CheckpointStore:
         return sorted(ids)
 
     # ------------------------------------------------------------- lifecycle
-    def finalize(self, status: str, extra: dict | None = None) -> None:
+    def finalize(self, status: str, *, metrics: dict | None = None,
+                 extra: dict | None = None) -> None:
         """Record the run's final status (``complete``/``partial``/
         ``interrupted``) in the manifest.
 
-        ``extra`` (interrupt forensics — reason, signal, RSS high-water)
-        lands under the manifest's ``interrupt`` key.  The run's
-        ``events.jsonl`` is replayed into a per-type event summary and the
-        default telemetry registry's final snapshot is embedded, so the
-        manifest alone answers *what happened* after the run directory's
-        shard files are long merged.
+        ``metrics`` (the run's own supervision accounting,
+        :meth:`~repro.backend.supervisor.SupervisionReport.as_stats`) lands
+        under the manifest's ``metrics`` key and ``extra`` (interrupt
+        forensics — reason, signal, RSS high-water) under ``interrupt``.
+        The run's ``events.jsonl`` is replayed into a per-type event
+        summary, so the manifest alone answers *what happened* after the
+        run directory's shard files are long merged.
         """
         from repro.util import telemetry
 
         self._manifest["status"] = status
+        if metrics is not None:
+            self._manifest["metrics"] = dict(metrics)
         if extra:
             self._manifest["interrupt"] = dict(extra)
+        else:
+            # A resumed run's manifest must not keep an earlier run's block.
+            self._manifest.pop("interrupt", None)
         if not self.disabled:
             events_path = self.run_dir / telemetry.EVENTS_NAME
             if events_path.is_file():
@@ -495,7 +502,4 @@ class CheckpointStore:
                     "total": len(events),
                     "by_type": dict(sorted(by_type.items())),
                 }
-        registry = telemetry.get_registry()
-        if registry.enabled:
-            self._manifest["metrics"] = registry.snapshot()
         self._write_manifest()

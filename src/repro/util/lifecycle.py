@@ -81,6 +81,10 @@ class RunInterrupted(RuntimeError):
         self.reason = reason
         self.completed = completed
         self.remaining = remaining
+        #: Set by the supervisor: its ``SupervisionReport`` and the
+        #: manifest's ``interrupt`` block (reason, signal, RSS high-water).
+        self.report = None
+        self.interrupt: dict = {}
 
 
 def rss_bytes() -> int | None:
@@ -145,10 +149,6 @@ class ShutdownController:
             if rss is not None:
                 if rss > self.rss_high_water_bytes:
                     self.rss_high_water_bytes = rss
-                # Lazy import: telemetry reads lifecycle.rss_bytes, so the
-                # module-level direction must stay lifecycle <- telemetry.
-                from repro.util import telemetry
-                telemetry.set_gauge("watchdog.rss_mb", rss / 2**20)
                 if not self.requested and rss > self.max_rss_bytes:
                     self.request(reason="rss")
         return self.requested

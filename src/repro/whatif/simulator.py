@@ -421,10 +421,11 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
     """The full interpreted metadata + store pass.
 
     The loop below is a line-for-line mirror of the store interactions in
-    :class:`~repro.backend.api_server.ApiServerProcess`'s request handlers
-    (``_handle_upload`` / ``_handle_download`` / ``_handle_unlink`` /
-    ``_handle_move`` / ``_handle_delete_volume`` plus ``_ensure_node`` and
-    the quiet node registration of downloads); keep them in sync.  Object
+    :class:`~repro.backend.api_server.ApiServerProcess`: the download path
+    inlined in ``handle_event`` (with its quiet registration of nodes that
+    predate the trace) and the ``_handle_upload`` / ``_handle_unlink`` /
+    ``_handle_move`` / ``_handle_delete_volume`` handlers (upload and move
+    first register a node the shard does not hold); keep them in sync.  Object
     keys only need the same *equality structure* as the live store's string
     keys, so hashes stay factorised integer codes and the anonymous /
     no-dedup keys are tuples.
@@ -469,7 +470,7 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
                     rec.touch(h, ts, DOWNLOAD)
                 get(h)
         elif op == _UPLOAD:
-            if node not in node_volume:  # _ensure_node
+            if node not in node_volume:  # _handle_upload makes the node
                 node_volume[node] = volume
                 volume_nodes.setdefault(volume, set()).add(node)
             if delta is not None and update:
@@ -512,7 +513,7 @@ def _interpreted_pass(trace: StorageTrace, spec: PolicySpec,
                 volume_nodes.setdefault(volume, set()).add(node)
         elif op == _MOVE:
             old_volume = node_volume.get(node)
-            if old_volume is None:  # _ensure_node (straight into the target)
+            if old_volume is None:  # registered quietly, into the target
                 node_volume[node] = volume
                 volume_nodes.setdefault(volume, set()).add(node)
             elif old_volume != volume:

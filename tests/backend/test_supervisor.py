@@ -330,6 +330,37 @@ class TestGracefulShutdown:
         assert excinfo.value.signum == signal.SIGTERM
         assert excinfo.value.report.interrupted == [2, 3]
 
+    def test_interrupt_carries_report_and_manifest_block(self):
+        controller = ShutdownController()
+
+        def task(shard_id):
+            if shard_id == 1:
+                controller.request(signal.SIGTERM)
+            return shard_id
+
+        with pytest.raises(RunInterrupted) as excinfo:
+            supervise_shards(task, range(4), jobs=1, use_fork=False,
+                             shutdown=controller)
+        stats = excinfo.value.report.as_stats()
+        assert stats["completion_order"] == [0, 1]
+        assert stats["shards_interrupted"] == [2, 3]
+        assert excinfo.value.interrupt == {
+            "reason": "signal", "signum": signal.SIGTERM,
+            "completed": 2, "remaining": 2}
+
+    def test_rss_interrupt_block_records_the_limit(self):
+        controller = ShutdownController(max_rss_bytes=1)
+        with pytest.raises(RunInterrupted) as excinfo:
+            supervise_shards(lambda s: s, range(3), jobs=1, use_fork=False,
+                             shutdown=controller)
+        interrupt = excinfo.value.interrupt
+        assert interrupt["reason"] == "rss"
+        assert interrupt["remaining"] == 3 - interrupt["completed"]
+        assert interrupt["max_rss_mb"] == pytest.approx(1 / 2**20, abs=1e-4)
+        assert interrupt["rss_high_water_mb"] > 0
+        assert excinfo.value.report.as_stats()["shards_interrupted"] == \
+            list(range(interrupt["completed"], 3))
+
     def test_rss_watchdog_interrupts(self):
         controller = ShutdownController(max_rss_bytes=1)
         with pytest.raises(RunInterrupted, match="rss limit"):

@@ -1,11 +1,11 @@
-"""Pipeline wiring of :mod:`repro.util.telemetry` (ISSUE 9).
+"""Pipeline wiring of :mod:`repro.util.telemetry`.
 
-The acceptance criteria verified here: the replayed trace digest is
-bit-identical with telemetry enabled or disabled at any ``--jobs``; a
-chaos run's ``events.jsonl`` contains exactly the injected
+Verified here: the run-event log never changes the replayed trace's
+digest; a chaos run's ``events.jsonl`` contains exactly the injected
 kill/retry/quarantine sequence; heartbeats flow from forked workers and
-staleness doubles as a hung-worker signal; the interrupted manifest
-carries the RSS high-water mark.
+staleness doubles as a hung-worker signal; the finalized manifest's
+``metrics`` are the run's own supervision accounting, and the interrupted
+manifest carries the RSS high-water mark.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.backend import replay_shard
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.supervisor import (
     ChaosPlan,
+    SupervisionReport,
     SupervisorPolicy,
     supervise_shards,
 )
@@ -55,29 +56,31 @@ def _events(checkpoint_root):
                                  telemetry.EVENTS_NAME)
 
 
+def _manifest(checkpoint_root):
+    return json.loads((_run_dir(checkpoint_root) / "MANIFEST.json")
+                      .read_text())
+
+
+def _supervision_stats(cluster):
+    """The supervision part of ``last_replay_stats``, as JSON reads it."""
+    stats = cluster.last_replay_stats
+    return json.loads(json.dumps(
+        {key: stats[key] for key in SupervisionReport().as_stats()}))
+
+
 # ---------------------------------------------------------------------------
-# Telemetry must never touch the trace (the ISSUE's hard constraint)
+# Telemetry must never touch the trace
 # ---------------------------------------------------------------------------
 
 class TestDigestInvariance:
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_digest_identical_with_telemetry_on_and_off(self, n_jobs):
+    def test_event_log_does_not_perturb_digest(self, n_jobs, tmp_path):
         plan = _plan()
-        previous = telemetry.set_enabled(True)
-        try:
-            _, enabled_run = _replay_plan(plan, n_jobs=n_jobs)
-            telemetry.set_enabled(False)
-            _, disabled_run = _replay_plan(plan, n_jobs=n_jobs)
-        finally:
-            telemetry.set_enabled(previous)
-        assert enabled_run.content_digest() == disabled_run.content_digest()
-        assert enabled_run == disabled_run
-
-    def test_event_log_does_not_perturb_digest(self, tmp_path):
-        plan = _plan()
-        _, bare = _replay_plan(plan, n_jobs=2)
-        _, logged = _replay_plan(plan, n_jobs=2, checkpoint_dir=tmp_path)
+        _, bare = _replay_plan(plan, n_jobs=n_jobs)
+        _, logged = _replay_plan(plan, n_jobs=n_jobs,
+                                 checkpoint_dir=tmp_path)
         assert logged.content_digest() == bare.content_digest()
+        assert logged == bare
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,20 @@ class TestRunEventLog:
         assert span_names == {"replay", "merge"}
         assert cluster.last_replay_stats["events_path"] == \
             str(_run_dir(tmp_path) / telemetry.EVENTS_NAME)
+
+    def test_replay_and_merge_spans_carry_their_fields(self, tmp_path):
+        cluster, _ = _replay_plan(_plan(), n_jobs=2, checkpoint_dir=tmp_path)
+        n_shards = cluster.last_replay_stats["n_shards"]
+        spans = [e for e in _events(tmp_path)
+                 if e["event"] in ("span-open", "span-close")]
+        assert [(e["event"], e["name"]) for e in spans] == [
+            ("span-open", "replay"), ("span-close", "replay"),
+            ("span-open", "merge"), ("span-close", "merge")]
+        replay_open, replay_close, _, merge_close = spans
+        assert replay_open["n_shards"] == replay_close["n_shards"] == n_shards
+        for close in (replay_close, merge_close):
+            assert close["seconds"] >= 0.0
+            assert close["peak_rss_mb"] is None or close["peak_rss_mb"] > 0
 
     def test_chaos_kill_produces_exact_retry_sequence(self, tmp_path):
         plan = _plan()
@@ -184,13 +201,8 @@ class TestRunEventLog:
 class TestManifestTelemetry:
     def test_finalized_manifest_summarizes_events_and_metrics(self, tmp_path):
         plan = _plan()
-        previous = telemetry.set_enabled(True)
-        try:
-            _replay_plan(plan, n_jobs=2, checkpoint_dir=tmp_path)
-        finally:
-            telemetry.set_enabled(previous)
-        manifest = json.loads(
-            (_run_dir(tmp_path) / "MANIFEST.json").read_text())
+        cluster, _ = _replay_plan(plan, n_jobs=2, checkpoint_dir=tmp_path)
+        manifest = _manifest(tmp_path)
         assert manifest["status"] == "complete"
         summary = manifest["events"]
         assert summary["file"] == telemetry.EVENTS_NAME
@@ -198,9 +210,25 @@ class TestManifestTelemetry:
         assert by_type["run-start"] == 1
         assert by_type["shard-complete"] == manifest["n_shards"]
         assert summary["total"] >= sum(by_type.values()) - 1
-        metrics = manifest["metrics"]
-        assert metrics["enabled"] is True
-        assert "supervisor.attempt_seconds" in metrics["histograms"]
+        assert manifest["metrics"] == _supervision_stats(cluster)
+        assert len(manifest["metrics"]["shard_wall_seconds"]) == \
+            manifest["n_shards"]
+
+    def test_each_run_manifest_covers_only_its_own_shards(self, tmp_path):
+        # Two checkpointed replays in one process: the second manifest
+        # must not carry the first run's shards or timings.
+        for seed in (11, 12):
+            root = tmp_path / f"seed-{seed}"
+            cluster, _ = _replay_plan(_plan(seed=seed), n_jobs=2, seed=seed,
+                                      checkpoint_dir=root)
+            metrics = _manifest(root)["metrics"]
+            n_shards = cluster.last_replay_stats["n_shards"]
+            assert metrics == _supervision_stats(cluster)
+            assert sorted(metrics["completion_order"]) == \
+                list(range(n_shards))
+            assert sorted(metrics["shards_checkpointed"]) == \
+                list(range(n_shards))
+            assert len(metrics["shard_wall_seconds"]) == n_shards
 
     def test_rss_watchdog_interrupt_records_high_water(self, tmp_path):
         plan = _plan()
@@ -208,17 +236,17 @@ class TestManifestTelemetry:
         with pytest.raises(RunInterrupted, match="rss limit"):
             _replay_plan(plan, n_jobs=1, checkpoint_dir=tmp_path,
                          shutdown=controller)
-        manifest = json.loads(
-            (_run_dir(tmp_path) / "MANIFEST.json").read_text())
+        manifest = _manifest(tmp_path)
         assert manifest["status"] == "interrupted"
         interrupt = manifest["interrupt"]
         assert interrupt["reason"] == "rss"
         assert interrupt["rss_high_water_mb"] > 0
         assert interrupt["max_rss_mb"] == pytest.approx(1 / 2**20, abs=1e-4)
-        # The watchdog gauge landed in the default registry too.
-        if telemetry.enabled():
-            gauges = telemetry.get_registry().snapshot()["gauge_max"]
-            assert gauges.get("watchdog.rss_mb", 0) > 0
+        # No shard ran: the run's metrics list every shard as interrupted.
+        metrics = manifest["metrics"]
+        assert metrics["completion_order"] == []
+        assert metrics["shards_interrupted"] == \
+            list(range(manifest["n_shards"]))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,30 @@ class TestFaultStatsSurface:
         shard_errors = stats["metadata_shard_errors"]
         assert sum(shard_errors) == totals["shard_read_only"]
 
+    def test_stats_cover_one_replay_on_a_reused_cluster(self):
+        # The fleet store adds up every replay the cluster ran; the stats
+        # describe only the latest one.
+        cluster = _cluster()
+        plan = _plan()
+        cluster.replay_plan(plan, n_jobs=1)
+        first = cluster.last_replay_stats
+        cluster.replay_plan(plan, n_jobs=1)
+        second = cluster.last_replay_stats
+        assert first["fault_counters"]["shard_read_only"] > 0
+        assert second["fault_counters"] == first["fault_counters"]
+        assert second["metadata_shard_errors"] == \
+            first["metadata_shard_errors"]
+        assert sum(second["metadata_shard_errors"]) == \
+            second["fault_counters"]["shard_read_only"]
+        assert cluster.metadata_store.write_rejections_per_shard() == \
+            [2 * errors for errors in first["metadata_shard_errors"]]
+
+    def test_zero_fault_replay_has_no_metadata_shard_errors(self):
+        cluster = U1Cluster(ClusterConfig(seed=SEED))
+        cluster.replay_plan(_plan(), n_jobs=1)
+        assert cluster.last_replay_stats["metadata_shard_errors"] == \
+            [0] * cluster.config.metadata_shards
+
     def test_zero_fault_replay_records_clean_outcome_columns(self):
         cluster = U1Cluster(ClusterConfig(seed=SEED))
         dataset = cluster.replay_plan(_plan())

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend.cluster import U1Cluster
 from repro.cli import build_parser, main
 
 
@@ -206,15 +207,71 @@ class TestEventsCommand:
 
 
 class TestMetricsOption:
-    def test_report_writes_metrics_snapshot(self, tmp_path):
+    @staticmethod
+    def _spy_clusters(monkeypatch):
+        """Record every cluster the CLI replays through."""
+        clusters = []
+        replay_plan = U1Cluster.replay_plan
+
+        def spy(self, *args, **kwargs):
+            clusters.append(self)
+            return replay_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(U1Cluster, "replay_plan", spy)
+        return clusters
+
+    def test_report_writes_last_replay_stats(self, tmp_path, monkeypatch):
+        clusters = self._spy_clusters(monkeypatch)
         metrics_path = tmp_path / "metrics.json"
         code = main(["report", "--users", "40", "--days", "1", "--seed", "5",
                      "--metrics", str(metrics_path)], out=io.StringIO())
         assert code == 0
-        snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["enabled"] is True
-        assert "rpc.service_time_ms" in snapshot["histograms"]
-        assert {s["name"] for s in snapshot["spans"]} >= {"replay", "merge"}
+        (cluster,) = clusters
+        assert json.loads(metrics_path.read_text()) == \
+            json.loads(json.dumps(cluster.last_replay_stats))
+
+    def test_generate_writes_last_replay_stats(self, tmp_path, monkeypatch):
+        clusters = self._spy_clusters(monkeypatch)
+        metrics_path = tmp_path / "metrics.json"
+        code = main(["generate", "--users", "30", "--days", "1", "--seed", "4",
+                     "--out", str(tmp_path / "trace"),
+                     "--metrics", str(metrics_path)], out=io.StringIO())
+        assert code == 0
+        (cluster,) = clusters
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics == json.loads(json.dumps(cluster.last_replay_stats))
+        assert sorted(metrics["completion_order"]) == \
+            list(range(metrics["n_shards"]))
+
+    def test_interrupted_run_writes_supervision_and_interrupt(
+            self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.json"
+        ckpt = tmp_path / "ckpt"
+        code = main(["report", "--users", "40", "--days", "1", "--seed", "5",
+                     "--max-rss-mb", "1", "--checkpoint-dir", str(ckpt),
+                     "--metrics", str(metrics_path)], out=io.StringIO())
+        assert code == 3
+        assert "0 shard(s) completed, 8 remaining" in capsys.readouterr().err
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["shards_interrupted"] == list(range(8))
+        assert metrics["completion_order"] == []
+        assert metrics["interrupt"]["reason"] == "rss"
+        # The same record as the interrupted run's manifest.
+        run_dir = next(p for p in ckpt.iterdir() if p.is_dir())
+        manifest = json.loads((run_dir / "MANIFEST.json").read_text())
+        assert metrics.pop("interrupt") == manifest["interrupt"]
+        assert metrics == manifest["metrics"]
+        # The resumed run's manifest describes that run alone.
+        code = main(["report", "--users", "40", "--days", "1", "--seed", "5",
+                     "--checkpoint-dir", str(ckpt), "--resume",
+                     "--metrics", str(metrics_path)], out=io.StringIO())
+        assert code == 0
+        manifest = json.loads((run_dir / "MANIFEST.json").read_text())
+        assert manifest["status"] == "complete"
+        assert "interrupt" not in manifest
+        assert manifest["metrics"]["shards_interrupted"] == []
+        assert sorted(manifest["metrics"]["completion_order"]) == \
+            list(range(8))
 
 
 class TestGracefulInterruption:

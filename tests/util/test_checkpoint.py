@@ -28,6 +28,7 @@ from repro.util.checkpoint import (
     run_inputs_summary,
     run_key,
 )
+from repro.util.telemetry import EVENTS_NAME, EventLog
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
 
@@ -269,6 +270,49 @@ class TestManifest:
         store = CheckpointStore(tmp_path, key)
         assert store.manifest()["shards"] == {}
         assert json.loads(store.manifest_path.read_text())["run_key"] == key
+
+
+class TestFinalize:
+    """The manifest's closing record: status, metrics, interrupt, events."""
+
+    def test_metrics_are_the_given_record_only(self, tmp_path):
+        store = CheckpointStore(tmp_path, "run")
+        store.finalize("complete")
+        assert "metrics" not in store.manifest()
+        metrics = {"completion_order": [1, 0],
+                   "shard_wall_seconds": {1: 0.5, 0: 0.25}}
+        store.finalize("complete", metrics=metrics)
+        assert json.loads(store.manifest_path.read_text())["metrics"] == \
+            json.loads(json.dumps(metrics))
+        # A later run over the same directory replaces, never merges.
+        fresh = CheckpointStore(tmp_path, "run")
+        fresh.finalize("complete", metrics={"completion_order": []})
+        assert fresh.manifest()["metrics"] == {"completion_order": []}
+
+    def test_interrupt_block_lasts_until_the_next_finalize(self, tmp_path):
+        store = CheckpointStore(tmp_path, "run")
+        store.finalize("interrupted", metrics={"shards_interrupted": [0]},
+                       extra={"reason": "rss", "rss_high_water_mb": 12.5})
+        manifest = json.loads(store.manifest_path.read_text())
+        assert manifest["status"] == "interrupted"
+        assert manifest["interrupt"] == {"reason": "rss",
+                                         "rss_high_water_mb": 12.5}
+        resumed = CheckpointStore(tmp_path, "run")
+        resumed.finalize("complete", metrics={"shards_interrupted": []})
+        manifest = json.loads(resumed.manifest_path.read_text())
+        assert manifest["status"] == "complete"
+        assert "interrupt" not in manifest
+
+    def test_event_log_is_summarized_by_type(self, tmp_path):
+        store = CheckpointStore(tmp_path, "run")
+        events = EventLog(store.run_dir / EVENTS_NAME)
+        for name in ("run-start", "shard-complete", "shard-complete"):
+            events.emit(name)
+        events.close()
+        store.finalize("complete")
+        assert store.manifest()["events"] == {
+            "file": EVENTS_NAME, "total": 3,
+            "by_type": {"run-start": 1, "shard-complete": 2}}
 
 
 class TestUntrustedCheckpoints:

@@ -1,8 +1,8 @@
-"""Unit tests of :mod:`repro.util.telemetry` (ISSUE 9).
+"""Unit tests of :mod:`repro.util.telemetry`.
 
-The registry/span/event-log primitives in isolation; the pipeline wiring
-(digest invariance, heartbeats, chaos event sequences) lives in
-``tests/backend/test_telemetry_integration.py``.
+The event-log, span and shard-progress primitives in isolation; the
+pipeline wiring (digest invariance, heartbeats, chaos event sequences,
+manifest metrics) lives in ``tests/backend/test_telemetry_integration.py``.
 """
 
 from __future__ import annotations
@@ -15,116 +15,46 @@ from repro.util import telemetry
 from repro.util.telemetry import (
     EVENTS_NAME,
     EventLog,
-    MetricsRegistry,
     ShardProgress,
     find_events_file,
     read_events,
 )
 
 
-class TestMetricsRegistry:
-    def test_counters_accumulate(self):
-        registry = MetricsRegistry()
-        registry.inc("shards.completed")
-        registry.inc("shards.completed", 2)
-        assert registry.counters["shards.completed"] == 3
-
-    def test_gauges_track_high_water(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("watchdog.rss_mb", 100.0)
-        registry.set_gauge("watchdog.rss_mb", 250.0)
-        registry.set_gauge("watchdog.rss_mb", 50.0)
-        assert registry.gauges["watchdog.rss_mb"] == 50.0
-        assert registry.gauge_max["watchdog.rss_mb"] == 250.0
-
-    def test_histogram_buckets_and_summary(self):
-        registry = MetricsRegistry()
-        edges = (1.0, 10.0, 100.0)
-        for value in (0.5, 5.0, 50.0, 500.0):
-            registry.observe("svc", value, edges=edges)
-        snap = registry.snapshot()["histograms"]["svc"]
-        # One value per bucket including both open-ended outer buckets.
-        assert snap["counts"] == [1, 1, 1, 1]
-        assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(555.5)
-        assert snap["mean"] == pytest.approx(555.5 / 4)
-
-    def test_observe_array_matches_scalar_observes(self):
-        scalar = MetricsRegistry()
-        vector = MetricsRegistry()
-        values = [0.05, 0.2, 3.0, 42.0, 9000.0]
-        for value in values:
-            scalar.observe("h", value, edges=(0.1, 1.0, 10.0, 100.0))
-        vector.observe_array("h", values, edges=(0.1, 1.0, 10.0, 100.0))
-        assert scalar.snapshot()["histograms"] == \
-            vector.snapshot()["histograms"]
-
-    def test_monotonic_edges_required(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.observe("bad", 1.0, edges=(1.0, 1.0, 2.0))
-
-    def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.inc("c")
-        registry.set_gauge("g", 1.0)
-        registry.observe("h", 1.0)
-        registry.observe_array("h", [1.0, 2.0])
-        with registry.span("phase"):
-            pass
-        snap = registry.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
-        assert snap["spans"] == []
-
-    def test_snapshot_is_json_able(self):
-        registry = MetricsRegistry()
-        registry.inc("c", 2)
-        registry.set_gauge("g", 1.5)
-        registry.observe("h", 0.2)
-        with registry.span("phase", shard=3):
-            pass
-        json.dumps(registry.snapshot())  # must not raise
-
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.inc("c")
-        registry.observe("h", 1.0)
-        with registry.span("s"):
-            pass
-        registry.reset()
-        snap = registry.snapshot()
-        assert snap["counters"] == {} and snap["histograms"] == {}
-        assert snap["spans"] == []
-
-
 class TestSpans:
-    def test_span_records_duration_and_tags(self):
-        registry = MetricsRegistry()
-        with registry.span("replay", shard=3) as span:
-            pass
-        assert span.seconds >= 0.0
-        record = registry.spans[-1]
-        assert record["name"] == "replay" and record["shard"] == 3
-        assert record["peak_rss_mb"] is None or record["peak_rss_mb"] > 0
-
     def test_span_mirrors_into_event_log(self, tmp_path):
         events = EventLog(tmp_path / EVENTS_NAME)
-        registry = MetricsRegistry()
-        with registry.span("merge", events=events):
+        with events.span("merge"):
             pass
         events.close()
         names = [e["event"] for e in read_events(tmp_path / EVENTS_NAME)]
         assert names == ["span-open", "span-close"]
 
-    def test_default_registry_span_helper(self):
-        before = len(telemetry.get_registry().spans)
-        with telemetry.span("unit-test-span"):
+    def test_span_close_carries_duration_rss_and_tags(self, tmp_path):
+        events = EventLog(tmp_path / EVENTS_NAME)
+        with events.span("replay", n_shards=3):
             pass
-        spans = telemetry.get_registry().spans
-        if telemetry.enabled():
-            assert len(spans) == before + 1
+        events.close()
+        opened, closed = read_events(tmp_path / EVENTS_NAME)
+        assert list(opened) == ["ts", "event", "name", "n_shards"]
+        assert list(closed) == ["ts", "event", "name", "seconds",
+                                "peak_rss_mb", "n_shards"]
+        assert closed["name"] == "replay" and closed["n_shards"] == 3
+        assert closed["seconds"] >= 0.0
+        assert closed["peak_rss_mb"] is None or closed["peak_rss_mb"] > 0
+
+    def test_span_closes_when_the_phase_raises(self, tmp_path):
+        events = EventLog(tmp_path / EVENTS_NAME)
+        with pytest.raises(RuntimeError):
+            with events.span("replay"):
+                raise RuntimeError("interrupted")
+        events.close()
+        names = [e["event"] for e in read_events(tmp_path / EVENTS_NAME)]
+        assert names == ["span-open", "span-close"]
+
+    def test_disabled_log_span_is_a_noop(self):
+        with EventLog(None).span("replay", n_shards=1):
+            pass
 
 
 class TestShardProgress:
@@ -203,15 +133,3 @@ class TestFindEventsFile:
     def test_nothing_found(self, tmp_path):
         assert find_events_file(tmp_path) is None
         assert find_events_file(tmp_path / "absent") is None
-
-
-class TestDefaultRegistryToggling:
-    def test_set_enabled_round_trip(self):
-        previous = telemetry.set_enabled(False)
-        try:
-            assert not telemetry.enabled()
-            telemetry.inc("toggle-test")
-            assert "toggle-test" not in \
-                telemetry.get_registry().snapshot()["counters"]
-        finally:
-            telemetry.set_enabled(previous)
