@@ -28,6 +28,7 @@ from repro.backend.auth import AuthenticationService, TokenCache
 from repro.backend.datastore import ObjectStore
 from repro.backend.errors import AuthenticationError, UnknownNodeError
 from repro.backend.gateway import ProcessAddress
+from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import Notification, NotificationBus
 from repro.backend.protocol.entities import SessionHandle
 from repro.backend.rpc_server import RpcContext, RpcWorker
@@ -35,6 +36,7 @@ from repro.backend.tracing import TraceSink
 from repro.trace.dataset import RPC_CODE, SESSION_EVENT_CODE
 from repro.trace.records import (
     DATA_MANAGEMENT_OPERATIONS as _DATA_MANAGEMENT_OPERATIONS,
+    MUTATING_OPERATIONS as _MUTATING_OPERATIONS,
     ApiOperation,
     NodeKind,
     RpcName,
@@ -123,14 +125,8 @@ class SessionRegistry:
 class ApiServerProcess:
     """One API server process (there are several per physical machine)."""
 
-    #: Operations that change metadata: a fault window may reject them as
-    #: writes, and a successful one notifies the user's other sessions.
-    _MUTATING_OPERATIONS = frozenset({
-        ApiOperation.UPLOAD, ApiOperation.UNLINK, ApiOperation.MAKE,
-        ApiOperation.MOVE, ApiOperation.CREATE_UDF, ApiOperation.DELETE_VOLUME,
-    })
-
-    def __init__(self, address: ProcessAddress, rpc_worker: RpcWorker,
+    def __init__(self, address: ProcessAddress,
+                 metadata_store: ShardedMetadataStore, rpc_worker: RpcWorker,
                  object_store: ObjectStore, auth: AuthenticationService,
                  bus: NotificationBus, registry: SessionRegistry,
                  sink: TraceSink, rng: np.random.Generator,
@@ -140,7 +136,7 @@ class ApiServerProcess:
                  faults=None):
         self.address = address
         self._rpc = rpc_worker
-        self._store = rpc_worker.store
+        self._store = metadata_store
         self._server = address.server
         self._process = address.process
         self._objects = object_store
@@ -157,7 +153,6 @@ class ApiServerProcess:
         self._delta_updates_enabled = delta_updates_enabled
         self._delta_update_factor = delta_update_factor
         self._interrupted_upload_fraction = interrupted_upload_fraction
-        self._stable_routing = getattr(rpc_worker.store, "stable_routing", False)
         # Fault injection (repro.faults): requests inside the compiled
         # schedule's envelope are checked against the fault windows; outside
         # it — and in particular with no faults configured at all — the only
@@ -193,9 +188,9 @@ class ApiServerProcess:
 
     # ------------------------------------------------------------ properties
     @property
-    def store(self):
-        """The sharded metadata store reached through the RPC worker."""
-        return self._rpc.store
+    def store(self) -> ShardedMetadataStore:
+        """The sharded metadata store this process routes sessions to."""
+        return self._store
 
     # ------------------------------------------------------- session handling
     def open_session(self, user_id: int, session_id: int, timestamp: float,
@@ -235,17 +230,9 @@ class ApiServerProcess:
         try:
             cached = self._token_cache.get(token.token)
             if cached is None:
-                if denied:
-                    self._rpc.execute(
-                        _GET_USER_ID_FROM_TOKEN_RPC, context,
-                        lambda: self._auth.validate(token.token, timestamp,
-                                                    force_failure=True))
-                else:
-                    # Common path: no closure — validate's positional
-                    # signature matches execute()'s *args passing.
-                    self._rpc.execute(_GET_USER_ID_FROM_TOKEN_RPC, context,
-                                      self._auth.validate,
-                                      token.token, timestamp)
+                self._rpc.execute(_GET_USER_ID_FROM_TOKEN_RPC, context,
+                                  self._auth.validate, token.token, timestamp,
+                                  denied)
                 self._token_cache.put(token.token, user_id)
             elif denied:
                 raise AuthenticationError(
@@ -267,11 +254,10 @@ class ApiServerProcess:
         # session bootstrap data the desktop client asks for.
         self._rpc.execute(_GET_USER_DATA_RPC, context,
                           shard.ensure_user, user_id, -user_id, timestamp)
-        self._rpc.execute_one(_GET_ROOT_RPC, context, shard.get_root, user_id)
+        self._rpc.execute(_GET_ROOT_RPC, context, shard.get_root, user_id)
 
-        handle = SessionHandle(session_id, user_id, timestamp, ref, 0,
-                               (shard, shard_id) if self._stable_routing
-                               else None)
+        handle = SessionHandle(session_id, user_id, timestamp, shard, shard_id,
+                               ref)
         self._sessions[session_id] = handle
         self._user_sessions[user_id] = self._user_sessions.get(user_id, 0) + 1
         self._registry.register(user_id, session_id, self.address)
@@ -338,8 +324,8 @@ class ApiServerProcess:
         the back-end's own values; the shard gathers the request fields
         from its event columns.
 
-        The steps every request shares run here, once: routing, the
-        session's storage-operation count, the fault disposition, the
+        The steps every request shares run here, once: the session's
+        storage-operation count, the fault disposition, the
         storage row and, after a successful mutation, the notification
         fan-out.  The download — most of the replayed events — runs inline;
         every other operation runs its :data:`_HANDLERS` entry.
@@ -348,26 +334,16 @@ class ApiServerProcess:
          content_hash, extension, _, _) = row
         self.requests_handled += 1
         user_id = handle.user_id
-        if self._stable_routing:
-            # A session's shard never changes under user-id routing, and the
-            # session open already registered the user there — routing is a
-            # handle memo and the per-request re-registration is skipped.
-            routed = handle.shard_cache
-            if routed is None:
-                routed = handle.shard_cache = self._store.shard_and_id(user_id)
-            shard, shard_id = routed
-        else:
-            # Under round-robin routing each request may land on a shard
-            # that has never seen the user: (re-)register it there.
-            shard, shard_id = self._store.shard_and_id(user_id)
-            shard.ensure_user(user_id, -user_id, timestamp)
+        # The session open routed the user and registered it on its shard.
+        shard = handle.shard
+        shard_id = handle.shard_id
         if operation in _DATA_MANAGEMENT_OPERATIONS:
             handle.storage_operations += 1
-        mutating = operation in self._MUTATING_OPERATIONS
+        mutating = operation in _MUTATING_OPERATIONS
 
-        # Fault disposition (post-routing — the read-only check needs the
-        # shard id).  A fault-hit request fails *before* its handler runs:
-        # no metadata/store side effects, no RPC rows — which is what lets
+        # Fault disposition (the read-only check needs the shard id).  A
+        # fault-hit request fails *before* its handler runs: no
+        # metadata/store side effects, no RPC rows — which is what lets
         # the offline mitigation simulator recompute every decision exactly
         # from the baseline trace.  Outside the schedule's envelope (and
         # with no faults at all) this is one float comparison.
@@ -403,7 +379,7 @@ class ApiServerProcess:
                                        timestamp)
             if content_hash and content_hash not in objects:
                 objects.put(content_hash, size_bytes)
-            # Inlined RpcWorker.execute_one(GET_NODE): pooled factor draw,
+            # Inlined RpcWorker.execute(GET_NODE): pooled factor draw,
             # DAL touch, worker counters, RPC row provenance.
             worker = self._rpc
             model = worker._latency
@@ -447,7 +423,7 @@ class ApiServerProcess:
     # ----------------------------------------------------------- op handlers
     # Each handler serves one operation: ``handler(self, user_id, row,
     # context, shard)`` with the request's dispatch row, the process's
-    # request context (already pointing at the request) and the routed
+    # request context (already pointing at the request) and the session's
     # metadata shard.  It returns whether the request succeeded.
 
     def _handle_make(self, user_id: int, row: tuple, context: RpcContext,
@@ -479,8 +455,8 @@ class ApiServerProcess:
         if not self._dedup_enabled:
             storage_key = f"{storage_key}#{user_id}#{node_id}"
 
-        rpc.execute_one(RpcName.GET_REUSABLE_CONTENT, context,
-                        shard.get_reusable_content, content_hash)
+        rpc.execute(RpcName.GET_REUSABLE_CONTENT, context,
+                    shard.get_reusable_content, content_hash)
         job = None
         if self._dedup_enabled and content_hash and content_hash in objects:
             objects.link(content_hash)

@@ -61,8 +61,6 @@ class ClusterConfig:
     processes_per_machine: int = 4
     #: 10 master-slave PostgreSQL shards.
     metadata_shards: int = 10
-    #: Shard routing policy: "user_id" (production) or "round_robin" (ablation).
-    shard_routing: str = "user_id"
     #: Multipart chunk size used against Amazon S3.
     multipart_chunk_bytes: int = UPLOAD_CHUNK_BYTES
     #: File-level cross-user deduplication (Section 3.3).
@@ -131,8 +129,6 @@ class ClusterConfig:
             raise ValueError("api_machines and processes_per_machine must be positive")
         if self.metadata_shards <= 0:
             raise ValueError("metadata_shards must be positive")
-        if self.shard_routing not in ("user_id", "round_robin"):
-            raise ValueError("shard_routing must be 'user_id' or 'round_robin'")
         if not 0.0 <= self.interrupted_upload_fraction < 1.0:
             raise ValueError("interrupted_upload_fraction must be in [0, 1)")
         if self.multipart_chunk_bytes <= 0:

@@ -157,11 +157,10 @@ class ServiceTimeModel:
 
         NOTE: this draw sequence (index check, :meth:`_refill_factors`,
         ``_base_by_rpc[rpc][shard_id % _n_shards] * factor``) is inlined for
-        call-overhead reasons in ``RpcWorker.execute``,
-        ``RpcWorker.execute_one`` and the download (``GET_NODE``) in
-        ``ApiServerProcess.handle_event``; any change to the sequence or to the
-        pool state layout must be mirrored there, or the shared random
-        stream desynchronizes between the paths.
+        call-overhead reasons in ``RpcWorker.execute`` and the download
+        (``GET_NODE``) in ``ApiServerProcess.handle_event``; any change to
+        the sequence or to the pool state layout must be mirrored there, or
+        the shared random stream desynchronizes between the paths.
         """
         i = self._factor_index
         if i >= len(self._factors):

@@ -1,59 +1,30 @@
 """The sharded metadata store (Section 3.4).
 
 Ten shards (each a PostgreSQL master-slave pair in the real deployment),
-routed by user id so that a user's metadata always lives in a single shard.
-:class:`ShardedMetadataStore` implements the routing and exposes the shard
-DAL surface; it also supports an alternative round-robin routing policy used
-by the sharding ablation benchmark.
+routed by user id — shard = user id modulo the shard count — so that all
+metadata of a user lives in a single shard.  :class:`ShardedMetadataStore`
+owns the shards and that one routing rule
+(:meth:`~ShardedMetadataStore.shard_and_id`); an API process resolves a
+session's shard once, when the session opens, and serves every request of
+the session there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.backend.shard import MetadataShard
 
-__all__ = ["ShardedMetadataStore", "user_id_routing", "round_robin_routing"]
-
-
-def user_id_routing(n_shards: int) -> Callable[[int], int]:
-    """The production routing policy: shard = user id modulo shard count."""
-    def route(user_id: int) -> int:
-        return user_id % n_shards
-    return route
-
-
-def round_robin_routing(n_shards: int) -> Callable[[int], int]:
-    """Ablation policy: ignore the user id and rotate across shards.
-
-    This breaks the "all metadata of a user in one shard" invariant and is
-    only meant to quantify, in the ablation benchmark, how much of the
-    short-window imbalance of Fig. 14 is caused by bursty per-user activity
-    concentrating on single shards.
-    """
-    counter = {"next": 0}
-
-    def route(_user_id: int) -> int:
-        shard = counter["next"]
-        counter["next"] = (shard + 1) % n_shards
-        return shard
-    return route
+__all__ = ["ShardedMetadataStore"]
 
 
 class ShardedMetadataStore:
     """Routes DAL operations to the appropriate :class:`MetadataShard`."""
 
-    def __init__(self, n_shards: int = 10,
-                 routing_factory: Callable[[int], Callable[[int], int]] = user_id_routing):
+    def __init__(self, n_shards: int = 10):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         self._shards = [MetadataShard(shard_id=i) for i in range(n_shards)]
-        self._route = routing_factory(n_shards)
-        #: True when a user's shard can never change between requests (the
-        #: production user-id policy).  API servers use this to cache the
-        #: routed shard on the session handle and to skip the per-request
-        #: user re-registration that only round-robin routing needs.
-        self.stable_routing = routing_factory is user_id_routing
 
     # ------------------------------------------------------------------ shards
     @property
@@ -68,11 +39,12 @@ class ShardedMetadataStore:
 
     def shard_id_of(self, user_id: int) -> int:
         """The shard index responsible for ``user_id``."""
-        return self._route(user_id)
+        return self.shard_and_id(user_id)[1]
 
     def shard_and_id(self, user_id: int) -> tuple[MetadataShard, int]:
-        """``(shard, shard_id)`` in one routing call (request hot path)."""
-        shard_id = self._route(user_id)
+        """``(shard, shard_id)`` responsible for ``user_id``: the routing
+        rule, shard id = user id modulo the shard count."""
+        shard_id = user_id % len(self._shards)
         return self._shards[shard_id], shard_id
 
     def requests_per_shard(self) -> list[int]:

@@ -13,8 +13,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.trace.records import NodeKind, VolumeType
+
+if TYPE_CHECKING:
+    from repro.backend.shard import MetadataShard
 
 __all__ = [
     "NodeId",
@@ -90,11 +94,12 @@ class SessionHandle:
     session_id: int
     user_id: int
     established_at: float
+    #: The user's metadata shard and its id, routed once when the session
+    #: opens (a user's metadata lives in one shard); every request of the
+    #: session is served there.
+    shard: MetadataShard
+    shard_id: int
     #: Trace-sink reference of the open request (every session row's
     #: provenance).
     open_ref: int = 0
     storage_operations: int = 0
-    #: ``(shard, shard_id)`` memo filled by the API server on first use —
-    #: under stable (user-id) routing a session's shard never changes, so
-    #: per-request routing is a handle attribute read.
-    shard_cache: tuple | None = None

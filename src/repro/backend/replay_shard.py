@@ -70,11 +70,7 @@ from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore, StorageAccounting
 from repro.backend.gateway import LoadBalancer, ProcessAddress
 from repro.backend.latency import ServiceTimeModel
-from repro.backend.metadata_store import (
-    ShardedMetadataStore,
-    round_robin_routing,
-    user_id_routing,
-)
+from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
@@ -294,18 +290,16 @@ class UploadJobCollector:
         server, process_no = process.address
         for shard, jobs in self._store.pending_uploadjobs():
             for job in jobs:
-                context = RpcContext(now, job.user_id)
-                context.ref = sink.explicit((now, server, process_no,
-                                             job.user_id, *_GC_REQUEST))
+                context = RpcContext(now, shard.shard_id, sink.explicit(
+                    (now, server, process_no, job.user_id, *_GC_REQUEST)))
                 worker.execute(RpcName.GET_UPLOADJOB, context,
                                shard.get_uploadjob, job.job_id)
                 expired = worker.execute(RpcName.TOUCH_UPLOADJOB, context,
                                          shard.touch_uploadjob, job.job_id, now)
                 if expired:
-                    worker.execute(
-                        RpcName.DELETE_UPLOADJOB, context,
-                        lambda j=job: shard.delete_uploadjob(j.job_id, now,
-                                                            commit=False))
+                    worker.execute(RpcName.DELETE_UPLOADJOB, context,
+                                   shard.delete_uploadjob, job.job_id, now,
+                                   False)
 
 
 class ProcessTotals(NamedTuple):
@@ -405,10 +399,7 @@ class ReplayShard:
         pool = RngPool(np.random.default_rng(config.seed)).spawn(shard_id)
         rng = pool.generator
         self.sink = TraceSink()
-        routing = (user_id_routing if config.shard_routing == "user_id"
-                   else round_robin_routing)
-        self.store = ShardedMetadataStore(
-            n_shards=config.metadata_shards, routing_factory=routing)
+        self.store = ShardedMetadataStore(n_shards=config.metadata_shards)
         self.objects = ObjectStore(chunk_bytes=config.multipart_chunk_bytes)
         # The auth service and the API processes only draw scalar uniforms;
         # handing them the pool (same .random() surface as a Generator)
@@ -426,11 +417,10 @@ class ReplayShard:
             if fault_schedule is not None else None
         self.processes: list[ApiServerProcess] = []
         for index, address in addresses:
-            worker = RpcWorker(worker_id=index, store=self.store,
-                               latency=self.latency, sink=self.sink,
-                               faults=self.faults)
+            worker = RpcWorker(worker_id=index, latency=self.latency,
+                               sink=self.sink, faults=self.faults)
             self.processes.append(ApiServerProcess(
-                address=address, rpc_worker=worker,
+                address=address, metadata_store=self.store, rpc_worker=worker,
                 object_store=self.objects, auth=self.auth,
                 bus=self.bus, registry=self.registry, sink=self.sink,
                 rng=pool,

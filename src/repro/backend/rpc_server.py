@@ -1,8 +1,8 @@
 """RPC database workers (Section 3.4).
 
 RPC workers sit between the API servers and the metadata store: they receive
-RPC calls, translate them into database queries, route the queries to the
-appropriate shard and return the result.  The measurement traces every RPC
+RPC calls, run them as database queries on the shard the calling API server
+routed the request to, and return the result.  The measurement traces every RPC
 together with its service time; the simulator reproduces that by sampling a
 service time from the :class:`~repro.backend.latency.ServiceTimeModel` for
 every executed call and recording it in the :mod:`~repro.backend.tracing` sink.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.backend.latency import ServiceTimeModel
-from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.tracing import TraceSink
 from repro.trace.dataset import RPC_CODE
 from repro.trace.records import RpcName
@@ -22,36 +21,33 @@ __all__ = ["RpcContext", "RpcWorker"]
 
 
 class RpcContext:
-    """The request an RPC call serves: when it runs, whose shard it hits,
-    and the request's trace-sink reference.
+    """The request an RPC call serves: when it runs, which metadata shard
+    it hits, and the request's trace-sink reference.
 
-    Every other field of an RPC row (server, process, session, API
+    Every other field of an RPC row (server, process, user, session, API
     operation, ...) is the served request's, gathered through ``ref`` — a
     timeline ordinal or a :meth:`~repro.backend.tracing.TraceSink.explicit`
     registration, set by the caller before the context reaches a worker.
-    A plain slotted class: an API process reuses one context for all its
-    requests.
+    ``shard_id`` is the shard the caller routed the request to (a session's
+    shard, or the swept shard of a GC sweep).  A plain slotted class: an
+    API process reuses one context for all its requests.
     """
 
-    __slots__ = ("timestamp", "user_id", "shard_id", "ref")
+    __slots__ = ("timestamp", "shard_id", "ref")
 
-    def __init__(self, timestamp: float, user_id: int,
-                 shard_id: int | None = None):
+    def __init__(self, timestamp: float, shard_id: int,
+                 ref: int | None = None):
         self.timestamp = timestamp
-        self.user_id = user_id
-        #: Pre-routed shard of ``user_id`` (optional; saves the worker a
-        #: routing call per RPC on the request hot path).
         self.shard_id = shard_id
-        self.ref: int | None = None
+        self.ref = ref
 
 
 class RpcWorker:
-    """Executes DAL calls against the metadata store and traces them."""
+    """Executes DAL calls against a metadata shard and traces them."""
 
-    def __init__(self, worker_id: int, store: ShardedMetadataStore,
-                 latency: ServiceTimeModel, sink: TraceSink, faults=None):
+    def __init__(self, worker_id: int, latency: ServiceTimeModel,
+                 sink: TraceSink, faults=None):
         self.worker_id = worker_id
-        self._store = store
         self._latency = latency
         # The sink's bound provenance appenders (execute() runs per RPC).
         self._sink = sink
@@ -82,24 +78,16 @@ class RpcWorker:
                 return service_time + extra
         return service_time
 
-    @property
-    def store(self) -> ShardedMetadataStore:
-        """The sharded metadata store this worker queries."""
-        return self._store
-
     def execute(self, rpc: RpcName, context: RpcContext,
                 operation: Callable[..., Any], *args) -> Any:
-        """Run ``operation(*args)`` against the store as RPC ``rpc``.
+        """Run ``operation(*args)`` as RPC ``rpc`` on ``context``'s shard.
 
-        ``operation`` performs the actual shard query; callers on the hot
-        path pass the bound shard method plus its arguments directly (no
-        closure allocation per RPC), while zero-argument closures keep
-        working.  The worker samples a service time, traces the call and
-        returns the operation's result.
+        ``operation`` is the bound shard (or auth service) method that
+        performs the query, passed with its positional arguments — no
+        closure allocation per RPC.  The worker samples a service time,
+        traces the call and returns the operation's result.
         """
         shard_id = context.shard_id
-        if shard_id is None:
-            shard_id = self._store.shard_id_of(context.user_id)
         # Inlined ServiceTimeModel.sample (one call frame per RPC matters
         # here): pull the next pooled body factor and scale the per-(rpc,
         # shard) base median.  Falls back to the model for pool refills.
@@ -124,39 +112,6 @@ class RpcWorker:
         self._rpc_service(service_time)
         return result
 
-    def execute_one(self, rpc: RpcName, context: RpcContext,
-                    operation: Callable[[Any], Any], arg: Any) -> Any:
-        """:meth:`execute` specialised to single-argument shard queries.
-
-        The replay workload is dominated by one-argument reads (every
-        download issues ``get_node(node_id)``), where the generic ``*args``
-        packing and keyword handling of :meth:`execute` are measurable; this
-        variant is the same bookkeeping without them.
-        """
-        shard_id = context.shard_id
-        if shard_id is None:
-            shard_id = self._store.shard_id_of(context.user_id)
-        model = self._latency
-        factors = model._factors
-        i = model._factor_index
-        if i >= len(factors):
-            model._refill_factors()
-            factors = model._factors
-            i = 0
-        model._factor_index = i + 1
-        service_time = (model._base_by_rpc[rpc][shard_id % model._n_shards]
-                        * factors[i])
-        if self._degraded is not None:
-            service_time = self._inflate(context.timestamp, service_time)
-        result = operation(arg)
-        self.calls_executed += 1
-        self.busy_time += service_time
-        self._rpc_ref(context.ref)
-        self._rpc_code(RPC_CODE[rpc])
-        self._rpc_shard(shard_id)
-        self._rpc_service(service_time)
-        return result
-
     def execute_block(self, rpc: RpcName, context: RpcContext,
                       operation: Callable[..., Any],
                       args_list: list[tuple]) -> list[Any]:
@@ -173,8 +128,6 @@ class RpcWorker:
         if n == 0:
             return []
         shard_id = context.shard_id
-        if shard_id is None:
-            shard_id = self._store.shard_id_of(context.user_id)
         times = self._latency.sample_block(rpc, shard_id, n)
         if self._degraded is not None:
             times = [self._inflate(context.timestamp, service_time)

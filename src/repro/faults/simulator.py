@@ -53,16 +53,13 @@ from repro.trace.dataset import (
     SESSION_EVENT_CODE,
     TraceDataset,
 )
-from repro.trace.records import ApiOperation, SessionEvent
+from repro.trace.records import (
+    MUTATING_OPERATIONS,
+    ApiOperation,
+    SessionEvent,
+)
 
 __all__ = ["FaultTrace", "MitigationOutcome", "simulate_mitigation"]
-
-#: Mirrors ``ApiServerProcess._MUTATING_OPERATIONS`` — the offline pass must
-#: classify operations exactly as the live request path does.
-_MUTATING = frozenset({
-    ApiOperation.UPLOAD, ApiOperation.UNLINK, ApiOperation.MAKE,
-    ApiOperation.MOVE, ApiOperation.CREATE_UDF, ApiOperation.DELETE_VOLUME,
-})
 
 #: Client-visible cost of one failed attempt, in seconds (the latency
 #: model's stand-in for the request timeout).
@@ -181,7 +178,7 @@ class FaultTrace:
         mutating_by_code = np.zeros(len(operations), dtype=bool)
         transfer_by_code = np.zeros(len(operations), dtype=bool)
         for op in operations:
-            mutating_by_code[OPERATION_CODE[op]] = op in _MUTATING
+            mutating_by_code[OPERATION_CODE[op]] = op in MUTATING_OPERATIONS
             transfer_by_code[OPERATION_CODE[op]] = op.is_transfer
         mutating = mutating_by_code[ops]
 

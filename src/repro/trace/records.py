@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "TRACE_EPOCH",
     "DATA_MANAGEMENT_OPERATIONS",
+    "MUTATING_OPERATIONS",
     "ApiOperation",
     "VolumeType",
     "NodeKind",
@@ -90,6 +91,18 @@ _DATA_MANAGEMENT_OPERATIONS = frozenset({
 #: Public view of the data-management operation set, for hot paths that
 #: prefer one frozenset lookup over the per-record enum property.
 DATA_MANAGEMENT_OPERATIONS = _DATA_MANAGEMENT_OPERATIONS
+
+#: Operations that change metadata: a fault window may reject them as
+#: writes, and a successful one notifies the user's other sessions.  The
+#: live request path and the offline fault simulator both classify by it.
+MUTATING_OPERATIONS = frozenset({
+    ApiOperation.UPLOAD,
+    ApiOperation.UNLINK,
+    ApiOperation.MAKE,
+    ApiOperation.MOVE,
+    ApiOperation.CREATE_UDF,
+    ApiOperation.DELETE_VOLUME,
+})
 
 
 class VolumeType(str, enum.Enum):

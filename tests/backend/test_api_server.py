@@ -9,6 +9,7 @@ store's accounting, the metadata shards and the notification bus.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,21 +20,25 @@ from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.cluster import ClusterConfig
-from repro.backend.metadata_store import (
-    ShardedMetadataStore,
-    round_robin_routing,
-    user_id_routing,
-)
+from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
+from repro.backend.replay_shard import UploadJobCollector
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
+from repro.backend.uploadjob import GARBAGE_COLLECTION_AGE
 from repro.faults.spec import (
     DegradedProcess,
     FaultPlan,
     ReadOnlyShard,
     StorageNodeOutage,
 )
-from repro.trace.records import ApiOperation, NodeKind, RpcName, SessionEvent
+from repro.trace.records import (
+    MUTATING_OPERATIONS,
+    ApiOperation,
+    NodeKind,
+    RpcName,
+    SessionEvent,
+)
 from repro.trace.validate import validate_dataset
 from repro.util.units import MB
 from tests.conftest import (
@@ -46,19 +51,19 @@ from tests.conftest import (
 
 
 def _build_process(dedup_enabled=True, delta_updates_enabled=False,
-                   interrupted_upload_fraction=0.0, seed=0, n_shards=4,
-                   routing=user_id_routing):
+                   interrupted_upload_fraction=0.0, seed=0, n_shards=4):
     sink = TraceSink()
-    store = ShardedMetadataStore(n_shards=n_shards, routing_factory=routing)
+    store = ShardedMetadataStore(n_shards=n_shards)
     objects = ObjectStore()
     auth = AuthenticationService(rng=np.random.default_rng(seed), failure_fraction=0.0)
     bus = NotificationBus()
     registry = SessionRegistry()
     latency = ServiceTimeModel(np.random.default_rng(seed),
                                shard_skew_factors(seed, n_shards))
-    worker = RpcWorker(0, store, latency, sink)
+    worker = RpcWorker(0, latency, sink)
     process = ApiServerProcess(
-        address=ProcessAddress("api0", 0), rpc_worker=worker, object_store=objects,
+        address=ProcessAddress("api0", 0), metadata_store=store,
+        rpc_worker=worker, object_store=objects,
         auth=auth, bus=bus, registry=registry, sink=sink,
         rng=np.random.default_rng(seed), dedup_enabled=dedup_enabled,
         delta_updates_enabled=delta_updates_enabled,
@@ -102,6 +107,15 @@ class TestSessions:
         assert not process._sessions
         assert sink.dataset.sessions[-1].event is SessionEvent.AUTH_FAIL
         assert not registry.sessions_of(1)
+
+    def test_session_is_routed_to_its_users_shard(self):
+        process, sink, _, _, _ = _build_process(n_shards=4)
+        for user_id in range(1, 7):
+            handle = open_session(process, user_id, user_id, float(user_id))
+            assert handle.shard_id == user_id % 4
+            assert handle.shard is process.store.shards[handle.shard_id]
+        assert {(r.user_id, r.shard_id) for r in sink.dataset.rpc} == {
+            (user_id, user_id % 4) for user_id in range(1, 7)}
 
     def test_close_unknown_session_is_noop(self):
         process, sink, _, _, _ = _build_process()
@@ -289,11 +303,11 @@ _TRANSFER_FIELDS = ("get_requests", "bytes_downloaded", "put_requests",
                     "dedup_hits")
 
 
-def _download_rows(uploaded_node: int, **options):
+def _download_rows(uploaded_node: int):
     """The download of node 10 (content ``h1``) after an upload of
     ``uploaded_node`` with the same content, on a one-shard store: its
     storage and RPC rows, and what it moved in the store and the worker."""
-    process, sink, objects, _, _ = _build_process(n_shards=1, **options)
+    process, sink, objects, _, _ = _build_process(n_shards=1)
     handle = open_session(process, 1, 1, 1.0)
     send_event(process, handle, event_row(ApiOperation.UPLOAD, timestamp=5.0,
                                           node_id=uploaded_node))
@@ -315,21 +329,38 @@ def _download_rows(uploaded_node: int, **options):
 
 class TestDownloadBranches:
     """The download's known-node branch (inlined ``GET_NODE`` and store
-    accounting) and its general branch (unknown node, round-robin routing)
-    leave the same rows and accounting."""
+    accounting) and its unknown-node branch (a node that predates the
+    trace, registered quietly first) leave the same rows and accounting."""
 
-    @pytest.mark.parametrize("options", [
-        {"uploaded_node": 11},  # node 10 predates the trace
-        {"uploaded_node": 10, "routing": round_robin_routing},
-        {"uploaded_node": 11, "routing": round_robin_routing},
-    ], ids=["unknown-node", "round-robin", "both"])
-    def test_same_rows_and_accounting(self, options):
+    def test_same_rows_and_accounting(self):
         known = _download_rows(10)
-        general = _download_rows(**options)
+        general = _download_rows(11)  # node 10 predates the trace
         assert known["storage"].operation is ApiOperation.DOWNLOAD
         assert [r.rpc for r in known["rpc"]] == [RpcName.GET_NODE]
         assert known["moved"]["bytes_downloaded"] == 100_000
         assert general == known
+
+
+class TestUploadJobCollection:
+    def test_sweep_rpcs_run_on_the_job_owners_shard(self):
+        process, sink, _, _, _ = _build_process(
+            n_shards=4, interrupted_upload_fraction=1.0)
+        for user_id in (1, 2, 7):
+            handle = open_session(process, user_id, user_id, 1.0)
+            send_event(process, handle, event_row(
+                ApiOperation.UPLOAD, timestamp=2.0, size=20 * MB,
+                content_hash=f"h-partial-{user_id}"))
+        before = len(sink.dataset.rpc)
+        collector = UploadJobCollector(process.store, process, interval=1.0)
+        collector.collect(3.0 + GARBAGE_COLLECTION_AGE)
+        swept = sink.dataset.rpc[before:]
+        assert Counter(r.rpc for r in swept) == {
+            RpcName.GET_UPLOADJOB: 3, RpcName.TOUCH_UPLOADJOB: 3,
+            RpcName.DELETE_UPLOADJOB: 3}
+        assert {(r.user_id, r.shard_id) for r in swept} == {
+            (1, 1), (2, 2), (7, 3)}
+        assert all(r.api_operation is None for r in swept)
+        assert all(not jobs for _, jobs in process.store.pending_uploadjobs())
 
 
 class TestNotifications:
@@ -377,7 +408,7 @@ class TestOneEntryPoint:
         assert set(handlers) == set(ApiOperation) - session_management - {
             ApiOperation.DOWNLOAD}
         assert len(set(handlers.values())) == len(handlers)
-        assert ApiServerProcess._MUTATING_OPERATIONS <= set(handlers)  # noqa: SLF001
+        assert MUTATING_OPERATIONS <= set(handlers)
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +476,13 @@ def _fault_plan(n_shards: int):
 
 class TestEveryOperationReplayed:
     """A hand-built script with all 12 client operations, replayed through
-    one replay shard under each routing and fault setting."""
+    one replay shard with and without faults."""
 
     @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-    @pytest.mark.parametrize("routing", ["user_id", "round_robin"])
-    def test_each_operation_issues_its_rpcs(self, routing, faults):
+    def test_each_operation_issues_its_rpcs(self, faults):
         config = ClusterConfig(
             seed=1, api_machines=1, processes_per_machine=2, metadata_shards=3,
-            replay_shards=1, shard_routing=routing, multipart_chunk_bytes=1024,
+            replay_shards=1, multipart_chunk_bytes=1024,
             interrupted_upload_fraction=0.0, auth_failure_fraction=0.0,
             faults=_fault_plan(3) if faults else None)
         shard, dataset = replay_scripts(config, _every_operation_script())
@@ -471,7 +501,7 @@ class TestEveryOperationReplayed:
                 assert faults and record.timestamp not in issued
                 continue
             assert issued[record.timestamp] == expected, operation
-            served_mutations += operation in ApiServerProcess._MUTATING_OPERATIONS  # noqa: SLF001
+            served_mutations += operation in MUTATING_OPERATIONS
         # Each served mutation reached the user's other session.
         assert shard.bus.pushes == served_mutations
 

@@ -37,6 +37,17 @@ class TestTokens:
             auth.validate(token.token, now=1.0, force_failure=True)
         assert auth.failure_ratio > 0
 
+    def test_forced_failure_draws_no_random_number(self):
+        # A forced denial short-circuits before the failure-fraction draw,
+        # so denied opens leave the service's draw sequence untouched.
+        rng = np.random.default_rng(3)
+        auth = AuthenticationService(rng=rng, failure_fraction=0.5)
+        token = auth.token_for(1, 0.0)
+        state = rng.bit_generator.state
+        with pytest.raises(AuthenticationError):
+            auth.validate(token.token, 1.0, True)
+        assert rng.bit_generator.state == state
+
     def test_random_failures_close_to_configured_rate(self):
         auth = AuthenticationService(rng=np.random.default_rng(1),
                                      failure_fraction=0.1)

@@ -41,9 +41,10 @@ class TestClusterConfig:
     @pytest.mark.parametrize("kwargs", [
         {"api_machines": 0},
         {"metadata_shards": 0},
-        {"shard_routing": "random"},
         {"interrupted_upload_fraction": 1.5},
         {"multipart_chunk_bytes": 0},
+        {"processes_per_machine": 0},
+        {"replay_shards": 0},
     ])
     def test_validation_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -97,6 +98,21 @@ class TestReplayHandCraftedScripts:
         assert all(r.shard_id == 5 % 10 for r in dataset.rpc if r.user_id == 5)
         assert all(r.shard_id == 5 % 10 for r in dataset.storage)
 
+    def test_every_user_stays_on_its_shard(self):
+        scripts = [script(user, user, 1000.0 + user, 2000.0,
+                          times=[1010.0 + user, 1020.0 + user],
+                          operation=[ApiOperation.MAKE, ApiOperation.UPLOAD],
+                          node_id=7, volume_id=3, size_bytes=[0, 1000],
+                          content_hash=["", f"sha1:u{user}"],
+                          extension=["", "txt"])
+                   for user in range(6)]
+        _, dataset = replay_scripts(ClusterConfig(seed=1, metadata_shards=3),
+                                    scripts)
+        assert {(r.user_id, r.shard_id) for r in dataset.rpc} == {
+            (user, user % 3) for user in range(6)}
+        assert {(r.user_id, r.shard_id) for r in dataset.storage} == {
+            (user, user % 3) for user in range(6)}
+
     def test_session_sticks_to_one_process(self):
         _, dataset = replay_scripts(ClusterConfig(seed=1), self._scripts())
         placements = {(r.server, r.process) for r in dataset.storage}
@@ -105,13 +121,6 @@ class TestReplayHandCraftedScripts:
     def test_gateway_connections_released_after_replay(self):
         shard, _ = replay_scripts(ClusterConfig(seed=1), self._scripts())
         assert all(v == 0 for v in shard.gateway._open_connections.values())
-
-    def test_round_robin_routing_option(self):
-        _, dataset = replay_scripts(
-            ClusterConfig(seed=1, shard_routing="round_robin"),
-            self._scripts())
-        shards = {r.shard_id for r in dataset.rpc}
-        assert len(shards) > 1
 
 
 class TestReplaySyntheticWorkload:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backend.protocol.entities import Node, SessionHandle, Volume
+from repro.backend.shard import MetadataShard
 from repro.trace.records import NodeKind, VolumeType
 
 
@@ -29,11 +30,16 @@ class TestEntities:
         assert volume.node_count == 0
 
     def test_session_handle_fields(self):
-        handle = SessionHandle(1, 2, 0.5)
+        shard = MetadataShard(shard_id=2)
+        handle = SessionHandle(1, 2, 0.5, shard, 2)
         assert (handle.session_id, handle.user_id, handle.established_at) == \
             (1, 2, 0.5)
-        assert handle.storage_operations == 0
-        assert handle.shard_cache is None
+        assert (handle.shard, handle.shard_id) == (shard, 2)
+        assert (handle.open_ref, handle.storage_operations) == (0, 0)
         handle.storage_operations += 1
         assert handle.storage_operations == 1
+
+    def test_session_handle_requires_its_shard(self):
+        with pytest.raises(TypeError):
+            SessionHandle(1, 2, 0.5)
 

@@ -1,26 +1,30 @@
-"""Unit tests for the sharded metadata store and routing policies."""
+"""Unit tests for the sharded metadata store and its user-id routing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backend.metadata_store import (
-    ShardedMetadataStore,
-    round_robin_routing,
-    user_id_routing,
-)
+from repro.backend.metadata_store import ShardedMetadataStore
 
 
 class TestRouting:
     def test_user_id_routing_is_stable(self):
-        route = user_id_routing(10)
-        assert route(12) == 2
-        assert route(12) == 2
-        assert route(20) == 0
+        store = ShardedMetadataStore(n_shards=10)
+        assert store.shard_id_of(12) == 2
+        assert store.shard_id_of(12) == 2
+        assert store.shard_id_of(20) == 0
+        shard, shard_id = store.shard_and_id(12)
+        assert shard_id == shard.shard_id == 2
+        assert store.shard_and_id(12)[0] is shard
 
-    def test_round_robin_routing_rotates(self):
-        route = round_robin_routing(3)
-        assert [route(99) for _ in range(5)] == [0, 1, 2, 0, 1]
+    @pytest.mark.parametrize("n_shards", [1, 3, 10])
+    def test_shard_and_id_is_user_id_modulo_shard_count(self, n_shards):
+        store = ShardedMetadataStore(n_shards=n_shards)
+        for user_id in range(0, 120, 7):
+            shard, shard_id = store.shard_and_id(user_id)
+            assert shard_id == store.shard_id_of(user_id) == user_id % n_shards
+            assert shard is store.shards[shard_id]
+            assert shard.shard_id == shard_id
 
 
 class TestShardedStore:

@@ -200,13 +200,15 @@ def _gc_sweep(self, now):
     return (_GC, now, server, process)
 
 
-def _gc_rpc_request(self, rpc, context, *args, **kwargs):
-    top = self._sink.stack[-1:]
+def _gc_rpc_request(self, rpc, context, *args):
+    sink = self._sink
+    top = sink.stack[-1:]
     if not top or top[0][0] is not _GC:
         return None
     _, now, server, process = top[0]
-    return (now, server, process, context.user_id, 0, None, *_NO_EVENT,
-            False)
+    # The swept job's user, from the request the sweep registered.
+    user_id = sink._explicit[-context.ref - 1][3]
+    return (now, server, process, user_id, 0, None, *_NO_EVENT, False)
 
 
 @contextmanager
@@ -324,15 +326,21 @@ def _configs(draw):
     faults = draw(st.booleans())
     return ClusterConfig(
         seed=draw(st.integers(0, 3)), api_machines=2, processes_per_machine=2,
-        metadata_shards=3, replay_shards=1,
-        shard_routing=draw(st.sampled_from(["user_id", "round_robin"])),
-        multipart_chunk_bytes=1024, interrupted_upload_fraction=0.5,
+        metadata_shards=3, replay_shards=1, multipart_chunk_bytes=1024,
+        interrupted_upload_fraction=0.5,
         gc_interval=float(draw(st.integers(1, 4))),
         faults=_fault_plan() if faults else None,
         mitigation=(MitigationPolicy(name="retry", kind="retry",
                                      max_retries=2)
                     if faults and draw(st.booleans()) else
                     MitigationPolicy()))
+
+
+def _assert_rows_on_user_shard(block: ColumnBlock, n_shards: int,
+                               label: str) -> None:
+    """Every row of ``block`` hit its user's metadata shard."""
+    users, shards = block.cols["user_id"], block.cols["shard_id"]
+    assert np.array_equal(shards, users % n_shards), label
 
 
 def _replay_one_shard(config: ClusterConfig, scripts):
@@ -347,6 +355,10 @@ def _replay_one_shard(config: ClusterConfig, scripts):
                             fault_schedule=schedule)
         outcome = shard.run(table_of(scripts))
     _assert_outcome_equals_reference(shard, outcome)
+    # Fault-rejected storage rows and GC-sweep RPC rows included.
+    _assert_rows_on_user_shard(outcome.storage, config.metadata_shards,
+                               "storage")
+    _assert_rows_on_user_shard(outcome.rpc, config.metadata_shards, "rpc")
     return shard, outcome
 
 
@@ -418,6 +430,9 @@ def test_perfbench_shapes_at_a_tenth(workload):
     def checked_run(shard, table):
         outcome = run(shard, table)
         _assert_outcome_equals_reference(shard, outcome)
+        for label in ("storage", "rpc"):
+            _assert_rows_on_user_shard(getattr(outcome, label),
+                                       cluster.config.metadata_shards, label)
         checked.append(outcome.storage.n + outcome.rpc.n + outcome.sessions.n)
         return outcome
 
@@ -449,7 +464,7 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         objects = ObjectStore(chunk_bytes=1024)
         processes = [ApiServerProcess(
             address=ProcessAddress("api0", p),
-            rpc_worker=RpcWorker(p, store, latency, sink),
+            metadata_store=store, rpc_worker=RpcWorker(p, latency, sink),
             object_store=objects, auth=auth, bus=bus, registry=registry,
             sink=sink, rng=np.random.default_rng(p),
             interrupted_upload_fraction=1.0) for p in range(2)]

@@ -199,7 +199,8 @@ class TestFanOut:
                                    shard_skew_factors(0, 2))
         processes = [
             ApiServerProcess(
-                address=address, rpc_worker=RpcWorker(i, store, latency, sink),
+                address=address, metadata_store=store,
+                rpc_worker=RpcWorker(i, latency, sink),
                 object_store=objects, auth=auth, bus=bus, registry=registry,
                 sink=sink, rng=np.random.default_rng(i))
             for i, address in enumerate(_ADDRESSES)]
@@ -230,7 +231,8 @@ class TestFanOut:
                     handle = handles[session_id]
                 else:
                     user_id = 1  # a request from a session that is not open
-                    handle = SessionHandle(session_id, user_id, clock)
+                    handle = SessionHandle(session_id, user_id, clock,
+                                           *store.shard_and_id(user_id))
                 others = [q for s, (u, q) in open_sessions.items()
                           if u == user_id and s != session_id]
                 local = others.count(p)

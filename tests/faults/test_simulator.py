@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.api_server import ApiServerProcess
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.faults.mitigation import MitigationPolicy, default_mitigations
 from repro.faults.runtime import _float_bits, compile_plan
@@ -38,6 +37,7 @@ from repro.faults.spec import (
 )
 from repro.faults.sweep import run_fault_sweep
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
+from repro.trace.records import MUTATING_OPERATIONS
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
@@ -304,7 +304,7 @@ class TestColumnarDecode:
             op = ops[i]
             outcome = schedule.attempt_outcome(
                 row_ts, _float_bits(row_ts), user, session,
-                op in ApiServerProcess._MUTATING_OPERATIONS,
+                op in MUTATING_OPERATIONS,
                 hashes[i] if op.is_transfer else "", shard, 0)
             if outcome is not None:
                 expected.append(i)

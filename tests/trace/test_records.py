@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.trace.records import (
+    DATA_MANAGEMENT_OPERATIONS,
+    MUTATING_OPERATIONS,
     ApiOperation,
     RPC_CLASS_BY_NAME,
     RpcClass,
@@ -22,6 +24,11 @@ class TestApiOperation:
         assert not ApiOperation.LIST_VOLUMES.is_data_management
         assert not ApiOperation.GET_DELTA.is_data_management
         assert not ApiOperation.OPEN_SESSION.is_data_management
+
+    def test_mutating_classification(self):
+        # Every data-management operation but a download changes metadata.
+        assert MUTATING_OPERATIONS == (DATA_MANAGEMENT_OPERATIONS
+                                       - {ApiOperation.DOWNLOAD})
 
     def test_transfer_classification(self):
         assert ApiOperation.UPLOAD.is_transfer
