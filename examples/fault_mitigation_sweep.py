@@ -80,13 +80,14 @@ def main() -> int:
     dataset = cluster.replay_plan(SyntheticTraceGenerator(config).plan())
     replay_seconds = time.perf_counter() - started
 
-    live = cluster.fault_accounting
+    live = cluster.last_replay_stats["fault_counters"]
     print("What the users saw (live, unmitigated):")
-    print(f"  requests hit by faults:  {live.requests_faulted}")
-    print(f"  user-visible errors:     {live.user_visible_errors} "
-          f"(incl. {live.auth_outage_failures} auth denials)")
-    print(f"  degraded RPCs:           {live.degraded_rpcs} "
-          f"(+{live.degraded_extra_seconds:.1f}s of service time)")
+    print(f"  requests hit by faults:  {live['requests_faulted']}")
+    print(f"  user-visible errors:     "
+          f"{live['requests_failed'] + live['auth_outage_failures']} "
+          f"(incl. {live['auth_outage_failures']} auth denials)")
+    print(f"  degraded RPCs:           {live['degraded_rpcs']} "
+          f"(+{live['degraded_extra_seconds']:.1f}s of service time)")
     per_shard = cluster.last_replay_stats["metadata_shard_errors"]
     print(f"  read-only rejections by metadata shard: {per_shard}\n")
 

@@ -153,15 +153,15 @@ class ApiServerProcess:
         self._delta_updates_enabled = delta_updates_enabled
         self._delta_update_factor = delta_update_factor
         self._interrupted_upload_fraction = interrupted_upload_fraction
-        # Fault injection (repro.faults): requests inside the compiled
-        # schedule's envelope are checked against the fault windows; outside
-        # it — and in particular with no faults configured at all — the only
-        # added work on the request path is one float comparison.
-        self._faults = faults
-        if faults is not None and faults.schedule.active:
-            self._fault_lo, self._fault_hi = faults.schedule.envelope
-        else:
-            self._fault_lo, self._fault_hi = float("inf"), float("-inf")
+        # Fault injection (repro.faults): a request inside the schedule's
+        # envelope reads whether it fails; outside it, and with no faults at
+        # all, the request path pays one float comparison.
+        self._fault_lo, self._fault_hi = (
+            faults.schedule.envelope if faults is not None
+            else (float("inf"), float("-inf")))
+        #: Per request reference, whether its fault disposition fails it
+        #: before its handler runs; set by the replay shard.
+        self.failing: list[bool] | None = None
         # Storage and session rows are recorded as provenance (request
         # reference, shard id or session event) through the sink's bound
         # buffer appenders, never stale.
@@ -204,6 +204,8 @@ class ApiServerProcess:
         reference (its timeline ordinal in a replay shard); every session
         row of the session records it and its ``SessionEvent`` code, the
         sink gathers the other fields from the open's request.
+        ``force_auth_failure`` (a planned failure, or an ``AuthOutage``
+        window) denies the open before validate()'s RNG draw.
         """
         session_ref = self._session_ref
         session_event = self._session_event
@@ -218,32 +220,15 @@ class ApiServerProcess:
         context.timestamp = timestamp
         context.ref = ref
         context.shard_id = shard_id
-        # An AuthOutage window denies every open in it — the old
-        # ``force_auth_failure`` special case, folded into the fault
-        # framework.  Denials short-circuit validate() before its RNG draw,
-        # so the zero-fault draw sequence is untouched either way.
-        faults = self._faults
-        outage = (faults is not None
-                  and self._fault_lo <= timestamp < self._fault_hi
-                  and faults.schedule.auth_denied(timestamp))
-        denied = force_auth_failure or outage
         try:
-            cached = self._token_cache.get(token.token)
-            if cached is None:
+            if self._token_cache.get(token.token) is None:
                 self._rpc.execute(_GET_USER_ID_FROM_TOKEN_RPC, context,
                                   self._auth.validate, token.token, timestamp,
-                                  denied)
+                                  force_auth_failure)
                 self._token_cache.put(token.token, user_id)
-            elif denied:
-                raise AuthenticationError(
-                    "authentication outage" if outage
-                    else "forced authentication failure")
+            elif force_auth_failure:
+                raise AuthenticationError("authentication denied")
         except AuthenticationError:
-            if outage:
-                # Counted for any failure inside the window (forced and
-                # fraction-drawn ones included): the offline simulator
-                # counts AUTH_FAIL rows in outage windows, which must match.
-                faults.accounting.auth_outage_failures += 1
             session_ref(ref)
             session_event(_AUTH_FAIL)
             return None
@@ -325,10 +310,11 @@ class ApiServerProcess:
         from its event columns.
 
         The steps every request shares run here, once: the session's
-        storage-operation count, the fault disposition, the
-        storage row and, after a successful mutation, the notification
-        fan-out.  The download — most of the replayed events — runs inline;
-        every other operation runs its :data:`_HANDLERS` entry.
+        storage-operation count, the fault disposition (resolved before
+        dispatch: a failing request runs no handler), the storage row and,
+        after a successful mutation, the notification fan-out.  The
+        download — most of the replayed events — runs inline; every other
+        operation runs its :data:`_HANDLERS` entry.
         """
         (timestamp, operation, node_id, volume_id, _, node_kind, size_bytes,
          content_hash, extension, _, _) = row
@@ -339,32 +325,10 @@ class ApiServerProcess:
         shard_id = handle.shard_id
         if operation in _DATA_MANAGEMENT_OPERATIONS:
             handle.storage_operations += 1
-        mutating = operation in _MUTATING_OPERATIONS
-
-        # Fault disposition (the read-only check needs the shard id).  A
-        # fault-hit request fails *before* its handler runs: no
-        # metadata/store side effects, no RPC rows — which is what lets
-        # the offline mitigation simulator recompute every decision exactly
-        # from the baseline trace.  Outside the schedule's envelope (and
-        # with no faults at all) this is one float comparison.
-        retries = 0
-        if self._fault_lo <= timestamp < self._fault_hi:
-            error_kind, retries, failover = self._faults.check_request(
-                timestamp, user_id, handle.session_id, mutating,
-                content_hash if operation.is_transfer else "", shard_id)
-            if error_kind:
-                if error_kind == "shard_read_only":
-                    shard.write_rejections += 1
-                self._storage_ref(ref)
-                self._storage_shard(shard_id)
-                self._sink.storage_fault(error_kind, retries)
-                return
-            if failover:
-                # A surviving replica serves the transfer; the request runs
-                # normally, the accounting records the failover.
-                accounting = self._objects.accounting
-                accounting.failover_reads += 1
-                accounting.failover_bytes += size_bytes
+        if self._fault_lo <= timestamp < self._fault_hi and self.failing[ref]:
+            self._storage_ref(ref)
+            self._storage_shard(shard_id)
+            return
 
         if operation is _DOWNLOAD_OPERATION:
             objects = self._objects
@@ -413,12 +377,10 @@ class ApiServerProcess:
             context.ref = ref
             context.shard_id = shard_id
             if (self._HANDLERS[operation](self, user_id, row, context, shard)
-                    and mutating):
+                    and operation in _MUTATING_OPERATIONS):
                 self._notify_mutation(handle, timestamp, operation, volume_id)
         self._storage_ref(ref)
         self._storage_shard(shard_id)
-        if retries:
-            self._sink.storage_fault("", retries)
 
     # ----------------------------------------------------------- op handlers
     # Each handler serves one operation: ``handler(self, user_id, row,

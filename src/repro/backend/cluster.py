@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import LoadBalancer, ProcessAddress
 from repro.backend.latency import LatencyParameters, shard_skew_factors
@@ -178,7 +180,6 @@ class U1Cluster:
         #: Per-process totals, in :meth:`ClusterConfig.process_addresses`
         #: order.
         self.processes = [ProcessTotals(address) for address in addresses]
-        self.fault_accounting = FaultAccounting()
         #: Timings and shape of the most recent :meth:`replay_plan` call.
         self.last_replay_stats: dict | None = None
 
@@ -276,6 +277,15 @@ class U1Cluster:
             # The merge consumes the shard blocks; from here on the outcomes
             # carry only the counter summaries added below.
             blocks = [(o.storage, o.rpc, o.sessions) for o in outcomes]
+            # Read-only rejections per metadata shard, over recorded rows.
+            shard_errors = np.zeros(self.config.metadata_shards, dtype=int)
+            for storage, _, _ in blocks:
+                codes, kinds = storage.codes["error_kind"]
+                read_only = np.array([kind == "shard_read_only"
+                                      for kind in kinds], dtype=bool)[codes]
+                shard_errors += np.bincount(
+                    storage.cols["shard_id"][read_only],
+                    minlength=len(shard_errors))
             for outcome in outcomes:
                 outcome.storage = outcome.rpc = outcome.sessions = None
             merge_started = time.perf_counter()
@@ -295,18 +305,11 @@ class U1Cluster:
             self.object_store.absorb_summary(outcome.object_count,
                                              outcome.accounting)
 
-        # Fault-exposure counters: merged per replay (this replay's view
-        # goes in ``last_replay_stats``) and accumulated fleet-wide.  The
-        # per-metadata-shard read-only rejections are this replay's too
-        # (the fleet store's counters add up every replay).
+        # This replay's fault counters, merged across its replay shards.
         replay_faults = FaultAccounting()
-        shard_errors = [0] * self.config.metadata_shards
         for outcome in outcomes:
             if outcome.faults is not None:
                 replay_faults.merge(outcome.faults)
-            for index, counts in enumerate(outcome.store_summary):
-                shard_errors[index] += counts[3]
-        self.fault_accounting.merge(replay_faults)
 
         totals = [outcome.total_seconds for outcome in outcomes]
         mean_total = sum(totals) / max(len(totals), 1)
@@ -349,7 +352,7 @@ class U1Cluster:
             "shard_fault_counters": [
                 outcome.faults.as_dict() if outcome.faults is not None else {}
                 for outcome in outcomes],
-            "metadata_shard_errors": shard_errors,
+            "metadata_shard_errors": shard_errors.tolist(),
             #: Where the shard checkpoints live (``None`` when disabled).
             "checkpoint_dir": (str(checkpoint.run_dir)
                                if checkpoint is not None else None),

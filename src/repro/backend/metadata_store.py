@@ -66,25 +66,17 @@ class ShardedMetadataStore:
             if jobs:
                 yield shard, jobs
 
-    def write_rejections_per_shard(self) -> list[int]:
-        """Mutations each shard rejected while read-only (fault injection)."""
-        return [shard.write_rejections for shard in self._shards]
-
     # ------------------------------------------------------ sharded replay
-    def summary(self) -> list[tuple[int, int, int, int]]:
-        """Per-shard ``(users, nodes, requests, write_rejections)`` counts
-        (picklable)."""
+    def summary(self) -> list[tuple[int, int, int]]:
+        """Per-shard ``(users, nodes, requests)`` counts (picklable)."""
         return [shard.local_counts() for shard in self._shards]
 
-    def absorb_summary(self,
-                       summary: list[tuple[int, int, int, int]]) -> None:
+    def absorb_summary(self, summary: list[tuple[int, int, int]]) -> None:
         """Fold one replay shard's store outcome into this store's counters.
 
-        The sharded replay engine runs a private store per replay shard
-        (replay shards own disjoint users, so their stores never interact);
-        absorbing each shard's summary keeps :meth:`users_per_shard` /
-        :meth:`nodes_per_shard` / :meth:`requests_per_shard` /
-        :meth:`write_rejections_per_shard` fleet-wide.
+        Each replay shard runs a private store over disjoint users;
+        absorbing every shard's summary keeps the per-shard counts
+        fleet-wide.
         """
         if len(summary) != len(self._shards):
             raise ValueError("summary shard count mismatch")

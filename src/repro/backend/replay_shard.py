@@ -74,8 +74,8 @@ from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.notifications import NotificationBus
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
-from repro.faults.accounting import FaultAccounting
-from repro.faults.runtime import FaultInjector
+from repro.faults.accounting import DISPOSITION_KINDS, FaultAccounting
+from repro.faults.runtime import Dispositions, FaultInjector, RequestColumns
 from repro.trace.dataset import OPERATION_CODE, ColumnBlock
 from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
 from repro.util import telemetry
@@ -363,11 +363,11 @@ class ShardOutcome:
     #: cluster reports the maximum as ``timeline_end``.
     timeline_end: float = 0.0
     #: Replay sub-phase seconds (all included in :attr:`seconds`): the
-    #: NumPy timeline, its stable argsort and the dispatch rows decoded
-    #: from the script table (``block_build``), the object-free dispatch
-    #: loop (``dispatch``), and the trace streams' columns (``pack``: the
-    #: request columns concatenated from the table, and the storage, RPC
-    #: and session rows gathered from them by provenance).
+    #: NumPy timeline, its stable argsort, the dispatch rows and the fault
+    #: dispositions (``block_build``), the object-free dispatch loop
+    #: (``dispatch``), and the fault counters and trace streams' columns
+    #: (``pack``: the request columns concatenated from the table, and the
+    #: storage, RPC and session rows gathered from them by provenance).
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -487,22 +487,23 @@ class ReplayShard:
 
     def _dispatch(self, table: ScriptTable, order: list[int],
                   ts_col: list[float], kind_col: list[int],
-                  script_col: list[int], rows: list) -> list[int]:
+                  script_col: list[int], rows: list,
+                  auth_failed: np.ndarray) -> list[int]:
         """Replay the sorted timeline through the shard's API processes.
 
         The per-event hot path is object-free: one list index into the
         script's dispatch entry, one into the dispatch rows and one
         ``handle_event`` call with the event's row and timeline ordinal —
         no per-event object in between.  Returns the index in
-        :attr:`processes` of the process each script's session was opened
-        on.
+        :attr:`processes` of the process each script's session (denied if
+        ``auth_failed``) was opened on.
         """
         _EVENT, _OPEN = self._EVENT, self._OPEN
         process_by_address = {p.address: (k, p)
                               for k, p in enumerate(self.processes)}
         user_ids = table.user_id.tolist()
         session_ids = table.session_id.tolist()
-        auth_failed = table.auth_failed.tolist()
+        auth_failed = auth_failed.tolist()
         assigned = [0] * len(table)
         # Per-script dispatch entry, set at session open: (bound
         # handle_event, session handle, process, address).  None for failed
@@ -556,6 +557,58 @@ class ReplayShard:
         progress.done = n_records
         return assigned
 
+    def _resolve_faults(self, table: ScriptTable) -> tuple:
+        """Resolve every event's fault fate before dispatch (mask then
+        residue, as offline) and mark the failing ones' timeline ordinals
+        for the API processes.  Returns the scripts whose open is denied
+        (planned, or in an auth outage: one ``AUTH_FAIL`` row each) and the
+        resolved residue (``None`` without an active schedule)."""
+        faults = self.faults
+        if faults is None or not faults.schedule.active:
+            return table.auth_failed, None
+        n = len(table)
+        script_of = np.repeat(np.arange(n), table.counts)
+        users = table.user_id[script_of]
+        requests = RequestColumns.of(
+            table.times, users, table.session_id[script_of], table.operation,
+            *table.content_hash, users % self.store.n_shards)
+        resolved = faults.resolve(requests,
+                                  faults.schedule.faulted_rows(requests))
+        failing = [False] * (n + table.n_events)
+        for row in (resolved.rows[resolved.error > 0] + n).tolist():
+            failing[row] = True
+        for process in self.processes:
+            process.failing = failing
+        outage = faults.schedule.auth_outage(table.start)
+        faults.accounting.auth_outage_failures += int(outage.sum())
+        return table.auth_failed | outage, resolved
+
+    def _count_faults(self, table: ScriptTable, resolved) -> tuple:
+        """Count the resolved requests among the recorded storage rows, in
+        storage-row order (a denied open dispatches none of its events);
+        return the rows' ``(error_kind, retries)`` for
+        :meth:`TraceSink.gather`, kinds coded by first appearance."""
+        refs = self.sink.storage_refs
+        position = np.full(len(table) + table.n_events, -1, dtype=np.int64)
+        position[resolved.rows + len(table)] = np.arange(len(resolved.rows))
+        position = position[np.fromiter(refs, dtype=np.int64,
+                                        count=len(refs))]
+        hit = position >= 0
+        recorded = Dispositions(*(column[position[hit]]
+                                  for column in resolved))
+        self.faults.accounting.add_dispositions(recorded)
+        failover = recorded.rows[recorded.failover]
+        self.objects.accounting.failover_reads += len(failover)
+        self.objects.accounting.failover_bytes += int(
+            table.size_bytes[failover].sum())
+        codes = list(dict.fromkeys([0, *recorded.error.tolist()]))
+        error = np.zeros(len(position), dtype=np.int32)
+        error[hit] = [codes.index(code) for code in recorded.error.tolist()]
+        retries = np.zeros(len(position), dtype=np.int64)
+        retries[hit] = recorded.retries
+        return ((error, [DISPOSITION_KINDS[code] for code in codes]),
+                retries)
+
     def _request_sources(self, table: ScriptTable,
                          assigned: list[int]) -> dict:
         """The request columns of the shard's timeline
@@ -607,11 +660,12 @@ class ReplayShard:
         started = time.perf_counter()
         order, ts_col, kind_col, script_col, rows = \
             self._build_timeline(table)
+        auth_failed, resolved = self._resolve_faults(table)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
         assigned = self._dispatch(table, order, ts_col, kind_col,
-                                  script_col, rows)
+                                  script_col, rows, auth_failed)
         del rows  # the dispatch rows' tuples are not needed by the pack
         timeline_end = ts_col[order[-1]] if order else 0.0
         dispatch_seconds = time.perf_counter() - dispatch_started
@@ -622,8 +676,10 @@ class ReplayShard:
         # gathered by request reference from the request columns in one
         # NumPy pass per field.
         pack_started = time.perf_counter()
+        storage_faults = (self._count_faults(table, resolved)
+                          if resolved is not None else None)
         storage, rpc, sessions = self.sink.gather(
-            self._request_sources(table, assigned))
+            self._request_sources(table, assigned), storage_faults)
         pack_seconds = time.perf_counter() - pack_started
         totals = self.gateway.total_assigned()
         return ShardOutcome(

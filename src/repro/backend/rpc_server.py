@@ -62,9 +62,9 @@ class RpcWorker:
         # Degradation windows of this worker (fault injection): inflation
         # multiplies the already-drawn service time, so the pooled factor
         # stream — and with it the zero-fault trace — is untouched.
-        self._degraded = faults.schedule.degraded_windows(worker_id) or None \
+        self._degraded = faults.schedule.degraded.get(worker_id) \
             if faults is not None else None
-        self._fault_accounting = faults.accounting if faults is not None \
+        self._degraded_counters = faults.accounting if faults is not None \
             else None
 
     def _inflate(self, timestamp: float, service_time: float) -> float:
@@ -72,7 +72,7 @@ class RpcWorker:
         for start, end, inflation in self._degraded:
             if start <= timestamp < end:
                 extra = service_time * (inflation - 1.0)
-                accounting = self._fault_accounting
+                accounting = self._degraded_counters
                 accounting.degraded_rpcs += 1
                 accounting.degraded_extra_seconds += extra
                 return service_time + extra

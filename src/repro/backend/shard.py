@@ -48,9 +48,6 @@ class MetadataShard:
         self._content_index: dict[str, dict[int, Node]] = {}
         #: Number of DAL requests served, for load-balancing analyses/tests.
         self.requests_served = 0
-        #: Mutations rejected while this shard was in read-only mode (fault
-        #: injection); surfaced per shard in ``last_replay_stats``.
-        self.write_rejections = 0
         # Users/nodes that live in sibling stores of a sharded replay (the
         # replay engine runs one store per replay shard and folds summary
         # counts back here, so user_count()/node_count() stay fleet-wide).
@@ -91,20 +88,17 @@ class MetadataShard:
         """Number of users whose metadata lives in this shard."""
         return len(self._users) + self._absorbed_users
 
-    def absorb_counts(self, users: int, nodes: int, requests: int,
-                      write_rejections: int = 0) -> None:
+    def absorb_counts(self, users: int, nodes: int, requests: int) -> None:
         """Fold one replay shard's per-shard outcome into this shard's counters."""
         self._absorbed_users += users
         self._absorbed_nodes += nodes
         self.requests_served += requests
-        self.write_rejections += write_rejections
 
-    def local_counts(self) -> tuple[int, int, int, int]:
-        """``(users, nodes, requests, write_rejections)`` held/served by this
-        shard itself (absorbed sibling counts excluded) — the picklable
-        summary a replay worker ships back for :meth:`absorb_counts`."""
-        return (len(self._users), len(self._nodes), self.requests_served,
-                self.write_rejections)
+    def local_counts(self) -> tuple[int, int, int]:
+        """``(users, nodes, requests)`` of this shard itself, absorbed counts
+        excluded: the summary a replay worker ships for
+        :meth:`absorb_counts`."""
+        return len(self._users), len(self._nodes), self.requests_served
 
     # ---------------------------------------------------------------- volumes
     def create_volume(self, user_id: int, volume_id: int,

@@ -10,8 +10,8 @@ Most fields of a trace row are the fields of the request it serves
 (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
 *provenance* instead of rows, one buffer per provenance field:
 
-* a storage row: its request's reference and the metadata shard id, plus
-  ``error_kind``/``retries`` in a sparse table when a fault sets them;
+* a storage row: its request's reference and the metadata shard id (a
+  replay shard gives ``error_kind``/``retries`` from its fault dispositions);
 * an RPC row: its request's reference, the RPC code, the shard id and the
   service time;
 * a session row: the reference of its session's open and the
@@ -65,7 +65,7 @@ class TraceSink:
 
     __slots__ = ("_dataset", "session_refs", "session_events",
                  "session_closes", "storage_refs", "storage_shards",
-                 "storage_faults", "rpc_refs", "rpc_codes", "rpc_shards",
+                 "rpc_refs", "rpc_codes", "rpc_shards",
                  "rpc_service_times", "_explicit")
 
     def __init__(self, dataset: TraceDataset | None = None):
@@ -79,8 +79,6 @@ class TraceSink:
         #: Per storage row: request reference, metadata shard id.
         self.storage_refs: list[int] = []
         self.storage_shards: list[int] = []
-        #: storage row position -> ``(error_kind, retries)``, faulted rows only.
-        self.storage_faults: dict[int, tuple[str, int]] = {}
         #: Per RPC row: request reference, ``RPC_CODE``, shard id, seconds.
         self.rpc_refs: list[int] = []
         self.rpc_codes: list[int] = []
@@ -97,10 +95,6 @@ class TraceSink:
         self._explicit.append(request)
         return -len(self._explicit)
 
-    def storage_fault(self, error_kind: str, retries: int) -> None:
-        """Set ``error_kind``/``retries`` of the last storage row."""
-        self.storage_faults[len(self.storage_refs) - 1] = (error_kind, retries)
-
     def session_close(self, ref: int, timestamp: float, session_length: float,
                       storage_operations: int) -> None:
         """Record the ``DISCONNECT`` row of the session opened by request
@@ -110,7 +104,7 @@ class TraceSink:
         self.session_refs.append(ref)
         self.session_events.append(_DISCONNECT)
 
-    def gather(self, sources: dict | None = None
+    def gather(self, sources: dict | None = None, storage_faults=None
                ) -> tuple[ColumnBlock, ColumnBlock, ColumnBlock]:
         """Gather the buffered rows into ``(storage, rpc, sessions)``
         column blocks and empty the buffers.
@@ -118,6 +112,8 @@ class TraceSink:
         ``sources`` holds the :data:`REQUEST_FIELDS` columns of the timeline
         requests in stored form, a reference ``>= 0`` being a row there; a
         sink that only saw explicit requests needs none.
+        ``storage_faults`` is ``(error_kind, retries)`` of the storage rows
+        in stored form; without it every row is clean.
         """
         explicit = self._explicit
         offset = 0 if sources is None else len(sources["timestamp"])
@@ -139,16 +135,12 @@ class TraceSink:
             return np.where(timeline, ref, offset - 1 - ref)
 
         n = len(self.storage_refs)
-        retries = np.zeros(n, dtype=np.int64)
-        kinds = {"": 0}
-        error_codes = np.zeros(n, dtype=np.int32)
-        for row, (error_kind, tries) in self.storage_faults.items():
-            error_codes[row] = kinds.setdefault(error_kind, len(kinds))
-            retries[row] = tries
+        error_kind, retries = storage_faults or (
+            (np.zeros(n, dtype=np.int32), [""]), np.zeros(n, dtype=np.int64))
         storage = ColumnBlock.gather("storage", merged,
                                      rows_of(self.storage_refs), {
             "shard_id": _typed(self.storage_shards, np.int64),
-            "error_kind": (error_codes, list(kinds)),
+            "error_kind": error_kind,
             "retries": retries})
         rpc = ColumnBlock.gather(
             "rpc", {**merged, "api_operation": merged["operation"]},
@@ -176,7 +168,6 @@ class TraceSink:
                        self.rpc_service_times, self.session_refs,
                        self.session_events):
             buffer.clear()
-        self.storage_faults.clear()
         self.session_closes.clear()
         return storage, rpc, sessions
 

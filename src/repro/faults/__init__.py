@@ -35,9 +35,9 @@ nothing, and retry budgets with exponential backoff) *offline* over the
 trace columns (:mod:`repro.faults.simulator`, :mod:`repro.faults.sweep`),
 reporting user-visible error rate, p99/p999 latency inflation and a
 linkguardian-style penalty score per policy.  Every policy kind is one the
-live request path runs too, and the offline accounting pins
-counter-for-counter against a live replay under the same policy — the
-equivalence tests hold the two to it.
+live request path runs too, and both sides run one fault procedure
+(:mod:`repro.faults.runtime`), so the offline accounting pins
+counter-for-counter against a live replay under the same policy.
 
 Only the leaf vocabulary modules (spec, accounting, mitigation) are
 imported eagerly — the back-end imports them while this package

@@ -1,13 +1,21 @@
 """Fault counters, in the :class:`~repro.backend.datastore.StorageAccounting`
-mold: one plain dataclass per replay shard, merged field by field into the
-cluster-level total, surfaced in ``U1Cluster.last_replay_stats`` and pinned
-counter-for-counter by the offline mitigation simulator."""
+mold: one plain dataclass per replay shard, merged field by field into
+``U1Cluster.last_replay_stats["fault_counters"]``.  The request counters
+are column sums (:meth:`FaultAccounting.add_dispositions`) over what a
+replay shard recorded, or over the offline simulator's faulted residue."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-__all__ = ["FaultAccounting"]
+import numpy as np
+
+__all__ = ["DISPOSITION_KINDS", "FaultAccounting"]
+
+#: A request's final ``error_kind`` by disposition code: served (""), then
+#: each failure, counted by the :class:`FaultAccounting` field of its name.
+DISPOSITION_KINDS = ("", "service_unavailable", "shard_read_only",
+                     "storage_node_down")
 
 
 @dataclass
@@ -43,6 +51,26 @@ class FaultAccounting:
     degraded_rpcs: int = 0
     degraded_extra_seconds: float = 0.0
 
+    def add_dispositions(self, dispositions) -> None:
+        """Add the counters of :class:`~repro.faults.runtime.Dispositions`
+        in the order the requests were served: ``backoff_seconds`` adds up
+        one request at a time, every other counter is a column sum."""
+        error, retries = dispositions.error, dispositions.retries
+        failover = dispositions.failover
+        by_code = np.bincount(error, minlength=len(DISPOSITION_KINDS))
+        failed = len(error) - int(by_code[0])
+        recovered = int(np.count_nonzero((error == 0)
+                                         & ((retries > 0) | failover)))
+        self.requests_faulted += failed + recovered
+        self.requests_failed += failed
+        self.requests_recovered += recovered
+        self.retries += int(retries.sum())
+        for backoff in dispositions.backoff[retries > 0].tolist():
+            self.backoff_seconds += backoff
+        for code, kind in enumerate(DISPOSITION_KINDS[1:], start=1):
+            setattr(self, kind, getattr(self, kind) + int(by_code[code]))
+        self.failover_requests += int(np.count_nonzero(failover))
+
     def merge(self, other: "FaultAccounting") -> None:
         """Fold another shard's counters into this one (all additive)."""
         for spec in fields(self):
@@ -57,6 +85,3 @@ class FaultAccounting:
     def user_visible_errors(self) -> int:
         """Failed requests plus rejected session opens."""
         return self.requests_failed + self.auth_outage_failures
-
-    def __bool__(self) -> bool:
-        return any(getattr(self, spec.name) for spec in fields(self))

@@ -1,4 +1,4 @@
-"""Compiled fault schedules and the per-shard injector.
+"""Compiled fault schedules and the fault procedure live and offline share.
 
 The planning pass compiles a :class:`~repro.faults.spec.FaultPlan` once
 (:func:`compile_plan`) into an immutable, picklable :class:`FaultSchedule`
@@ -8,21 +8,17 @@ schedule, so sharded and fused replays see bit-identical fault exposure.
 Determinism is hash-based, never RNG-stream-based: the per-attempt failure
 decision of a lossy link is a splitmix-style hash of ``(plan seed, request
 identity, attempt index)``, and content-to-storage-node placement is
-``crc32(content_hash) % n_nodes``.  Both are pure functions of trace-visible
-fields, which is what lets the offline mitigation simulator
-(:mod:`repro.faults.simulator`) recompute every live decision exactly from
-the baseline trace columns.
-
-:func:`request_disposition` is that shared decision procedure — the live
-API server and the offline simulator call the same function, so the
-retry-mitigation counters pin counter-for-counter.  Retry attempt ``k`` is
-re-evaluated at ``timestamp + cumulative_backoff`` (backoff can escape a
-fault window); the replay itself stays open-loop — backoff is accounted,
-never added to the replay clock.
-
-:meth:`FaultSchedule.first_attempt_faulted` is a NumPy twin of the
-first-attempt decision; the offline simulator uses it to find the few
-requests worth re-resolving.  It must stay equal to
+``crc32(content_hash) % n_nodes``, so a request's fault fate is a pure
+function of its :class:`RequestColumns` row, known before dispatch.  One
+procedure resolves the fates, mask then residue, for a replay shard before
+dispatch and for the offline simulator (:mod:`repro.faults.simulator`):
+:meth:`FaultSchedule.faulted_rows` masks the columns in one vectorised
+pass, :meth:`FaultInjector.resolve` runs :func:`request_disposition` on
+the rows it hits only, and
+:meth:`~repro.faults.accounting.FaultAccounting.add_dispositions` counts
+them.  Retry attempt ``k`` is re-evaluated at ``timestamp +
+cumulative_backoff``; the replay stays open-loop — backoff is accounted,
+never added to the replay clock.  The mask must stay equal to
 ``attempt_outcome(..., attempt=0) is not None`` row for row:
 ``tests/faults/test_runtime.py::TestFirstAttemptMask`` enforces that.
 """
@@ -33,11 +29,12 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.backend.errors import is_retryable_kind
-from repro.faults.accounting import FaultAccounting
+from repro.faults.accounting import DISPOSITION_KINDS, FaultAccounting
 from repro.faults.mitigation import MitigationPolicy
 from repro.faults.spec import (
     AuthOutage,
@@ -47,9 +44,12 @@ from repro.faults.spec import (
     ReadOnlyShard,
     StorageNodeOutage,
 )
+from repro.trace.dataset import OPERATION_CODE
+from repro.trace.records import MUTATING_OPERATIONS
 
-__all__ = ["FAILOVER", "FaultInjector", "FaultSchedule", "compile_plan",
-           "content_node", "request_disposition"]
+__all__ = ["FAILOVER", "Dispositions", "FaultInjector", "FaultSchedule",
+           "RequestColumns", "compile_plan", "content_node",
+           "request_disposition"]
 
 #: Sentinel outcome: the request hit a down storage node but a surviving
 #: replica served it (counted, not failed).
@@ -104,14 +104,42 @@ def content_node(content_hash: str, n_nodes: int) -> int:
     return zlib.crc32(content_hash.encode()) % n_nodes
 
 
+#: Per operation code: whether it mutates, whether it moves contents.
+_MUTATING_BY_CODE = np.array([op in MUTATING_OPERATIONS
+                              for op in OPERATION_CODE])
+_TRANSFER_BY_CODE = np.array([op.is_transfer for op in OPERATION_CODE])
+
+
+class RequestColumns(NamedTuple):
+    """The request identity a fault decision reads, one row per request;
+    ``hash_codes`` index ``hash_categories``, -1 off the transfer path."""
+
+    ts: np.ndarray
+    users: np.ndarray
+    sessions: np.ndarray
+    mutating: np.ndarray
+    hash_codes: np.ndarray
+    hash_categories: list
+    shards: np.ndarray
+
+    @classmethod
+    def of(cls, ts, users, sessions, operations, hash_codes, hash_categories,
+           shards) -> "RequestColumns":
+        """Columns from trace-coded operations and factorised hashes."""
+        return cls(np.asarray(ts, dtype=np.float64), users, sessions,
+                   _MUTATING_BY_CODE[operations],
+                   np.where(_TRANSFER_BY_CODE[operations], hash_codes, -1),
+                   list(hash_categories) or [""], shards)
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
     """A compiled, immutable fault timeline (shared by every shard).
 
     All window tuples carry absolute ``[start, end)`` bounds.
-    ``envelope`` is the ``(min start, max end)`` over every window — one
-    float comparison outside it short-circuits all fault work, which is
-    what keeps the zero-fault replay overhead within the CI bound.
+    ``envelope`` is the ``(min start, max end)`` over every window: no
+    request outside it can be faulted, so one float comparison there skips
+    all fault work on the request path.
     """
 
     seed: int = 0
@@ -131,10 +159,6 @@ class FaultSchedule:
     def active(self) -> bool:
         """Whether the schedule contains any fault window at all."""
         return self.envelope[0] < self.envelope[1]
-
-    def degraded_windows(self, worker_id: int) -> tuple:
-        """The degradation windows of one fleet-wide worker index."""
-        return self.degraded.get(worker_id, ())
 
     def iter_windows(self):
         """Every compiled fault window as ``(kind, start, end, detail)``.
@@ -159,12 +183,12 @@ class FaultSchedule:
         for start, end in self.auth:
             yield ("auth-outage", start, end, {})
 
-    def auth_denied(self, timestamp: float) -> bool:
-        """Whether an auth outage covers ``timestamp``."""
+    def auth_outage(self, ts: np.ndarray) -> np.ndarray:
+        """Which instants of ``ts`` an auth outage covers, as one mask."""
+        covered = np.zeros(len(ts), dtype=bool)
         for start, end in self.auth:
-            if start <= timestamp < end:
-                return True
-        return False
+            covered |= (ts >= start) & (ts < end)
+        return covered
 
     def attempt_outcome(self, effective_ts: float, ts_bits: int,
                         user_id: int, session_id: int, mutating: bool,
@@ -227,23 +251,30 @@ class FaultSchedule:
                 session_ids[rows].astype(np.int64).view(np.uint64),
                 ts[rows].view(np.uint64), np.uint64(0))
             hit[rows[draw < np.uint64(limit)]] = True
-        if self.read_only:
-            for start, end, ro_shard in self.read_only:
-                hit |= (mutating & (shard_ids == ro_shard)
-                        & (ts >= start) & (ts < end))
-        if self.storage_down:
-            for start, end, node, n_nodes, _failover in self.storage_down:
-                rows = np.flatnonzero((ts >= start) & (ts < end)
-                                      & (hash_codes >= 0))
-                # content_node once per distinct hash, gathered per row.
-                codes, inverse = np.unique(hash_codes[rows],
-                                           return_inverse=True)
-                placed = np.array(
-                    [bool(hash_categories[code])
-                     and content_node(hash_categories[code], n_nodes) == node
-                     for code in codes.tolist()], dtype=bool)
-                hit[rows[placed[inverse]]] = True
+        for start, end, ro_shard in self.read_only:
+            hit |= (mutating & (shard_ids == ro_shard)
+                    & (ts >= start) & (ts < end))
+        for start, end, node, n_nodes, _failover in self.storage_down:
+            rows = np.flatnonzero((ts >= start) & (ts < end)
+                                  & (hash_codes >= 0))
+            # content_node once per distinct hash, gathered per row.
+            codes, inverse = np.unique(hash_codes[rows], return_inverse=True)
+            placed = np.array(
+                [bool(hash_categories[code])
+                 and content_node(hash_categories[code], n_nodes) == node
+                 for code in codes.tolist()], dtype=bool)
+            hit[rows[placed[inverse]]] = True
         return hit
+
+    def faulted_rows(self, requests: RequestColumns) -> np.ndarray:
+        """The rows (ascending) of ``requests`` whose first attempt a fault
+        hits: the envelope first, then :meth:`first_attempt_faulted`."""
+        lo, hi = self.envelope
+        rows = np.flatnonzero((requests.ts >= lo) & (requests.ts < hi))
+        return rows[self.first_attempt_faulted(
+            requests.ts[rows], requests.users[rows], requests.sessions[rows],
+            requests.mutating[rows], requests.hash_codes[rows],
+            requests.hash_categories, requests.shards[rows])]
 
 
 def compile_plan(plan: FaultPlan, n_processes: int | None = None,
@@ -292,8 +323,8 @@ def request_disposition(schedule: FaultSchedule,
 
     Returns ``(error_kind, retries, backoff_seconds, failover)`` —
     ``error_kind`` is "" when the request is ultimately served.  This is
-    the single decision procedure shared by the live API server and the
-    offline simulator; keep it free of any state beyond its arguments.
+    the decision procedure of :meth:`FaultInjector.resolve`, live and
+    offline; keep it free of any state beyond its arguments.
     """
     ts_bits = _float_bits(ts)
     outcome = schedule.attempt_outcome(ts, ts_bits, user_id, session_id,
@@ -318,12 +349,20 @@ def request_disposition(schedule: FaultSchedule,
     return outcome, retries, backoff, False
 
 
-class FaultInjector:
-    """Per-shard runtime face of a schedule: decisions plus counters.
+class Dispositions(NamedTuple):
+    """:func:`request_disposition` of some request ``rows`` as columns
+    (``error`` indexes :data:`~repro.faults.accounting.DISPOSITION_KINDS`)."""
 
-    The schedule is shared and immutable; the accounting is this shard's
-    own (the cluster merges every shard's after a replay).
-    """
+    rows: np.ndarray
+    error: np.ndarray
+    retries: np.ndarray
+    backoff: np.ndarray
+    failover: np.ndarray
+
+
+class FaultInjector:
+    """A fault schedule under one mitigation policy, and the counters of
+    one replay shard (or one offline pass) under it."""
 
     __slots__ = ("schedule", "policy", "accounting")
 
@@ -332,35 +371,24 @@ class FaultInjector:
         self.policy = policy
         self.accounting = FaultAccounting()
 
-    def check_request(self, ts: float, user_id: int, session_id: int,
-                      mutating: bool, transfer_hash: str,
-                      shard_id: int) -> tuple[str, int, bool]:
-        """Resolve one API request and update the counters.
-
-        Returns ``(error_kind, retries, failover)``; an empty
-        ``error_kind`` means the request proceeds to its handler.
-        """
-        error_kind, retries, backoff, failover = request_disposition(
-            self.schedule, self.policy, ts, user_id, session_id, mutating,
-            transfer_hash, shard_id)
-        acc = self.accounting
-        if retries:
-            acc.retries += retries
-            acc.backoff_seconds += backoff
-        if error_kind:
-            acc.requests_faulted += 1
-            acc.requests_failed += 1
-            if error_kind == "service_unavailable":
-                acc.service_unavailable += 1
-            elif error_kind == "shard_read_only":
-                acc.shard_read_only += 1
-            else:
-                acc.storage_node_down += 1
-        elif retries or failover:
-            # The first attempt hit a fault; a retry escape or a replica
-            # ultimately served the request.
-            acc.requests_faulted += 1
-            acc.requests_recovered += 1
-        if failover:
-            acc.failover_requests += 1
-        return error_kind, retries, failover
+    def resolve(self, requests: RequestColumns,
+                rows: np.ndarray) -> Dispositions:
+        """The dispositions of ``requests`` at ``rows`` (the residue
+        :meth:`FaultSchedule.faulted_rows` leaves) under the policy."""
+        categories = requests.hash_categories
+        fates = [request_disposition(
+                     self.schedule, self.policy, ts, user, session, mutating,
+                     categories[code] if code >= 0 else "", shard)
+                 for ts, user, session, mutating, code, shard in zip(
+                     *(column[rows].tolist() for column in (
+                         requests.ts, requests.users, requests.sessions,
+                         requests.mutating, requests.hash_codes,
+                         requests.shards)))]
+        kinds, retries, backoff, failover = zip(*fates) if fates else [()] * 4
+        return Dispositions(
+            np.asarray(rows, dtype=np.int64),
+            np.array([DISPOSITION_KINDS.index(kind) for kind in kinds],
+                     dtype=np.int64),
+            np.array(retries, dtype=np.int64),
+            np.array(backoff, dtype=np.float64),
+            np.array(failover, dtype=bool))

@@ -1,32 +1,28 @@
 """Offline mitigation simulator: fault policies replayed over trace columns.
 
-The live replay makes every fault decision through
-:func:`repro.faults.runtime.request_disposition`, a pure function of
-trace-visible request identity (timestamp bits, user, session, operation
-class, content hash, shard).  This module exploits that purity.  A
-:class:`FaultTrace` decodes the faulted baseline trace's NumPy columns once.
-Per fault schedule, one vectorised pass
-(:meth:`~repro.faults.runtime.FaultSchedule.first_attempt_faulted`) finds
-the requests whose first attempt a fault hits; every other request is
-served as recorded under any policy.  :func:`simulate_mitigation` then
-re-resolves only that faulted residue, row by row, under a
-:class:`~repro.faults.mitigation.MitigationPolicy` — no backend, no RPC
-sampling, no trace sink (see :mod:`repro.faults.sweep`).
+A request's fault fate is a pure function of trace-visible request identity
+(timestamp bits, user, session, operation class, content hash, shard).  A
+:class:`FaultTrace` decodes the faulted baseline trace once into
+:class:`~repro.faults.runtime.RequestColumns`; per fault schedule,
+:meth:`~repro.faults.runtime.FaultSchedule.faulted_rows` masks them in one
+vectorised pass, and :func:`simulate_mitigation` resolves only that
+residue under a :class:`~repro.faults.mitigation.MitigationPolicy` — no
+backend, no RPC sampling, no trace sink (see :mod:`repro.faults.sweep`).
+Every other request is served as recorded under any policy.
 
-Equivalence contract (pinned by ``tests/faults/test_simulator.py``): every
-policy kind (``none`` and ``retry``) is one the live request path runs, and
-the offline :class:`~repro.faults.accounting.FaultAccounting` matches a live
-replay under the same policy counter-for-counter, because both sides call
-the same decision procedure over the same request identities — the offline
-pass literally drives a :class:`~repro.faults.runtime.FaultInjector`.
-Skipping the rows whose first attempt is clean changes nothing: for them
-the injector updates no counter and the latency stays as recorded.  Two
-rules bound the contract:
+Equivalence contract (pinned by ``tests/faults/test_simulator.py``): a live
+replay shard runs the same procedure on its requests before dispatch — the
+same mask, residue resolution
+(:meth:`~repro.faults.runtime.FaultInjector.resolve`) and counting
+(:meth:`~repro.faults.accounting.FaultAccounting.add_dispositions`) — and
+both policy kinds (``none`` and ``retry``) run live too, so the two sides
+match counter for counter on the same request rows.  Two rules bound it:
 
 * the trace must be the **mitigation-free** (``kind="none"``) replay of the
   same fault plan: a fault-hit request fails before dispatch and leaves
   exactly one storage row, so the baseline row set is the complete request
-  log whatever policy is re-evaluated offline;
+  log whatever policy is re-evaluated offline, and the rows a live replay
+  records and counts;
 * the offline ``degraded_rpcs``/``degraded_extra_seconds`` are those of the
   mitigation-free replay under every policy (the inflation is inverted from
   the baseline trace's recorded service times).  A live *retry* replay can
@@ -41,23 +37,15 @@ rules bound the contract:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.faults.accounting import FaultAccounting
 from repro.faults.mitigation import MitigationPolicy
-from repro.faults.runtime import FaultInjector, FaultSchedule
-from repro.trace.dataset import (
-    OPERATION_CODE,
-    SESSION_EVENT_CODE,
-    TraceDataset,
-)
-from repro.trace.records import (
-    MUTATING_OPERATIONS,
-    ApiOperation,
-    SessionEvent,
-)
+from repro.faults.runtime import FaultInjector, FaultSchedule, RequestColumns
+from repro.trace.dataset import SESSION_EVENT_CODE, TraceDataset
+from repro.trace.records import SessionEvent
 
 __all__ = ["FaultTrace", "MitigationOutcome", "simulate_mitigation"]
 
@@ -97,7 +85,7 @@ class MitigationOutcome:
     seconds: float = 0.0
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "policy": self.policy.name,
             "kind": self.policy.kind,
             "description": self.policy.description,
@@ -111,51 +99,38 @@ class MitigationOutcome:
             "ops_overhead": self.ops_overhead,
             "penalty": self.penalty,
             "seconds": self.seconds,
+            "fault_counters": self.accounting.as_dict(),
         }
-        data["fault_counters"] = self.accounting.as_dict()
-        return data
 
 
+@dataclass(eq=False, repr=False)
 class FaultTrace:
     """The faulted trace decoded once into flat request identities.
 
-    Holds per-storage-request identity columns (everything
-    :func:`~repro.faults.runtime.request_disposition` needs; transfer
-    hashes stay factorised as ``hash_codes`` into ``hash_categories``, -1
-    off the transfer path), the as-traced request latencies (RPC
-    service-time sums grouped by ``(session, timestamp)``), and the session
-    stream's authentication events.  Schedule-dependent derivations
-    (first-attempt fault rows, degraded-RPC inversion, auth-outage counts,
-    healthy tail) are memoised for the last schedule seen, so a sweep pays
-    them once, not once per policy.
+    Holds the storage requests' :class:`~repro.faults.runtime.RequestColumns`,
+    the as-traced request latencies (RPC service-time sums grouped by
+    ``(session, timestamp)``), and the session stream's authentication
+    events.  Schedule-dependent derivations (first-attempt fault rows,
+    degraded-RPC inversion, auth-outage counts, healthy tail) are memoised
+    for the last schedule seen, so a sweep pays them once, not once per
+    policy.
     """
 
-    __slots__ = ("ts", "users", "sessions", "shards", "mutating",
-                 "hash_codes", "hash_categories", "latency", "auth_requests",
-                 "auth_fail_ts", "n_requests", "_rpc_ts", "_rpc_workers",
-                 "_rpc_service", "_rpc_request", "_schedule_stats")
+    requests: RequestColumns
+    latency: np.ndarray
+    auth_requests: int
+    auth_fail_ts: np.ndarray
+    rpc_ts: np.ndarray
+    rpc_workers: np.ndarray | None
+    rpc_service: np.ndarray
+    rpc_request: np.ndarray
+    #: ``(schedule, stats)``: holding the schedule and comparing with
+    #: ``is`` means a new schedule can never inherit a freed one's stats.
+    _schedule_stats: tuple | None = field(default=None, init=False)
 
-    def __init__(self, ts, users, sessions, shards, mutating, hash_codes,
-                 hash_categories, latency, auth_requests, auth_fail_ts,
-                 rpc_ts, rpc_workers, rpc_service, rpc_request):
-        self.ts = ts
-        self.users = users
-        self.sessions = sessions
-        self.shards = shards
-        self.mutating = mutating
-        self.hash_codes = hash_codes
-        self.hash_categories = hash_categories
-        self.latency = latency
-        self.auth_requests = auth_requests
-        self.auth_fail_ts = auth_fail_ts
-        self.n_requests = len(ts)
-        self._rpc_ts = rpc_ts
-        self._rpc_workers = rpc_workers
-        self._rpc_service = rpc_service
-        self._rpc_request = rpc_request
-        #: ``(schedule, stats)``: holding the schedule and comparing with
-        #: ``is`` means a new schedule can never inherit a freed one's stats.
-        self._schedule_stats: tuple | None = None
+    @property
+    def n_requests(self) -> int:
+        return len(self.requests.ts)
 
     @classmethod
     def from_dataset(cls, dataset: TraceDataset,
@@ -169,23 +144,12 @@ class FaultTrace:
         on; leave them ``None`` for plans without degraded faults.
         """
         ts = dataset.storage_column("timestamp")
-        users = dataset.storage_column("user_id")
         sessions = dataset.storage_column("session_id")
-        shards = dataset.storage_column("shard_id")
-        ops = dataset.storage_column("operation")
-
-        operations = list(ApiOperation)
-        mutating_by_code = np.zeros(len(operations), dtype=bool)
-        transfer_by_code = np.zeros(len(operations), dtype=bool)
-        for op in operations:
-            mutating_by_code[OPERATION_CODE[op]] = op in MUTATING_OPERATIONS
-            transfer_by_code[OPERATION_CODE[op]] = op.is_transfer
-        mutating = mutating_by_code[ops]
-
-        # Transfer hashes stay factorised; -1 marks rows off the transfer
-        # path.
-        codes, categories = dataset.storage_codes("content_hash")
-        hash_codes = np.where(transfer_by_code[ops], codes, -1)
+        requests = RequestColumns.of(
+            ts, dataset.storage_column("user_id"), sessions,
+            dataset.storage_column("operation"),
+            *dataset.storage_codes("content_hash"),
+            dataset.storage_column("shard_id"))
 
         rpc_ts = dataset.rpc_column("timestamp")
         rpc_service = dataset.rpc_column("service_time")
@@ -211,9 +175,7 @@ class FaultTrace:
         event = dataset.session_column("event")
         session_ts = dataset.session_column("timestamp")
         return cls(
-            ts=ts, users=users, sessions=sessions, shards=shards,
-            mutating=mutating, hash_codes=hash_codes,
-            hash_categories=categories, latency=latency,
+            requests=requests, latency=latency,
             auth_requests=int(np.count_nonzero(event == _AUTH_REQUEST)),
             auth_fail_ts=session_ts[event == _AUTH_FAIL],
             rpc_ts=rpc_ts, rpc_workers=rpc_workers,
@@ -260,15 +222,12 @@ class _ScheduleStats:
     """Per-(trace, schedule) derivations shared across a sweep's policies."""
 
     __slots__ = ("auth_outage_failures", "degraded_rpcs",
-                 "degraded_extra_seconds", "fault_rows",
-                 "fault_requests", "healthy_p99", "healthy_p999",
-                 "clean_fill")
+                 "degraded_extra_seconds", "fault_rows", "healthy_p99",
+                 "healthy_p999", "clean_fill")
 
     def __init__(self, trace: FaultTrace, schedule: FaultSchedule):
-        self.auth_outage_failures = sum(
-            int(np.count_nonzero((trace.auth_fail_ts >= start)
-                                 & (trace.auth_fail_ts < end)))
-            for start, end in schedule.auth)
+        self.auth_outage_failures = int(np.count_nonzero(
+            schedule.auth_outage(trace.auth_fail_ts)))
 
         # Invert degraded-process inflation from the recorded service times:
         # the live worker multiplied the drawn time by ``inflation``, so the
@@ -279,20 +238,22 @@ class _ScheduleStats:
         self.degraded_extra_seconds = 0.0
         healthy = trace.latency.copy()
         if schedule.degraded:
-            if trace._rpc_workers is None:
+            if trace.rpc_workers is None:
                 raise ValueError(
                     "schedule has degraded-process windows; decode the trace "
                     "with the cluster's processes_per_machine/machine_names "
                     "so RPC rows can be mapped back to workers")
             hit_rpcs, hit_extras = [], []
             for worker, windows in schedule.degraded.items():
-                on_worker = trace._rpc_workers == worker
+                on_worker = trace.rpc_workers == worker
                 for start, end, inflation in windows:
-                    hits = np.flatnonzero(on_worker & (trace._rpc_ts >= start)
-                                          & (trace._rpc_ts < end))
+                    hits = np.flatnonzero(on_worker & (trace.rpc_ts >= start)
+                                          & (trace.rpc_ts < end))
                     if not len(hits):
                         continue
-                    extra = trace._rpc_service[hits] * (1.0 - 1.0 / inflation)
+                    # The first window covering an RPC inflates it, as live.
+                    on_worker[hits] = False
+                    extra = trace.rpc_service[hits] * (1.0 - 1.0 / inflation)
                     self.degraded_rpcs += len(hits)
                     self.degraded_extra_seconds += float(extra.sum())
                     hit_rpcs.append(hits)
@@ -300,7 +261,7 @@ class _ScheduleStats:
             if hit_rpcs:
                 # Unbuffered, in hit order: the same subtractions, in the
                 # same order, as one ``healthy[row] -= extra`` per hit.
-                rows = trace._rpc_request[np.concatenate(hit_rpcs)]
+                rows = trace.rpc_request[np.concatenate(hit_rpcs)]
                 extra = np.concatenate(hit_extras)
                 served = rows >= 0
                 np.subtract.at(healthy, rows[served], extra[served])
@@ -318,25 +279,7 @@ class _ScheduleStats:
         # Only rows whose first attempt a fault hits can move under any
         # policy: a clean first attempt changes no counter and keeps the
         # recorded latency.
-        lo, hi = schedule.envelope
-        rows = np.flatnonzero((trace.ts >= lo) & (trace.ts < hi))
-        rows = rows[schedule.first_attempt_faulted(
-            trace.ts[rows], trace.users[rows], trace.sessions[rows],
-            trace.mutating[rows], trace.hash_codes[rows],
-            trace.hash_categories, trace.shards[rows])]
-        self.fault_rows = rows
-        categories = trace.hash_categories
-        #: ``(row, ts, user, session, mutating, transfer hash, shard)`` of
-        #: each fault row, as the scalars the decision procedure takes.
-        self.fault_requests = [
-            (row, row_ts, user, session, mutating,
-             categories[code] if code >= 0 else "", shard)
-            for row, row_ts, user, session, mutating, code, shard in zip(
-                rows.tolist(), trace.ts[rows].tolist(),
-                trace.users[rows].tolist(), trace.sessions[rows].tolist(),
-                trace.mutating[rows].tolist(),
-                trace.hash_codes[rows].tolist(),
-                trace.shards[rows].tolist())]
+        self.fault_rows = schedule.faulted_rows(trace.requests)
 
 
 def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
@@ -347,24 +290,23 @@ def simulate_mitigation(trace: FaultTrace, schedule: FaultSchedule,
     policy.validate()
     stats = trace.schedule_stats(schedule)
     injector = FaultInjector(schedule, policy)
+    resolved = injector.resolve(trace.requests, stats.fault_rows)
     acc = injector.accounting
     acc.auth_outage_failures = stats.auth_outage_failures
     acc.degraded_rpcs = stats.degraded_rpcs
     acc.degraded_extra_seconds = stats.degraded_extra_seconds
+    acc.add_dispositions(resolved)
 
     latency = trace.latency.copy()
-    clean = stats.clean_fill
-    for i, row_ts, user, session, mut, thash, shard in stats.fault_requests:
-        # Exactly the live request path: same injector, same identity,
-        # same counter updates.
-        error_kind, retries, _failover = injector.check_request(
-            row_ts, user, session, mut, thash, shard)
-        if error_kind:
-            latency[i] = (retries + 1) * TIMEOUT_SECONDS \
+    for row, error, retries in zip(resolved.rows.tolist(),
+                                   resolved.error.tolist(),
+                                   resolved.retries.tolist()):
+        if error:
+            latency[row] = (retries + 1) * TIMEOUT_SECONDS \
                 + policy.total_backoff(retries)
         elif retries:
-            latency[i] = retries * TIMEOUT_SECONDS \
-                + policy.total_backoff(retries) + clean
+            latency[row] = retries * TIMEOUT_SECONDS \
+                + policy.total_backoff(retries) + stats.clean_fill
 
     n_requests = trace.n_requests + trace.auth_requests
     errors = acc.user_visible_errors

@@ -77,8 +77,9 @@ __all__ = [
 #: (the format also feeds :func:`run_key`, so old *directories* are never
 #: even visited).  2 = JSON metadata blob + write-ahead manifest;
 #: 3 = process counters carry their address, and the replay sub-phase
-#: seconds are stored.
-CHECKPOINT_FORMAT = 3
+#: seconds are stored; 4 = the store summary is ``(users, nodes,
+#: requests)``.
+CHECKPOINT_FORMAT = 4
 _FORMAT = CHECKPOINT_FORMAT
 
 #: Version of the ``MANIFEST.json`` schema itself.

@@ -103,16 +103,21 @@ class _RecordingSink(TraceSink):
             requests.extend([self.stack[-1]] * n)
         return note
 
-    def gather(self, sources=None):
+    def gather(self, sources=None, storage_faults=None):
         n = len(self.storage_shards)
+        faults = [("", 0)] * n
+        if storage_faults is not None:
+            (codes, kinds), retries = storage_faults
+            faults = [(kinds[code], tries) for code, tries
+                      in zip(codes.tolist(), retries.tolist())]
         self.storage_values.extend(
-            (shard, *self.storage_faults.get(i, ("", 0)))
-            for i, shard in enumerate(self.storage_shards))
+            (shard, *fault)
+            for shard, fault in zip(self.storage_shards, faults))
         self.rpc_values.extend(zip(self.rpc_codes, self.rpc_shards,
                                    self.rpc_service_times))
         assert len(self.storage_requests) == len(self.storage_values) \
             and n == len(self.storage_refs)
-        return super().gather(sources)
+        return super().gather(sources, storage_faults)
 
     def reference_blocks(self) -> tuple[dict, dict, dict]:
         """Stored columns of the row tuples the row-tuple sink packed."""

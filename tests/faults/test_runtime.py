@@ -208,10 +208,9 @@ class TestCompileAndDecide:
     def test_auth_denied_window(self):
         schedule = compile_plan(FaultPlan(
             faults=(AuthOutage(10.0, 20.0),)))
-        assert schedule.auth_denied(10.0)
-        assert schedule.auth_denied(19.9)
-        assert not schedule.auth_denied(20.0)
-        assert not schedule.auth_denied(9.9)
+        assert schedule.auth_outage(
+            np.array([10.0, 19.9, 20.0, 9.9])).tolist() == [
+                True, True, False, False]
 
 
 # Window bounds and timestamps come from one small pool so rows land

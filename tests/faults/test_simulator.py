@@ -1,16 +1,18 @@
 """Offline mitigation simulator vs the live faulted replay: the pins.
 
-The offline pass re-resolves the unmitigated faulted trace's
-first-attempt-faulted requests (flagged by one vectorised pass) through the
-same ``request_disposition`` the live API server used; every other request
-is served as recorded.  For every listed policy the fault accounting must
-therefore match a live replay that ran it counter-for-counter.  Under
-degraded-process windows the two accumulated-seconds floats match to
-rounding (the offline pass inverts the recorded inflation, so the sums
-associate differently), and under retry the two ``degraded_*`` counters
-are those of the unmitigated replay (the rule in ``faults/simulator.py``).
-The columnar decode and the row prefilter are also pinned against scalar
-reference loops.
+A live replay shard and the offline pass run one fault procedure: mask the
+request columns with ``FaultSchedule.faulted_rows``, resolve the rows it
+hits with ``FaultInjector.resolve`` and count them with
+``FaultAccounting.add_dispositions``.  The shard does it before dispatch
+and counts the requests it recorded; the offline pass does it on the
+unmitigated faulted trace, whose storage rows are those requests.  For
+every listed policy the fault accounting must therefore match a live replay
+that ran it counter-for-counter.  Under degraded-process windows the two
+accumulated-seconds floats match to rounding (the offline pass inverts the
+recorded inflation, so the sums associate differently), and under retry the
+two ``degraded_*`` counters are those of the unmitigated replay (the rule
+in ``faults/simulator.py``).  The columnar decode and the row prefilter are
+also pinned against scalar reference loops.
 """
 
 from __future__ import annotations
@@ -169,13 +171,13 @@ class TestOfflineMatchesLive:
         flapping incident day the floats to rounding, with retry's
         ``degraded_*`` counters those of the unmitigated replay."""
         workload, plan, cluster, _, trace = pin_baselines(plan_name, seed)
-        unmitigated = cluster.fault_accounting.as_dict()
+        unmitigated = cluster.last_replay_stats["fault_counters"]
         if policy.kind == "none":
             live = unmitigated  # the baseline replay ran do-nothing
         else:
             live_cluster, _ = live_replay(workload, plan, mitigation=policy,
                                           seed=seed)
-            live = live_cluster.fault_accounting.as_dict()
+            live = live_cluster.last_replay_stats["fault_counters"]
             assert live["retries"] > 0
             assert live["requests_recovered"] > 0
         assert live["requests_faulted"] > 0
@@ -195,7 +197,7 @@ class TestOfflineMatchesLive:
         cluster, _, trace = degraded_baseline
         outcome = simulate_mitigation(trace, cluster.fault_schedule,
                                       MitigationPolicy("do-nothing", "none"))
-        live = cluster.fault_accounting.as_dict()
+        live = cluster.last_replay_stats["fault_counters"]
         assert live["degraded_rpcs"] > 0
         _assert_counters_equal(outcome.accounting.as_dict(), live)
 
@@ -210,7 +212,7 @@ class TestOfflineMatchesLive:
         cluster, _, trace = degraded_baseline
         live_cluster, _ = live_replay(workload, _fault_plan(degraded=True),
                                       mitigation=policy)
-        live = live_cluster.fault_accounting.as_dict()
+        live = live_cluster.last_replay_stats["fault_counters"]
         offline = simulate_mitigation(trace, cluster.fault_schedule,
                                       policy).accounting.as_dict()
         assert live["requests_recovered"] > 0
@@ -218,7 +220,7 @@ class TestOfflineMatchesLive:
         differ = {key for key, value in live.items()
                   if offline[key] != pytest.approx(value, rel=1e-9)}
         assert differ == set(DEGRADED_COUNTERS)
-        unmitigated = cluster.fault_accounting.as_dict()
+        unmitigated = cluster.last_replay_stats["fault_counters"]
         for key in differ:
             assert offline[key] == pytest.approx(unmitigated[key],
                                                  rel=1e-9), key
@@ -234,7 +236,8 @@ class TestOfflineMatchesLive:
         cluster, dataset, trace = baseline
         stats = trace.schedule_stats(cluster.fault_schedule)
         assert stats.auth_outage_failures \
-            == cluster.fault_accounting.auth_outage_failures
+            == cluster.last_replay_stats["fault_counters"][
+                "auth_outage_failures"]
         assert stats.auth_outage_failures > 0
 
 
@@ -260,7 +263,7 @@ class TestColumnarDecode:
             rpc_request.append(row)
             if row >= 0:
                 latency[row] += service[j]
-        assert trace._rpc_request.tolist() == rpc_request
+        assert trace.rpc_request.tolist() == rpc_request
         assert trace.latency.tobytes() == latency.tobytes()
         assert max(rpc_request) >= 0
 
