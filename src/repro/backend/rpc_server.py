@@ -68,7 +68,12 @@ class RpcWorker:
             else None
 
     def _inflate(self, timestamp: float, service_time: float) -> float:
-        """Apply this worker's degradation window, if one covers the call."""
+        """Apply this worker's degradation window, if one covers the call.
+
+        Called once the call's operation has returned, so an RPC whose
+        operation raises (a failed token validation) leaves neither a trace
+        row nor a degraded count, as the offline pass over the trace sees it.
+        """
         for start, end, inflation in self._degraded:
             if start <= timestamp < end:
                 extra = service_time * (inflation - 1.0)
@@ -101,9 +106,9 @@ class RpcWorker:
         model._factor_index = i + 1
         service_time = (model._base_by_rpc[rpc][shard_id % model._n_shards]
                         * factors[i])
+        result = operation(*args)
         if self._degraded is not None:
             service_time = self._inflate(context.timestamp, service_time)
-        result = operation(*args)
         self.calls_executed += 1
         self.busy_time += service_time
         self._rpc_ref(context.ref)
@@ -129,10 +134,10 @@ class RpcWorker:
             return []
         shard_id = context.shard_id
         times = self._latency.sample_block(rpc, shard_id, n)
+        results = [operation(*args) for args in args_list]
         if self._degraded is not None:
             times = [self._inflate(context.timestamp, service_time)
                      for service_time in times]
-        results = [operation(*args) for args in args_list]
         self.calls_executed += n
         self.busy_time += sum(times)
         sink = self._sink

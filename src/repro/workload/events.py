@@ -14,9 +14,10 @@ integer codes (:data:`~repro.trace.dataset.OPERATION_CODE`,
 :data:`~repro.trace.dataset.VOLUME_TYPE_CODE`,
 :data:`~repro.trace.dataset.NODE_KIND_CODE`) and string fields are
 factorised ``(int32 codes, categories)`` pairs, the stored form of a
-:class:`~repro.trace.dataset.ColumnBlock`.  The materializer appends code
-rows to a :class:`ScriptRows`, attack episodes build their slices
-from arrays, and a replay shard reads the columns directly (see
+:class:`~repro.trace.dataset.ColumnBlock`.  The materializer and the
+attack episodes build their tables from arrays (:class:`ScriptRows`
+assembles one from row tuples), and a replay shard reads the columns
+directly (see
 :meth:`repro.backend.replay_shard.ReplayShard._build_timeline`), so no
 per-session or per-event object is built.
 """

@@ -37,11 +37,19 @@ Materialization is column-at-a-time over a whole batch of members (see
 fixed number of Generator calls: a skeleton block sized from its plan
 (session start offsets, inter-operation gaps, chain draws, cold-session
 polls), then an operand block of fixed-width lanes per realised operation.
-Everything elementwise — Pareto gaps, download biases, chain transitions,
-new-file entries, update jitters — runs once over the batch's concatenated
-draws.  Only the truly state-dependent residue (file-table weight lookups,
-volume bookkeeping, pending-upload coupling) stays in the per-event loop,
-reading its uniforms by index from the operation's lanes.  All of it
+Everything that reads only those draws runs once over the batch's
+concatenated columns: Pareto gaps, download biases, chain transitions,
+new-file entries, update jitters, volume picks (a member's volume list
+changes only with its own volume operations), the pre-existing files and
+the maintenance and cold-poll rows.  What reads a member's file table runs
+in a :class:`~repro.workload.lockstep.Lockstep`: step ``k`` resolves the ``k``-th stateful operation
+of every member still running, one handler per operation kind, against
+flat CSR file tables.  Three orders stay per member because the realisation
+depends on them: the iteration order of each member's ``unsynced`` set (a
+sync download walks it), its pending-upload FIFO, and the file sets of its
+UDF volumes (a volume delete removes files in that order, which fixes the
+table's row order after it).  Content hashes and extensions travel as
+integer keys; the script table names each distinct key once.  All of it
 preserves the invariant above: the realised workload remains a pure function
 of ``(config, plan member)``, bit identical across any member partition and
 any ``--jobs``.
@@ -49,14 +57,18 @@ any ``--jobs``.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from repro.trace.dataset import NODE_KIND_CODE, OPERATION_CODE, VOLUME_TYPE_CODE
+from repro.trace.dataset import (
+    NODE_KIND_CODE,
+    OPERATION_CODE,
+    VOLUME_TYPE_CODE,
+    factorise,
+)
 from repro.trace.records import (
     ApiOperation,
     NodeKind,
@@ -68,7 +80,23 @@ from repro.util.units import HOUR
 from repro.workload.attacks import build_attack_episodes
 from repro.workload.config import WorkloadConfig
 from repro.workload.diurnal import DiurnalProfile
-from repro.workload.events import ScriptRows, ScriptTable, ranges
+from repro.workload.events import ScriptTable, ranges
+from repro.workload.lockstep import (
+    A_DELETE_VOLUME,
+    A_FETCH,
+    A_MAKE_DIRECTORY,
+    A_MAKE_FILE,
+    A_MOVE,
+    A_REREAD,
+    A_SYNC,
+    A_UNLINK,
+    A_UNLINK_RECENT,
+    A_UPDATE,
+    A_UPLOAD,
+    N_ACTIONS,
+    NO_STRING,
+    Lockstep,
+)
 from repro.workload.filemodel import (
     PROFILE_EXTENSIONS,
     FileModel,
@@ -114,21 +142,6 @@ _ID_BITS = 24
 #: slice stays negligible next to building the slice's events.
 _ATTACK_SLICE_SESSIONS = 256
 
-#: Live-file counts up to which the weighted operand choices run as plain
-#: Python loops.  A tiny NumPy weight computation costs ~10 us in call
-#: overhead alone; below this size the scalar scan over the same columns is
-#: several times cheaper, above it the vectorised path wins.  The cutover
-#: only selects between two evaluations of the same weights, so the chosen
-#: operand is the same either way.
-_SMALL_TABLE = 48
-
-#: Update-targeting editing burst (see ``_FileTable.pick_update``): extra
-#: weight on files written within the window, so consecutive saves of the
-#: same document chain into WAW dependencies the way Fig. 3a observes
-#: ("WAW is the most common dependency", 80 % of WAW gaps under an hour).
-_UPDATE_BURST_WINDOW = 15 * 60.0
-_UPDATE_BURST_BONUS = 8.0
-
 #: Multiplier on ``config.update_fraction`` for update *attempts* (misses
 #: fall back to fresh uploads, so the realised update share lands near the
 #: paper's ~10-15 %).  Raised from the historical 1.3 as part of the WAW
@@ -145,17 +158,7 @@ _UPDATE_ATTEMPT_BOOST = 2.0
 _DL_SYNC_SHARE = 0.30
 _DL_KNOWN_SHARE = 0.80
 
-def _update_base_weight(size_bytes: float) -> float:
-    """Size-derived update-pick weight: ``0.4 + min(size / 1 MB, 1.5)``."""
-    boost = size_bytes / (1024 * 1024)
-    return 0.4 + (boost if boost < 1.5 else 1.5)
-
-
-#: Chain-state indices the per-event dispatch switches on.  ``CHAIN_OPS``
-#: orders the maintenance operations (no operand, no namespace state)
-#: first, so one integer compare against ``_FIRST_STATEFUL`` routes them
-#: past the whole dispatch ladder.
-_FIRST_STATEFUL = CHAIN_OP_INDEX[ApiOperation.MAKE]
+#: Chain-state indices of the stateful operations.
 _OP_MAKE = CHAIN_OP_INDEX[ApiOperation.MAKE]
 _OP_UPLOAD = CHAIN_OP_INDEX[ApiOperation.UPLOAD]
 _OP_DOWNLOAD = CHAIN_OP_INDEX[ApiOperation.DOWNLOAD]
@@ -166,14 +169,8 @@ _OP_DELETE_VOLUME = CHAIN_OP_INDEX[ApiOperation.DELETE_VOLUME]
 
 #: Trace codes of the event rows' enum fields (see
 #: :class:`~repro.workload.events.ScriptTable`).
-_CHAIN_CODES = [OPERATION_CODE[op] for op in CHAIN_OPS]
-_MAKE = OPERATION_CODE[ApiOperation.MAKE]
-_UPLOAD = OPERATION_CODE[ApiOperation.UPLOAD]
-_DOWNLOAD = OPERATION_CODE[ApiOperation.DOWNLOAD]
-_UNLINK = OPERATION_CODE[ApiOperation.UNLINK]
-_MOVE = OPERATION_CODE[ApiOperation.MOVE]
-_CREATE_UDF = OPERATION_CODE[ApiOperation.CREATE_UDF]
-_DELETE_VOLUME = OPERATION_CODE[ApiOperation.DELETE_VOLUME]
+_CHAIN_CODES = np.asarray([OPERATION_CODE[op] for op in CHAIN_OPS],
+                          dtype=np.int16)
 _COLD_OPS = (OPERATION_CODE[ApiOperation.QUERY_SET_CAPS],
              OPERATION_CODE[ApiOperation.GET_DELTA])
 _ROOT = VOLUME_TYPE_CODE[VolumeType.ROOT]
@@ -182,366 +179,9 @@ _SHARED = VOLUME_TYPE_CODE[VolumeType.SHARED]
 _FILE = NODE_KIND_CODE[NodeKind.FILE]
 _DIRECTORY = NODE_KIND_CODE[NodeKind.DIRECTORY]
 
-
-# ---------------------------------------------------------------------------
-# Client-side namespace state
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class _FileState:
-    node_id: int
-    volume_id: int
-    volume_type: int  # VOLUME_TYPE_CODE
-    size_bytes: int
-    content_hash: str
-    extension: str
-
-
-@dataclass(slots=True)
-class _VolumeState:
-    volume_id: int
-    volume_type: int  # VOLUME_TYPE_CODE
-    directory_count: int = 0
-    file_ids: set[int] = field(default_factory=set)
-
-
-class _PendingUploads:
-    """FIFO of node ids awaiting upload: O(1) append/pop/contains/discard.
-
-    Replaces the historical plain list whose ``pop(0)``, ``remove`` and
-    ``in`` were all O(n).  Removal is lazy: ``discard`` only drops the id
-    from the membership set, and ``popleft`` skips tombstoned entries.
-    """
-
-    __slots__ = ("_queue", "_members")
-
-    def __init__(self) -> None:
-        self._queue: deque[int] = deque()
-        self._members: set[int] = set()
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._members
-
-    def append(self, node_id: int) -> None:
-        self._queue.append(node_id)
-        self._members.add(node_id)
-
-    def discard(self, node_id: int) -> None:
-        self._members.discard(node_id)
-
-    def popleft(self) -> int | None:
-        queue = self._queue
-        members = self._members
-        while queue:
-            node_id = queue.popleft()
-            if node_id in members:
-                members.discard(node_id)
-                return node_id
-        return None
-
-
-class _FileTable:
-    """Columnar mirror of a user's live files, for weighted operand choice.
-
-    The per-operation target choices (download/update/unlink/move) weight
-    every live file by recency, popularity and size.  Rebuilding a Python
-    weight list per operation made operand choice O(n_files) *interpreted*
-    work; this table keeps the numeric state in parallel NumPy arrays that
-    are updated in O(1) on file create/delete/touch, so each choice is a
-    vectorised weight computation plus a binary search over the running
-    cumulative sum.
-    """
-
-    __slots__ = ("node_ids", "rows", "created", "last_write", "last_read",
-                 "reads", "size_bytes", "upd_base", "slot", "n", "scratch",
-                 "unsynced")
-
-    def __init__(self, capacity: int):
-        # ``capacity`` bounds the files the table ever holds at once: the
-        # materializer passes the member's operand-slot count, and every
-        # slot creates at most one file.
-        self.node_ids = np.zeros(capacity, dtype=np.int64)
-        # The float columns are rows of one block, so a removal moves a
-        # file's whole record with one copy.  ``upd_base`` is the
-        # size-derived update-pick base weight (0.4 + min(size/1MB, 1.5)),
-        # maintained incrementally so pick_update never recomputes it.
-        # ``scratch`` is the vectorised picks' weight buffer (never holds
-        # state across calls).
-        self.rows = np.zeros((7, capacity))
-        (self.created, self.last_write, self.last_read, self.reads,
-         self.size_bytes, self.upd_base, self.scratch) = self.rows
-        # Node ids with ``last_read < last_write`` (pending synchronisation),
-        # maintained incrementally: O(1) membership churn per touch instead
-        # of an O(n_files) scan per sync-download pick.
-        self.unsynced: set[int] = set()
-        self.slot: dict[int, int] = {}
-        self.n = 0
-
-    # -------------------------------------------------------------- updates
-    def add(self, node_id: int, created: float, size_bytes: int) -> None:
-        """Register a file created (written, never read) at ``created``."""
-        i = self.n
-        self.node_ids[i] = node_id
-        self.created[i] = created
-        self.last_write[i] = created
-        self.last_read[i] = -1.0
-        self.reads[i] = 0
-        self.size_bytes[i] = size_bytes
-        self.upd_base[i] = _update_base_weight(size_bytes)
-        self.slot[node_id] = i
-        self.unsynced.add(node_id)
-        self.n += 1
-
-    def add_block(self, node_ids: list[int], created: float,
-                  sizes: list[int]) -> None:
-        """Bulk-register files created at the same instant (initial state)."""
-        i = self.n
-        stop = i + len(node_ids)
-        self.node_ids[i:stop] = node_ids
-        self.created[i:stop] = created
-        self.last_write[i:stop] = created
-        self.last_read[i:stop] = -1.0
-        self.reads[i:stop] = 0
-        self.size_bytes[i:stop] = sizes
-        base = self.upd_base[i:stop]
-        np.multiply(self.size_bytes[i:stop], 1.0 / (1024 * 1024), out=base)
-        np.minimum(base, 1.5, out=base)
-        base += 0.4
-        slot = self.slot
-        for offset, node_id in enumerate(node_ids):
-            slot[node_id] = i + offset
-        self.unsynced.update(node_ids)
-        self.n = stop
-
-    def remove(self, node_id: int) -> None:
-        i = self.slot.pop(node_id, None)
-        if i is None:
-            return
-        self.unsynced.discard(node_id)
-        last = self.n - 1
-        if i != last:
-            self.node_ids[i] = self.node_ids[last]
-            self.rows[:6, i] = self.rows[:6, last]
-            self.slot[int(self.node_ids[i])] = i
-        self.n = last
-
-    def touch_write(self, node_id: int, when: float,
-                    size_bytes: int | None = None) -> None:
-        i = self.slot[node_id]
-        self.last_write[i] = when
-        if size_bytes is not None:
-            self.size_bytes[i] = size_bytes
-            self.upd_base[i] = _update_base_weight(size_bytes)
-        if self.last_read[i] < when:
-            self.unsynced.add(node_id)
-        else:
-            self.unsynced.discard(node_id)
-
-    def touch_read(self, node_id: int, when: float) -> None:
-        i = self.slot[node_id]
-        self.last_read[i] = when
-        self.reads[i] += 1
-        if when < self.last_write[i]:
-            self.unsynced.add(node_id)
-        else:
-            self.unsynced.discard(node_id)
-
-    # -------------------------------------------------------------- choices
-    #
-    # Every flavour has two evaluations of the same weights: a plain-Python
-    # scan for small tables (where NumPy call overhead dominates) and the
-    # vectorised computation above ``_SMALL_TABLE`` files.  The uniform ``u``
-    # is a lane of the calling operation's operand slot.
-
-    def _pick(self, weights: np.ndarray, u: float) -> int:
-        cumulative = np.cumsum(weights, out=weights)
-        index = int(cumulative.searchsorted(u * cumulative[-1], side="right"))
-        if index >= self.n:
-            index = self.n - 1
-        return int(self.node_ids[index])
-
-    def _pick_small(self, weights: list[float], u: float) -> int:
-        x = u * sum(weights)
-        acc = 0.0
-        index = 0
-        for index, weight in enumerate(weights):
-            acc += weight
-            if x < acc:
-                break
-        return int(self.node_ids[index])
-
-    def pick_uniform(self, u: float) -> int | None:
-        """A uniformly chosen live file (unlink fallback, move target)."""
-        n = self.n
-        if n == 0:
-            return None
-        index = int(u * n)
-        return int(self.node_ids[index if index < n else n - 1])
-
-    def pick_update(self, now: float, u: float) -> int | None:
-        """The file an update rewrites: size-, recency- and burst-weighted.
-
-        The ``_UPDATE_BURST_*`` term models editing bursts — a user saving
-        the same document over and over — which is what makes WAW the most
-        common same-file dependency in the paper (Fig. 3a): a file written
-        in the last few minutes is overwhelmingly the next update target.
-        """
-        n = self.n
-        if n == 0:
-            return None
-        if n <= _SMALL_TABLE:
-            weights = []
-            last_write = self.last_write[:n].tolist()
-            for i, weight in enumerate(self.upd_base[:n].tolist()):
-                gap = now - last_write[i]
-                if gap < HOUR:
-                    weight += 2.0
-                    if gap < _UPDATE_BURST_WINDOW:
-                        weight += _UPDATE_BURST_BONUS
-                weights.append(weight)
-            return self._pick_small(weights, u)
-        gaps = now - self.last_write[:n]
-        weights = self.scratch[:n]
-        np.copyto(weights, self.upd_base[:n])
-        weights[gaps < HOUR] += 2.0
-        weights[gaps < _UPDATE_BURST_WINDOW] += _UPDATE_BURST_BONUS
-        return self._pick(weights, u)
-
-    def pick_reread(self, u: float) -> int | None:
-        """A re-download target, weighted by read popularity (RAR, Fig. 3b).
-
-        Already-read files dominate; never-read files keep a small base
-        weight so fresh remote content can enter the popular set.
-        """
-        n = self.n
-        if n == 0:
-            return None
-        if n <= _SMALL_TABLE:
-            weights = [0.15 + (reads if reads < 10.0 else 10.0)
-                       for reads in self.reads[:n].tolist()]
-            return self._pick_small(weights, u)
-        weights = self.scratch[:n]
-        np.minimum(self.reads[:n], 10.0, out=weights)
-        weights += 0.15
-        return self._pick(weights, u)
-
-    def pick_unsynced(self, now: float, u: float) -> int | None:
-        """A file with ``last_read < last_write`` (pending synchronisation)."""
-        members = self.unsynced
-        k = len(members)
-        if k == 0:
-            return None
-        if k <= 2 * _SMALL_TABLE:
-            slot = self.slot
-            last_write = self.last_write
-            node_list = list(members)
-            weights = []
-            for node_id in node_list:
-                written = last_write[slot[node_id]]
-                weights.append(4.0 if now - written < HOUR else 1.0)
-            x = u * sum(weights)
-            acc = 0.0
-            index = 0
-            for index, weight in enumerate(weights):
-                acc += weight
-                if x < acc:
-                    break
-            return node_list[index]
-        n = self.n
-        unsynced = np.flatnonzero(self.last_read[:n] < self.last_write[:n])
-        weights = np.ones(unsynced.size)
-        weights[now - self.last_write[unsynced] < HOUR] += 3.0
-        cumulative = np.cumsum(weights)
-        index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-        if index >= unsynced.size:
-            index = unsynced.size - 1
-        return int(self.node_ids[unsynced[index]])
-
-    def pick_recent_created(self, now: float, window: float, u: float) -> int | None:
-        """A uniformly chosen file created less than ``window`` seconds ago."""
-        n = self.n
-        if n <= _SMALL_TABLE:
-            recent = [i for i, created in enumerate(self.created[:n].tolist())
-                      if now - created < window]
-            if not recent:
-                return None
-            index = int(u * len(recent))
-            if index >= len(recent):
-                index = len(recent) - 1
-            return int(self.node_ids[recent[index]])
-        recent = np.flatnonzero(now - self.created[:n] < window)
-        if recent.size == 0:
-            return None
-        index = int(u * recent.size)
-        if index >= recent.size:
-            index = recent.size - 1
-        return int(self.node_ids[recent[index]])
-
-
-class _UserState:
-    """One active user's client-side namespace during materialization.
-
-    Node, volume and content-hash identifiers live in per-user namespaces:
-    node and volume ids count up from ``user_id << _ID_BITS`` in creation
-    order, and a minted content hash is named after the operand slot that
-    minted it, so none of them depends on any other member.
-    """
-
-    __slots__ = ("user", "volumes", "files", "pending_uploads", "table",
-                 "volume_cache", "root_id", "id_base", "next_node",
-                 "next_volume", "slot_base", "n_files", "hash_prefix")
-
-    def __init__(self, user: User, slot_base: int, n_files: int,
-                 n_slots: int):
-        self.user = user
-        self.files: dict[int, _FileState] = {}
-        self.pending_uploads = _PendingUploads()
-        self.table = _FileTable(n_slots)
-        self.id_base = user.user_id << _ID_BITS
-        self.next_node = 0
-        self.next_volume = 0
-        #: Batch position of the member's first operand slot, and how many
-        #: slots (the first ones) describe pre-existing files.
-        self.slot_base = slot_base
-        self.n_files = n_files
-        self.hash_prefix = f"sha1:u{user.user_id:x}-"
-        self.volumes: dict[int, _VolumeState] = {}
-        # Volume choice cache (volume list, cumulative weights), rebuilt
-        # only when the volume set changes (UDF creation/deletion is rare).
-        self.volume_cache: tuple[list[_VolumeState], list[float]] | None = None
-        self.add_volume(_ROOT)
-        # The root volume is created first and never deleted.
-        self.root_id = self.id_base + 1
-        for _ in range(user.udf_volumes):
-            self.add_volume(_UDF)
-        for _ in range(user.shared_volumes):
-            self.add_volume(_SHARED)
-
-    def new_node_id(self) -> int:
-        self.next_node += 1
-        return self.id_base + self.next_node
-
-    def add_volume(self, volume_type: int) -> _VolumeState:
-        self.next_volume += 1
-        volume = _VolumeState(volume_id=self.id_base + self.next_volume,
-                              volume_type=volume_type)
-        self.volumes[volume.volume_id] = volume
-        self.volume_cache = None
-        return volume
-
-    def content_hash(self, slot: int) -> str:
-        """The content hash minted by the operand slot at batch position ``slot``."""
-        return f"{self.hash_prefix}{slot - self.slot_base + 1:016x}"
-
-    def udf_volume_ids(self) -> list[int]:
-        return [v.volume_id for v in self.volumes.values()
-                if v.volume_type == _UDF]
+#: The :class:`SessionSpec` fields the batch skeleton reads.
+_SPEC_FIELDS = attrgetter("session_id", "start", "length", "active",
+                          "auth_fails", "n_ops")
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +359,7 @@ class MemberRngBatch:
 # ---------------------------------------------------------------------------
 
 #: Uniform lanes of one operand slot.  Every realised operation of an active
-#: session owns a slot, and so does every pre-existing file; the event loop
+#: session owns a slot, and so does every pre-existing file; the lockstep
 #: reads a slot's lanes by index.  ``_ROLL`` is the update, download-target,
 #: directory or short-lived roll (or the deleted-volume pick), ``_PICK`` and
 #: ``_PICK2`` select file-table targets, ``_VOLUME`` picks the volume of a
@@ -740,6 +380,13 @@ _COLD_FIRST_POLL = 1.0
 _COLD_MIN_SPACING = 4 * HOUR
 _COLD_SPACING_SPREAD = 6 * HOUR
 _COLD_GET_DELTA_SHARE = 0.6
+
+#: Content hashes and extensions travel as integer keys until the script
+#: table names each distinct key once.  A content key is a pool index, or
+#: ``len(pool) + (user_id << _ID_BITS | local slot + 1)`` for the hash a
+#: member's operand slot mints; an extension key indexes the materializer's
+#: extension list.  ``NO_STRING`` is the empty string in both.
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 def _skeleton_size(spec: SessionSpec) -> int:
@@ -803,13 +450,64 @@ def _timelines(first: np.ndarray, values: np.ndarray, at: np.ndarray,
     return out[keep], running[offsets + counts] - running[offsets]
 
 
-def _deal(entries: Sequence[list], counts: np.ndarray, field: int,
-          values: list) -> None:
-    """Hand each session entry its slice of one concatenated column."""
-    stop = 0
-    for entry, count in zip(entries, counts.tolist()):
-        start, stop = stop, stop + count
-        entry[field] = values[start:stop]
+def _volume_picks(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index picked by ``u`` in volume lists of ``counts`` volumes.
+
+    The root (index 0) weighs 3 and every other volume 1, so the running
+    weights are the integers ``3, 4, ..., counts + 2``: ``u`` picks the
+    first volume whose running weight exceeds ``u * (counts + 2)``.
+    """
+    index = np.floor(u * (counts + 2.0)).astype(np.int64) - 2
+    return np.clip(index, 0, counts - 1)
+
+
+class _ScriptColumns:
+    """Column-at-a-time assembly of the user members' :class:`ScriptTable`.
+
+    Each batch adds its script columns (with each script's event count
+    under ``"counts"``) and its event columns, the two string fields as
+    integer keys.  :meth:`build` names each distinct key once and numbers
+    the categories by first occurrence, the factorised form of the same
+    strings.
+    """
+
+    __slots__ = ("_pool", "_extensions", "_scripts", "_events")
+
+    def __init__(self, pool: PopularContentPool, extensions: list[str]):
+        self._pool = pool
+        self._extensions = extensions
+        self._scripts: list[dict] = []
+        self._events: list[dict] = []
+
+    def add(self, scripts: dict, events: dict) -> None:
+        self._scripts.append(scripts)
+        self._events.append(events)
+
+    def build(self) -> ScriptTable:
+        if not self._scripts:
+            return ScriptTable.empty()
+        scripts = {name: np.concatenate([s[name] for s in self._scripts])
+                   for name in self._scripts[0]}
+        events = {name: np.concatenate([e[name] for e in self._events])
+                  for name in self._events[0]}
+        entries = self._pool.entries
+        n_pool = len(entries)
+
+        def content_hash(key: int) -> str:
+            if key == NO_STRING:
+                return ""
+            if key < n_pool:
+                return entries[key][0]
+            key -= n_pool
+            return f"sha1:u{key >> _ID_BITS:x}-{key & _ID_MASK:016x}"
+
+        codes, keys = factorise(events["content_hash"].tolist())
+        events["content_hash"] = (codes, [content_hash(k) for k in keys])
+        codes, keys = factorise(events["extension"].tolist())
+        extensions = self._extensions
+        events["extension"] = (codes, ["" if k == NO_STRING else extensions[k]
+                                       for k in keys])
+        return ScriptTable(scripts, scripts.pop("counts"), events)
 
 
 class _BatchMaterializer:
@@ -820,12 +518,23 @@ class _BatchMaterializer:
     block (:func:`_skeleton_size` per session), then, for a member with
     active sessions, its pre-existing file count (one Poisson draw) and an
     *operand* block of ``_LANES`` uniforms plus one standard normal per
-    slot.  Everything elementwise runs once over the batch's concatenated
-    draws: Pareto gaps, poll spacings, download biases, chain transitions,
-    new-file entries and update jitters.  Each session's timeline scan and
-    chain walk, and the operand choices against the live file table, stay
-    per session and per event.  So no member's scripts depend on which
-    other members share its batch.
+    slot.  Everything that reads only these draws runs once over the
+    batch's concatenated columns: Pareto gaps, poll spacings, download
+    biases, chain transitions, new-file entries, update jitters, volume
+    picks (a member's volume list changes only with its own volume
+    operations, so the list each operation sees is known up front), the
+    pre-existing files, and the maintenance and cold-poll rows.
+
+    What reads a member's file table resolves in a
+    :class:`~repro.workload.lockstep.Lockstep`.  One
+    lockstep step takes the next stateful operation of every member that
+    has one and resolves it against flat CSR file tables, one handler call
+    per operation kind.  What stays per member, in Python, is what the
+    realisation reads in an order no column holds: the iteration order of
+    the ``unsynced`` set (a sync download walks it), the pending-upload
+    FIFO, and the file sets of UDF volumes (a volume delete removes files
+    in their order, which fixes the table's row order after it).  So no
+    member's scripts depend on which other members share its batch.
     """
 
     def __init__(self, config: WorkloadConfig,
@@ -835,84 +544,129 @@ class _BatchMaterializer:
         self._diurnal = diurnal
         self._update_attempt = min(config.update_fraction
                                    * _UPDATE_ATTEMPT_BOOST, 0.95)
+        entries = popular_pool.entries
+        extensions = list(dict.fromkeys(
+            [*PROFILE_EXTENSIONS, *(extension for _, _, extension in entries)]))
+        code = {extension: i for i, extension in enumerate(extensions)}
+        code[""] = NO_STRING
+        #: Extension keys of the profiles and of the pool's entries.
+        self.extensions = extensions
+        self._profile_extension = np.asarray(
+            [code[extension] for extension in PROFILE_EXTENSIONS])
+        self._pool_size = np.asarray([size for _, size, _ in entries],
+                                     dtype=np.int64)
+        self._pool_extension = np.asarray(
+            [code[extension] for _, _, extension in entries], dtype=np.int64)
 
     def materialize(self, plans: Sequence[UserPlan],
                     rngs: Sequence[np.random.Generator],
-                    sizes: list[list[int]],
-                    script_rows: ScriptRows) -> None:
-        """Append every member's session scripts to ``script_rows``,
-        member by member, each in its plan order.
+                    sizes: list[list[int]], columns: _ScriptColumns) -> None:
+        """Add every member's session scripts to ``columns``, member by
+        member, each in its plan order.
 
         ``sizes`` holds each member's :func:`_member_sizes`.
         """
         skeleton = np.concatenate([rng.random(sum(member_sizes))
                                    for rng, member_sizes in zip(rngs, sizes)])
-        sessions = self._structure(plans, sizes, skeleton)
-        slots = self._draw_operands(plans, rngs, sessions)
-        for plan, member_sessions, member_slots in zip(plans, sessions, slots):
-            self._scripts(plan, member_sessions, member_slots, script_rows)
+        batch = self._structure(plans, sizes, skeleton)
+        events = self._events(plans, rngs, batch)
+        keep = events.pop("keep")
+        counts = batch["counts"]
+        if not keep.all():
+            session = np.repeat(np.arange(counts.size), counts)
+            counts = np.bincount(session[keep], minlength=counts.size)
+            events = {name: column[keep] for name, column in events.items()}
+        columns.add({"user_id": batch["user_id"],
+                     "session_id": batch["session_id"],
+                     "start": batch["start"], "end": batch["end"],
+                     "caused_by_attack": np.zeros(counts.size, dtype=bool),
+                     "auth_failed": batch["auth_failed"], "counts": counts},
+                    events)
 
     # ------------------------------------------------------------ skeleton
     def _structure(self, plans: Sequence[UserPlan], sizes: list[list[int]],
-                   skeleton: np.ndarray) -> list[list]:
-        """Per session: ``None`` (auth failure) or ``[times, ops]``."""
+                   skeleton: np.ndarray) -> dict:
+        """Every session and event of the batch, in batch order.
+
+        Per session: ``user_id``, ``session_id``, ``start``, ``end``,
+        ``auth_failed`` and ``counts`` (its events).  Per event: ``times``,
+        ``codes`` (trace operation codes), ``chain`` (the chain state, -1
+        for a cold poll) and ``member`` (batch index).  Per member:
+        ``active`` (whether it holds an active session).
+        """
         config = self.config
-        active: list[tuple[list, int, SessionSpec, User]] = []
-        cold: list[tuple[list, int, SessionSpec, int]] = []
-        out: list[list] = []
-        position = 0
-        for plan, member_sizes in zip(plans, sizes):
-            member: list = []
-            for spec, size in zip(plan.sessions, member_sizes):
-                if spec.auth_fails:
-                    member.append(None)
-                else:
-                    entry = [[], []]
-                    member.append(entry)
-                    if spec.active:
-                        active.append((entry, position, spec, plan.user))
-                    else:
-                        cold.append((entry, position, spec, size // 2))
-                position += size
-            out.append(member)
-        if cold:
-            entries, at, specs, polls = zip(*cold)
-            at = np.asarray(at)
-            times, kept = _timelines(
-                np.asarray([spec.start for spec in specs]) + _COLD_FIRST_POLL,
-                _COLD_MIN_SPACING + _COLD_SPACING_SPREAD * skeleton, at + 1, 2,
-                np.asarray(polls), np.asarray([spec.end for spec in specs]))
-            ops = [_COLD_OPS[flag] for flag in (
-                skeleton[ranges(at, kept, 2)] < _COLD_GET_DELTA_SHARE).tolist()]
-            _deal(entries, kept, 0, times.tolist())
-            _deal(entries, kept, 1, ops)
-        if active:
-            entries, at, specs, users = zip(*active)
-            at = np.asarray(at)
-            n_ops = np.asarray([spec.n_ops for spec in specs])
-            times, kept = _timelines(
-                np.asarray([spec.start for spec in specs]) + 0.2
-                + 2.8 * skeleton[at],
+        specs = [spec for plan in plans for spec in plan.sessions]
+        session_id, start, length, active, auth_failed, n_ops = (
+            np.asarray(column) for column in zip(*map(_SPEC_FIELDS, specs)))
+        end = start + length
+        per_member = np.fromiter((len(plan.sessions) for plan in plans),
+                                 dtype=np.int64, count=len(plans))
+        member = np.repeat(np.arange(len(plans)), per_member)
+        size = np.fromiter(chain.from_iterable(sizes), dtype=np.int64,
+                           count=len(specs))
+        at = np.cumsum(size) - size
+        counts = np.zeros(len(specs), dtype=np.int64)
+        cold = np.flatnonzero(~auth_failed & ~active)
+        live = np.flatnonzero(~auth_failed & active)
+        if cold.size:
+            cold_at = at[cold]
+            cold_times, cold_kept = _timelines(
+                start[cold] + _COLD_FIRST_POLL,
+                _COLD_MIN_SPACING + _COLD_SPACING_SPREAD * skeleton,
+                cold_at + 1, 2, size[cold] // 2, end[cold])
+            cold_codes = np.where(
+                skeleton[ranges(cold_at, cold_kept, 2)] < _COLD_GET_DELTA_SHARE,
+                _COLD_OPS[1], _COLD_OPS[0])
+            counts[cold] = cold_kept
+        if live.size:
+            live_at = at[live]
+            live_ops = n_ops[live]
+            live_times, live_kept = _timelines(
+                start[live] + 0.2 + 2.8 * skeleton[live_at],
                 BurstGapSampler.gaps(skeleton, config.burst_alpha,
                                      config.burst_theta, config.burst_cap),
-                at + 1, 1, n_ops, np.asarray([spec.end for spec in specs]))
-            _deal(entries, kept, 0, times.tolist())
-            self._walk(entries, users, at, n_ops, kept, times, skeleton)
-        return out
+                live_at + 1, 1, live_ops, end[live])
+            users = [plans[m].user for m in member[live].tolist()]
+            live_chain = self._walk(users, live_at, live_ops, live_kept,
+                                    live_times, skeleton)
+            counts[live] = live_kept
+        offsets = np.cumsum(counts) - counts
+        n_events = int(counts.sum())
+        times = np.empty(n_events)
+        codes = np.empty(n_events, dtype=np.int16)
+        chain_state = np.full(n_events, -1, dtype=np.int8)
+        if cold.size:
+            rows = ranges(offsets[cold], cold_kept)
+            times[rows] = cold_times
+            codes[rows] = cold_codes
+        if live.size:
+            rows = ranges(offsets[live], live_kept)
+            times[rows] = live_times
+            chain_state[rows] = live_chain
+            codes[rows] = _CHAIN_CODES[live_chain]
+        user_id = np.asarray([plan.user.user_id for plan in plans],
+                             dtype=np.int64)
+        return {"user_id": user_id[member], "session_id": session_id,
+                "start": start, "end": end, "auth_failed": auth_failed,
+                "counts": counts, "times": times, "codes": codes,
+                "chain": chain_state, "member": np.repeat(member, counts),
+                "active": np.bincount(member[live], minlength=len(plans)) > 0,
+                "users": user_id}
 
-    def _walk(self, entries: Sequence[list], users: Sequence[User],
-              at: np.ndarray, n_ops: np.ndarray, kept: np.ndarray,
-              times: np.ndarray, skeleton: np.ndarray) -> None:
+    def _walk(self, users: Sequence[User], at: np.ndarray, n_ops: np.ndarray,
+              kept: np.ndarray, times: np.ndarray, skeleton: np.ndarray
+              ) -> np.ndarray:
         """Every active session's operation sequence, from batch passes.
 
         One ``next_matrix`` call per distinct chain resolves every ``(state,
         step)`` pair of the batch's realised transitions.  The walks then
         advance together, longest first: step ``j`` moves every session
-        with more than ``j`` operations with one gather.
+        with more than ``j`` operations with one gather.  Returns the chain
+        states of all sessions' operations, concatenated.
         """
         walking = np.flatnonzero(kept).tolist()
         if not walking:
-            return
+            return np.empty(0, dtype=np.int8)
         steps = kept[walking] - 1
         u = skeleton[ranges(at[walking] + n_ops[walking] + 1, steps)]
         # Each walking session's transitions follow its first operation.
@@ -946,329 +700,263 @@ class _BatchMaterializer:
             if j:
                 state = following[state[:m], column[:m] + j - 1]
             ops[position[:m] + j] = state[:m]
-        _deal([entries[i] for i in walking], counts, 1, ops.tolist())
+        return ops
 
     # ------------------------------------------------------------ operands
+    def _events(self, plans: Sequence[UserPlan],
+                rngs: Sequence[np.random.Generator], batch: dict) -> dict:
+        """The batch's event columns (string fields as keys), and a ``keep``
+        mask that drops the operations that resolve to nothing (an empty
+        table, no UDF volume to delete)."""
+        times, member = batch["times"], batch["member"]
+        id_base = batch["users"] << _ID_BITS
+        columns = {
+            "times": times, "operation": batch["codes"],
+            "node_id": np.zeros(times.size, dtype=np.int64),
+            "volume_id": id_base[member] + 1,
+            "volume_type": np.full(times.size, _ROOT, dtype=np.int16),
+            "node_kind": np.full(times.size, _FILE, dtype=np.int16),
+            "size_bytes": np.zeros(times.size, dtype=np.int64),
+            "content_hash": np.full(times.size, NO_STRING, dtype=np.int64),
+            "extension": np.full(times.size, NO_STRING, dtype=np.int64),
+            "is_update": np.zeros(times.size, dtype=bool),
+            "keep": np.ones(times.size, dtype=bool)}
+        # Maintenance operations and cold polls touch nothing but the root
+        # volume, so they keep the defaults above.
+        events = np.flatnonzero(batch["chain"] >= 0)
+        owner = member[events]
+        slots = self._draw_operands(
+            plans, rngs, batch["active"],
+            np.bincount(owner, minlength=len(plans)), batch["users"])
+        if not events.size:
+            return columns
+        # Operation ``i`` of a member's active sessions owns the slot after
+        # its pre-existing files' and its ``i`` predecessors'.
+        slot = (slots["base"][owner] + slots["files"][owner]
+                + np.arange(events.size) - np.searchsorted(owner, owner))
+        ops = batch["chain"][events]
+        roll = slots["lanes"][slot, _ROLL]
+        volume, volume_type, changed = self._volumes(
+            plans, slots, owner, slot, ops, roll, id_base)
+        deleted = np.full(events.size, -1, dtype=np.int64)
+        for i, volume_id in changed:
+            position = events[i]
+            columns["volume_type"][position] = _UDF
+            columns["node_kind"][position] = _DIRECTORY
+            if volume_id < 0:
+                columns["keep"][position] = False
+                continue
+            columns["volume_id"][position] = volume_id
+            if ops[i] == _OP_DELETE_VOLUME:
+                deleted[i] = volume_id
+        download, upload = ops == _OP_DOWNLOAD, ops == _OP_UPLOAD
+        make, unlink = ops == _OP_MAKE, ops == _OP_UNLINK
+        action = np.select(
+            [download & (roll < _DL_SYNC_SHARE),
+             download & (roll < _DL_KNOWN_SHARE), download,
+             upload & (roll < self._update_attempt), upload,
+             make & (roll < 0.30), make,
+             unlink & (roll < self.config.short_lived_file_fraction), unlink,
+             ops == _OP_MOVE, deleted >= 0],
+            [A_SYNC, A_REREAD, A_FETCH, A_UPDATE, A_UPLOAD,
+             A_MAKE_DIRECTORY, A_MAKE_FILE, A_UNLINK_RECENT, A_UNLINK,
+             A_MOVE, A_DELETE_VOLUME], -1)
+        index = np.flatnonzero(action >= 0)
+        if not index.size:
+            return columns
+        tables = self._tables(slots, owner, id_base, volume, volume_type,
+                              deleted, action, times.size)
+        # Step k holds the k-th operation of every member with more than k;
+        # within a step, one group per action.
+        owners = owner[index]
+        key = ((np.arange(index.size) - np.searchsorted(owners, owners))
+               * N_ACTIONS + action[index])
+        order = np.argsort(key, kind="stable")
+        index, key = index[order], key[order]
+        bounds = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        lo = [0, *bounds]
+        groups = list(zip((key[lo] % N_ACTIONS).tolist(), lo,
+                          [*bounds, index.size]))
+        at = slot[index]
+        members = owner[index]
+        lanes = slots["lanes"][at]
+        tables.load(members, events[index], times[events[index]], at,
+                      lanes[:, _PICK], lanes[:, _PICK2], slots["size"][at],
+                      slots["content"][at], slots["mint"][at],
+                      slots["jitter"][at],
+                      np.where(np.isin(members, list(tables.udf_files))
+                               & (volume_type[at] == _UDF), volume[at], -1),
+                      deleted[index])
+        tables.run(groups)
+        keep = columns["keep"]
+        keep &= np.frombuffer(tables.keep, dtype=bool)
+        # A node's volume and extension come from the slot that created it.
+        action = action[index]
+        position = events[index]
+        live = keep[position] & (action != A_DELETE_VOLUME)
+        position, action = position[live], action[live]
+        owners = member[position]
+        local = np.frombuffer(tables.out_local, dtype=np.int64)[position]
+        columns["node_id"][position] = id_base[owners] + local
+        made_by = np.frombuffer(tables.node_slot, dtype=np.int64)[
+            np.asarray(tables.nbase)[owners] + local]
+        columns["volume_id"][position] = volume[made_by]
+        columns["volume_type"][position] = volume_type[made_by]
+        columns["node_kind"][position[action == A_MAKE_DIRECTORY]] = _DIRECTORY
+        transfer = (action != A_MAKE_DIRECTORY) & (action != A_MAKE_FILE)
+        columns["extension"][position[transfer]] = slots["extension"][
+            made_by[transfer]]
+        columns["size_bytes"] = np.frombuffer(tables.out_size,
+                                              dtype=np.int64)
+        columns["content_hash"] = np.frombuffer(tables.out_content,
+                                                dtype=np.int64)
+        columns["is_update"] = np.frombuffer(tables.update, dtype=bool)
+        return columns
+
     def _draw_operands(self, plans: Sequence[UserPlan],
                        rngs: Sequence[np.random.Generator],
-                       sessions: list[list]
-                       ) -> list[tuple[int, int, int] | None]:
-        """Draw every active member's operand block; resolve the lanes.
+                       active: np.ndarray, n_events: np.ndarray,
+                       users: np.ndarray) -> dict:
+        """Draw every active member's operand block; resolve its lanes.
 
-        Returns each member's ``(first slot, pre-existing files, slots)``
-        (``None`` without active sessions: cold and auth-failing sessions
-        never choose an operand).
+        Cold and auth-failing sessions never choose an operand, so only a
+        member with an active session draws: its pre-existing file count,
+        then ``_LANES`` uniforms and one normal per slot.  Returns per
+        member its first slot (``base``), pre-existing files (``files``)
+        and slots (``slots``); per slot the ``lanes``, and the ``size``,
+        ``content`` and ``extension`` keys of the file it would create, the
+        content key it mints (``mint``) and its update ``jitter``.
         """
-        layout: list[tuple[int, int, int] | None] = []
+        files = np.zeros(len(plans), dtype=np.int64)
+        slots = np.zeros(len(plans), dtype=np.int64)
         lane_blocks: list[np.ndarray] = []
         normal_blocks: list[np.ndarray] = []
-        n_slots = 0
-        for plan, rng, member in zip(plans, rngs, sessions):
-            realised = [len(entry[0]) for spec, entry in zip(plan.sessions, member)
-                        if entry is not None and spec.active]
-            if not realised:
-                layout.append(None)
-                continue
+        for m in np.flatnonzero(active).tolist():
             # Pre-existing files (uploaded before the measurement window),
             # so that download-only users have something to read and RAR
             # dependencies need no preceding in-trace write.
-            user = plan.user
+            user, rng = plans[m].user, rngs[m]
             if user.user_class is not UserClass.OCCASIONAL:
                 expected = 4.0 * (1.0 + min(user.activity_weight, 20.0))
             else:
                 expected = 0.5
-            n_files = int(rng.poisson(expected))
-            slots = n_files + sum(realised)
-            lane_blocks.append(rng.random(slots * _LANES))
-            normal_blocks.append(rng.standard_normal(slots))
-            layout.append((n_slots, n_files, slots))
-            n_slots += slots
+            files[m] = int(rng.poisson(expected))
+            slots[m] = files[m] + n_events[m]
+            lane_blocks.append(rng.random(int(slots[m]) * _LANES))
+            normal_blocks.append(rng.standard_normal(int(slots[m])))
+        base = np.cumsum(slots) - slots
+        out = {"base": base, "files": files, "slots": slots}
         if not lane_blocks:
-            return layout
+            return out
         lanes = np.concatenate(lane_blocks).reshape(-1, _LANES)
         normals = np.concatenate(normal_blocks)
-        self._roll, self._pick, self._pick2, self._volume_u = (
-            lanes[:, lane].tolist() for lane in (_ROLL, _PICK, _PICK2, _VOLUME))
-        entry_pick, entry_size = new_file_entries(
+        pick, size = new_file_entries(
             self._popular_pool, self.config.duplicate_fraction,
             self.config.max_file_bytes, lanes[:, _DUPLICATE], lanes[:, _ENTRY],
             normals)
-        self._entry_pick = entry_pick.tolist()
-        self._entry_size = entry_size.tolist()
-        self._jitter = update_jitter(normals).tolist()
-        return layout
+        duplicate = pick >= 0
+        entry = np.where(duplicate, pick, 0)
+        owner = np.repeat(np.arange(len(plans)), slots)
+        # A minted hash is named after the member and the slot that mints it.
+        mint = len(self._pool_size) + (
+            (users[owner] << _ID_BITS)
+            | (np.arange(owner.size) - base[owner] + 1))
+        out.update(
+            lanes=lanes, mint=mint, jitter=update_jitter(normals),
+            content=np.where(duplicate, pick, mint),
+            size=np.where(duplicate, self._pool_size[entry], size),
+            extension=np.where(duplicate, self._pool_extension[entry],
+                               self._profile_extension[
+                                   np.where(duplicate, 0, -1 - pick)]))
+        return out
 
-    # -------------------------------------------------------------- scripts
-    def _scripts(self, plan: UserPlan, sessions: list,
-                 slots: tuple[int, int, int] | None,
-                 script_rows: ScriptRows) -> None:
-        """Append the member's scripts and their event rows to
-        ``script_rows``."""
-        user_id = plan.user.user_id
-        if slots is None:
-            root_id = (user_id << _ID_BITS) + 1
-        else:
-            state = _UserState(plan.user, *slots)
-            root_id = state.root_id
-            self._add_existing_files(state)
-            slot = state.slot_base + state.n_files
-        add_script = script_rows.scripts.append
-        rows = script_rows.rows
-        for spec, entry in zip(plan.sessions, sessions):
-            if entry is None:
-                # Failed authentications never establish a session; the
-                # script is kept (it still hits the auth service) but
-                # carries no events.
-                add_script((user_id, spec.session_id, spec.start, spec.end,
-                            False, True, 0))
-                continue
-            times, ops = entry
-            if not spec.active:
-                # Maintenance polls touch nothing but the root volume.
-                rows.extend(zip(times, ops, repeat(0), repeat(root_id),
-                                repeat(_ROOT), repeat(_FILE), repeat(0),
-                                repeat(""), repeat(""), repeat(False)))
-                n_events = len(times)
+    def _volumes(self, plans: Sequence[UserPlan], slots: dict,
+                 owner: np.ndarray, slot: np.ndarray, ops: np.ndarray,
+                 roll: np.ndarray, id_base: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """Every slot's volume pick, and the volume of each volume operation.
+
+        A member's volume list changes only with its own ``CreateUDF`` and
+        ``DeleteVolume`` operations, never with its files, so the list each
+        operation sees is known before the steps.  Returns per slot the
+        picked volume's id and type, and ``(operation, volume id)`` for the
+        volume operations (``-1``: no UDF volume to delete).
+        """
+        udf = np.asarray([plan.user.udf_volumes for plan in plans],
+                         dtype=np.int64)
+        shared = np.asarray([plan.user.shared_volumes for plan in plans],
+                            dtype=np.int64)
+        slot_owner = np.repeat(np.arange(len(plans)), slots["slots"])
+        u = slots["lanes"][:, _VOLUME]
+        index = _volume_picks(u, (1 + udf + shared)[slot_owner])
+        volume = id_base[slot_owner] + 1 + index
+        volume_type = np.where(index == 0, _ROOT, np.where(
+            index <= udf[slot_owner], _UDF, _SHARED)).astype(np.int16)
+        changed: list[tuple[int, int]] = []
+        volume_ops = np.flatnonzero((ops == _OP_CREATE_UDF)
+                                    | (ops == _OP_DELETE_VOLUME))
+        if not volume_ops.size:
+            return volume, volume_type, changed
+        stops = np.searchsorted(owner, owner[volume_ops], side="right")
+        volumes: list[list[int]] = []
+        member = -1
+        for i, stop in zip(volume_ops.tolist(), stops.tolist()):
+            if owner[i] != member:
+                member = int(owner[i])
+                base = int(id_base[member])
+                volumes = ([[base + 1, _ROOT]]
+                           + [[base + 1 + j, _UDF]
+                              for j in range(1, udf[member] + 1)]
+                           + [[base + 1 + udf[member] + j, _SHARED]
+                              for j in range(1, shared[member] + 1)])
+                created = len(volumes)
+            if ops[i] == _OP_CREATE_UDF:
+                created += 1
+                volumes.append([base + created, _UDF])
+                changed.append((i, base + created))
             else:
-                n_events = self._active_rows(state, times, ops, slot, rows)
-                slot += len(times)
-            add_script((user_id, spec.session_id, spec.start, spec.end,
-                        False, False, n_events))
+                udfs = [v for v in volumes if v[1] == _UDF]
+                if not udfs:
+                    changed.append((i, -1))
+                    continue
+                pick = int(roll[i] * len(udfs))
+                gone = udfs[pick if pick < len(udfs) else -1]
+                volumes.remove(gone)
+                changed.append((i, gone[0]))
+            # The member's later operations pick from the new list.
+            later = slot[i + 1:stop]
+            ids, types = np.asarray(volumes, dtype=np.int64).T
+            index = _volume_picks(u[later], len(volumes))
+            volume[later] = ids[index]
+            volume_type[later] = types[index]
+        return volume, volume_type, changed
 
-    # -------------------------------------------------------- file tables
-    @staticmethod
-    def _volume_tables(state: _UserState) -> tuple[list[_VolumeState], list[float]]:
-        cache = state.volume_cache
-        if cache is None:
-            volumes = list(state.volumes.values())
-            cumulative: list[float] = []
-            total = 0.0
-            for volume in volumes:
-                total += 3.0 if volume.volume_type == _ROOT else 1.0
-                cumulative.append(total)
-            cache = state.volume_cache = (volumes, cumulative)
-        return cache
-
-    def _pick_volume(self, state: _UserState, slot: int) -> _VolumeState:
-        """The volume at the slot's volume lane, the root weighted 3:1."""
-        volumes, cumulative = state.volume_cache or self._volume_tables(state)
-        if len(volumes) == 1:
-            return volumes[0]
-        x = self._volume_u[slot] * cumulative[-1]
-        for volume, bound in zip(volumes, cumulative):
-            if x < bound:
-                return volume
-        return volumes[-1]
-
-    def _new_file(self, state: _UserState, slot: int) -> _FileState:
-        """Register the new file the operand slot at ``slot`` describes.
-
-        Leaves the file-table row to the caller.
-        """
-        volume = self._pick_volume(state, slot)
-        pick = self._entry_pick[slot]
-        if pick >= 0:
-            content_hash, size, extension = self._popular_pool.entries[pick]
-        else:
-            content_hash = state.content_hash(slot)
-            size = self._entry_size[slot]
-            extension = PROFILE_EXTENSIONS[-1 - pick]
-        file_state = _FileState(state.new_node_id(), volume.volume_id,
-                                volume.volume_type, size, content_hash,
-                                extension)
-        state.files[file_state.node_id] = file_state
-        volume.file_ids.add(file_state.node_id)
-        return file_state
-
-    def _create_file(self, state: _UserState, created: float,
-                     slot: int) -> _FileState:
-        file_state = self._new_file(state, slot)
-        state.table.add(file_state.node_id, created, file_state.size_bytes)
-        return file_state
-
-    def _add_existing_files(self, state: _UserState) -> None:
-        """The files uploaded before the measurement window (the first slots)."""
-        if not state.n_files:
-            return
-        created = self.config.start_time - 1.0
-        first = state.slot_base
-        files = [self._new_file(state, slot)
-                 for slot in range(first, first + state.n_files)]
-        state.table.add_block([f.node_id for f in files], created,
-                              [f.size_bytes for f in files])
-
-    def _drop_file(self, state: _UserState, node_id: int) -> None:
-        state.files.pop(node_id, None)
-        state.table.remove(node_id)
-        state.pending_uploads.discard(node_id)
-
-    # -------------------------------------------------------- operand logic
-    def _pick_update_target(self, state: _UserState, now: float,
-                            slot: int) -> _FileState | None:
-        """Choose the file an update rewrites.
-
-        Updates disproportionately hit larger, recently and frequently
-        edited files (documents under revision, tagged media) — the editing
-        bursts that chain into the WAW dependencies of Fig. 3a; they also
-        account for ~18.5 % of upload bytes while being only ~10 % of
-        uploads.
-        """
-        node_id = state.table.pick_update(now, self._pick[slot])
-        return None if node_id is None else state.files[node_id]
-
-    def _pick_download_target(self, state: _UserState, now: float,
-                              slot: int) -> _FileState:
-        """Choose the file a download reads.
-
-        U1 is backup-flavoured: most uploads are never read back, and the
-        downloads that do happen are dominated by repeated reads of popular
-        content (the RAR dependencies and the per-file download tail of
-        Fig. 3b) and by new content appearing from other devices or shares.
-        Only a modest share synchronises just-written files — which is what
-        keeps WAW, not RAW, the most common same-file dependency (Fig. 3a).
-        """
-        roll = self._roll[slot]
-        if roll < _DL_SYNC_SHARE:
-            node_id = state.table.pick_unsynced(now, self._pick[slot])
-            if node_id is not None:
-                return state.files[node_id]
-        if state.files and roll < _DL_KNOWN_SHARE:
-            node_id = state.table.pick_reread(self._pick2[slot])
-            if node_id is not None:
-                return state.files[node_id]
-        # New remote content (another device or a share) appears and is synced.
-        return self._create_file(state, now, slot)
-
-    def _materialize(self, state: _UserState, op: int, t: float,
-                     slot: int) -> tuple | None:
-        """Turn one stateful chain-state index into an event row.
-
-        Dispatches on the small-integer chain state (most frequent branches
-        first); every stochastic choice reads a lane of the operation's
-        operand ``slot``, while the table/pending-upload/volume bookkeeping —
-        the truly state-dependent residue — stays scalar.  The row holds
-        the event's :data:`~repro.workload.events.EVENT_FIELDS` values, enum
-        fields as their trace codes; operations that resolve to nothing
-        (empty table, tombstoned pending upload) give ``None``.
-        """
-        if op == _OP_DOWNLOAD:
-            target = self._pick_download_target(state, t, slot)
-            state.table.touch_read(target.node_id, t)
-            return (t, _DOWNLOAD, target.node_id, target.volume_id,
-                    target.volume_type, _FILE, target.size_bytes,
-                    target.content_hash, target.extension, False)
-
-        if op == _OP_UPLOAD:
-            update_target = None
-            if state.files and self._roll[slot] < self._update_attempt:
-                update_target = self._pick_update_target(state, t, slot)
-            if update_target is not None \
-                    and update_target.node_id not in state.pending_uploads:
-                # U1 has no delta updates: the whole file is re-uploaded,
-                # as new content of about the same size.
-                new_hash = state.content_hash(slot)
-                new_size = int(update_target.size_bytes * self._jitter[slot])
-                if new_size < 1:
-                    new_size = 1
-                update_target.content_hash = new_hash
-                update_target.size_bytes = new_size
-                state.table.touch_write(update_target.node_id, t, new_size)
-                return (t, _UPLOAD, update_target.node_id,
-                        update_target.volume_id, update_target.volume_type,
-                        _FILE, new_size, new_hash,
-                        update_target.extension, True)
-            if state.pending_uploads:
-                node_id = state.pending_uploads.popleft()
-                file_state = state.files.get(node_id)
-                if file_state is None:
-                    return None
-                state.table.touch_write(node_id, t)
-            else:
-                file_state = self._create_file(state, t, slot)
-            return (t, _UPLOAD, file_state.node_id,
-                    file_state.volume_id, file_state.volume_type,
-                    _FILE, file_state.size_bytes,
-                    file_state.content_hash, file_state.extension, False)
-
-        if op == _OP_MAKE:
-            if self._roll[slot] < 0.30:
-                volume = self._pick_volume(state, slot)
-                volume.directory_count += 1
-                return (t, _MAKE, state.new_node_id(),
-                        volume.volume_id, volume.volume_type,
-                        _DIRECTORY, 0, "", "", False)
-            file_state = self._create_file(state, t, slot)
-            state.pending_uploads.append(file_state.node_id)
-            return (t, _MAKE, file_state.node_id,
-                    file_state.volume_id, file_state.volume_type,
-                    _FILE, 0, "", "", False)
-
-        if op == _OP_UNLINK:
-            if not state.files:
-                return None
-            target = None
-            if self._roll[slot] < self.config.short_lived_file_fraction:
-                node_id = state.table.pick_recent_created(t, 8 * HOUR,
-                                                          self._pick[slot])
-                if node_id is not None:
-                    target = state.files[node_id]
-            if target is None:
-                target = state.files[state.table.pick_uniform(self._pick2[slot])]
-            self._drop_file(state, target.node_id)
-            volume = state.volumes.get(target.volume_id)
-            if volume is not None:
-                volume.file_ids.discard(target.node_id)
-            return (t, _UNLINK, target.node_id, target.volume_id,
-                    target.volume_type, _FILE, 0, "",
-                    target.extension, False)
-
-        if op == _OP_MOVE:
-            node_id = state.table.pick_uniform(self._pick[slot])
-            if node_id is None:
-                return None
-            target = state.files[node_id]
-            return (t, _MOVE, target.node_id, target.volume_id,
-                    target.volume_type, _FILE, 0, "",
-                    target.extension, False)
-
-        if op == _OP_CREATE_UDF:
-            udf = state.add_volume(_UDF)
-            return (t, _CREATE_UDF, 0, udf.volume_id,
-                    _UDF, _DIRECTORY, 0, "", "", False)
-
-        # _OP_DELETE_VOLUME, the last chain state.
-        udf_ids = state.udf_volume_ids()
-        if not udf_ids:
-            return None
-        pick = int(self._roll[slot] * len(udf_ids))
-        volume_id = udf_ids[pick if pick < len(udf_ids) else -1]
-        volume = state.volumes.pop(volume_id)
-        state.volume_cache = None
-        for node_id in volume.file_ids:
-            self._drop_file(state, node_id)
-        return (t, _DELETE_VOLUME, 0, volume_id, _UDF,
-                _DIRECTORY, 0, "", "", False)
-
-    def _active_rows(self, state: _UserState, times: list[float],
-                     ops: list[int], slot: int, rows: list) -> int:
-        """Append one active session's event rows to ``rows`` and return
-        how many; operation ``i`` owns operand slot ``slot + i``."""
-        maintenance = [(_CHAIN_CODES[op], 0, state.root_id, _ROOT, _FILE, 0,
-                        "", "", False)
-                       for op in range(_FIRST_STATEFUL)]
-        materialize = self._materialize
-        add = rows.append
-        before = len(rows)
-        for t, op in zip(times, ops):
-            if op < _FIRST_STATEFUL:
-                # Maintenance operations touch no operand state at all.
-                add((t, *maintenance[op]))
-            else:
-                row = materialize(state, op, t, slot)
-                if row is not None:
-                    add(row)
-            slot += 1
-        return len(rows) - before
+    def _tables(self, slots: dict, owner: np.ndarray, id_base: np.ndarray,
+                volume: np.ndarray, volume_type: np.ndarray,
+                deleted: np.ndarray, action: np.ndarray,
+                n_events: int) -> Lockstep:
+        """The batch's file tables, holding the pre-existing files."""
+        n_members = len(id_base)
+        files = slots["files"]
+        members = np.repeat(np.arange(n_members), files)
+        local = np.arange(members.size) - np.repeat(np.cumsum(files) - files,
+                                                    files) + 1
+        made_by = np.repeat(slots["base"], files) + local - 1
+        tables = Lockstep(
+            slots["slots"], files, id_base,
+            np.bincount(owner[action == A_MAKE_FILE], minlength=n_members),
+            n_events, (self.config.start_time - 1.0, made_by,
+                       slots["size"][made_by], slots["content"][made_by]),
+            volume)
+        # Only a member that deletes a volume needs its UDF file sets.
+        for member in sorted(set(owner[deleted >= 0].tolist())):
+            files_of = tables.udf_files[member] = {}
+            mine = members == member
+            for node, made in zip((id_base[member] + local[mine]).tolist(),
+                                  made_by[mine].tolist()):
+                if volume_type[made] == _UDF:
+                    files_of.setdefault(int(volume[made]), set()).add(node)
+        return tables
 
 
 def _materialize_attack(config: WorkloadConfig, plan: AttackPlan,
@@ -1307,18 +995,18 @@ def materialize_member(plan: WorkloadPlan, index: int,
     n_users = len(plan.users)
     if index < n_users:
         user_plan = plan.users[index]
-        script_rows = ScriptRows()
+        materializer = _BatchMaterializer(config, plan.popular_pool,
+                                          diurnal or _diurnal(config))
+        columns = _ScriptColumns(plan.popular_pool, materializer.extensions)
         if user_plan.sessions:
             # A user without sessions has no scripts; its stream is
             # independent, so skipping it draws nothing.
             user_id = user_plan.user.user_id
             rng = (rng_batch.rng(user_id) if rng_batch is not None
                    else member_rng(config.seed, user_id))
-            materializer = _BatchMaterializer(config, plan.popular_pool,
-                                              diurnal or _diurnal(config))
             materializer.materialize([user_plan], [rng],
-                                     [_member_sizes(user_plan)], script_rows)
-        return script_rows.build()
+                                     [_member_sizes(user_plan)], columns)
+        return columns.build()
     attack_plan = plan.attacks[index - n_users]
     rng = (rng_batch.rng(attack_plan.episode.attacker_user_id)
            if rng_batch is not None else None)
@@ -1331,8 +1019,8 @@ def materialize_members(plan: WorkloadPlan,
     canonical ``(start, session_id)`` order (:meth:`ScriptTable.sorted`).
 
     User members go through :class:`_BatchMaterializer` in batches of at
-    most ``_BATCH_DRAWS`` planned skeleton draws, all appending to one
-    :class:`ScriptRows`; attack slices build their own tables.
+    most ``_BATCH_DRAWS`` planned skeleton draws, all adding to one
+    :class:`_ScriptColumns`; attack slices build their own tables.
     Session ids are globally unique and allocated by the plan, so the
     canonical order is total: the tables of any member partition merge
     stably into the table of all members.
@@ -1347,13 +1035,13 @@ def materialize_members(plan: WorkloadPlan,
     rng_batch = MemberRngBatch(config.seed, member_ids)
     materializer = _BatchMaterializer(config, plan.popular_pool, diurnal)
     n_users = len(plan.users)
-    script_rows = ScriptRows()
+    columns = _ScriptColumns(plan.popular_pool, materializer.extensions)
     attacks: list[ScriptTable] = []
 
     def flush() -> None:
         plans = [plan.users[index] for index in batch]
         rngs = [rng_batch.rng(user_plan.user.user_id) for user_plan in plans]
-        materializer.materialize(plans, rngs, sizes, script_rows)
+        materializer.materialize(plans, rngs, sizes, columns)
         batch.clear()
         sizes.clear()
 
@@ -1376,7 +1064,7 @@ def materialize_members(plan: WorkloadPlan,
         draws += sum(member_sizes)
     if batch:
         flush()
-    return ScriptTable.concat([script_rows.build(), *attacks]).sorted()
+    return ScriptTable.concat([columns.build(), *attacks]).sorted()
 
 
 # ---------------------------------------------------------------------------

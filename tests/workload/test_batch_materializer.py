@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.trace.dataset import VOLUME_TYPE_CODE
-from repro.trace.records import ApiOperation, VolumeType
+from repro.trace.records import ApiOperation
 from repro.util.units import HOUR
 from repro.workload import generator
 from repro.workload.config import WorkloadConfig
@@ -38,7 +37,6 @@ from repro.workload.filemodel import (
 from repro.workload.generator import SyntheticTraceGenerator, materialize_members
 from repro.workload.opmodel import compiled_chain
 from repro.workload.plan import SessionSpec
-from repro.workload.population import User, UserClass
 from tests.conftest import events_of, scripts_of
 
 N = 200_000
@@ -130,21 +128,25 @@ class TestLockstepScans:
         rngs = [np.random.default_rng(i) for i in range(len(users))]
         skeleton = np.concatenate([rng.random(sum(s))
                                    for rng, s in zip(rngs, sizes)])
-        sessions = materializer._structure(users, sizes, skeleton)
-        position = walked = 0
-        for user, member_sizes, member in zip(users, sizes, sessions):
-            for spec, size, entry in zip(user.sessions, member_sizes, member):
-                if entry is not None and spec.active and entry[0]:
-                    a, n, times = position, spec.n_ops, entry[0]
-                    allow = (user.user.udf_volumes > 0
-                             or skeleton[a + 2 * n] < 0.3)
-                    chain = compiled_chain(user.user.user_class, allow)
-                    u = skeleton[a + n + 1:a + n + len(times)]
-                    bias = materializer._diurnal.download_bias_array(
-                        np.asarray(times[1:]))
-                    assert entry[1] == chain.walk(skeleton[a + n], u, bias)
-                    walked += 1
-                position += size
+        batch = materializer._structure(users, sizes, skeleton)
+        stops = np.cumsum(batch["counts"]).tolist()
+        specs = [(user, spec, size) for user, member_sizes in zip(users, sizes)
+                 for spec, size in zip(user.sessions, member_sizes)]
+        position = walked = start = 0
+        for (user, spec, size), stop in zip(specs, stops):
+            times = batch["times"][start:stop]
+            if spec.active and not spec.auth_fails and times.size:
+                a, n = position, spec.n_ops
+                allow = (user.user.udf_volumes > 0
+                         or skeleton[a + 2 * n] < 0.3)
+                chain = compiled_chain(user.user.user_class, allow)
+                u = skeleton[a + n + 1:a + n + times.size]
+                bias = materializer._diurnal.download_bias_array(times[1:])
+                assert batch["chain"][start:stop].tolist() == chain.walk(
+                    skeleton[a + n], u, bias)
+                walked += 1
+            position += size
+            start = stop
         assert walked > 10
 
 
@@ -211,17 +213,15 @@ class TestOperandLanes:
                                 for _ in range(N // 4)])
         _quantiles_agree(jitter, reference)
 
-    def test_volume_picks_weight_the_root_three_to_one(self, plan):
-        materializer = generator._BatchMaterializer(
-            plan.config, plan.popular_pool, generator._diurnal(plan.config))
-        user = User(user_id=7, user_class=UserClass.HEAVY,
-                    activity_weight=1.0, udf_volumes=2, shared_volumes=0)
-        state = generator._UserState(user, 0, 0, 1)
-        materializer._volume_u = np.random.default_rng(6).random(N).tolist()
-        picks = [materializer._pick_volume(state, slot).volume_type
-                 for slot in range(N)]
-        share = picks.count(VOLUME_TYPE_CODE[VolumeType.ROOT]) / N
+    def test_volume_picks_weight_the_root_three_to_one(self):
+        # A root volume and two UDFs: the root takes 3 of 5 weights.
+        u = np.random.default_rng(6).random(N)
+        picks = generator._volume_picks(u, np.full(N, 3))
+        share = float(np.mean(picks == 0))
         assert abs(share - 0.6) < _five_sigma(0.6, N)
+        assert np.bincount(picks).tolist() == np.bincount(
+            [min(int(np.searchsorted([3.0, 4.0, 5.0], x, side="right")), 2)
+             for x in (u * 5.0).tolist()]).tolist()
 
 
 class TestColdPolls:
