@@ -102,10 +102,6 @@ class SessionRegistry:
             del self._by_user[user_id]
             del self._per_process[user_id]
 
-    def sessions_of(self, user_id: int) -> dict[int, ProcessAddress]:
-        """Open sessions of ``user_id`` (session id -> API process)."""
-        return dict(self._by_user.get(user_id, {}))
-
     def fellow_sessions(self, user_id: int, session_id: int,
                         address: ProcessAddress) -> tuple[int, int]:
         """``(local, remote)`` counts of ``user_id``'s open sessions other
@@ -179,8 +175,8 @@ class ApiServerProcess:
         # request reference immediately, so one mutable context per process
         # avoids an allocation per request.
         self._request_context = RpcContext(0.0, 0)
-        #: Counters useful for tests and the load-balancing analysis.
-        self.requests_handled = 0
+        #: Sessions this process pushed bus notifications to.  Requests and
+        #: RPCs are not counted: each is a trace row carrying its process.
         self.notifications_pushed = 0
         # Formatted once: every remote fan-out excludes it from its publish.
         self._bus_name = str(address)
@@ -318,7 +314,6 @@ class ApiServerProcess:
         """
         (timestamp, operation, node_id, volume_id, _, node_kind, size_bytes,
          content_hash, extension, _, _) = row
-        self.requests_handled += 1
         user_id = handle.user_id
         # The session open routed the user and registered it on its shard.
         shard = handle.shard
@@ -343,8 +338,8 @@ class ApiServerProcess:
                                        timestamp)
             if content_hash and content_hash not in objects:
                 objects.put(content_hash, size_bytes)
-            # Inlined RpcWorker.execute(GET_NODE): pooled factor draw,
-            # DAL touch, worker counters, RPC row provenance.
+            # Inlined RpcWorker.execute(GET_NODE): pooled factor draw and
+            # RPC row provenance (get_node's result is unused).
             worker = self._rpc
             model = worker._latency
             factors = model._factors
@@ -358,9 +353,6 @@ class ApiServerProcess:
                             [shard_id % model._n_shards] * factors[i])
             if worker._degraded is not None:
                 service_time = worker._inflate(timestamp, service_time)
-            shard.requests_served += 1  # get_node, result unused
-            worker.calls_executed += 1
-            worker.busy_time += service_time
             worker._rpc_ref(ref)
             worker._rpc_code(_GET_NODE_CODE)
             worker._rpc_shard(shard_id)

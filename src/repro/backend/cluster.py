@@ -7,7 +7,10 @@ service and the notification bus.  :class:`U1Cluster` replays a workload
 plan through it: each replay shard (:mod:`repro.backend.replay_shard`)
 assembles its slice of that back-end and serves its requests, and the
 cluster merges their traces into the complete back-end trace (storage, RPC
-and session records) and adds their counters to the fleet totals.
+and session records).  Every request and RPC is a trace row that carries its
+server, process and metadata shard, so per-process and per-shard load is
+read from the trace; the cluster keeps only the counters the trace does not
+carry (session assignments, object-store accounting, notification pushes).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import LoadBalancer, ProcessAddress
 from repro.backend.latency import LatencyParameters, shard_skew_factors
-from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.replay_shard import (
     PlannedShardWorkload,
     ProcessTotals,
@@ -152,8 +154,10 @@ class U1Cluster:
     (:class:`~repro.backend.replay_shard.ReplayShard`), which assembles its
     own API processes, RPC workers and stores.  The cluster keeps what
     drives and summarises a replay: the configuration, the compiled fault
-    schedule, the shard skew factors and the fleet counters, which only
-    the shard summaries feed.
+    schedule, the shard skew factors, the last replay's stats record and
+    the counters the trace does not carry — the balancer's session
+    assignments, the object store's accounting and per-process
+    notification pushes, which only the shard summaries feed.
     """
 
     def __init__(self, config: ClusterConfig | None = None):
@@ -173,8 +177,6 @@ class U1Cluster:
             if self.config.faults is not None else None)
 
         # Fleet counters, summed over every replay's shard summaries.
-        self.metadata_store = ShardedMetadataStore(
-            n_shards=self.config.metadata_shards)
         self.object_store = ObjectStore(chunk_bytes=self.config.multipart_chunk_bytes)
         self.gateway = LoadBalancer(addresses)
         #: Per-process totals, in :meth:`ClusterConfig.process_addresses`
@@ -210,8 +212,7 @@ class U1Cluster:
         per-shard RNG streams and the merge depend only on the plan and the
         configuration, so the returned dataset is **bit-identical for any**
         ``n_jobs``.  Afterwards the per-shard counter summaries are added
-        to this cluster's gateway, process totals, metadata store and
-        object store.
+        to this cluster's gateway, process totals and object store.
 
         Shards run under the crash-tolerant supervisor (``policy`` and
         ``chaos`` configure it); ``checkpoint_dir`` spills each completed
@@ -301,7 +302,6 @@ class U1Cluster:
             self.gateway.absorb_totals(
                 {self.processes[index].address: count
                  for index, count in outcome.gateway_totals.items()})
-            self.metadata_store.absorb_summary(outcome.store_summary)
             self.object_store.absorb_summary(outcome.object_count,
                                              outcome.accounting)
 

@@ -32,32 +32,11 @@ class ShardedMetadataStore:
         """Number of shards in the cluster."""
         return len(self._shards)
 
-    @property
-    def shards(self) -> list[MetadataShard]:
-        """The shard objects (read-only usage expected)."""
-        return list(self._shards)
-
-    def shard_id_of(self, user_id: int) -> int:
-        """The shard index responsible for ``user_id``."""
-        return self.shard_and_id(user_id)[1]
-
     def shard_and_id(self, user_id: int) -> tuple[MetadataShard, int]:
         """``(shard, shard_id)`` responsible for ``user_id``: the routing
         rule, shard id = user id modulo the shard count."""
         shard_id = user_id % len(self._shards)
         return self._shards[shard_id], shard_id
-
-    def requests_per_shard(self) -> list[int]:
-        """Total DAL requests served by each shard."""
-        return [shard.requests_served for shard in self._shards]
-
-    def users_per_shard(self) -> list[int]:
-        """Number of users assigned to each shard."""
-        return [shard.user_count() for shard in self._shards]
-
-    def nodes_per_shard(self) -> list[int]:
-        """Number of live nodes stored in each shard."""
-        return [shard.node_count() for shard in self._shards]
 
     def pending_uploadjobs(self) -> Iterable[tuple[MetadataShard, list]]:
         """Iterate over ``(shard, pending_jobs)`` pairs for garbage collection."""
@@ -65,20 +44,3 @@ class ShardedMetadataStore:
             jobs = shard.pending_uploadjobs()
             if jobs:
                 yield shard, jobs
-
-    # ------------------------------------------------------ sharded replay
-    def summary(self) -> list[tuple[int, int, int]]:
-        """Per-shard ``(users, nodes, requests)`` counts (picklable)."""
-        return [shard.local_counts() for shard in self._shards]
-
-    def absorb_summary(self, summary: list[tuple[int, int, int]]) -> None:
-        """Fold one replay shard's store outcome into this store's counters.
-
-        Each replay shard runs a private store over disjoint users;
-        absorbing every shard's summary keeps the per-shard counts
-        fleet-wide.
-        """
-        if len(summary) != len(self._shards):
-            raise ValueError("summary shard count mismatch")
-        for shard, counts in zip(self._shards, summary):
-            shard.absorb_counts(*counts)

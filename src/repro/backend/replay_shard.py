@@ -303,22 +303,20 @@ class UploadJobCollector:
 
 
 class ProcessTotals(NamedTuple):
-    """One API process's request and RPC counters."""
+    """One API process's notification pushes.
+
+    The process's requests and RPCs are not counted here: each is a trace
+    row that carries its server and process.
+    """
 
     address: ProcessAddress
-    requests_handled: int = 0
     notifications_pushed: int = 0
-    rpc_calls: int = 0
-    rpc_busy_time: float = 0.0
 
     def plus(self, other: ProcessTotals) -> ProcessTotals:
         """These totals with ``other``'s counts added."""
         return ProcessTotals(
             self.address,
-            self.requests_handled + other.requests_handled,
-            self.notifications_pushed + other.notifications_pushed,
-            self.rpc_calls + other.rpc_calls,
-            self.rpc_busy_time + other.rpc_busy_time)
+            self.notifications_pushed + other.notifications_pushed)
 
 
 @dataclass
@@ -328,11 +326,13 @@ class ShardOutcome:
     Carries the shard's sorted trace streams as columnar
     :class:`~repro.trace.dataset.ColumnBlock`\\ s — one NumPy array per
     trace field, numeric arrays crossing the worker boundary as contiguous
-    pickle buffers and string fields factorised — plus the counter summaries
-    the cluster adds to its fleet counters, the only source of those
+    pickle buffers and string fields factorised — plus the counters the
+    trace does not carry: per-process notification pushes, the balancer's
+    session assignments, the object store's accounting and the fault
     counters.  The parent merges the blocks column-wise
     (:meth:`~repro.trace.dataset.TraceDataset.from_sorted_blocks`), so the
-    merged dataset's columns are all pre-seeded.
+    merged dataset's columns are all pre-seeded; per-process and
+    per-metadata-shard request and RPC counts are read from those columns.
     """
 
     shard_id: int
@@ -347,12 +347,10 @@ class ShardOutcome:
     n_events: int = 0
     #: Total NumPy payload bytes of the three column blocks (IPC size).
     ipc_bytes: int = 0
-    #: address index -> the process's counters
+    #: address index -> the process's notification pushes
     process_counters: dict[int, ProcessTotals] = field(default_factory=dict)
     #: address index -> sessions ever assigned by the shard's balancer
     gateway_totals: dict[int, int] = field(default_factory=dict)
-    #: per-metadata-shard (users, nodes, requests) counts
-    store_summary: list = field(default_factory=list)
     object_count: int = 0
     accounting: StorageAccounting = field(default_factory=StorageAccounting)
     #: Fault-exposure counters of this shard (None when the replay ran
@@ -694,14 +692,11 @@ class ReplayShard:
             dispatch_seconds=dispatch_seconds,
             pack_seconds=pack_seconds,
             process_counters={
-                index: ProcessTotals(
-                    p.address, p.requests_handled, p.notifications_pushed,
-                    p._rpc.calls_executed, p._rpc.busy_time)  # noqa: SLF001
+                index: ProcessTotals(p.address, p.notifications_pushed)
                 for index, p in zip(self._address_indices, self.processes)},
             gateway_totals={index: totals[p.address]
                             for index, p in zip(self._address_indices,
                                                 self.processes)},
-            store_summary=self.store.summary(),
             object_count=len(self.objects),
             accounting=self.objects.accounting,
             faults=self.faults.accounting if self.faults is not None else None,

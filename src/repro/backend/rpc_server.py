@@ -55,10 +55,6 @@ class RpcWorker:
         self._rpc_code = sink.rpc_codes.append
         self._rpc_shard = sink.rpc_shards.append
         self._rpc_service = sink.rpc_service_times.append
-        #: Total number of RPCs executed by this worker.
-        self.calls_executed = 0
-        #: Total simulated time spent servicing RPCs (seconds).
-        self.busy_time = 0.0
         # Degradation windows of this worker (fault injection): inflation
         # multiplies the already-drawn service time, so the pooled factor
         # stream — and with it the zero-fault trace — is untouched.
@@ -109,8 +105,6 @@ class RpcWorker:
         result = operation(*args)
         if self._degraded is not None:
             service_time = self._inflate(context.timestamp, service_time)
-        self.calls_executed += 1
-        self.busy_time += service_time
         self._rpc_ref(context.ref)
         self._rpc_code(RPC_CODE[rpc])
         self._rpc_shard(shard_id)
@@ -124,10 +118,9 @@ class RpcWorker:
 
         The vectorised counterpart of :meth:`execute` for runs of identical
         calls (multipart part uploads, GC sweeps): service times are drawn in
-        one pooled block, the counters are updated once for the whole block,
-        and the trace rows share the context's request reference — only the
-        per-call service time differs.  Returns the operation results in
-        call order.
+        one pooled block, and the trace rows share the context's request
+        reference — only the per-call service time differs.  Returns the
+        operation results in call order.
         """
         n = len(args_list)
         if n == 0:
@@ -138,8 +131,6 @@ class RpcWorker:
         if self._degraded is not None:
             times = [self._inflate(context.timestamp, service_time)
                      for service_time in times]
-        self.calls_executed += n
-        self.busy_time += sum(times)
         sink = self._sink
         sink.rpc_refs.extend([context.ref] * n)
         sink.rpc_codes.extend([RPC_CODE[rpc]] * n)

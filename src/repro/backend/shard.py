@@ -6,8 +6,9 @@ metadata of a user's files and folders always lives in the same shard, which
 makes most operations lockless (only shared folders can span shards).
 
 :class:`MetadataShard` implements the data-access-layer (DAL) surface the RPC
-workers call: users, volumes, nodes, contents and uploadjobs, plus the
-per-shard request counters the load-balancing analysis (Fig. 14) relies on.
+workers call: users, volumes, nodes, contents and uploadjobs.  Every DAL
+call is an RPC row of the trace that carries its shard id; the
+load-balancing analysis (Fig. 14) counts those rows.
 """
 
 from __future__ import annotations
@@ -46,18 +47,10 @@ class MetadataShard:
         # answer in O(1) instead of scanning every node of the shard (the
         # scan is O(nodes) and runs once per upload).
         self._content_index: dict[str, dict[int, Node]] = {}
-        #: Number of DAL requests served, for load-balancing analyses/tests.
-        self.requests_served = 0
-        # Users/nodes that live in sibling stores of a sharded replay (the
-        # replay engine runs one store per replay shard and folds summary
-        # counts back here, so user_count()/node_count() stay fleet-wide).
-        self._absorbed_users = 0
-        self._absorbed_nodes = 0
 
     # ------------------------------------------------------------------ users
     def ensure_user(self, user_id: int, root_volume_id: int, now: float) -> UserRow:
         """Create the user row and root volume on first contact (idempotent)."""
-        self.requests_served += 1
         row = self._users.get(user_id)
         if row is not None:
             return row
@@ -71,7 +64,6 @@ class MetadataShard:
 
     def get_user_data(self, user_id: int) -> UserRow:
         """``dal.get_user_data``."""
-        self.requests_served += 1
         try:
             return self._users[user_id]
         except KeyError:
@@ -79,32 +71,17 @@ class MetadataShard:
 
     def get_root(self, user_id: int) -> Volume:
         """``dal.get_root``."""
-        self.requests_served += 1
         row = self.get_user_data(user_id)
-        self.requests_served -= 1  # get_user_data already counted the request
         return self._volumes[row.root_volume_id]
 
     def user_count(self) -> int:
         """Number of users whose metadata lives in this shard."""
-        return len(self._users) + self._absorbed_users
-
-    def absorb_counts(self, users: int, nodes: int, requests: int) -> None:
-        """Fold one replay shard's per-shard outcome into this shard's counters."""
-        self._absorbed_users += users
-        self._absorbed_nodes += nodes
-        self.requests_served += requests
-
-    def local_counts(self) -> tuple[int, int, int]:
-        """``(users, nodes, requests)`` of this shard itself, absorbed counts
-        excluded: the summary a replay worker ships for
-        :meth:`absorb_counts`."""
-        return len(self._users), len(self._nodes), self.requests_served
+        return len(self._users)
 
     # ---------------------------------------------------------------- volumes
     def create_volume(self, user_id: int, volume_id: int,
                       volume_type: VolumeType, now: float) -> Volume:
         """``dal.create_udf`` (and implicit shared-volume registration)."""
-        self.requests_served += 1
         row = self._users.get(user_id)
         if row is None:
             raise UnknownUserError(user_id)
@@ -118,7 +95,6 @@ class MetadataShard:
 
     def list_volumes(self, user_id: int) -> list[Volume]:
         """``dal.list_volumes``."""
-        self.requests_served += 1
         row = self._users.get(user_id)
         if row is None:
             raise UnknownUserError(user_id)
@@ -127,7 +103,6 @@ class MetadataShard:
 
     def list_shares(self, user_id: int) -> list[Volume]:
         """``dal.list_shares`` — only volumes of type shared."""
-        self.requests_served += 1
         row = self._users.get(user_id)
         if row is None:
             raise UnknownUserError(user_id)
@@ -142,7 +117,6 @@ class MetadataShard:
         Returns the nodes that were removed so the caller can release their
         contents from the data store.
         """
-        self.requests_served += 1
         volume = self._volumes.get(volume_id)
         if volume is None:
             return []
@@ -165,7 +139,6 @@ class MetadataShard:
     def make_node(self, user_id: int, volume_id: int, node_id: int,
                   kind: NodeKind, extension: str, now: float) -> Node:
         """``dal.make_file`` / ``dal.make_dir`` (idempotent upsert)."""
-        self.requests_served += 1
         node = self._nodes.get(node_id)
         if node is not None:
             return node
@@ -188,7 +161,6 @@ class MetadataShard:
 
     def get_node(self, node_id: int) -> Node:
         """``dal.get_node``."""
-        self.requests_served += 1
         try:
             return self._nodes[node_id]
         except KeyError:
@@ -201,7 +173,6 @@ class MetadataShard:
     def make_content(self, node_id: int, content_hash: str, size_bytes: int,
                      now: float) -> Node:
         """``dal.make_content`` — attach (new) content to a file node."""
-        self.requests_served += 1
         node = self._nodes.get(node_id)
         if node is None:
             raise UnknownNodeError(node_id)
@@ -227,7 +198,6 @@ class MetadataShard:
 
     def unlink_node(self, node_id: int) -> Node | None:
         """``dal.unlink_node`` — delete a node; returns it, or None if absent."""
-        self.requests_served += 1
         node = self._nodes.pop(node_id, None)
         if node is None:
             return None
@@ -242,7 +212,6 @@ class MetadataShard:
 
     def move_node(self, node_id: int, target_volume_id: int, now: float) -> Node:
         """``dal.move``."""
-        self.requests_served += 1
         node = self._nodes.get(node_id)
         if node is None:
             raise UnknownNodeError(node_id)
@@ -263,13 +232,11 @@ class MetadataShard:
 
     def get_delta(self, volume_id: int) -> int:
         """``dal.get_delta`` — return the volume generation."""
-        self.requests_served += 1
         volume = self._volumes.get(volume_id)
         return volume.generation if volume is not None else 0
 
     def get_from_scratch(self, user_id: int) -> list[Node]:
         """``dal.get_from_scratch`` — full listing of every node of a user."""
-        self.requests_served += 1
         row = self._users.get(user_id)
         if row is None:
             return []
@@ -288,7 +255,6 @@ class MetadataShard:
         live nodes (maintained by make_content / unlink_node /
         delete_volume), so no liveness scan is needed.
         """
-        self.requests_served += 1
         entry = self._content_index.get(content_hash)
         if not entry:
             return None
@@ -296,14 +262,13 @@ class MetadataShard:
 
     def node_count(self) -> int:
         """Number of live nodes stored in this shard."""
-        return len(self._nodes) + self._absorbed_nodes
+        return len(self._nodes)
 
     # ------------------------------------------------------------ uploadjobs
     def make_uploadjob(self, user_id: int, node_id: int, volume_id: int,
                        content_hash: str, total_bytes: int, now: float,
                        chunk_bytes: int) -> UploadJob:
         """``dal.make_uploadjob``."""
-        self.requests_served += 1
         job = UploadJob(job_id=self._next_uploadjob_id, user_id=user_id,
                         node_id=node_id, volume_id=volume_id,
                         content_hash=content_hash, total_bytes=total_bytes,
@@ -314,25 +279,21 @@ class MetadataShard:
 
     def get_uploadjob(self, job_id: int) -> UploadJob | None:
         """``dal.get_uploadjob``."""
-        self.requests_served += 1
         return self._uploadjobs.get(job_id)
 
     def set_uploadjob_multipart_id(self, job_id: int, multipart_id: str,
                                    now: float) -> UploadJob:
         """``dal.set_uploadjob_multipart_id``."""
-        self.requests_served += 1
         job = self._uploadjobs[job_id]
         job.assign_multipart_id(multipart_id, now)
         return job
 
     def add_part_to_uploadjob(self, job_id: int, part_bytes: int, now: float) -> int:
         """``dal.add_part_to_uploadjob``."""
-        self.requests_served += 1
         return self._uploadjobs[job_id].add_part(part_bytes, now)
 
     def touch_uploadjob(self, job_id: int, now: float) -> bool:
         """``dal.touch_uploadjob`` — garbage-collection probe."""
-        self.requests_served += 1
         job = self._uploadjobs.get(job_id)
         if job is None:
             return False
@@ -340,7 +301,6 @@ class MetadataShard:
 
     def delete_uploadjob(self, job_id: int, now: float, commit: bool = True) -> None:
         """``dal.delete_uploadjob`` — commit or cancel and forget the job."""
-        self.requests_served += 1
         job = self._uploadjobs.pop(job_id, None)
         if job is None:
             return

@@ -78,8 +78,9 @@ __all__ = [
 #: even visited).  2 = JSON metadata blob + write-ahead manifest;
 #: 3 = process counters carry their address, and the replay sub-phase
 #: seconds are stored; 4 = the store summary is ``(users, nodes,
-#: requests)``.
-CHECKPOINT_FORMAT = 4
+#: requests)``; 5 = no store summary, and the process counters are the
+#: address and the notification pushes only.
+CHECKPOINT_FORMAT = 5
 _FORMAT = CHECKPOINT_FORMAT
 
 #: Version of the ``MANIFEST.json`` schema itself.
@@ -191,14 +192,10 @@ def _pack_outcome(outcome) -> bytes:
         "ipc_bytes": int(outcome.ipc_bytes),
         "process_counters": {
             int(index): [totals.address.server, int(totals.address.process),
-                         int(totals.requests_handled),
-                         int(totals.notifications_pushed),
-                         int(totals.rpc_calls), float(totals.rpc_busy_time)]
+                         int(totals.notifications_pushed)]
             for index, totals in outcome.process_counters.items()},
         "gateway_totals": {int(index): int(count)
                            for index, count in outcome.gateway_totals.items()},
-        "store_summary": [[int(value) for value in row]
-                          for row in outcome.store_summary],
         "object_count": int(outcome.object_count),
         "accounting": _accounting_to_json(outcome.accounting),
         "faults": (_accounting_to_json(outcome.faults)
@@ -255,13 +252,10 @@ def _unpack_outcome(payload: bytes):
         ipc_bytes=meta["ipc_bytes"],
         process_counters={
             int(index): ProcessTotals(
-                ProcessAddress(str(row[0]), int(row[1])), int(row[2]),
-                int(row[3]), int(row[4]), float(row[5]))
+                ProcessAddress(str(row[0]), int(row[1])), int(row[2]))
             for index, row in meta["process_counters"].items()},
         gateway_totals={int(index): int(count)
                         for index, count in meta["gateway_totals"].items()},
-        store_summary=[tuple(int(value) for value in row)
-                       for row in meta["store_summary"]],
         object_count=meta["object_count"],
         accounting=_accounting_from_json(StorageAccounting,
                                          meta["accounting"]),

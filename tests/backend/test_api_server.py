@@ -81,7 +81,7 @@ class TestSessions:
         handle = open_session(process, user_id=1, session_id=1, timestamp=5.0)
         assert handle is not None
         assert 1 in process._sessions
-        assert registry.sessions_of(1)
+        assert registry.fellow_sessions(1, 0, process.address) == (1, 0)
         events = [r.event for r in sink.dataset.sessions]
         assert events[:3] == [SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
                               SessionEvent.CONNECT]
@@ -97,7 +97,7 @@ class TestSessions:
         disconnect = sink.dataset.sessions[-1]
         assert disconnect.event is SessionEvent.DISCONNECT
         assert disconnect.session_length == pytest.approx(60.0)
-        assert not registry.sessions_of(1)
+        assert registry.fellow_sessions(1, 0, process.address) == (0, 0)
 
     def test_failed_authentication(self):
         process, sink, _, registry, _ = _build_process()
@@ -106,14 +106,15 @@ class TestSessions:
         assert handle is None
         assert not process._sessions
         assert sink.dataset.sessions[-1].event is SessionEvent.AUTH_FAIL
-        assert not registry.sessions_of(1)
+        assert registry.fellow_sessions(1, 0, process.address) == (0, 0)
 
     def test_session_is_routed_to_its_users_shard(self):
         process, sink, _, _, _ = _build_process(n_shards=4)
         for user_id in range(1, 7):
             handle = open_session(process, user_id, user_id, float(user_id))
             assert handle.shard_id == user_id % 4
-            assert handle.shard is process.store.shards[handle.shard_id]
+            assert handle.shard is process.store.shard_and_id(user_id)[0]
+            assert handle.shard.shard_id == handle.shard_id
         assert {(r.user_id, r.shard_id) for r in sink.dataset.rpc} == {
             (user_id, user_id % 4) for user_id in range(1, 7)}
 
@@ -294,7 +295,8 @@ class TestOtherOperations:
         process.close_session(1, timestamp=100.0)
         disconnect = sink.dataset.sessions[-1]
         assert disconnect.storage_operations == 1  # GetDelta is maintenance
-        assert process.requests_handled == 2
+        assert [(r.server, r.process) for r in sink.dataset.storage] \
+            == [tuple(process.address)] * 2
 
 
 #: StorageAccounting fields a download moves.
@@ -312,8 +314,7 @@ def _download_rows(uploaded_node: int):
     send_event(process, handle, event_row(ApiOperation.UPLOAD, timestamp=5.0,
                                           node_id=uploaded_node))
     before = dataclasses.asdict(objects.accounting)
-    worker = process._rpc  # noqa: SLF001
-    calls = worker.calls_executed
+    calls = len(sink.dataset.rpc)
     send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
     after = dataclasses.asdict(objects.accounting)
     rpc = [r for r in sink.dataset.rpc
@@ -322,7 +323,7 @@ def _download_rows(uploaded_node: int):
         "storage": sink.dataset.storage[-1],
         "rpc": rpc,
         "moved": {name: after[name] - before[name] for name in _TRANSFER_FIELDS},
-        "rpc_calls": worker.calls_executed - calls,
+        "rpc_calls": len(sink.dataset.rpc) - calls,
         "storage_operations": handle.storage_operations,
     }
 

@@ -21,7 +21,7 @@ from repro.faults.spec import default_fault_plan
 from repro.trace.records import ApiOperation, RpcName, SessionEvent
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
-from tests.conftest import Script, replay_scripts, script
+from tests.conftest import Script, replay_scripts, script, trace_load
 
 
 class TestClusterConfig:
@@ -137,16 +137,38 @@ class TestReplaySyntheticWorkload:
         assert len(cluster.object_store) > 0
         assert cluster.object_store.accounting.dedup_hits > 0
         # Every shard received users (modulo routing over many users).
-        assert all(count > 0 for count in cluster.metadata_store.users_per_shard())
+        load = trace_load(dataset, cluster.config.metadata_shards)
+        assert all(count > 0 for count in load["users_per_shard"])
         # The load balancer spread sessions across all processes.
         totals = cluster.gateway.total_assigned()
         assert all(count > 0 for count in totals.values())
 
-    def test_load_counters_match_trace(self, simulated_cluster_and_dataset):
+    def test_trace_load_is_attributed_to_cluster_processes(
+            self, simulated_cluster_and_dataset):
         cluster, dataset = simulated_cluster_and_dataset
-        handled = sum(p.requests_handled for p in cluster.processes)
-        assert handled == len(dataset.storage)
-        assert sum(p.rpc_calls for p in cluster.processes) == len(dataset.rpc)
+        load = trace_load(dataset, cluster.config.metadata_shards)
+        addresses = {tuple(address)
+                     for address in cluster.config.process_addresses()}
+        for stream, rows in (("storage", dataset.storage),
+                             ("rpc", dataset.rpc)):
+            assert set(load[stream]) <= addresses
+            assert sum(load[stream].values()) == len(rows)
+        # A session's requests run on the process it connected to.
+        placed = {r.session_id: (r.server, r.process) for r in dataset.sessions
+                  if r.event is SessionEvent.CONNECT}
+        assert all(placed[r.session_id] == (r.server, r.process)
+                   for r in dataset.storage)
+
+    def test_users_per_shard_counts_each_user_once(
+            self, simulated_cluster_and_dataset):
+        cluster, dataset = simulated_cluster_and_dataset
+        n_shards = cluster.config.metadata_shards
+        users = dataset.rpc_column("user_id")
+        # Every RPC row runs on the shard its user routes to ...
+        assert (dataset.rpc_column("shard_id") == users % n_shards).all()
+        # ... so the per-shard user counts partition the users, each once.
+        load = trace_load(dataset, n_shards)
+        assert sum(load["users_per_shard"]) == len(set(users.tolist()))
 
     def test_dedup_disabled_increases_stored_bytes(self):
         config = WorkloadConfig.scaled(users=120, days=2, seed=5)

@@ -127,9 +127,3 @@ class TestUploadJobs:
         assert shard.touch_uploadjob(job.job_id, now=60.0) is False
         assert shard.touch_uploadjob(job.job_id, now=10 * 86400.0) is True
         assert shard.touch_uploadjob(9999, now=0.0) is False
-
-    def test_requests_counter_increments(self, shard):
-        before = shard.requests_served
-        shard.list_volumes(1)
-        shard.get_delta(-1)
-        assert shard.requests_served == before + 2

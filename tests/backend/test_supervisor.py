@@ -30,6 +30,7 @@ from repro.util.lifecycle import RunInterrupted, ShutdownController
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTraceGenerator
+from tests.conftest import trace_load
 
 
 def _plan(seed: int = 11, users: int = 50, days: float = 0.5):
@@ -47,15 +48,16 @@ def _replay_plan(plan, n_jobs: int, seed: int = 11, **kwargs):
 _FAST = SupervisorPolicy(backoff_base=0.0)
 
 
-def _fleet_counters(cluster) -> dict:
-    """Every counter a cluster keeps across replays, and the last replay's
-    fault counters."""
+def _fleet_counters(cluster, dataset) -> dict:
+    """Every counter a cluster keeps across replays, the last replay's
+    fault counters, and the per-process and per-metadata-shard load its
+    trace carries."""
     return {
         "processes": cluster.processes,
         "gateway": cluster.gateway.total_assigned(),
         "accounting": cluster.object_store.accounting,
         "objects": len(cluster.object_store),
-        "users_per_shard": cluster.metadata_store.users_per_shard(),
+        "load": trace_load(dataset, cluster.config.metadata_shards),
         "metadata_shard_errors":
             cluster.last_replay_stats["metadata_shard_errors"],
         "faults": cluster.last_replay_stats["fault_counters"],
@@ -230,8 +232,8 @@ class TestCheckpointResume:
         assert resumed == first
         # The fleet counters come from the shard summaries only, so the
         # checkpoints must carry every one of them.
-        assert _fleet_counters(resumed_cluster) == \
-            _fleet_counters(undisturbed_cluster)
+        assert _fleet_counters(resumed_cluster, resumed) == \
+            _fleet_counters(undisturbed_cluster, undisturbed)
 
     def test_resume_keeps_fault_counters(self, tmp_path):
         config = WorkloadConfig.scaled(users=50, days=0.5, seed=11)
@@ -250,8 +252,8 @@ class TestCheckpointResume:
         assert resumed.content_digest() == undisturbed.content_digest()
         assert any(undisturbed_cluster.last_replay_stats[
             "fault_counters"].values())  # the windows fired
-        assert _fleet_counters(resumed_cluster) == \
-            _fleet_counters(undisturbed_cluster)
+        assert _fleet_counters(resumed_cluster, resumed) == \
+            _fleet_counters(undisturbed_cluster, undisturbed)
 
     def test_partial_checkpoints_reexecute_only_missing(self, tmp_path):
         plan = _plan()

@@ -152,12 +152,13 @@ def _ops(users: int, sessions: int):
     ), max_size=40)
 
 
-def _scan(registry: SessionRegistry, user_id: int, session_id: int,
-          address: ProcessAddress) -> tuple[int, int]:
-    """Local/remote split by a scan of a copy of the user's sessions."""
-    others = registry.sessions_of(user_id)
-    others.pop(session_id, None)
-    local = sum(1 for other in others.values() if other == address)
+def _scan(placed: dict[int, tuple[int, ProcessAddress]], user_id: int,
+          session_id: int, address: ProcessAddress) -> tuple[int, int]:
+    """Local/remote split by a scan of every open session (``session id ->
+    (user, process)``)."""
+    others = [other for other, (user, other_address) in placed.items()
+              if user == user_id and other != session_id]
+    local = sum(1 for other in others if placed[other][1] == address)
     return local, len(others) - local
 
 
@@ -166,24 +167,24 @@ class TestFanOut:
     @given(_ops(users=3, sessions=8), st.integers(1, 3))
     def test_registry_split_equals_a_scan(self, ops, probe_user):
         registry = SessionRegistry()
-        owner: dict[int, int] = {}
+        placed: dict[int, tuple[int, ProcessAddress]] = {}
         for op in ops:
             if op[0] == "open":
                 _, user_id, session_id, p = op
                 # A re-registered session id moves (possibly to a new user).
-                if session_id in owner:
-                    registry.unregister(owner[session_id], session_id)
-                owner[session_id] = user_id
+                if session_id in placed:
+                    registry.unregister(placed[session_id][0], session_id)
+                placed[session_id] = (user_id, _ADDRESSES[p])
                 registry.register(user_id, session_id, _ADDRESSES[p])
             elif op[0] == "close":
-                user_id = owner.pop(op[1], probe_user)
+                user_id = placed.pop(op[1], (probe_user,))[0]
                 registry.unregister(user_id, op[1])
-            for user_id in {probe_user, *owner.values()}:
+            for user_id in {probe_user, *(u for u, _ in placed.values())}:
                 for session_id in range(1, 9):
                     for address in _ADDRESSES:
                         assert registry.fellow_sessions(
                             user_id, session_id, address) == \
-                            _scan(registry, user_id, session_id, address)
+                            _scan(placed, user_id, session_id, address)
 
     @settings(max_examples=100, deadline=None)
     @given(_ops(users=2, sessions=5))

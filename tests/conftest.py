@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +135,24 @@ def replay_scripts(config: ClusterConfig, scripts):
     dataset = TraceDataset.from_sorted_blocks(
         [(outcome.storage, outcome.rpc, outcome.sessions)])
     return shard, dataset
+
+
+def trace_load(dataset: TraceDataset, n_shards: int) -> dict:
+    """Per-process and per-metadata-shard load, read from the trace.
+
+    ``storage``/``rpc`` count each ``(server, process)``'s storage and RPC
+    rows; ``users_per_shard`` counts the distinct users whose RPC rows hit
+    each metadata shard."""
+    load = {}
+    for name, column in (("storage", dataset.storage_column),
+                         ("rpc", dataset.rpc_column)):
+        load[name] = Counter(zip(column("server").tolist(),
+                                 column("process").tolist()))
+    users = Counter(shard_id for shard_id, _ in set(zip(
+        dataset.rpc_column("shard_id").tolist(),
+        dataset.rpc_column("user_id").tolist())))
+    load["users_per_shard"] = [users[shard_id] for shard_id in range(n_shards)]
+    return load
 
 
 def append_records(dataset: TraceDataset, storage=(), rpc=(),

@@ -51,13 +51,13 @@ _UPLOAD_CAPABLE = (UserClass.UPLOAD_ONLY, UserClass.HEAVY, UserClass.OCCASIONAL)
 def _read_only_shard(start: float, end: float) -> int:
     """The metadata shard with the most planned operations of upload-capable
     users in sessions overlapping ``[start, end)``."""
-    shard_id_of = U1Cluster(ClusterConfig(seed=SEED)).metadata_store.shard_id_of
+    n_shards = ClusterConfig(seed=SEED).metadata_shards
     ops = Counter()
     for user_plan in _plan().users:
         if user_plan.user.user_class in _UPLOAD_CAPABLE:
             for spec in user_plan.sessions:
                 if spec.n_ops and spec.start < end and spec.end > start:
-                    ops[shard_id_of(user_plan.user.user_id)] += spec.n_ops
+                    ops[user_plan.user.user_id % n_shards] += spec.n_ops
     return ops.most_common(1)[0][0]
 
 
