@@ -9,18 +9,27 @@ multipart transfers, Appendix A).  They finally push notifications to other
 online clients affected by a change, via the RabbitMQ bus when those clients
 are handled by a different API process.
 
-:class:`ApiServerProcess` implements all of that against the simulated
-substrates and emits the storage/session trace records; RPC records are
-emitted by the :class:`~repro.backend.rpc_server.RpcWorker` it delegates to.
-Every client request enters through one method,
-:meth:`ApiServerProcess.handle_event`, which runs the steps all requests
-share and then the request's operation — each operation has exactly one
-implementation.
+:class:`ApiServerProcess` implements the part of that which draws random
+numbers or changes back-end state, and so runs in a replay shard's dispatch
+loop in timeline order: the session open (token, token cache, the
+``validate`` draw and the two bootstrap RPCs, :meth:`~ApiServerProcess.
+open_session`) and every client request (:meth:`~ApiServerProcess.
+handle_event`, which runs the steps all requests share and then the
+request's operation, each operation with exactly one implementation).  It
+records storage rows as provenance in the trace sink; RPC rows are recorded
+by the :class:`~repro.backend.rpc_server.RpcWorker` it delegates to, whose
+service times consume the latency model's factor stream in call order.
+
+The rest of a session's life is a pure function of the timeline order and
+those outcomes, so it is computed after the loop, in column passes: the
+session rows by the replay shard, and the notification fan-out of every
+successful mutation — which the process only records, as its timeline
+ordinal — by :meth:`SessionRegistry.fan_out`.
 """
 
 from __future__ import annotations
 
-import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,21 +38,19 @@ from repro.backend.datastore import ObjectStore
 from repro.backend.errors import AuthenticationError, UnknownNodeError
 from repro.backend.gateway import ProcessAddress
 from repro.backend.metadata_store import ShardedMetadataStore
-from repro.backend.notifications import Notification, NotificationBus
+from repro.backend.notifications import NotificationBus
 from repro.backend.protocol.entities import SessionHandle
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
-from repro.trace.dataset import RPC_CODE, SESSION_EVENT_CODE
+from repro.trace.dataset import RPC_CODE
 from repro.trace.records import (
-    DATA_MANAGEMENT_OPERATIONS as _DATA_MANAGEMENT_OPERATIONS,
     MUTATING_OPERATIONS as _MUTATING_OPERATIONS,
     ApiOperation,
     NodeKind,
     RpcName,
-    SessionEvent,
 )
 
-__all__ = ["SessionRegistry", "ApiServerProcess"]
+__all__ = ["SessionSpans", "SessionRegistry", "ApiServerProcess"]
 
 # Hot-path constants (module-level loads are faster than enum attribute
 # lookups in the per-request path).
@@ -53,69 +60,81 @@ _GET_NODE_CODE = RPC_CODE[_GET_NODE_RPC]
 _GET_USER_DATA_RPC = RpcName.GET_USER_DATA
 _GET_USER_ID_FROM_TOKEN_RPC = RpcName.GET_USER_ID_FROM_TOKEN
 _GET_ROOT_RPC = RpcName.GET_ROOT
-_AUTH_REQUEST = SESSION_EVENT_CODE[SessionEvent.AUTH_REQUEST]
-_AUTH_OK = SESSION_EVENT_CODE[SessionEvent.AUTH_OK]
-_AUTH_FAIL = SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]
-_CONNECT = SESSION_EVENT_CODE[SessionEvent.CONNECT]
+
+
+class SessionSpans(NamedTuple):
+    """The sessions of a replay shard, one entry per script.
+
+    ``opened`` and ``closed`` are timeline ranks (positions in replay
+    order) of the session's open and close: a session is open at the ranks
+    strictly between them.  A denied session closes at its open's rank, so
+    it is open at none; a session whose close record came before its open
+    closes past the last rank.
+    """
+
+    user: np.ndarray
+    #: Index of the API process the session was opened on.
+    process: np.ndarray
+    opened: np.ndarray
+    closed: np.ndarray
 
 
 class SessionRegistry:
-    """Cluster-wide registry of open sessions, keyed by user id.
+    """Which open sessions each mutation notifies (Section 3.4.2).
 
-    API servers consult it to decide whether a mutation needs to be pushed to
-    other online clients of the same user (Section 3.4.2).  Next to each
-    user's ``session id -> API process`` map it counts the user's sessions
-    per process, so :meth:`fellow_sessions` is O(1) in the session count.
+    During dispatch the API processes append the timeline ordinal of every
+    successful mutation to :attr:`mutations`.  After dispatch,
+    :meth:`fan_out` finds in one interval pass the mutating user's other
+    sessions open at each of them, split into those on the mutating process
+    (pushed directly) and those on other processes (published on the bus).
     """
 
-    __slots__ = ("_by_user", "_per_process")
+    __slots__ = ("mutations",)
 
     def __init__(self) -> None:
-        self._by_user: dict[int, dict[int, ProcessAddress]] = {}
-        self._per_process: dict[int, dict[ProcessAddress, int]] = {}
+        self.mutations: list[int] = []
 
-    def register(self, user_id: int, session_id: int, address: ProcessAddress) -> None:
-        """Register an open session."""
-        sessions = self._by_user.get(user_id)
-        if sessions is None:
-            self._by_user[user_id] = {session_id: address}
-            self._per_process[user_id] = {address: 1}
-            return
-        counts = self._per_process[user_id]
-        previous = sessions.get(session_id)
-        if previous is not None:  # a re-registered session moves
-            counts[previous] -= 1
-        sessions[session_id] = address
-        counts[address] = counts.get(address, 0) + 1
+    def fan_out(self, spans: SessionSpans, rank: np.ndarray,
+                script_of: np.ndarray, n_processes: int,
+                bus: NotificationBus) -> np.ndarray:
+        """Count the notification fan-out of :attr:`mutations` on ``bus``
+        and return the pushes each of the ``n_processes`` API processes
+        delivered from the bus.
 
-    def unregister(self, user_id: int, session_id: int) -> None:
-        """Remove a closed session."""
-        sessions = self._by_user.get(user_id)
-        if sessions is None:
-            return
-        address = sessions.pop(session_id, None)
-        if address is None:
-            return
-        if sessions:
-            self._per_process[user_id][address] -= 1
-        else:
-            del self._by_user[user_id]
-            del self._per_process[user_id]
+        ``rank`` maps a timeline ordinal to its rank and ``script_of`` an
+        open's or event's ordinal to its script.  The sessions of a group
+        (a user, or a user on one process) open at rank ``r`` are those
+        opened before ``r`` minus those closed before it, both counted by
+        binary search in the group's sorted ``group * stride + rank`` keys;
+        the mutating session itself is one of the local ones.  Each
+        process pushes to every session it holds the remote mutations of
+        the session's user made while the session was open.
+        """
+        mutations = np.fromiter(self.mutations, dtype=np.int64,
+                                count=len(self.mutations))
+        at = rank[mutations]
+        who = script_of[mutations]
+        stride = len(rank) + 1  # past every rank, the never-closed included
+        user = np.unique(spans.user, return_inverse=True)[1]
+        local = user * n_processes + spans.process
 
-    def fellow_sessions(self, user_id: int, session_id: int,
-                        address: ProcessAddress) -> tuple[int, int]:
-        """``(local, remote)`` counts of ``user_id``'s open sessions other
-        than ``session_id``: local ones are held by the process at
-        ``address``."""
-        sessions = self._by_user.get(user_id)
-        if sessions is None:
-            return 0, 0
-        own = sessions.get(session_id)
-        others = len(sessions) - (own is not None)
-        if not others:
-            return 0, 0
-        local = self._per_process[user_id].get(address, 0) - (own == address)
-        return local, others - local
+        def open_at(group: np.ndarray) -> np.ndarray:
+            keys = group[who] * stride + at
+            group = group * stride
+            return (np.searchsorted(np.sort(group + spans.opened), keys)
+                    - np.searchsorted(np.sort(group + spans.closed), keys))
+
+        def made_while_open(group: np.ndarray) -> np.ndarray:
+            keys = np.sort(group[who] * stride + at)
+            group = group * stride
+            return (np.searchsorted(keys, group + spans.closed)
+                    - np.searchsorted(keys, group + spans.opened))
+
+        fellows, here = open_at(user), open_at(local)
+        bus.count(here - 1, fellows - here, n_processes)
+        received = made_while_open(user) - made_while_open(local)
+        return np.bincount(spans.process, weights=received,
+                           minlength=n_processes).astype(np.int64)
 
 
 class ApiServerProcess:
@@ -124,8 +143,8 @@ class ApiServerProcess:
     def __init__(self, address: ProcessAddress,
                  metadata_store: ShardedMetadataStore, rpc_worker: RpcWorker,
                  object_store: ObjectStore, auth: AuthenticationService,
-                 bus: NotificationBus, registry: SessionRegistry,
-                 sink: TraceSink, rng: np.random.Generator,
+                 registry: SessionRegistry, sink: TraceSink,
+                 rng: np.random.Generator,
                  dedup_enabled: bool = True, delta_updates_enabled: bool = False,
                  delta_update_factor: float = 0.05,
                  interrupted_upload_fraction: float = 0.0,
@@ -137,13 +156,6 @@ class ApiServerProcess:
         self._process = address.process
         self._objects = object_store
         self._auth = auth
-        # The bus holds this process's bound deliver_notification, so a
-        # strong reference back would close a process -> bus -> process
-        # cycle that only the cyclic collector could free.  The owner of
-        # the bus and its processes (the cluster, a replay shard) keeps the
-        # bus alive; the proxy is dereferenced once per publish.
-        self._bus = weakref.proxy(bus)
-        self._registry = registry
         self._rng = rng
         self._dedup_enabled = dedup_enabled
         self._delta_updates_enabled = delta_updates_enabled
@@ -158,35 +170,18 @@ class ApiServerProcess:
         #: Per request reference, whether its fault disposition fails it
         #: before its handler runs; set by the replay shard.
         self.failing: list[bool] | None = None
-        # Storage and session rows are recorded as provenance (request
-        # reference, shard id or session event) through the sink's bound
-        # buffer appenders, never stale.
+        # Storage rows are recorded as provenance (request reference, shard
+        # id) through the sink's bound buffer appenders, never stale; a
+        # successful mutation records its reference for the fan-out pass.
         self._sink = sink
         self._storage_ref = sink.storage_refs.append
         self._storage_shard = sink.storage_shards.append
-        self._session_ref = sink.session_refs.append
-        self._session_event = sink.session_events.append
+        self._mutated = registry.mutations.append
         self._token_cache = TokenCache()
-        self._sessions: dict[int, SessionHandle] = {}
-        # user id -> number of open sessions on this process; lets
-        # deliver_notification avoid scanning every open session.
-        self._user_sessions: dict[int, int] = {}
         # Reusable request context: every RPC row records the context's
         # request reference immediately, so one mutable context per process
         # avoids an allocation per request.
         self._request_context = RpcContext(0.0, 0)
-        #: Sessions this process pushed bus notifications to.  Requests and
-        #: RPCs are not counted: each is a trace row carrying its process.
-        self.notifications_pushed = 0
-        # Formatted once: every remote fan-out excludes it from its publish.
-        self._bus_name = str(address)
-        bus.subscribe(self._bus_name, self.deliver_notification)
-
-    # ------------------------------------------------------------ properties
-    @property
-    def store(self) -> ShardedMetadataStore:
-        """The sharded metadata store this process routes sessions to."""
-        return self._store
 
     # ------------------------------------------------------- session handling
     def open_session(self, user_id: int, session_id: int, timestamp: float,
@@ -194,19 +189,15 @@ class ApiServerProcess:
                      ) -> SessionHandle | None:
         """Authenticate a client and establish a storage-protocol session.
 
-        Returns the session handle, or None when authentication failed (the
-        failed attempt is still traced, since it still consumed work in the
-        authentication subsystem).  ``ref`` is the open's trace-sink
-        reference (its timeline ordinal in a replay shard); every session
-        row of the session records it and its ``SessionEvent`` code, the
-        sink gathers the other fields from the open's request.
-        ``force_auth_failure`` (a planned failure, or an ``AuthOutage``
-        window) denies the open before validate()'s RNG draw.
+        Returns the session handle, or None when authentication failed.
+        ``ref`` is the open's trace-sink reference (its timeline ordinal in
+        a replay shard), which the authentication and bootstrap RPC rows
+        record.  ``force_auth_failure`` (a planned failure, or an
+        ``AuthOutage`` window) denies the open before validate()'s RNG
+        draw.  The session rows (``AUTH_REQUEST``, then ``AUTH_FAIL`` or
+        ``AUTH_OK`` and ``CONNECT``, and the close's ``DISCONNECT``) follow
+        from the outcome and are built by the replay shard after dispatch.
         """
-        session_ref = self._session_ref
-        session_event = self._session_event
-        session_ref(ref)
-        session_event(_AUTH_REQUEST)
         token = self._auth.token_for(user_id, timestamp)
         shard, shard_id = self._store.shard_and_id(user_id)
         # Reuse the process-lifetime context (requests do the same): the
@@ -225,71 +216,14 @@ class ApiServerProcess:
             elif force_auth_failure:
                 raise AuthenticationError("authentication denied")
         except AuthenticationError:
-            session_ref(ref)
-            session_event(_AUTH_FAIL)
             return None
-        session_ref(ref)
-        session_event(_AUTH_OK)
 
         # Register the user (and its root volume) on its shard, then fetch the
         # session bootstrap data the desktop client asks for.
         self._rpc.execute(_GET_USER_DATA_RPC, context,
                           shard.ensure_user, user_id, -user_id, timestamp)
         self._rpc.execute(_GET_ROOT_RPC, context, shard.get_root, user_id)
-
-        handle = SessionHandle(session_id, user_id, timestamp, shard, shard_id,
-                               ref)
-        self._sessions[session_id] = handle
-        self._user_sessions[user_id] = self._user_sessions.get(user_id, 0) + 1
-        self._registry.register(user_id, session_id, self.address)
-        session_ref(ref)
-        session_event(_CONNECT)
-        return handle
-
-    def close_session(self, session_id: int, timestamp: float) -> None:
-        """Tear down a session and emit the DISCONNECT record."""
-        handle = self._sessions.pop(session_id, None)
-        if handle is None:
-            return
-        remaining = self._user_sessions.get(handle.user_id, 0) - 1
-        if remaining > 0:
-            self._user_sessions[handle.user_id] = remaining
-        else:
-            self._user_sessions.pop(handle.user_id, None)
-        self._registry.unregister(handle.user_id, session_id)
-        self._sink.session_close(
-            handle.open_ref, timestamp,
-            max(0.0, timestamp - handle.established_at),
-            handle.storage_operations)
-
-    # --------------------------------------------------------- notifications
-    def deliver_notification(self, notification: Notification) -> int:
-        """Push a bus notification to the affected sessions on this process.
-
-        Uses the per-user open-session index instead of scanning every open
-        session: notifications usually target a single user, and the bus
-        fans every publish out to every process.
-        """
-        user_sessions = self._user_sessions
-        pushed = 0
-        for user_id in notification.user_ids:
-            pushed += user_sessions.get(user_id, 0)
-        self.notifications_pushed += pushed
-        return pushed
-
-    def _notify_mutation(self, handle: SessionHandle, timestamp: float,
-                         operation: ApiOperation, volume_id: int) -> None:
-        """Notify other online clients of the user about a mutation."""
-        user_id = handle.user_id
-        local, remote = self._registry.fellow_sessions(
-            user_id, handle.session_id, self.address)
-        if local:
-            self._bus.record_short_circuit(local)
-        if remote:
-            self._bus.publish(
-                Notification(timestamp, self._server, self._process,
-                             (user_id,), volume_id, operation.value),
-                exclude=self._bus_name)
+        return SessionHandle(session_id, user_id, shard, shard_id)
 
     # -------------------------------------------------------------- requests
     def handle_event(self, handle: SessionHandle, row: tuple, ref: int) -> None:
@@ -305,10 +239,10 @@ class ApiServerProcess:
         the back-end's own values; the shard gathers the request fields
         from its event columns.
 
-        The steps every request shares run here, once: the session's
-        storage-operation count, the fault disposition (resolved before
-        dispatch: a failing request runs no handler), the storage row and,
-        after a successful mutation, the notification fan-out.  The
+        The steps every request shares run here, once: the fault
+        disposition (resolved before dispatch: a failing request runs no
+        handler), the storage row and, after a successful mutation, the
+        record of its reference for the notification fan-out.  The
         download — most of the replayed events — runs inline; every other
         operation runs its :data:`_HANDLERS` entry.
         """
@@ -318,8 +252,6 @@ class ApiServerProcess:
         # The session open routed the user and registered it on its shard.
         shard = handle.shard
         shard_id = handle.shard_id
-        if operation in _DATA_MANAGEMENT_OPERATIONS:
-            handle.storage_operations += 1
         if self._fault_lo <= timestamp < self._fault_hi and self.failing[ref]:
             self._storage_ref(ref)
             self._storage_shard(shard_id)
@@ -370,7 +302,7 @@ class ApiServerProcess:
             context.shard_id = shard_id
             if (self._HANDLERS[operation](self, user_id, row, context, shard)
                     and operation in _MUTATING_OPERATIONS):
-                self._notify_mutation(handle, timestamp, operation, volume_id)
+                self._mutated(ref)
         self._storage_ref(ref)
         self._storage_shard(shard_id)
 

@@ -299,9 +299,7 @@ class U1Cluster:
         for outcome in outcomes:
             for index, totals in outcome.process_counters.items():
                 self.processes[index] = self.processes[index].plus(totals)
-            self.gateway.absorb_totals(
-                {self.processes[index].address: count
-                 for index, count in outcome.gateway_totals.items()})
+            self.gateway.absorb_totals(outcome.gateway_totals)
             self.object_store.absorb_summary(outcome.object_count,
                                              outcome.accounting)
 

@@ -9,88 +9,48 @@ and the ones holding a TCP connection to an affected client push the
 notification.  When both clients are handled by the same API process the
 bus is bypassed and the notification is delivered immediately.
 
-:class:`NotificationBus` reproduces that fan-out and keeps counters so tests
-can verify the short-circuit behaviour.
+:class:`NotificationBus` holds what that fan-out amounts to over a replay
+shard: publishes, deliveries to subscribed processes, client pushes and
+short-circuited local deliveries.  The split of each mutation's fellow
+sessions into local and remote ones is computed after dispatch, in one
+interval pass (:meth:`repro.backend.api_server.SessionRegistry.fan_out`),
+and counted here with :meth:`NotificationBus.count`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
 
-__all__ = ["Notification", "NotificationBus", "Subscriber"]
+import numpy as np
 
-
-class Notification(NamedTuple):
-    """An event published by an API server after a mutating operation.
-
-    A named tuple, so a publish builds it in one C-level tuple allocation
-    instead of a frozen dataclass's per-field ``object.__setattr__``.
-    """
-
-    timestamp: float
-    origin_server: str
-    origin_process: int
-    user_ids: tuple[int, ...]
-    volume_id: int
-    kind: str
-
-#: A subscriber callback receives a notification and returns the number of
-#: client sessions it pushed the event to.
-Subscriber = Callable[[Notification], int]
-
-
-@dataclass
-class _Subscription:
-    name: str
-    callback: Subscriber
-    delivered: int = 0
+__all__ = ["NotificationBus"]
 
 
 @dataclass
 class NotificationBus:
-    """A minimal RabbitMQ stand-in: publish/subscribe with counters."""
+    """A RabbitMQ stand-in's counters."""
 
-    _subscriptions: list[_Subscription] = field(default_factory=list)
+    #: Mutations published on the queue (those with a remote fellow session).
     published: int = 0
+    #: Publishes received by a subscribed process other than the publisher.
     deliveries: int = 0
+    #: Client sessions pushed a notification, through the queue or not.
     pushes: int = 0
+    #: Pushes delivered by the publishing process itself, bypassing the queue.
     short_circuits: int = 0
 
-    def subscribe(self, name: str, callback: Subscriber) -> None:
-        """Register an API server process on the bus."""
-        self._subscriptions.append(_Subscription(name=name, callback=callback))
+    def count(self, local: np.ndarray, remote: np.ndarray,
+              n_subscribers: int) -> None:
+        """Count the fan-out of mutations with ``local``/``remote`` fellow
+        sessions each, on a bus with ``n_subscribers`` API processes.
 
-    def subscribers(self) -> list[str]:
-        """Names of the registered subscribers."""
-        return [s.name for s in self._subscriptions]
-
-    def publish(self, notification: Notification,
-                exclude: str | None = None) -> int:
-        """Publish an event to every subscriber (except ``exclude``).
-
-        ``exclude`` is the name of the publishing API process: when the
-        affected clients are connected to the same process, the notification
-        is delivered locally without travelling through the queue (the
-        footnote-4 optimisation); callers account for that separately via
-        :meth:`record_short_circuit`.
-
-        Returns the total number of client pushes performed by subscribers.
+        A mutation with a remote fellow session is published once and
+        delivered to every subscriber but its publisher; local fellow
+        sessions are pushed directly (the footnote-4 optimisation).
         """
-        self.published += 1
-        total_pushes = 0
-        for subscription in self._subscriptions:
-            if exclude is not None and subscription.name == exclude:
-                continue
-            self.deliveries += 1
-            pushed = subscription.callback(notification)
-            subscription.delivered += 1
-            total_pushes += pushed
-        self.pushes += total_pushes
-        return total_pushes
-
-    def record_short_circuit(self, count: int = 1) -> None:
-        """Account for notifications delivered without using the queue."""
-        self.short_circuits += count
-        self.pushes += count
-
+        published = int(np.count_nonzero(remote))
+        short_circuits = int(local.sum())
+        self.published += published
+        self.deliveries += published * (n_subscribers - 1)
+        self.short_circuits += short_circuits
+        self.pushes += short_circuits + int(remote.sum())

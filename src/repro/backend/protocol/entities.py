@@ -88,18 +88,13 @@ class Volume:
 
 @dataclass(slots=True)
 class SessionHandle:
-    """A storage-protocol session, held by the API server process it was
-    opened on (that process's session table is the binding)."""
+    """A storage-protocol session, as the API process it was opened on
+    serves its requests."""
 
     session_id: int
     user_id: int
-    established_at: float
     #: The user's metadata shard and its id, routed once when the session
     #: opens (a user's metadata lives in one shard); every request of the
     #: session is served there.
     shard: MetadataShard
     shard_id: int
-    #: Trace-sink reference of the open request (every session row's
-    #: provenance).
-    open_ref: int = 0
-    storage_operations: int = 0

@@ -65,7 +65,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.backend.api_server import ApiServerProcess, SessionRegistry
+from repro.backend.api_server import (
+    ApiServerProcess,
+    SessionRegistry,
+    SessionSpans,
+)
 from repro.backend.auth import AuthenticationService
 from repro.backend.datastore import ObjectStore, StorageAccounting
 from repro.backend.gateway import LoadBalancer, ProcessAddress
@@ -76,8 +80,15 @@ from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.faults.accounting import DISPOSITION_KINDS, FaultAccounting
 from repro.faults.runtime import Dispositions, FaultInjector, RequestColumns
-from repro.trace.dataset import OPERATION_CODE, ColumnBlock
-from repro.trace.records import ApiOperation, NodeKind, RpcName, VolumeType
+from repro.trace.dataset import OPERATION_CODE, SESSION_EVENT_CODE, ColumnBlock
+from repro.trace.records import (
+    DATA_MANAGEMENT_OPERATIONS,
+    ApiOperation,
+    NodeKind,
+    RpcName,
+    SessionEvent,
+    VolumeType,
+)
 from repro.util import telemetry
 from repro.util.gctools import cyclic_gc_paused
 from repro.util.rngpool import RngPool
@@ -100,6 +111,13 @@ __all__ = [
 
 
 _AUTHENTICATE_CODE = OPERATION_CODE[ApiOperation.AUTHENTICATE]
+_DATA_MANAGEMENT_CODES = [OPERATION_CODE[operation]
+                          for operation in DATA_MANAGEMENT_OPERATIONS]
+(_AUTH_REQUEST, _AUTH_OK, _AUTH_FAIL, _CONNECT, _DISCONNECT) = (
+    SESSION_EVENT_CODE[event] for event in (
+        SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
+        SessionEvent.AUTH_FAIL, SessionEvent.CONNECT,
+        SessionEvent.DISCONNECT))
 #: A GC sweep's request fields after ``user_id`` (``REQUEST_FIELDS`` order):
 #: session 0, no API operation, no event fields, not an attack.
 _GC_REQUEST = (0, None, 0, 0, None, None, 0, "", "", False, False)
@@ -363,9 +381,10 @@ class ShardOutcome:
     #: Replay sub-phase seconds (all included in :attr:`seconds`): the
     #: NumPy timeline, its stable argsort, the dispatch rows and the fault
     #: dispositions (``block_build``), the object-free dispatch loop
-    #: (``dispatch``), and the fault counters and trace streams' columns
-    #: (``pack``: the request columns concatenated from the table, and the
-    #: storage, RPC and session rows gathered from them by provenance).
+    #: (``dispatch``), and the column passes after it (``pack``: the fault
+    #: counters, the request columns concatenated from the table, the
+    #: storage and RPC rows gathered from them by provenance, the session
+    #: rows, the notification fan-out and the gateway's counts).
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -420,8 +439,7 @@ class ReplayShard:
             self.processes.append(ApiServerProcess(
                 address=address, metadata_store=self.store, rpc_worker=worker,
                 object_store=self.objects, auth=self.auth,
-                bus=self.bus, registry=self.registry, sink=self.sink,
-                rng=pool,
+                registry=self.registry, sink=self.sink, rng=pool,
                 dedup_enabled=config.dedup_enabled,
                 delta_updates_enabled=config.delta_updates_enabled,
                 delta_update_factor=config.delta_update_factor,
@@ -452,7 +470,8 @@ class ReplayShard:
         a kind script-major.  A record's index is its timeline ordinal, and
         the first ``len(table) + table.n_events`` of them, the opens and
         the events, are the rows of the shard's request columns
-        (:meth:`_request_sources`).
+        (:meth:`_request_sources`).  ``order`` lists the ordinals in replay
+        order, and ``rank`` maps each ordinal to its position there.
 
         The dispatch rows form one shard-wide list indexed like the other
         columns, ``None`` at the opens (the closes lie past its end).  A
@@ -468,7 +487,9 @@ class ReplayShard:
         scripts = np.arange(n)
         kind_col = [cls._OPEN] * n + [cls._EVENT] * m + [cls._CLOSE] * n
         ts = np.concatenate([table.start, table.times, table.end])
-        order = np.argsort(ts, kind="stable").tolist()
+        order = np.argsort(ts, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
         ts_col = ts.tolist()
         script_col = np.concatenate([scripts, np.repeat(scripts, counts),
                                      scripts]).tolist()
@@ -481,33 +502,41 @@ class ReplayShard:
             _decoded(table.content_hash), _decoded(table.extension),
             table.is_update.tolist(),
             np.repeat(table.caused_by_attack, counts).tolist()))
-        return order, ts_col, kind_col, script_col, rows
+        return order.tolist(), rank, ts_col, kind_col, script_col, rows
 
     def _dispatch(self, table: ScriptTable, order: list[int],
                   ts_col: list[float], kind_col: list[int],
                   script_col: list[int], rows: list,
-                  auth_failed: np.ndarray) -> list[int]:
+                  auth_failed: np.ndarray) -> tuple[list[int], list[bool]]:
         """Replay the sorted timeline through the shard's API processes.
 
-        The per-event hot path is object-free: one list index into the
-        script's dispatch entry, one into the dispatch rows and one
-        ``handle_event`` call with the event's row and timeline ordinal —
-        no per-event object in between.  Returns the index in
-        :attr:`processes` of the process each script's session (denied if
-        ``auth_failed``) was opened on.
+        The loop keeps only what draws random numbers or changes back-end
+        state, in timeline order: at an open, the gateway's pick (a tie
+        draws from the shard's stream) and the process's session open (the
+        token cache, the ``validate`` draw and the bootstrap RPCs, whose
+        service times consume the latency model's factor stream in call
+        order); at an event, one ``handle_event`` call with the event's
+        dispatch row and timeline ordinal, no per-event object in between;
+        at a close, the gateway's release.  Uploadjob GC sweeps run when
+        the timeline passes their deadline.
+
+        Returns, per script, the index in :attr:`processes` of the process
+        its session was opened on (denied if ``auth_failed``) and whether
+        the session was established.  Session rows and notification fan-out
+        follow from these in :meth:`run`.
         """
         _EVENT, _OPEN = self._EVENT, self._OPEN
-        process_by_address = {p.address: (k, p)
-                              for k, p in enumerate(self.processes)}
+        processes = self.processes
         user_ids = table.user_id.tolist()
         session_ids = table.session_id.tolist()
         auth_failed = auth_failed.tolist()
         assigned = [0] * len(table)
-        # Per-script dispatch entry, set at session open: (bound
-        # handle_event, session handle, process, address).  None for failed
-        # or not-yet-open sessions.
-        entries: list[tuple | None] = [None] * len(table)
-        gateway = self.gateway
+        # Per-script dispatch entry: None until the session is established
+        # (and for a denied one), then (bound handle_event, session handle,
+        # process index), then False once closed.
+        entries: list = [None] * len(table)
+        assign = self.gateway.assign
+        release = self.gateway.release
         collector = self.collector
         next_gc = float("-inf")
         # Heartbeat progress, read asynchronously by the supervisor's
@@ -527,33 +556,93 @@ class ReplayShard:
                 kind = kind_col[j]
                 if kind == _EVENT:
                     entry = entries[script_col[j]]
-                    if entry is None:
-                        continue
-                    # Object-free dispatch: the event's column row goes
-                    # straight to the process, no event object in between.
-                    entry[0](entry[1], rows[j], j)
+                    if entry:
+                        # Object-free dispatch: the event's column row goes
+                        # straight to the process.
+                        entry[0](entry[1], rows[j], j)
                 elif kind == _OPEN:
                     index = script_col[j]
-                    address = gateway.assign()
-                    assigned[index], process = process_by_address[address]
+                    k = assigned[index] = assign()
+                    process = processes[k]
                     handle = process.open_session(
                         user_ids[index], session_ids[index], timestamp, j,
                         auth_failed[index])
                     if handle is None:
-                        gateway.release(address)
+                        release(k)
                     else:
-                        entries[index] = (process.handle_event, handle,
-                                          process, address)
+                        entries[index] = (process.handle_event, handle, k)
                 else:  # close
                     index = script_col[j]
                     entry = entries[index]
-                    if entry is None:
-                        continue
-                    entries[index] = None
-                    entry[2].close_session(session_ids[index], timestamp)
-                    gateway.release(entry[3])
+                    if entry:
+                        entries[index] = False
+                        release(entry[2])
         progress.done = n_records
-        return assigned
+        return assigned, [entry is not None for entry in entries]
+
+    @staticmethod
+    def _session_spans(table: ScriptTable, rank: np.ndarray,
+                       assigned: list[int],
+                       established: list[bool]) -> SessionSpans:
+        """Each script's session as ranks: opened at its open's rank,
+        closed at its close's rank if established (past the last rank if
+        the close came first, so never took effect), at its open's rank if
+        denied."""
+        n = len(table)
+        opened = rank[:n]
+        closed = rank[n + table.n_events:]
+        closed = np.where(established,
+                          np.where(closed > opened, closed, len(rank)), opened)
+        return SessionSpans(table.user_id,
+                            np.asarray(assigned, dtype=np.int64), opened,
+                            closed)
+
+    @staticmethod
+    def _session_rows(table: ScriptTable, spans: SessionSpans,
+                      rank: np.ndarray, script_of: np.ndarray) -> tuple:
+        """The session rows of the timeline, built as columns, in the
+        order the rows' records were replayed.
+
+        At each open, ``AUTH_REQUEST`` and then ``AUTH_FAIL`` or
+        ``AUTH_OK`` and ``CONNECT``; at each established session's close,
+        ``DISCONNECT`` with the close's timestamp, ``session_length =
+        max(0, end - start)`` and the count of data-management events the
+        session served.  Returns the rows' open requests (the script
+        indices) and their own columns, :meth:`TraceSink.gather`'s
+        ``sessions``.
+        """
+        n = len(table)
+        scripts = np.arange(n)
+        established = spans.closed > spans.opened
+        ok = np.flatnonzero(established)
+        done = np.flatnonzero(established & (spans.closed < len(rank)))
+        # Three slots per rank: the open's rows in emission order, the
+        # close's one row in its own rank's first slot.
+        slot = np.concatenate([3 * spans.opened, 3 * spans.opened + 1,
+                               3 * spans.opened[ok] + 2,
+                               3 * spans.closed[done]])
+        order = np.argsort(slot)
+        rows = np.concatenate([scripts, scripts, ok, done])[order]
+        event = np.concatenate([
+            np.full(n, _AUTH_REQUEST, dtype=np.int16),
+            np.where(established, _AUTH_OK, _AUTH_FAIL).astype(np.int16),
+            np.full(len(ok), _CONNECT, dtype=np.int16),
+            np.full(len(done), _DISCONNECT, dtype=np.int16)])[order]
+        # A session serves the events its script dispatched while open.
+        events = rank[n:n + table.n_events]
+        script = script_of[n:]
+        served = ((events > spans.opened[script])
+                  & (events < spans.closed[script])
+                  & np.isin(table.operation, _DATA_MANAGEMENT_CODES))
+        operations = np.bincount(script[served], minlength=n)
+        close = event == _DISCONNECT
+        start, end = table.start[rows], table.end[rows]
+        return rows, {
+            "timestamp": np.where(close, end, start),
+            "event": event,
+            "session_length": np.where(close, np.maximum(0.0, end - start),
+                                       -1.0),
+            "storage_operations": np.where(close, operations[rows], 0)}
 
     def _resolve_faults(self, table: ScriptTable) -> tuple:
         """Resolve every event's fault fate before dispatch (mask then
@@ -607,21 +696,19 @@ class ReplayShard:
         return ((error, [DISPOSITION_KINDS[code] for code in codes]),
                 retries)
 
-    def _request_sources(self, table: ScriptTable,
-                         assigned: list[int]) -> dict:
+    def _request_sources(self, table: ScriptTable, script_of: np.ndarray,
+                         process_of: np.ndarray) -> dict:
         """The request columns of the shard's timeline
         (:meth:`TraceSink.gather`): its session opens, then its events, so
         a timeline ordinal is its request's row.
 
         Event fields are the table's event columns (an open's are zero
         fillers no storage row reads, its operation is ``AUTHENTICATE``),
-        script fields the table's script columns, ``server`` and
-        ``process`` those of the process each session was opened on.
+        script fields the table's script columns (``script_of`` maps a
+        row to its script), ``server`` and ``process`` those of the process
+        each session was opened on (``process_of``, per row).
         """
         n = len(table)
-        scripts = np.arange(n)
-        script_of = np.concatenate([scripts, np.repeat(scripts, table.counts)])
-        process_of = np.asarray(assigned, dtype=np.int64)[script_of]
         servers = list(dict.fromkeys(p.address.server for p in self.processes))
         sources = {
             "timestamp": np.concatenate([table.start, table.times]),
@@ -650,20 +737,26 @@ class ReplayShard:
     def run(self, table: ScriptTable) -> ShardOutcome:
         """Replay this shard's scripts and summarise the outcome.
 
-        The loop is the classic timsort-merge replay: opens before events
-        before closes at equal timestamps, sessions pinned to the process the
-        balancer picked at connect time, uploadjob GC driven by the shard's
-        own timeline.
+        The loop (:meth:`_dispatch`) is the classic timsort-merge replay:
+        opens before events before closes at equal timestamps, sessions
+        pinned to the process the balancer picked at connect time, uploadjob
+        GC driven by the shard's own timeline.  Everything else about a
+        session is a pure function of the timeline order and the loop's
+        outcomes (each session's process, whether it was established, the
+        successful mutations), computed after it in column passes: the
+        session rows (:meth:`_session_rows`), the notification fan-out
+        (:meth:`SessionRegistry.fan_out`) and the gateway's assignment
+        counts.
         """
         started = time.perf_counter()
-        order, ts_col, kind_col, script_col, rows = \
+        order, rank, ts_col, kind_col, script_col, rows = \
             self._build_timeline(table)
         auth_failed, resolved = self._resolve_faults(table)
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
-        assigned = self._dispatch(table, order, ts_col, kind_col,
-                                  script_col, rows, auth_failed)
+        assigned, established = self._dispatch(table, order, ts_col, kind_col,
+                                               script_col, rows, auth_failed)
         del rows  # the dispatch rows' tuples are not needed by the pack
         timeline_end = ts_col[order[-1]] if order else 0.0
         dispatch_seconds = time.perf_counter() - dispatch_started
@@ -674,12 +767,21 @@ class ReplayShard:
         # gathered by request reference from the request columns in one
         # NumPy pass per field.
         pack_started = time.perf_counter()
+        n = len(table)
+        scripts = np.arange(n)
+        script_of = np.concatenate([scripts, np.repeat(scripts, table.counts)])
+        spans = self._session_spans(table, rank, assigned, established)
         storage_faults = (self._count_faults(table, resolved)
                           if resolved is not None else None)
         storage, rpc, sessions = self.sink.gather(
-            self._request_sources(table, assigned), storage_faults)
+            self._request_sources(table, script_of,
+                                  spans.process[script_of]),
+            storage_faults,
+            self._session_rows(table, spans, rank, script_of))
+        pushed = self.registry.fan_out(spans, rank, script_of,
+                                       len(self.processes), self.bus)
+        assignments = np.bincount(spans.process, minlength=len(self.processes))
         pack_seconds = time.perf_counter() - pack_started
-        totals = self.gateway.total_assigned()
         return ShardOutcome(
             shard_id=self.shard_id,
             seconds=time.perf_counter() - started,
@@ -692,11 +794,11 @@ class ReplayShard:
             dispatch_seconds=dispatch_seconds,
             pack_seconds=pack_seconds,
             process_counters={
-                index: ProcessTotals(p.address, p.notifications_pushed)
-                for index, p in zip(self._address_indices, self.processes)},
-            gateway_totals={index: totals[p.address]
-                            for index, p in zip(self._address_indices,
-                                                self.processes)},
+                index: ProcessTotals(p.address, count)
+                for index, p, count in zip(self._address_indices,
+                                           self.processes, pushed.tolist())},
+            gateway_totals=dict(zip(self._address_indices,
+                                    assignments.tolist())),
             object_count=len(self.objects),
             accounting=self.objects.accounting,
             faults=self.faults.accounting if self.faults is not None else None,

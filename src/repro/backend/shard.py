@@ -74,10 +74,6 @@ class MetadataShard:
         row = self.get_user_data(user_id)
         return self._volumes[row.root_volume_id]
 
-    def user_count(self) -> int:
-        """Number of users whose metadata lives in this shard."""
-        return len(self._users)
-
     # ---------------------------------------------------------------- volumes
     def create_volume(self, user_id: int, volume_id: int,
                       volume_type: VolumeType, now: float) -> Volume:
@@ -259,10 +255,6 @@ class MetadataShard:
         if not entry:
             return None
         return next(iter(entry.values()))
-
-    def node_count(self) -> int:
-        """Number of live nodes stored in this shard."""
-        return len(self._nodes)
 
     # ------------------------------------------------------------ uploadjobs
     def make_uploadjob(self, user_id: int, node_id: int, volume_id: int,

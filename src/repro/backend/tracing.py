@@ -13,11 +13,11 @@ Most fields of a trace row are the fields of the request it serves
 * a storage row: its request's reference and the metadata shard id (a
   replay shard gives ``error_kind``/``retries`` from its fault dispositions);
 * an RPC row: its request's reference, the RPC code, the shard id and the
-  service time;
-* a session row: the reference of its session's open and the
-  ``SessionEvent`` code, plus the close timestamp, ``session_length`` and
-  ``storage_operations`` in a sparse table for a ``DISCONNECT`` row
-  (the other rows carry the open's timestamp, ``-1.0`` and ``0``).
+  service time.
+
+Session rows are not written one by one: a replay shard builds them as
+columns after dispatch, from each session's open request and outcome, and
+hands them to :meth:`TraceSink.gather`.
 
 A reference ``>= 0`` is a row of a replay shard's request columns (its
 timeline ordinal: a session open or an event); the shard resolves it when
@@ -42,17 +42,20 @@ import numpy as np
 
 from repro.trace.dataset import (
     REQUEST_FIELDS,
-    SESSION_EVENT_CODE,
     ColumnBlock,
     TraceDataset,
     concat_stored,
     request_column,
 )
-from repro.trace.records import SessionEvent
 
 __all__ = ["TraceSink"]
 
-_DISCONNECT = SESSION_EVENT_CODE[SessionEvent.DISCONNECT]
+#: The session block of a sink with no session rows: no request rows, and
+#: the fields a session row does not take from its request.
+_NO_SESSIONS = (np.zeros(0, dtype=np.int64), {
+    "timestamp": np.zeros(0), "event": np.zeros(0, dtype=np.int16),
+    "session_length": np.zeros(0),
+    "storage_operations": np.zeros(0, dtype=np.int64)})
 
 
 def _typed(buffer: list, dtype) -> np.ndarray:
@@ -63,19 +66,11 @@ def _typed(buffer: list, dtype) -> np.ndarray:
 class TraceSink:
     """Accumulates the trace rows produced during a simulation run."""
 
-    __slots__ = ("_dataset", "session_refs", "session_events",
-                 "session_closes", "storage_refs", "storage_shards",
-                 "rpc_refs", "rpc_codes", "rpc_shards",
-                 "rpc_service_times", "_explicit")
+    __slots__ = ("_dataset", "storage_refs", "storage_shards", "rpc_refs",
+                 "rpc_codes", "rpc_shards", "rpc_service_times", "_explicit")
 
     def __init__(self, dataset: TraceDataset | None = None):
         self._dataset = dataset if dataset is not None else TraceDataset()
-        #: Per session row: the open's reference, ``SESSION_EVENT_CODE``.
-        self.session_refs: list[int] = []
-        self.session_events: list[int] = []
-        #: session row position -> ``(timestamp, session_length,
-        #: storage_operations)``, DISCONNECT rows only.
-        self.session_closes: dict[int, tuple[float, float, int]] = {}
         #: Per storage row: request reference, metadata shard id.
         self.storage_refs: list[int] = []
         self.storage_shards: list[int] = []
@@ -85,8 +80,7 @@ class TraceSink:
         self.rpc_shards: list[int] = []
         self.rpc_service_times: list[float] = []
         # Requests with no timeline ordinal (REQUEST_FIELDS tuples), kept
-        # for the sink's lifetime: a session row gathered after its open's
-        # still refers to it.  The reference of entry k is -1 - k.
+        # for the sink's lifetime.  The reference of entry k is -1 - k.
         self._explicit: list[tuple] = []
 
     def explicit(self, request: tuple) -> int:
@@ -95,16 +89,8 @@ class TraceSink:
         self._explicit.append(request)
         return -len(self._explicit)
 
-    def session_close(self, ref: int, timestamp: float, session_length: float,
-                      storage_operations: int) -> None:
-        """Record the ``DISCONNECT`` row of the session opened by request
-        ``ref``."""
-        self.session_closes[len(self.session_refs)] = (
-            timestamp, session_length, storage_operations)
-        self.session_refs.append(ref)
-        self.session_events.append(_DISCONNECT)
-
-    def gather(self, sources: dict | None = None, storage_faults=None
+    def gather(self, sources: dict | None = None, storage_faults=None,
+               sessions: tuple | None = None
                ) -> tuple[ColumnBlock, ColumnBlock, ColumnBlock]:
         """Gather the buffered rows into ``(storage, rpc, sessions)``
         column blocks and empty the buffers.
@@ -113,7 +99,11 @@ class TraceSink:
         requests in stored form, a reference ``>= 0`` being a row there; a
         sink that only saw explicit requests needs none.
         ``storage_faults`` is ``(error_kind, retries)`` of the storage rows
-        in stored form; without it every row is clean.
+        in stored form; without it every row is clean.  ``sessions`` is
+        ``(rows, columns)``: the session rows' open requests (rows of
+        ``sources``) and their ``timestamp``, ``event``,
+        ``session_length`` and ``storage_operations`` columns; without it
+        the session block is empty.
         """
         explicit = self._explicit
         offset = 0 if sources is None else len(sources["timestamp"])
@@ -148,33 +138,19 @@ class TraceSink:
                 "rpc": _typed(self.rpc_codes, np.int16),
                 "shard_id": _typed(self.rpc_shards, np.int64),
                 "service_time": _typed(self.rpc_service_times, np.float64)})
-        rows = rows_of(self.session_refs)
-        timestamps = merged["timestamp"][rows]
-        lengths = np.full(len(rows), -1.0)
-        operations = np.zeros(len(rows), dtype=np.int64)
-        if self.session_closes:
-            closes = np.fromiter(self.session_closes, dtype=np.int64,
-                                 count=len(self.session_closes))
-            (timestamps[closes], lengths[closes],
-             operations[closes]) = zip(*self.session_closes.values())
-        sessions = ColumnBlock.gather("sessions", merged, rows, {
-            "timestamp": timestamps,
-            "event": _typed(self.session_events, np.int16),
-            "session_length": lengths,
-            "storage_operations": operations})
+        rows, columns = sessions or _NO_SESSIONS
+        sessions = ColumnBlock.gather("sessions", merged, rows, columns)
         # Cleared in place: the writers hold the buffers' bound appenders.
         for buffer in (self.storage_refs, self.storage_shards, self.rpc_refs,
                        self.rpc_codes, self.rpc_shards,
-                       self.rpc_service_times, self.session_refs,
-                       self.session_events):
+                       self.rpc_service_times):
             buffer.clear()
-        self.session_closes.clear()
         return storage, rpc, sessions
 
     @property
     def dataset(self) -> TraceDataset:
         """The trace so far, with every buffered row gathered into it."""
-        if self.storage_refs or self.rpc_refs or self.session_refs:
+        if self.storage_refs or self.rpc_refs:
             for stream, block in zip(
                     (self._dataset._storage, self._dataset._rpc,
                      self._dataset._sessions), self.gather()):

@@ -155,12 +155,16 @@ def verify_run_dir(run_dir: Path | str, *, deep: bool = True) -> list[Finding]:
     """Audit one run directory; return findings (empty means clean).
 
     ``deep`` additionally reconstructs every checksum-clean shard payload
-    (still pickle-free) to catch writer bugs a checksum cannot.
+    (still pickle-free) to catch writer bugs a checksum cannot.  A run of
+    another checkpoint format is one fatal finding: its payloads are not
+    parsed, since no resume ever reads them (the format is part of the
+    run key).
     """
     run_dir = Path(run_dir)
     manifest, findings = _load_manifest(run_dir)
     if manifest is None:
         return findings
+    deep = deep and all(f.code != "checkpoint-format" for f in findings)
     shards = manifest["shards"]
     for shard_key in sorted(shards, key=lambda k: (len(k), k)):
         findings.extend(_verify_entry(run_dir, shard_key, shards[shard_key],

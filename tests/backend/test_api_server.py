@@ -3,7 +3,10 @@
 Requests enter the process the way a replay shard sends them: a dispatch
 row plus a trace-sink reference (``tests.conftest.send_event``).  What a
 request did is read off the observable state: the trace rows, the object
-store's accounting, the metadata shards and the notification bus.
+store's accounting, the metadata shards and the mutations the process
+recorded.  Session rows and the notification fan-out are built by a replay
+shard after dispatch, so their tests replay scripts through one
+(``tests.conftest.replay_scripts``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.cluster import ClusterConfig
 from repro.backend.metadata_store import ShardedMetadataStore
-from repro.backend.notifications import NotificationBus
 from repro.backend.replay_shard import UploadJobCollector
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
@@ -56,7 +58,6 @@ def _build_process(dedup_enabled=True, delta_updates_enabled=False,
     store = ShardedMetadataStore(n_shards=n_shards)
     objects = ObjectStore()
     auth = AuthenticationService(rng=np.random.default_rng(seed), failure_fraction=0.0)
-    bus = NotificationBus()
     registry = SessionRegistry()
     latency = ServiceTimeModel(np.random.default_rng(seed),
                                shard_skew_factors(seed, n_shards))
@@ -64,27 +65,32 @@ def _build_process(dedup_enabled=True, delta_updates_enabled=False,
     process = ApiServerProcess(
         address=ProcessAddress("api0", 0), metadata_store=store,
         rpc_worker=worker, object_store=objects,
-        auth=auth, bus=bus, registry=registry, sink=sink,
+        auth=auth, registry=registry, sink=sink,
         rng=np.random.default_rng(seed), dedup_enabled=dedup_enabled,
         delta_updates_enabled=delta_updates_enabled,
         interrupted_upload_fraction=interrupted_upload_fraction)
-    return process, sink, objects, registry, bus
+    return process, sink, objects, registry, store
 
 
 def _rpcs(sink) -> list[RpcName]:
     return [r.rpc for r in sink.dataset.rpc]
 
 
+def _replay(scripts, processes: int = 1):
+    """Replay ``scripts`` through one replay shard of ``processes`` API
+    processes (no auth failures, no interrupted uploads)."""
+    return replay_scripts(ClusterConfig(
+        seed=0, api_machines=1, processes_per_machine=processes,
+        metadata_shards=4, replay_shards=1, auth_failure_fraction=0.0,
+        interrupted_upload_fraction=0.0), scripts)
+
+
 class TestSessions:
     def test_open_and_close_session_emit_records(self):
-        process, sink, _, registry, _ = _build_process()
+        process, sink, _, _, _ = _build_process()
         handle = open_session(process, user_id=1, session_id=1, timestamp=5.0)
         assert handle is not None
-        assert 1 in process._sessions
-        assert registry.fellow_sessions(1, 0, process.address) == (1, 0)
-        events = [r.event for r in sink.dataset.sessions]
-        assert events[:3] == [SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
-                              SessionEvent.CONNECT]
+        assert (handle.session_id, handle.user_id) == (1, 1)
         # Authentication + bootstrap RPCs were traced.
         rpcs = {r.rpc for r in sink.dataset.rpc}
         assert RpcName.GET_USER_ID_FROM_TOKEN in rpcs
@@ -92,36 +98,34 @@ class TestSessions:
         assert {r.api_operation for r in sink.dataset.rpc} == {
             ApiOperation.AUTHENTICATE}
 
-        process.close_session(1, timestamp=65.0)
-        assert not process._sessions
-        disconnect = sink.dataset.sessions[-1]
+        _, dataset = _replay([script(1, 1, 5.0, 65.0)])
+        events = [r.event for r in dataset.sessions]
+        assert events == [SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
+                          SessionEvent.CONNECT, SessionEvent.DISCONNECT]
+        assert {r.rpc for r in dataset.rpc} == rpcs
+        disconnect = dataset.sessions[-1]
         assert disconnect.event is SessionEvent.DISCONNECT
         assert disconnect.session_length == pytest.approx(60.0)
-        assert registry.fellow_sessions(1, 0, process.address) == (0, 0)
 
     def test_failed_authentication(self):
-        process, sink, _, registry, _ = _build_process()
+        process, _, _, _, _ = _build_process()
         handle = open_session(process, user_id=1, session_id=1, timestamp=5.0,
                               force_auth_failure=True)
         assert handle is None
-        assert not process._sessions
-        assert sink.dataset.sessions[-1].event is SessionEvent.AUTH_FAIL
-        assert registry.fellow_sessions(1, 0, process.address) == (0, 0)
+        # A denied session is not closed: its last row is the failure.
+        _, dataset = _replay([script(1, 1, 5.0, 65.0, auth_failed=True)])
+        assert [r.event for r in dataset.sessions] == [
+            SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_FAIL]
 
     def test_session_is_routed_to_its_users_shard(self):
-        process, sink, _, _, _ = _build_process(n_shards=4)
+        process, sink, _, _, store = _build_process(n_shards=4)
         for user_id in range(1, 7):
             handle = open_session(process, user_id, user_id, float(user_id))
             assert handle.shard_id == user_id % 4
-            assert handle.shard is process.store.shard_and_id(user_id)[0]
+            assert handle.shard is store.shard_and_id(user_id)[0]
             assert handle.shard.shard_id == handle.shard_id
         assert {(r.user_id, r.shard_id) for r in sink.dataset.rpc} == {
             (user_id, user_id % 4) for user_id in range(1, 7)}
-
-    def test_close_unknown_session_is_noop(self):
-        process, sink, _, _, _ = _build_process()
-        process.close_session(999, timestamp=1.0)
-        assert not sink.dataset.sessions
 
 
 class TestUploads:
@@ -158,7 +162,7 @@ class TestUploads:
         assert objects.accounting.bytes_uploaded == 200_000
 
     def test_large_upload_uses_multipart_and_uploadjob(self):
-        process, sink, objects, _, _ = _build_process()
+        process, sink, objects, _, store = _build_process()
         handle = open_session(process, 1, 1, 1.0)
         send_event(process, handle, event_row(ApiOperation.UPLOAD, size=12 * MB,
                                               content_hash="h-big"))
@@ -170,10 +174,10 @@ class TestUploads:
         assert rpcs[-2:] == [RpcName.MAKE_CONTENT, RpcName.DELETE_UPLOADJOB]
         assert objects.size_of("h-big") == 12 * MB
         # The job was committed and removed from the metadata store.
-        assert all(not jobs for _, jobs in process.store.pending_uploadjobs())
+        assert all(not jobs for _, jobs in store.pending_uploadjobs())
 
     def test_interrupted_upload_leaves_pending_job(self):
-        process, sink, objects, _, bus = _build_process(
+        process, sink, objects, registry, store = _build_process(
             interrupted_upload_fraction=1.0)
         handle = open_session(process, 1, 1, 1.0)
         open_session(process, 1, 2, 1.5)  # a second device to notify
@@ -182,13 +186,13 @@ class TestUploads:
         # One 5 MB chunk went up before the client went away.
         assert 0 < objects.accounting.bytes_uploaded < 20 * MB
         assert "h-partial" not in objects
-        pending = list(process.store.pending_uploadjobs())
+        pending = list(store.pending_uploadjobs())
         assert pending and pending[0][1]
         rpcs = _rpcs(sink)
         assert rpcs.count(RpcName.ADD_PART_TO_UPLOADJOB) == 1
         assert RpcName.MAKE_CONTENT not in rpcs
         # A failed mutation notifies nobody; it is still a storage row.
-        assert bus.pushes == 0
+        assert registry.mutations == []
         assert sink.dataset.storage[-1].operation is ApiOperation.UPLOAD
 
     def test_delta_updates_reduce_transferred_bytes(self):
@@ -213,20 +217,20 @@ class TestOtherOperations:
         assert _rpcs(sink)[-1] is RpcName.GET_NODE
 
     def test_download_of_pre_trace_file_registers_it(self):
-        process, sink, objects, _, _ = _build_process()
+        process, sink, objects, _, store = _build_process()
         handle = open_session(process, 1, 1, 1.0)
         send_event(process, handle, event_row(ApiOperation.DOWNLOAD, node_id=77,
                                               content_hash="old", size=5_000))
         assert objects.accounting.bytes_downloaded == 5_000
         assert "old" in objects
-        shard, _ = process.store.shard_and_id(1)
+        shard, _ = store.shard_and_id(1)
         assert shard.get_node(77).content_hash == "old"
         # The registration is quiet: only the download's GET_NODE is traced.
         assert [r.rpc for r in sink.dataset.rpc
                 if r.api_operation is ApiOperation.DOWNLOAD] == [RpcName.GET_NODE]
 
     def test_make_unlink_and_move(self):
-        process, sink, objects, _, _ = _build_process()
+        process, sink, objects, _, store = _build_process()
         handle = open_session(process, 1, 1, 1.0)
         send_event(process, handle, event_row(ApiOperation.MAKE, node_id=30, size=0,
                                               content_hash=""))
@@ -234,7 +238,7 @@ class TestOtherOperations:
                                               content_hash="h30"))
         send_event(process, handle, event_row(ApiOperation.MOVE, node_id=30,
                                               volume_id=99))
-        shard, _ = process.store.shard_and_id(1)
+        shard, _ = store.shard_and_id(1)
         assert shard.get_node(30).volume_id == 99
         send_event(process, handle, event_row(ApiOperation.UNLINK, node_id=30))
         assert "h30" not in objects  # content released with its last reference
@@ -253,14 +257,14 @@ class TestOtherOperations:
         assert RpcName.MAKE_DIR in _rpcs(sink)
 
     def test_volume_lifecycle(self):
-        process, sink, objects, _, _ = _build_process()
+        process, sink, objects, _, store = _build_process()
         handle = open_session(process, 1, 1, 1.0)
         send_event(process, handle, event_row(ApiOperation.CREATE_UDF, node_id=0,
                                               volume_id=200, size=0,
                                               content_hash=""))
         send_event(process, handle, event_row(ApiOperation.UPLOAD, node_id=50,
                                               volume_id=200, content_hash="h50"))
-        shard, _ = process.store.shard_and_id(1)
+        shard, _ = store.shard_and_id(1)
         assert shard.has_node(50) and "h50" in objects
         send_event(process, handle, event_row(ApiOperation.DELETE_VOLUME, node_id=0,
                                               volume_id=200, size=0,
@@ -286,17 +290,16 @@ class TestOtherOperations:
             assert (last.rpc, last.api_operation) == (rpc, operation)
             assert sink.dataset.storage[-1].operation is operation
 
-    def test_storage_operations_counted_on_handle(self):
-        process, sink, _, _, _ = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        send_event(process, handle, event_row(ApiOperation.UPLOAD))
-        send_event(process, handle, event_row(ApiOperation.GET_DELTA, node_id=0,
-                                              size=0, content_hash=""))
-        process.close_session(1, timestamp=100.0)
-        disconnect = sink.dataset.sessions[-1]
+    def test_storage_operations_counted_on_the_disconnect(self):
+        shard, dataset = _replay([script(
+            1, 1, 1.0, 100.0, times=[10.0, 11.0],
+            operation=[ApiOperation.UPLOAD, ApiOperation.GET_DELTA],
+            node_id=10, volume_id=5, size_bytes=100_000,
+            content_hash=["h1", ""])])
+        disconnect = dataset.sessions[-1]
         assert disconnect.storage_operations == 1  # GetDelta is maintenance
-        assert [(r.server, r.process) for r in sink.dataset.storage] \
-            == [tuple(process.address)] * 2
+        assert [(r.server, r.process) for r in dataset.storage] \
+            == [tuple(shard.processes[0].address)] * 2
 
 
 #: StorageAccounting fields a download moves.
@@ -324,7 +327,6 @@ def _download_rows(uploaded_node: int):
         "rpc": rpc,
         "moved": {name: after[name] - before[name] for name in _TRANSFER_FIELDS},
         "rpc_calls": len(sink.dataset.rpc) - calls,
-        "storage_operations": handle.storage_operations,
     }
 
 
@@ -344,7 +346,7 @@ class TestDownloadBranches:
 
 class TestUploadJobCollection:
     def test_sweep_rpcs_run_on_the_job_owners_shard(self):
-        process, sink, _, _, _ = _build_process(
+        process, sink, _, _, store = _build_process(
             n_shards=4, interrupted_upload_fraction=1.0)
         for user_id in (1, 2, 7):
             handle = open_session(process, user_id, user_id, 1.0)
@@ -352,7 +354,7 @@ class TestUploadJobCollection:
                 ApiOperation.UPLOAD, timestamp=2.0, size=20 * MB,
                 content_hash=f"h-partial-{user_id}"))
         before = len(sink.dataset.rpc)
-        collector = UploadJobCollector(process.store, process, interval=1.0)
+        collector = UploadJobCollector(store, process, interval=1.0)
         collector.collect(3.0 + GARBAGE_COLLECTION_AGE)
         swept = sink.dataset.rpc[before:]
         assert Counter(r.rpc for r in swept) == {
@@ -361,43 +363,47 @@ class TestUploadJobCollection:
         assert {(r.user_id, r.shard_id) for r in swept} == {
             (1, 1), (2, 2), (7, 3)}
         assert all(r.api_operation is None for r in swept)
-        assert all(not jobs for _, jobs in process.store.pending_uploadjobs())
+        assert all(not jobs for _, jobs in store.pending_uploadjobs())
 
 
 class TestNotifications:
     def test_mutation_notifies_other_sessions_of_same_user(self):
-        process, _, _, _, bus = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        open_session(process, 1, 2, 2.0)   # second device of the same user
-        send_event(process, handle, event_row(ApiOperation.UPLOAD))
+        shard, _ = _replay([
+            script(1, 1, 1.0, 20.0, times=[5.0],
+                   operation=ApiOperation.UPLOAD, node_id=10, volume_id=5,
+                   size_bytes=100_000, content_hash="h1"),
+            script(1, 2, 2.0, 20.0),  # second device of the same user
+        ])
+        bus = shard.bus
         assert bus.pushes == 1
         assert bus.short_circuits == 1    # same process: queue bypassed
         assert bus.published == 0
 
     def test_no_notification_for_single_session_users(self):
-        process, _, _, _, bus = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        send_event(process, handle, event_row(ApiOperation.UPLOAD))
-        assert bus.pushes == 0
+        shard, _ = _replay([script(
+            1, 1, 1.0, 20.0, times=[5.0], operation=ApiOperation.UPLOAD,
+            node_id=10, volume_id=5, size_bytes=100_000, content_hash="h1")])
+        assert shard.bus.pushes == 0
 
     def test_reads_notify_nobody(self):
-        process, _, _, _, bus = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        open_session(process, 1, 2, 2.0)
-        send_event(process, handle, event_row(ApiOperation.UPLOAD))
-        pushes = bus.pushes
-        send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
-        send_event(process, handle, event_row(ApiOperation.GET_DELTA, node_id=0,
-                                              size=0, content_hash=""))
-        assert bus.pushes == pushes
+        shard, _ = _replay([
+            script(1, 1, 1.0, 20.0, times=[5.0, 6.0, 7.0],
+                   operation=[ApiOperation.UPLOAD, ApiOperation.DOWNLOAD,
+                              ApiOperation.GET_DELTA],
+                   node_id=[10, 10, 0], volume_id=5,
+                   size_bytes=[100_000, 100_000, 0],
+                   content_hash=["h1", "h1", ""]),
+            script(1, 2, 2.0, 20.0),
+        ])
+        # Only the upload notified the second device.
+        assert shard.bus.pushes == 1
 
 
 class TestOneEntryPoint:
     def test_handle_event_is_the_only_request_entry(self):
         public = {name for name, value in vars(ApiServerProcess).items()
                   if callable(value) and not name.startswith("_")}
-        assert public == {"open_session", "close_session",
-                          "deliver_notification", "handle_event"}
+        assert public == {"open_session", "handle_event"}
 
     def test_every_client_operation_has_one_implementation(self):
         session_management = {ApiOperation.AUTHENTICATE,

@@ -120,7 +120,7 @@ class TestReplayHandCraftedScripts:
 
     def test_gateway_connections_released_after_replay(self):
         shard, _ = replay_scripts(ClusterConfig(seed=1), self._scripts())
-        assert all(v == 0 for v in shard.gateway._open_connections.values())
+        assert all(v == 0 for v in shard.gateway._open_connections)
 
 
 class TestReplaySyntheticWorkload:

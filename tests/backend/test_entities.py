@@ -31,15 +31,11 @@ class TestEntities:
 
     def test_session_handle_fields(self):
         shard = MetadataShard(shard_id=2)
-        handle = SessionHandle(1, 2, 0.5, shard, 2)
-        assert (handle.session_id, handle.user_id, handle.established_at) == \
-            (1, 2, 0.5)
+        handle = SessionHandle(1, 2, shard, 2)
+        assert (handle.session_id, handle.user_id) == (1, 2)
         assert (handle.shard, handle.shard_id) == (shard, 2)
-        assert (handle.open_ref, handle.storage_operations) == (0, 0)
-        handle.storage_operations += 1
-        assert handle.storage_operations == 1
 
     def test_session_handle_requires_its_shard(self):
         with pytest.raises(TypeError):
-            SessionHandle(1, 2, 0.5)
+            SessionHandle(1, 2)
 

@@ -1,13 +1,20 @@
-"""Unit tests for the load balancer / system gateway."""
+"""Unit tests for the load balancer / system gateway.
+
+The balancer names processes by index; the address-keyed balancer it
+replaced is kept in ``reference_gateway.py`` as its oracle.
+"""
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.backend.gateway import LoadBalancer, ProcessAddress
+from tests.backend.reference_gateway import AddressBalancer
 
 
 def _processes(n_machines=3, per_machine=2) -> list[ProcessAddress]:
@@ -26,7 +33,7 @@ class TestLoadBalancer:
         # Every process got exactly one session before any got a second one.
         assert len(set(first_round)) == 6
         counts = balancer._open_connections
-        assert set(counts.values()) == {1}
+        assert set(counts) == {1}
 
     def test_sequential_sessions_reach_every_process(self):
         # Non-overlapping sessions tie on zero open connections every time;
@@ -34,8 +41,12 @@ class TestLoadBalancer:
         for seed in range(5):
             balancer = LoadBalancer(_processes(),
                                     rng=np.random.default_rng(seed))
+            assigned = Counter()
             for _ in range(6):
-                balancer.release(balancer.assign())
+                index = balancer.assign()
+                assigned[index] += 1
+                balancer.release(index)
+            balancer.absorb_totals(assigned)
             assert set(balancer.total_assigned().values()) == {1}
 
     def test_release_frees_capacity(self):
@@ -45,18 +56,23 @@ class TestLoadBalancer:
         balancer.release(a)
         c = balancer.assign()
         assert c == a  # the freed process is the least loaded again
-        assert b in balancer._open_connections
+        assert balancer._open_connections[b] == 1
 
     def test_release_unknown_or_idle_raises(self):
         balancer = LoadBalancer(_processes(1, 1))
         with pytest.raises(ValueError):
-            balancer.release(ProcessAddress("m0", 0))
+            balancer.release(0)
+        with pytest.raises(ValueError):
+            balancer.absorb_totals({1: 1})
 
     def test_total_assigned_accumulates(self):
         balancer = LoadBalancer(_processes(2, 1), rng=np.random.default_rng(1))
+        assigned = Counter()
         for _ in range(10):
-            address = balancer.assign()
-            balancer.release(address)
+            index = balancer.assign()
+            assigned[index] += 1
+            balancer.release(index)
+        balancer.absorb_totals(assigned)
         totals = balancer.total_assigned()
         assert sum(totals.values()) == 10
 
@@ -65,12 +81,63 @@ class TestLoadBalancer:
         assigned = []
         for _ in range(400):
             assigned.append(balancer.assign())
+        balancer.absorb_totals(Counter(assigned))
         assert balancer.imbalance() < 0.05
 
     def test_process_address_ordering_and_str(self):
         a = ProcessAddress("api0", 1)
         assert str(a) == "api0/1"
         assert a < ProcessAddress("api1", 0)
+
+
+@st.composite
+def _sequences(draw):
+    """A fleet of 1-24 processes and up to 400 operations: an open (None)
+    or the close of the k-th connection still held."""
+    n_processes = draw(st.integers(1, 24))
+    operations = draw(st.lists(
+        st.one_of(st.none(), st.integers(0, 10_000)), max_size=400))
+    return n_processes, operations, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAgainstAddressBalancer:
+    @settings(max_examples=300, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(_sequences())
+    def test_same_choices_and_draws(self, sequence):
+        self._check(*sequence)
+
+    def test_long_sequences_over_every_fleet_size(self):
+        rng = np.random.default_rng(34)
+        for n_processes in range(1, 25):
+            for _ in range(3):
+                # Opens outnumber closes two to one: connections pile up.
+                operations = [None if rng.random() < 2 / 3
+                              else int(rng.integers(10_000))
+                              for _ in range(400)]
+                self._check(n_processes, operations,
+                            int(rng.integers(2**32)))
+
+    @staticmethod
+    def _check(n_processes: int, operations: list, seed: int) -> None:
+        fleet = _processes(n_processes, 1)
+        balancer = LoadBalancer(fleet, rng=np.random.default_rng(seed))
+        oracle = AddressBalancer(fleet, rng=np.random.default_rng(seed))
+        held: list[int] = []
+        for operation in operations:
+            if operation is None or not held:
+                index = balancer.assign()
+                assert fleet[index] == oracle.assign()
+                held.append(index)
+            else:
+                index = held.pop(operation % len(held))
+                balancer.release(index)
+                oracle.release(fleet[index])
+        assert balancer._open_connections == [
+            oracle._open_connections[address] for address in fleet]
+        pools = (balancer._pool, oracle._pool)
+        assert [(len(pool._uniform), pool._ui) for pool in pools] == [
+            (len(oracle._pool._uniform), oracle._pool._ui)] * 2
 
 
 class TestProcessAddress:

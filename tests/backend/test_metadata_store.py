@@ -37,7 +37,7 @@ class TestShardedStore:
         for user_id in range(50):
             store.shard_and_id(user_id)[0].ensure_user(user_id, -user_id,
                                                        now=0.0)
-        users_per_shard = [store.shard_and_id(shard_id)[0].user_count()
+        users_per_shard = [len(store.shard_and_id(shard_id)[0]._users)
                            for shard_id in range(5)]
         assert sum(users_per_shard) == 50
         # Routing by modulo spreads sequential ids evenly.
@@ -50,7 +50,7 @@ class TestShardedStore:
         shard = store.shard_and_id(1)[0]
         shard.ensure_user(1, -1, now=0.0)
         shard.make_node(1, -1, 10, NodeKind.FILE, "txt", now=1.0)
-        assert [store.shard_and_id(shard_id)[0].node_count()
+        assert [len(store.shard_and_id(shard_id)[0]._nodes)
                 for shard_id in range(2)] == [0, 1]
 
     def test_pending_uploadjobs_iteration(self):

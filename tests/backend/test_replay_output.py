@@ -1,15 +1,16 @@
 """Column-native replay output against a row-tuple reference.
 
-A replay shard records each storage, RPC and session row as provenance
-(the request's reference plus the back-end's own values) and gathers the
-request fields from its request columns.  The reference here rebuilds
-every row the way the row-tuple sink did: at each write it takes the
-fields of the request being served — tracked from the call stack, not from
-the reference the row carries — and at each session open and close it
-builds the session rows from the call's arguments, its outcome and the
-session's handle.  It packs the 18-field storage, 10-field RPC and 9-field
-session tuples with ``repro.trace.dataset._pack``.  Every shard block must
-equal the packed reference array for array, categories included.
+A replay shard records each storage and RPC row as provenance (the
+request's reference plus the back-end's own values) and gathers the
+request fields from its request columns; it builds its session rows as
+columns after dispatch.  The reference here rebuilds every row the way the
+row-tuple sink did: at each write it takes the fields of the request being
+served — tracked from the call stack, not from the reference the row
+carries — and the session rows come from the record-by-record walk of
+``reference_sessions.py``.  It packs the 18-field storage, 10-field RPC and
+9-field session tuples with ``repro.trace.dataset._pack``.  Every shard
+block must equal the packed reference array for array, categories
+included, and the shard's fan-out counters must equal the walk's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.backend.datastore import ObjectStore
 from repro.backend.gateway import ProcessAddress
 from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.metadata_store import ShardedMetadataStore
-from repro.backend.notifications import NotificationBus
 from repro.backend.replay_shard import ReplayShard, UploadJobCollector
 from repro.backend.rpc_server import RpcWorker
 from repro.backend.tracing import TraceSink
@@ -53,7 +53,19 @@ from repro.trace.records import (
     VolumeType,
 )
 from repro.workload.generator import SyntheticTraceGenerator
-from tests.conftest import event_row, open_session, script, send_event, table_of
+from tests.backend.reference_sessions import (
+    assert_block_equals as _assert_block_equals,
+    assert_shard_equals_walk,
+    recording_dispatch,
+)
+from tests.conftest import (
+    event_row,
+    open_session,
+    replay_scripts,
+    script,
+    send_event,
+    table_of,
+)
 
 _RPC_NAMES = list(RpcName)
 #: Request fields a session open or a bare RPC context does not carry.
@@ -91,7 +103,7 @@ class _RecordingSink(TraceSink):
         self.rpc_requests: list[tuple] = []
         self.storage_values: list[tuple] = []
         self.rpc_values: list[tuple] = []
-        #: The session rows the row-tuple API process appended.
+        #: The session rows of the reference walk.
         self.session_rows: list[tuple] = []
         #: session id -> the session's ``caused_by_attack`` (its script's).
         self.attack_of: dict[int, bool] = {}
@@ -103,7 +115,7 @@ class _RecordingSink(TraceSink):
             requests.extend([self.stack[-1]] * n)
         return note
 
-    def gather(self, sources=None, storage_faults=None):
+    def gather(self, sources=None, storage_faults=None, sessions=None):
         n = len(self.storage_shards)
         faults = [("", 0)] * n
         if storage_faults is not None:
@@ -117,7 +129,7 @@ class _RecordingSink(TraceSink):
                                    self.rpc_service_times))
         assert len(self.storage_requests) == len(self.storage_values) \
             and n == len(self.storage_refs)
-        return super().gather(sources, storage_faults)
+        return super().gather(sources, storage_faults, sessions)
 
     def reference_blocks(self) -> tuple[dict, dict, dict]:
         """Stored columns of the row tuples the row-tuple sink packed."""
@@ -156,42 +168,17 @@ def _open_request(self, user_id, session_id, timestamp, ref,
             self._sink.attack_of[session_id])
 
 
-def _session_rows(open_session, close_session):
-    """Wrap session open and close so that each appends the session rows
-    the row-tuple API process built, from its arguments and outcome."""
-    def opened(self, user_id, session_id, timestamp, ref,
-               force_auth_failure=False):
-        handle = open_session(self, user_id, session_id, timestamp, ref,
-                              force_auth_failure)
-        sink = self._sink
-        head = (timestamp, self._server, self._process, user_id, session_id)
-        tail = (sink.attack_of[session_id], -1.0, 0)
-        events = ((SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_FAIL)
-                  if handle is None else
-                  (SessionEvent.AUTH_REQUEST, SessionEvent.AUTH_OK,
-                   SessionEvent.CONNECT))
-        sink.session_rows.extend((*head, event, *tail) for event in events)
-        return handle
-
-    def closed(self, session_id, timestamp):
-        handle = self._sessions.get(session_id)
-        close_session(self, session_id, timestamp)
-        if handle is not None:
-            self._sink.session_rows.append((
-                timestamp, self._server, self._process, handle.user_id,
-                session_id, SessionEvent.DISCONNECT,
-                self._sink.attack_of[session_id],
-                max(0.0, timestamp - handle.established_at),
-                handle.storage_operations))
-    return opened, closed
-
-
 def _recording_run(run):
-    """Wrap ``ReplayShard.run`` to note each script's attack flag."""
+    """Wrap ``ReplayShard.run`` to note each script's attack flag, and the
+    reference walk's session rows after it (checking the shard's session
+    block and fan-out counters against the walk)."""
     def wrapper(self, table):
         self.sink.attack_of.update(zip(table.session_id.tolist(),
                                        table.caused_by_attack.tolist()))
-        return run(self, table)
+        outcome = run(self, table)
+        self.sink.session_rows = assert_shard_equals_walk(self, table,
+                                                          outcome)
+        return outcome
     return wrapper
 
 
@@ -232,34 +219,12 @@ def _row_reference():
             stack.enter_context(mock.patch.object(
                 owner, name, _serving(sink_of, request_of)(
                     getattr(owner, name))))
-        # Around the open's request tracking: the session rows follow the
-        # outcome of the whole open.
-        for name, wrapper in zip(("open_session", "close_session"),
-                                 _session_rows(ApiServerProcess.open_session,
-                                               ApiServerProcess.close_session)):
-            stack.enter_context(mock.patch.object(ApiServerProcess, name,
-                                                  wrapper))
+        stack.enter_context(recording_dispatch())
         stack.enter_context(mock.patch.object(
             ReplayShard, "run", _recording_run(ReplayShard.run)))
         stack.enter_context(mock.patch.object(
             replay_shard, "TraceSink", _RecordingSink))
         yield
-
-
-def _assert_block_equals(block: ColumnBlock, reference: dict, label: str):
-    assert block.n == len(reference["timestamp"]), label
-    stored = {**block.cols, **block.codes}
-    assert set(stored) == set(reference), label
-    for name, expected in reference.items():
-        value = stored[name]
-        if type(expected) is tuple:
-            assert type(value) is tuple, (label, name)
-            assert value[0].dtype == expected[0].dtype, (label, name)
-            assert np.array_equal(value[0], expected[0]), (label, name)
-            assert value[1] == expected[1], (label, name)
-        else:
-            assert value.dtype == expected.dtype, (label, name)
-            assert np.array_equal(value, expected), (label, name)
 
 
 def _assert_outcome_equals_reference(shard: ReplayShard, outcome) -> None:
@@ -294,9 +259,10 @@ _COLUMN_VALUES = {
 
 @st.composite
 def _scripts(draw):
-    """Scripts mixing varying and constant columns, with empty and
-    auth-failed scripts, on a coarse integer clock so timestamps collide
-    across scripts (and with their opens and closes)."""
+    """Scripts mixing varying and constant columns, with empty,
+    auth-failed and malformed scripts, on a coarse integer clock so
+    timestamps collide across scripts (and with their opens and
+    closes)."""
     scripts = []
     for index in range(draw(st.integers(0, 8))):
         start = draw(st.integers(0, 12))
@@ -305,6 +271,10 @@ def _scripts(draw):
         times = sorted(float(draw(st.integers(start, start + 8)))
                        for _ in range(n))
         end = max([float(start)] + times) + draw(st.integers(0, 3))
+        if draw(st.integers(0, 9)) == 0:
+            # A script the materializer never builds: events past its
+            # close, or its close before its open (never taking effect).
+            end = float(start + draw(st.integers(-2, 2)))
         columns = {}
         for name, values in _COLUMN_VALUES.items():
             if draw(st.booleans()):
@@ -462,7 +432,6 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         store = ShardedMetadataStore(n_shards=2)
         latency = ServiceTimeModel(np.random.default_rng(0),
                                    shard_skew_factors(0, 2))
-        bus = NotificationBus()
         registry = SessionRegistry()
         auth = AuthenticationService(rng=np.random.default_rng(0),
                                      failure_fraction=0.0)
@@ -470,7 +439,7 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         processes = [ApiServerProcess(
             address=ProcessAddress("api0", p),
             metadata_store=store, rpc_worker=RpcWorker(p, latency, sink),
-            object_store=objects, auth=auth, bus=bus, registry=registry,
+            object_store=objects, auth=auth, registry=registry,
             sink=sink, rng=np.random.default_rng(p),
             interrupted_upload_fraction=1.0) for p in range(2)]
         collector = UploadJobCollector(store, processes[0], interval=1.0)
@@ -486,18 +455,12 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         send_event(first, alice, event_row(ApiOperation.GET_DELTA, 6.0,
                                            node_id=0, size=0, content_hash=""))
         collector.collect(7.0)
-        first.close_session(1, 8.0)
-        assert len(sink.dataset.sessions) == 7
-        # A session row gathered after its open's refers to it still.
-        second.close_session(2, 9.0)
         dataset = sink.dataset
     assert collector.sweeps == 2
-    storage, rpc, sessions = sink.reference_blocks()
+    storage, rpc, _ = sink.reference_blocks()
     _assert_block_equals(ColumnBlock.from_stream(dataset._storage), storage,
                          "storage")
     _assert_block_equals(ColumnBlock.from_stream(dataset._rpc), rpc, "rpc")
-    _assert_block_equals(ColumnBlock.from_stream(dataset._sessions), sessions,
-                         "sessions")
     # Emission order, spelled out: the sweep's RPCs (no API operation) sit
     # between the second open's and the download's.
     operations = [r.api_operation for r in dataset.rpc]
@@ -511,6 +474,29 @@ def test_direct_calls_and_gc_sweep_keep_emission_order():
         ApiOperation.UPLOAD, ApiOperation.DOWNLOAD, ApiOperation.GET_DELTA]
     assert [r.server for r in dataset.rpc][:first_gc] == ["api0"] * first_gc
     assert [r.process for r in dataset.storage] == [0, 1, 0]
+    # Session rows are built by a replay shard only.
+    assert not dataset.sessions
+
+
+def test_session_rows_of_the_same_sessions_replayed():
+    """The direct calls' two sessions, replayed through one shard: each
+    session's rows carry its open's request, the closes theirs."""
+    config = ClusterConfig(seed=0, api_machines=1, processes_per_machine=2,
+                           metadata_shards=2, replay_shards=1,
+                           multipart_chunk_bytes=1024,
+                           interrupted_upload_fraction=0.99, gc_interval=1.0,
+                           auth_failure_fraction=0.0)
+    alice = script(1, 1, 1.0, 8.0, times=[2.0, 6.0],
+                   operation=[ApiOperation.UPLOAD, ApiOperation.GET_DELTA],
+                   node_id=[10, 0], size_bytes=[5000, 0],
+                   content_hash=["h1", ""])
+    bob = script(2, 2, 3.0, 9.0, caused_by_attack=True, times=[5.0],
+                 operation=ApiOperation.DOWNLOAD, node_id=11, size_bytes=100,
+                 content_hash="h2")
+    with _row_reference():
+        shard, dataset = replay_scripts(config, [alice, bob])
+    assert shard.collector.sweeps
+    assert len(dataset.sessions) == 8
     assert [(r.event, r.timestamp) for r in dataset.sessions][-2:] == [
         (SessionEvent.DISCONNECT, 8.0), (SessionEvent.DISCONNECT, 9.0)]
     assert dataset.sessions[-1].caused_by_attack

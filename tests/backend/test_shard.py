@@ -20,7 +20,7 @@ class TestUsersAndVolumes:
     def test_ensure_user_is_idempotent(self, shard):
         row = shard.ensure_user(1, -1, now=5.0)
         assert row.user_id == 1
-        assert shard.user_count() == 1
+        assert list(shard._users) == [1]
         assert shard.get_root(1).volume_type is VolumeType.ROOT
 
     def test_unknown_user_raises(self, shard):
@@ -58,7 +58,7 @@ class TestNodes:
     def test_make_get_unlink(self, shard):
         node = shard.make_node(1, -1, 5, NodeKind.FILE, "pdf", now=2.0)
         assert shard.get_node(5) is node
-        assert shard.node_count() == 1
+        assert list(shard._nodes) == [5]
         removed = shard.unlink_node(5)
         assert removed is node
         assert not removed.is_live

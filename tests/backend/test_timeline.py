@@ -8,10 +8,11 @@ here:
   insertion-order sort does (opens, then each script's events, then its
   close, stably sorted by timestamp and record kind), and dispatch every
   event the row its script's events give;
-* the mutation fan-out: the session registry's per-process counts must
-  split a mutation's other open sessions into local and remote pushes
-  exactly as a scan of the user's sessions does, and the notification bus
-  must count the same publishes, deliveries, pushes and short circuits.
+* the mutation fan-out: the session registry's interval pass over the
+  timeline ranks must split a mutation's other open sessions into local
+  and remote pushes exactly as a scan of the sessions open at its rank
+  does, and the notification bus must count the same publishes,
+  deliveries, pushes and short circuits.
 """
 
 from __future__ import annotations
@@ -19,19 +20,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.backend.api_server import ApiServerProcess, SessionRegistry
-from repro.backend.auth import AuthenticationService
-from repro.backend.datastore import ObjectStore
-from repro.backend.gateway import ProcessAddress
-from repro.backend.latency import ServiceTimeModel, shard_skew_factors
-from repro.backend.metadata_store import ShardedMetadataStore
+from repro.backend.api_server import SessionRegistry, SessionSpans
 from repro.backend.notifications import NotificationBus
-from repro.backend.protocol.entities import SessionHandle
 from repro.backend.replay_shard import ReplayShard
-from repro.backend.rpc_server import RpcWorker
-from repro.backend.tracing import TraceSink
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
-from tests.conftest import event_row, open_session, script, send_event, table_of
+from tests.conftest import script, table_of
 
 # ---------------------------------------------------------------------------
 # Timeline
@@ -102,10 +95,11 @@ def _scripts(draw):
 def _sequence(scripts) -> list[tuple]:
     """``(kind, script index, dispatch row)`` per record in the order the
     shard's NumPy timeline replays them."""
-    order, ts_col, kind_col, script_col, rows = \
+    order, rank, ts_col, kind_col, script_col, rows = \
         ReplayShard._build_timeline(table_of(scripts))
     assert len(order) == len(ts_col) == len(kind_col) == len(script_col)
     assert sorted(order) == list(range(len(order)))
+    assert [rank[j] for j in order] == list(range(len(order)))
     # Opens and events index the dispatch rows; closes lie past their end.
     assert len(rows) == len(order) - len(scripts)
     return [(kind_col[j], script_col[j],
@@ -136,129 +130,96 @@ class TestShardTimeline:
 # Mutation fan-out
 # ---------------------------------------------------------------------------
 
-_ADDRESSES = [ProcessAddress("api0", 0), ProcessAddress("api0", 1),
-              ProcessAddress("api1", 0)]
+_PROCESSES = 3
 
 
-def _ops(users: int, sessions: int):
-    """Lists of ``("open", user, session, process)``, ``("close",
-    session)`` and ``("mutate", session, process)`` operations."""
-    return st.lists(st.one_of(
-        st.tuples(st.just("open"), st.integers(1, users),
-                  st.integers(1, sessions), st.integers(0, 2)),
-        st.tuples(st.just("close"), st.integers(1, sessions)),
-        st.tuples(st.just("mutate"), st.integers(1, sessions),
-                  st.integers(0, 2)),
-    ), max_size=40)
+@st.composite
+def _timelines(draw):
+    """Scripts of three users on a coarse integer clock (opens, events and
+    closes tie across scripts), each on a drawn process, established or
+    denied, with a drawn subset of its events succeeding as mutations."""
+    scripts = []
+    for index in range(draw(st.integers(0, 10))):
+        start = draw(st.integers(0, 6))
+        times = sorted(float(draw(st.integers(start, start + 6)))
+                       for _ in range(draw(st.integers(0, 4))))
+        end = max([float(start)] + times) + draw(st.integers(0, 3))
+        scripts.append(script(draw(st.integers(1, 3)), index + 1,
+                              float(start), end, times=times))
+    n = len(scripts)
+    processes = draw(st.lists(st.integers(0, _PROCESSES - 1), min_size=n,
+                              max_size=n))
+    established = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    mutate = draw(st.lists(st.booleans(), min_size=sum(
+        s.n_events for s in scripts), max_size=sum(s.n_events
+                                                   for s in scripts)))
+    return scripts, processes, established, mutate
 
 
-def _scan(placed: dict[int, tuple[int, ProcessAddress]], user_id: int,
-          session_id: int, address: ProcessAddress) -> tuple[int, int]:
+def _scan(placed: dict[int, tuple[int, int]], user_id: int,
+          session_id: int, process: int) -> tuple[int, int]:
     """Local/remote split by a scan of every open session (``session id ->
     (user, process)``)."""
-    others = [other for other, (user, other_address) in placed.items()
+    others = [other for other, (user, other_process) in placed.items()
               if user == user_id and other != session_id]
-    local = sum(1 for other in others if placed[other][1] == address)
+    local = sum(1 for other in others if placed[other][1] == process)
     return local, len(others) - local
 
 
 class TestFanOut:
-    @settings(max_examples=200, deadline=None)
-    @given(_ops(users=3, sessions=8), st.integers(1, 3))
-    def test_registry_split_equals_a_scan(self, ops, probe_user):
-        registry = SessionRegistry()
-        placed: dict[int, tuple[int, ProcessAddress]] = {}
-        for op in ops:
-            if op[0] == "open":
-                _, user_id, session_id, p = op
-                # A re-registered session id moves (possibly to a new user).
-                if session_id in placed:
-                    registry.unregister(placed[session_id][0], session_id)
-                placed[session_id] = (user_id, _ADDRESSES[p])
-                registry.register(user_id, session_id, _ADDRESSES[p])
-            elif op[0] == "close":
-                user_id = placed.pop(op[1], (probe_user,))[0]
-                registry.unregister(user_id, op[1])
-            for user_id in {probe_user, *(u for u, _ in placed.values())}:
-                for session_id in range(1, 9):
-                    for address in _ADDRESSES:
-                        assert registry.fellow_sessions(
-                            user_id, session_id, address) == \
-                            _scan(placed, user_id, session_id, address)
+    """The registry's interval pass splits each mutation's other open
+    sessions into local and remote pushes exactly as a scan of the
+    sessions open at its rank does, and counts the same publishes,
+    deliveries, pushes and short circuits as a brute-force bus."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(_ops(users=2, sessions=5))
-    def test_bus_counters_equal_brute_force(self, ops):
-        sink = TraceSink()
-        store = ShardedMetadataStore(n_shards=2)
-        objects = ObjectStore()
-        auth = AuthenticationService(rng=np.random.default_rng(0),
-                                     failure_fraction=0.0)
-        bus = NotificationBus()
+    @settings(max_examples=300, deadline=None)
+    @given(_timelines())
+    def test_bus_counters_equal_brute_force(self, timeline):
+        scripts, processes, established, mutate = timeline
+        table = table_of(scripts)
+        order, rank, _, _, script_col, _ = ReplayShard._build_timeline(table)
+        n, m = len(table), table.n_events
+        opened, closed = rank[:n], rank[n + m:]
+        # Every event lies inside its script, so an established session
+        # dispatches all of its events.
+        mutations = [j for j in order
+                     if n <= j < n + m and mutate[j - n]
+                     and established[script_col[j]]]
         registry = SessionRegistry()
-        latency = ServiceTimeModel(np.random.default_rng(0),
-                                   shard_skew_factors(0, 2))
-        processes = [
-            ApiServerProcess(
-                address=address, metadata_store=store,
-                rpc_worker=RpcWorker(i, latency, sink),
-                object_store=objects, auth=auth, bus=bus, registry=registry,
-                sink=sink, rng=np.random.default_rng(i))
-            for i, address in enumerate(_ADDRESSES)]
-        open_sessions: dict[int, tuple[int, int]] = {}  # session -> (user, p)
-        handles: dict[int, SessionHandle] = {}
+        registry.mutations.extend(mutations)
+        bus = NotificationBus()
+        spans = SessionSpans(table.user_id,
+                             np.asarray(processes, dtype=np.int64),
+                             opened, np.where(established, closed, opened))
+        pushed = registry.fan_out(spans, rank,
+                                  np.asarray(script_col[:n + m],
+                                             dtype=np.int64),
+                                  _PROCESSES, bus)
+
         expected = {"published": 0, "deliveries": 0, "pushes": 0,
                     "short_circuits": 0}
-        pushed = [0] * len(processes)
-        clock = 0.0
-        for op in ops:
-            clock += 1.0
-            if op[0] == "open":
-                _, user_id, session_id, p = op
-                if session_id in open_sessions:
-                    continue
-                handles[session_id] = open_session(processes[p], user_id,
-                                                   session_id, clock)
-                open_sessions[session_id] = (user_id, p)
-            elif op[0] == "close":
-                if op[1] in open_sessions:
-                    _, p = open_sessions.pop(op[1])
-                    processes[p].close_session(op[1], clock)
-            else:
-                _, session_id, p = op
-                if session_id in open_sessions:
-                    # Sessions are pinned: the holder handles the request.
-                    user_id, p = open_sessions[session_id]
-                    handle = handles[session_id]
-                else:
-                    user_id = 1  # a request from a session that is not open
-                    handle = SessionHandle(session_id, user_id, clock,
-                                           *store.shard_and_id(user_id))
-                others = [q for s, (u, q) in open_sessions.items()
-                          if u == user_id and s != session_id]
-                local = others.count(p)
-                remote = len(others) - local
-                expected["short_circuits"] += local
-                expected["pushes"] += local
-                if remote:
-                    expected["published"] += 1
-                    expected["deliveries"] += len(processes) - 1
-                    for q in range(len(processes)):
-                        if q != p:
-                            on_q = sum(1 for u, r in open_sessions.values()
-                                       if u == user_id and r == q)
-                            pushed[q] += on_q
-                            expected["pushes"] += on_q
-                pushes = bus.pushes
-                send_event(processes[p], handle, event_row(
-                    ApiOperation.UPLOAD, timestamp=clock, node_id=int(clock),
-                    volume_id=-user_id, size=100,
-                    content_hash=f"h{int(clock)}"))
-                # The upload succeeded and notified every other session.
-                assert bus.pushes - pushes == local + sum(
-                    1 for s, (u, q) in open_sessions.items()
-                    if u == user_id and s != session_id and q != p)
+        expected_pushed = [0] * _PROCESSES
+        for j in mutations:
+            placed = {index: (s.user_id, processes[index])
+                      for index, s in enumerate(scripts)
+                      if established[index]
+                      and opened[index] < rank[j] < closed[index]}
+            index = script_col[j]
+            user_id, p = scripts[index].user_id, processes[index]
+            assert index in placed
+            local, remote = _scan(placed, user_id, index, p)
+            expected["short_circuits"] += local
+            expected["pushes"] += local
+            if remote:
+                expected["published"] += 1
+                expected["deliveries"] += _PROCESSES - 1
+                for q in range(_PROCESSES):
+                    if q != p:
+                        on_q = sum(1 for u, r in placed.values()
+                                   if u == user_id and r == q)
+                        expected_pushed[q] += on_q
+                        expected["pushes"] += on_q
         assert {"published": bus.published, "deliveries": bus.deliveries,
                 "pushes": bus.pushes,
                 "short_circuits": bus.short_circuits} == expected
-        assert [proc.notifications_pushed for proc in processes] == pushed
+        assert pushed.tolist() == expected_pushed

@@ -118,11 +118,11 @@ def send_event(process, handle, row: tuple) -> None:
     process.handle_event(handle, row, ref)
 
 
-def replay_scripts(config: ClusterConfig, scripts):
+def replay_outcome(config: ClusterConfig, scripts):
     """Replay session scripts (a :class:`ScriptTable` or a list of
     :class:`Script`\\ s) through one replay shard that owns every API
     process of the cluster (under the config's fault plan, if any); returns
-    ``(shard, dataset)``."""
+    ``(shard, outcome)``."""
     table = scripts if isinstance(scripts, ScriptTable) else table_of(scripts)
     addresses = config.process_addresses()
     schedule = (compile_plan(config.faults, n_processes=len(addresses),
@@ -131,7 +131,13 @@ def replay_scripts(config: ClusterConfig, scripts):
     shard = ReplayShard(config, 0, list(enumerate(addresses)),
                         U1Cluster(config).shard_factors,
                         fault_schedule=schedule)
-    outcome = shard.run(table)
+    return shard, shard.run(table)
+
+
+def replay_scripts(config: ClusterConfig, scripts):
+    """:func:`replay_outcome`, returning ``(shard, dataset)``: the
+    outcome's blocks merged into a trace."""
+    shard, outcome = replay_outcome(config, scripts)
     dataset = TraceDataset.from_sorted_blocks(
         [(outcome.storage, outcome.rpc, outcome.sessions)])
     return shard, dataset

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 
@@ -153,6 +154,29 @@ class TestManifestDamage:
                                          "checkpoint-format"}
         assert all(f.severity == "fatal" for f in findings
                    if f.code.endswith("-format"))
+
+    def test_other_checkpoint_format_is_one_fatal_finding(
+            self, completed_run, tmp_path, monkeypatch):
+        """A run written by an older checkpoint format: one fatal finding,
+        none per shard, and ``repro verify`` exits 4."""
+        from repro.cli import main
+        from repro.util import checkpoint
+
+        outcomes = [checkpoint._unpack_outcome(path.read_bytes())
+                    for path in sorted(completed_run.glob("shard-*.npz"))]
+        assert len(outcomes) == 8
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "_FORMAT", 4)
+            store = CheckpointStore(tmp_path, "format-4",
+                                    n_shards=len(outcomes))
+            for outcome in outcomes:
+                store.save(outcome)
+            store.finalize("complete")
+        findings = verify_run_dir(store.run_dir)
+        assert [(f.code, f.severity) for f in findings] == [
+            ("checkpoint-format", "fatal")]
+        assert main(["verify", str(store.run_dir)],
+                    out=io.StringIO()) == 4
 
     def test_run_key_mismatch(self, run_dir):
         manifest = json.loads((run_dir / "MANIFEST.json").read_text())
