@@ -13,18 +13,16 @@ are handled by a different API process.
 numbers or changes back-end state, and so runs in a replay shard's dispatch
 loop in timeline order: the session open (token, token cache, the
 ``validate`` draw and the two bootstrap RPCs, :meth:`~ApiServerProcess.
-open_session`) and every client request (:meth:`~ApiServerProcess.
-handle_event`, which runs the steps all requests share and then the
-request's operation, each operation with exactly one implementation).  It
-records storage rows as provenance in the trace sink; RPC rows are recorded
-by the :class:`~repro.backend.rpc_server.RpcWorker` it delegates to, whose
-service times consume the latency model's factor stream in call order.
-
-The rest of a session's life is a pure function of the timeline order and
-those outcomes, so it is computed after the loop, in column passes: the
-session rows by the replay shard, and the notification fan-out of every
-successful mutation — which the process only records, as its timeline
-ordinal — by :meth:`SessionRegistry.fan_out`.
+open_session`) and every client request but the download (:meth:`~
+ApiServerProcess.handle_event`), whose RPCs take their latency factors in
+call order.  A download draws nothing and, once its node and content are
+known, changes nothing, so the shard's loop serves it itself and only
+counts its factor (:meth:`repro.backend.replay_shard.ReplayShard.
+_dispatch`).  The rest is computed after the loop in column passes: every
+storage row and service time, the downloads' RPC rows, the session rows,
+and the notification fan-out of every successful mutation — which the
+process only records, as its timeline ordinal — by
+:meth:`SessionRegistry.fan_out`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.backend.notifications import NotificationBus
 from repro.backend.protocol.entities import SessionHandle
 from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
-from repro.trace.dataset import RPC_CODE
 from repro.trace.records import (
     MUTATING_OPERATIONS as _MUTATING_OPERATIONS,
     ApiOperation,
@@ -52,11 +49,8 @@ from repro.trace.records import (
 
 __all__ = ["SessionSpans", "SessionRegistry", "ApiServerProcess"]
 
-# Hot-path constants (module-level loads are faster than enum attribute
-# lookups in the per-request path).
-_DOWNLOAD_OPERATION = ApiOperation.DOWNLOAD
-_GET_NODE_RPC = RpcName.GET_NODE
-_GET_NODE_CODE = RPC_CODE[_GET_NODE_RPC]
+# Session-open constants (module-level loads are faster than enum attribute
+# lookups).
 _GET_USER_DATA_RPC = RpcName.GET_USER_DATA
 _GET_USER_ID_FROM_TOKEN_RPC = RpcName.GET_USER_ID_FROM_TOKEN
 _GET_ROOT_RPC = RpcName.GET_ROOT
@@ -147,13 +141,10 @@ class ApiServerProcess:
                  rng: np.random.Generator,
                  dedup_enabled: bool = True, delta_updates_enabled: bool = False,
                  delta_update_factor: float = 0.05,
-                 interrupted_upload_fraction: float = 0.0,
-                 faults=None):
+                 interrupted_upload_fraction: float = 0.0):
         self.address = address
         self._rpc = rpc_worker
         self._store = metadata_store
-        self._server = address.server
-        self._process = address.process
         self._objects = object_store
         self._auth = auth
         self._rng = rng
@@ -161,21 +152,8 @@ class ApiServerProcess:
         self._delta_updates_enabled = delta_updates_enabled
         self._delta_update_factor = delta_update_factor
         self._interrupted_upload_fraction = interrupted_upload_fraction
-        # Fault injection (repro.faults): a request inside the schedule's
-        # envelope reads whether it fails; outside it, and with no faults at
-        # all, the request path pays one float comparison.
-        self._fault_lo, self._fault_hi = (
-            faults.schedule.envelope if faults is not None
-            else (float("inf"), float("-inf")))
-        #: Per request reference, whether its fault disposition fails it
-        #: before its handler runs; set by the replay shard.
-        self.failing: list[bool] | None = None
-        # Storage rows are recorded as provenance (request reference, shard
-        # id) through the sink's bound buffer appenders, never stale; a
-        # successful mutation records its reference for the fan-out pass.
+        # A successful mutation records its reference for the fan-out pass.
         self._sink = sink
-        self._storage_ref = sink.storage_refs.append
-        self._storage_shard = sink.storage_shards.append
         self._mutated = registry.mutations.append
         self._token_cache = TokenCache()
         # Reusable request context: every RPC row records the context's
@@ -227,84 +205,26 @@ class ApiServerProcess:
 
     # -------------------------------------------------------------- requests
     def handle_event(self, handle: SessionHandle, row: tuple, ref: int) -> None:
-        """Process one client request of the session ``handle`` end to end.
+        """Serve one client request of the session ``handle``: run its
+        operation's :data:`_HANDLERS` entry and, after a successful
+        mutation, record its reference for the notification fan-out.
 
         ``row`` is a replay shard's dispatch row (see
-        :meth:`repro.backend.replay_shard.ReplayShard._build_timeline`) —
-        ``(time, operation, node_id, volume_id, volume_type, node_kind,
-        size_bytes, content_hash, extension, is_update, caused_by_attack)``;
-        user and session identity come from ``handle``, and ``ref`` is the
-        request's trace-sink reference (its timeline ordinal in a replay
-        shard).  The storage row and every RPC row record only ``ref`` and
-        the back-end's own values; the shard gathers the request fields
-        from its event columns.
-
-        The steps every request shares run here, once: the fault
-        disposition (resolved before dispatch: a failing request runs no
-        handler), the storage row and, after a successful mutation, the
-        record of its reference for the notification fan-out.  The
-        download — most of the replayed events — runs inline; every other
-        operation runs its :data:`_HANDLERS` entry.
+        :meth:`repro.backend.replay_shard.ReplayShard._build_timeline`) and
+        ``ref`` the request's trace-sink reference, which every RPC row
+        records.  Storage rows, fault dispositions and downloads are the
+        replay shard's (:meth:`~repro.backend.replay_shard.ReplayShard.
+        _dispatch`).
         """
-        (timestamp, operation, node_id, volume_id, _, node_kind, size_bytes,
-         content_hash, extension, _, _) = row
-        user_id = handle.user_id
-        # The session open routed the user and registered it on its shard.
-        shard = handle.shard
-        shard_id = handle.shard_id
-        if self._fault_lo <= timestamp < self._fault_hi and self.failing[ref]:
-            self._storage_ref(ref)
-            self._storage_shard(shard_id)
-            return
-
-        if operation is _DOWNLOAD_OPERATION:
-            objects = self._objects
-            if node_id not in shard._nodes:  # noqa: SLF001 - has_node, inlined
-                # A file downloaded without an in-trace upload existed before
-                # the measurement window: register it quietly so the store
-                # is coherent.
-                shard.make_node(user_id, volume_id, node_id, node_kind,
-                                extension, timestamp)
-                if content_hash:
-                    shard.make_content(node_id, content_hash, size_bytes,
-                                       timestamp)
-            if content_hash and content_hash not in objects:
-                objects.put(content_hash, size_bytes)
-            # Inlined RpcWorker.execute(GET_NODE): pooled factor draw and
-            # RPC row provenance (get_node's result is unused).
-            worker = self._rpc
-            model = worker._latency
-            factors = model._factors
-            i = model._factor_index
-            if i >= len(factors):
-                model._refill_factors()
-                factors = model._factors
-                i = 0
-            model._factor_index = i + 1
-            service_time = (model._base_by_rpc[_GET_NODE_RPC]
-                            [shard_id % model._n_shards] * factors[i])
-            if worker._degraded is not None:
-                service_time = worker._inflate(timestamp, service_time)
-            worker._rpc_ref(ref)
-            worker._rpc_code(_GET_NODE_CODE)
-            worker._rpc_shard(shard_id)
-            worker._rpc_service(service_time)
-            if content_hash:
-                # Inlined ObjectStore.get() accounting.
-                accounting = objects.accounting
-                accounting.get_requests += 1
-                accounting.bytes_downloaded += \
-                    objects._objects[content_hash]  # noqa: SLF001
-        else:
-            context = self._request_context
-            context.timestamp = timestamp
-            context.ref = ref
-            context.shard_id = shard_id
-            if (self._HANDLERS[operation](self, user_id, row, context, shard)
-                    and operation in _MUTATING_OPERATIONS):
-                self._mutated(ref)
-        self._storage_ref(ref)
-        self._storage_shard(shard_id)
+        operation = row[1]
+        context = self._request_context
+        context.timestamp = row[0]
+        context.ref = ref
+        context.shard_id = handle.shard_id
+        if (self._HANDLERS[operation](self, handle.user_id, row, context,
+                                      handle.shard)
+                and operation in _MUTATING_OPERATIONS):
+            self._mutated(ref)
 
     # ----------------------------------------------------------- op handlers
     # Each handler serves one operation: ``handler(self, user_id, row,
@@ -451,9 +371,9 @@ class ApiServerProcess:
         return True
 
     #: Request dispatch table of every operation but the download, which
-    #: :meth:`handle_event` runs inline.  Plain functions at class level: a
-    #: per-instance table of bound methods would put every process in a
-    #: reference cycle with itself.
+    #: the replay shard serves in its dispatch loop.  Plain functions at
+    #: class level: a per-instance table of bound methods would put every
+    #: process in a reference cycle with itself.
     _HANDLERS = {
         ApiOperation.UPLOAD: _handle_upload,
         ApiOperation.MAKE: _handle_make,

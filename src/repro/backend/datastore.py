@@ -216,9 +216,9 @@ class ObjectStore:
     def get(self, content_hash: str) -> int:
         """Download a content; returns the number of bytes transferred.
 
-        NOTE: the accounting side effects (``get_requests``,
-        ``bytes_downloaded``) are inlined in the download of
-        ``ApiServerProcess.handle_event``; keep both in sync.
+        A replay shard sums its downloads' ``get_requests`` and
+        ``bytes_downloaded`` in its dispatch loop instead of calling this
+        per download; the what-if metadata pass calls it.
         """
         size = self.size_of(content_hash)
         self.accounting.get_requests += 1

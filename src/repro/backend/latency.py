@@ -14,8 +14,10 @@ reproduction:
 * write/update/delete RPCs are slower than most reads while being issued at
   comparable frequencies.
 
-:class:`ServiceTimeModel` samples service times from a lognormal body with a
-Pareto tail mixture, with per-RPC medians encoding the Fig. 13 ordering.
+:class:`ServiceTimeModel` draws service times from a lognormal body with a
+Pareto tail mixture, with per-RPC medians encoding the Fig. 13 ordering;
+an RPC takes its factor's ordinal when it runs, and the service times are
+one gather after the replay.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.trace.dataset import RPC_CODE
 from repro.trace.records import RpcName
 
 __all__ = ["ServiceTimeModel", "LatencyParameters", "DEFAULT_MEDIANS_MS",
@@ -103,10 +106,16 @@ def shard_skew_factors(seed: int, n_shards: int,
 
 
 class ServiceTimeModel:
-    """Samples RPC service times with long tails.
+    """Draws RPC service times with long tails.
 
     ``shard_factors`` are the per-metadata-shard multipliers (see
     :func:`shard_skew_factors`); ``rng`` feeds the body and tail draws.
+    A service time is ``base[rpc, shard] * factor``, the factor a
+    lognormal body x Pareto tail draw independent of the RPC and the
+    shard, so factors are drawn in kept blocks and an RPC takes the next
+    factor's *ordinal* when it runs: only the count of factors taken
+    decides when a block is drawn, and :meth:`service_times` is one
+    gather after the run.
     """
 
     def __init__(self, rng: np.random.Generator, shard_factors: list[float],
@@ -117,22 +126,16 @@ class ServiceTimeModel:
         self._medians_ms = dict(DEFAULT_MEDIANS_MS)
         if medians_ms:
             self._medians_ms.update(medians_ms)
-        #: Per-RPC median in seconds, precomputed for the sampling fast path.
         self._median_seconds = {rpc: ms / 1000.0
                                 for rpc, ms in self._medians_ms.items()}
-        self._shard_factors = list(shard_factors)
-        self._n_shards = len(self._shard_factors)
-        # median * shard_factor, pre-multiplied per (rpc, shard): the sample
-        # fast path then only draws the lognormal body and the Pareto tail.
-        self._base_by_rpc = {
-            rpc: [median * factor for factor in self._shard_factors]
-            for rpc, median in self._median_seconds.items()
-        }
-        # Pre-drawn multiplicative body factors (lognormal body x Pareto
-        # tail).  The factor distribution is independent of the RPC and the
-        # shard — both only scale the median — so whole blocks can be drawn
-        # vectorised and sample() reduces to a table lookup and a multiply.
-        self._factors: list[float] = []
+        self._n_shards = len(shard_factors)
+        self._base = np.array([[self._median_seconds[rpc] * factor
+                                for factor in shard_factors]
+                               for rpc in RPC_CODE])
+        self._blocks: list[np.ndarray] = []
+        # The current block's first ordinal, length and next position.
+        self._offset = 0
+        self._block_size = 0
         self._factor_index = 0
 
     def _refill_factors(self, block: int = 4096) -> None:
@@ -144,52 +147,36 @@ class ServiceTimeModel:
         if n_tails:
             pareto = (1.0 - rng.random(n_tails)) ** (-1.0 / params.tail_exponent) - 1.0
             factors[tails] *= 1.0 + params.tail_scale * pareto
-        self._factors = factors.tolist()
+        self._blocks.append(factors)
+        self._offset += self._block_size
+        self._block_size = block
         self._factor_index = 0
 
-    def sample(self, rpc: RpcName, shard_id: int = 0) -> float:
-        """Sample one service time (seconds) for ``rpc`` on ``shard_id``.
+    def draw(self, n: int, block: bool = False) -> int:
+        """Take the next ``n`` factors; return the ordinal of the first.
 
-        Samples come from the pooled RNG: a lognormal body around the per-RPC
-        median, a Pareto tail with probability ``tail_probability`` and the
-        fixed per-shard skew — the same distribution as the historical
-        per-call Generator draws, at a fraction of the overhead.
-
-        NOTE: this draw sequence (index check, :meth:`_refill_factors`,
-        ``_base_by_rpc[rpc][shard_id % _n_shards] * factor``) is inlined for
-        call-overhead reasons in ``RpcWorker.execute`` and the download
-        (``GET_NODE``) in ``ApiServerProcess.handle_event``; any change to
-        the sequence or to the pool state layout must be mirrored there, or
-        the shared random stream desynchronizes between the paths.
+        As ``n`` single draws (``RpcWorker.execute`` inlines one): a
+        4,096-factor block each time the current one runs out.  As one
+        ``block`` draw: what the current block has left, then one block of
+        at least the rest.
         """
-        i = self._factor_index
-        if i >= len(self._factors):
-            self._refill_factors()
-            i = 0
-        self._factor_index = i + 1
-        return self._base_by_rpc[rpc][shard_id % self._n_shards] * self._factors[i]
+        first = self._offset + self._factor_index
+        rest = n - (self._block_size - self._factor_index)
+        if rest <= 0:
+            self._factor_index += n
+            return first
+        while True:
+            self._refill_factors(max(4096, rest) if block else 4096)
+            if rest <= self._block_size:
+                self._factor_index = rest
+                return first
+            rest -= self._block_size
 
-    def sample_block(self, rpc: RpcName, shard_id: int, n: int) -> list[float]:
-        """Sample ``n`` service times for ``rpc`` on ``shard_id`` at once.
-
-        Consumes the same pooled factor stream as :meth:`sample`, so a block
-        of ``n`` draws equals ``n`` successive scalar draws — batched callers
-        (multipart part loops, GC sweeps) stay on the same random sequence as
-        the per-call path.
-        """
-        base = self._base_by_rpc[rpc][shard_id % self._n_shards]
-        out: list[float] = []
-        remaining = n
-        while remaining:
-            i = self._factor_index
-            available = len(self._factors) - i
-            if available <= 0:
-                self._refill_factors(max(4096, remaining))
-                i = 0
-                available = len(self._factors)
-            take = available if available < remaining else remaining
-            out.extend(base * f for f in self._factors[i:i + take])
-            self._factor_index = i + take
-            remaining -= take
-        return out
-
+    def service_times(self, rpc_codes: np.ndarray, shard_ids: np.ndarray,
+                      ordinals: np.ndarray) -> np.ndarray:
+        """Service times (seconds) of RPCs given as ``RPC_CODE``\\ s, the
+        metadata shards they ran on and the ordinals of their factors."""
+        factors = (np.concatenate(self._blocks) if self._blocks
+                   else np.zeros(0))
+        return (self._base[rpc_codes, shard_ids % self._n_shards]
+                * factors[ordinals])

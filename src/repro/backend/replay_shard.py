@@ -60,6 +60,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,7 +81,12 @@ from repro.backend.rpc_server import RpcContext, RpcWorker
 from repro.backend.tracing import TraceSink
 from repro.faults.accounting import DISPOSITION_KINDS, FaultAccounting
 from repro.faults.runtime import Dispositions, FaultInjector, RequestColumns
-from repro.trace.dataset import OPERATION_CODE, SESSION_EVENT_CODE, ColumnBlock
+from repro.trace.dataset import (
+    OPERATION_CODE,
+    RPC_CODE,
+    SESSION_EVENT_CODE,
+    ColumnBlock,
+)
 from repro.trace.records import (
     DATA_MANAGEMENT_OPERATIONS,
     ApiOperation,
@@ -111,6 +117,8 @@ __all__ = [
 
 
 _AUTHENTICATE_CODE = OPERATION_CODE[ApiOperation.AUTHENTICATE]
+_DOWNLOAD_CODE = OPERATION_CODE[ApiOperation.DOWNLOAD]
+_GET_NODE_CODE = RPC_CODE[RpcName.GET_NODE]
 _DATA_MANAGEMENT_CODES = [OPERATION_CODE[operation]
                           for operation in DATA_MANAGEMENT_OPERATIONS]
 (_AUTH_REQUEST, _AUTH_OK, _AUTH_FAIL, _CONNECT, _DISCONNECT) = (
@@ -140,10 +148,11 @@ _VOLUME_TYPES = _members(VolumeType)
 _NODE_KINDS = _members(NodeKind)
 
 
-def _decoded(stored) -> list:
-    """A factorised string column's values."""
+def _decoded(stored, index: np.ndarray | None = None) -> list:
+    """A factorised string column's values (at ``index``, if given)."""
     codes, categories = stored
-    return _members(categories)[codes].tolist()
+    return _members(categories)[codes if index is None
+                                else codes[index]].tolist()
 
 
 def fork_available() -> bool:
@@ -383,8 +392,8 @@ class ShardOutcome:
     #: dispositions (``block_build``), the object-free dispatch loop
     #: (``dispatch``), and the column passes after it (``pack``: the fault
     #: counters, the request columns concatenated from the table, the
-    #: storage and RPC rows gathered from them by provenance, the session
-    #: rows, the notification fan-out and the gateway's counts).
+    #: storage and RPC rows gathered from them, the service times, the
+    #: session rows, the notification fan-out and the gateway's counts).
     block_build_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -435,7 +444,7 @@ class ReplayShard:
         self.processes: list[ApiServerProcess] = []
         for index, address in addresses:
             worker = RpcWorker(worker_id=index, latency=self.latency,
-                               sink=self.sink, faults=self.faults)
+                               sink=self.sink)
             self.processes.append(ApiServerProcess(
                 address=address, metadata_store=self.store, rpc_worker=worker,
                 object_store=self.objects, auth=self.auth,
@@ -443,17 +452,19 @@ class ReplayShard:
                 dedup_enabled=config.dedup_enabled,
                 delta_updates_enabled=config.delta_updates_enabled,
                 delta_update_factor=config.delta_update_factor,
-                interrupted_upload_fraction=config.interrupted_upload_fraction,
-                faults=self.faults))
+                interrupted_upload_fraction=config.interrupted_upload_fraction))
         self.gateway = LoadBalancer([address for _, address in addresses],
                                     rng=rng)
         self.collector = UploadJobCollector(self.store, self.processes[0],
                                             config.gc_interval)
+        #: Per timeline ordinal, whether the request's fault disposition
+        #: fails it before dispatch (``None`` without an active schedule).
+        self.failing: list[bool] | None = None
 
     # ------------------------------------------------------------------- run
-    # Timeline record kinds: opens before events before closes at equal
-    # timestamps.
-    _OPEN, _EVENT, _CLOSE = 0, 1, 2
+    # Timeline record kinds: opens before events (downloads included)
+    # before closes at equal timestamps.
+    _OPEN, _EVENT, _CLOSE, _DOWNLOAD = 0, 1, 2, 3
 
     @classmethod
     def _build_timeline(cls, table: ScriptTable) -> tuple:
@@ -470,22 +481,26 @@ class ReplayShard:
         a kind script-major.  A record's index is its timeline ordinal, and
         the first ``len(table) + table.n_events`` of them, the opens and
         the events, are the rows of the shard's request columns
-        (:meth:`_request_sources`).  ``order`` lists the ordinals in replay
-        order, and ``rank`` maps each ordinal to its position there.
+        (:meth:`_request_sources`).  ``order`` (an array) lists the
+        ordinals in replay order, and ``rank`` maps each ordinal to its
+        position there.
 
         The dispatch rows form one shard-wide list indexed like the other
-        columns, ``None`` at the opens (the closes lie past its end).  A
-        row is ``(time, operation, node_id, volume_id, volume_type,
-        node_kind, size_bytes, content_hash, extension, is_update,
-        caused_by_attack)``, the argument order of
+        columns, ``None`` at the opens and the downloads (the closes lie
+        past its end).  A row is ``(time, operation, node_id, volume_id,
+        volume_type, node_kind, size_bytes, content_hash, extension,
+        is_update, caused_by_attack)``, the argument order of
         :meth:`ApiServerProcess.handle_event`, decoded from the typed
-        columns with NumPy gathers and zipped at C speed.
+        columns with NumPy gathers, zipped and placed at C speed.
         """
         n = len(table)
         m = table.n_events
         counts = table.counts
         scripts = np.arange(n)
-        kind_col = [cls._OPEN] * n + [cls._EVENT] * m + [cls._CLOSE] * n
+        download = table.operation == _DOWNLOAD_CODE
+        kind_col = [cls._OPEN] * n
+        kind_col.extend(np.where(download, cls._DOWNLOAD, cls._EVENT).tolist())
+        kind_col.extend([cls._CLOSE] * n)
         ts = np.concatenate([table.start, table.times, table.end])
         order = np.argsort(ts, kind="stable")
         rank = np.empty_like(order)
@@ -493,48 +508,74 @@ class ReplayShard:
         ts_col = ts.tolist()
         script_col = np.concatenate([scripts, np.repeat(scripts, counts),
                                      scripts]).tolist()
-        rows: list[tuple | None] = [None] * n
-        rows.extend(zip(
-            ts_col[n:n + m], _OPERATIONS[table.operation].tolist(),
-            table.node_id.tolist(), table.volume_id.tolist(),
-            _VOLUME_TYPES[table.volume_type].tolist(),
-            _NODE_KINDS[table.node_kind].tolist(), table.size_bytes.tolist(),
-            _decoded(table.content_hash), _decoded(table.extension),
-            table.is_update.tolist(),
-            np.repeat(table.caused_by_attack, counts).tolist()))
-        return order.tolist(), rank, ts_col, kind_col, script_col, rows
+        served = np.flatnonzero(~download)
+        rows = zip(
+            table.times[served].tolist(),
+            _OPERATIONS[table.operation[served]].tolist(),
+            table.node_id[served].tolist(), table.volume_id[served].tolist(),
+            _VOLUME_TYPES[table.volume_type[served]].tolist(),
+            _NODE_KINDS[table.node_kind[served]].tolist(),
+            table.size_bytes[served].tolist(),
+            _decoded(table.content_hash, served),
+            _decoded(table.extension, served),
+            table.is_update[served].tolist(),
+            np.repeat(table.caused_by_attack, counts)[served].tolist())
+        slots: list[tuple | None] = [None] * (n + m)
+        # A C-level scatter: an object array in between raises the replay's
+        # peak memory.
+        deque(map(slots.__setitem__, (served + n).tolist(), rows), maxlen=0)
+        return order, rank, ts_col, kind_col, script_col, slots
 
-    def _dispatch(self, table: ScriptTable, order: list[int],
+    def _dispatch(self, table: ScriptTable, order: np.ndarray,
                   ts_col: list[float], kind_col: list[int],
                   script_col: list[int], rows: list,
-                  auth_failed: np.ndarray) -> tuple[list[int], list[bool]]:
+                  auth_failed: np.ndarray) -> tuple[list, list, list]:
         """Replay the sorted timeline through the shard's API processes.
 
         The loop keeps only what draws random numbers or changes back-end
         state, in timeline order: at an open, the gateway's pick (a tie
-        draws from the shard's stream) and the process's session open (the
-        token cache, the ``validate`` draw and the bootstrap RPCs, whose
-        service times consume the latency model's factor stream in call
-        order); at an event, one ``handle_event`` call with the event's
-        dispatch row and timeline ordinal, no per-event object in between;
-        at a close, the gateway's release.  Uploadjob GC sweeps run when
-        the timeline passes their deadline.
+        draws from the shard's stream) and the process's session open; at
+        an event its session serves and its fault disposition does not
+        fail, one ``handle_event`` call; at a close, the gateway's release;
+        the uploadjob GC sweeps.  A served download keeps only its
+        first-sight registration (:meth:`_register_download`, and ``put``
+        of unseen content), its object-store ``get`` sums and a count.
+
+        The count is exact because the latency model's factor blocks come
+        from the shard generator the gateway and the processes draw from
+        too, every RPC takes exactly one factor in call order (a
+        ``validate`` that raises too) and a download draws nothing else:
+        advancing the factor stream by the pending downloads at the next
+        record that may draw (any but a download; a GC sweep) draws every
+        block where a per-download draw would.
 
         Returns, per script, the index in :attr:`processes` of the process
-        its session was opened on (denied if ``auth_failed``) and whether
-        the session was established.  Session rows and notification fan-out
-        follow from these in :meth:`run`.
+        its session was opened on and whether it was established, and the
+        runs of downloads as ``(first factor ordinal, count)`` pairs, flat.
         """
-        _EVENT, _OPEN = self._EVENT, self._OPEN
+        _EVENT, _OPEN, _DOWNLOAD = self._EVENT, self._OPEN, self._DOWNLOAD
         processes = self.processes
+        n = len(table)
         user_ids = table.user_id.tolist()
         session_ids = table.session_id.tolist()
         auth_failed = auth_failed.tolist()
-        assigned = [0] * len(table)
+        assigned = [0] * n
         # Per-script dispatch entry: None until the session is established
         # (and for a denied one), then (bound handle_event, session handle,
-        # process index), then False once closed.
-        entries: list = [None] * len(table)
+        # process index, the user's metadata-shard nodes), then False once
+        # closed.
+        entries: list = [None] * n
+        # A download reads its node id and content hash by timeline ordinal.
+        node_col = [0] * n + table.node_id.tolist()
+        hash_col = [""] * n + _decoded(table.content_hash)
+        stored_size = self.objects._objects.get  # noqa: SLF001
+        put = self.objects.put
+        failing = self.failing
+        lo, hi = (self.faults.schedule.envelope if failing is not None
+                  else (float("inf"), float("-inf")))
+        draw = self.latency.draw
+        runs: list[int] = []  # (first factor ordinal, count) per run, flat
+        pending = gets = downloaded = 0
         assign = self.gateway.assign
         release = self.gateway.release
         collector = self.collector
@@ -545,18 +586,40 @@ class ReplayShard:
         # test paid ~two bytecodes on every record for a value sampled a
         # few times per second at most).
         progress = telemetry.shard_progress()
+        order = order.tolist()
         n_records = len(order)
         progress.begin(n_records, "replay")
         for chunk_start in range(0, n_records, 4096):
             progress.done = chunk_start
             for j in order[chunk_start:chunk_start + 4096]:
                 timestamp = ts_col[j]
-                if timestamp >= next_gc:
-                    next_gc = collector.observe(timestamp)
                 kind = kind_col[j]
-                if kind == _EVENT:
+                if kind != _DOWNLOAD and pending or timestamp >= next_gc:
+                    # The pending downloads take their factors before a
+                    # record that may draw.
+                    if pending:
+                        runs += draw(pending), pending
+                        pending = 0
+                    if timestamp >= next_gc:
+                        next_gc = collector.observe(timestamp)
+                if kind == _DOWNLOAD:
                     entry = entries[script_col[j]]
-                    if entry:
+                    if entry and not (lo <= timestamp < hi and failing[j]):
+                        if node_col[j] not in entry[3]:
+                            self._register_download(entry[1], table, j - n,
+                                                    timestamp)
+                        content = hash_col[j]
+                        if content:
+                            size = stored_size(content)
+                            if size is None:
+                                size = int(table.size_bytes[j - n])
+                                put(content, size)
+                            gets += 1
+                            downloaded += size
+                        pending += 1
+                elif kind == _EVENT:
+                    entry = entries[script_col[j]]
+                    if entry and not (lo <= timestamp < hi and failing[j]):
                         # Object-free dispatch: the event's column row goes
                         # straight to the process.
                         entry[0](entry[1], rows[j], j)
@@ -570,15 +633,36 @@ class ReplayShard:
                     if handle is None:
                         release(k)
                     else:
-                        entries[index] = (process.handle_event, handle, k)
+                        entries[index] = (process.handle_event, handle, k,
+                                          handle.shard._nodes)  # noqa: SLF001
                 else:  # close
                     index = script_col[j]
                     entry = entries[index]
                     if entry:
                         entries[index] = False
                         release(entry[2])
+        if pending:
+            runs += draw(pending), pending
         progress.done = n_records
-        return assigned, [entry is not None for entry in entries]
+        accounting = self.objects.accounting
+        accounting.get_requests += gets
+        accounting.bytes_downloaded += downloaded
+        return assigned, [entry is not None for entry in entries], runs
+
+    @staticmethod
+    def _register_download(handle, table: ScriptTable, event: int,
+                           timestamp: float) -> None:
+        """Make a downloaded node the shard has not seen, with its content,
+        quietly (no RPC): it predates the trace."""
+        node_id = int(table.node_id[event])
+        codes, categories = table.extension
+        handle.shard.make_node(handle.user_id, int(table.volume_id[event]),
+                               node_id, _NODE_KINDS[table.node_kind[event]],
+                               categories[codes[event]], timestamp)
+        codes, categories = table.content_hash
+        if categories[codes[event]]:
+            handle.shard.make_content(node_id, categories[codes[event]],
+                                      int(table.size_bytes[event]), timestamp)
 
     @staticmethod
     def _session_spans(table: ScriptTable, rank: np.ndarray,
@@ -599,7 +683,7 @@ class ReplayShard:
 
     @staticmethod
     def _session_rows(table: ScriptTable, spans: SessionSpans,
-                      rank: np.ndarray, script_of: np.ndarray) -> tuple:
+                      rank: np.ndarray, dispatched: np.ndarray) -> tuple:
         """The session rows of the timeline, built as columns, in the
         order the rows' records were replayed.
 
@@ -607,9 +691,9 @@ class ReplayShard:
         ``AUTH_OK`` and ``CONNECT``; at each established session's close,
         ``DISCONNECT`` with the close's timestamp, ``session_length =
         max(0, end - start)`` and the count of data-management events the
-        session served.  Returns the rows' open requests (the script
-        indices) and their own columns, :meth:`TraceSink.gather`'s
-        ``sessions``.
+        session served (of the ``dispatched`` events).  Returns the rows'
+        open requests (the script indices) and their own columns,
+        :meth:`TraceSink.gather`'s ``sessions``.
         """
         n = len(table)
         scripts = np.arange(n)
@@ -628,13 +712,9 @@ class ReplayShard:
             np.where(established, _AUTH_OK, _AUTH_FAIL).astype(np.int16),
             np.full(len(ok), _CONNECT, dtype=np.int16),
             np.full(len(done), _DISCONNECT, dtype=np.int16)])[order]
-        # A session serves the events its script dispatched while open.
-        events = rank[n:n + table.n_events]
-        script = script_of[n:]
-        served = ((events > spans.opened[script])
-                  & (events < spans.closed[script])
-                  & np.isin(table.operation, _DATA_MANAGEMENT_CODES))
-        operations = np.bincount(script[served], minlength=n)
+        served = dispatched & np.isin(table.operation, _DATA_MANAGEMENT_CODES)
+        operations = np.bincount(np.repeat(scripts, table.counts)[served],
+                                 minlength=n)
         close = event == _DISCONNECT
         start, end = table.start[rows], table.end[rows]
         return rows, {
@@ -647,7 +727,7 @@ class ReplayShard:
     def _resolve_faults(self, table: ScriptTable) -> tuple:
         """Resolve every event's fault fate before dispatch (mask then
         residue, as offline) and mark the failing ones' timeline ordinals
-        for the API processes.  Returns the scripts whose open is denied
+        in :attr:`failing`.  Returns the scripts whose open is denied
         (planned, or in an auth outage: one ``AUTH_FAIL`` row each) and the
         resolved residue (``None`` without an active schedule)."""
         faults = self.faults
@@ -661,25 +741,25 @@ class ReplayShard:
             *table.content_hash, users % self.store.n_shards)
         resolved = faults.resolve(requests,
                                   faults.schedule.faulted_rows(requests))
-        failing = [False] * (n + table.n_events)
+        failing = self.failing = [False] * (n + table.n_events)
         for row in (resolved.rows[resolved.error > 0] + n).tolist():
             failing[row] = True
-        for process in self.processes:
-            process.failing = failing
         outage = faults.schedule.auth_outage(table.start)
         faults.accounting.auth_outage_failures += int(outage.sum())
         return table.auth_failed | outage, resolved
 
-    def _count_faults(self, table: ScriptTable, resolved) -> tuple:
-        """Count the resolved requests among the recorded storage rows, in
-        storage-row order (a denied open dispatches none of its events);
-        return the rows' ``(error_kind, retries)`` for
-        :meth:`TraceSink.gather`, kinds coded by first appearance."""
-        refs = self.sink.storage_refs
+    def _count_faults(self, table: ScriptTable, resolved,
+                      stored: np.ndarray) -> tuple:
+        """Count the resolved requests among the storage rows (``stored``,
+        their timeline ordinals), in storage-row order; return the rows'
+        ``(error_kind, retries)``, kinds coded by first appearance (all
+        clean without a resolved residue)."""
+        if resolved is None:
+            return ((np.zeros(len(stored), dtype=np.int32), [""]),
+                    np.zeros(len(stored), dtype=np.int64))
         position = np.full(len(table) + table.n_events, -1, dtype=np.int64)
         position[resolved.rows + len(table)] = np.arange(len(resolved.rows))
-        position = position[np.fromiter(refs, dtype=np.int64,
-                                        count=len(refs))]
+        position = position[stored]
         hit = position >= 0
         recorded = Dispositions(*(column[position[hit]]
                                   for column in resolved))
@@ -695,6 +775,60 @@ class ReplayShard:
         retries[hit] = recorded.retries
         return ((error, [DISPOSITION_KINDS[code] for code in codes]),
                 retries)
+
+    def _rpc_rows(self, downloads: np.ndarray, runs: list,
+                  users: np.ndarray) -> tuple:
+        """:meth:`TraceSink.gather`'s ``rpc``: the buffered rows and one
+        ``GET_NODE`` row per served download (``downloads``, timeline
+        ordinals in replay order, which took the factors of ``runs`` in
+        turn) merged by factor ordinal, which is call order, with their
+        service times."""
+        refs, codes, shards, ordinals = self.sink.buffered_rpc()
+        if runs:
+            starts, counts = np.fromiter(
+                runs, dtype=np.int64, count=len(runs)).reshape(-1, 2).T
+            factors = np.arange(len(downloads)) + np.repeat(
+                starts - np.cumsum(counts) + counts, counts)
+            at = np.searchsorted(ordinals, factors) + np.arange(len(factors))
+            appended = np.ones(len(refs) + len(factors), dtype=bool)
+            appended[at] = False
+
+            def merged(rows: np.ndarray, extra) -> np.ndarray:
+                out = np.empty(len(appended), dtype=rows.dtype)
+                out[appended] = rows
+                out[at] = extra
+                return out
+
+            refs = merged(refs, downloads)
+            codes = merged(codes, _GET_NODE_CODE)
+            shards = merged(shards, users[downloads] % self.store.n_shards)
+            ordinals = merged(ordinals, factors)
+        return refs, {"rpc": codes, "shard_id": shards,
+                      "service_time": self.latency.service_times(
+                          codes, shards, ordinals)}
+
+    def _inflate(self, rpc: ColumnBlock, refs: np.ndarray,
+                 process_of: np.ndarray) -> None:
+        """Inflate the gathered RPC rows' service times on degraded workers
+        in place (``extra = service * (inflation - 1)`` added), and count
+        them, ``degraded_extra_seconds`` one row at a time in row order.
+
+        A row's worker is the process of its request (``refs``;
+        ``process_of`` per timeline request); the only other requests are
+        the GC sweeps, which run on the first process.
+        """
+        workers = np.asarray(self._address_indices)[
+            np.where(refs >= 0, process_of[np.maximum(refs, 0)], 0)]
+        inflation = self.faults.schedule.degraded_inflation(
+            workers, rpc.cols["timestamp"])
+        hit = np.flatnonzero(inflation > 1.0)
+        service = rpc.cols["service_time"]
+        extra = service[hit] * (inflation[hit] - 1.0)
+        service[hit] += extra
+        accounting = self.faults.accounting
+        accounting.degraded_rpcs += len(hit)
+        accounting.degraded_extra_seconds = float(np.add.accumulate(
+            np.concatenate([[accounting.degraded_extra_seconds], extra]))[-1])
 
     def _request_sources(self, table: ScriptTable, script_of: np.ndarray,
                          process_of: np.ndarray) -> dict:
@@ -737,16 +871,18 @@ class ReplayShard:
     def run(self, table: ScriptTable) -> ShardOutcome:
         """Replay this shard's scripts and summarise the outcome.
 
-        The loop (:meth:`_dispatch`) is the classic timsort-merge replay:
-        opens before events before closes at equal timestamps, sessions
-        pinned to the process the balancer picked at connect time, uploadjob
-        GC driven by the shard's own timeline.  Everything else about a
-        session is a pure function of the timeline order and the loop's
-        outcomes (each session's process, whether it was established, the
-        successful mutations), computed after it in column passes: the
-        session rows (:meth:`_session_rows`), the notification fan-out
-        (:meth:`SessionRegistry.fan_out`) and the gateway's assignment
-        counts.
+        The loop (:meth:`_dispatch`) keeps what draws random numbers or
+        changes back-end state, in timeline order, and counts each run of
+        downloads' latency factors.  Everything else is a pure function of
+        the timeline order and the loop's outcomes (each session's process,
+        whether it was established, the mutations, the RPC buffer, the
+        download runs), computed after it in column passes: one storage row
+        per dispatched event (its session was open for it; failing ones
+        included) in replay order, on its user's metadata shard; the RPC
+        rows and service times (:meth:`_rpc_rows`) and their inflation
+        (:meth:`_inflate`); the session rows (:meth:`_session_rows`), the
+        notification fan-out (:meth:`SessionRegistry.fan_out`) and the
+        gateway's assignment counts.
         """
         started = time.perf_counter()
         order, rank, ts_col, kind_col, script_col, rows = \
@@ -755,29 +891,48 @@ class ReplayShard:
         build_seconds = time.perf_counter() - started
 
         dispatch_started = time.perf_counter()
-        assigned, established = self._dispatch(table, order, ts_col, kind_col,
-                                               script_col, rows, auth_failed)
+        assigned, established, runs = self._dispatch(
+            table, order, ts_col, kind_col, script_col, rows, auth_failed)
         del rows  # the dispatch rows' tuples are not needed by the pack
-        timeline_end = ts_col[order[-1]] if order else 0.0
+        timeline_end = ts_col[order[-1]] if len(order) else 0.0
         dispatch_seconds = time.perf_counter() - dispatch_started
 
-        # The timeline is processed in timestamp order, so every stream was
-        # appended sorted (the merge re-checks global order).  Column packing
+        # The timeline is processed in timestamp order, so every stream is
+        # built sorted (the merge re-checks global order).  Column packing
         # happens here, in the worker: the storage, RPC and session rows are
-        # gathered by request reference from the request columns in one
-        # NumPy pass per field.
+        # gathered by request row from the request columns in one NumPy
+        # pass per field.
         pack_started = time.perf_counter()
         n = len(table)
+        m = table.n_events
         scripts = np.arange(n)
         script_of = np.concatenate([scripts, np.repeat(scripts, table.counts)])
+        users = table.user_id[script_of]
         spans = self._session_spans(table, rank, assigned, established)
-        storage_faults = (self._count_faults(table, resolved)
-                          if resolved is not None else None)
+        events = rank[n:n + m]
+        dispatched = ((events > spans.opened[script_of[n:]])
+                      & (events < spans.closed[script_of[n:]]))
+        marked = np.zeros(len(rank), dtype=bool)
+        marked[n:n + m] = dispatched
+        stored = order[marked[order]]
+        error_kind, retries = self._count_faults(table, resolved, stored)
+        downloads = None
+        if runs:
+            # The served downloads: dispatched and not failing.
+            marked[n:n + m] &= table.operation == _DOWNLOAD_CODE
+            if resolved is not None:
+                marked[n + resolved.rows[resolved.error > 0]] = False
+            downloads = order[marked[order]]
+        process_of = spans.process[script_of]
+        refs, rpc_columns = self._rpc_rows(downloads, runs, users)
         storage, rpc, sessions = self.sink.gather(
-            self._request_sources(table, script_of,
-                                  spans.process[script_of]),
-            storage_faults,
-            self._session_rows(table, spans, rank, script_of))
+            self._request_sources(table, script_of, process_of),
+            (stored, {"shard_id": users[stored] % self.store.n_shards,
+                      "error_kind": error_kind, "retries": retries}),
+            (refs, rpc_columns),
+            self._session_rows(table, spans, rank, dispatched))
+        if self.faults is not None and self.faults.schedule.degraded:
+            self._inflate(rpc, refs, process_of)
         pushed = self.registry.fan_out(spans, rank, script_of,
                                        len(self.processes), self.bus)
         assignments = np.bincount(spans.process, minlength=len(self.processes))

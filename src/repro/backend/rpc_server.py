@@ -3,9 +3,11 @@
 RPC workers sit between the API servers and the metadata store: they receive
 RPC calls, run them as database queries on the shard the calling API server
 routed the request to, and return the result.  The measurement traces every RPC
-together with its service time; the simulator reproduces that by sampling a
-service time from the :class:`~repro.backend.latency.ServiceTimeModel` for
-every executed call and recording it in the :mod:`~repro.backend.tracing` sink.
+together with its service time.  The simulator's worker takes one latency
+factor of the :class:`~repro.backend.latency.ServiceTimeModel` per call, in
+call order, and records the call in the :mod:`~repro.backend.tracing` sink
+with the factor's ordinal; service times (and a replay shard's
+degraded-process inflation) are resolved after the replay.
 """
 
 from __future__ import annotations
@@ -46,38 +48,16 @@ class RpcWorker:
     """Executes DAL calls against a metadata shard and traces them."""
 
     def __init__(self, worker_id: int, latency: ServiceTimeModel,
-                 sink: TraceSink, faults=None):
+                 sink: TraceSink):
         self.worker_id = worker_id
         self._latency = latency
+        sink.latency = latency  # resolves the rows' factor ordinals
         # The sink's bound provenance appenders (execute() runs per RPC).
         self._sink = sink
         self._rpc_ref = sink.rpc_refs.append
         self._rpc_code = sink.rpc_codes.append
         self._rpc_shard = sink.rpc_shards.append
-        self._rpc_service = sink.rpc_service_times.append
-        # Degradation windows of this worker (fault injection): inflation
-        # multiplies the already-drawn service time, so the pooled factor
-        # stream — and with it the zero-fault trace — is untouched.
-        self._degraded = faults.schedule.degraded.get(worker_id) \
-            if faults is not None else None
-        self._degraded_counters = faults.accounting if faults is not None \
-            else None
-
-    def _inflate(self, timestamp: float, service_time: float) -> float:
-        """Apply this worker's degradation window, if one covers the call.
-
-        Called once the call's operation has returned, so an RPC whose
-        operation raises (a failed token validation) leaves neither a trace
-        row nor a degraded count, as the offline pass over the trace sees it.
-        """
-        for start, end, inflation in self._degraded:
-            if start <= timestamp < end:
-                extra = service_time * (inflation - 1.0)
-                accounting = self._degraded_counters
-                accounting.degraded_rpcs += 1
-                accounting.degraded_extra_seconds += extra
-                return service_time + extra
-        return service_time
+        self._rpc_factor = sink.rpc_factors.append
 
     def execute(self, rpc: RpcName, context: RpcContext,
                 operation: Callable[..., Any], *args) -> Any:
@@ -85,55 +65,40 @@ class RpcWorker:
 
         ``operation`` is the bound shard (or auth service) method that
         performs the query, passed with its positional arguments — no
-        closure allocation per RPC.  The worker samples a service time,
-        traces the call and returns the operation's result.
+        closure allocation per RPC.  The worker takes the call's latency
+        factor, runs the operation, traces the call and returns the
+        operation's result (one that raises leaves no row).
         """
-        shard_id = context.shard_id
-        # Inlined ServiceTimeModel.sample (one call frame per RPC matters
-        # here): pull the next pooled body factor and scale the per-(rpc,
-        # shard) base median.  Falls back to the model for pool refills.
+        # ServiceTimeModel.draw(1), inlined (one call frame per RPC matters
+        # here).
         model = self._latency
-        factors = model._factors
         i = model._factor_index
-        if i >= len(factors):
+        if i >= model._block_size:
             model._refill_factors()
-            factors = model._factors
             i = 0
         model._factor_index = i + 1
-        service_time = (model._base_by_rpc[rpc][shard_id % model._n_shards]
-                        * factors[i])
+        ordinal = model._offset + i
         result = operation(*args)
-        if self._degraded is not None:
-            service_time = self._inflate(context.timestamp, service_time)
         self._rpc_ref(context.ref)
         self._rpc_code(RPC_CODE[rpc])
-        self._rpc_shard(shard_id)
-        self._rpc_service(service_time)
+        self._rpc_shard(context.shard_id)
+        self._rpc_factor(ordinal)
         return result
 
     def execute_block(self, rpc: RpcName, context: RpcContext,
                       operation: Callable[..., Any],
                       args_list: list[tuple]) -> list[Any]:
-        """Run a block of same-kind RPCs sharing one context.
-
-        The vectorised counterpart of :meth:`execute` for runs of identical
-        calls (multipart part uploads, GC sweeps): service times are drawn in
-        one pooled block, and the trace rows share the context's request
-        reference — only the per-call service time differs.  Returns the
-        operation results in call order.
-        """
+        """Run a block of same-kind RPCs (multipart part uploads) sharing
+        one context: the factors are one block draw, and the rows differ
+        only in their ordinals.  Returns the results in call order."""
         n = len(args_list)
         if n == 0:
             return []
-        shard_id = context.shard_id
-        times = self._latency.sample_block(rpc, shard_id, n)
+        first = self._latency.draw(n, block=True)
         results = [operation(*args) for args in args_list]
-        if self._degraded is not None:
-            times = [self._inflate(context.timestamp, service_time)
-                     for service_time in times]
         sink = self._sink
         sink.rpc_refs.extend([context.ref] * n)
         sink.rpc_codes.extend([RPC_CODE[rpc]] * n)
-        sink.rpc_shards.extend([shard_id] * n)
-        sink.rpc_service_times.extend(times)
+        sink.rpc_shards.extend([context.shard_id] * n)
+        sink.rpc_factors.extend(range(first, first + n))
         return results

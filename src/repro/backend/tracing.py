@@ -8,16 +8,14 @@ logfiles (``repro generate --out``) and reads them back.
 
 Most fields of a trace row are the fields of the request it serves
 (:data:`~repro.trace.dataset.REQUEST_FIELDS`), so the sink records
-*provenance* instead of rows, one buffer per provenance field:
-
-* a storage row: its request's reference and the metadata shard id (a
-  replay shard gives ``error_kind``/``retries`` from its fault dispositions);
-* an RPC row: its request's reference, the RPC code, the shard id and the
-  service time.
-
-Session rows are not written one by one: a replay shard builds them as
-columns after dispatch, from each session's open request and outcome, and
-hands them to :meth:`TraceSink.gather`.
+*provenance* instead of rows.  An RPC row is buffered as its request's
+reference, the RPC code, the metadata shard id and the ordinal of the
+latency factor its call took; the service time is resolved from the
+ordinal through the workers' latency model (:attr:`TraceSink.latency`).
+Storage and session rows are never buffered: a replay shard builds them as
+columns after dispatch, merges its downloads' ``GET_NODE`` rows into the
+buffered RPC rows (:meth:`~repro.backend.replay_shard.ReplayShard.run`)
+and hands all three to :meth:`TraceSink.gather`.
 
 A reference ``>= 0`` is a row of a replay shard's request columns (its
 timeline ordinal: a session open or an event); the shard resolves it when
@@ -27,13 +25,12 @@ sweeps, which serve no client, and the requests of callers outside a
 replay: each is registered with :meth:`TraceSink.explicit` and gets a
 negative reference into the sink's own request table, so every row takes
 the same record path.  Reading :attr:`TraceSink.dataset` gathers the
-buffered rows into the dataset first.
+buffered RPC rows into the dataset first.
 
 The buffers are plain lists, each converted to one typed NumPy array when
 the rows are gathered.  A list append is about a third of an
 ``array.array`` append (whose item setter parses every value), and its
-items are objects the request already holds — small ints, the timeline
-ordinal — except the service-time floats.
+items are small ints the request already holds.
 """
 
 from __future__ import annotations
@@ -50,8 +47,12 @@ from repro.trace.dataset import (
 
 __all__ = ["TraceSink"]
 
-#: The session block of a sink with no session rows: no request rows, and
-#: the fields a session row does not take from its request.
+#: The storage and session blocks of no rows: no request rows, and the
+#: fields a row does not take from its request.
+_NO_STORAGE = (np.zeros(0, dtype=np.int64), {
+    "shard_id": np.zeros(0, dtype=np.int64),
+    "error_kind": (np.zeros(0, dtype=np.int32), [""]),
+    "retries": np.zeros(0, dtype=np.int64)})
 _NO_SESSIONS = (np.zeros(0, dtype=np.int64), {
     "timestamp": np.zeros(0), "event": np.zeros(0, dtype=np.int16),
     "session_length": np.zeros(0),
@@ -66,19 +67,19 @@ def _typed(buffer: list, dtype) -> np.ndarray:
 class TraceSink:
     """Accumulates the trace rows produced during a simulation run."""
 
-    __slots__ = ("_dataset", "storage_refs", "storage_shards", "rpc_refs",
-                 "rpc_codes", "rpc_shards", "rpc_service_times", "_explicit")
+    __slots__ = ("_dataset", "latency", "rpc_refs", "rpc_codes",
+                 "rpc_shards", "rpc_factors", "_explicit")
 
     def __init__(self, dataset: TraceDataset | None = None):
         self._dataset = dataset if dataset is not None else TraceDataset()
-        #: Per storage row: request reference, metadata shard id.
-        self.storage_refs: list[int] = []
-        self.storage_shards: list[int] = []
-        #: Per RPC row: request reference, ``RPC_CODE``, shard id, seconds.
+        #: The latency model of the RPC workers writing here.
+        self.latency = None
+        #: Per RPC row: request reference, ``RPC_CODE``, shard id, factor
+        #: ordinal.
         self.rpc_refs: list[int] = []
         self.rpc_codes: list[int] = []
         self.rpc_shards: list[int] = []
-        self.rpc_service_times: list[float] = []
+        self.rpc_factors: list[int] = []
         # Requests with no timeline ordinal (REQUEST_FIELDS tuples), kept
         # for the sink's lifetime.  The reference of entry k is -1 - k.
         self._explicit: list[tuple] = []
@@ -89,21 +90,28 @@ class TraceSink:
         self._explicit.append(request)
         return -len(self._explicit)
 
-    def gather(self, sources: dict | None = None, storage_faults=None,
+    def buffered_rpc(self) -> tuple[np.ndarray, ...]:
+        """The buffered RPC rows as typed arrays: references, codes, shard
+        ids and factor ordinals, in call order."""
+        return (_typed(self.rpc_refs, np.int64),
+                _typed(self.rpc_codes, np.int16),
+                _typed(self.rpc_shards, np.int64),
+                _typed(self.rpc_factors, np.int64))
+
+    def gather(self, sources: dict | None = None,
+               storage: tuple | None = None, rpc: tuple | None = None,
                sessions: tuple | None = None
                ) -> tuple[ColumnBlock, ColumnBlock, ColumnBlock]:
-        """Gather the buffered rows into ``(storage, rpc, sessions)``
-        column blocks and empty the buffers.
+        """Gather ``(storage, rpc, sessions)`` column blocks and empty the
+        RPC buffers.
 
         ``sources`` holds the :data:`REQUEST_FIELDS` columns of the timeline
         requests in stored form, a reference ``>= 0`` being a row there; a
-        sink that only saw explicit requests needs none.
-        ``storage_faults`` is ``(error_kind, retries)`` of the storage rows
-        in stored form; without it every row is clean.  ``sessions`` is
-        ``(rows, columns)``: the session rows' open requests (rows of
-        ``sources``) and their ``timestamp``, ``event``,
-        ``session_length`` and ``storage_operations`` columns; without it
-        the session block is empty.
+        sink that only saw explicit requests needs none.  ``storage`` and
+        ``sessions`` are ``(rows, columns)``: the rows' requests (rows of
+        ``sources``) and their fields not taken from them; without them
+        the block is empty.  ``rpc`` is ``(refs, columns)`` likewise, by
+        request reference; without it, the buffered rows.
         """
         explicit = self._explicit
         offset = 0 if sources is None else len(sources["timestamp"])
@@ -115,42 +123,34 @@ class TraceSink:
             merged = table if sources is None else {
                 name: concat_stored([sources[name], table[name]])
                 for name in REQUEST_FIELDS}
-
-        def rows_of(refs: list[int]) -> np.ndarray:
-            ref = _typed(refs, np.int64)
-            timeline = ref >= 0
-            if sources is None and timeline.any():
-                raise ValueError("timeline references need the timeline's "
-                                 "request columns")
-            return np.where(timeline, ref, offset - 1 - ref)
-
-        n = len(self.storage_refs)
-        error_kind, retries = storage_faults or (
-            (np.zeros(n, dtype=np.int32), [""]), np.zeros(n, dtype=np.int64))
-        storage = ColumnBlock.gather("storage", merged,
-                                     rows_of(self.storage_refs), {
-            "shard_id": _typed(self.storage_shards, np.int64),
-            "error_kind": error_kind,
-            "retries": retries})
+        if rpc is None:
+            refs, codes, shards, ordinals = self.buffered_rpc()
+            rpc = refs, {"rpc": codes, "shard_id": shards,
+                         "service_time": self.latency.service_times(
+                             codes, shards, ordinals)
+                         if len(refs) else np.zeros(0)}
+        refs, rpc_columns = rpc
+        timeline = refs >= 0
+        if sources is None and timeline.any():
+            raise ValueError("timeline references need the timeline's "
+                             "request columns")
+        rows, columns = storage or _NO_STORAGE
+        storage = ColumnBlock.gather("storage", merged, rows, columns)
         rpc = ColumnBlock.gather(
             "rpc", {**merged, "api_operation": merged["operation"]},
-            rows_of(self.rpc_refs), {
-                "rpc": _typed(self.rpc_codes, np.int16),
-                "shard_id": _typed(self.rpc_shards, np.int64),
-                "service_time": _typed(self.rpc_service_times, np.float64)})
+            np.where(timeline, refs, offset - 1 - refs), rpc_columns)
         rows, columns = sessions or _NO_SESSIONS
         sessions = ColumnBlock.gather("sessions", merged, rows, columns)
-        # Cleared in place: the writers hold the buffers' bound appenders.
-        for buffer in (self.storage_refs, self.storage_shards, self.rpc_refs,
-                       self.rpc_codes, self.rpc_shards,
-                       self.rpc_service_times):
+        # Cleared in place: the workers hold the buffers' bound appenders.
+        for buffer in (self.rpc_refs, self.rpc_codes, self.rpc_shards,
+                       self.rpc_factors):
             buffer.clear()
         return storage, rpc, sessions
 
     @property
     def dataset(self) -> TraceDataset:
-        """The trace so far, with every buffered row gathered into it."""
-        if self.storage_refs or self.rpc_refs:
+        """The trace so far, with every buffered RPC row gathered into it."""
+        if self.rpc_refs:
             for stream, block in zip(
                     (self._dataset._storage, self._dataset._rpc,
                      self._dataset._sessions), self.gather()):

@@ -183,6 +183,21 @@ class FaultSchedule:
         for start, end in self.auth:
             yield ("auth-outage", start, end, {})
 
+    def degraded_inflation(self, workers: np.ndarray,
+                           ts: np.ndarray) -> np.ndarray:
+        """Each RPC's degraded-process inflation from its worker index and
+        timestamp columns: the inflation of the first window of its
+        worker's (in compiled order) that covers it, 1.0 where none does
+        (every window's inflation exceeds 1.0)."""
+        inflation = np.ones(len(ts))
+        for worker, windows in self.degraded.items():
+            free = workers == worker
+            for start, end, factor in windows:
+                hit = free & (ts >= start) & (ts < end)
+                inflation[hit] = factor
+                free &= ~hit
+        return inflation
+
     def auth_outage(self, ts: np.ndarray) -> np.ndarray:
         """Which instants of ``ts`` an auth outage covers, as one mask."""
         covered = np.zeros(len(ts), dtype=bool)

@@ -243,28 +243,17 @@ class _ScheduleStats:
                     "schedule has degraded-process windows; decode the trace "
                     "with the cluster's processes_per_machine/machine_names "
                     "so RPC rows can be mapped back to workers")
-            hit_rpcs, hit_extras = [], []
-            for worker, windows in schedule.degraded.items():
-                on_worker = trace.rpc_workers == worker
-                for start, end, inflation in windows:
-                    hits = np.flatnonzero(on_worker & (trace.rpc_ts >= start)
-                                          & (trace.rpc_ts < end))
-                    if not len(hits):
-                        continue
-                    # The first window covering an RPC inflates it, as live.
-                    on_worker[hits] = False
-                    extra = trace.rpc_service[hits] * (1.0 - 1.0 / inflation)
-                    self.degraded_rpcs += len(hits)
-                    self.degraded_extra_seconds += float(extra.sum())
-                    hit_rpcs.append(hits)
-                    hit_extras.append(extra)
-            if hit_rpcs:
-                # Unbuffered, in hit order: the same subtractions, in the
-                # same order, as one ``healthy[row] -= extra`` per hit.
-                rows = trace.rpc_request[np.concatenate(hit_rpcs)]
-                extra = np.concatenate(hit_extras)
-                served = rows >= 0
-                np.subtract.at(healthy, rows[served], extra[served])
+            inflation = schedule.degraded_inflation(trace.rpc_workers,
+                                                    trace.rpc_ts)
+            hits = np.flatnonzero(inflation > 1.0)
+            extra = trace.rpc_service[hits] * (1.0 - 1.0 / inflation[hits])
+            self.degraded_rpcs = len(hits)
+            self.degraded_extra_seconds = float(extra.sum())
+            # Unbuffered, in row order: the same subtractions, in the same
+            # order, as one ``healthy[row] -= extra`` per hit.
+            rows = trace.rpc_request[hits]
+            served = rows >= 0
+            np.subtract.at(healthy, rows[served], extra[served])
 
         # The fault-free latency baseline: degradation inverted, and rows
         # the baseline replay failed (they carry no RPCs, hence zero

@@ -33,14 +33,14 @@ from repro.trace.records import (
 __all__ = ["assert_block_equals", "assert_shard_equals_walk",
            "recording_dispatch", "reference_walk"]
 
-_OPEN, _EVENT = ReplayShard._OPEN, ReplayShard._EVENT
+_OPEN, _CLOSE = ReplayShard._OPEN, ReplayShard._CLOSE
 _OPERATIONS = list(ApiOperation)
 
 
 @contextmanager
 def recording_dispatch():
     """Note each replay shard's dispatch outcome as ``shard.loop``:
-    ``(assigned, established)`` per script."""
+    ``(assigned, established)`` per script first."""
     dispatch = ReplayShard._dispatch
 
     def recorded(self, *args, **kwargs):
@@ -153,7 +153,7 @@ def reference_walk(shard: ReplayShard, table, assigned: list[int],
             registry.register(user_id, session_id, p)
             row(index, ts_col[j], SessionEvent.CONNECT)
             is_open[index] = True
-        elif kind_col[j] == _EVENT:
+        elif kind_col[j] != _CLOSE:
             if not is_open[index]:
                 continue
             if _OPERATIONS[operations[j - n]] in DATA_MANAGEMENT_OPERATIONS:
@@ -214,7 +214,7 @@ def assert_shard_equals_walk(shard: ReplayShard, table, outcome) -> list:
     """The shard's session block, bus counters and per-process pushes
     equal the reference walk's; returns the walk's session rows.  The
     shard must have run under :func:`recording_dispatch`."""
-    assigned, established = shard.loop
+    assigned, established = shard.loop[:2]
     rows, bus, pushed = reference_walk(shard, table, assigned, established,
                                        shard.registry.mutations)
     assert_block_equals(outcome.sessions, _pack(_SESSION_SPEC, rows),

@@ -2,16 +2,17 @@
 
 Requests enter the process the way a replay shard sends them: a dispatch
 row plus a trace-sink reference (``tests.conftest.send_event``).  What a
-request did is read off the observable state: the trace rows, the object
+request did is read off the observable state: the RPC rows, the object
 store's accounting, the metadata shards and the mutations the process
-recorded.  Session rows and the notification fan-out are built by a replay
-shard after dispatch, so their tests replay scripts through one
-(``tests.conftest.replay_scripts``).
+recorded.  Storage rows, downloads, session rows and the notification
+fan-out are a replay shard's (its loop serves downloads, and it builds the
+rest after dispatch), so their tests replay scripts through one
+(``tests.conftest.replay_scripts``; ``_replay_rows`` sends dispatch rows
+that way).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -85,6 +86,26 @@ def _replay(scripts, processes: int = 1):
         interrupted_upload_fraction=0.0), scripts)
 
 
+def _replay_rows(rows, **config):
+    """Replay one session of user 1, opened at 1.0, that sends ``rows``
+    (``event_row`` tuples) through a replay shard of one API process (no
+    auth failures, no interrupted uploads unless ``config`` says so);
+    returns ``(shard, dataset)``."""
+    (times, operation, node_id, volume_id, volume_type, node_kind, size,
+     content_hash, extension, is_update, _) = map(list, zip(*rows))
+    session = script(1, 1, 1.0, max(times) + 1.0, times=times,
+                     operation=operation, node_id=node_id, volume_id=volume_id,
+                     volume_type=volume_type, node_kind=node_kind,
+                     size_bytes=size, content_hash=content_hash,
+                     extension=extension, is_update=is_update)
+    extra = config.pop("sessions", [])
+    return replay_scripts(ClusterConfig(**{
+        "seed": 0, "api_machines": 1, "processes_per_machine": 1,
+        "metadata_shards": 4, "replay_shards": 1,
+        "auth_failure_fraction": 0.0, "interrupted_upload_fraction": 0.0,
+        **config}), [session, *extra])
+
+
 class TestSessions:
     def test_open_and_close_session_emit_records(self):
         process, sink, _, _, _ = _build_process()
@@ -130,18 +151,18 @@ class TestSessions:
 
 class TestUploads:
     def test_small_upload_goes_straight_to_s3(self):
-        process, sink, objects, _, _ = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=200_000))
+        shard, dataset = _replay_rows([event_row(ApiOperation.UPLOAD,
+                                                 size=200_000)])
+        objects = shard.objects
         assert objects.accounting.bytes_uploaded == 200_000
         assert objects.accounting.dedup_hits == 0
         assert "h1" in objects
-        rpcs = _rpcs(sink)
+        rpcs = [r.rpc for r in dataset.rpc]
         assert RpcName.GET_REUSABLE_CONTENT in rpcs
         assert RpcName.MAKE_CONTENT in rpcs
         assert RpcName.MAKE_UPLOADJOB not in rpcs
         # A storage record was emitted for the request.
-        assert sink.dataset.storage[-1].operation is ApiOperation.UPLOAD
+        assert dataset.storage[-1].operation is ApiOperation.UPLOAD
 
     def test_duplicate_upload_is_deduplicated(self):
         process, _, objects, _, _ = _build_process()
@@ -177,23 +198,24 @@ class TestUploads:
         assert all(not jobs for _, jobs in store.pending_uploadjobs())
 
     def test_interrupted_upload_leaves_pending_job(self):
-        process, sink, objects, registry, store = _build_process(
-            interrupted_upload_fraction=1.0)
-        handle = open_session(process, 1, 1, 1.0)
-        open_session(process, 1, 2, 1.5)  # a second device to notify
-        send_event(process, handle, event_row(ApiOperation.UPLOAD, size=20 * MB,
-                                              content_hash="h-partial"))
+        shard, dataset = _replay_rows(
+            [event_row(ApiOperation.UPLOAD, size=20 * MB,
+                       content_hash="h-partial")],
+            interrupted_upload_fraction=0.99,
+            # A second device to notify.
+            sessions=[script(1, 2, 1.5, 20.0)])
+        objects, registry, store = shard.objects, shard.registry, shard.store
         # One 5 MB chunk went up before the client went away.
         assert 0 < objects.accounting.bytes_uploaded < 20 * MB
         assert "h-partial" not in objects
         pending = list(store.pending_uploadjobs())
         assert pending and pending[0][1]
-        rpcs = _rpcs(sink)
+        rpcs = [r.rpc for r in dataset.rpc]
         assert rpcs.count(RpcName.ADD_PART_TO_UPLOADJOB) == 1
         assert RpcName.MAKE_CONTENT not in rpcs
         # A failed mutation notifies nobody; it is still a storage row.
         assert registry.mutations == []
-        assert sink.dataset.storage[-1].operation is ApiOperation.UPLOAD
+        assert dataset.storage[-1].operation is ApiOperation.UPLOAD
 
     def test_delta_updates_reduce_transferred_bytes(self):
         process, _, objects, _, _ = _build_process(delta_updates_enabled=True)
@@ -208,25 +230,24 @@ class TestUploads:
 
 class TestOtherOperations:
     def test_download_fetches_from_s3(self):
-        process, sink, objects, _, _ = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        send_event(process, handle, event_row(ApiOperation.UPLOAD))
-        send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
+        shard, dataset = _replay_rows([
+            event_row(ApiOperation.UPLOAD, timestamp=10.0),
+            event_row(ApiOperation.DOWNLOAD, timestamp=11.0)])
+        objects = shard.objects
         assert objects.accounting.get_requests == 1
         assert objects.accounting.bytes_downloaded == 100_000
-        assert _rpcs(sink)[-1] is RpcName.GET_NODE
+        assert [r.rpc for r in dataset.rpc][-1] is RpcName.GET_NODE
 
     def test_download_of_pre_trace_file_registers_it(self):
-        process, sink, objects, _, store = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        send_event(process, handle, event_row(ApiOperation.DOWNLOAD, node_id=77,
-                                              content_hash="old", size=5_000))
+        replay, dataset = _replay_rows([event_row(
+            ApiOperation.DOWNLOAD, node_id=77, content_hash="old", size=5_000)])
+        objects, store = replay.objects, replay.store
         assert objects.accounting.bytes_downloaded == 5_000
         assert "old" in objects
         shard, _ = store.shard_and_id(1)
         assert shard.get_node(77).content_hash == "old"
         # The registration is quiet: only the download's GET_NODE is traced.
-        assert [r.rpc for r in sink.dataset.rpc
+        assert [r.rpc for r in dataset.rpc
                 if r.api_operation is ApiOperation.DOWNLOAD] == [RpcName.GET_NODE]
 
     def test_make_unlink_and_move(self):
@@ -275,20 +296,22 @@ class TestOtherOperations:
         assert RpcName.DELETE_VOLUME in _rpcs(sink)
 
     def test_maintenance_operations(self):
-        process, sink, _, _, _ = _build_process()
-        handle = open_session(process, 1, 1, 1.0)
-        for operation, rpc in [
+        expected = [
             (ApiOperation.LIST_VOLUMES, RpcName.LIST_VOLUMES),
             (ApiOperation.LIST_SHARES, RpcName.LIST_SHARES),
             (ApiOperation.GET_DELTA, RpcName.GET_DELTA),
             (ApiOperation.QUERY_SET_CAPS, RpcName.GET_USER_DATA),
             (ApiOperation.RESCAN_FROM_SCRATCH, RpcName.GET_FROM_SCRATCH),
-        ]:
-            send_event(process, handle, event_row(operation, node_id=0, size=0,
-                                                  content_hash=""))
-            last = sink.dataset.rpc[-1]
+        ]
+        _, dataset = _replay_rows([
+            event_row(operation, timestamp=10.0 + k, node_id=0, size=0,
+                      content_hash="")
+            for k, (operation, _) in enumerate(expected)])
+        for k, (operation, rpc) in enumerate(expected):
+            last = [r for r in dataset.rpc if r.timestamp <= 10.0 + k][-1]
             assert (last.rpc, last.api_operation) == (rpc, operation)
-            assert sink.dataset.storage[-1].operation is operation
+            storage = [r for r in dataset.storage if r.timestamp <= 10.0 + k]
+            assert storage[-1].operation is operation
 
     def test_storage_operations_counted_on_the_disconnect(self):
         shard, dataset = _replay([script(
@@ -311,29 +334,29 @@ _TRANSFER_FIELDS = ("get_requests", "bytes_downloaded", "put_requests",
 def _download_rows(uploaded_node: int):
     """The download of node 10 (content ``h1``) after an upload of
     ``uploaded_node`` with the same content, on a one-shard store: its
-    storage and RPC rows, and what it moved in the store and the worker."""
-    process, sink, objects, _, _ = _build_process(n_shards=1)
-    handle = open_session(process, 1, 1, 1.0)
-    send_event(process, handle, event_row(ApiOperation.UPLOAD, timestamp=5.0,
-                                          node_id=uploaded_node))
-    before = dataclasses.asdict(objects.accounting)
-    calls = len(sink.dataset.rpc)
-    send_event(process, handle, event_row(ApiOperation.DOWNLOAD))
-    after = dataclasses.asdict(objects.accounting)
-    rpc = [r for r in sink.dataset.rpc
-           if r.api_operation is ApiOperation.DOWNLOAD]
+    storage and RPC rows, and what it moved in the store and the worker
+    (the upload alone replayed first gives the baseline)."""
+    upload = event_row(ApiOperation.UPLOAD, timestamp=5.0,
+                       node_id=uploaded_node)
+    before_shard, before = _replay_rows([upload], metadata_shards=1)
+    shard, dataset = _replay_rows([upload, event_row(ApiOperation.DOWNLOAD)],
+                                  metadata_shards=1)
+    moved = {name: getattr(shard.objects.accounting, name)
+             - getattr(before_shard.objects.accounting, name)
+             for name in _TRANSFER_FIELDS}
+    rpc = [r for r in dataset.rpc if r.api_operation is ApiOperation.DOWNLOAD]
     return {
-        "storage": sink.dataset.storage[-1],
+        "storage": dataset.storage[-1],
         "rpc": rpc,
-        "moved": {name: after[name] - before[name] for name in _TRANSFER_FIELDS},
-        "rpc_calls": len(sink.dataset.rpc) - calls,
+        "moved": moved,
+        "rpc_calls": len(dataset.rpc) - len(before.rpc),
     }
 
 
 class TestDownloadBranches:
-    """The download's known-node branch (inlined ``GET_NODE`` and store
-    accounting) and its unknown-node branch (a node that predates the
-    trace, registered quietly first) leave the same rows and accounting."""
+    """A download of a known node and of an unknown one (a node that
+    predates the trace, registered quietly first) leave the same rows and
+    accounting."""
 
     def test_same_rows_and_accounting(self):
         known = _download_rows(10)

@@ -11,12 +11,22 @@ from repro.backend.latency import (
     ServiceTimeModel,
     shard_skew_factors,
 )
+from repro.trace.dataset import RPC_CODE
 from repro.trace.records import RpcName
 
 
 @pytest.fixture
 def model(rng) -> ServiceTimeModel:
     return ServiceTimeModel(rng, shard_skew_factors(0, 10))
+
+
+def _samples(model: ServiceTimeModel, rpc: RpcName, n: int,
+             shard: int = 0) -> np.ndarray:
+    """``n`` service times of ``rpc`` on ``shard``: ``n`` factors drawn
+    one at a time, resolved through the model."""
+    first = model.draw(n)
+    return model.service_times(np.full(n, RPC_CODE[rpc]), np.full(n, shard),
+                               np.arange(first, first + n))
 
 
 class TestServiceTimeModel:
@@ -31,13 +41,13 @@ class TestServiceTimeModel:
         assert cascade / read > 10  # more than an order of magnitude (Fig. 13)
 
     def test_samples_are_positive_and_centre_near_median(self, model):
-        samples = np.array([model.sample(RpcName.GET_NODE) for _ in range(3000)])
+        samples = _samples(model, RpcName.GET_NODE, 3000)
         assert np.all(samples > 0)
         median = np.median(samples)
         assert median == pytest.approx(model._median_seconds[RpcName.GET_NODE], rel=0.3)
 
     def test_long_tail_present(self, model):
-        samples = np.array([model.sample(RpcName.MAKE_FILE) for _ in range(5000)])
+        samples = _samples(model, RpcName.MAKE_FILE, 5000)
         median = np.median(samples)
         tail_share = np.mean(samples > 10 * median)
         # The paper reports 7 %-22 % of samples far from the median.
@@ -60,7 +70,7 @@ class TestServiceTimeModel:
                                  parameters=parameters)
         per_shard = []
         for shard in range(10):
-            samples = [model.sample(RpcName.GET_NODE, shard) for _ in range(500)]
+            samples = _samples(model, RpcName.GET_NODE, 500, shard)
             per_shard.append(np.median(samples))
         assert max(per_shard) / min(per_shard) < 1.3
 

@@ -1,16 +1,21 @@
 """Column-native replay output against a row-tuple reference.
 
-A replay shard records each storage and RPC row as provenance (the
-request's reference plus the back-end's own values) and gathers the
-request fields from its request columns; it builds its session rows as
-columns after dispatch.  The reference here rebuilds every row the way the
-row-tuple sink did: at each write it takes the fields of the request being
-served — tracked from the call stack, not from the reference the row
-carries — and the session rows come from the record-by-record walk of
-``reference_sessions.py``.  It packs the 18-field storage, 10-field RPC and
-9-field session tuples with ``repro.trace.dataset._pack``.  Every shard
-block must equal the packed reference array for array, categories
-included, and the shard's fan-out counters must equal the walk's.
+A replay shard records each RPC row as provenance (the request's reference
+plus the back-end's own values) and gathers the request fields from its
+request columns; it builds its storage rows, its downloads' RPC rows, its
+service times and its session rows as columns after dispatch.  Each shard
+here is checked against a twin replayed on the per-record path of
+``reference_dispatch.py`` (every request appends its storage row, every RPC
+draws its service time), and the twin against a row-tuple reference that
+rebuilds every row the way the row-tuple sink did: at each write it takes
+the fields of the request being served — tracked from the call stack, not
+from the reference the row carries — and the session rows come from the
+record-by-record walk of ``reference_sessions.py``.  It packs the 18-field
+storage, 10-field RPC and 9-field session tuples with
+``repro.trace.dataset._pack``.  Every shard block must equal the twin's and
+the packed reference array for array, categories included, and the
+shard's counters must equal the twin's and its fan-out counters the
+walk's.
 """
 
 from __future__ import annotations
@@ -34,10 +39,14 @@ from repro.backend.latency import ServiceTimeModel, shard_skew_factors
 from repro.backend.metadata_store import ShardedMetadataStore
 from repro.backend.replay_shard import ReplayShard, UploadJobCollector
 from repro.backend.rpc_server import RpcWorker
-from repro.backend.tracing import TraceSink
 from repro.faults.mitigation import MitigationPolicy
 from repro.faults.runtime import compile_plan
-from repro.faults.spec import AuthOutage, FaultPlan, default_fault_plan
+from repro.faults.spec import (
+    AuthOutage,
+    DegradedProcess,
+    FaultPlan,
+    default_fault_plan,
+)
 from repro.trace.dataset import (
     _RPC_SPEC,
     _SESSION_SPEC,
@@ -53,6 +62,11 @@ from repro.trace.records import (
     VolumeType,
 )
 from repro.workload.generator import SyntheticTraceGenerator
+from tests.backend.reference_dispatch import (
+    ReferenceSink,
+    oracle_checked,
+    per_record_path,
+)
 from tests.backend.reference_sessions import (
     assert_block_equals as _assert_block_equals,
     assert_shard_equals_walk,
@@ -90,8 +104,9 @@ class _Tap(list):
         self._note(len(values))
 
 
-class _RecordingSink(TraceSink):
-    """A trace sink that also keeps what the row-tuple sink would have built."""
+class _RecordingSink(ReferenceSink):
+    """A per-record trace sink that also keeps what the row-tuple sink
+    would have built."""
 
     __slots__ = ("stack", "storage_requests", "rpc_requests", "storage_values",
                  "rpc_values", "session_rows", "attack_of")
@@ -163,7 +178,7 @@ def _serving(sink_of, request_of):
 
 def _open_request(self, user_id, session_id, timestamp, ref,
                   force_auth_failure=False):
-    return (timestamp, self._server, self._process, user_id, session_id,
+    return (timestamp, *self.address, user_id, session_id,
             ApiOperation.AUTHENTICATE, *_NO_EVENT,
             self._sink.attack_of[session_id])
 
@@ -183,7 +198,7 @@ def _recording_run(run):
 
 
 def _event_request(self, handle, row, ref):
-    return (row[0], self._server, self._process, handle.user_id,
+    return (row[0], *self.address, handle.user_id,
             handle.session_id, *row[1:])
 
 
@@ -205,7 +220,8 @@ def _gc_rpc_request(self, rpc, context, *args):
 
 @contextmanager
 def _row_reference():
-    """Record, for every sink built inside, the row-tuple reference."""
+    """Replay on the per-record path and record, for every sink built
+    inside, the row-tuple reference."""
     process_sink = lambda process: process._sink  # noqa: E731
     patches = [
         (ApiServerProcess, "open_session", process_sink, _open_request),
@@ -215,6 +231,7 @@ def _row_reference():
         (RpcWorker, "execute", lambda w: w._sink, _gc_rpc_request),
     ]
     with ExitStack() as stack:
+        stack.enter_context(per_record_path())
         for owner, name, sink_of, request_of in patches:
             stack.enter_context(mock.patch.object(
                 owner, name, _serving(sink_of, request_of)(
@@ -227,8 +244,8 @@ def _row_reference():
         yield
 
 
-def _assert_outcome_equals_reference(shard: ReplayShard, outcome) -> None:
-    storage, rpc, sessions = shard.sink.reference_blocks()
+def _assert_outcome_equals_reference(twin: ReplayShard, outcome) -> None:
+    storage, rpc, sessions = twin.sink.reference_blocks()
     _assert_block_equals(outcome.storage, storage, "storage")
     _assert_block_equals(outcome.rpc, rpc, "rpc")
     _assert_block_equals(outcome.sessions, sessions, "sessions")
@@ -290,10 +307,15 @@ def _scripts(draw):
 
 def _fault_plan() -> FaultPlan:
     """The reference incident over the scripts' clock, plus an auth outage
-    early enough to deny some of their opens."""
+    early enough to deny some of their opens, a second degraded process
+    over the whole clock and a window of process 0's that its flapping
+    windows overlap (the first covering window inflates an RPC)."""
     plan = default_fault_plan(0.0, 20.0, seed=1)
-    return FaultPlan(faults=(*plan.faults, AuthOutage(3.0, 6.0)),
-                     seed=plan.seed)
+    return FaultPlan(faults=(
+        *plan.faults, AuthOutage(3.0, 6.0),
+        DegradedProcess(0.0, 20.0, process_index=1, inflation=2.5),
+        DegradedProcess(3.0, 20.0, process_index=0, inflation=1.5)),
+        seed=plan.seed)
 
 
 @st.composite
@@ -318,23 +340,40 @@ def _assert_rows_on_user_shard(block: ColumnBlock, n_shards: int,
     assert np.array_equal(shards, users % n_shards), label
 
 
+@contextmanager
+def _twin_checked(checked: list):
+    """Check every shard run inside against its per-record twin and the
+    twin's row-tuple reference, and that every storage and RPC row
+    (fault-rejected storage rows and GC-sweep RPC rows included) hit its
+    user's metadata shard; note each twin (its sink holds the reference
+    rows) with the outcome's row count."""
+    def check(twin, outcome):
+        _assert_outcome_equals_reference(twin, outcome)
+        for label in ("storage", "rpc"):
+            _assert_rows_on_user_shard(getattr(outcome, label),
+                                       twin.store.n_shards, label)
+        checked.append((twin, outcome.storage.n + outcome.rpc.n
+                        + outcome.sessions.n))
+
+    with oracle_checked([], oracle=_row_reference, check=check):
+        yield
+
+
 def _replay_one_shard(config: ClusterConfig, scripts):
+    """Replay ``scripts`` through one shard checked against its twin;
+    returns ``(twin, outcome)``."""
     schedule = (compile_plan(config.faults,
                              n_processes=len(config.process_addresses()),
                              n_shards=config.metadata_shards)
                 if config.faults is not None else None)
-    with _row_reference():
+    checked = []
+    with _twin_checked(checked):
         shard = ReplayShard(config, 0,
                             list(enumerate(config.process_addresses())),
                             U1Cluster(config).shard_factors,
                             fault_schedule=schedule)
         outcome = shard.run(table_of(scripts))
-    _assert_outcome_equals_reference(shard, outcome)
-    # Fault-rejected storage rows and GC-sweep RPC rows included.
-    _assert_rows_on_user_shard(outcome.storage, config.metadata_shards,
-                               "storage")
-    _assert_rows_on_user_shard(outcome.rpc, config.metadata_shards, "rpc")
-    return shard, outcome
+    return checked[0][0], outcome
 
 
 class TestGatheredBlocksEqualRowReference:
@@ -390,7 +429,8 @@ class TestGatheredBlocksEqualRowReference:
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_perfbench_shapes_at_a_tenth(workload):
     """Every shard block of each benchmark workload's shape, at about a
-    tenth of its size, equals the row reference."""
+    tenth of its size, equals its per-record twin's and the row
+    reference."""
     small = dataclasses.replace(
         workload, users=max(15, workload.users // 10),
         days=min(workload.days, 1.0),
@@ -401,23 +441,11 @@ def test_perfbench_shapes_at_a_tenth(workload):
     config = workload_config(small, seed=2014)
     cluster = U1Cluster(cluster_config(small, config))
     checked = []
-
-    def checked_run(shard, table):
-        outcome = run(shard, table)
-        _assert_outcome_equals_reference(shard, outcome)
-        for label in ("storage", "rpc"):
-            _assert_rows_on_user_shard(getattr(outcome, label),
-                                       cluster.config.metadata_shards, label)
-        checked.append(outcome.storage.n + outcome.rpc.n + outcome.sessions.n)
-        return outcome
-
-    with _row_reference():
-        run = ReplayShard.run
-        with mock.patch.object(ReplayShard, "run", checked_run):
-            dataset = cluster.replay_plan(
-                SyntheticTraceGenerator(config).plan(), n_jobs=1)
+    with _twin_checked(checked):
+        dataset = cluster.replay_plan(
+            SyntheticTraceGenerator(config).plan(), n_jobs=1)
     assert len(checked) == cluster.config.effective_replay_shards()
-    assert sum(checked) == len(dataset) > 0
+    assert sum(rows for _, rows in checked) == len(dataset) > 0
     assert len(dataset.sessions) > 0
 
 
@@ -493,11 +521,65 @@ def test_session_rows_of_the_same_sessions_replayed():
     bob = script(2, 2, 3.0, 9.0, caused_by_attack=True, times=[5.0],
                  operation=ApiOperation.DOWNLOAD, node_id=11, size_bytes=100,
                  content_hash="h2")
-    with _row_reference():
-        shard, dataset = replay_scripts(config, [alice, bob])
+    checked = []
+    with _twin_checked(checked):
+        _, dataset = replay_scripts(config, [alice, bob])
+    shard = checked[0][0]
     assert shard.collector.sweeps
     assert len(dataset.sessions) == 8
     assert [(r.event, r.timestamp) for r in dataset.sessions][-2:] == [
         (SessionEvent.DISCONNECT, 8.0), (SessionEvent.DISCONNECT, 9.0)]
     assert dataset.sessions[-1].caused_by_attack
     assert dataset.sessions[-1].session_length == 6.0
+
+
+# ---------------------------------------------------------------------------
+# Factor-stream refills inside a counted run and inside a block draw
+# ---------------------------------------------------------------------------
+
+class TestRefillsInsideRuns:
+    """Pinned cases where the latency model draws a new factor block inside
+    a run of downloads the loop only counts, and inside an RPC block draw
+    (a multipart upload's parts); both against the per-record twin."""
+
+    @staticmethod
+    def _config(**overrides) -> ClusterConfig:
+        return ClusterConfig(**{
+            "seed": 0, "api_machines": 1, "processes_per_machine": 2,
+            "metadata_shards": 2, "replay_shards": 1,
+            "auth_failure_fraction": 0.0, "interrupted_upload_fraction": 0.0,
+            **overrides})
+
+    def test_download_run_crosses_a_refill(self):
+        n = 9000
+        session = script(
+            1, 1, 0.5, 11.0, times=[1.0 + k / 1000 for k in range(n)] + [10.5],
+            operation=[ApiOperation.DOWNLOAD] * n + [ApiOperation.GET_DELTA],
+            node_id=[10] * n + [0], size_bytes=100,
+            content_hash=["h1"] * n + [""])
+        twin, outcome = _replay_one_shard(self._config(), [session])
+        # The open's three RPCs, then the run's 9,000 factors, taken as
+        # single draws would take them (a 4,096-factor block each time one
+        # runs out), then the GetDelta's.
+        assert outcome.rpc.n == 3 + n + 1
+        assert [len(block) for block in twin.latency._blocks] == [4096] * 3
+        assert twin.objects.accounting.get_requests == n
+
+    def test_block_draw_crosses_a_refill(self):
+        parts = 9000
+        session = script(
+            1, 1, 0.5, 9.0, times=[1.0, 2.0, 3.0, 4.0, 5.0],
+            operation=[ApiOperation.DOWNLOAD, ApiOperation.UPLOAD,
+                       ApiOperation.DOWNLOAD, ApiOperation.DOWNLOAD,
+                       ApiOperation.GET_DELTA],
+            node_id=[10, 11, 11, 10, 0],
+            size_bytes=[100, parts * 1024, parts * 1024, 100, 0],
+            content_hash=["h1", "big", "big", "h1", ""])
+        twin, outcome = _replay_one_shard(
+            self._config(multipart_chunk_bytes=1024), [session])
+        # Eight factors went first (the open's three, the download's, the
+        # upload's four before its parts); the parts' block took what the
+        # first block had left and drew one block of the rest.
+        assert [len(block) for block in twin.latency._blocks][:2] == [
+            4096, parts - (4096 - 8)]
+        assert outcome.rpc.n == 3 + 1 + 4 + parts + 2 + 2 + 1

@@ -6,8 +6,10 @@ here:
 * the shard timeline: built with NumPy passes over the shard's script
   table, it must order the records exactly as the historical per-script
   insertion-order sort does (opens, then each script's events, then its
-  close, stably sorted by timestamp and record kind), and dispatch every
-  event the row its script's events give;
+  close, stably sorted by timestamp and record kind), mark every download
+  as one, and dispatch every other event the row its script's events give
+  (a download's row is the per-record path's, which the loop reads from
+  the columns instead);
 * the mutation fan-out: the session registry's interval pass over the
   timeline ranks must split a mutation's other open sessions into local
   and remote pushes exactly as a scan of the sessions open at its rank
@@ -24,13 +26,15 @@ from repro.backend.api_server import SessionRegistry, SessionSpans
 from repro.backend.notifications import NotificationBus
 from repro.backend.replay_shard import ReplayShard
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
+from tests.backend.reference_dispatch import dispatch_rows
 from tests.conftest import script, table_of
 
 # ---------------------------------------------------------------------------
 # Timeline
 # ---------------------------------------------------------------------------
 
-_OPEN, _EVENT, _CLOSE = ReplayShard._OPEN, ReplayShard._EVENT, ReplayShard._CLOSE
+_OPEN, _EVENT, _CLOSE, _DOWNLOAD = (ReplayShard._OPEN, ReplayShard._EVENT,
+                                    ReplayShard._CLOSE, ReplayShard._DOWNLOAD)
 
 
 def reference_sequence(scripts) -> list[tuple]:
@@ -94,16 +98,28 @@ def _scripts(draw):
 
 def _sequence(scripts) -> list[tuple]:
     """``(kind, script index, dispatch row)`` per record in the order the
-    shard's NumPy timeline replays them."""
+    shard's NumPy timeline replays them, a download as an event with the
+    per-record path's row."""
+    table = table_of(scripts)
     order, rank, ts_col, kind_col, script_col, rows = \
-        ReplayShard._build_timeline(table_of(scripts))
+        ReplayShard._build_timeline(table)
     assert len(order) == len(ts_col) == len(kind_col) == len(script_col)
     assert sorted(order) == list(range(len(order)))
     assert [rank[j] for j in order] == list(range(len(order)))
     # Opens and events index the dispatch rows; closes lie past their end.
     assert len(rows) == len(order) - len(scripts)
-    return [(kind_col[j], script_col[j],
-             rows[j] if kind_col[j] == _EVENT else None) for j in order]
+    # Downloads are their own kind, with no dispatch row.
+    full = dispatch_rows(table)
+    for j, kind in enumerate(kind_col[:len(rows)]):
+        if kind != _OPEN:
+            assert (kind == _DOWNLOAD) \
+                == (full[j][1] is ApiOperation.DOWNLOAD)
+            assert (rows[j] is None) == (kind == _DOWNLOAD)
+    return [(_EVENT if kind_col[j] == _DOWNLOAD else kind_col[j],
+             script_col[j],
+             None if kind_col[j] in (_OPEN, _CLOSE)
+             else rows[j] if kind_col[j] == _EVENT else full[j])
+            for j in order]
 
 
 class TestShardTimeline:

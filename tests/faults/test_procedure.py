@@ -139,12 +139,11 @@ class TestShardDispositionsMatchReference:
         assert got == expected
         assert auth_failed.tolist() == expected_auth
 
-        # What the API processes read by timeline ordinal: the events
+        # What the dispatch loop reads by timeline ordinal: the events
         # follow the opens, and only failing requests are marked.
         n = len(scripts)
-        for process in shard.processes:
-            assert process.failing == [False] * n + [
-                bool(kind) for kind, _, _, _ in expected]
+        assert shard.failing == [False] * n + [
+            bool(kind) for kind, _, _, _ in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.backend.replay_shard import ReplayShard
 from repro.trace.dataset import OPERATION_CODE
 from repro.trace.records import ApiOperation, SessionEvent
 from repro.workload.events import EVENT_FIELDS, ScriptTable
+from tests.backend.reference_dispatch import dispatch_rows
 from tests.conftest import replay_scripts, script, scripts_of, table_of
 
 
@@ -89,9 +90,16 @@ class TestScriptTable:
 class TestDispatchRows:
     @staticmethod
     def _dispatch_rows(scripts):
-        """The rows a replay shard dispatches, in script order."""
-        rows = ReplayShard._build_timeline(table_of(scripts))[-1]
-        return [row for row in rows if row is not None]
+        """The rows a replay shard dispatches, in script order, each
+        download's (which the shard serves from its columns) the
+        per-record path's."""
+        table = table_of(scripts)
+        rows = ReplayShard._build_timeline(table)[-1]
+        full = dispatch_rows(table)
+        n = len(table)
+        assert [row is None for row in rows[n:]] == [
+            row[1] is ApiOperation.DOWNLOAD for row in full[n:]]
+        return [row or full[j] for j, row in enumerate(rows) if j >= n]
 
     def test_rows_equal_decoded_events(self):
         scripts = _mixed()
