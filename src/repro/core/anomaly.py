@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.trace.dataset import SESSION_EVENT_CODE, TraceDataset
 from repro.trace.records import SessionEvent
-from repro.util.timebin import TimeBinner, bin_count_series
+from repro.util.timebin import TimeBinner, binned_counts
 from repro.util.units import HOUR
 
 __all__ = [
@@ -52,25 +52,38 @@ class RequestRateSeries:
             raise KeyError(f"unknown request family {family!r}") from None
 
 
+#: Session-stream event codes counted by the session and auth families.
+_FAMILY_EVENTS = {
+    "session": [SESSION_EVENT_CODE[SessionEvent.CONNECT],
+                SESSION_EVENT_CODE[SessionEvent.DISCONNECT]],
+    "auth": [SESSION_EVENT_CODE[SessionEvent.AUTH_REQUEST],
+             SESSION_EVENT_CODE[SessionEvent.AUTH_OK],
+             SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]],
+}
+
+
+def _family_series(dataset: TraceDataset, family: str,
+                   binner: TimeBinner) -> np.ndarray:
+    """Requests per bin of one family, counted over the stream's cached
+    bin-index column."""
+    if family == "rpc":
+        return binned_counts(binner, dataset.rpc_bins(binner))
+    if family == "storage":
+        return binned_counts(binner, dataset.storage_bins(binner))
+    if family in _FAMILY_EVENTS:
+        events = np.isin(dataset.session_column("event"), _FAMILY_EVENTS[family])
+        return binned_counts(binner, dataset.session_bins(binner), events)
+    raise KeyError(f"unknown request family {family!r}")
+
+
 def request_rate_series(dataset: TraceDataset,
                         bin_width: float = HOUR) -> RequestRateSeries:
     """Build the per-hour request-rate series of Fig. 5 (attacks included)."""
-    start, end = dataset.time_span()
-    binner = TimeBinner(start=start, end=end + bin_width, width=bin_width)
-    # Columnar fast path: event-code masks over the cached session columns.
-    session_ts = dataset.session_column("timestamp")
-    event_codes = dataset.session_column("event")
-    connectish = np.isin(event_codes, [SESSION_EVENT_CODE[SessionEvent.CONNECT],
-                                       SESSION_EVENT_CODE[SessionEvent.DISCONNECT]])
-    authish = np.isin(event_codes, [SESSION_EVENT_CODE[SessionEvent.AUTH_REQUEST],
-                                    SESSION_EVENT_CODE[SessionEvent.AUTH_OK],
-                                    SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]])
-    rpc = bin_count_series(binner, dataset.rpc_column("timestamp"))
-    session = bin_count_series(binner, session_ts[connectish])
-    auth = bin_count_series(binner, session_ts[authish])
-    storage = bin_count_series(binner, dataset.storage_column("timestamp"))
-    return RequestRateSeries(bin_edges=binner.edges(), rpc=rpc, session=session,
-                             auth=auth, storage=storage, bin_width=bin_width)
+    binner = dataset.span_binner(bin_width)
+    families = {family: _family_series(dataset, family, binner)
+                for family in ("rpc", "session", "auth", "storage")}
+    return RequestRateSeries(bin_edges=binner.edges(), bin_width=bin_width,
+                             **families)
 
 
 @dataclass(frozen=True)
@@ -97,18 +110,30 @@ class AttackWindow:
 
 
 def _hour_of_day_baseline(series: np.ndarray, bins_per_day: int) -> np.ndarray:
-    """Median rate per position-in-day, broadcast back over the series."""
-    baseline = np.empty_like(series)
-    for offset in range(bins_per_day):
-        values = series[offset::bins_per_day]
-        if values.size == 0:
-            # Trace shorter than a day: positions past the last bin have no
-            # samples at all (np.median would warn and yield NaN).
-            continue
-        positive = values[values > 0]
-        med = float(np.median(positive)) if positive.size else float(np.median(values))
-        baseline[offset::bins_per_day] = max(med, 1.0)
-    return baseline
+    """Median rate per position-in-day, broadcast back over the series.
+
+    The median takes the positive rates of a position, or all of them when
+    none is positive, and is at least 1.  All positions are reduced at once:
+    the series is laid out one day per row (NaN-padded), the kept rates are
+    sorted down each column (NaN last), and the median is the mean of the
+    two middle ones, as ``np.median`` takes it.
+    """
+    n = series.size
+    days = -(-n // bins_per_day)
+    table = np.full(days * bins_per_day, np.nan)
+    table[:n] = series
+    table = table.reshape(days, bins_per_day)
+    positive = table > 0
+    kept = np.where(positive | ~positive.any(axis=0), table, np.nan)
+    ordered = np.sort(kept, axis=0)
+    count = np.count_nonzero(~np.isnan(kept), axis=0)
+    # Positions a short trace never reaches have no rates: they read a
+    # NaN here and are cut off below.
+    position = np.arange(bins_per_day)
+    low = ordered[(count - 1) // 2, position]
+    high = ordered[count // 2, position]
+    per_position = np.maximum((low + high) / 2, 1.0)
+    return np.tile(per_position, days)[:n]
 
 
 def detect_anomalies(dataset: TraceDataset, family: str = "storage",
@@ -121,8 +146,9 @@ def detect_anomalies(dataset: TraceDataset, family: str = "storage",
     """
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
-    rates = request_rate_series(dataset, bin_width=bin_width)
-    series = rates.series(family)
+    binner = dataset.span_binner(bin_width)
+    series = _family_series(dataset, family, binner)
+    edges = binner.edges()
     bins_per_day = max(1, int(round(86400 / bin_width)))
     baseline = _hour_of_day_baseline(series, bins_per_day)
     flagged = series > threshold * baseline
@@ -138,8 +164,8 @@ def detect_anomalies(dataset: TraceDataset, family: str = "storage",
             j += 1
         segment = slice(i, j + 1)
         windows.append(AttackWindow(
-            start=float(rates.bin_edges[i]),
-            end=float(rates.bin_edges[j] + bin_width),
+            start=float(edges[i]),
+            end=float(edges[j] + bin_width),
             peak_rate=float(series[segment].max()),
             baseline_rate=float(baseline[segment].mean()),
             family=family,

@@ -75,26 +75,27 @@ class LoadBalanceSeries:
         return float(totals.std() / mean)
 
 
-def _build_series(entities: list[str], timestamps: np.ndarray,
-                  rows: np.ndarray, start: float, end: float,
-                  bin_width: float) -> LoadBalanceSeries:
+def _build_series(entities: list[str], binner: TimeBinner,
+                  streams: list[tuple[np.ndarray, np.ndarray]]) -> LoadBalanceSeries:
     """Vectorised (entity x bin) histogram.
 
-    ``rows`` holds, per event, the row index of its entity in ``entities``
-    (or -1 for entities not configured); the (row, bin) pairs are counted in
-    one ``np.bincount`` over a flattened index.
+    ``streams`` holds one ``(rows, bins)`` pair per record stream: per
+    event, the row index of its entity in ``entities`` (or -1 for entities
+    not configured) and its cached bin index (-1 out of range).  Each
+    stream's (row, bin) pairs are counted in one ``np.bincount`` over a
+    flattened index.
     """
-    binner = TimeBinner(start=start, end=end + bin_width, width=bin_width)
     n_bins = binner.n_bins
-    in_range = (timestamps >= binner.start) & (timestamps < binner.end)
-    bin_idx = ((timestamps[in_range] - binner.start) // bin_width).astype(np.intp)
-    rows = rows[in_range]
-    known = rows >= 0
-    flat = rows[known].astype(np.intp) * n_bins + bin_idx[known]
-    counts = np.bincount(flat, minlength=len(entities) * n_bins) \
-        .reshape(len(entities), n_bins).astype(float)
+    size = len(entities) * n_bins
+    counts = np.zeros(size, dtype=np.int64)
+    for rows, bins in streams:
+        keep = (rows >= 0) & (bins >= 0)
+        flat = rows[keep].astype(np.intp) * n_bins + bins[keep]
+        counts += np.bincount(flat, minlength=size)
     return LoadBalanceSeries(entities=tuple(entities), bin_edges=binner.edges(),
-                             counts=counts, bin_width=bin_width)
+                             counts=counts.reshape(len(entities), n_bins)
+                             .astype(float),
+                             bin_width=binner.width)
 
 
 def api_server_load(dataset: TraceDataset, bin_width: float = HOUR,
@@ -102,9 +103,7 @@ def api_server_load(dataset: TraceDataset, bin_width: float = HOUR,
                     include_attacks: bool = True) -> LoadBalanceSeries:
     """Requests per API server (physical machine) per hour (Fig. 14, top)."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    start, end = dataset.time_span()
-    timestamps = np.concatenate([source.storage_column("timestamp"),
-                                 source.session_column("timestamp")])
+    binner = dataset.span_binner(bin_width)
     storage_codes, storage_cats = source.storage_codes("server")
     session_codes, session_cats = source.session_codes("server")
     if by_machine:
@@ -126,20 +125,17 @@ def api_server_load(dataset: TraceDataset, bin_width: float = HOUR,
                 [f"{cats[code // n_proc]}/{code % n_proc}"
                  for code in observed.tolist()])
             code_arrays.append(inverse)
-    # Merge the two streams' code spaces into one entity list.
-    entity_index: dict[str, int] = {}
-    remapped = []
-    for cats, codes in zip(labels_per_stream, code_arrays):
-        row_of = np.empty(len(cats), dtype=np.intp)
-        for i, label in enumerate(cats):
-            row_of[i] = entity_index.setdefault(label, len(entity_index))
-        remapped.append(row_of[codes])
-    rows = np.concatenate(remapped) if remapped else np.empty(0, dtype=np.intp)
-    ordered = sorted(entity_index)
-    reorder = np.empty(len(entity_index), dtype=np.intp)
-    for new_row, label in enumerate(ordered):
-        reorder[entity_index[label]] = new_row
-    return _build_series(ordered, timestamps, reorder[rows], start, end, bin_width)
+    # Merge the two streams' code spaces into one sorted entity list.
+    ordered = sorted(set().union(*labels_per_stream))
+    row_of_label = {label: row for row, label in enumerate(ordered)}
+    streams = []
+    for cats, codes, bins in zip(labels_per_stream, code_arrays,
+                                 (source.storage_bins(binner),
+                                  source.session_bins(binner))):
+        row_of = np.fromiter(map(row_of_label.__getitem__, cats),
+                             dtype=np.intp, count=len(cats))
+        streams.append((row_of[codes], bins))
+    return _build_series(ordered, binner, streams)
 
 
 def shard_load(dataset: TraceDataset, bin_width: float = MINUTE,
@@ -147,9 +143,8 @@ def shard_load(dataset: TraceDataset, bin_width: float = MINUTE,
                include_attacks: bool = True) -> LoadBalanceSeries:
     """RPC calls per metadata shard per minute (Fig. 14, bottom)."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    start, end = dataset.time_span()
+    binner = dataset.span_binner(bin_width)
     shard_ids = source.rpc_column("shard_id")
-    timestamps = source.rpc_column("timestamp")
     if shard_ids.size == 0 and n_shards is None:
         raise ValueError("no RPC records in the dataset; run the back-end "
                          "simulator to obtain shard-level load")
@@ -166,4 +161,4 @@ def shard_load(dataset: TraceDataset, bin_width: float = MINUTE,
         for row, idx in enumerate(order):
             row_of[present[idx]] = row
         rows = row_of[shard_ids]
-    return _build_series(entities, timestamps, rows, start, end, bin_width)
+    return _build_series(entities, binner, [(rows, source.rpc_bins(binner))])

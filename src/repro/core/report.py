@@ -4,6 +4,21 @@
 returns a dictionary of results keyed by experiment id (table/figure number);
 :func:`format_report` renders it as readable text.  The examples and the
 EXPERIMENTS.md regeneration script are thin wrappers around these functions.
+
+Shared derived data
+-------------------
+The figures reduce the same three streams, so :func:`full_report` derives
+each shared intermediate once:
+
+* results it passes down as optional arguments: the Fig. 2a traffic series
+  to the Fig. 2c R/W ratio, the Fig. 7b per-user traffic to Fig. 7c and the
+  user classes, the Fig. 12 RPC service times to the Fig. 13 scatter, and
+  the whole report to the Table 1 findings (``precomputed``);
+* data the dataset keeps per stream state (see
+  :mod:`repro.trace.dataset`): the time span, the attack-free view, the
+  distinct user and session ids, and one hourly bin-index column per stream,
+  which Figs. 2a, 5, 6, 14 and 15 count through masks (Fig. 14's shard
+  series keeps its own per-minute column).
 """
 
 from __future__ import annotations
@@ -43,7 +58,8 @@ def full_report(dataset: TraceDataset) -> dict[str, Any]:
     report["fig2a"] = storage_workload.traffic_timeseries(dataset)
     report["fig2b"] = storage_workload.traffic_by_size_category(dataset)
     try:
-        report["fig2c"] = storage_workload.rw_ratio_analysis(dataset)
+        report["fig2c"] = storage_workload.rw_ratio_analysis(
+            dataset, series=report["fig2a"])
     except ValueError:
         # Very small traces may not contain enough busy hours.
         report["fig2c"] = None
@@ -57,13 +73,15 @@ def full_report(dataset: TraceDataset) -> dict[str, Any]:
     report["fig5"] = anomaly.detect_anomalies(dataset, family="session")
     report["fig6"] = user_activity.online_active_users(dataset)
     report["fig7a"] = user_activity.operation_counts(dataset)
-    report["fig7b"] = user_traffic.per_user_traffic(dataset)
+    traffic = report["fig7b"] = user_traffic.per_user_traffic(dataset)
     try:
-        report["fig7c"] = user_traffic.traffic_inequality(dataset)
+        report["fig7c"] = user_traffic.traffic_inequality(dataset,
+                                                          traffic=traffic)
     except ValueError:
         # Tiny traces may contain no legitimate transfer traffic at all.
         report["fig7c"] = None
-    report["user_classes"] = user_traffic.classify_users(dataset)
+    report["user_classes"] = user_traffic.classify_users(dataset,
+                                                         traffic=traffic)
     report["fig8"] = request_graph.build_transition_graph(dataset)
     try:
         report["fig9_upload"] = burstiness.burstiness_analysis(dataset, ApiOperation.UPLOAD)
@@ -75,7 +93,8 @@ def full_report(dataset: TraceDataset) -> dict[str, Any]:
     report["fig11"] = volumes.volume_type_distribution(dataset)
     if dataset.rpc:
         report["fig12"] = rpc_performance.rpc_service_times(dataset)
-        report["fig13"] = rpc_performance.rpc_scatter(dataset)
+        report["fig13"] = rpc_performance.rpc_scatter(dataset,
+                                                      times=report["fig12"])
         report["fig14_api"] = load_balancing.api_server_load(dataset)
         report["fig14_shards"] = load_balancing.shard_load(dataset)
     report["fig15"] = sessions.auth_activity(dataset)

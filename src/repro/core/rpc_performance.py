@@ -134,10 +134,15 @@ class RpcScatterPoint:
     median_service_time: float
 
 
-def rpc_scatter(dataset: TraceDataset,
-                include_attacks: bool = True) -> list[RpcScatterPoint]:
-    """Compute the Fig. 13 median-service-time vs frequency scatter."""
-    times = rpc_service_times(dataset, include_attacks=include_attacks)
+def rpc_scatter(dataset: TraceDataset, include_attacks: bool = True,
+                times: RpcServiceTimes | None = None) -> list[RpcScatterPoint]:
+    """Compute the Fig. 13 median-service-time vs frequency scatter.
+
+    ``times`` is the Fig. 12 :func:`rpc_service_times` of ``dataset`` with
+    the same ``include_attacks``, when the caller already has it.
+    """
+    if times is None:
+        times = rpc_service_times(dataset, include_attacks=include_attacks)
     points = []
     for rpc in times.observed_rpcs():
         points.append(RpcScatterPoint(

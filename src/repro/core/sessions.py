@@ -20,7 +20,7 @@ import numpy as np
 from repro.trace.dataset import SESSION_EVENT_CODE, TraceDataset
 from repro.trace.records import SessionEvent
 from repro.util.stats import EmpiricalCDF
-from repro.util.timebin import TimeBinner, bin_count_series
+from repro.util.timebin import binned_counts
 from repro.util.units import HOUR
 
 __all__ = [
@@ -65,10 +65,9 @@ def auth_activity(dataset: TraceDataset, bin_width: float = HOUR,
                   include_attacks: bool = True) -> AuthActivitySeries:
     """Build the Fig. 15 authentication/session activity series."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    start, end = dataset.time_span()
-    binner = TimeBinner(start=start, end=end + bin_width, width=bin_width)
-    # Columnar fast path: event-code masks over the cached session columns.
-    ts = source.session_column("timestamp")
+    binner = dataset.span_binner(bin_width)
+    # Columnar fast path: event-code masks over the cached bin column.
+    bins = source.session_bins(binner)
     event_codes = source.session_column("event")
     connectish = np.isin(event_codes, [SESSION_EVENT_CODE[SessionEvent.CONNECT],
                                        SESSION_EVENT_CODE[SessionEvent.DISCONNECT]])
@@ -76,8 +75,8 @@ def auth_activity(dataset: TraceDataset, bin_width: float = HOUR,
     failures = int(np.sum(event_codes == SESSION_EVENT_CODE[SessionEvent.AUTH_FAIL]))
     return AuthActivitySeries(
         bin_edges=binner.edges(),
-        session_requests=bin_count_series(binner, ts[connectish]),
-        auth_requests=bin_count_series(binner, ts[requests]),
+        session_requests=binned_counts(binner, bins, connectish),
+        auth_requests=binned_counts(binner, bins, requests),
         auth_failures=failures,
         auth_total=int(np.sum(requests)),
         bin_width=bin_width,

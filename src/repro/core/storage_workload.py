@@ -25,7 +25,7 @@ import numpy as np
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
 from repro.util.stats import BoxplotSummary, autocorrelation, boxplot_summary
-from repro.util.timebin import TimeBinner, bin_sum_series
+from repro.util.timebin import binned_sums
 from repro.util.units import HOUR, MB
 
 __all__ = [
@@ -79,16 +79,15 @@ def traffic_timeseries(dataset: TraceDataset, bin_width: float = HOUR,
                        include_attacks: bool = False) -> TrafficTimeSeries:
     """Compute the Fig. 2a hourly traffic series."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    start, end = dataset.time_span()
-    binner = TimeBinner(start=start, end=end + bin_width, width=bin_width)
-    # Columnar fast path: operation-code masks over the cached columns.
-    ts = source.storage_column("timestamp")
+    binner = dataset.span_binner(bin_width)
+    # Columnar fast path: operation-code masks over the cached bin column.
+    bins = source.storage_bins(binner)
     sizes = source.storage_column("size_bytes")
     codes = source.storage_column("operation")
-    up = codes == OPERATION_CODE[ApiOperation.UPLOAD]
-    down = codes == OPERATION_CODE[ApiOperation.DOWNLOAD]
-    uploads = bin_sum_series(binner, ts[up], sizes[up])
-    downloads = bin_sum_series(binner, ts[down], sizes[down])
+    uploads = binned_sums(binner, bins, sizes,
+                          codes == OPERATION_CODE[ApiOperation.UPLOAD])
+    downloads = binned_sums(binner, bins, sizes,
+                            codes == OPERATION_CODE[ApiOperation.DOWNLOAD])
     return TrafficTimeSeries(bin_edges=binner.edges(), upload_bytes=uploads,
                              download_bytes=downloads, bin_width=bin_width)
 
@@ -202,16 +201,20 @@ class RwRatioAnalysis:
 def rw_ratio_analysis(dataset: TraceDataset, bin_width: float = HOUR,
                       max_lag: int | None = None,
                       include_attacks: bool = False,
-                      min_bytes: float = 0.0) -> RwRatioAnalysis:
+                      min_bytes: float = 0.0,
+                      series: TrafficTimeSeries | None = None) -> RwRatioAnalysis:
     """Compute the Fig. 2c R/W ratio boxplot and autocorrelation.
 
     ``min_bytes`` excludes bins where either direction moved fewer bytes than
     the threshold: at laptop scale a nearly idle hour (a few KB uploaded
     against a large download) would otherwise produce meaningless ratio
-    outliers that the full-scale trace never exhibits.
+    outliers that the full-scale trace never exhibits.  ``series`` is the
+    Fig. 2a :func:`traffic_timeseries` of ``dataset`` at the same
+    ``bin_width`` and ``include_attacks``, when the caller already has it.
     """
-    series = traffic_timeseries(dataset, bin_width=bin_width,
-                                include_attacks=include_attacks)
+    if series is None:
+        series = traffic_timeseries(dataset, bin_width=bin_width,
+                                    include_attacks=include_attacks)
     mask = (series.upload_bytes > min_bytes) & (series.download_bytes > min_bytes)
     ratios = series.download_bytes[mask] / series.upload_bytes[mask]
     if ratios.size < 3:

@@ -24,7 +24,7 @@ from repro.trace.records import ApiOperation
 _DATA_MANAGEMENT_CODES = np.asarray(
     [OPERATION_CODE[op] for op in ApiOperation if op.is_data_management],
     dtype=np.int16)
-from repro.util.timebin import TimeBinner, bin_unique_series
+from repro.util.timebin import binned_unique
 from repro.util.units import HOUR
 
 __all__ = [
@@ -65,18 +65,16 @@ def online_active_users(dataset: TraceDataset, bin_width: float = HOUR,
                         include_attacks: bool = False) -> OnlineActiveSeries:
     """Compute the Fig. 6 online/active users-per-hour series."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    start, end = dataset.time_span()
-    binner = TimeBinner(start=start, end=end + bin_width, width=bin_width)
-    # Columnar fast path: concatenate the session and storage columns and
-    # deduplicate (bin, user) pairs vectorised.
-    storage_ts = source.storage_column("timestamp")
+    binner = dataset.span_binner(bin_width)
+    # Columnar fast path: concatenate the session and storage bin columns
+    # and deduplicate (bin, user) pairs vectorised.
+    storage_bins = source.storage_bins(binner)
     storage_users = source.storage_column("user_id")
-    online_ts = np.concatenate([source.session_column("timestamp"), storage_ts])
-    online_users = np.concatenate([source.session_column("user_id"), storage_users])
-    online = bin_unique_series(binner, online_ts, online_users)
+    online = binned_unique(
+        binner, np.concatenate([source.session_bins(binner), storage_bins]),
+        np.concatenate([source.session_column("user_id"), storage_users]))
     management = np.isin(source.storage_column("operation"), _DATA_MANAGEMENT_CODES)
-    active = bin_unique_series(binner, storage_ts[management],
-                               storage_users[management])
+    active = binned_unique(binner, storage_bins, storage_users, management)
     return OnlineActiveSeries(bin_edges=binner.edges(), online=online,
                               active=active, bin_width=bin_width)
 

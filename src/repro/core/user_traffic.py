@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.trace.dataset import OPERATION_CODE, TraceDataset
 from repro.trace.records import ApiOperation
+from repro.util.distinct import distinct
 from repro.util.inequality import gini_coefficient, lorenz_curve, top_share
 from repro.util.stats import EmpiricalCDF
 from repro.util.units import KB
@@ -88,7 +89,8 @@ def per_user_traffic(dataset: TraceDataset,
                      include_attacks: bool = False) -> UserTraffic:
     """Aggregate upload/download bytes per user."""
     source = dataset if include_attacks else dataset.without_attack_traffic()
-    # Columnar fast path: per-user byte totals via unique + weighted bincount.
+    # Columnar fast path: per-user byte totals via distinct ids, a binary
+    # search for each row's id and a weighted bincount.
     op_codes = source.storage_column("operation")
     users = source.storage_column("user_id")
     sizes = source.storage_column("size_bytes")
@@ -97,15 +99,15 @@ def per_user_traffic(dataset: TraceDataset,
         masked_users = users[mask]
         if masked_users.size == 0:
             return {}
-        distinct, inverse = np.unique(masked_users, return_inverse=True)
-        sums = np.bincount(inverse, weights=sizes[mask])
-        return {int(uid): int(total)
-                for uid, total in zip(distinct.tolist(), sums.tolist())}
+        ids = distinct(masked_users)
+        sums = np.bincount(np.searchsorted(ids, masked_users),
+                           weights=sizes[mask], minlength=ids.size)
+        return dict(zip(ids.tolist(), sums.astype(np.int64).tolist()))
 
     return UserTraffic(
         upload_bytes=totals(op_codes == OPERATION_CODE[ApiOperation.UPLOAD]),
         download_bytes=totals(op_codes == OPERATION_CODE[ApiOperation.DOWNLOAD]),
-        all_users=len(source.user_ids()))
+        all_users=source.user_count())
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,15 @@ class TrafficInequality:
 
 
 def traffic_inequality(dataset: TraceDataset, kind: str = "total",
-                       include_attacks: bool = False) -> TrafficInequality:
-    """Compute the Fig. 7c inequality indicators for per-user traffic."""
-    traffic = per_user_traffic(dataset, include_attacks=include_attacks)
+                       include_attacks: bool = False,
+                       traffic: UserTraffic | None = None) -> TrafficInequality:
+    """Compute the Fig. 7c inequality indicators for per-user traffic.
+
+    ``traffic`` is the Fig. 7b :func:`per_user_traffic` of ``dataset`` with
+    the same ``include_attacks``, when the caller already has it.
+    """
+    if traffic is None:
+        traffic = per_user_traffic(dataset, include_attacks=include_attacks)
     values = traffic.traffic_values(kind)
     if values.size == 0:
         raise ValueError("no traffic observed")
@@ -160,14 +168,18 @@ class UserClassBreakdown:
 
 def classify_users(dataset: TraceDataset, occasional_threshold: int = 10 * KB,
                    ratio_orders_of_magnitude: float = 3.0,
-                   include_attacks: bool = False) -> UserClassBreakdown:
+                   include_attacks: bool = False,
+                   traffic: UserTraffic | None = None) -> UserClassBreakdown:
     """Classify every user following Drago et al. (as used in Section 6.1).
 
     A user is *occasional* when they transferred less than 10 KB in total;
     *upload-only* / *download-only* when one direction exceeds the other by
-    more than three orders of magnitude; *heavy* otherwise.
+    more than three orders of magnitude; *heavy* otherwise.  ``traffic`` is
+    the :func:`per_user_traffic` of ``dataset`` with the same
+    ``include_attacks``, when the caller already has it.
     """
-    traffic = per_user_traffic(dataset, include_attacks=include_attacks)
+    if traffic is None:
+        traffic = per_user_traffic(dataset, include_attacks=include_attacks)
     counts = {"occasional": 0, "upload_only": 0, "download_only": 0, "heavy": 0}
     ratio_threshold = 10.0 ** ratio_orders_of_magnitude
     all_users = dataset.user_ids() if include_attacks else \

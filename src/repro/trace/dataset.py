@@ -35,6 +35,22 @@ is packed into the columns when the stream is next read.
   :attr:`~TraceDataset.sessions` are lazy read-only sequences of record
   objects decoded from the columns.  The records are copies: mutating one
   does not change the dataset.
+
+Derived data
+------------
+Every analysis of a report reads the same few reductions, so each stream
+keeps them per content state, beside its gathered and decoded columns:
+
+* its timestamp range (:meth:`TraceDataset.time_span` combines the three);
+* one ``int32`` bin-index column per ``(start, end, width)``
+  (:meth:`TraceDataset.storage_bins` and friends, see
+  :func:`repro.util.timebin.bin_index_column`);
+* the sorted distinct values of an integer field (:meth:`_Stream.unique`),
+  which :meth:`TraceDataset.user_ids`, :meth:`~TraceDataset.user_count` and
+  the session-id pair merge across streams.
+
+Packing appended rows and sorting install new content and drop all of it;
+a view (``filter_*``, ``without_attack_traffic``) derives its own.
 """
 
 from __future__ import annotations
@@ -58,6 +74,7 @@ from repro.trace.records import (
     VolumeType,
 )
 from repro.util.distinct import distinct
+from repro.util.timebin import TimeBinner, bin_index_column
 
 __all__ = [
     "ColumnBlock",
@@ -430,6 +447,36 @@ class _Stream:
         used = np.flatnonzero(np.bincount(codes_arr, minlength=len(categories)))
         return {categories[i] for i in used.tolist()}
 
+    # ---------------------------------------------------------- derived data
+    def _derived(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, memoized in the per-state cache under ``key``."""
+        self.pack()
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
+    def unique(self, name: str) -> np.ndarray:
+        """Sorted distinct values of an integer field (cached per state)."""
+        return self._derived(("unique", name),
+                             lambda: distinct(self.column(name)))
+
+    def time_range(self) -> tuple[float, float] | None:
+        """``(min, max)`` timestamp, None when empty (cached per state)."""
+        def compute():
+            ts = self.column("timestamp")
+            return (float(ts.min()), float(ts.max())) if ts.size else None
+        return self._derived(("time_range",), compute)
+
+    def bins(self, binner: TimeBinner) -> np.ndarray:
+        """The bin-index column of the timestamps under ``binner``
+        (cached per state and binner; see
+        :func:`~repro.util.timebin.bin_index_column`)."""
+        return self._derived(
+            ("bins", binner),
+            lambda: bin_index_column(binner, self.column("timestamp")))
+
     # --------------------------------------------------------------- records
     def _decoded(self) -> Iterable[tuple]:
         """Row tuples (exact record values) decoded from the columns."""
@@ -659,6 +706,21 @@ class TraceDataset:
         """Factorised session object field: ``(int codes, categories)``."""
         return self._sessions.codes(name)
 
+    def storage_bins(self, binner: TimeBinner) -> np.ndarray:
+        """Bin index of every storage record under ``binner`` (``int32``,
+        ``-1`` outside its range), cached per stream state and binner."""
+        return self._storage.bins(binner)
+
+    def rpc_bins(self, binner: TimeBinner) -> np.ndarray:
+        """Bin index of every RPC record under ``binner`` (see
+        :meth:`storage_bins`)."""
+        return self._rpc.bins(binner)
+
+    def session_bins(self, binner: TimeBinner) -> np.ndarray:
+        """Bin index of every session record under ``binner`` (see
+        :meth:`storage_bins`)."""
+        return self._sessions.bins(binner)
+
     # ------------------------------------------------------------------ size
     def __len__(self) -> int:
         return len(self._storage) + len(self._rpc) + len(self._sessions)
@@ -710,18 +772,22 @@ class TraceDataset:
 
     # -------------------------------------------------------------- time span
     def time_span(self) -> tuple[float, float]:
-        """Return ``(first_timestamp, last_timestamp)`` across all streams."""
-        first = float("inf")
-        last = float("-inf")
-        for stream in (self._storage, self._rpc, self._sessions):
-            if len(stream) == 0:
-                continue
-            ts = stream.column("timestamp")
-            first = min(first, float(ts.min()))
-            last = max(last, float(ts.max()))
-        if first == float("inf"):
+        """Return ``(first_timestamp, last_timestamp)`` across all streams.
+
+        Each stream's range is computed once per stream state.
+        """
+        ranges = [r for r in (self._storage.time_range(),
+                              self._rpc.time_range(),
+                              self._sessions.time_range()) if r is not None]
+        if not ranges:
             raise ValueError("time span of an empty dataset is undefined")
-        return first, last
+        return min(r[0] for r in ranges), max(r[1] for r in ranges)
+
+    def span_binner(self, width: float) -> TimeBinner:
+        """Bins of ``width`` seconds covering the trace: ``[first, last +
+        width)``, the binner of every time-series figure."""
+        start, end = self.time_span()
+        return TimeBinner(start=start, end=end + width, width=width)
 
     @property
     def duration(self) -> float:
@@ -769,26 +835,40 @@ class TraceDataset:
     # ------------------------------------------------------------ aggregation
     def user_ids(self) -> set[int]:
         """Distinct user ids appearing anywhere in the trace."""
-        return self._distinct_ids(
-            "user_id", (self._storage, self._rpc, self._sessions))
+        return set(self._user_ids().tolist())
+
+    def user_count(self) -> int:
+        """Number of distinct user ids (``len(user_ids())``, no set built)."""
+        return int(self._user_ids().size)
 
     def session_ids(self) -> set[int]:
         """Distinct session ids appearing anywhere in the trace."""
+        return set(self._session_ids().tolist())
+
+    def session_count(self) -> int:
+        """Number of distinct session ids (``len(session_ids())``)."""
+        return int(self._session_ids().size)
+
+    def _user_ids(self) -> np.ndarray:
+        return self._distinct_ids(
+            "user_id", (self._storage, self._rpc, self._sessions))
+
+    def _session_ids(self) -> np.ndarray:
         return self._distinct_ids("session_id", (self._storage, self._sessions))
 
-    def _distinct_ids(self, name: str, streams: tuple) -> set[int]:
-        """Distinct values of an integer column across ``streams``.
+    def _distinct_ids(self, name: str, streams: tuple) -> np.ndarray:
+        """Sorted distinct values of an integer column across ``streams``.
 
-        The sorted distinct array is memoized per column and stream state,
-        so appends and re-sorts invalidate it; every call returns a fresh
-        set the caller may mutate.
+        Each stream deduplicates its own column (:meth:`_Stream.unique`),
+        and the small per-stream results are merged.  The merge is memoized
+        per column and stream state, so appends and re-sorts invalidate it.
         """
         key = tuple(s.state() for s in streams)
         cached = self._distinct_cache.get(name)
         if cached is None or cached[0] != key:
-            ids = distinct(np.concatenate([s.column(name) for s in streams]))
+            ids = distinct(np.concatenate([s.unique(name) for s in streams]))
             cached = self._distinct_cache[name] = (key, ids)
-        return set(cached[1].tolist())
+        return cached[1]
 
     def upload_bytes(self) -> int:
         """Total uploaded bytes in the trace (columnar, no record objects)."""

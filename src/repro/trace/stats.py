@@ -70,9 +70,9 @@ def summarize(dataset: TraceDataset) -> TraceSummary:
     return TraceSummary(
         duration_days=(end - start) / DAY,
         servers_traced=len(servers),
-        unique_users=len(dataset.user_ids()),
+        unique_users=dataset.user_count(),
         unique_files=int(unique_files.size),
-        user_sessions=len(dataset.session_ids()),
+        user_sessions=dataset.session_count(),
         transfer_operations=n_uploads + n_downloads,
         upload_bytes=dataset.upload_bytes(),
         download_bytes=dataset.download_bytes(),

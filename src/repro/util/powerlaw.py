@@ -7,13 +7,28 @@ unlinks), concluding that user operations are bursty and non-Poisson.
 
 We implement the standard continuous maximum-likelihood (Hill) estimator for
 the tail exponent given a threshold, a simple Kolmogorov-Smirnov scan to
-choose the threshold, and a CCDF helper for plotting.
+choose the threshold (Clauset, Shalizi & Newman, SIAM Review 2009), and a
+CCDF helper for plotting.
+
+The scan sorts the sample once: the tail of every candidate threshold is a
+suffix of the sorted sample, found by binary search, so no candidate masks,
+copies or sorts it again.
+
+Rounding note: each candidate's exponent is ``1 / mean(log(x / theta))``
+over its suffix.  Every term is non-negative, so the only rounding that
+depends on the implementation is the order of the summation (the sorted
+suffix here, sample order in a mask-based scan): ``alpha`` and
+``ks_distance`` move by a few ulps, and ``theta`` and ``n_tail`` do not.
+Summing ``log(x)`` once and subtracting ``n log(theta)`` per candidate
+would save the per-candidate logarithm, but it cancels when the tail hugs
+``theta`` and no longer reproduces the scan to 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,22 +65,26 @@ class PowerLawFit:
         return float((x / self.theta) ** (-self.alpha))
 
 
-def _mle_alpha(tail: np.ndarray, theta: float) -> float:
-    """Continuous MLE of the CCDF exponent for samples ``>= theta``."""
-    logs = np.log(tail / theta)
-    mean_log = float(logs.mean())
-    if mean_log <= 0:
-        return float("inf")
-    return 1.0 / mean_log
+def _positive_sorted(samples) -> np.ndarray:
+    """The sample's positive values as a sorted float64 array."""
+    values = np.asarray(samples if isinstance(samples, np.ndarray)
+                        else list(samples), dtype=float).ravel()
+    return np.sort(values[values > 0])
 
 
-def _ks_distance(tail: np.ndarray, theta: float, alpha: float) -> float:
-    """KS distance between the empirical tail CCDF and the Pareto model."""
-    sorted_tail = np.sort(tail)
-    n = sorted_tail.size
+def _tail_fit(tail: np.ndarray, theta: float) -> PowerLawFit:
+    """Continuous MLE of the CCDF exponent for a sorted tail ``>= theta``,
+    with the KS distance between its empirical CCDF and the Pareto model.
+
+    ``alpha`` is ``inf`` when every tail sample equals ``theta``.
+    """
+    n = tail.size
+    ratios = tail / theta
+    mean_log = float(np.log(ratios).mean())
+    alpha = 1.0 / mean_log if mean_log > 0 else float("inf")
     empirical = 1.0 - np.arange(n, dtype=float) / n
-    model = (sorted_tail / theta) ** (-alpha)
-    return float(np.max(np.abs(empirical - model)))
+    ks = float(np.max(np.abs(empirical - ratios ** (-alpha))))
+    return PowerLawFit(alpha=alpha, theta=theta, n_tail=int(n), ks_distance=ks)
 
 
 def fit_power_law(samples: Iterable[float], theta: float | None = None,
@@ -75,8 +94,9 @@ def fit_power_law(samples: Iterable[float], theta: float | None = None,
     Parameters
     ----------
     samples:
-        Observations (e.g. inter-operation times in seconds).  Non-positive
-        values are discarded, mirroring the paper's log-log treatment.
+        Observations (e.g. inter-operation times in seconds), as an array or
+        any iterable of numbers.  Non-positive values are discarded,
+        mirroring the paper's log-log treatment.
     theta:
         Fixed threshold.  When omitted, candidate thresholds are scanned over
         quantiles of the sample and the one minimising the KS distance is
@@ -86,33 +106,27 @@ def fit_power_law(samples: Iterable[float], theta: float | None = None,
     min_tail:
         Minimum number of tail samples required for a candidate threshold.
     """
-    values = np.asarray([float(x) for x in samples if x > 0], dtype=float)
+    values = _positive_sorted(samples)
     if values.size < min_tail:
         raise ValueError(f"need at least {min_tail} positive samples to fit a tail")
 
     if theta is not None:
-        tail = values[values >= theta]
-        if tail.size < 2:
+        start = int(np.searchsorted(values, theta, side="left"))
+        if values.size - start < 2:
             raise ValueError("threshold leaves fewer than two tail samples")
-        alpha = _mle_alpha(tail, theta)
-        return PowerLawFit(alpha=alpha, theta=float(theta), n_tail=int(tail.size),
-                           ks_distance=_ks_distance(tail, theta, alpha))
+        return _tail_fit(values[start:], float(theta))
 
     quantiles = np.linspace(0.0, 0.95, n_candidates)
     candidates = np.unique(np.quantile(values, quantiles))
+    # The tail of each candidate is a suffix of the one sorted sample.
+    starts = np.searchsorted(values, candidates, side="left")
     best: PowerLawFit | None = None
-    for candidate in candidates:
-        if candidate <= 0:
+    for candidate, start in zip(candidates.tolist(), starts.tolist()):
+        if candidate <= 0 or values.size - start < min_tail:
             continue
-        tail = values[values >= candidate]
-        if tail.size < min_tail:
+        fit = _tail_fit(values[start:], candidate)
+        if not math.isfinite(fit.alpha):
             continue
-        alpha = _mle_alpha(tail, float(candidate))
-        if not np.isfinite(alpha):
-            continue
-        ks = _ks_distance(tail, float(candidate), alpha)
-        fit = PowerLawFit(alpha=alpha, theta=float(candidate),
-                          n_tail=int(tail.size), ks_distance=ks)
         if best is None or fit.ks_distance < best.ks_distance:
             best = fit
     if best is None:
@@ -120,16 +134,16 @@ def fit_power_law(samples: Iterable[float], theta: float | None = None,
     return best
 
 
-def ccdf_points(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def ccdf_points(samples: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CCDF ``(x, P(X >= x))`` suitable for log-log plotting."""
-    values = np.sort(np.asarray([float(x) for x in samples if x > 0], dtype=float))
+    values = _positive_sorted(samples)
     if values.size == 0:
         raise ValueError("CCDF of empty sample is undefined")
     probs = 1.0 - np.arange(values.size, dtype=float) / values.size
     return values, probs
 
 
-def is_bursty(samples: Sequence[float], cv_threshold: float = 1.5) -> bool:
+def is_bursty(samples: Iterable[float], cv_threshold: float = 1.5) -> bool:
     """Heuristic burstiness check based on the coefficient of variation.
 
     A Poisson process has exponential inter-arrival times with a coefficient
@@ -137,7 +151,9 @@ def is_bursty(samples: Sequence[float], cv_threshold: float = 1.5) -> bool:
     higher variance.  We flag a sample as bursty when its CV exceeds
     ``cv_threshold``.
     """
-    values = np.asarray([float(x) for x in samples if x >= 0], dtype=float)
+    values = np.asarray(samples if isinstance(samples, np.ndarray)
+                        else list(samples), dtype=float).ravel()
+    values = values[values >= 0]
     if values.size < 2:
         raise ValueError("burstiness check requires at least two samples")
     mean = values.mean()

@@ -38,6 +38,10 @@ caller controls:
 * ``interrupted_upload_fraction=0.0`` (interrupted multiparts leave a trace
   record but no store commit, and the trace does not say which).
 
+Faults need no condition: a request that failed on a fault carries its
+``error_kind`` in the trace, and :meth:`StorageTrace.from_dataset` drops
+it, as the live store never executed it.
+
 The tier counters exist only here: the live back-end has one tier.  The
 sweep measures idle time up to ``end_time``, which callers set to the
 replay's ``U1Cluster.last_replay_stats["timeline_end"]``.
@@ -152,9 +156,15 @@ class StorageTrace:
 
     @classmethod
     def from_dataset(cls, dataset: TraceDataset) -> "StorageTrace":
-        """Decode the store-relevant slice of a dataset's storage stream."""
+        """Decode the store-relevant slice of a dataset's storage stream.
+
+        Rows whose ``error_kind`` is set are dropped: the request failed on
+        a fault, so the live store never executed it.
+        """
         ops = dataset.storage_column("operation")
-        index = np.flatnonzero(np.isin(ops, _RELEVANT))
+        error_codes, error_kinds = dataset.storage_codes("error_kind")
+        served = np.array([not kind for kind in error_kinds], dtype=bool)
+        index = np.flatnonzero(np.isin(ops, _RELEVANT) & served[error_codes])
         hash_codes, categories = dataset.storage_codes("content_hash")
         try:
             empty_hash = categories.index("")

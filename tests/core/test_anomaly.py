@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from repro.core.anomaly import attack_amplification, detect_anomalies, request_rate_series
+from repro.core.anomaly import (
+    _hour_of_day_baseline,
+    attack_amplification,
+    detect_anomalies,
+    request_rate_series,
+)
 from repro.trace.dataset import TraceDataset
 from repro.trace.records import ApiOperation, SessionEvent
 from repro.util.units import HOUR
@@ -94,3 +101,32 @@ class TestAmplification:
         # and storage activity even more (4.6-245x).
         assert amplification["session"] > 3
         assert amplification["storage"] > 3
+
+
+def _baseline_reference(series: np.ndarray, bins_per_day: int) -> np.ndarray:
+    """The per-position median loop the vectorised baseline replaced."""
+    baseline = np.empty_like(series)
+    for offset in range(bins_per_day):
+        values = series[offset::bins_per_day]
+        if values.size == 0:
+            continue
+        positive = values[values > 0]
+        med = float(np.median(positive)) if positive.size \
+            else float(np.median(values))
+        baseline[offset::bins_per_day] = max(med, 1.0)
+    return baseline
+
+
+class TestHourOfDayBaseline:
+    @settings(max_examples=200, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(st.integers(1, 24 * 9), st.sampled_from([1, 2, 24, 1440]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.5, 1000.3]))
+    def test_matches_the_median_loop(self, n, bins_per_day, seed, scale):
+        rng = np.random.default_rng(seed)
+        series = rng.integers(0, 6, n) * scale
+        series[rng.random(n) < 0.4] = 0.0
+        expected = _baseline_reference(series, bins_per_day)
+        result = _hour_of_day_baseline(series, bins_per_day)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)

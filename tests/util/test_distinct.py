@@ -1,4 +1,5 @@
-"""Property tests pinning repro.util.distinct to np.unique."""
+"""Property tests pinning repro.util.distinct to np.unique (sort and
+presence-table paths alike)."""
 
 from __future__ import annotations
 
@@ -7,11 +8,18 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.report import format_report
-from repro.util.distinct import distinct, distinct_pairs
+from repro.util.distinct import (
+    DENSE_SPAN_FACTOR,
+    _distinct_dense,
+    distinct,
+    distinct_pairs,
+)
+
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
                   np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
@@ -174,3 +182,40 @@ def test_report_takes_no_hash_table_unique(simulated_dataset, monkeypatch):
     assert format_report(simulated_dataset)
     assert repro_calls, "the guard saw no np.unique call from repro"
     assert offenders == []
+
+
+@st.composite
+def spanned_keys(draw):
+    """Integer keys of any width and sign whose span lies on either side of
+    the dense threshold, placed anywhere in the dtype's range (extremes
+    included)."""
+    dtype = np.dtype(draw(st.sampled_from(INTEGER_DTYPES[:-1])))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(2, 120))
+    span = draw(st.integers(0, min(int(info.max) - int(info.min),
+                                   2 * DENSE_SPAN_FACTOR * n)))
+    low = draw(st.sampled_from([int(info.min), int(info.max) - span])
+               | st.integers(int(info.min), int(info.max) - span))
+    offsets = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
+    if draw(st.booleans()):  # both ends of the span present
+        offsets[:2] = [0, span]
+    return np.array([low + offset for offset in offsets], dtype=dtype)
+
+
+class TestDenseDistinct:
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(spanned_keys())
+    def test_matches_np_unique(self, values):
+        _assert_same(distinct(values), np.unique(values))
+
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+    @given(spanned_keys())
+    def test_presence_table_matches_np_unique(self, values):
+        # The dense kernel itself, whichever side of the threshold.
+        low, high = int(values.min()), int(values.max())
+        _assert_same(_distinct_dense(values, low, high), np.unique(values))
+
+    def test_takes_the_dense_path_below_the_threshold(self, monkeypatch):
+        values = np.array([-128, 127] * 40, dtype=np.int8)
+        monkeypatch.setattr(np, "sort", None)  # the sort path would fail
+        _assert_same(distinct(values), np.array([-128, 127], dtype=np.int8))

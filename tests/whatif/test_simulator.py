@@ -4,7 +4,8 @@ The offline passes run over the *baseline* replay's trace columns; the live
 side replays the same workload plan with the dedup or delta knob applied for
 real.  With a single replay shard (global store) and uninterrupted uploads,
 the untiered counters must agree to the counter — which is what makes the
-sweep's what-if numbers trustworthy.  Tiering has no live counterpart: its
+sweep's what-if numbers trustworthy.  That holds under faults too: the
+requests that failed on a fault stay out of both stores.  Tiering has no live counterpart: its
 counters are pinned to the brute-force reference of ``test_tiering.py``
 run over the metadata pass's tier-event log, and the log itself is tied to
 the untiered store.
@@ -14,12 +15,15 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.backend.cluster import ClusterConfig, U1Cluster
 from repro.backend.uploadjob import UPLOAD_CHUNK_BYTES
-from repro.util.units import HOUR, MB
+from repro.faults.spec import default_fault_plan
+from repro.util.units import DAY, HOUR, MB
 from repro.whatif.simulator import (
+    _RELEVANT,
     PolicySpec,
     StorageTrace,
     _metadata_pass,
@@ -46,9 +50,9 @@ def workload():
     return SyntheticTraceGenerator(config).plan()
 
 
-def live_replay(workload, **overrides):
+def live_replay(workload, seed=SEED, **overrides):
     """A live replay under equivalence conditions (see the module docstring)."""
-    cluster = U1Cluster(ClusterConfig(seed=SEED, replay_shards=1,
+    cluster = U1Cluster(ClusterConfig(seed=seed, replay_shards=1,
                                       interrupted_upload_fraction=0.0,
                                       auth_failure_fraction=0.0,
                                       **overrides))
@@ -177,6 +181,41 @@ class TestOfflineMatchesLive:
     def test_finalize_instant_matches_timeline_end_stat(self, baseline):
         cluster, _, _, end = baseline
         assert cluster.last_replay_stats["timeline_end"] == pytest.approx(end)
+
+
+class TestFaultedReplay:
+    """A live replay under the reference incident day: the storage rows
+    that failed on a fault never reached the live store, nor the offline
+    one."""
+
+    @pytest.fixture(scope="class")
+    def faulted(self):
+        # Large enough that faults fail uploads, downloads and unlinks, not
+        # only metadata reads.
+        config = WorkloadConfig.scaled(users=250, days=2.0, seed=2014)
+        plan = default_fault_plan(config.start_time, 2 * DAY, seed=2014)
+        return live_replay(SyntheticTraceGenerator(config).plan(),
+                           seed=2014, faults=plan)
+
+    def test_baseline_matches_live_store(self, faulted):
+        cluster, dataset = faulted
+        failed = dataset.storage_column("error_kind") != ""
+        assert failed.any(), "the fault plan failed no storage request"
+        trace = StorageTrace.from_dataset(dataset)
+        outcome = simulate_policy(
+            trace, PolicySpec("baseline"),
+            end_time=cluster.last_replay_stats["timeline_end"])
+        assert outcome.accounting == cluster.object_store.accounting
+        assert outcome.object_count == len(cluster.object_store)
+
+    def test_failed_rows_are_not_decoded(self, faulted):
+        _, dataset = faulted
+        relevant = np.isin(dataset.storage_column("operation"), _RELEVANT)
+        served = dataset.storage_column("error_kind") == ""
+        trace = StorageTrace.from_dataset(dataset)
+        assert len(trace) == int(np.sum(relevant & served)) \
+            < int(np.sum(relevant))
+        assert trace.n_records == len(dataset.storage)
 
 
 class TestStorageTrace:
